@@ -50,11 +50,10 @@ from .retrieval import (
     SweepCurve,
     TaskEmbedding,
     alpha_sweep,
-    evaluate,
+    best_ranks,
     evaluate_bidirectional,
     make_task_embedding,
     pairing_to_ground_truth,
-    rank,
 )
 from .selection import (
     GuidedTikhonovResult,

@@ -16,12 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import FeatureMatrix, ModelArchive, format_manifest_value
+from .io import (DataFormatError, FeatureMatrix, ModelArchive,
+                 format_manifest_value)
 
 #: Relative singular-value cutoff: anything below rank_tol * s_max is
 #: treated as numerical noise and dropped.
 def default_rank_tol(n: int, m: int) -> float:
     return max(n, m) * 2.0 ** -52
+
+
+#: Regularization kinds; a model archive's ``kind`` is one of these.
+REG_KINDS = ("none", "tikhonov", "tsvd")
 
 
 @dataclass(frozen=True)
@@ -39,7 +44,7 @@ class RegularizationSpec:
     k_y: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("none", "tikhonov", "tsvd"):
+        if self.kind not in REG_KINDS:
             raise ValueError(f"unknown regularization kind {self.kind!r}")
         if self.kind == "tikhonov" and (self.gamma_x < 0 or self.gamma_y < 0):
             raise ValueError("tikhonov penalties must be >= 0")
@@ -310,6 +315,11 @@ def model_to_archive(model: CcaModel) -> ModelArchive:
 
 def model_from_archive(archive: ModelArchive) -> CcaModel:
     man = archive.manifest
+    if man.get("kind") not in REG_KINDS:
+        raise DataFormatError(
+            f"not a CCA model archive (kind {man.get('kind')!r})")
+    archive.require(("gamma_x", "gamma_y", "k_x", "k_y", "n", "m_x", "m_y"),
+                    ("U", "V", "SIGMA", "MEAN_X", "MEAN_Y"))
     reg = RegularizationSpec(
         man["kind"],
         gamma_x=float(man["gamma_x"]),
@@ -319,12 +329,13 @@ def model_from_archive(archive: ModelArchive) -> CcaModel:
     )
     u = archive.blobs["U"].values
     v = archive.blobs["V"].values
-    sigma = archive.blobs["SIGMA"].values[0]
-    mean_x = archive.blobs["MEAN_X"].values[0]
-    mean_y = archive.blobs["MEAN_Y"].values[0]
+    sigma = archive.vector("SIGMA")
+    mean_x = archive.vector("MEAN_X")
+    mean_y = archive.vector("MEAN_Y")
     if u.shape[0] != int(man["m_x"]) or v.shape[0] != int(man["m_y"]):
-        raise ValueError("manifest dimensions disagree with blob headers")
+        raise DataFormatError("manifest dimensions disagree with blob headers")
     if u.shape[1] != sigma.shape[0] or v.shape[1] != sigma.shape[0]:
-        raise ValueError("weight column counts disagree with SIGMA length")
+        raise DataFormatError(
+            "weight column counts disagree with SIGMA length")
     return CcaModel(u=u, v=v, sigma=sigma, mean_x=mean_x, mean_y=mean_y,
                     reg=reg, n=int(man["n"]))

@@ -223,6 +223,15 @@ def _load_val(args):
     return val_images, val_captions, pair_index
 
 
+def _read_archive(path, convert):
+    """Load an archive and convert it; a format error names the file."""
+    archive = io.load_archive(path)
+    try:
+        return convert(archive)
+    except io.DataFormatError as exc:
+        raise io.DataFormatError(f"{path}: {exc}") from None
+
+
 def _cmd_synth(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -260,7 +269,7 @@ def _cmd_embed(args) -> int:
     corpus = io.load_corpus(args.corpus, table, oov_policy=args.oov,
                             pairing_path=args.pairing)
     if args.map:
-        maps = hkse.maps_from_archive(io.load_archive(args.map))
+        maps = _read_archive(args.map, hkse.maps_from_archive)
     else:
         if args.gamma == "median":
             gamma = hkse.bandwidth_heuristic(table, args.gamma_sample,
@@ -433,7 +442,7 @@ def _parse_weighting(text: str) -> tuple[str, float | None]:
 
 
 def _cmd_eval(args) -> int:
-    model = cca.model_from_archive(io.load_archive(args.model))
+    model = _read_archive(args.model, cca.model_from_archive)
     images = io.load_matrix(args.images)
     captions = io.load_matrix(args.captions)
     pair_index = (io.load_pairing(args.pairing) if args.pairing
@@ -487,7 +496,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    model = cca.model_from_archive(io.load_archive(args.model))
+    model = _read_archive(args.model, cca.model_from_archive)
     images = io.load_matrix(args.images)
     captions = io.load_matrix(args.captions)
     pair_index = io.load_pairing(args.pairing) if args.pairing else None

@@ -311,24 +311,42 @@ def maps_to_archive(maps) -> ModelArchive:
 
 def maps_from_archive(archive: ModelArchive) -> list[HkseMap]:
     man = archive.manifest
+    if man.get("kind") != "hkse":
+        raise DataFormatError(
+            f"not an HKSE map archive (kind {man.get('kind')!r})")
     n_maps = int(man.get("n_maps", "1"))
+    if n_maps < 1:
+        raise DataFormatError(f"archive holds {n_maps} maps")
     out = []
     for idx in range(n_maps):
         suffix = "" if idx == 0 else f"_{idx}"
+        archive.require(f"{key}{suffix}" for key in (
+            "word_variant", "sent_variant", "gamma", "eta", "d", "m",
+            "m_prime", "seed", "stream"))
+        word_variant = man[f"word_variant{suffix}"]
+        sent_variant = man[f"sent_variant{suffix}"]
+        for variant in (word_variant, sent_variant):
+            if variant not in VARIANTS:
+                raise DataFormatError(f"unknown map variant {variant!r}")
         w_word = b_word = w_sent = b_sent = None
-        if f"W_WORD{suffix}" in archive.blobs:
+        if word_variant == "rbf":
+            archive.require(blobs=(f"W_WORD{suffix}", f"B_WORD{suffix}"))
             w_word = archive.blobs[f"W_WORD{suffix}"].values
-            b_word = archive.blobs[f"B_WORD{suffix}"].values[0]
-            if w_word.shape != (int(man[f"m{suffix}"]), int(man[f"d{suffix}"])):
-                raise ValueError("manifest dimensions disagree with W_WORD blob")
-        if f"W_SENT{suffix}" in archive.blobs:
+            b_word = archive.vector(f"B_WORD{suffix}")
+            if w_word.shape != (int(man[f"m{suffix}"]),
+                                int(man[f"d{suffix}"])):
+                raise DataFormatError(
+                    "manifest dimensions disagree with W_WORD blob")
+        if sent_variant == "rbf":
+            archive.require(blobs=(f"W_SENT{suffix}", f"B_SENT{suffix}"))
             w_sent = archive.blobs[f"W_SENT{suffix}"].values
-            b_sent = archive.blobs[f"B_SENT{suffix}"].values[0]
+            b_sent = archive.vector(f"B_SENT{suffix}")
             if w_sent.shape[0] != int(man[f"m_prime{suffix}"]):
-                raise ValueError("manifest dimensions disagree with W_SENT blob")
+                raise DataFormatError(
+                    "manifest dimensions disagree with W_SENT blob")
         out.append(HkseMap(
-            word_variant=man[f"word_variant{suffix}"],
-            sent_variant=man[f"sent_variant{suffix}"],
+            word_variant=word_variant,
+            sent_variant=sent_variant,
             gamma=float(man[f"gamma{suffix}"]),
             eta=float(man[f"eta{suffix}"]),
             input_dim=int(man[f"d{suffix}"]),

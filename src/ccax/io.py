@@ -429,11 +429,22 @@ class ModelArchive:
     manifest: dict[str, str]
     blobs: dict[str, FeatureMatrix]
 
-    def manifest_int(self, key: str) -> int:
-        return int(self.manifest[key])
+    def require(self, keys=(), blobs=()) -> None:
+        """Raise DataFormatError naming the first missing key or blob."""
+        for key in keys:
+            if key not in self.manifest:
+                raise DataFormatError(f"archive lacks manifest key {key!r}")
+        for name in blobs:
+            if name not in self.blobs:
+                raise DataFormatError(f"archive lacks blob {name!r}")
 
-    def manifest_float(self, key: str) -> float:
-        return float(self.manifest[key])
+    def vector(self, name: str) -> np.ndarray:
+        """The one row of a single-row blob."""
+        blob = self.blobs[name]
+        if blob.rows != 1:
+            raise DataFormatError(
+                f"archive blob {name!r} has {blob.rows} rows, expected 1")
+        return blob.values[0]
 
 
 def format_manifest_value(value) -> str:

@@ -15,6 +15,7 @@ asymmetric placements.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,41 +89,12 @@ def make_task_embedding(model: CcaModel, task: str, weighting: str = "asymmetric
                          mean_x=model.mean_x, mean_y=model.mean_y)
 
 
-def rank(queries: np.ndarray, items: np.ndarray,
-         similarity: str = "cosine") -> np.ndarray:
-    """Order item indices for each query row.
-
-    Returns an (n_queries, n_items) integer array whose rows are
-    permutations: best item first.  Cosine ranks by descending inner
-    product of normalized vectors, ``l2`` by ascending distance; ties break
-    toward the smaller item index.
-    """
-    queries = np.asarray(queries, dtype=np.float64)
-    items = np.asarray(items, dtype=np.float64)
-    if queries.shape[1] != items.shape[1]:
-        raise ValueError(
-            f"query dim {queries.shape[1]} != item dim {items.shape[1]}"
-        )
-    if similarity == "cosine":
-        qn = np.linalg.norm(queries, axis=1)
-        sn = np.linalg.norm(items, axis=1)
-        for name, norms in (("query", qn), ("item", sn)):
-            if np.any(norms == 0):
-                offender = int(np.flatnonzero(norms == 0)[0])
-                raise ValueError(
-                    f"zero-norm {name} vector at index {offender} under cosine"
-                )
-        scores = -((queries / qn[:, None]) @ (items / sn[:, None]).T)
-    elif similarity == "l2":
-        # expanded ||q - s||^2; the -2 q.s term carries all the ordering
-        scores = (
-            -2.0 * queries @ items.T
-            + np.sum(items * items, axis=1)[None, :]
-            + np.sum(queries * queries, axis=1)[:, None]
-        )
-    else:
-        raise ValueError(f"unknown similarity {similarity!r}")
-    return np.argsort(scores, axis=1, kind="stable")
+#: Query rows scored at a time.  The protocol holds one block of scores, so
+#: its memory is O(BLOCK_ROWS x items) whatever the number of queries.  192
+#: is a multiple of the 8- and 12-row tiles of OpenBLAS's x86 kernels: on one
+#: BLAS thread a block's scores then equal, bit for bit, the same rows of a
+#: single product over all queries.
+BLOCK_ROWS = 192
 
 
 @dataclass(frozen=True)
@@ -140,49 +112,114 @@ class EvalReport:
         return self.recalls[1]
 
 
-def evaluate(ranked: np.ndarray, ground_truth, ks=(1, 5, 10),
-             task: str = "") -> EvalReport:
-    """Score a ranked list against per-query sets of correct items.
+def _flatten_ground_truth(ground_truth, n_queries: int,
+                          n_items: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ground-truth sets as flat ``(items, starts)``.
 
-    A query is a hit at k when its best-ranked ground-truth item appears
-    within the top k.  Median rank is the median of those best ranks
-    (1-indexed; the median of an even count is the mean of the middle two).
+    Query q owns ``items[starts[q]:starts[q + 1]]``.
     """
-    ranked = np.asarray(ranked)
-    n_queries, n_items = ranked.shape
     if len(ground_truth) != n_queries:
         raise ValueError(
             f"{len(ground_truth)} ground-truth sets for {n_queries} queries"
         )
-    # positions[q, item] = 0-based rank of item in query q's list
-    positions = np.empty_like(ranked)
-    rows = np.arange(n_queries)[:, None]
-    positions[rows, ranked] = np.arange(n_items)[None, :]
     lengths = np.fromiter((len(g) for g in ground_truth), dtype=np.int64,
                           count=n_queries)
     if np.any(lengths == 0):
         bad = int(np.flatnonzero(lengths == 0)[0])
         raise ValueError(f"query {bad} has no ground-truth items")
-    flat = np.concatenate([np.asarray(g, dtype=np.int64)
-                           for g in ground_truth])
-    query_of = np.repeat(np.arange(n_queries), lengths)
-    if flat.min() < 0 or flat.max() >= n_items:
-        bad = int(query_of[np.flatnonzero((flat < 0) | (flat >= n_items))[0]])
+    items = np.fromiter(itertools.chain.from_iterable(ground_truth),
+                        dtype=np.int64, count=int(lengths.sum()))
+    starts = np.zeros(n_queries + 1, dtype=np.int64)
+    np.cumsum(lengths, out=starts[1:])
+    out_of_range = (items < 0) | (items >= n_items)
+    if np.any(out_of_range):
+        bad = int(np.searchsorted(starts, np.flatnonzero(out_of_range)[0],
+                                  side="right")) - 1
         raise ValueError(
             f"query {bad}: ground-truth index out of range [0, {n_items})"
         )
-    starts = np.zeros(n_queries, dtype=np.int64)
-    np.cumsum(lengths[:-1], out=starts[1:])
-    best_ranks = (
-        np.minimum.reduceat(positions[query_of, flat], starts) + 1
-    ).astype(np.float64)
-    recalls = {
-        int(k): 100.0 * int(np.sum(best_ranks <= k)) / n_queries for k in ks
-    }
+    return items, starts
+
+
+def _row_blocks(n_rows: int) -> list[tuple[int, int]]:
+    """[lo, hi) row ranges of BLOCK_ROWS rows; the last one takes the tail.
+
+    No block is shorter than BLOCK_ROWS unless all rows are: BLAS rounds a
+    product of a few rows differently from the same rows inside a larger one.
+    """
+    starts = list(range(0, n_rows - BLOCK_ROWS + 1, BLOCK_ROWS)) or [0]
+    return list(zip(starts, starts[1:] + [n_rows]))
+
+
+def best_ranks(queries: np.ndarray, items: np.ndarray, ground_truth,
+               similarity: str = "cosine") -> np.ndarray:
+    """1-based rank of each query's best-placed ground-truth item.
+
+    Cosine ranks items by descending inner product of normalized vectors,
+    ``l2`` by ascending distance; ties go to the smaller item index.  No
+    list is sorted: with s* the query's best ground-truth score and i* the
+    smallest ground-truth index reaching it, the rank is
+    1 + #(score better than s*) + #(score equal to s* at an index below i*).
+    Queries are scored BLOCK_ROWS rows at a time.
+    """
+    queries = np.asarray(queries, dtype=np.float64)
+    items = np.asarray(items, dtype=np.float64)
+    if queries.shape[1] != items.shape[1]:
+        raise ValueError(
+            f"query dim {queries.shape[1]} != item dim {items.shape[1]}"
+        )
+    n_queries, n_items = queries.shape[0], items.shape[0]
+    if similarity == "cosine":
+        qn = np.linalg.norm(queries, axis=1)
+        sn = np.linalg.norm(items, axis=1)
+        for name, norms in (("query", qn), ("item", sn)):
+            if np.any(norms == 0):
+                offender = int(np.flatnonzero(norms == 0)[0])
+                raise ValueError(
+                    f"zero-norm {name} vector at index {offender} under cosine"
+                )
+        unit_items_t = (items / sn[:, None]).T
+
+        def scores_of(lo, hi):
+            return -((queries[lo:hi] / qn[lo:hi, None]) @ unit_items_t)
+    elif similarity == "l2":
+        item_sq = np.sum(items * items, axis=1)[None, :]
+
+        def scores_of(lo, hi):
+            # expanded ||q - s||^2; the -2 q.s term carries all the ordering
+            block = queries[lo:hi]
+            return (-2.0 * block @ items.T + item_sq
+                    + np.sum(block * block, axis=1)[:, None])
+    else:
+        raise ValueError(f"unknown similarity {similarity!r}")
+    gt_items, starts = _flatten_ground_truth(ground_truth, n_queries, n_items)
+
+    ranks = np.empty(n_queries, dtype=np.int64)
+    index = np.arange(n_items)
+    for lo, hi in _row_blocks(n_queries):
+        scores = scores_of(lo, hi)
+        gt = gt_items[starts[lo]:starts[hi]]
+        owner = np.repeat(np.arange(hi - lo), np.diff(starts[lo:hi + 1]))
+        offsets = starts[lo:hi] - starts[lo]
+        gt_scores = scores[owner, gt]
+        s_star = np.minimum.reduceat(gt_scores, offsets)
+        i_star = np.minimum.reduceat(
+            np.where(gt_scores == s_star[owner], gt, n_items), offsets)
+        s_star, i_star = s_star[:, None], i_star[:, None]
+        ahead = (scores < s_star) | ((scores == s_star) & (index < i_star))
+        ranks[lo:hi] = 1 + np.count_nonzero(ahead, axis=1)
+    return ranks
+
+
+def _report(ranks: np.ndarray, ks, task: str, n_items: int) -> EvalReport:
+    """Recall@k percentages and median of best ranks (1-indexed)."""
+    n_queries = ranks.shape[0]
     return EvalReport(
         task=task,
-        recalls=recalls,
-        median_rank=float(np.median(best_ranks)),
+        recalls={
+            int(k): 100.0 * int(np.sum(ranks <= k)) / n_queries for k in ks
+        },
+        median_rank=float(np.median(ranks)),
         n_queries=n_queries,
         n_items=n_items,
     )
@@ -193,20 +230,40 @@ def pairing_to_ground_truth(pair_index: np.ndarray, n_items: int,
     """Ground-truth sets for either task from a caption->image pairing.
 
     ``search``: each caption query's single correct image.
-    ``annotation``: each image query's set of captions.
+    ``annotation``: each image query's set of captions, in caption order.
+    ``pair_index`` must already be valid, as :func:`evaluate_bidirectional`
+    checks: every caption names an image and every image has a caption.
     """
     pair_index = np.asarray(pair_index, dtype=np.int64)
     if direction == "search":
-        return [[int(i)] for i in pair_index]
+        return pair_index[:, None].tolist()
     if direction == "annotation":
-        groups: list[list[int]] = [[] for _ in range(n_items)]
-        for caption_row, image_row in enumerate(pair_index):
-            groups[int(image_row)].append(caption_row)
-        if any(not g for g in groups):
-            empty = next(i for i, g in enumerate(groups) if not g)
-            raise ValueError(f"image {empty} has no paired captions")
-        return groups
+        counts = np.bincount(pair_index, minlength=n_items)
+        captions = np.argsort(pair_index, kind="stable")
+        return [group.tolist()
+                for group in np.split(captions, np.cumsum(counts)[:-1])]
     raise ValueError(f"unknown direction {direction!r}")
+
+
+def _check_pairing(pair_index, n_images: int, n_captions: int) -> np.ndarray:
+    """Validated caption->image rows; ``None`` means the identity pairing.
+
+    Every caption must name an image, and every image needs a caption.
+    """
+    if pair_index is None:
+        if n_captions != n_images:
+            raise ValueError("pair_index required when row counts differ")
+        return np.arange(n_images, dtype=np.int64)
+    pair_index = np.asarray(pair_index, dtype=np.int64)
+    if pair_index.shape[0] != n_captions:
+        raise ValueError("pair_index length must match caption count")
+    if pair_index.min() < 0 or pair_index.max() >= n_images:
+        raise ValueError("pair_index out of image range")
+    captionless = np.flatnonzero(np.bincount(pair_index, minlength=n_images)
+                                 == 0)
+    if captionless.size:
+        raise ValueError(f"image {captionless[0]} has no paired captions")
+    return pair_index
 
 
 def evaluate_bidirectional(model: CcaModel, images: FeatureMatrix,
@@ -221,30 +278,21 @@ def evaluate_bidirectional(model: CcaModel, images: FeatureMatrix,
     ``pair_index`` maps caption rows to image rows and defaults to the
     identity (requires equally many captions and images).
     """
-    if pair_index is None:
-        if captions.rows != images.rows:
-            raise ValueError("pair_index required when row counts differ")
-        pair_index = np.arange(images.rows, dtype=np.int64)
-    pair_index = np.asarray(pair_index, dtype=np.int64)
-    if pair_index.shape[0] != captions.rows:
-        raise ValueError("pair_index length must match caption count")
-    if pair_index.min() < 0 or pair_index.max() >= images.rows:
-        raise ValueError("pair_index out of image range")
-
-    emb_search = make_task_embedding(model, "search", weighting, alpha)
-    ranked = rank(emb_search.embed_texts(captions),
-                  emb_search.embed_images(images), similarity)
-    search = evaluate(
-        ranked, pairing_to_ground_truth(pair_index, images.rows, "search"),
-        ks, task="search",
+    pair_index = _check_pairing(pair_index, images.rows, captions.rows)
+    emb = make_task_embedding(model, "search", weighting, alpha)
+    search = _report(
+        best_ranks(emb.embed_texts(captions), emb.embed_images(images),
+                   pairing_to_ground_truth(pair_index, images.rows, "search"),
+                   similarity),
+        ks, "search", images.rows,
     )
-
-    emb_ann = make_task_embedding(model, "annotation", weighting, alpha)
-    ranked = rank(emb_ann.embed_images(images),
-                  emb_ann.embed_texts(captions), similarity)
-    annotation = evaluate(
-        ranked, pairing_to_ground_truth(pair_index, images.rows, "annotation"),
-        ks, task="annotation",
+    emb = make_task_embedding(model, "annotation", weighting, alpha)
+    annotation = _report(
+        best_ranks(emb.embed_images(images), emb.embed_texts(captions),
+                   pairing_to_ground_truth(pair_index, images.rows,
+                                           "annotation"),
+                   similarity),
+        ks, "annotation", captions.rows,
     )
     return search, annotation
 

@@ -28,7 +28,7 @@ from .cca import (
     thin_svd,
 )
 from .io import FeatureMatrix
-from .retrieval import evaluate, make_task_embedding, pairing_to_ground_truth, rank
+from .retrieval import _check_pairing, evaluate_bidirectional
 
 METRICS = ("r1", "mean-r1")
 
@@ -128,6 +128,9 @@ class _PathState:
     def __init__(self, x_train: FeatureMatrix, y_train: FeatureMatrix,
                  val_images: FeatureMatrix, val_captions: FeatureMatrix,
                  pair_index, similarity: str):
+        # a bad pairing fails here, before any SVD is paid for
+        self.pair_index = _check_pairing(pair_index, val_images.rows,
+                                        val_captions.rows)
         xc, self.mean_x = center_columns(x_train)
         yc, self.mean_y = center_columns(y_train)
         self.fx = thin_svd(xc)
@@ -139,29 +142,11 @@ class _PathState:
         self.val_images = val_images
         self.val_captions = val_captions
         self.similarity = similarity
-        if pair_index is None:
-            if val_captions.rows != val_images.rows:
-                raise ValueError("pair_index required when row counts differ")
-            pair_index = np.arange(val_images.rows, dtype=np.int64)
-        pair_index = np.asarray(pair_index, dtype=np.int64)
-        if pair_index.min() < 0 or pair_index.max() >= val_images.rows:
-            raise ValueError("pair_index out of image range")
-        # protocol structures shared by every cell
-        self.gt_search = pairing_to_ground_truth(pair_index, val_images.rows,
-                                                 "search")
-        self.gt_annotation = pairing_to_ground_truth(
-            pair_index, val_images.rows, "annotation")
 
     def score(self, model: CcaModel) -> tuple[float, float]:
-        emb_s = make_task_embedding(model, "search", "asymmetric")
-        ranked = rank(emb_s.embed_texts(self.val_captions),
-                      emb_s.embed_images(self.val_images), self.similarity)
-        search = evaluate(ranked, self.gt_search, ks=(1,), task="search")
-        emb_a = make_task_embedding(model, "annotation", "asymmetric")
-        ranked = rank(emb_a.embed_images(self.val_images),
-                      emb_a.embed_texts(self.val_captions), self.similarity)
-        annotation = evaluate(ranked, self.gt_annotation, ks=(1,),
-                              task="annotation")
+        search, annotation = evaluate_bidirectional(
+            model, self.val_images, self.val_captions, self.pair_index,
+            similarity=self.similarity, ks=(1,))
         return search.recalls[1], annotation.recalls[1]
 
 

@@ -2,7 +2,10 @@
 
 Nothing here goes through the SVD solver path: canonical correlations come
 from generalized eigenproblems on explicit covariance matrices, and the
-retrieval evaluator is a from-scratch loop over queries.
+retrieval evaluator is a from-scratch loop over queries.  The full-sort
+protocol (``rank`` then ``evaluate``) is the route the library's counting
+protocol replaced; it orders every item of every query and is kept here as
+the reference that route is checked against.
 """
 
 from __future__ import annotations
@@ -91,3 +94,56 @@ def recall_and_median_loops(order: list[list[int]],
     else:
         median = (ranks_sorted[n // 2 - 1] + ranks_sorted[n // 2]) / 2.0
     return recalls, median
+
+
+def rank(queries: np.ndarray, items: np.ndarray,
+         similarity: str = "cosine") -> np.ndarray:
+    """Order item indices for each query row.
+
+    Returns an (n_queries, n_items) integer array whose rows are
+    permutations: best item first.  Cosine ranks by descending inner
+    product of normalized vectors, ``l2`` by ascending distance; ties break
+    toward the smaller item index.
+    """
+    queries = np.asarray(queries, dtype=np.float64)
+    items = np.asarray(items, dtype=np.float64)
+    if similarity == "cosine":
+        qn = np.linalg.norm(queries, axis=1)
+        sn = np.linalg.norm(items, axis=1)
+        scores = -((queries / qn[:, None]) @ (items / sn[:, None]).T)
+    elif similarity == "l2":
+        scores = (
+            -2.0 * queries @ items.T
+            + np.sum(items * items, axis=1)[None, :]
+            + np.sum(queries * queries, axis=1)[:, None]
+        )
+    else:
+        raise ValueError(f"unknown similarity {similarity!r}")
+    return np.argsort(scores, axis=1, kind="stable")
+
+
+def sorted_best_ranks(ranked: np.ndarray, ground_truth) -> np.ndarray:
+    """1-based position of each query's best ground-truth item in its list."""
+    ranked = np.asarray(ranked)
+    n_queries, n_items = ranked.shape
+    # positions[q, item] = 0-based rank of item in query q's list
+    positions = np.empty_like(ranked)
+    rows = np.arange(n_queries)[:, None]
+    positions[rows, ranked] = np.arange(n_items)[None, :]
+    return np.array([int(positions[q, list(gt)].min()) + 1
+                     for q, gt in enumerate(ground_truth)], dtype=np.int64)
+
+
+def evaluate(ranked: np.ndarray, ground_truth, ks=(1, 5, 10), task: str = ""):
+    """Recall@k and median best rank of ranked lists, as an EvalReport."""
+    from ccax.retrieval import EvalReport
+
+    best = sorted_best_ranks(ranked, ground_truth).astype(np.float64)
+    return EvalReport(
+        task=task,
+        recalls={int(k): 100.0 * int(np.sum(best <= k)) / best.shape[0]
+                 for k in ks},
+        median_rank=float(np.median(best)),
+        n_queries=best.shape[0],
+        n_items=np.asarray(ranked).shape[1],
+    )

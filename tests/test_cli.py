@@ -383,3 +383,65 @@ class TestConfigFile:
         model = cca.model_from_archive(io.load_archive(out))
         assert model.reg.kind == "tsvd"
         assert model.reg.k_x == 3 and model.reg.k_y == 4
+
+
+def _edited_archive(source, tmp_path, drop_key=None, drop_blob=None):
+    archive = io.load_archive(source)
+    archive.manifest.pop(drop_key, None)
+    archive.blobs.pop(drop_blob, None)
+    out = tmp_path / "edited.arc"
+    io.save_archive(archive, out)
+    return out
+
+
+@pytest.fixture(scope="module")
+def map_archive(word_data, tmp_path_factory):
+    out = tmp_path_factory.mktemp("map") / "map.arc"
+    assert main([
+        "embed", "--corpus", str(word_data / "caps.txt"),
+        "--vectors", str(word_data / "vectors.txt"),
+        "--variant", "rbf,rbf", "--m", "8", "--mprime", "6",
+        "--gamma", "1.0", "--out", str(out.with_suffix(".fmat")),
+        "--map-out", str(out),
+    ]) == 0
+    return out
+
+
+class TestArchiveErrors:
+    """An archive of the wrong kind or missing a field is a data error."""
+
+    CASES = [
+        # (command, archive source, dropped key, dropped blob, message)
+        ("eval", "map", None, None, "not a CCA model archive (kind 'hkse')"),
+        ("eval", "model", "gamma_x", None,
+         "lacks manifest key 'gamma_x'"),
+        ("eval", "model", None, "SIGMA", "lacks blob 'SIGMA'"),
+        ("sweep", "map", None, None, "not a CCA model archive"),
+        ("embed", "model", None, None, "not an HKSE map archive (kind 'none')"),
+        ("embed", "map", "word_variant", None,
+         "lacks manifest key 'word_variant'"),
+        ("embed", "map", None, "B_SENT", "lacks blob 'B_SENT'"),
+    ]
+
+    @pytest.mark.parametrize("command,source,key,blob,message", CASES)
+    def test_exit_one_with_message(self, command, source, key, blob, message,
+                                   synth_dir, word_data, fitted_model,
+                                   map_archive, tmp_path, capsys):
+        archive = {"model": fitted_model, "map": map_archive}[source]
+        if key or blob:
+            archive = _edited_archive(archive, tmp_path, key, blob)
+        if command == "embed":
+            argv = ["embed", "--corpus", str(word_data / "caps.txt"),
+                    "--vectors", str(word_data / "vectors.txt"),
+                    "--map", str(archive), "--out", str(tmp_path / "e.fmat")]
+        else:
+            argv = [command, "--model", str(archive),
+                    "--images", str(synth_dir / "test_images.fmat"),
+                    "--captions", str(synth_dir / "test_captions.fmat"),
+                    "--pairing", str(synth_dir / "test_pairing.txt"),
+                    "--out", str(tmp_path / "r.tsv")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"ccax: error: {archive}: ")
+        assert message in err
+        assert "Traceback" not in err

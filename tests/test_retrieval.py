@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from ccax import cca, io, retrieval, synthetic
 from oracles import rank_by_cosine_loops, recall_and_median_loops
 
@@ -68,61 +71,85 @@ class TestTaskEmbedding:
             retrieval.make_task_embedding(model, "search", "sweep", alpha=1.5)
 
 
+def ranks_of_each_item(queries, items, similarity="cosine"):
+    """Library rank of every item for every query, shape (queries, items)."""
+    n_queries, n_items = len(queries), len(items)
+    repeated = np.repeat(np.asarray(queries, dtype=np.float64), n_items,
+                         axis=0)
+    gt = [[j] for _ in range(n_queries) for j in range(n_items)]
+    return retrieval.best_ranks(repeated, items, gt, similarity).reshape(
+        n_queries, n_items)
+
+
 class TestRank:
     def test_scaled_copy_ranks_first_under_cosine(self):
         rng = np.random.default_rng(1)
         items = rng.standard_normal((5, 4))
         queries = (7.0 * items[3])[None, :]
-        order = retrieval.rank(queries, items, "cosine")
-        assert order[0, 0] == 3
+        assert retrieval.best_ranks(queries, items, [[3]], "cosine")[0] == 1
+        assert oracles.rank(queries, items, "cosine")[0, 0] == 3
 
     def test_global_item_scaling_invariance(self):
         rng = np.random.default_rng(2)
         items = rng.standard_normal((8, 4))
         queries = rng.standard_normal((3, 4))
-        base = retrieval.rank(queries, items, "cosine")
-        scaled = retrieval.rank(queries, 0.37 * items, "cosine")
+        base = ranks_of_each_item(queries, items)
+        scaled = ranks_of_each_item(queries, 0.37 * items)
         np.testing.assert_array_equal(base, scaled)
 
     def test_matches_brute_force_loops(self):
         rng = np.random.default_rng(3)
         items = rng.standard_normal((5, 3))
         queries = rng.standard_normal((2, 3))
-        order = retrieval.rank(queries, items, "cosine")
         expected = rank_by_cosine_loops(queries, items)
-        np.testing.assert_array_equal(order, expected)
+        np.testing.assert_array_equal(oracles.rank(queries, items, "cosine"),
+                                      expected)
+        # item expected[q][p] sits at rank p + 1
+        np.testing.assert_array_equal(
+            np.argsort(ranks_of_each_item(queries, items), axis=1), expected)
 
     def test_tie_break_ascending_index(self):
         items = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
         queries = np.array([[2.0, 0.0]])
-        order = retrieval.rank(queries, items, "cosine")
+        order = oracles.rank(queries, items, "cosine")
         np.testing.assert_array_equal(order[0], [0, 2, 1])
+        np.testing.assert_array_equal(ranks_of_each_item(queries, items),
+                                      [[1, 3, 2]])
+        # of two tied ground-truth items, the smaller index is the best one
+        assert retrieval.best_ranks(queries, items, [[2, 0]])[0] == 1
+        assert retrieval.best_ranks(queries, items, [[1, 2]])[0] == 2
 
     def test_l2_ordering(self):
         items = np.array([[0.0], [2.0], [4.0]])
         queries = np.array([[2.5]])
-        order = retrieval.rank(queries, items, "l2")
-        np.testing.assert_array_equal(order[0], [1, 2, 0])
+        np.testing.assert_array_equal(
+            ranks_of_each_item(queries, items, "l2"), [[3, 1, 2]])
+        np.testing.assert_array_equal(oracles.rank(queries, items, "l2")[0],
+                                      [1, 2, 0])
 
     def test_zero_norm_reported_with_index(self):
         items = np.array([[1.0, 0.0], [0.0, 0.0]])
         queries = np.array([[1.0, 1.0]])
         with pytest.raises(ValueError, match="item vector at index 1"):
-            retrieval.rank(queries, items, "cosine")
+            retrieval.best_ranks(queries, items, [[0]], "cosine")
+        with pytest.raises(ValueError, match="query vector at index 0"):
+            retrieval.best_ranks(np.zeros((1, 2)), items, [[0]], "cosine")
 
     def test_rows_are_permutations(self):
         rng = np.random.default_rng(4)
-        order = retrieval.rank(rng.standard_normal((6, 3)),
-                               rng.standard_normal((9, 3)))
-        for row in order:
-            assert sorted(row) == list(range(9))
+        ranks = ranks_of_each_item(rng.standard_normal((6, 3)),
+                                   rng.standard_normal((9, 3)))
+        for row in ranks:
+            assert sorted(row) == list(range(1, 10))
 
 
 class TestEvaluate:
+    """Recall and median arithmetic of the reference, and input checks."""
+
     def test_all_first(self):
         ranked = np.tile(np.arange(4), (4, 1))
         gt = [[0], [0], [0], [0]]
-        report = retrieval.evaluate(ranked, gt)
+        report = oracles.evaluate(ranked, gt)
         assert report.recalls == {1: 100.0, 5: 100.0, 10: 100.0}
         assert report.median_rank == 1.0
 
@@ -131,52 +158,152 @@ class TestEvaluate:
         n_items = 12
         ranked = np.tile(np.arange(n_items), (4, 1))
         gt = [[0], [1], [6], [10]]
-        report = retrieval.evaluate(ranked, gt)
-        assert report.recalls[1] == 25.0
-        assert report.recalls[5] == 50.0
-        assert report.recalls[10] == 75.0
-        assert report.median_rank == 4.5
+        for report in (
+            oracles.evaluate(ranked, gt),
+            # items on a line, queried from below: the library sees the
+            # same identity order
+            retrieval._report(retrieval.best_ranks(
+                np.full((4, 1), -1.0), np.arange(12.0)[:, None], gt, "l2"),
+                (1, 5, 10), "", n_items),
+        ):
+            assert report.recalls[1] == 25.0
+            assert report.recalls[5] == 50.0
+            assert report.recalls[10] == 75.0
+            assert report.median_rank == 4.5
 
     def test_annotation_style_set_of_five(self):
         # five ground-truth captions, best at rank 3
         ranked = np.arange(20)[None, :]
         gt = [[2, 7, 11, 15, 19]]
-        report = retrieval.evaluate(ranked, gt)
+        report = oracles.evaluate(ranked, gt)
         assert report.recalls[1] == 0.0
         assert report.recalls[5] == 100.0
         assert report.recalls[10] == 100.0
         assert report.median_rank == 3.0
+        assert retrieval.best_ranks(np.full((1, 1), -1.0),
+                                    np.arange(20.0)[:, None], gt, "l2")[0] == 3
 
     def test_monotone_recall(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             n_items = int(rng.integers(3, 30))
             n_queries = int(rng.integers(1, 10))
-            ranked = np.stack([rng.permutation(n_items)
-                               for _ in range(n_queries)])
             gt = [
                 list(rng.choice(n_items, size=rng.integers(1, 4),
                                 replace=False))
                 for _ in range(n_queries)
             ]
-            rep = retrieval.evaluate(ranked, gt)
+            ranks = retrieval.best_ranks(rng.standard_normal((n_queries, 3)),
+                                         rng.standard_normal((n_items, 3)), gt)
+            rep = retrieval._report(ranks, (1, 5, 10), "", n_items)
             assert rep.recalls[1] <= rep.recalls[5] <= rep.recalls[10]
 
     def test_depends_only_on_order(self):
         ranked = np.array([[2, 0, 1]])
         gt = [[0]]
-        assert retrieval.evaluate(ranked, gt).recalls[1] == 0.0
-        assert retrieval.evaluate(ranked, gt).median_rank == 2.0
+        assert oracles.evaluate(ranked, gt).recalls[1] == 0.0
+        assert oracles.evaluate(ranked, gt).median_rank == 2.0
 
     def test_out_of_range_ground_truth(self):
-        ranked = np.array([[0, 1]])
+        with pytest.raises(ValueError, match="query 1: ground-truth index out "
+                                             r"of range \[0, 2\)"):
+            retrieval.best_ranks(np.ones((2, 1)), np.ones((2, 1)), [[0], [5]])
         with pytest.raises(ValueError, match="out of range"):
-            retrieval.evaluate(ranked, [[5]])
+            retrieval.best_ranks(np.ones((1, 1)), np.ones((2, 1)), [[-1]])
 
     def test_empty_ground_truth(self):
-        ranked = np.array([[0, 1]])
-        with pytest.raises(ValueError, match="no ground-truth"):
-            retrieval.evaluate(ranked, [[]])
+        with pytest.raises(ValueError, match="query 0 has no ground-truth"):
+            retrieval.best_ranks(np.ones((1, 1)), np.ones((2, 1)), [[]])
+        with pytest.raises(ValueError, match="2 ground-truth sets for 1"):
+            retrieval.best_ranks(np.ones((1, 1)), np.ones((2, 1)), [[0], [1]])
+
+
+def exact_vectors(draw, n, dim):
+    """Integer vectors whose norms are powers of two.
+
+    Normalized entries are then 0, +-1/2 or +-1, so every cosine and l2
+    score is exact under any summation order: ties are true ties whatever
+    the BLAS blocking, and the two routes must agree bit for bit.
+    """
+    rows = []
+    for _ in range(n):
+        scale = 2 ** draw(st.integers(0, 2))
+        if draw(st.booleans()):
+            entries = [0] * dim
+            entries[draw(st.integers(0, dim - 1))] = draw(
+                st.sampled_from((-1, 1)))
+        else:
+            entries = [draw(st.sampled_from((-1, 1))) for _ in range(4)]
+            entries += [0] * (dim - 4)
+        rows.append([scale * e for e in entries])
+    return np.array(rows, dtype=np.float64)
+
+
+@st.composite
+def tied_problems(draw):
+    """Queries, items and multi-item ground truth with forced exact ties."""
+    block = retrieval.BLOCK_ROWS
+    n_queries = draw(st.sampled_from((1, 7, block - 1, block, block + 1,
+                                      2 * block - 1, 2 * block,
+                                      3 * block + 5)))
+    n_distinct = draw(st.integers(1, 12))
+    dim = draw(st.integers(4, 6))
+    items = exact_vectors(draw, n_distinct, dim)
+    # duplicated item rows: each item is a copy of one of the distinct rows
+    copies = draw(st.lists(st.integers(0, n_distinct - 1), min_size=1,
+                           max_size=24))
+    items = items[copies]
+    # few distinct query rows, so most queries are duplicates
+    pool = exact_vectors(draw, draw(st.integers(1, 6)), dim)
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    queries = pool[rng.integers(0, len(pool), size=n_queries)]
+    sizes = rng.integers(1, min(len(items), 5) + 1, size=n_queries)
+    gt = [sorted(rng.choice(len(items), size=int(k), replace=False).tolist())
+          for k in sizes]
+    return queries, items, gt
+
+
+class TestCountingMatchesSorting:
+    """The blocked counting route against the full argsort reference."""
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 5])
+    @pytest.mark.parametrize("multiple", [0, 1, 2, 3])
+    def test_row_blocks_tile_without_short_tail(self, multiple, extra):
+        block = retrieval.BLOCK_ROWS
+        n_rows = max(multiple * block + extra, 1)
+        blocks = retrieval._row_blocks(n_rows)
+        assert blocks[0][0] == 0 and blocks[-1][1] == n_rows
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        assert all(min(n_rows, block) <= hi - lo < 2 * block
+                   for lo, hi in blocks)
+        assert all(hi - lo == block for lo, hi in blocks[:-1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=tied_problems(),
+           similarity=st.sampled_from(("cosine", "l2")))
+    def test_exact_ties_and_block_edges(self, problem, similarity):
+        queries, items, gt = problem
+        ranked = oracles.rank(queries, items, similarity)
+        got = retrieval.best_ranks(queries, items, gt, similarity)
+        np.testing.assert_array_equal(got,
+                                      oracles.sorted_best_ranks(ranked, gt))
+        ks = (1, 2, 5, 10)
+        want = oracles.evaluate(ranked, gt, ks, task="t")
+        assert retrieval._report(got, ks, "t", len(items)) == want
+
+    @pytest.mark.parametrize("similarity", ["cosine", "l2"])
+    def test_random_floats_across_blocks(self, similarity):
+        rng = np.random.default_rng(8)
+        n_queries = 3 * retrieval.BLOCK_ROWS + 17
+        queries = rng.standard_normal((n_queries, 9))
+        items = rng.standard_normal((250, 9))
+        gt = [rng.choice(250, size=rng.integers(1, 6), replace=False).tolist()
+              for _ in range(n_queries)]
+        ranked = oracles.rank(queries, items, similarity)
+        np.testing.assert_array_equal(
+            retrieval.best_ranks(queries, items, gt, similarity),
+            oracles.sorted_best_ranks(ranked, gt))
 
 
 class TestProtocolOracle:

@@ -111,6 +111,40 @@ class TestTsvdPath:
                                 pair_index=vp)
 
 
+class TestPairingChecks:
+    """A pairing that does not fit the validation captions fails up front."""
+
+    @pytest.mark.parametrize("change", [-3, 3])
+    @pytest.mark.parametrize("path", [selection.tsvd_path,
+                                      selection.tikhonov_path])
+    def test_wrong_length_fails_before_any_svd(self, dataset, monkeypatch,
+                                               change, path):
+        train_x, train_y, vi, vc, vp = dataset
+        pairs = (vp[:change] if change < 0
+                 else np.concatenate([vp, vp[:change]]))
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("thin SVD ran before the pairing check")
+
+        monkeypatch.setattr(selection, "thin_svd", no_svd)
+        with pytest.raises(ValueError,
+                           match="pair_index length must match caption count"):
+            path(train_x, train_y, vi, vc, [2], [2], pair_index=pairs)
+
+    def test_image_without_captions_fails_before_any_svd(self, dataset,
+                                                         monkeypatch):
+        train_x, train_y, vi, vc, vp = dataset
+        pairs = np.where(vp == 19, 18, vp)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("thin SVD ran before the pairing check")
+
+        monkeypatch.setattr(selection, "thin_svd", no_svd)
+        with pytest.raises(ValueError, match="image 19 has no paired captions"):
+            selection.tsvd_path(train_x, train_y, vi, vc, [2], [2],
+                                pair_index=pairs)
+
+
 class TestTikhonovPath:
     def test_zero_grid_equals_plain_cca_score(self, dataset):
         train_x, train_y, vi, vc, vp = dataset
