@@ -15,11 +15,10 @@ from ccax import (
     generate_caption_like,
     guided_tikhonov,
     measure_path_timing,
-    thin_svd,
+    prepare,
     tikhonov_path,
     tsvd_path,
 )
-from ccax.cca import center_columns
 
 cfg = LatentModelConfig(n_train=1200, n_val=250, n_test=250, latent_dim=12,
                         image_dim=256, text_dim=128, noise_x=0.6, noise_y=0.6,
@@ -28,13 +27,14 @@ data = generate_caption_like(cfg, captions_per_item=2)
 x_train, y_train = data.paired_training_views()
 val_images, val_captions, val_pairs = data.split_views("val")
 
-s_x = thin_svd(center_columns(x_train)[0]).s
-s_y = thin_svd(center_columns(y_train)[0]).s
+# center and factorise each training view once; every path below reuses it
+problem = prepare(x_train, y_train)
+s_x, s_y = problem.s_x, problem.s_y
 rank_x = default_rank_grid(len(s_x), 8)
 rank_y = default_rank_grid(len(s_y), 8)
 
 print("=== T-SVD path (8x8 rank grid) ===")
-grid, sel = tsvd_path(x_train, y_train, val_images, val_captions,
+grid, sel = tsvd_path(problem, val_images, val_captions,
                       rank_x, rank_y, pair_index=val_pairs)
 print("search r@1 by (k_x rows, k_y cols):")
 print(np.round(grid.search_scores, 1))
@@ -46,7 +46,7 @@ print(f"total {grid.total_seconds:.2f}s\n")
 
 print("=== full Tikhonov path over squared singular values ===")
 tikh_grid, tikh_sel = tikhonov_path(
-    x_train, y_train, val_images, val_captions,
+    problem, val_images, val_captions,
     default_penalty_grid(s_x, 8), default_penalty_grid(s_y, 8),
     pair_index=val_pairs)
 print(f"best search gamma = ({tikh_sel.best_search.gamma_x:.1f}, "
@@ -55,7 +55,7 @@ print(f"best search gamma = ({tikh_sel.best_search.gamma_x:.1f}, "
 print(f"total {tikh_grid.total_seconds:.2f}s\n")
 
 print("=== guided Tikhonov: T-SVD path + one fit per task ===")
-guided = guided_tikhonov(x_train, y_train, val_images, val_captions,
+guided = guided_tikhonov(problem, val_images, val_captions,
                          rank_x, rank_y, pair_index=val_pairs)
 gx, gy = guided.search_penalties
 print(f"search winner (k_x={guided.tsvd_selection.best_search.k_x}, "
@@ -65,7 +65,7 @@ print(f"(these are exactly sigma_k^2: {s_x[guided.tsvd_selection.best_search.k_x
       f"{s_y[guided.tsvd_selection.best_search.k_y-1]**2:.1f})\n")
 
 print("=== timing: T-SVD path vs Tikhonov path, matched grids ===")
-timing = measure_path_timing(x_train, y_train, val_images, val_captions,
+timing = measure_path_timing(problem, val_images, val_captions,
                              rank_x, rank_y, pair_index=val_pairs, repeats=3)
 print(f"T-SVD    median {timing.tsvd_seconds:.2f}s")
 print(f"Tikhonov median {timing.tikhonov_seconds:.2f}s")

@@ -2,6 +2,7 @@
 
 from .cca import (
     CcaModel,
+    CcaProblem,
     RegularizationSpec,
     SvdFactors,
     cca_fit,
@@ -10,6 +11,8 @@ from .cca import (
     center_columns,
     model_from_archive,
     model_to_archive,
+    prepare,
+    solve,
     spectral_filter_hard,
     spectral_filter_soft,
     thin_svd,

@@ -6,7 +6,8 @@ correlation operator T = Ux' Uy.  Tikhonov regularization soft-shrinks the
 singular values of each view (by sigma / sqrt(sigma^2 + gamma)) and
 truncated-SVD regularization hard-prunes them; both act on T through
 diagonal scalings only, which is what makes the regularization paths in
-:mod:`ccax.selection` cheap.
+:mod:`ccax.selection` cheap.  :func:`prepare` does the filter-independent
+work once; :func:`solve` turns it into a model for any one filter.
 """
 
 from __future__ import annotations
@@ -147,11 +148,8 @@ def spectral_filter_hard(s, threshold: float):
 def _sign_fix(p_x: np.ndarray, p_y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Largest-magnitude entry of each p_x column made positive; the paired
     # p_y column flips with it so p_x Sigma p_y' is untouched.
-    signs = np.ones(p_x.shape[1])
-    for j in range(p_x.shape[1]):
-        lead = np.argmax(np.abs(p_x[:, j]))
-        if p_x[lead, j] < 0:
-            signs[j] = -1.0
+    lead = np.argmax(np.abs(p_x), axis=0)
+    signs = np.where(p_x[lead, np.arange(p_x.shape[1])] < 0, -1.0, 1.0)
     return p_x * signs, p_y * signs
 
 
@@ -166,8 +164,39 @@ def _validate_pair(x: FeatureMatrix, y: FeatureMatrix) -> None:
         )
 
 
-def _prepare(x, y, rank_tol):
-    """Center both views, take thin SVDs, and form T = Ux' Uy."""
+@dataclass(frozen=True)
+class CcaProblem:
+    """Everything a regularized fit needs that does not depend on the filter.
+
+    Each view is centered and reduced to its thin SVD once; the problem
+    keeps the column means, the singular values ``s_x``/``s_y``, the right
+    singular vectors ``v_x`` (m_x, r_x) and ``v_y`` (m_y, r_y), and the
+    correlation operator T = Ux' Uy (r_x, r_y).  No n-row array is kept, and
+    every array is read-only, so path worker threads can share one problem.
+    """
+
+    mean_x: np.ndarray
+    mean_y: np.ndarray
+    s_x: np.ndarray
+    s_y: np.ndarray
+    v_x: np.ndarray
+    v_y: np.ndarray
+    t: np.ndarray
+    n: int
+
+    @property
+    def rank_x(self) -> int:
+        return self.s_x.shape[0]
+
+    @property
+    def rank_y(self) -> int:
+        return self.s_y.shape[0]
+
+
+def prepare(x: FeatureMatrix, y: FeatureMatrix,
+            rank_tol: float | None = None) -> CcaProblem:
+    """Center both views, take their thin SVDs, and form T = Ux' Uy."""
+    _validate_pair(x, y)
     xc, mean_x = center_columns(x)
     yc, mean_y = center_columns(y)
     fx = thin_svd(xc, rank_tol)
@@ -175,58 +204,64 @@ def _prepare(x, y, rank_tol):
     if fx.rank == 0 or fy.rank == 0:
         raise ValueError("zero numerical rank after centering")
     t = fx.u_left.T @ fy.u_left
-    return fx, fy, t, mean_x, mean_y
-
-
-def _finish(u, v, sigma, mean_x, mean_y, reg, n) -> CcaModel:
-    sigma = np.clip(sigma, 0.0, 1.0)
-    for arr in (u, v, sigma, mean_x, mean_y):
+    arrays = (mean_x, mean_y, fx.s, fy.s, fx.v_right, fy.v_right, t)
+    for arr in arrays:
         arr.flags.writeable = False
-    return CcaModel(u=u, v=v, sigma=sigma, mean_x=mean_x, mean_y=mean_y,
-                    reg=reg, n=n)
+    return CcaProblem(*arrays, n=x.rows)
+
+
+def solve(problem: CcaProblem, spec: RegularizationSpec) -> CcaModel:
+    """Filter the operator as ``spec`` says, take one SVD, build the weights.
+
+    ``none`` is the full-rank case of ``tsvd``: the leading k_x x k_y block
+    of T with weights Vx Sx^-1 Px and Vy Sy^-1 Py, so that U'(Xc'Xc)U = I
+    and V'(Yc'Yc)V = I on the training data.  ``tikhonov`` takes the SVD of
+    the soft-filtered operator diag(1/sqrt(s_x^2+gamma_x)) (Sx T Sy)
+    diag(1/sqrt(s_y^2+gamma_y)), which solves max Tr(U' Xc'Yc V) under
+    U'(Xc'Xc + gamma_x I)U = I and the symmetric constraint on V.
+    """
+    s_x, s_y = problem.s_x, problem.s_y
+    if spec.kind == "tikhonov":
+        t0 = (s_x[:, None] * problem.t) * s_y[None, :]
+        dx = 1.0 / np.sqrt(s_x**2 + spec.gamma_x)
+        dy = 1.0 / np.sqrt(s_y**2 + spec.gamma_y)
+        op = (dx[:, None] * t0) * dy[None, :]
+        w_x, w_y = problem.v_x * dx, problem.v_y * dy
+    else:
+        k_x, k_y = ((spec.k_x, spec.k_y) if spec.kind == "tsvd"
+                    else (problem.rank_x, problem.rank_y))
+        if not 1 <= k_x <= problem.rank_x:
+            raise ValueError(
+                f"k_x={k_x} outside [1, rank(X)={problem.rank_x}]")
+        if not 1 <= k_y <= problem.rank_y:
+            raise ValueError(
+                f"k_y={k_y} outside [1, rank(Y)={problem.rank_y}]")
+        op = problem.t[:k_x, :k_y]
+        w_x = problem.v_x[:, :k_x] / s_x[:k_x]
+        w_y = problem.v_y[:, :k_y] / s_y[:k_y]
+    p_x, sigma, p_yt = np.linalg.svd(op, full_matrices=False)
+    p_x, p_y = _sign_fix(p_x, p_yt.T)
+    u = w_x @ p_x
+    v = w_y @ p_y
+    sigma = np.clip(sigma, 0.0, 1.0)
+    for arr in (u, v, sigma):
+        arr.flags.writeable = False
+    return CcaModel(u=u, v=v, sigma=sigma, mean_x=problem.mean_x,
+                    mean_y=problem.mean_y, reg=spec, n=problem.n)
 
 
 def cca_fit(x: FeatureMatrix, y: FeatureMatrix,
             rank_tol: float | None = None) -> CcaModel:
-    """Unregularized CCA: SVD both views, SVD of T = Ux' Uy.
-
-    Canonical weights are U = Vx Sx^-1 Px and V = Vy Sy^-1 Py, so that
-    U'(Xc'Xc)U = I and V'(Yc'Yc)V = I on the (internally centered)
-    training data.
-    """
-    _validate_pair(x, y)
-    fx, fy, t, mean_x, mean_y = _prepare(x, y, rank_tol)
-    p_x, sigma, p_yt = np.linalg.svd(t, full_matrices=False)
-    p_x, p_y = _sign_fix(p_x, p_yt.T)
-    u = (fx.v_right / fx.s) @ p_x
-    v = (fy.v_right / fy.s) @ p_y
-    return _finish(u, v, sigma, mean_x, mean_y, RegularizationSpec.none(),
-                   x.rows)
+    """Unregularized CCA: SVD both views, SVD of T = Ux' Uy."""
+    return solve(prepare(x, y, rank_tol), RegularizationSpec.none())
 
 
 def cca_fit_tikhonov(x: FeatureMatrix, y: FeatureMatrix,
                      gamma_x: float, gamma_y: float,
                      rank_tol: float | None = None) -> CcaModel:
-    """Tikhonov-regularized CCA.
-
-    Solves max Tr(U' Xc'Yc V) under U'(Xc'Xc + gamma_x I)U = I and the
-    symmetric constraint on V, by an SVD of the soft-filtered operator
-    diag(1/sqrt(s_x^2+gamma_x)) (Sx T Sy) diag(1/sqrt(s_y^2+gamma_y)).
-    """
-    if gamma_x < 0 or gamma_y < 0:
-        raise ValueError("penalties must be >= 0")
-    _validate_pair(x, y)
-    fx, fy, t, mean_x, mean_y = _prepare(x, y, rank_tol)
-    t0 = (fx.s[:, None] * t) * fy.s[None, :]
-    dx = 1.0 / np.sqrt(fx.s**2 + gamma_x)
-    dy = 1.0 / np.sqrt(fy.s**2 + gamma_y)
-    p_x, sigma, p_yt = np.linalg.svd((dx[:, None] * t0) * dy[None, :],
-                                     full_matrices=False)
-    p_x, p_y = _sign_fix(p_x, p_yt.T)
-    u = (fx.v_right * dx) @ p_x
-    v = (fy.v_right * dy) @ p_y
-    return _finish(u, v, sigma, mean_x, mean_y,
-                   RegularizationSpec.tikhonov(gamma_x, gamma_y), x.rows)
+    """Tikhonov-regularized CCA with penalties gamma_x, gamma_y >= 0."""
+    spec = RegularizationSpec.tikhonov(gamma_x, gamma_y)  # checks, pre-SVD
+    return solve(prepare(x, y, rank_tol), spec)
 
 
 def cca_fit_tsvd(x: FeatureMatrix, y: FeatureMatrix,
@@ -238,18 +273,8 @@ def cca_fit_tsvd(x: FeatureMatrix, y: FeatureMatrix,
     approximation; the regularized operator is just the leading k_x x k_y
     block of T.
     """
-    _validate_pair(x, y)
-    fx, fy, t, mean_x, mean_y = _prepare(x, y, rank_tol)
-    if not (1 <= k_x <= fx.rank):
-        raise ValueError(f"k_x={k_x} outside [1, rank(X)={fx.rank}]")
-    if not (1 <= k_y <= fy.rank):
-        raise ValueError(f"k_y={k_y} outside [1, rank(Y)={fy.rank}]")
-    p_x, sigma, p_yt = np.linalg.svd(t[:k_x, :k_y], full_matrices=False)
-    p_x, p_y = _sign_fix(p_x, p_yt.T)
-    u = (fx.v_right[:, :k_x] / fx.s[:k_x]) @ p_x
-    v = (fy.v_right[:, :k_y] / fy.s[:k_y]) @ p_y
-    return _finish(u, v, sigma, mean_x, mean_y,
-                   RegularizationSpec.tsvd(k_x, k_y), x.rows)
+    spec = RegularizationSpec.tsvd(k_x, k_y)  # checks, pre-SVD
+    return solve(prepare(x, y, rank_tol), spec)
 
 
 def verify_filter_forms(x: FeatureMatrix, y: FeatureMatrix,
@@ -263,27 +288,28 @@ def verify_filter_forms(x: FeatureMatrix, y: FeatureMatrix,
     elementwise spectral filter to the singular values.  The two agree to
     rounding error (and exactly, for T-SVD).
     """
-    fx, fy, t, _, _ = _prepare(x, y, rank_tol)
+    problem = prepare(x, y, rank_tol)
+    s_x, s_y, t = problem.s_x, problem.s_y, problem.t
     if spec.kind == "tsvd":
         k_x, k_y = spec.k_x, spec.k_y
-        if not (1 <= k_x <= fx.rank and 1 <= k_y <= fy.rank):
+        if not (1 <= k_x <= problem.rank_x and 1 <= k_y <= problem.rank_y):
             raise ValueError("tsvd ranks exceed numerical rank")
         closed = t[:k_x, :k_y]
-        f_x = spectral_filter_hard(fx.s, fx.s[k_x - 1])
-        f_y = spectral_filter_hard(fy.s, fy.s[k_y - 1])
+        f_x = spectral_filter_hard(s_x, s_x[k_x - 1])
+        f_y = spectral_filter_hard(s_y, s_y[k_y - 1])
         filtered = ((f_x[:, None] * t) * f_y[None, :])[:k_x, :k_y]
     else:
         gamma_x = spec.gamma_x if spec.kind == "tikhonov" else 0.0
         gamma_y = spec.gamma_y if spec.kind == "tikhonov" else 0.0
-        left = np.diag(1.0 / np.sqrt(fx.s**2 + gamma_x)) @ np.diag(fx.s)
-        right = np.diag(fy.s) @ np.diag(1.0 / np.sqrt(fy.s**2 + gamma_y))
+        left = np.diag(1.0 / np.sqrt(s_x**2 + gamma_x)) @ np.diag(s_x)
+        right = np.diag(s_y) @ np.diag(1.0 / np.sqrt(s_y**2 + gamma_y))
         closed = left @ t @ right
         # gamma = 0 keeps the exact ratio s/s rather than the soft filter,
         # whose alpha must be positive
-        f_x = (spectral_filter_soft(fx.s, np.sqrt(gamma_x))
-               if gamma_x > 0 else fx.s / fx.s)
-        f_y = (spectral_filter_soft(fy.s, np.sqrt(gamma_y))
-               if gamma_y > 0 else fy.s / fy.s)
+        f_x = (spectral_filter_soft(s_x, np.sqrt(gamma_x))
+               if gamma_x > 0 else s_x / s_x)
+        f_y = (spectral_filter_soft(s_y, np.sqrt(gamma_y))
+               if gamma_y > 0 else s_y / s_y)
         filtered = (f_x[:, None] * t) * f_y[None, :]
     return float(np.max(np.abs(closed - filtered))) if closed.size else 0.0
 

@@ -192,22 +192,34 @@ def _apply_config(argv: list[str]) -> list[str]:
     return argv[:1] + injected + argv[1:]
 
 
-def _parse_grid(args, ints: bool):
-    """--grid-x/--grid-y lists win over a square --grid size."""
+def _grids(args, problem: cca.CcaProblem, kind: str):
+    """Path axes: a --grid-x/--grid-y list, else a default grid per axis.
 
-    def parse_list(text):
-        kind = int if ints else float
-        return [kind(v) for v in text.split(",") if v.strip()]
-
-    grid_x = parse_list(args.grid_x) if getattr(args, "grid_x", None) else None
-    grid_y = parse_list(args.grid_y) if getattr(args, "grid_y", None) else None
-    count = None
+    The defaults have the --grid size (20x20 when absent) and come from the
+    prepared problem: ranks for ``tsvd``, squared singular values for
+    ``tikhonov``.
+    """
+    counts = (20, 20)
     if getattr(args, "grid", None):
         parts = args.grid.lower().split("x")
         if len(parts) != 2:
             raise ValueError(f"--grid must look like 20x20, got {args.grid!r}")
-        count = (int(parts[0]), int(parts[1]))
-    return grid_x, grid_y, count
+        counts = (int(parts[0]), int(parts[1]))
+        if min(counts) < 1:
+            raise ValueError(f"--grid counts must be >= 1, got {args.grid!r}")
+    parse = int if kind == "tsvd" else float
+    axes = []
+    for text, count, s in ((getattr(args, "grid_x", None), counts[0],
+                            problem.s_x),
+                           (getattr(args, "grid_y", None), counts[1],
+                            problem.s_y)):
+        if text:
+            axes.append([parse(v) for v in text.split(",") if v.strip()])
+        elif kind == "tsvd":
+            axes.append(selection.default_rank_grid(s.shape[0], count))
+        else:
+            axes.append(selection.default_penalty_grid(s, count))
+    return axes
 
 
 def _workers(args) -> int | None:
@@ -220,6 +232,9 @@ def _load_val(args):
     val_captions = io.load_matrix(args.val_y)
     pair_index = (io.load_pairing(args.val_pairing)
                   if args.val_pairing else None)
+    # a bad pairing fails here, before any SVD is paid for
+    pair_index = retrieval._check_pairing(pair_index, val_images.rows,
+                                          val_captions.rows)
     return val_images, val_captions, pair_index
 
 
@@ -339,16 +354,10 @@ def _cmd_fit(args) -> int:
         if not (args.val_x and args.val_y):
             raise ValueError("--reg guided-tsvd needs --val-x and --val-y")
         val_images, val_captions, pair_index = _load_val(args)
-        grid_x, grid_y, count = _parse_grid(args, ints=True)
-        if count is not None and grid_x is None:
-            xc, _ = cca.center_columns(x)
-            yc, _ = cca.center_columns(y)
-            grid_x = selection.default_rank_grid(cca.thin_svd(xc).rank,
-                                                 count[0])
-            grid_y = selection.default_rank_grid(cca.thin_svd(yc).rank,
-                                                 count[1])
+        problem = cca.prepare(x, y)
+        grid_x, grid_y = _grids(args, problem, "tsvd")
         result = selection.guided_tikhonov(
-            x, y, val_images, val_captions, grid_x, grid_y,
+            problem, val_images, val_captions, grid_x, grid_y,
             metric=args.metric, pair_index=pair_index,
             workers=_workers(args),
         )
@@ -367,25 +376,11 @@ def _cmd_path(args) -> int:
     x = io.load_matrix(args.x)
     y = io.load_matrix(args.y)
     val_images, val_captions, pair_index = _load_val(args)
-    ints = args.reg == "tsvd"
-    grid_x, grid_y, count = _parse_grid(args, ints=ints)
-    if grid_x is None or grid_y is None:
-        xc, _ = cca.center_columns(x)
-        yc, _ = cca.center_columns(y)
-        fx, fy = cca.thin_svd(xc), cca.thin_svd(yc)
-        nx, ny = count if count else (20, 20)
-        if ints:
-            grid_x = grid_x if grid_x is not None else \
-                selection.default_rank_grid(fx.rank, nx)
-            grid_y = grid_y if grid_y is not None else \
-                selection.default_rank_grid(fy.rank, ny)
-        else:
-            grid_x = grid_x if grid_x is not None else \
-                selection.default_penalty_grid(fx.s, nx)
-            grid_y = grid_y if grid_y is not None else \
-                selection.default_penalty_grid(fy.s, ny)
-    runner = selection.tsvd_path if ints else selection.tikhonov_path
-    grid, sel = runner(x, y, val_images, val_captions, grid_x, grid_y,
+    problem = cca.prepare(x, y)
+    grid_x, grid_y = _grids(args, problem, args.reg)
+    runner = (selection.tsvd_path if args.reg == "tsvd"
+              else selection.tikhonov_path)
+    grid, sel = runner(problem, val_images, val_captions, grid_x, grid_y,
                        metric=args.metric, pair_index=pair_index,
                        workers=_workers(args))
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -407,14 +402,10 @@ def _cmd_timing(args) -> int:
     x = io.load_matrix(args.x)
     y = io.load_matrix(args.y)
     val_images, val_captions, pair_index = _load_val(args)
-    _, _, count = _parse_grid(args, ints=True)
-    xc, _ = cca.center_columns(x)
-    yc, _ = cca.center_columns(y)
-    nx, ny = count if count else (20, 20)
-    grid_x = selection.default_rank_grid(cca.thin_svd(xc).rank, nx)
-    grid_y = selection.default_rank_grid(cca.thin_svd(yc).rank, ny)
+    problem = cca.prepare(x, y)
+    grid_x, grid_y = _grids(args, problem, "tsvd")
     report = selection.measure_path_timing(
-        x, y, val_images, val_captions, grid_x, grid_y,
+        problem, val_images, val_captions, grid_x, grid_y,
         pair_index=pair_index, repeats=args.repeats,
     )
     lines = [

@@ -1,10 +1,11 @@
 """Regularization-path grid searches scored by validation retrieval.
 
-Both paths reuse everything that does not depend on the grid point: the
-thin SVDs of the centered training views and the correlation operator
-T = Ux' Uy (Tikhonov additionally pre-scales it to Sx T Sy).  A T-SVD cell
-then costs one SVD of the leading k_x x k_y block of T, while a Tikhonov
-cell needs a full-size SVD after diagonal rescaling -- the asymmetry the
+Both paths take a :class:`ccax.cca.CcaProblem`, which holds everything
+that does not depend on the grid point: the thin SVDs of the centered
+training views and the correlation operator T = Ux' Uy.  Each cell is one
+:func:`ccax.cca.solve`.  A T-SVD cell costs one SVD of the leading
+k_x x k_y block of T, while a Tikhonov cell needs a full-size SVD of the
+diagonally rescaled Sx T Sy -- the asymmetry the
 guided-Tikhonov shortcut exploits: run the cheap hard-threshold path, map
 its winning ranks (k*_x, k*_y) to penalties (s_x[k*_x]^2, s_y[k*_y]^2),
 and fit Tikhonov once per task.
@@ -18,19 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cca import (
-    CcaModel,
-    RegularizationSpec,
-    _finish,
-    _sign_fix,
-    cca_fit_tikhonov,
-    center_columns,
-    thin_svd,
-)
+from .cca import CcaModel, CcaProblem, RegularizationSpec, solve
 from .io import FeatureMatrix
 from .retrieval import _check_pairing, evaluate_bidirectional
 
 METRICS = ("r1", "mean-r1")
+
+#: Path kind -> the spec of one grid cell, from its (param_x, param_y).
+_SPECS = {"tsvd": RegularizationSpec.tsvd,
+          "tikhonov": RegularizationSpec.tikhonov}
 
 
 @dataclass
@@ -92,11 +89,7 @@ def _select(grid: PathGrid, metric: str) -> SelectionResult:
         raise ValueError(f"unknown metric {metric!r}")
 
     def spec_at(i: int, j: int) -> RegularizationSpec:
-        if grid.kind == "tsvd":
-            return RegularizationSpec.tsvd(int(grid.axis_x[i]),
-                                           int(grid.axis_y[j]))
-        return RegularizationSpec.tikhonov(float(grid.axis_x[i]),
-                                           float(grid.axis_y[j]))
+        return _SPECS[grid.kind](grid.axis_x[i], grid.axis_y[j])
 
     if metric == "mean-r1":
         combined = 0.5 * (grid.search_scores + grid.annotation_scores)
@@ -122,35 +115,9 @@ def _select(grid: PathGrid, metric: str) -> SelectionResult:
     )
 
 
-class _PathState:
-    """Shared read-only precomputation for one path run."""
-
-    def __init__(self, x_train: FeatureMatrix, y_train: FeatureMatrix,
-                 val_images: FeatureMatrix, val_captions: FeatureMatrix,
-                 pair_index, similarity: str):
-        # a bad pairing fails here, before any SVD is paid for
-        self.pair_index = _check_pairing(pair_index, val_images.rows,
-                                        val_captions.rows)
-        xc, self.mean_x = center_columns(x_train)
-        yc, self.mean_y = center_columns(y_train)
-        self.fx = thin_svd(xc)
-        self.fy = thin_svd(yc)
-        if self.fx.rank == 0 or self.fy.rank == 0:
-            raise ValueError("zero numerical rank after centering")
-        self.t = self.fx.u_left.T @ self.fy.u_left
-        self.n = x_train.rows
-        self.val_images = val_images
-        self.val_captions = val_captions
-        self.similarity = similarity
-
-    def score(self, model: CcaModel) -> tuple[float, float]:
-        search, annotation = evaluate_bidirectional(
-            model, self.val_images, self.val_captions, self.pair_index,
-            similarity=self.similarity, ks=(1,))
-        return search.recalls[1], annotation.recalls[1]
-
-
-def _run_grid(state: _PathState, axis_x, axis_y, cell_model, kind: str,
+def _run_grid(problem: CcaProblem, axis_x, axis_y, kind: str,
+              val_images: FeatureMatrix, val_captions: FeatureMatrix,
+              pair_index, similarity: str,
               workers: int | None) -> PathGrid:
     nx, ny = len(axis_x), len(axis_y)
     search_scores = np.zeros((nx, ny))
@@ -162,10 +129,12 @@ def _run_grid(state: _PathState, axis_x, axis_y, cell_model, kind: str,
     def run_cell(ij):
         i, j = ij
         start = time.perf_counter()
-        model = cell_model(axis_x[i], axis_y[j])
-        s, a = state.score(model)
-        search_scores[i, j] = s
-        annotation_scores[i, j] = a
+        model = solve(problem, _SPECS[kind](axis_x[i], axis_y[j]))
+        search, annotation = evaluate_bidirectional(
+            model, val_images, val_captions, pair_index,
+            similarity=similarity, ks=(1,))
+        search_scores[i, j] = search.recalls[1]
+        annotation_scores[i, j] = annotation.recalls[1]
         sigmas[i][j] = model.sigma
         cell_seconds[i, j] = time.perf_counter() - start
 
@@ -183,46 +152,41 @@ def _run_grid(state: _PathState, axis_x, axis_y, cell_model, kind: str,
                     total, kind, sigmas)
 
 
-def tsvd_path(x_train: FeatureMatrix, y_train: FeatureMatrix,
+def _axis(values, dtype, name: str) -> np.ndarray:
+    axis = np.asarray(values, dtype=dtype)
+    if axis.size == 0:
+        raise ValueError(f"{name} grid is empty")
+    return axis
+
+
+def tsvd_path(problem: CcaProblem,
               val_images: FeatureMatrix, val_captions: FeatureMatrix,
               grid_x=None, grid_y=None, metric: str = "r1",
               pair_index=None, similarity: str = "cosine",
               workers: int | None = 1) -> tuple[PathGrid, SelectionResult]:
     """Grid search over truncation ranks (k_x, k_y).
 
-    Every cell reuses the precomputed T and whitening factors; its model is
-    identical (to rounding) to a standalone rank-(k_x, k_y) fit.
+    Every cell is ``solve(problem, tsvd(k_x, k_y))``: the same model a
+    standalone rank-(k_x, k_y) fit produces.
     """
-    state = _PathState(x_train, y_train, val_images, val_captions,
-                       pair_index, similarity)
+    # a bad pairing fails here, before any cell is solved
+    pair_index = _check_pairing(pair_index, val_images.rows, val_captions.rows)
     if grid_x is None:
-        grid_x = default_rank_grid(state.fx.rank)
+        grid_x = default_rank_grid(problem.rank_x)
     if grid_y is None:
-        grid_y = default_rank_grid(state.fy.rank)
-    grid_x = np.asarray(grid_x, dtype=np.int64)
-    grid_y = np.asarray(grid_y, dtype=np.int64)
-    if grid_x.min() < 1 or grid_x.max() > state.fx.rank:
-        raise ValueError(f"k_x grid outside [1, {state.fx.rank}]")
-    if grid_y.min() < 1 or grid_y.max() > state.fy.rank:
-        raise ValueError(f"k_y grid outside [1, {state.fy.rank}]")
-
-    wx = state.fx.v_right / state.fx.s
-    wy = state.fy.v_right / state.fy.s
-
-    def cell_model(k_x, k_y) -> CcaModel:
-        p_x, sigma, p_yt = np.linalg.svd(state.t[:k_x, :k_y],
-                                         full_matrices=False)
-        p_x, p_y = _sign_fix(p_x, p_yt.T)
-        u = wx[:, :k_x] @ p_x
-        v = wy[:, :k_y] @ p_y
-        return _finish(u, v, sigma, state.mean_x.copy(), state.mean_y.copy(),
-                       RegularizationSpec.tsvd(int(k_x), int(k_y)), state.n)
-
-    grid = _run_grid(state, grid_x, grid_y, cell_model, "tsvd", workers)
+        grid_y = default_rank_grid(problem.rank_y)
+    grid_x = _axis(grid_x, np.int64, "k_x")
+    grid_y = _axis(grid_y, np.int64, "k_y")
+    if grid_x.min() < 1 or grid_x.max() > problem.rank_x:
+        raise ValueError(f"k_x grid outside [1, {problem.rank_x}]")
+    if grid_y.min() < 1 or grid_y.max() > problem.rank_y:
+        raise ValueError(f"k_y grid outside [1, {problem.rank_y}]")
+    grid = _run_grid(problem, grid_x, grid_y, "tsvd", val_images,
+                     val_captions, pair_index, similarity, workers)
     return grid, _select(grid, metric)
 
 
-def tikhonov_path(x_train: FeatureMatrix, y_train: FeatureMatrix,
+def tikhonov_path(problem: CcaProblem,
                   val_images: FeatureMatrix, val_captions: FeatureMatrix,
                   grid_x=None, grid_y=None, metric: str = "r1",
                   pair_index=None, similarity: str = "cosine",
@@ -230,34 +194,20 @@ def tikhonov_path(x_train: FeatureMatrix, y_train: FeatureMatrix,
     """Grid search over Tikhonov penalties (gamma_x, gamma_y).
 
     Defaults to index-spaced squared singular values of each view.  Every
-    cell rescales the precomputed Sx T Sy and takes a full-size SVD.
+    cell is ``solve(problem, tikhonov(gamma_x, gamma_y))``, a full-size SVD
+    of the rescaled Sx T Sy.
     """
-    state = _PathState(x_train, y_train, val_images, val_captions,
-                       pair_index, similarity)
+    pair_index = _check_pairing(pair_index, val_images.rows, val_captions.rows)
     if grid_x is None:
-        grid_x = default_penalty_grid(state.fx.s)
+        grid_x = default_penalty_grid(problem.s_x)
     if grid_y is None:
-        grid_y = default_penalty_grid(state.fy.s)
-    grid_x = np.asarray(grid_x, dtype=np.float64)
-    grid_y = np.asarray(grid_y, dtype=np.float64)
+        grid_y = default_penalty_grid(problem.s_y)
+    grid_x = _axis(grid_x, np.float64, "gamma_x")
+    grid_y = _axis(grid_y, np.float64, "gamma_y")
     if grid_x.min() < 0 or grid_y.min() < 0:
         raise ValueError("penalties must be >= 0")
-
-    t0_op = (state.fx.s[:, None] * state.t) * state.fy.s[None, :]
-
-    def cell_model(gamma_x, gamma_y) -> CcaModel:
-        dx = 1.0 / np.sqrt(state.fx.s**2 + gamma_x)
-        dy = 1.0 / np.sqrt(state.fy.s**2 + gamma_y)
-        p_x, sigma, p_yt = np.linalg.svd((dx[:, None] * t0_op) * dy[None, :],
-                                         full_matrices=False)
-        p_x, p_y = _sign_fix(p_x, p_yt.T)
-        u = (state.fx.v_right * dx) @ p_x
-        v = (state.fy.v_right * dy) @ p_y
-        return _finish(u, v, sigma, state.mean_x.copy(), state.mean_y.copy(),
-                       RegularizationSpec.tikhonov(float(gamma_x),
-                                                   float(gamma_y)), state.n)
-
-    grid = _run_grid(state, grid_x, grid_y, cell_model, "tikhonov", workers)
+    grid = _run_grid(problem, grid_x, grid_y, "tikhonov", val_images,
+                     val_captions, pair_index, similarity, workers)
     return grid, _select(grid, metric)
 
 
@@ -273,7 +223,7 @@ class GuidedTikhonovResult:
     annotation_penalties: tuple[float, float]
 
 
-def guided_tikhonov(x_train: FeatureMatrix, y_train: FeatureMatrix,
+def guided_tikhonov(problem: CcaProblem,
                     val_images: FeatureMatrix, val_captions: FeatureMatrix,
                     grid_x=None, grid_y=None, metric: str = "r1",
                     pair_index=None, similarity: str = "cosine",
@@ -285,24 +235,22 @@ def guided_tikhonov(x_train: FeatureMatrix, y_train: FeatureMatrix,
     :func:`ccax.cca.cca_fit_tikhonov` produces at those penalties.
     """
     grid, selection = tsvd_path(
-        x_train, y_train, val_images, val_captions, grid_x, grid_y,
+        problem, val_images, val_captions, grid_x, grid_y,
         metric, pair_index, similarity, workers,
     )
-    xc, _ = center_columns(x_train)
-    yc, _ = center_columns(y_train)
-    s_x = thin_svd(xc).s
-    s_y = thin_svd(yc).s
 
     def mapped(spec: RegularizationSpec) -> tuple[float, float]:
-        return float(s_x[spec.k_x - 1] ** 2), float(s_y[spec.k_y - 1] ** 2)
+        return (float(problem.s_x[spec.k_x - 1] ** 2),
+                float(problem.s_y[spec.k_y - 1] ** 2))
 
     pen_search = mapped(selection.best_search)
     pen_annotation = mapped(selection.best_annotation)
-    search_model = cca_fit_tikhonov(x_train, y_train, *pen_search)
+    search_model = solve(problem, RegularizationSpec.tikhonov(*pen_search))
     if pen_annotation == pen_search:
         annotation_model = search_model
     else:
-        annotation_model = cca_fit_tikhonov(x_train, y_train, *pen_annotation)
+        annotation_model = solve(problem,
+                                 RegularizationSpec.tikhonov(*pen_annotation))
     return GuidedTikhonovResult(
         search_model=search_model,
         annotation_model=annotation_model,
@@ -329,7 +277,7 @@ class PathTimingReport:
         return self.tikhonov_seconds / self.tsvd_seconds
 
 
-def measure_path_timing(x_train: FeatureMatrix, y_train: FeatureMatrix,
+def measure_path_timing(problem: CcaProblem,
                         val_images: FeatureMatrix, val_captions: FeatureMatrix,
                         grid_x=None, grid_y=None, pair_index=None,
                         repeats: int = 3, metric: str = "r1",
@@ -339,30 +287,27 @@ def measure_path_timing(x_train: FeatureMatrix, y_train: FeatureMatrix,
     Single-threaded cell evaluation, one unmeasured warm-up run, then the
     median over ``repeats`` runs of each path.  The Tikhonov grid is the
     squared-singular-value image of the rank grid so both paths visit the
-    same number of cells.
+    same number of cells.  The shared factorisation in ``problem`` is paid
+    before timing starts, so the runs time the grids alone.
     """
-    xc, _ = center_columns(x_train)
-    yc, _ = center_columns(y_train)
-    s_x = thin_svd(xc).s
-    s_y = thin_svd(yc).s
     if grid_x is None:
-        grid_x = default_rank_grid(s_x.shape[0])
+        grid_x = default_rank_grid(problem.rank_x)
     if grid_y is None:
-        grid_y = default_rank_grid(s_y.shape[0])
+        grid_y = default_rank_grid(problem.rank_y)
     grid_x = np.asarray(grid_x, dtype=np.int64)
     grid_y = np.asarray(grid_y, dtype=np.int64)
-    pen_x = s_x[grid_x - 1] ** 2
-    pen_y = s_y[grid_y - 1] ** 2
+    pen_x = problem.s_x[grid_x - 1] ** 2
+    pen_y = problem.s_y[grid_y - 1] ** 2
 
     def run_tsvd() -> float:
         start = time.perf_counter()
-        tsvd_path(x_train, y_train, val_images, val_captions,
+        tsvd_path(problem, val_images, val_captions,
                   grid_x, grid_y, metric, pair_index, similarity, workers=1)
         return time.perf_counter() - start
 
     def run_tikhonov() -> float:
         start = time.perf_counter()
-        tikhonov_path(x_train, y_train, val_images, val_captions,
+        tikhonov_path(problem, val_images, val_captions,
                       pen_x, pen_y, metric, pair_index, similarity, workers=1)
         return time.perf_counter() - start
 

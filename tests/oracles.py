@@ -59,6 +59,18 @@ def constraint_residual(model, x, y):
     return max(np.abs(rx).max(), np.abs(ry).max())
 
 
+def sign_fix_loops(p_x: np.ndarray,
+                   p_y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column-by-column sign convention: the largest-magnitude entry of each
+    p_x column (the first, on ties) is made positive, flipping p_y alike."""
+    signs = np.ones(p_x.shape[1])
+    for j in range(p_x.shape[1]):
+        lead = np.argmax(np.abs(p_x[:, j]))
+        if p_x[lead, j] < 0:
+            signs[j] = -1.0
+    return p_x * signs, p_y * signs
+
+
 def rank_by_cosine_loops(queries: np.ndarray, items: np.ndarray) -> list[list[int]]:
     """Plain double-loop cosine ranking, ties toward the smaller index."""
     out = []

@@ -141,8 +141,8 @@ def test_criterion_05_path_standalone_equivalence():
     vi, vc, vp = data.split_views("val")
 
     rank_x, rank_y = [3, 8, 15, 24], [2, 6, 10, 16]
-    tsvd_grid, _ = selection.tsvd_path(tx, ty, vi, vc, rank_x, rank_y,
-                                       pair_index=vp)
+    tsvd_grid, _ = selection.tsvd_path(cca.prepare(tx, ty), vi, vc,
+                                       rank_x, rank_y, pair_index=vp)
     dev = 0.0
     for i, k_x in enumerate(rank_x):
         for j, k_y in enumerate(rank_y):
@@ -151,16 +151,16 @@ def test_criterion_05_path_standalone_equivalence():
                                         - standalone.sigma).max()))
 
     pen_x, pen_y = [0.5, 10.0, 200.0], [0.1, 5.0, 80.0]
-    tikh_grid, _ = selection.tikhonov_path(tx, ty, vi, vc, pen_x, pen_y,
-                                           pair_index=vp)
+    tikh_grid, _ = selection.tikhonov_path(cca.prepare(tx, ty), vi, vc,
+                                           pen_x, pen_y, pair_index=vp)
     for i, g_x in enumerate(pen_x):
         for j, g_y in enumerate(pen_y):
             standalone = cca.cca_fit_tikhonov(tx, ty, g_x, g_y)
             dev = max(dev, float(np.abs(tikh_grid.sigmas[i][j]
                                         - standalone.sigma).max()))
 
-    guided = selection.guided_tikhonov(tx, ty, vi, vc, rank_x, rank_y,
-                                       pair_index=vp)
+    guided = selection.guided_tikhonov(cca.prepare(tx, ty), vi, vc,
+                                       rank_x, rank_y, pair_index=vp)
     bitwise = True
     for model, penalties in (
         (guided.search_model, guided.search_penalties),
@@ -187,7 +187,8 @@ def test_criterion_06_path_timing():
     ty = io.FeatureMatrix(y.values[splits["train"]])
     vi = io.FeatureMatrix(x.values[splits["val"]])
     vc = io.FeatureMatrix(y.values[splits["val"]])
-    timing = selection.measure_path_timing(tx, ty, vi, vc, repeats=3)
+    timing = selection.measure_path_timing(cca.prepare(tx, ty), vi, vc,
+                                           repeats=3)
     elapsed = time.perf_counter() - start
     ok = timing.tsvd_seconds <= timing.tikhonov_seconds / 1.5 and elapsed < 600
     report(6, "T-SVD path timing advantage (20x20 grid, median of 3)", ok,

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ccax import cca, io
-from oracles import cca_correlations_eig, constraint_residual
+from oracles import (cca_correlations_eig, constraint_residual,
+                     sign_fix_loops)
 
 
 def random_views(seed, n=50, mx=4, my=3, scale=1.0):
@@ -148,6 +149,32 @@ class TestCcaFit:
             target_y = yc.T @ xc @ model.u
             res_y = (yc.T @ yc) @ (model.v * model.sigma) - target_y
             assert np.abs(res_y).max() <= 1e-8 * np.abs(target_y).max()
+
+
+class TestPrepareSolve:
+    def test_problem_is_read_only_and_keeps_no_rows(self):
+        x, y = random_views(12, n=50, mx=4, my=3)
+        problem = cca.prepare(x, y)
+        arrays = (problem.mean_x, problem.mean_y, problem.s_x, problem.s_y,
+                  problem.v_x, problem.v_y, problem.t)
+        assert not any(arr.flags.writeable for arr in arrays)
+        assert all(50 not in arr.shape for arr in arrays)
+        assert (problem.rank_x, problem.rank_y, problem.n) == (4, 3, 50)
+
+    def test_sign_fix_matches_loop(self):
+        rng = np.random.default_rng(13)
+        tied = np.array([[0.5, -0.5, 0.0],
+                         [-0.5, 0.5, -0.0],
+                         [0.1, -0.2, 0.0]])
+        cases = [(tied, rng.standard_normal((4, 3)))]
+        for rows, cols in [(1, 1), (5, 3), (3, 5), (8, 8)]:
+            cases.append((rng.standard_normal((rows, cols)),
+                          rng.standard_normal((cols + 2, cols))))
+        for p_x, p_y in cases:
+            got = cca._sign_fix(p_x, p_y)
+            want = sign_fix_loops(p_x, p_y)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
 
 
 class TestTikhonov:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ccax import cca, hkse, io
+from ccax import cca, hkse, io, selection
 from ccax.cli import main
 
 
@@ -443,5 +443,133 @@ class TestArchiveErrors:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"ccax: error: {archive}: ")
+        assert message in err
+        assert "Traceback" not in err
+
+
+def _path_argv(command, synth_dir, tmp_path, y=None, pairing=None):
+    """argv for a path-running command on the synthetic data set."""
+    data = [
+        "--x", str(synth_dir / "train_x.fmat"),
+        "--y", str(y or synth_dir / "train_y.fmat"),
+        "--val-x", str(synth_dir / "val_images.fmat"),
+        "--val-y", str(synth_dir / "val_captions.fmat"),
+        "--val-pairing", str(pairing or synth_dir / "val_pairing.txt"),
+    ]
+    if command == "fit":
+        return (["fit", "--reg", "guided-tsvd"] + data
+                + ["--out", str(tmp_path / "model.arc")])
+    return [command] + data + ["--out", str(tmp_path / "out.tsv")]
+
+
+class TestThinSvdCount:
+    """A command that runs a path factorises each training view once."""
+
+    @pytest.mark.parametrize("command,flags", [
+        ("fit", ["--grid", "3x3", "--metric", "r1"]),
+        ("fit", ["--grid", "3x3", "--metric", "mean-r1"]),
+        ("path", ["--reg", "tsvd", "--grid", "3x3"]),
+        ("path", ["--reg", "tikhonov", "--grid", "3x3"]),
+        ("timing", ["--grid", "3x3", "--repeats", "1"]),
+    ])
+    def test_two_thin_svds(self, command, flags, synth_dir, tmp_path,
+                           monkeypatch):
+        calls = []
+        original = cca.thin_svd
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].values.shape)
+            return original(*args, **kwargs)
+
+        # a "from .cca import thin_svd" binding bypasses the cca attribute
+        for module in (cca, selection):
+            if hasattr(module, "thin_svd"):
+                monkeypatch.setattr(module, "thin_svd", counting)
+        assert main(_path_argv(command, synth_dir, tmp_path) + flags) == 0
+        assert len(calls) == 2
+
+
+class TestGuidedGridFlags:
+    """--grid sizes the axes that --grid-x / --grid-y leave to the default."""
+
+    @pytest.mark.parametrize("flag,values", [("--grid-x", [2, 5]),
+                                             ("--grid-y", [1, 2])])
+    def test_each_list_on_its_own_axis(self, flag, values, synth_dir,
+                                       tmp_path):
+        path_out = tmp_path / "path.tsv"
+        argv = _path_argv("fit", synth_dir, tmp_path) + [
+            "--grid", "4x4", flag, ",".join(map(str, values)),
+            "--path-out", str(path_out)]
+        assert main(argv) == 0
+        problem = cca.prepare(io.load_matrix(synth_dir / "train_x.fmat"),
+                              io.load_matrix(synth_dir / "train_y.fmat"))
+        axis_x = selection.default_rank_grid(problem.rank_x, 4).tolist()
+        axis_y = selection.default_rank_grid(problem.rank_y, 4).tolist()
+        if flag == "--grid-x":
+            axis_x = values
+        else:
+            axis_y = values
+        rows = [line.split("\t")[:2]
+                for line in path_out.read_text().splitlines()[1:]]
+        assert rows == [[str(kx), str(ky)] for kx in axis_x for ky in axis_y]
+
+
+class TestPathInputErrors:
+    """Bad path inputs exit 1 with a message and no traceback.
+
+    Mismatched training rows and a validation pairing that does not fit
+    the captions are caught before any thin SVD runs.
+    """
+
+    BEFORE_SVD = [
+        ("path", "short_y", "row counts differ: 360 vs 300"),
+        ("timing", "short_y", "row counts differ: 360 vs 300"),
+        ("fit", "short_y", "row counts differ: 360 vs 300"),
+        ("path", "pairs_short", "pair_index length must match caption count"),
+        ("path", "pairs_long", "pair_index length must match caption count"),
+        ("path", "captionless", "image 19 has no paired captions"),
+        ("fit", "pairs_short", "pair_index length must match caption count"),
+        ("fit", "pairs_long", "pair_index length must match caption count"),
+        ("fit", "captionless", "image 19 has no paired captions"),
+    ]
+
+    @pytest.mark.parametrize("command,edit,message", BEFORE_SVD)
+    def test_fails_before_any_thin_svd(self, command, edit, message,
+                                       synth_dir, tmp_path, capsys,
+                                       monkeypatch):
+        y = pairing = None
+        if edit == "short_y":
+            y = tmp_path / "short_y.fmat"
+            train_y = io.load_matrix(synth_dir / "train_y.fmat")
+            io.save_matrix(io.FeatureMatrix(train_y.values[:300]), y)
+        else:
+            pairs = io.load_pairing(synth_dir / "val_pairing.txt")
+            pairs = {"pairs_short": pairs[:-3],
+                     "pairs_long": np.concatenate([pairs, pairs[:3]]),
+                     "captionless": np.where(pairs == 19, 18, pairs)}[edit]
+            pairing = tmp_path / "pairing.txt"
+            io.save_pairing(pairs, pairing)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("thin SVD ran before the input check")
+
+        monkeypatch.setattr(cca, "thin_svd", no_svd)
+        argv = _path_argv(command, synth_dir, tmp_path, y, pairing)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command,flags,message", [
+        ("path", ["--grid", "0x3"], "--grid counts must be >= 1"),
+        ("fit", ["--grid-x", ","], "k_x grid is empty"),
+        ("path", ["--reg", "tikhonov", "--grid-y", ","],
+         "gamma_y grid is empty"),
+    ])
+    def test_empty_grid_rejected(self, command, flags, message, synth_dir,
+                                 tmp_path, capsys):
+        argv = _path_argv(command, synth_dir, tmp_path) + flags
+        assert main(argv) == 1
+        err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err

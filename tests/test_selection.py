@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ccax import cca, io, selection, synthetic
+from ccax import cca, io, retrieval, selection, synthetic
 
 
 @pytest.fixture(scope="module")
@@ -41,10 +41,8 @@ class TestTsvdPath:
         xc, _ = cca.center_columns(train_x)
         yc, _ = cca.center_columns(train_y)
         rx, ry = cca.thin_svd(xc).rank, cca.thin_svd(yc).rank
-        grid, sel = selection.tsvd_path(train_x, train_y, vi, vc,
+        grid, sel = selection.tsvd_path(cca.prepare(train_x, train_y), vi, vc,
                                         [rx], [ry], pair_index=vp)
-        from ccax import retrieval
-
         model = cca.cca_fit(train_x, train_y)
         search, annotation = retrieval.evaluate_bidirectional(
             model, vi, vc, vp, ks=(1,))
@@ -55,25 +53,27 @@ class TestTsvdPath:
         train_x, train_y, vi, vc, vp = dataset
         grid_x = [2, 5, 9, 14]
         grid_y = [2, 4, 8, 12]
-        grid, _ = selection.tsvd_path(train_x, train_y, vi, vc,
+        problem = cca.prepare(train_x, train_y)
+        grid, _ = selection.tsvd_path(problem, vi, vc,
                                       grid_x, grid_y, pair_index=vp)
-        state = selection._PathState(train_x, train_y, vi, vc, vp, "cosine")
         for i, k_x in enumerate(grid_x):
             for j, k_y in enumerate(grid_y):
                 standalone = cca.cca_fit_tsvd(train_x, train_y, k_x, k_y)
-                s, a = state.score(standalone)
-                assert abs(grid.search_scores[i, j] - s) <= 1e-10
-                assert abs(grid.annotation_scores[i, j] - a) <= 1e-10
+                s, a = retrieval.evaluate_bidirectional(standalone, vi, vc, vp,
+                                                        ks=(1,))
+                assert abs(grid.search_scores[i, j] - s.recalls[1]) <= 1e-10
+                assert (abs(grid.annotation_scores[i, j] - a.recalls[1])
+                        <= 1e-10)
                 # per-cell sigma agreement, via a recomputed cell model
                 np.testing.assert_allclose(
-                    np.linalg.svd(state.t[:k_x, :k_y], compute_uv=False),
+                    np.linalg.svd(problem.t[:k_x, :k_y], compute_uv=False),
                     standalone.sigma, atol=1e-10)
 
     def test_selection_is_exhaustive_argmax(self, dataset):
         train_x, train_y, vi, vc, vp = dataset
         grid_x = [2, 5, 9]
         grid_y = [2, 4, 8]
-        grid, sel = selection.tsvd_path(train_x, train_y, vi, vc,
+        grid, sel = selection.tsvd_path(cca.prepare(train_x, train_y), vi, vc,
                                         grid_x, grid_y, pair_index=vp)
         i, j = np.unravel_index(np.argmax(grid.search_scores),
                                 grid.search_scores.shape)
@@ -85,19 +85,19 @@ class TestTsvdPath:
 
     def test_grid_order_does_not_change_selection(self, dataset):
         train_x, train_y, vi, vc, vp = dataset
-        a = selection.tsvd_path(train_x, train_y, vi, vc,
+        a = selection.tsvd_path(cca.prepare(train_x, train_y), vi, vc,
                                 [2, 5, 9], [2, 8], pair_index=vp)[1]
-        b = selection.tsvd_path(train_x, train_y, vi, vc,
+        b = selection.tsvd_path(cca.prepare(train_x, train_y), vi, vc,
                                 [9, 2, 5], [8, 2], pair_index=vp)[1]
         assert a.best_search == b.best_search
         assert a.best_annotation == b.best_annotation
 
     def test_parallel_equals_sequential(self, dataset):
         train_x, train_y, vi, vc, vp = dataset
-        seq, _ = selection.tsvd_path(train_x, train_y, vi, vc,
+        seq, _ = selection.tsvd_path(cca.prepare(train_x, train_y), vi, vc,
                                      [2, 5, 9], [2, 4, 8],
                                      pair_index=vp, workers=1)
-        par, _ = selection.tsvd_path(train_x, train_y, vi, vc,
+        par, _ = selection.tsvd_path(cca.prepare(train_x, train_y), vi, vc,
                                      [2, 5, 9], [2, 4, 8],
                                      pair_index=vp, workers=4)
         np.testing.assert_array_equal(seq.search_scores, par.search_scores)
@@ -106,13 +106,19 @@ class TestTsvdPath:
 
     def test_invalid_grid_rejected(self, dataset):
         train_x, train_y, vi, vc, vp = dataset
+        problem = cca.prepare(train_x, train_y)
         with pytest.raises(ValueError, match="k_x grid"):
-            selection.tsvd_path(train_x, train_y, vi, vc, [0, 2], [2],
-                                pair_index=vp)
+            selection.tsvd_path(problem, vi, vc, [0, 2], [2], pair_index=vp)
+        with pytest.raises(ValueError, match="k_x grid is empty"):
+            selection.tsvd_path(problem, vi, vc, [], [2], pair_index=vp)
 
 
 class TestPairingChecks:
-    """A pairing that does not fit the validation captions fails up front."""
+    """A pairing that does not fit the validation captions fails up front.
+
+    The library paths raise before any cell is solved; the CLI checks the
+    pairing before it prepares the problem (``tests/test_cli.py``).
+    """
 
     @pytest.mark.parametrize("change", [-3, 3])
     @pytest.mark.parametrize("path", [selection.tsvd_path,
@@ -123,35 +129,34 @@ class TestPairingChecks:
         pairs = (vp[:change] if change < 0
                  else np.concatenate([vp, vp[:change]]))
 
-        def no_svd(*args, **kwargs):
-            raise AssertionError("thin SVD ran before the pairing check")
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a cell was solved before the pairing check")
 
-        monkeypatch.setattr(selection, "thin_svd", no_svd)
+        monkeypatch.setattr(selection, "solve", no_solve)
         with pytest.raises(ValueError,
                            match="pair_index length must match caption count"):
-            path(train_x, train_y, vi, vc, [2], [2], pair_index=pairs)
+            path(cca.prepare(train_x, train_y), vi, vc, [2], [2],
+                 pair_index=pairs)
 
     def test_image_without_captions_fails_before_any_svd(self, dataset,
                                                          monkeypatch):
         train_x, train_y, vi, vc, vp = dataset
         pairs = np.where(vp == 19, 18, vp)
 
-        def no_svd(*args, **kwargs):
-            raise AssertionError("thin SVD ran before the pairing check")
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a cell was solved before the pairing check")
 
-        monkeypatch.setattr(selection, "thin_svd", no_svd)
+        monkeypatch.setattr(selection, "solve", no_solve)
         with pytest.raises(ValueError, match="image 19 has no paired captions"):
-            selection.tsvd_path(train_x, train_y, vi, vc, [2], [2],
-                                pair_index=pairs)
+            selection.tsvd_path(cca.prepare(train_x, train_y), vi, vc,
+                                [2], [2], pair_index=pairs)
 
 
 class TestTikhonovPath:
     def test_zero_grid_equals_plain_cca_score(self, dataset):
         train_x, train_y, vi, vc, vp = dataset
-        grid, _ = selection.tikhonov_path(train_x, train_y, vi, vc,
-                                          [0.0], [0.0], pair_index=vp)
-        from ccax import retrieval
-
+        grid, _ = selection.tikhonov_path(cca.prepare(train_x, train_y),
+                                          vi, vc, [0.0], [0.0], pair_index=vp)
         model = cca.cca_fit(train_x, train_y)
         search, annotation = retrieval.evaluate_bidirectional(
             model, vi, vc, vp, ks=(1,))
@@ -162,28 +167,34 @@ class TestTikhonovPath:
         train_x, train_y, vi, vc, vp = dataset
         grid_x = [0.5, 4.0, 30.0]
         grid_y = [0.1, 2.0, 10.0]
-        grid, _ = selection.tikhonov_path(train_x, train_y, vi, vc,
-                                          grid_x, grid_y, pair_index=vp)
-        state = selection._PathState(train_x, train_y, vi, vc, vp, "cosine")
+        grid, _ = selection.tikhonov_path(cca.prepare(train_x, train_y),
+                                          vi, vc, grid_x, grid_y,
+                                          pair_index=vp)
         for i, g_x in enumerate(grid_x):
             for j, g_y in enumerate(grid_y):
                 standalone = cca.cca_fit_tikhonov(train_x, train_y, g_x, g_y)
-                s, a = state.score(standalone)
-                assert abs(grid.search_scores[i, j] - s) <= 1e-10
-                assert abs(grid.annotation_scores[i, j] - a) <= 1e-10
+                s, a = retrieval.evaluate_bidirectional(standalone, vi, vc, vp,
+                                                        ks=(1,))
+                assert abs(grid.search_scores[i, j] - s.recalls[1]) <= 1e-10
+                assert (abs(grid.annotation_scores[i, j] - a.recalls[1])
+                        <= 1e-10)
 
     def test_negative_penalty_rejected(self, dataset):
         train_x, train_y, vi, vc, vp = dataset
+        problem = cca.prepare(train_x, train_y)
         with pytest.raises(ValueError, match="penalties"):
-            selection.tikhonov_path(train_x, train_y, vi, vc,
+            selection.tikhonov_path(problem, vi, vc,
                                     [-0.5], [1.0], pair_index=vp)
+        with pytest.raises(ValueError, match="gamma_y grid is empty"):
+            selection.tikhonov_path(problem, vi, vc,
+                                    [1.0], [], pair_index=vp)
 
 
 class TestGuidedTikhonov:
     def test_model_bitwise_equals_standalone_at_mapped_penalties(self, dataset):
         train_x, train_y, vi, vc, vp = dataset
-        result = selection.guided_tikhonov(train_x, train_y, vi, vc,
-                                           [2, 5, 9, 14], [2, 4, 8, 12],
+        result = selection.guided_tikhonov(cca.prepare(train_x, train_y),
+                                           vi, vc, [2, 5, 9, 14], [2, 4, 8, 12],
                                            pair_index=vp)
         for model, penalties in (
             (result.search_model, result.search_penalties),
@@ -196,8 +207,8 @@ class TestGuidedTikhonov:
 
     def test_penalties_are_squared_singular_values(self, dataset):
         train_x, train_y, vi, vc, vp = dataset
-        result = selection.guided_tikhonov(train_x, train_y, vi, vc,
-                                           [2, 5, 9], [2, 4, 8],
+        result = selection.guided_tikhonov(cca.prepare(train_x, train_y),
+                                           vi, vc, [2, 5, 9], [2, 4, 8],
                                            pair_index=vp)
         xc, _ = cca.center_columns(train_x)
         yc, _ = cca.center_columns(train_y)
@@ -212,7 +223,7 @@ class TestGuidedTikhonov:
         yc, _ = cca.center_columns(train_y)
         s_x, s_y = cca.thin_svd(xc).s, cca.thin_svd(yc).s
         result = selection.guided_tikhonov(
-            train_x, train_y, vi, vc,
+            cca.prepare(train_x, train_y), vi, vc,
             [len(s_x)], [len(s_y)], pair_index=vp)
         assert result.search_penalties == (s_x[-1] ** 2, s_y[-1] ** 2)
 
@@ -236,11 +247,11 @@ class TestGuidedOnPar:
             yc, _ = cca.center_columns(ty)
             fx, fy = cca.thin_svd(xc), cca.thin_svd(yc)
             guided = selection.guided_tikhonov(
-                tx, ty, vi, vc,
+                cca.prepare(tx, ty), vi, vc,
                 selection.default_rank_grid(fx.rank, 6),
                 selection.default_rank_grid(fy.rank, 6), pair_index=vp)
             _, full = selection.tikhonov_path(
-                tx, ty, vi, vc,
+                cca.prepare(tx, ty), vi, vc,
                 selection.default_penalty_grid(fx.s, 6),
                 selection.default_penalty_grid(fy.s, 6), pair_index=vp)
             search, _ = retrieval.evaluate_bidirectional(
@@ -255,7 +266,7 @@ class TestTimingMachinery:
     def test_degenerate_single_cell_ratio_near_one(self, dataset):
         train_x, train_y, vi, vc, vp = dataset
         report = selection.measure_path_timing(
-            train_x, train_y, vi, vc, [10], [8],
+            cca.prepare(train_x, train_y), vi, vc, [10], [8],
             pair_index=vp, repeats=3)
         assert report.cells == 1
         # both sides do one small SVD; allow generous scheduler noise
@@ -264,7 +275,7 @@ class TestTimingMachinery:
     def test_report_contents(self, dataset):
         train_x, train_y, vi, vc, vp = dataset
         report = selection.measure_path_timing(
-            train_x, train_y, vi, vc, [2, 10], [2, 8],
+            cca.prepare(train_x, train_y), vi, vc, [2, 10], [2, 8],
             pair_index=vp, repeats=2)
         assert report.repeats == 2
         assert len(report.tsvd_runs) == 2
@@ -287,7 +298,7 @@ class TestTimingMachinery:
             vi = io.FeatureMatrix(x.values[splits["val"]])
             vc = io.FeatureMatrix(y.values[splits["val"]])
             report = selection.measure_path_timing(
-                tx, ty, vi, vc,
+                cca.prepare(tx, ty), vi, vc,
                 selection.default_rank_grid(256, 10),
                 selection.default_rank_grid(text_dim, 10), repeats=3)
             return report.speedup
@@ -298,7 +309,7 @@ class TestTimingMachinery:
 class TestGridTsv:
     def test_columns_and_cells(self, dataset):
         train_x, train_y, vi, vc, vp = dataset
-        grid, _ = selection.tsvd_path(train_x, train_y, vi, vc,
+        grid, _ = selection.tsvd_path(cca.prepare(train_x, train_y), vi, vc,
                                       [2, 5], [3], pair_index=vp)
         lines = selection.grid_to_tsv(grid).strip().split("\n")
         assert lines[0] == "param_x\tparam_y\tr1_search\tr1_annotation\tcell_seconds"
