@@ -18,6 +18,12 @@ from . import cca, hkse, io, retrieval, selection, synthetic
 
 _REG_KINDS = ("none", "tikhonov", "tsvd", "guided-tsvd")
 
+#: embed's map-defining flags and their defaults; a saved --map fixes all
+#: of them, so giving one beside it is a usage error
+_MAP_FLAGS = {"variant": "lin,lin", "concat": None, "m": 2000,
+              "mprime": 2000, "gamma": "median", "eta": 0.01,
+              "gamma_sample": 2000, "seed": 0}
+
 
 class _OnceAction(argparse.Action):
     """Reject a repeated flag instead of silently keeping the last value."""
@@ -62,23 +68,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vectors", required=True, help="word-embedding text file")
     p.add_argument("--pairing",
                    help="caption->image row file, validated against the corpus")
-    p.add_argument("--variant", default="lin,lin",
-                   help="word,sentence layer kinds, e.g. rbf,rbf")
+    p.add_argument("--variant",
+                   help="word,sentence layer kinds, e.g. rbf,rbf "
+                        f"(default {_MAP_FLAGS['variant']})")
     p.add_argument("--concat", help="second map variant to concatenate")
-    p.add_argument("--m", type=int, default=2000,
-                   help="word-layer feature count")
-    p.add_argument("--mprime", type=int, default=2000,
-                   help="sentence-layer feature count")
-    p.add_argument("--gamma", default="median",
-                   help="word bandwidth, a float or 'median'")
-    p.add_argument("--eta", type=float, default=0.01)
-    p.add_argument("--gamma-sample", type=int, default=2000,
-                   help="words sampled by the median heuristic")
+    p.add_argument("--m", type=int, help="word-layer feature count "
+                                         f"(default {_MAP_FLAGS['m']})")
+    p.add_argument("--mprime", type=int,
+                   help="sentence-layer feature count "
+                        f"(default {_MAP_FLAGS['mprime']})")
+    p.add_argument("--gamma",
+                   help="word bandwidth, a float or 'median' "
+                        f"(default {_MAP_FLAGS['gamma']})")
+    p.add_argument("--eta", type=float, help="sentence bandwidth "
+                                             f"(default {_MAP_FLAGS['eta']})")
+    p.add_argument("--gamma-sample", type=int,
+                   help="words sampled by the median heuristic "
+                        f"(default {_MAP_FLAGS['gamma_sample']})")
     p.add_argument("--oov", choices=("skip", "error"), default="skip")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int,
+                   help=f"map seed (default {_MAP_FLAGS['seed']})")
     p.add_argument("--out", required=True, help="output FMAT1 path")
     p.add_argument("--map-out", help="save the feature map archive here")
-    p.add_argument("--map", help="reuse a saved feature map archive")
+    p.add_argument("--map", help="reuse a saved feature map archive; no "
+                                 "map-defining flag may be given with it")
 
     p = sub.add_parser("fit", help="fit a CCA model")
     add_config(p)
@@ -159,6 +172,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
 
     return parser
+
+
+def _resolve_map_flags(parser: argparse.ArgumentParser, args) -> None:
+    """Reject map-defining flags beside --map, else fill in their defaults."""
+    given = [dest for dest in _MAP_FLAGS if getattr(args, dest) is not None]
+    if args.map and given:
+        flags = ", ".join("--" + dest.replace("_", "-") for dest in given)
+        parser.error(f"embed --map reuses a saved map; {flags} cannot be "
+                     f"given with it")
+    for dest, default in _MAP_FLAGS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
 
 
 def _apply_config(argv: list[str]) -> list[str]:
@@ -531,6 +556,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"ccax: error: {exc}", file=sys.stderr)
         return 1
     args = parser.parse_args(argv)
+    if args.command == "embed":
+        _resolve_map_flags(parser, args)
     try:
         return _COMMANDS[args.command](args)
     except (OSError, ValueError) as exc:

@@ -37,6 +37,15 @@ VARIANTS = ("lin", "rbf")
 _WORD_STREAM = 11
 _SENT_STREAM = 12
 
+#: Rows per layer product.  OpenBLAS (0.3.31, SkylakeX kernels) rounds a
+#: row of a product differently depending on the rows beside it: a one-row
+#: product goes to GEMV, small shapes take other kernels, and the last
+#: (columns mod 8) output columns round by position.  Every layer product
+#: is therefore the same (out x in) @ (in x BLOCK_ROWS) GEMM over a
+#: zero-padded block, so a sentence gets the same bits alone or among any
+#: others.  A multiple of 8.
+BLOCK_ROWS = 64
+
 
 @dataclass(frozen=True)
 class HkseMap:
@@ -116,37 +125,35 @@ def word_feature(hkse_map: HkseMap, a: np.ndarray) -> np.ndarray:
     """One word vector through the word layer.
 
     rbf: sqrt(2/m) * cos(W a + b), whose inner products concentrate on the
-    Gaussian kernel.  lin: the vector itself.
+    Gaussian kernel.  lin: the vector itself.  The one-word case of
+    :func:`embed_corpus`'s kernel, so it equals the corpus's word rows.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.shape != (hkse_map.input_dim,):
         raise ValueError(
             f"word vector has shape {a.shape}, expected ({hkse_map.input_dim},)"
         )
-    if hkse_map.word_variant == "lin":
-        return a
-    m = hkse_map.w_word.shape[0]
-    return math.sqrt(2.0 / m) * np.cos(hkse_map.w_word @ a + hkse_map.b_word)
-
-
-def _sent_feature(hkse_map: HkseMap, pooled: np.ndarray) -> np.ndarray:
-    if hkse_map.sent_variant == "lin":
-        return pooled
-    m = hkse_map.w_sent.shape[0]
-    return math.sqrt(2.0 / m) * np.cos(hkse_map.w_sent @ pooled + hkse_map.b_sent)
+    return _word_layer(hkse_map, a[None, :])[0]
 
 
 def embed_sentence(hkse_map: HkseMap, token_vectors) -> np.ndarray:
     """Mean-pool word features, then apply the sentence layer.
 
     ``token_vectors`` is a sequence of word vectors (repeats contribute
-    repeatedly; order never matters).
+    repeatedly; order never matters).  The one-sentence case of
+    :func:`embed_corpus`'s kernel, so a corpus row equals this bitwise.
     """
-    features = [word_feature(hkse_map, a) for a in token_vectors]
-    if not features:
+    vectors = np.asarray(token_vectors, dtype=np.float64)
+    if vectors.size == 0:
         raise ValueError("cannot embed an empty sentence")
-    pooled = np.mean(features, axis=0)
-    return _sent_feature(hkse_map, pooled)
+    if vectors.ndim != 2 or vectors.shape[1] != hkse_map.input_dim:
+        raise ValueError(
+            f"token vectors have shape {vectors.shape}, expected "
+            f"(n, {hkse_map.input_dim})"
+        )
+    out = np.empty((1, hkse_map.output_dim))
+    _embed(hkse_map, vectors, [np.arange(vectors.shape[0])], out)
+    return out[0]
 
 
 def exact_kernel(s1, s2, gamma: float, eta: float,
@@ -212,15 +219,21 @@ def bandwidth_heuristic(table: EmbeddingTable, sample_size: int = 2000,
         rng = np.random.default_rng(seed)
         rows = rng.choice(table.vocab_size, size=sample_size, replace=False)
         sample = table.vectors[np.sort(rows)]
-    sq = (
-        np.sum(sample * sample, axis=1)[:, None]
-        + np.sum(sample * sample, axis=1)[None, :]
-        - 2.0 * sample @ sample.T
-    )
-    iu = np.triu_indices(sample.shape[0], k=1)
-    dists = np.sqrt(np.maximum(sq[iu], 0.0))
-    dists.sort()
-    median = dists[(dists.shape[0] - 1) // 2]
+    # the upper triangle of |a|^2 + |b|^2 - 2 a.b, row by row into one
+    # vector; the lower-middle element is selected, not sorted for.  sqrt
+    # and the clamp at 0 are monotone, so they apply to that element alone.
+    norms = np.sum(sample * sample, axis=1)
+    gram = 2.0 * sample @ sample.T
+    n = sample.shape[0]
+    upper = np.empty(n * (n - 1) // 2)
+    lo = 0
+    for i in range(n - 1):
+        hi = lo + n - 1 - i
+        np.subtract(norms[i] + norms[i + 1:], gram[i, i + 1:], out=upper[lo:hi])
+        lo = hi
+    mid = (upper.shape[0] - 1) // 2
+    upper.partition(mid)
+    median = np.sqrt(max(upper[mid], 0.0))
     if median == 0.0:
         raise ValueError("all sampled pairwise distances are zero")
     return float(1.0 / median**2)
@@ -248,33 +261,91 @@ def embed_corpus(maps, corpus: SentenceCorpus,
                  table: EmbeddingTable) -> FeatureMatrix:
     """One embedded row per sentence; several maps concatenate column-wise.
 
-    Word features are cached per vocabulary token, so each row is
-    bitwise-identical to calling :func:`embed_sentence` on its tokens.
+    The word layer runs once over the distinct tokens the corpus uses, and
+    every row is bitwise-identical to :func:`embed_sentence` on its tokens.
     """
     if isinstance(maps, HkseMap):
         maps = [maps]
     if not maps:
         raise ValueError("need at least one map")
-    blocks = []
     for hkse_map in maps:
         if hkse_map.input_dim != table.dim:
             raise ValueError(
                 f"map expects {hkse_map.input_dim}-dim words, table has {table.dim}"
             )
-        cache: dict[str, np.ndarray] = {}
-        rows = np.empty((len(corpus), hkse_map.output_dim))
-        for i, sentence in enumerate(corpus.sentences):
-            features = []
-            for token in sentence:
-                if token not in cache:
-                    if token not in table:
-                        raise DataFormatError(f"token {token!r} not in table")
-                    cache[token] = word_feature(hkse_map, table.vector(token))
-                features.append(cache[token])
-            pooled = np.mean(features, axis=0)
-            rows[i] = _sent_feature(hkse_map, pooled)
-        blocks.append(rows)
-    return FeatureMatrix(np.hstack(blocks) if len(blocks) > 1 else blocks[0])
+    try:
+        ids = [table.index[t] for sentence in corpus.sentences
+               for t in sentence]
+    except KeyError as exc:
+        raise DataFormatError(f"token {exc.args[0]!r} not in table") from None
+    used, inverse = np.unique(np.array(ids, dtype=np.int64),
+                              return_inverse=True)
+    ends = np.cumsum([len(s) for s in corpus.sentences])
+    sentences = np.split(inverse, ends[:-1])
+    vectors = table.vectors[used]
+    out = np.empty((len(corpus), sum(m.output_dim for m in maps)))
+    col = 0
+    for hkse_map in maps:
+        _embed(hkse_map, vectors, sentences,
+               out[:, col:col + hkse_map.output_dim])
+        col += hkse_map.output_dim
+    return FeatureMatrix(out)
+
+
+# ---------------------------------------------------------------------------
+# The kernel
+# ---------------------------------------------------------------------------
+
+def _layer(w: np.ndarray, b: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """sqrt(2/out) * cos(W x + b) for each row x of a BLOCK_ROWS-row block.
+
+    The only random-feature layer code: every call is the same
+    (out x in) @ (in x BLOCK_ROWS) product, so a row's features never depend
+    on the rows that share its block.
+    """
+    z = w @ block.T
+    z += b[:, None]
+    np.cos(z, out=z)
+    z *= math.sqrt(2.0 / w.shape[0])
+    return z.T
+
+
+def _word_layer(hkse_map: HkseMap, vectors: np.ndarray) -> np.ndarray:
+    """Word features of each row of ``vectors`` (the rows themselves for lin)."""
+    if hkse_map.word_variant == "lin":
+        return vectors
+    n = vectors.shape[0]
+    words = np.empty((n, hkse_map.pooled_dim))
+    block = np.zeros((BLOCK_ROWS, hkse_map.input_dim))
+    for lo in range(0, n, BLOCK_ROWS):
+        k = min(BLOCK_ROWS, n - lo)
+        block[:k] = vectors[lo:lo + k]
+        block[k:] = 0.0
+        words[lo:lo + k] = _layer(hkse_map.w_word, hkse_map.b_word, block)[:k]
+    return words
+
+
+def _embed(hkse_map: HkseMap, vectors: np.ndarray, sentences,
+           out: np.ndarray) -> None:
+    """Word layer, mean pooling and sentence layer, into the rows of ``out``.
+
+    ``vectors`` holds each distinct word once; ``sentences[i]`` indexes the
+    rows of ``vectors`` that sentence i is made of.  Each sentence is pooled
+    straight into a BLOCK_ROWS-row block, which the sentence layer maps.
+    """
+    words = _word_layer(hkse_map, vectors)
+    block = np.zeros((BLOCK_ROWS, hkse_map.pooled_dim))
+    for lo in range(0, len(sentences), BLOCK_ROWS):
+        chunk = sentences[lo:lo + BLOCK_ROWS]
+        k = len(chunk)
+        for j, rows in enumerate(chunk):
+            np.mean(words[rows], axis=0, out=block[j])
+        block[k:] = 0.0
+        if hkse_map.sent_variant == "lin":
+            out[lo:lo + k] = block[:k]
+        else:
+            out[lo:lo + k] = _layer(hkse_map.w_sent, hkse_map.b_sent,
+                                    block)[:k]
 
 
 # ---------------------------------------------------------------------------

@@ -241,43 +241,118 @@ def load_matrix(path, format: str = "fmat1") -> FeatureMatrix:
 # Embedding tables
 # ---------------------------------------------------------------------------
 
+#: Lines parsed per ``np.loadtxt`` call by :func:`load_embedding_table`.
+_TABLE_CHUNK_LINES = 1024
+
+
 def load_embedding_table(path) -> EmbeddingTable:
-    """Parse the standard text vector format (``count dim`` header line)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
+    """Parse the standard text vector format (``count dim`` header line).
+
+    Values are parsed by ``np.loadtxt`` (bitwise the same doubles as
+    ``float``), ``_TABLE_CHUNK_LINES`` lines at a time, so only one chunk of
+    text is held.  Every error names the file and line; non-finite values
+    and fields ``float`` would take but ``loadtxt`` does not (``1_0``) are
+    errors.
+    """
+    with open(path, "rb") as fh:
+        header = _decode_line(path, 1, fh.readline()).split()
         if len(header) != 2:
-            raise DataFormatError(f"{path}: header must be '<count> <dim>'")
+            raise DataFormatError(f"{path}:1: header must be '<count> <dim>'")
         try:
             count, dim = int(header[0]), int(header[1])
         except ValueError:
-            raise DataFormatError(f"{path}: non-integer header") from None
+            raise DataFormatError(f"{path}:1: non-integer header") from None
         if count < 1 or dim < 1:
-            raise DataFormatError(f"{path}: header declares {count} x {dim}")
-        tokens: list[str] = []
-        vectors = np.empty((count, dim), dtype=np.float64)
-        for i in range(count):
-            line = fh.readline()
-            if not line:
-                raise DataFormatError(
-                    f"{path}: header declares {count} entries, found {i}"
-                )
-            parts = line.split()
-            if len(parts) != dim + 1:
-                raise DataFormatError(
-                    f"{path}:{i + 2}: expected token + {dim} values, "
-                    f"got {len(parts)} fields"
-                )
-            tokens.append(parts[0])
+            raise DataFormatError(f"{path}:1: header declares {count} x {dim}")
+        lines_of: dict[str, int] = {}  # token -> its line, in file order
+        chunks: list[np.ndarray] = []
+        while len(lines_of) < count:
+            first = len(lines_of) + 2  # line number of the chunk's first line
+            values = []
+            for lineno in range(first,
+                                first + min(_TABLE_CHUNK_LINES,
+                                            count - len(lines_of))):
+                raw = fh.readline()
+                if not raw:
+                    raise DataFormatError(
+                        f"{path}:{lineno}: header declares {count} entries, "
+                        f"found {lineno - 2}"
+                    )
+                parts = _decode_line(path, lineno, raw).split(None, 1)
+                if len(parts) != 2:
+                    raise _field_count_error(path, lineno, len(parts), dim)
+                token = parts[0]
+                if token in lines_of:
+                    raise DataFormatError(
+                        f"{path}:{lineno}: duplicate token {token!r} "
+                        f"(first on line {lines_of[token]})"
+                    )
+                lines_of[token] = lineno
+                values.append(parts[1])
+            chunks.append(_parse_table_chunk(path, first, values, dim))
+        if _decode_line(path, count + 2, fh.readline()).strip():
+            raise DataFormatError(
+                f"{path}:{count + 2}: more entries than header declares")
+    vectors = np.concatenate(chunks)
+    del chunks  # EmbeddingTable copies the vectors: two copies, not three
+    return EmbeddingTable(tuple(lines_of), vectors)
+
+
+def _decode_line(path, lineno: int, raw: bytes) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}:{lineno}: not UTF-8 ({exc.reason})") \
+            from None
+
+
+def _parse_table_chunk(path, first: int, values: list[str],
+                       dim: int) -> np.ndarray:
+    """The value fields of consecutive table lines as a (lines, dim) block.
+
+    ``values[i]`` is line ``first + i`` without its token.
+    """
+    try:
+        block = np.loadtxt(values, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        block = None
+    if block is None or block.shape[1] != dim:
+        for lineno, text in enumerate(values, start=first):
+            _check_table_line(path, lineno, text, dim)
+        raise DataFormatError(f"{path}:{first}: values do not parse")
+    finite = np.isfinite(block)
+    if not finite.all():
+        row, col = (int(i[0]) for i in np.nonzero(~finite))
+        raise DataFormatError(
+            f"{path}:{first + row}: value {col + 1} is not finite: "
+            f"{block[row, col]}"
+        )
+    return block
+
+
+def _check_table_line(path, lineno: int, text: str, dim: int) -> None:
+    """Raise the error of one line's value fields, if they do not parse."""
+    fields = text.split()
+    if len(fields) != dim:
+        raise _field_count_error(path, lineno, len(fields) + 1, dim)
+    try:
+        np.loadtxt([text], dtype=np.float64, comments=None)
+    except ValueError as exc:
+        reason = str(exc)
+        for col, field in enumerate(fields, start=1):
             try:
-                vectors[i] = [float(v) for v in parts[1:]]
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{i + 2}: {exc}") from None
-        if fh.readline().strip():
-            raise DataFormatError(f"{path}: more entries than header declares")
-    if len(set(tokens)) != len(tokens):
-        dup = next(t for t in tokens if tokens.count(t) > 1)
-        raise DataFormatError(f"{path}: duplicate token {dup!r}")
-    return EmbeddingTable(tuple(tokens), vectors)
+                np.loadtxt([field], dtype=np.float64, comments=None)
+            except ValueError:
+                reason = f"value {col} is not a number: {field!r}"
+                break
+        raise DataFormatError(f"{path}:{lineno}: {reason}") from None
+
+
+def _field_count_error(path, lineno: int, fields: int,
+                       dim: int) -> DataFormatError:
+    return DataFormatError(
+        f"{path}:{lineno}: expected token + {dim} values, got {fields} fields"
+    )
 
 
 def save_embedding_table(table: EmbeddingTable, path) -> None:

@@ -5,10 +5,16 @@ from generalized eigenproblems on explicit covariance matrices, and the
 retrieval evaluator is a from-scratch loop over queries.  The full-sort
 protocol (``rank`` then ``evaluate``) is the route the library's counting
 protocol replaced; it orders every item of every query and is kept here as
-the reference that route is checked against.
+the reference that route is checked against.  Likewise the per-vector HKSE
+route (``embed_sentence_gemv``), the sorting median (``bandwidth_sorted``)
+and the ``float()`` table parser (``table_values_float``) are the routes
+that the blocked kernel, the partition median and the ``loadtxt`` parser
+replaced.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import scipy.linalg
@@ -159,3 +165,52 @@ def evaluate(ranked: np.ndarray, ground_truth, ks=(1, 5, 10), task: str = ""):
         n_queries=best.shape[0],
         n_items=np.asarray(ranked).shape[1],
     )
+
+
+def embed_sentence_gemv(hkse_map, token_vectors) -> np.ndarray:
+    """HKSE one vector at a time: a GEMV per token, mean, a GEMV per sentence.
+
+    rbf layers are sqrt(2/out) * cos(W x + b); lin layers pass x through.
+    """
+
+    def layer(w, b, x):
+        if w is None:
+            return x
+        return math.sqrt(2.0 / w.shape[0]) * np.cos(w @ x + b)
+
+    words = [layer(hkse_map.w_word, hkse_map.b_word,
+                   np.asarray(a, dtype=np.float64)) for a in token_vectors]
+    return layer(hkse_map.w_sent, hkse_map.b_sent, np.mean(words, axis=0))
+
+
+def bandwidth_sorted(table, sample_size: int = 2000, seed: int = 0) -> float:
+    """1 / median pairwise distance^2 by a full sort of every distance.
+
+    Draws the same word sample as ``hkse.bandwidth_heuristic`` and takes the
+    lower middle of the sorted upper-triangle distances; inf when that
+    median is 0.
+    """
+    if sample_size >= table.vocab_size:
+        sample = table.vectors
+    else:
+        rng = np.random.default_rng(seed)
+        rows = rng.choice(table.vocab_size, size=sample_size, replace=False)
+        sample = table.vectors[np.sort(rows)]
+    sq = (
+        np.sum(sample * sample, axis=1)[:, None]
+        + np.sum(sample * sample, axis=1)[None, :]
+        - 2.0 * sample @ sample.T
+    )
+    iu = np.triu_indices(sample.shape[0], k=1)
+    dists = np.sqrt(np.maximum(sq[iu], 0.0))
+    dists.sort()
+    median = dists[(dists.shape[0] - 1) // 2]
+    return math.inf if median == 0.0 else float(1.0 / median**2)
+
+
+def table_values_float(text: str) -> tuple[list[str], np.ndarray]:
+    """Tokens and values of embedding-table text, each value by ``float()``."""
+    lines = text.splitlines()[1:]
+    tokens = [line.split()[0] for line in lines]
+    values = np.array([[float(v) for v in line.split()[1:]] for line in lines])
+    return tokens, values

@@ -447,6 +447,70 @@ class TestArchiveErrors:
         assert "Traceback" not in err
 
 
+class TestEmbedMapConflicts:
+    """A saved --map fixes the map: a map-defining flag beside it is a usage
+    error, never silently ignored."""
+
+    CASES = [
+        (["--variant", "lin,lin"], "--variant"),
+        (["--concat", "rbf,rbf"], "--concat"),
+        (["--m", "999"], "--m"),
+        (["--mprime", "5"], "--mprime"),
+        (["--gamma", "7"], "--gamma"),
+        (["--eta", "0.5"], "--eta"),
+        (["--gamma-sample", "10"], "--gamma-sample"),
+        (["--seed", "9"], "--seed"),
+        (["--variant", "lin,lin", "--m", "999", "--gamma", "7", "--seed", "9"],
+         "--variant, --m, --gamma, --seed"),
+    ]
+
+    @pytest.mark.parametrize("flags,named", CASES)
+    def test_usage_error(self, flags, named, word_data, map_archive,
+                         tmp_path, capsys):
+        out = tmp_path / "e.fmat"
+        for order in (flags + ["--map", str(map_archive)],
+                      ["--map", str(map_archive)] + flags):
+            with pytest.raises(SystemExit) as exc:
+                main(["embed", "--corpus", str(word_data / "caps.txt"),
+                      "--vectors", str(word_data / "vectors.txt"),
+                      *order, "--out", str(out)])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"{named} cannot be given with it" in err
+            assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_config_flag_conflicts_too(self, word_data, map_archive,
+                                       tmp_path, capsys):
+        config = tmp_path / "embed.cfg"
+        config.write_text("m=64\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["embed", "--config", str(config),
+                  "--corpus", str(word_data / "caps.txt"),
+                  "--vectors", str(word_data / "vectors.txt"),
+                  "--map", str(map_archive), "--out", str(tmp_path / "e.fmat")])
+        assert exc.value.code == 2
+        assert "--m cannot be given with it" in capsys.readouterr().err
+
+    def test_non_finite_table_names_its_line(self, word_data, tmp_path,
+                                             capsys):
+        vectors = tmp_path / "vectors.txt"
+        lines = (word_data / "vectors.txt").read_text().splitlines()
+        fields = lines[3].split()
+        fields[2] = "nan"
+        lines[3] = " ".join(fields)
+        vectors.write_text("\n".join(lines) + "\n")
+        code = main(["embed", "--corpus", str(word_data / "caps.txt"),
+                     "--vectors", str(vectors), "--variant", "rbf,rbf",
+                     "--m", "8", "--mprime", "8", "--out",
+                     str(tmp_path / "e.fmat")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"ccax: error: {vectors}:4: value 2 is not "
+                              f"finite: nan")
+        assert "Traceback" not in err
+
+
 def _path_argv(command, synth_dir, tmp_path, y=None, pairing=None):
     """argv for a path-running command on the synthetic data set."""
     data = [

@@ -1,9 +1,19 @@
 """Random feature maps against the exact kernel they approximate."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccax import hkse, io
+from oracles import bandwidth_sorted, embed_sentence_gemv
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def unit_pairs(rng, count, dim):
@@ -327,6 +337,129 @@ class TestEmbedCorpus:
         assert out.values.shape == (3, 48)
         solo = hkse.embed_corpus(a, corpus, table)
         np.testing.assert_array_equal(out.values[:, :16], solo.values)
+
+
+BLOCK = hkse.BLOCK_ROWS
+# feature counts off the multiples of 8, below 8, and at full-size shapes
+WIDTHS = (1, 3, 5, 7, 24, 33, 37, 1001, 1500)
+
+
+@st.composite
+def embed_problems(draw):
+    """A map, a corpus and its table: up to 2 blocks plus a tail of
+    sentences, and now and then one sentence longer than a block."""
+    word, sent = draw(st.sampled_from([("lin", "lin"), ("lin", "rbf"),
+                                       ("rbf", "lin"), ("rbf", "rbf")]))
+    d = draw(st.integers(1, 8))
+    m = draw(st.sampled_from(WIDTHS))
+    m_prime = draw(st.sampled_from(WIDTHS))
+    vocab = draw(st.integers(1, 30))
+    n_sentences = draw(st.sampled_from((1, 2, BLOCK - 1, BLOCK, BLOCK + 1,
+                                        2 * BLOCK + 5)))
+    long_sentence = draw(st.booleans())
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    table = io.EmbeddingTable(tuple(f"w{i}" for i in range(vocab)),
+                              rng.standard_normal((vocab, d)))
+    lengths = rng.integers(1, 12, size=n_sentences)
+    if long_sentence:
+        lengths[rng.integers(n_sentences)] = BLOCK + 1 + rng.integers(2 * BLOCK)
+    corpus = io.SentenceCorpus(
+        tuple(tuple(table.tokens[i] for i in rng.integers(vocab, size=n))
+              for n in lengths),
+        np.zeros(n_sentences, dtype=np.int64))
+    hkse_map = hkse.build_map(word, sent, 0.7, 0.3, m, m_prime, d,
+                              seed=seed % 1000)
+    return hkse_map, corpus, table
+
+
+def sentence_vectors(corpus, table, i):
+    return [table.vector(t) for t in corpus.sentences[i]]
+
+
+class TestBlockedKernel:
+    @settings(max_examples=30, deadline=None)
+    @given(problem=embed_problems())
+    def test_corpus_rows_equal_embed_sentence(self, problem):
+        hkse_map, corpus, table = problem
+        out = hkse.embed_corpus(hkse_map, corpus, table).values
+        for i in range(len(corpus)):
+            row = hkse.embed_sentence(hkse_map,
+                                      sentence_vectors(corpus, table, i))
+            assert np.array_equal(out[i], row), f"row {i}"
+
+    def test_two_blas_threads(self, tmp_path):
+        # the same property where OpenBLAS splits each product over threads
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + ([env["PYTHONPATH"]]
+                                   if env.get("PYTHONPATH") else []))
+        test = (f"{Path(__file__).resolve()}::TestBlockedKernel::"
+                f"test_corpus_rows_equal_embed_sentence")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             test], cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=600)
+        assert proc.returncode == 0, proc.stdout[-3000:]
+        assert "1 passed" in proc.stdout
+
+    @settings(max_examples=30, deadline=None)
+    @given(problem=embed_problems())
+    def test_rows_match_gemv_oracle(self, problem):
+        hkse_map, corpus, table = problem
+        out = hkse.embed_corpus(hkse_map, corpus, table).values
+        oracle = np.array([
+            embed_sentence_gemv(hkse_map, sentence_vectors(corpus, table, i))
+            for i in range(len(corpus))])
+        # relative to the largest entry: an entry at a zero of cos has no
+        # relative precision of its own
+        np.testing.assert_allclose(out, oracle, rtol=1e-12,
+                                   atol=1e-12 * np.abs(oracle).max())
+
+    def test_one_token_sentence_is_its_word_feature(self):
+        m = hkse.build_map("rbf", "lin", 1.0, 1.0, 37, 0, 5, seed=3)
+        a = np.random.default_rng(8).standard_normal(5)
+        assert np.array_equal(hkse.embed_sentence(m, [a]),
+                              hkse.word_feature(m, a))
+
+    def test_block_rows_is_a_multiple_of_8(self):
+        assert BLOCK % 8 == 0
+
+    def test_token_vectors_shape_checked(self):
+        m = hkse.build_map("rbf", "rbf", 1.0, 1.0, 8, 8, 3, seed=0)
+        with pytest.raises(ValueError, match="shape"):
+            hkse.embed_sentence(m, [np.zeros(4)])
+
+    def test_oov_token_rejected(self):
+        table = io.EmbeddingTable(("a",), np.ones((1, 2)))
+        corpus = io.SentenceCorpus((("a", "zebra"),), np.zeros(1))
+        m = hkse.build_map("lin", "lin", 1.0, 1.0, 0, 0, 2, seed=0)
+        with pytest.raises(io.DataFormatError, match="zebra"):
+            hkse.embed_corpus(m, corpus, table)
+
+
+class TestBandwidthOracle:
+    @settings(max_examples=90, deadline=None)
+    @given(n=st.integers(2, 60), d=st.integers(1, 4),
+           grid=st.booleans(), duplicates=st.integers(0, 10),
+           extra=st.integers(-1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_equals_sorting_oracle(self, n, d, grid, duplicates, extra,
+                                   seed):
+        rng = np.random.default_rng(seed)
+        # half-integer grids give many tied distances; copied rows give zeros
+        values = (rng.integers(-2, 3, size=(n, d)) * 0.5 if grid
+                  else rng.standard_normal((n, d)))
+        copies = rng.integers(n, size=(duplicates, 2))
+        values[copies[:, 0]] = values[copies[:, 1]]
+        table = io.EmbeddingTable(tuple(f"w{i}" for i in range(n)), values)
+        sample_size = max(2, n + extra if extra >= 0 else n // 2)
+        expected = bandwidth_sorted(table, sample_size, seed)
+        if expected == np.inf:
+            with pytest.raises(ValueError, match="zero"):
+                hkse.bandwidth_heuristic(table, sample_size, seed)
+        else:
+            assert hkse.bandwidth_heuristic(table, sample_size,
+                                            seed) == expected
 
 
 class TestMapArchive:

@@ -1,5 +1,6 @@
 """Format round trips and validation errors for every on-disk artifact."""
 
+import re
 import struct
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccax import io
+from oracles import table_values_float
 
 
 def write(path, data: bytes):
@@ -162,6 +164,118 @@ class TestEmbeddingTable:
         loaded = io.load_embedding_table(path)
         assert loaded.tokens == table.tokens
         np.testing.assert_array_equal(loaded.vectors, table.vectors)
+
+    @pytest.mark.parametrize("data, message", [
+        (b"2 3\na 1 0 0\nb 0 1 0\nc 0 0 1\n",
+         "w.txt:4: more entries than header declares"),
+        (b"3 3\na 1 0 0\nb 0 1 0\n",
+         "w.txt:4: header declares 3 entries, found 2"),
+        (b"2 3\na 1 0 0\nb 0 1\n",
+         "w.txt:3: expected token + 3 values, got 3 fields"),
+        (b"2 3\na 1 0 0\n\n", "w.txt:3: expected token + 3 values, got 0 fields"),
+        (b"2 1\na 1\na 2\n", "w.txt:3: duplicate token 'a' (first on line 2)"),
+        (b"2 3\na 1 0 0\nb 0 x 0\n", "w.txt:3: value 2 is not a number: 'x'"),
+        (b"1 2\na 1_0 2\n", "w.txt:2: value 1 is not a number: '1_0'"),
+        (b"1 2\na 1 2\rb 3 4\n", "w.txt:2: expected token + 2 values, got 6 fields"),
+        (b"1 2\na 1\r2\n", "w.txt:2: "),
+        (b"x 2\na 1 2\n", "w.txt:1: non-integer header"),
+        (b"", "w.txt:1: header must be"),
+        (b"1 2\na 1 \xff\n", "w.txt:2: not UTF-8"),
+    ])
+    def test_errors_name_the_line(self, tmp_path, data, message):
+        path = write(tmp_path / "w.txt", data)
+        with pytest.raises(io.DataFormatError) as info:
+            io.load_embedding_table(path)
+        assert message in str(info.value)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "1e999"])
+    def test_non_finite_rejected(self, tmp_path, bad):
+        path = tmp_path / "w.txt"
+        path.write_text(f"2 3\na 1 0 0\nb 0 {bad} 0\n")
+        with pytest.raises(io.DataFormatError,
+                           match=r"w\.txt:3: value 2 is not finite"):
+            io.load_embedding_table(path)
+
+    def test_error_line_past_the_first_chunk(self, tmp_path):
+        rows = [f"w{i} {i} 0.5" for i in range(3000)]
+        rows[2500] = "w2500 1 nan"
+        path = tmp_path / "w.txt"
+        path.write_text("3000 2\n" + "\n".join(rows) + "\n")
+        with pytest.raises(io.DataFormatError, match=r"w\.txt:2502: "):
+            io.load_embedding_table(path)
+        rows[2500] = "w2500 1"
+        path.write_text("3000 2\n" + "\n".join(rows) + "\n")
+        with pytest.raises(io.DataFormatError, match=r"w\.txt:2502: "):
+            io.load_embedding_table(path)
+
+    def test_several_chunks_equal_float(self, tmp_path):
+        rng = np.random.default_rng(6)
+        table = io.EmbeddingTable(tuple(f"w{i}" for i in range(2500)),
+                                  rng.standard_normal((2500, 3)))
+        path = tmp_path / "w.txt"
+        io.save_embedding_table(table, path)
+        tokens, values = table_values_float(path.read_text())
+        loaded = io.load_embedding_table(path)
+        assert list(loaded.tokens) == tokens
+        assert loaded.vectors.tobytes() == values.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.integers(1, 30), cols=st.integers(1, 6),
+           scale=st.sampled_from((1e-310, 1e-5, 1.0, 1e300)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_saved_table_round_trips_bitwise(self, rows, cols, scale, seed,
+                                             tmp_path_factory):
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal((rows, cols)) * scale
+        values[rng.random((rows, cols)) < 0.1] = -0.0
+        table = io.EmbeddingTable(tuple(f"t{i}" for i in range(rows)), values)
+        path = tmp_path_factory.mktemp("table") / "w.txt"
+        io.save_embedding_table(table, path)
+        loaded = io.load_embedding_table(path)
+        _, oracle = table_values_float(path.read_text())
+        assert loaded.tokens == table.tokens
+        assert loaded.vectors.tobytes() == values.tobytes()
+        assert loaded.vectors.tobytes() == oracle.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.integers(1, 30), cols=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_four_decimal_text_equals_float(self, rows, cols, seed,
+                                            tmp_path_factory):
+        # the shape of a published word2vec text file
+        rng = np.random.default_rng(seed)
+        steps = rng.integers(-40000, 40001, size=(rows, cols))
+        text = f"{rows} {cols}\n" + "".join(
+            f"w{i} " + " ".join(f"{k / 1e4:.4f}" for k in row) + "\n"
+            for i, row in enumerate(steps))
+        path = tmp_path_factory.mktemp("table") / "w.txt"
+        path.write_text(text)
+        _, oracle = table_values_float(text)
+        assert io.load_embedding_table(path).vectors.tobytes() == \
+            oracle.tobytes()
+
+    VALID = (b"4 3\nred 0.1234 -1e-3 5\ngreen -0.5000 2.25 0\n"
+             b"blue 1.5e2 -0 0.0001\ndog 3 -4 .5\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(("truncate", "replace", "insert", "delete")),
+           pos=st.integers(0, len(VALID)), byte=st.integers(0, 255))
+    def test_mutation_loads_or_names_the_line(self, kind, pos, byte,
+                                              tmp_path_factory):
+        data = self.VALID
+        if kind == "truncate":
+            data = data[:pos]
+        elif kind == "replace":
+            data = data[:pos] + bytes([byte]) + data[pos + 1:]
+        elif kind == "insert":
+            data = data[:pos] + bytes([byte]) + data[pos:]
+        else:
+            data = data[:pos] + data[pos + 1:]
+        path = write(tmp_path_factory.mktemp("table") / "w.txt", data)
+        try:
+            io.load_embedding_table(path)
+        except io.DataFormatError as exc:
+            assert re.match(re.escape(str(path)) + r":\d+: ", str(exc)), exc
 
 
 class TestCorpus:
