@@ -25,12 +25,12 @@ ccax fit --x "$work/data/train_x.fmat" --y "$work/data/train_y.fmat" \
 echo "== 3. inspect the search-task archive =="
 ccax inspect --model "$work/model_search.arc"
 
-echo "== 4. evaluate both tasks on the test split =="
+echo "== 4. evaluate both tasks on five 50-image blocks of the test split =="
 ccax eval --model "$work/model_search.arc" \
     --images "$work/data/test_images.fmat" \
     --captions "$work/data/test_captions.fmat" \
     --pairing "$work/data/test_pairing.txt" \
-    --out "$work/report.tsv"
+    --blocks 5 --out "$work/report.tsv"
 
 echo "== 5. alpha sweep on the validation split =="
 ccax sweep --model "$work/model_search.arc" \

@@ -55,8 +55,8 @@ from .retrieval import (
     alpha_sweep,
     best_ranks,
     evaluate_bidirectional,
+    evaluate_blocks,
     make_task_embedding,
-    pairing_to_ground_truth,
 )
 from .selection import (
     GuidedTikhonovResult,

@@ -12,8 +12,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import cca, hkse, io, retrieval, selection, synthetic
 
 _REG_KINDS = ("none", "tikhonov", "tsvd", "guided-tsvd")
@@ -110,8 +108,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val-y", help="validation captions (FMAT1)")
     p.add_argument("--val-pairing", help="validation caption->image rows")
     p.add_argument("--metric", choices=selection.METRICS, default="r1")
-    p.add_argument("--threads", type=int, default=0,
-                   help="path workers; 0 = all cores")
+    p.add_argument("--threads", type=int, default=1,
+                   help="path cells scored at once (default 1); "
+                        "0 = min(32, cores + 4)")
     p.add_argument("--path-out", help="write the T-SVD path TSV here")
     p.add_argument("--out", required=True, help="model archive path")
 
@@ -128,7 +127,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-x")
     p.add_argument("--grid-y")
     p.add_argument("--metric", choices=selection.METRICS, default="r1")
-    p.add_argument("--threads", type=int, default=0)
+    p.add_argument("--threads", type=int, default=1,
+                   help="path cells scored at once (default 1); "
+                        "0 = min(32, cores + 4)")
     p.add_argument("--out", required=True, help="path TSV")
 
     p = sub.add_parser("timing", help="time the T-SVD vs Tikhonov paths")
@@ -152,7 +153,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="asymmetric | symmetric:<alpha>")
     p.add_argument("--similarity", choices=("cosine", "l2"), default="cosine")
     p.add_argument("--blocks", type=int, default=1,
-                   help="evaluate on N disjoint image blocks and average")
+                   help="evaluate N contiguous image blocks and average")
     p.add_argument("--out", required=True, help="report TSV")
 
     p = sub.add_parser("sweep", help="alpha sweep of the weighting exponent")
@@ -248,8 +249,7 @@ def _grids(args, problem: cca.CcaProblem, kind: str):
 
 
 def _workers(args) -> int | None:
-    threads = getattr(args, "threads", 0)
-    return None if threads == 0 else threads
+    return None if args.threads == 0 else args.threads
 
 
 def _load_val(args):
@@ -461,49 +461,11 @@ def _cmd_eval(args) -> int:
     model = _read_archive(args.model, cca.model_from_archive)
     images = io.load_matrix(args.images)
     captions = io.load_matrix(args.captions)
-    pair_index = (io.load_pairing(args.pairing) if args.pairing
-                  else np.arange(images.rows, dtype=np.int64))
+    pair_index = io.load_pairing(args.pairing) if args.pairing else None
     weighting, alpha = _parse_weighting(args.weighting)
-    if args.blocks < 1:
-        raise ValueError("--blocks must be >= 1")
-    reports = []
-    if args.blocks == 1:
-        reports.extend(retrieval.evaluate_bidirectional(
-            model, images, captions, pair_index,
-            weighting=weighting, alpha=alpha, similarity=args.similarity))
-    else:
-        block_edges = np.linspace(0, images.rows, args.blocks + 1).astype(int)
-        per_task: dict[str, list[retrieval.EvalReport]] = {
-            "search": [], "annotation": [],
-        }
-        for b in range(args.blocks):
-            lo, hi = block_edges[b], block_edges[b + 1]
-            keep = (pair_index >= lo) & (pair_index < hi)
-            block_images = io.FeatureMatrix(images.values[lo:hi])
-            block_captions = io.FeatureMatrix(captions.values[keep])
-            block_pairs = pair_index[keep] - lo
-            search, annotation = retrieval.evaluate_bidirectional(
-                model, block_images, block_captions, block_pairs,
-                weighting=weighting, alpha=alpha,
-                similarity=args.similarity)
-            for rep in (search, annotation):
-                per_task[rep.task].append(rep)
-                reports.append(retrieval.EvalReport(
-                    task=f"{rep.task}_block{b}", recalls=rep.recalls,
-                    median_rank=rep.median_rank, n_queries=rep.n_queries,
-                    n_items=rep.n_items))
-        for task in ("search", "annotation"):
-            blocks = per_task[task]
-            reports.append(retrieval.EvalReport(
-                task=f"{task}_mean",
-                recalls={
-                    k: float(np.mean([r.recalls[k] for r in blocks]))
-                    for k in (1, 5, 10)
-                },
-                median_rank=float(np.mean([r.median_rank for r in blocks])),
-                n_queries=int(np.mean([r.n_queries for r in blocks])),
-                n_items=int(np.mean([r.n_items for r in blocks])),
-            ))
+    reports = retrieval.evaluate_blocks(model, images, captions, pair_index,
+                                        args.blocks, weighting, alpha,
+                                        args.similarity)
     text = retrieval.reports_to_tsv(reports)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)

@@ -16,7 +16,7 @@ asymmetric placements.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,8 +30,6 @@ TASKS = ("search", "annotation")
 class TaskEmbedding:
     """Effective projections applied to train-mean-centered test vectors."""
 
-    task: str
-    weighting: str
     image_proj: np.ndarray  # (k, m_x)
     text_proj: np.ndarray   # (k, m_y)
     mean_x: np.ndarray
@@ -53,39 +51,37 @@ def _sigma_power(sigma: np.ndarray, alpha: float) -> np.ndarray:
 
 def make_task_embedding(model: CcaModel, task: str, weighting: str = "asymmetric",
                         alpha: float | None = None) -> TaskEmbedding:
-    """Build the projections of one retrieval task.
+    """Build the projections (Sigma^a U', Sigma^b V') of one retrieval task.
 
-    ``weighting`` is ``asymmetric`` (canonical correlations on the search
-    side only), ``symmetric`` (Sigma^alpha on both sides, alpha >= 0), or
-    ``sweep`` (Sigma^alpha on images, Sigma^(1-alpha) on captions,
-    alpha in [0, 1]; the task only labels which side is queried).
+    ``weighting`` picks (a, b): ``asymmetric`` is (1, 0) for search and
+    (0, 1) for annotation (canonical correlations on the search side only),
+    ``symmetric`` is (alpha, alpha) with alpha >= 0, and ``sweep`` is
+    (alpha, 1 - alpha) with alpha in [0, 1], where the task only labels
+    which side is queried.
     """
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
-    ut, vt = model.u.T, model.v.T
-    sigma = model.sigma
     if weighting == "asymmetric":
-        if task == "search":
-            image_proj, text_proj = sigma[:, None] * ut, vt
-        else:
-            image_proj, text_proj = ut, sigma[:, None] * vt
-        label = "asymmetric"
+        a, b = (1.0, 0.0) if task == "search" else (0.0, 1.0)
     elif weighting == "symmetric":
         if alpha is None or alpha < 0:
             raise ValueError("symmetric weighting needs alpha >= 0")
-        w = _sigma_power(sigma, alpha)[:, None]
-        image_proj, text_proj = w * ut, w * vt
-        label = f"symmetric:{alpha:g}"
+        a, b = alpha, alpha
     elif weighting == "sweep":
         if alpha is None or not 0.0 <= alpha <= 1.0:
             raise ValueError("sweep weighting needs alpha in [0, 1]")
-        image_proj = _sigma_power(sigma, alpha)[:, None] * ut
-        text_proj = _sigma_power(sigma, 1.0 - alpha)[:, None] * vt
-        label = f"sweep:{alpha:g}"
+        a, b = alpha, 1.0 - alpha
     else:
         raise ValueError(f"unknown weighting {weighting!r}")
-    return TaskEmbedding(task=task, weighting=label,
-                         image_proj=image_proj, text_proj=text_proj,
+
+    def weighted(power, weights_t):
+        # Sigma^0 = I: the unscaled side keeps the weights, not a copy
+        if power == 0:
+            return weights_t
+        return _sigma_power(model.sigma, power)[:, None] * weights_t
+
+    return TaskEmbedding(image_proj=weighted(a, model.u.T),
+                         text_proj=weighted(b, model.v.T),
                          mean_x=model.mean_x, mean_y=model.mean_y)
 
 
@@ -106,10 +102,6 @@ class EvalReport:
     median_rank: float
     n_queries: int
     n_items: int
-
-    @property
-    def r1(self) -> float:
-        return self.recalls[1]
 
 
 def _flatten_ground_truth(ground_truth, n_queries: int,
@@ -160,10 +152,22 @@ def best_ranks(queries: np.ndarray, items: np.ndarray, ground_truth,
     list is sorted: with s* the query's best ground-truth score and i* the
     smallest ground-truth index reaching it, the rank is
     1 + #(score better than s*) + #(score equal to s* at an index below i*).
-    Queries are scored BLOCK_ROWS rows at a time.
+    Queries are scored BLOCK_ROWS rows at a time.  ``ground_truth[q]``
+    lists the items query q counts as correct.
     """
     queries = np.asarray(queries, dtype=np.float64)
     items = np.asarray(items, dtype=np.float64)
+    gt_items, starts = _flatten_ground_truth(ground_truth, queries.shape[0],
+                                             items.shape[0])
+    return _count_ranks(queries, items, gt_items, starts, similarity)
+
+
+def _count_ranks(queries: np.ndarray, items: np.ndarray, gt_items: np.ndarray,
+                 starts: np.ndarray, similarity: str) -> np.ndarray:
+    """:func:`best_ranks` of float64 rows on flat, valid ground truth.
+
+    Query q owns ``gt_items[starts[q]:starts[q + 1]]``.
+    """
     if queries.shape[1] != items.shape[1]:
         raise ValueError(
             f"query dim {queries.shape[1]} != item dim {items.shape[1]}"
@@ -192,7 +196,6 @@ def best_ranks(queries: np.ndarray, items: np.ndarray, ground_truth,
                     + np.sum(block * block, axis=1)[:, None])
     else:
         raise ValueError(f"unknown similarity {similarity!r}")
-    gt_items, starts = _flatten_ground_truth(ground_truth, n_queries, n_items)
 
     ranks = np.empty(n_queries, dtype=np.int64)
     index = np.arange(n_items)
@@ -223,26 +226,6 @@ def _report(ranks: np.ndarray, ks, task: str, n_items: int) -> EvalReport:
         n_queries=n_queries,
         n_items=n_items,
     )
-
-
-def pairing_to_ground_truth(pair_index: np.ndarray, n_items: int,
-                            direction: str) -> list[list[int]]:
-    """Ground-truth sets for either task from a caption->image pairing.
-
-    ``search``: each caption query's single correct image.
-    ``annotation``: each image query's set of captions, in caption order.
-    ``pair_index`` must already be valid, as :func:`evaluate_bidirectional`
-    checks: every caption names an image and every image has a caption.
-    """
-    pair_index = np.asarray(pair_index, dtype=np.int64)
-    if direction == "search":
-        return pair_index[:, None].tolist()
-    if direction == "annotation":
-        counts = np.bincount(pair_index, minlength=n_items)
-        captions = np.argsort(pair_index, kind="stable")
-        return [group.tolist()
-                for group in np.split(captions, np.cumsum(counts)[:-1])]
-    raise ValueError(f"unknown direction {direction!r}")
 
 
 def _check_pairing(pair_index, n_images: int, n_captions: int) -> np.ndarray:
@@ -279,22 +262,69 @@ def evaluate_bidirectional(model: CcaModel, images: FeatureMatrix,
     identity (requires equally many captions and images).
     """
     pair_index = _check_pairing(pair_index, images.rows, captions.rows)
+    # ground truth as flat (items, starts): search asks for each caption's
+    # one image, annotation for each image's captions in caption order
+    image_starts = np.zeros(images.rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pair_index, minlength=images.rows),
+              out=image_starts[1:])
     emb = make_task_embedding(model, "search", weighting, alpha)
     search = _report(
-        best_ranks(emb.embed_texts(captions), emb.embed_images(images),
-                   pairing_to_ground_truth(pair_index, images.rows, "search"),
-                   similarity),
+        _count_ranks(emb.embed_texts(captions), emb.embed_images(images),
+                     pair_index, np.arange(captions.rows + 1), similarity),
         ks, "search", images.rows,
     )
     emb = make_task_embedding(model, "annotation", weighting, alpha)
     annotation = _report(
-        best_ranks(emb.embed_images(images), emb.embed_texts(captions),
-                   pairing_to_ground_truth(pair_index, images.rows,
-                                           "annotation"),
-                   similarity),
+        _count_ranks(emb.embed_images(images), emb.embed_texts(captions),
+                     np.argsort(pair_index, kind="stable"), image_starts,
+                     similarity),
         ks, "annotation", captions.rows,
     )
     return search, annotation
+
+
+def evaluate_blocks(model: CcaModel, images: FeatureMatrix,
+                    captions: FeatureMatrix, pair_index: np.ndarray | None,
+                    blocks: int, weighting: str = "asymmetric",
+                    alpha: float | None = None,
+                    similarity: str = "cosine") -> list[EvalReport]:
+    """Both tasks on ``blocks`` contiguous image blocks and their captions.
+
+    The whole pairing is checked first, as :func:`evaluate_bidirectional`
+    checks it.  One block gives that function's (search, annotation)
+    reports.  More give a ``<task>_block<b>`` report per block and task,
+    then a ``<task>_mean`` report per task averaging the blocks (the
+    five-1K-split MSCOCO protocol).
+    """
+    pair_index = _check_pairing(pair_index, images.rows, captions.rows)
+    if not 1 <= blocks <= images.rows:
+        raise ValueError(f"blocks must be between 1 and the {images.rows} "
+                         f"images, got {blocks}")
+    if blocks == 1:
+        return list(evaluate_bidirectional(
+            model, images, captions, pair_index, weighting=weighting,
+            alpha=alpha, similarity=similarity))
+    edges = np.linspace(0, images.rows, blocks + 1).astype(int)
+    reports = []
+    per_task: dict[str, list[EvalReport]] = {task: [] for task in TASKS}
+    for b, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        keep = (pair_index >= lo) & (pair_index < hi)
+        for rep in evaluate_bidirectional(
+                model, FeatureMatrix(images.values[lo:hi]),
+                FeatureMatrix(captions.values[keep]), pair_index[keep] - lo,
+                weighting=weighting, alpha=alpha, similarity=similarity):
+            per_task[rep.task].append(rep)
+            reports.append(replace(rep, task=f"{rep.task}_block{b}"))
+    for task, reps in per_task.items():
+        reports.append(EvalReport(
+            task=f"{task}_mean",
+            recalls={k: float(np.mean([r.recalls[k] for r in reps]))
+                     for k in (1, 5, 10)},
+            median_rank=float(np.mean([r.median_rank for r in reps])),
+            n_queries=int(np.mean([r.n_queries for r in reps])),
+            n_items=int(np.mean([r.n_items for r in reps])),
+        ))
+    return reports
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,11 @@ the reference that route is checked against.  Likewise the per-vector HKSE
 route (``embed_sentence_gemv``), the sorting median (``bandwidth_sorted``)
 and the ``float()`` table parser (``table_values_float``) are the routes
 that the blocked kernel, the partition median and the ``loadtxt`` parser
-replaced.
+replaced.  The list-of-lists ground truth (``pairing_to_ground_truth``),
+the per-weighting projection branches (``task_projections_branches``) and
+the block-slicing loop of ``eval --blocks`` (``evaluate_blocks_loop``) are
+the routes that ``evaluate_bidirectional``'s flat ground truth, the
+single (Sigma^a U', Sigma^b V') formula and ``evaluate_blocks`` replaced.
 """
 
 from __future__ import annotations
@@ -214,3 +218,86 @@ def table_values_float(text: str) -> tuple[list[str], np.ndarray]:
     tokens = [line.split()[0] for line in lines]
     values = np.array([[float(v) for v in line.split()[1:]] for line in lines])
     return tokens, values
+
+
+def pairing_to_ground_truth(pair_index, n_items: int,
+                            direction: str) -> list[list[int]]:
+    """Ground-truth sets for either task from a valid caption->image pairing.
+
+    ``search``: each caption query's single correct image.
+    ``annotation``: each image query's set of captions, in caption order.
+    """
+    pair_index = np.asarray(pair_index, dtype=np.int64)
+    if direction == "search":
+        return pair_index[:, None].tolist()
+    if direction == "annotation":
+        counts = np.bincount(pair_index, minlength=n_items)
+        captions = np.argsort(pair_index, kind="stable")
+        return [group.tolist()
+                for group in np.split(captions, np.cumsum(counts)[:-1])]
+    raise ValueError(f"unknown direction {direction!r}")
+
+
+def task_projections_branches(model, task: str, weighting: str,
+                              alpha: float | None = None):
+    """(image_proj, text_proj) written out branch by branch.
+
+    Asymmetric search is (Sigma U', V'), asymmetric annotation (U', Sigma V'),
+    symmetric (Sigma^alpha U', Sigma^alpha V') and sweep
+    (Sigma^alpha U', Sigma^(1-alpha) V').
+    """
+    ut, vt = model.u.T, model.v.T
+    sigma = model.sigma
+    if weighting == "asymmetric":
+        if task == "search":
+            return sigma[:, None] * ut, vt
+        return ut, sigma[:, None] * vt
+    if weighting == "symmetric":
+        w = np.power(sigma, alpha)[:, None]
+        return w * ut, w * vt
+    if weighting == "sweep":
+        return (np.power(sigma, alpha)[:, None] * ut,
+                np.power(sigma, 1.0 - alpha)[:, None] * vt)
+    raise ValueError(f"unknown weighting {weighting!r}")
+
+
+def evaluate_blocks_loop(model, images, captions, pair_index, blocks: int,
+                         weighting: str = "asymmetric",
+                         alpha: float | None = None,
+                         similarity: str = "cosine"):
+    """Per-block and mean reports of ``blocks`` >= 2 contiguous image blocks.
+
+    Slices the images, the captions paired into each block and their
+    renumbered pairing, evaluates each slice, and appends a
+    ``<task>_block<b>`` report per block and task, then ``<task>_mean``.
+    """
+    from ccax.io import FeatureMatrix
+    from ccax.retrieval import EvalReport, evaluate_bidirectional
+
+    pair_index = np.asarray(pair_index, dtype=np.int64)
+    edges = np.linspace(0, images.rows, blocks + 1).astype(int)
+    reports = []
+    per_task = {"search": [], "annotation": []}
+    for b in range(blocks):
+        lo, hi = edges[b], edges[b + 1]
+        keep = (pair_index >= lo) & (pair_index < hi)
+        search, annotation = evaluate_bidirectional(
+            model, FeatureMatrix(images.values[lo:hi]),
+            FeatureMatrix(captions.values[keep]), pair_index[keep] - lo,
+            weighting=weighting, alpha=alpha, similarity=similarity)
+        for rep in (search, annotation):
+            per_task[rep.task].append(rep)
+            reports.append(EvalReport(
+                task=f"{rep.task}_block{b}", recalls=rep.recalls,
+                median_rank=rep.median_rank, n_queries=rep.n_queries,
+                n_items=rep.n_items))
+    for task, reps in per_task.items():
+        reports.append(EvalReport(
+            task=f"{task}_mean",
+            recalls={k: float(np.mean([r.recalls[k] for r in reps]))
+                     for k in (1, 5, 10)},
+            median_rank=float(np.mean([r.median_rank for r in reps])),
+            n_queries=int(np.mean([r.n_queries for r in reps])),
+            n_items=int(np.mean([r.n_items for r in reps])),
+        ))
+    return reports

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ccax import cca, hkse, io, selection
+from ccax import cca, cli, hkse, io, selection
 from ccax.cli import main
 
 
@@ -169,6 +169,18 @@ class TestPath:
         assert strip_timing(outs[0]) == strip_timing(outs[1])
         header = outs[0].splitlines()[0]
         assert header == "param_x\tparam_y\tr1_search\tr1_annotation\tcell_seconds"
+
+
+class TestThreadsFlag:
+    @pytest.mark.parametrize("command", ["fit", "path"])
+    def test_one_worker_unless_asked(self, command):
+        parser = cli._build_parser()
+        argv = [command, "--x", "x", "--y", "y", "--val-x", "vx",
+                "--val-y", "vy", "--out", "o"]
+        assert cli._workers(parser.parse_args(argv)) == 1
+        assert cli._workers(parser.parse_args(argv + ["--threads", "0"])) \
+            is None
+        assert cli._workers(parser.parse_args(argv + ["--threads", "3"])) == 3
 
 
 class TestTiming:
@@ -343,6 +355,53 @@ class TestEval:
             ]) == 0
             texts.append(out.read_bytes())
         assert texts[0] == texts[1]
+
+
+@pytest.fixture(scope="module")
+def five_caption_dir(tmp_path_factory):
+    """200 images and 1000 captions, in the dims of ``fitted_model``."""
+    out = tmp_path_factory.mktemp("five")
+    assert main([
+        "synth", "--out-dir", str(out), "--n-train", "120", "--n-val", "40",
+        "--n-test", "40", "--latent", "4", "--mx", "16", "--my", "12",
+        "--captions", "5", "--seed", "5",
+    ]) == 0
+    return out
+
+
+class TestEvalBlocksErrors:
+    """Bad ``--blocks`` inputs are data errors, checked before any block."""
+
+    CASES = [
+        # (--blocks, first pairing row: None = no --pairing, "" = as
+        # written, else the replacement, message)
+        ("2", None, "pair_index required when row counts differ"),
+        ("2", "4000", "pair_index out of image range"),
+        ("2", "-3", "pair_index out of image range"),
+        ("500", "", "blocks must be between 1 and the 200 images, got 500"),
+        ("0", "", "blocks must be between 1 and the 200 images, got 0"),
+    ]
+
+    @pytest.mark.parametrize("blocks,first,message", CASES)
+    def test_exit_one_with_message(self, blocks, first, message,
+                                   five_caption_dir, fitted_model, tmp_path,
+                                   capsys):
+        argv = ["eval", "--model", str(fitted_model),
+                "--images", str(five_caption_dir / "images.fmat"),
+                "--captions", str(five_caption_dir / "captions.fmat"),
+                "--blocks", blocks, "--out", str(tmp_path / "r.tsv")]
+        if first is not None:
+            rows = (five_caption_dir / "pairing.txt").read_text().splitlines()
+            rows[0] = first or rows[0]
+            pairing = tmp_path / "pairing.txt"
+            pairing.write_text("\n".join(rows) + "\n")
+            argv += ["--pairing", str(pairing)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ccax: error: ")
+        assert message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "r.tsv").exists()
 
 
 class TestSweep:

@@ -1,5 +1,7 @@
 """Task embeddings, ranking, and the recall/median-rank protocol."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,6 +64,25 @@ class TestTaskEmbedding:
         emb = retrieval.make_task_embedding(model, "search", "asymmetric")
         x = np.outer(np.ones(3), model.mean_x)  # rows equal to the mean
         np.testing.assert_allclose(emb.embed_images(x), 0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("task,weighting,alpha", [
+        ("search", "asymmetric", None), ("annotation", "asymmetric", None),
+        *[(task, "symmetric", a) for task in retrieval.TASKS
+          for a in (0.0, 0.5, 2.0)],
+        *[(task, "sweep", a) for task in retrieval.TASKS
+          for a in (0.0, 0.3, 1.0)],
+    ])
+    def test_one_formula_equals_branches_bitwise(self, model, task,
+                                                 weighting, alpha):
+        sigma = model.sigma.copy()
+        sigma[-2:] = 0.0
+        zeroed = replace(model, sigma=sigma)
+        emb = retrieval.make_task_embedding(zeroed, task, weighting, alpha)
+        want = oracles.task_projections_branches(zeroed, task, weighting,
+                                                 alpha)
+        for got, ref in zip((emb.image_proj, emb.text_proj), want):
+            assert got.shape == ref.shape and got.dtype == ref.dtype
+            assert got.tobytes() == ref.tobytes()
 
     def test_invalid_alpha_rejected(self, model):
         with pytest.raises(ValueError):
@@ -304,6 +325,100 @@ class TestCountingMatchesSorting:
         np.testing.assert_array_equal(
             retrieval.best_ranks(queries, items, gt, similarity),
             oracles.sorted_best_ranks(ranked, gt))
+
+
+def list_route(model, images, captions, pair_index, similarity):
+    """Asymmetric (search, annotation) reports through list ground truth."""
+    ks = (1, 5, 10)
+    emb = retrieval.make_task_embedding(model, "search")
+    search = retrieval._report(retrieval.best_ranks(
+        emb.embed_texts(captions), emb.embed_images(images),
+        oracles.pairing_to_ground_truth(pair_index, images.rows, "search"),
+        similarity), ks, "search", images.rows)
+    emb = retrieval.make_task_embedding(model, "annotation")
+    annotation = retrieval._report(retrieval.best_ranks(
+        emb.embed_images(images), emb.embed_texts(captions),
+        oracles.pairing_to_ground_truth(pair_index, images.rows,
+                                        "annotation"),
+        similarity), ks, "annotation", captions.rows)
+    return search, annotation
+
+
+@st.composite
+def shuffled_pairings(draw):
+    """Unsorted pairings, 1-7 captions per image, around BLOCK_ROWS captions.
+
+    Returns the pairing and a seed for the feature rows.
+    """
+    block = retrieval.BLOCK_ROWS
+    n_captions = draw(st.sampled_from((1, 7, block - 1, block, block + 1,
+                                       2 * block + 3)))
+    n_images = draw(st.integers(-(-n_captions // 7), n_captions))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = np.ones(n_images, dtype=np.int64)
+    for _ in range(n_captions - n_images):
+        counts[rng.choice(np.flatnonzero(counts < 7))] += 1
+    pair_index = rng.permutation(np.repeat(np.arange(n_images), counts))
+    return pair_index, int(rng.integers(2**32))
+
+
+def random_views(model, pair_index, seed):
+    rng = np.random.default_rng(seed)
+    images = io.FeatureMatrix(
+        rng.standard_normal((int(pair_index.max()) + 1, model.m_x)))
+    captions = io.FeatureMatrix(
+        rng.standard_normal((pair_index.shape[0], model.m_y)))
+    return images, captions
+
+
+class TestFlatGroundTruth:
+    """Ground truth built straight from the pairing, against list sets."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(problem=shuffled_pairings(),
+           similarity=st.sampled_from(("cosine", "l2")))
+    def test_matches_list_route(self, model, problem, similarity):
+        pair_index, seed = problem
+        images, captions = random_views(model, pair_index, seed)
+        got = retrieval.evaluate_bidirectional(model, images, captions,
+                                               pair_index,
+                                               similarity=similarity)
+        assert got == list_route(model, images, captions, pair_index,
+                                 similarity)
+
+
+class TestEvaluateBlocks:
+    """Contiguous image blocks against the block-slicing loop."""
+
+    @pytest.fixture(scope="class")
+    def views(self, model):
+        # 23 images with 1-4 captions each, pairing shuffled
+        rng = np.random.default_rng(11)
+        pair_index = rng.permutation(
+            np.repeat(np.arange(23), rng.integers(1, 5, size=23)))
+        return (*random_views(model, pair_index, 12), pair_index)
+
+    @pytest.mark.parametrize("similarity", ["cosine", "l2"])
+    def test_one_block_is_evaluate_bidirectional(self, model, views,
+                                                 similarity):
+        images, captions, pair_index = views
+        got = retrieval.evaluate_blocks(model, images, captions, pair_index,
+                                        1, similarity=similarity)
+        assert got == list(retrieval.evaluate_bidirectional(
+            model, images, captions, pair_index, similarity=similarity))
+
+    @pytest.mark.parametrize("blocks", [2, 3, 5, 23])
+    @pytest.mark.parametrize("weighting,alpha,similarity", [
+        ("asymmetric", None, "cosine"), ("symmetric", 0.5, "l2")])
+    def test_rows_equal_block_loop(self, model, views, blocks, weighting,
+                                   alpha, similarity):
+        images, captions, pair_index = views
+        got = retrieval.evaluate_blocks(model, images, captions, pair_index,
+                                        blocks, weighting, alpha, similarity)
+        assert got == oracles.evaluate_blocks_loop(
+            model, images, captions, pair_index, blocks, weighting, alpha,
+            similarity)
+        assert len(got) == 2 * blocks + 2
 
 
 class TestProtocolOracle:
