@@ -4,18 +4,15 @@ from .cca import (
     CcaModel,
     CcaProblem,
     RegularizationSpec,
-    SvdFactors,
     cca_fit,
     cca_fit_tikhonov,
     cca_fit_tsvd,
-    center_columns,
     model_from_archive,
     model_to_archive,
     prepare,
     solve,
     spectral_filter_hard,
     spectral_filter_soft,
-    thin_svd,
     verify_filter_forms,
 )
 from .hkse import (
@@ -53,7 +50,6 @@ from .retrieval import (
     SweepCurve,
     TaskEmbedding,
     alpha_sweep,
-    best_ranks,
     evaluate_bidirectional,
     evaluate_blocks,
     make_task_embedding,

@@ -1,7 +1,8 @@
 """Canonical correlation analysis via SVD, with spectral-filter regularizers.
 
-The solver never forms covariance matrices: each view is centered, reduced
-to its thin SVD, and the canonical system is read off an SVD of the small
+The solver never forms covariance matrices: the centered pair [Xc | Yc] is
+reduced to the triangular factor R of one QR, each view's block of R to
+its thin SVD, and the canonical system is read off an SVD of the small
 correlation operator T = Ux' Uy.  Tikhonov regularization soft-shrinks the
 singular values of each view (by sigma / sqrt(sigma^2 + gamma)) and
 truncated-SVD regularization hard-prunes them; both act on T through
@@ -66,19 +67,6 @@ class RegularizationSpec:
 
 
 @dataclass(frozen=True)
-class SvdFactors:
-    """Thin SVD of a centered data matrix, cut at numerical rank."""
-
-    u_left: np.ndarray   # (n, r)
-    s: np.ndarray        # (r,) nonincreasing, positive
-    v_right: np.ndarray  # (m, r)
-
-    @property
-    def rank(self) -> int:
-        return self.s.shape[0]
-
-
-@dataclass(frozen=True)
 class CcaModel:
     """Canonical weights, correlations, and the training column means.
 
@@ -106,28 +94,6 @@ class CcaModel:
     @property
     def m_y(self) -> int:
         return self.v.shape[0]
-
-
-def center_columns(m: FeatureMatrix) -> tuple[FeatureMatrix, np.ndarray]:
-    """Subtract column means; returns the centered matrix and the means.
-
-    The means are what test/validation vectors must be shifted by before
-    projecting through a model fit on this data.
-    """
-    means = m.values.mean(axis=0)
-    return FeatureMatrix(m.values - means, ids=m.ids), means
-
-
-def thin_svd(m: FeatureMatrix, rank_tol: float | None = None) -> SvdFactors:
-    """Thin SVD with singular values below rank_tol * s_max discarded."""
-    if rank_tol is None:
-        rank_tol = default_rank_tol(*m.values.shape)
-    u, s, vt = np.linalg.svd(m.values, full_matrices=False)
-    if s.size and s[0] > 0:
-        r = int(np.count_nonzero(s >= rank_tol * s[0]))
-    else:
-        r = 0
-    return SvdFactors(u[:, :r], s[:r], vt[:r].T)
 
 
 def spectral_filter_soft(s, alpha: float):
@@ -168,11 +134,11 @@ def _validate_pair(x: FeatureMatrix, y: FeatureMatrix) -> None:
 class CcaProblem:
     """Everything a regularized fit needs that does not depend on the filter.
 
-    Each view is centered and reduced to its thin SVD once; the problem
-    keeps the column means, the singular values ``s_x``/``s_y``, the right
-    singular vectors ``v_x`` (m_x, r_x) and ``v_y`` (m_y, r_y), and the
-    correlation operator T = Ux' Uy (r_x, r_y).  No n-row array is kept, and
-    every array is read-only, so path worker threads can share one problem.
+    Both views are centered and factored once; the problem keeps the column
+    means, each view's singular values ``s_x``/``s_y`` and right singular
+    vectors ``v_x`` (m_x, r_x) and ``v_y`` (m_y, r_y), and the correlation
+    operator T = Ux' Uy (r_x, r_y).  No n-row array is kept, and every array
+    is read-only, so path worker threads can share one problem.
     """
 
     mean_x: np.ndarray
@@ -193,21 +159,46 @@ class CcaProblem:
         return self.s_y.shape[0]
 
 
+#: Training rows :func:`prepare` centers and folds into R per QR step.
+_CHUNK_ROWS = 2048
+
+
 def prepare(x: FeatureMatrix, y: FeatureMatrix,
             rank_tol: float | None = None) -> CcaProblem:
-    """Center both views, take their thin SVDs, and form T = Ux' Uy."""
+    """Center both views and form T = Ux' Uy by one joint QR (Bjorck-Golub).
+
+    [Xc | Yc] = Q R is accumulated c = max(_CHUNK_ROWS, p) rows at a time,
+    p = m_x + m_y: each centered chunk goes under R and is refactored, so
+    memory is O(p (p + c)) whatever n is.  The thin SVDs R[:, :m_x] =
+    Wx Sx Vx' and R[:, m_x:] = Wy Sy Vy' give Ux = Q Wx, so T = Wx' Wy.
+    """
     _validate_pair(x, y)
-    xc, mean_x = center_columns(x)
-    yc, mean_y = center_columns(y)
-    fx = thin_svd(xc, rank_tol)
-    fy = thin_svd(yc, rank_tol)
-    if fx.rank == 0 or fy.rank == 0:
-        raise ValueError("zero numerical rank after centering")
-    t = fx.u_left.T @ fy.u_left
-    arrays = (mean_x, mean_y, fx.s, fy.s, fx.v_right, fy.v_right, t)
+    n, m_x, p = x.rows, x.cols, x.cols + y.cols
+    mean_x, mean_y = x.values.mean(axis=0), y.values.mean(axis=0)
+    c = max(_CHUNK_ROWS, p)
+    buf = np.empty((p + c, p))
+    k = 0  # rows of R at the top of buf
+    for lo in range(0, n, c):
+        h = min(c, n - lo)
+        np.subtract(x.values[lo:lo + h], mean_x, out=buf[k:k + h, :m_x])
+        np.subtract(y.values[lo:lo + h], mean_y, out=buf[k:k + h, m_x:])
+        r_factor = np.linalg.qr(buf[:k + h], mode="r")
+        k = r_factor.shape[0]
+        buf[:k] = r_factor
+    factors = []
+    for block in (buf[:k, :m_x], buf[:k, m_x:]):
+        w, s, vt = np.linalg.svd(block, full_matrices=False)
+        tol = (default_rank_tol(n, block.shape[1]) if rank_tol is None
+               else rank_tol)
+        rank = int(np.count_nonzero((s > 0) & (s >= tol * s[0])))
+        if rank == 0:
+            raise ValueError("zero numerical rank after centering")
+        factors.append((w[:, :rank], s[:rank], vt[:rank].T))
+    (w_x, s_x, v_x), (w_y, s_y, v_y) = factors
+    arrays = (mean_x, mean_y, s_x, s_y, v_x, v_y, w_x.T @ w_y)
     for arr in arrays:
         arr.flags.writeable = False
-    return CcaProblem(*arrays, n=x.rows)
+    return CcaProblem(*arrays, n=n)
 
 
 def solve(problem: CcaProblem, spec: RegularizationSpec) -> CcaModel:

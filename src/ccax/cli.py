@@ -9,6 +9,7 @@ flags given on the command line win.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -21,6 +22,25 @@ _REG_KINDS = ("none", "tikhonov", "tsvd", "guided-tsvd")
 _MAP_FLAGS = {"variant": "lin,lin", "concat": None, "m": 2000,
               "mprime": 2000, "gamma": "median", "eta": 0.01,
               "gamma_sample": 2000, "seed": 0}
+
+
+#: integer flags and their smallest value; a smaller one is a usage error
+_INT_FLOORS = {"threads": 0, "repeats": 1, "k": 1}
+
+
+def _weighting(text: str) -> tuple[str, float | None]:
+    """argparse type of --weighting: asymmetric, or symmetric:<alpha>."""
+    kind, _, value = text.partition(":")
+    if text == "asymmetric":
+        return kind, None
+    try:
+        if kind == "symmetric" and 0 <= float(value) < math.inf:
+            return kind, float(value)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"must be asymmetric or symmetric:<alpha> with a finite alpha >= 0, "
+        f"got {text!r}")
 
 
 class _OnceAction(argparse.Action):
@@ -149,7 +169,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--images", required=True)
     p.add_argument("--captions", required=True)
     p.add_argument("--pairing")
-    p.add_argument("--weighting", default="asymmetric",
+    p.add_argument("--weighting", type=_weighting, default="asymmetric",
                    help="asymmetric | symmetric:<alpha>")
     p.add_argument("--similarity", choices=("cosine", "l2"), default="cosine")
     p.add_argument("--blocks", type=int, default=1,
@@ -198,22 +218,17 @@ def _apply_config(argv: list[str]) -> list[str]:
     if config_path is None:
         return argv
     injected: list[str] = []
-    with open(config_path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise io.DataFormatError(
-                    f"{config_path}:{lineno}: expected key=value"
-                )
-            key, value = line.split("=", 1)
-            flag = "--" + key.strip().replace("_", "-")
-            given = any(
-                a == flag or a.startswith(flag + "=") for a in argv
-            )
-            if not given:
-                injected.extend([flag, value.strip()])
+    for lineno, line in io._text_lines(config_path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise io.DataFormatError(
+                f"{config_path}:{lineno}: expected key=value")
+        key, value = line.split("=", 1)
+        flag = "--" + key.strip().replace("_", "-")
+        if not any(a == flag or a.startswith(flag + "=") for a in argv):
+            injected.extend([flag, value.strip()])
     # keep the subcommand first, inject after it
     return argv[:1] + injected + argv[1:]
 
@@ -252,15 +267,19 @@ def _workers(args) -> int | None:
     return None if args.threads == 0 else args.threads
 
 
-def _load_val(args):
-    val_images = io.load_matrix(args.val_x)
-    val_captions = io.load_matrix(args.val_y)
-    pair_index = (io.load_pairing(args.val_pairing)
-                  if args.val_pairing else None)
+def _load_views(images_path, captions_path, pairing_path, flag: str):
+    """Images, captions and their pairing, checked and named by ``flag``."""
+    images = io.load_matrix(images_path)
+    captions = io.load_matrix(captions_path)
+    pair_index = io.load_pairing(pairing_path) if pairing_path else None
     # a bad pairing fails here, before any SVD is paid for
-    pair_index = retrieval._check_pairing(pair_index, val_images.rows,
-                                          val_captions.rows)
-    return val_images, val_captions, pair_index
+    return images, captions, retrieval._check_pairing(
+        pair_index, images.rows, captions.rows, flag)
+
+
+def _load_val(args):
+    return _load_views(args.val_x, args.val_y, args.val_pairing,
+                       "--val-pairing")
 
 
 def _read_archive(path, convert):
@@ -448,21 +467,11 @@ def _cmd_timing(args) -> int:
     return 0
 
 
-def _parse_weighting(text: str) -> tuple[str, float | None]:
-    if text == "asymmetric":
-        return "asymmetric", None
-    if text.startswith("symmetric:"):
-        return "symmetric", float(text.split(":", 1)[1])
-    raise ValueError(f"weighting must be asymmetric or symmetric:<alpha>, "
-                     f"got {text!r}")
-
-
 def _cmd_eval(args) -> int:
     model = _read_archive(args.model, cca.model_from_archive)
-    images = io.load_matrix(args.images)
-    captions = io.load_matrix(args.captions)
-    pair_index = io.load_pairing(args.pairing) if args.pairing else None
-    weighting, alpha = _parse_weighting(args.weighting)
+    images, captions, pair_index = _load_views(args.images, args.captions,
+                                               args.pairing, "--pairing")
+    weighting, alpha = args.weighting
     reports = retrieval.evaluate_blocks(model, images, captions, pair_index,
                                         args.blocks, weighting, alpha,
                                         args.similarity)
@@ -475,9 +484,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_sweep(args) -> int:
     model = _read_archive(args.model, cca.model_from_archive)
-    images = io.load_matrix(args.images)
-    captions = io.load_matrix(args.captions)
-    pair_index = io.load_pairing(args.pairing) if args.pairing else None
+    images, captions, pair_index = _load_views(args.images, args.captions,
+                                               args.pairing, "--pairing")
     alphas = [float(v) for v in args.alphas.split(",") if v.strip()]
     curve = retrieval.alpha_sweep(model, images, captions, alphas,
                                   pair_index=pair_index, k=args.k)
@@ -518,6 +526,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"ccax: error: {exc}", file=sys.stderr)
         return 1
     args = parser.parse_args(argv)
+    for dest, floor in _INT_FLOORS.items():
+        if getattr(args, dest, floor) < floor:
+            parser.error(f"argument --{dest}: must be >= {floor}, "
+                         f"got {getattr(args, dest)}")
     if args.command == "embed":
         _resolve_map_flags(parser, args)
     try:

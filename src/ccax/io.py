@@ -209,7 +209,10 @@ def load_matrix(path, format: str = "fmat1") -> FeatureMatrix:
             buf = fh.read()
         if not buf:
             raise DataFormatError(f"{path}: empty file")
-        m, end = matrix_from_bytes(buf)
+        try:
+            m, end = matrix_from_bytes(buf)
+        except DataFormatError as exc:
+            raise DataFormatError(f"{path}: {exc}") from None
         if end != len(buf):
             raise DataFormatError(
                 f"{path}: {len(buf) - end} trailing bytes after payload"
@@ -296,6 +299,17 @@ def load_embedding_table(path) -> EmbeddingTable:
     vectors = np.concatenate(chunks)
     del chunks  # EmbeddingTable copies the vectors: two copies, not three
     return EmbeddingTable(tuple(lines_of), vectors)
+
+
+def _text_lines(path):
+    """Yield (line number, line) of a UTF-8 text file, read in text mode; a
+    byte that is not UTF-8 is a DataFormatError naming the file and line."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():  # a bad byte is now a lone surrogate
+                _decode_line(path, lineno,
+                             line.encode("utf-8", "surrogateescape"))
+            yield lineno, line
 
 
 def _decode_line(path, lineno: int, raw: bytes) -> str:
@@ -435,17 +449,18 @@ def load_corpus(
 def load_pairing(path) -> np.ndarray:
     """One decimal row index per line."""
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(int(line))
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected an integer row index"
-                ) from None
+    for lineno, line in _text_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            out.append(int(line))
+        except ValueError:
+            raise DataFormatError(
+                f"{path}:{lineno}: expected an integer row index") from None
+        if not -2**63 <= out[-1] < 2**63:
+            raise DataFormatError(
+                f"{path}:{lineno}: row index {line} does not fit in 64 bits")
     if not out:
         raise DataFormatError(f"{path}: empty pairing file")
     return np.asarray(out, dtype=np.int64)
@@ -555,7 +570,12 @@ def load_archive(path) -> ModelArchive:
     if len(buf) < 16 + manifest_len:
         raise DataFormatError(f"{path}: truncated manifest")
     manifest: dict[str, str] = {}
-    manifest_text = buf[16 : 16 + manifest_len].decode("utf-8")
+    try:
+        manifest_text = buf[16 : 16 + manifest_len].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = buf[16 : 16 + exc.start].count(b"\n") + 1
+        raise DataFormatError(f"{path}: manifest line {line} is not UTF-8 "
+                              f"({exc.reason})") from None
     for lineno, line in enumerate(manifest_text.splitlines(), start=1):
         if not line:
             continue
@@ -572,9 +592,12 @@ def load_archive(path) -> ModelArchive:
         offset += 8
         if len(buf) - offset < name_len:
             raise DataFormatError(f"{path}: truncated blob name")
-        name = buf[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        blob, offset = matrix_from_bytes(buf, offset)
+        try:
+            name = buf[offset : offset + name_len].decode("utf-8")
+            blob, offset = matrix_from_bytes(buf, offset + name_len)
+        except (UnicodeDecodeError, DataFormatError) as exc:
+            raise DataFormatError(f"{path}: blob {len(blobs) + 1}: {exc}") \
+                from None
         if name in blobs:
             raise DataFormatError(f"{path}: duplicate blob {name!r}")
         blobs[name] = blob

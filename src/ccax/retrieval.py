@@ -15,7 +15,6 @@ asymmetric placements.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -64,8 +63,8 @@ def make_task_embedding(model: CcaModel, task: str, weighting: str = "asymmetric
     if weighting == "asymmetric":
         a, b = (1.0, 0.0) if task == "search" else (0.0, 1.0)
     elif weighting == "symmetric":
-        if alpha is None or alpha < 0:
-            raise ValueError("symmetric weighting needs alpha >= 0")
+        if alpha is None or not 0 <= alpha < np.inf:
+            raise ValueError("symmetric weighting needs a finite alpha >= 0")
         a, b = alpha, alpha
     elif weighting == "sweep":
         if alpha is None or not 0.0 <= alpha <= 1.0:
@@ -104,35 +103,6 @@ class EvalReport:
     n_items: int
 
 
-def _flatten_ground_truth(ground_truth, n_queries: int,
-                          n_items: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ground-truth sets as flat ``(items, starts)``.
-
-    Query q owns ``items[starts[q]:starts[q + 1]]``.
-    """
-    if len(ground_truth) != n_queries:
-        raise ValueError(
-            f"{len(ground_truth)} ground-truth sets for {n_queries} queries"
-        )
-    lengths = np.fromiter((len(g) for g in ground_truth), dtype=np.int64,
-                          count=n_queries)
-    if np.any(lengths == 0):
-        bad = int(np.flatnonzero(lengths == 0)[0])
-        raise ValueError(f"query {bad} has no ground-truth items")
-    items = np.fromiter(itertools.chain.from_iterable(ground_truth),
-                        dtype=np.int64, count=int(lengths.sum()))
-    starts = np.zeros(n_queries + 1, dtype=np.int64)
-    np.cumsum(lengths, out=starts[1:])
-    out_of_range = (items < 0) | (items >= n_items)
-    if np.any(out_of_range):
-        bad = int(np.searchsorted(starts, np.flatnonzero(out_of_range)[0],
-                                  side="right")) - 1
-        raise ValueError(
-            f"query {bad}: ground-truth index out of range [0, {n_items})"
-        )
-    return items, starts
-
-
 def _row_blocks(n_rows: int) -> list[tuple[int, int]]:
     """[lo, hi) row ranges of BLOCK_ROWS rows; the last one takes the tail.
 
@@ -143,8 +113,8 @@ def _row_blocks(n_rows: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [n_rows]))
 
 
-def best_ranks(queries: np.ndarray, items: np.ndarray, ground_truth,
-               similarity: str = "cosine") -> np.ndarray:
+def _count_ranks(queries: np.ndarray, items: np.ndarray, gt_items: np.ndarray,
+                 starts: np.ndarray, similarity: str) -> np.ndarray:
     """1-based rank of each query's best-placed ground-truth item.
 
     Cosine ranks items by descending inner product of normalized vectors,
@@ -152,21 +122,8 @@ def best_ranks(queries: np.ndarray, items: np.ndarray, ground_truth,
     list is sorted: with s* the query's best ground-truth score and i* the
     smallest ground-truth index reaching it, the rank is
     1 + #(score better than s*) + #(score equal to s* at an index below i*).
-    Queries are scored BLOCK_ROWS rows at a time.  ``ground_truth[q]``
-    lists the items query q counts as correct.
-    """
-    queries = np.asarray(queries, dtype=np.float64)
-    items = np.asarray(items, dtype=np.float64)
-    gt_items, starts = _flatten_ground_truth(ground_truth, queries.shape[0],
-                                             items.shape[0])
-    return _count_ranks(queries, items, gt_items, starts, similarity)
-
-
-def _count_ranks(queries: np.ndarray, items: np.ndarray, gt_items: np.ndarray,
-                 starts: np.ndarray, similarity: str) -> np.ndarray:
-    """:func:`best_ranks` of float64 rows on flat, valid ground truth.
-
-    Query q owns ``gt_items[starts[q]:starts[q + 1]]``.
+    Queries are float64 rows, scored BLOCK_ROWS rows at a time; query q
+    counts ``gt_items[starts[q]:starts[q + 1]]`` as correct.
     """
     if queries.shape[1] != items.shape[1]:
         raise ValueError(
@@ -206,6 +163,9 @@ def _count_ranks(queries: np.ndarray, items: np.ndarray, gt_items: np.ndarray,
         offsets = starts[lo:hi] - starts[lo]
         gt_scores = scores[owner, gt]
         s_star = np.minimum.reduceat(gt_scores, offsets)
+        if np.isnan(s_star).any():
+            bad = lo + int(np.flatnonzero(np.isnan(s_star))[0])
+            raise ValueError(f"query {bad}: ground-truth score is NaN")
         i_star = np.minimum.reduceat(
             np.where(gt_scores == s_star[owner], gt, n_items), offsets)
         s_star, i_star = s_star[:, None], i_star[:, None]
@@ -228,20 +188,27 @@ def _report(ranks: np.ndarray, ks, task: str, n_items: int) -> EvalReport:
     )
 
 
-def _check_pairing(pair_index, n_images: int, n_captions: int) -> np.ndarray:
+def _check_pairing(pair_index, n_images: int, n_captions: int,
+                   name: str = "pair_index") -> np.ndarray:
     """Validated caption->image rows; ``None`` means the identity pairing.
 
     Every caption must name an image, and every image needs a caption.
+    Messages call the pairing ``name`` (the CLI passes its flag).
     """
     if pair_index is None:
         if n_captions != n_images:
-            raise ValueError("pair_index required when row counts differ")
+            raise ValueError(f"{name} required when row counts differ "
+                             f"({n_images} images, {n_captions} captions)")
         return np.arange(n_images, dtype=np.int64)
     pair_index = np.asarray(pair_index, dtype=np.int64)
     if pair_index.shape[0] != n_captions:
-        raise ValueError("pair_index length must match caption count")
-    if pair_index.min() < 0 or pair_index.max() >= n_images:
-        raise ValueError("pair_index out of image range")
+        raise ValueError(f"{name} length must match caption count "
+                         f"({len(pair_index)} rows, {n_captions} captions)")
+    outside = np.flatnonzero((pair_index < 0) | (pair_index >= n_images))
+    if outside.size:
+        raise ValueError(f"{name} row {outside[0]} names image "
+                         f"{pair_index[outside[0]]}, out of range for "
+                         f"{n_images} images")
     captionless = np.flatnonzero(np.bincount(pair_index, minlength=n_images)
                                  == 0)
     if captionless.size:
@@ -347,7 +314,7 @@ def alpha_sweep(model: CcaModel, images: FeatureMatrix,
     search, a = 0 is asymmetric annotation.
     """
     alphas = np.asarray(list(alphas), dtype=np.float64)
-    if alphas.size == 0 or alphas.min() < 0 or alphas.max() > 1:
+    if alphas.size == 0 or not np.all((alphas >= 0) & (alphas <= 1)):
         raise ValueError("alpha grid must lie in [0, 1]")
     search_scores = np.empty_like(alphas)
     annotation_scores = np.empty_like(alphas)

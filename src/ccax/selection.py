@@ -1,8 +1,9 @@
 """Regularization-path grid searches scored by validation retrieval.
 
 Both paths take a :class:`ccax.cca.CcaProblem`, which holds everything
-that does not depend on the grid point: the thin SVDs of the centered
-training views and the correlation operator T = Ux' Uy.  Each cell is one
+that does not depend on the grid point: the singular values and right
+singular vectors of each centered training view and the correlation
+operator T = Ux' Uy.  Each cell is one
 :func:`ccax.cca.solve`.  A T-SVD cell costs one SVD of the leading
 k_x x k_y block of T, while a Tikhonov cell needs a full-size SVD of the
 diagonally rescaled Sx T Sy -- the asymmetry the

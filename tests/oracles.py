@@ -14,14 +14,62 @@ the per-weighting projection branches (``task_projections_branches``) and
 the block-slicing loop of ``eval --blocks`` (``evaluate_blocks_loop``) are
 the routes that ``evaluate_bidirectional``'s flat ground truth, the
 single (Sigma^a U', Sigma^b V') formula and ``evaluate_blocks`` replaced.
+Centering and a full thin SVD of each view (``center_columns``,
+``thin_svd``, ``prepare_svd``) is the route the chunked joint QR of
+``cca.prepare`` replaced.  ``best_ranks`` runs the library's rank counting
+on list-of-lists ground truth, which no library route takes any more.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+
+
+@dataclass(frozen=True)
+class SvdFactors:
+    """Thin SVD of a centered data matrix, cut at numerical rank."""
+
+    u_left: np.ndarray   # (n, r)
+    s: np.ndarray        # (r,) nonincreasing, positive
+    v_right: np.ndarray  # (m, r)
+
+    @property
+    def rank(self) -> int:
+        return self.s.shape[0]
+
+
+def center_columns(m):
+    """Subtract column means; returns the centered matrix and the means."""
+    from ccax.io import FeatureMatrix
+
+    means = m.values.mean(axis=0)
+    return FeatureMatrix(m.values - means, ids=m.ids), means
+
+
+def thin_svd(m, rank_tol: float | None = None) -> SvdFactors:
+    """Thin SVD with singular values below rank_tol * s_max discarded."""
+    from ccax.cca import default_rank_tol
+
+    if rank_tol is None:
+        rank_tol = default_rank_tol(*m.values.shape)
+    u, s, vt = np.linalg.svd(m.values, full_matrices=False)
+    if s.size and s[0] > 0:
+        r = int(np.count_nonzero(s >= rank_tol * s[0]))
+    else:
+        r = 0
+    return SvdFactors(u[:, :r], s[:r], vt[:r].T)
+
+
+def prepare_svd(x, y, rank_tol: float | None = None):
+    """(s_x, s_y, T = Ux' Uy) from the thin SVDs of the centered views."""
+    fx = thin_svd(center_columns(x)[0], rank_tol)
+    fy = thin_svd(center_columns(y)[0], rank_tol)
+    return fx.s, fy.s, fx.u_left.T @ fy.u_left
 
 
 def cca_correlations_eig(x: np.ndarray, y: np.ndarray,
@@ -49,14 +97,13 @@ def constraint_residual(model, x, y):
     Rebuilds the appropriate metric (plain covariance, ridge-shifted, or
     rank-truncated) directly from the data and checks U' M U = I.
     """
-    from ccax import cca
     from ccax.io import FeatureMatrix
 
     xc = x.values - model.mean_x
     yc = y.values - model.mean_y
     if model.reg.kind == "tsvd":
-        fx = cca.thin_svd(FeatureMatrix(xc))
-        fy = cca.thin_svd(FeatureMatrix(yc))
+        fx = thin_svd(FeatureMatrix(xc))
+        fy = thin_svd(FeatureMatrix(yc))
         xc = (fx.u_left[:, :model.reg.k_x] * fx.s[:model.reg.k_x]) \
             @ fx.v_right[:, :model.reg.k_x].T
         yc = (fy.u_left[:, :model.reg.k_y] * fy.s[:model.reg.k_y]) \
@@ -67,6 +114,49 @@ def constraint_residual(model, x, y):
     rx = model.u.T @ (xc.T @ xc + gx * np.eye(model.m_x)) @ model.u - eye
     ry = model.v.T @ (yc.T @ yc + gy * np.eye(model.m_y)) @ model.v - eye
     return max(np.abs(rx).max(), np.abs(ry).max())
+
+
+def flatten_ground_truth(ground_truth, n_queries: int,
+                         n_items: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ground-truth sets as flat ``(items, starts)``.
+
+    Query q owns ``items[starts[q]:starts[q + 1]]``.
+    """
+    if len(ground_truth) != n_queries:
+        raise ValueError(
+            f"{len(ground_truth)} ground-truth sets for {n_queries} queries"
+        )
+    lengths = np.fromiter((len(g) for g in ground_truth), dtype=np.int64,
+                          count=n_queries)
+    if np.any(lengths == 0):
+        bad = int(np.flatnonzero(lengths == 0)[0])
+        raise ValueError(f"query {bad} has no ground-truth items")
+    items = np.fromiter(itertools.chain.from_iterable(ground_truth),
+                        dtype=np.int64, count=int(lengths.sum()))
+    starts = np.zeros(n_queries + 1, dtype=np.int64)
+    np.cumsum(lengths, out=starts[1:])
+    out_of_range = (items < 0) | (items >= n_items)
+    if np.any(out_of_range):
+        bad = int(np.searchsorted(starts, np.flatnonzero(out_of_range)[0],
+                                  side="right")) - 1
+        raise ValueError(
+            f"query {bad}: ground-truth index out of range [0, {n_items})"
+        )
+    return items, starts
+
+
+def best_ranks(queries, items, ground_truth,
+               similarity: str = "cosine") -> np.ndarray:
+    """``retrieval._count_ranks`` with ``ground_truth[q]`` listing the items
+    query q counts as correct."""
+    from ccax import retrieval
+
+    queries = np.asarray(queries, dtype=np.float64)
+    items = np.asarray(items, dtype=np.float64)
+    gt_items, starts = flatten_ground_truth(ground_truth, queries.shape[0],
+                                            items.shape[0])
+    return retrieval._count_ranks(queries, items, gt_items, starts,
+                                  similarity)
 
 
 def sign_fix_loops(p_x: np.ndarray,

@@ -14,9 +14,11 @@ from ccax import cca, hkse, io, retrieval, selection, synthetic
 from ccax.cli import main
 from oracles import (
     cca_correlations_eig,
+    center_columns,
     constraint_residual,
     rank_by_cosine_loops,
     recall_and_median_loops,
+    thin_svd,
 )
 
 
@@ -69,8 +71,8 @@ def test_criterion_02_regularizer_consistency():
     dev_trunc = 0.0
     for k_x, k_y in [(2, 2), (5, 3), (8, 4), (3, 6)]:
         model = cca.cca_fit_tsvd(x, y, k_x, k_y)
-        fx = cca.thin_svd(cca.center_columns(x)[0])
-        fy = cca.thin_svd(cca.center_columns(y)[0])
+        fx = thin_svd(center_columns(x)[0])
+        fy = thin_svd(center_columns(y)[0])
         x_trunc = io.FeatureMatrix(
             (fx.u_left[:, :k_x] * fx.s[:k_x]) @ fx.v_right[:, :k_x].T)
         y_trunc = io.FeatureMatrix(

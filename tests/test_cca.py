@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccax import cca, io
-from oracles import (cca_correlations_eig, constraint_residual,
-                     sign_fix_loops)
+from oracles import (cca_correlations_eig, center_columns,
+                     constraint_residual, prepare_svd, sign_fix_loops,
+                     thin_svd)
 
 
 def random_views(seed, n=50, mx=4, my=3, scale=1.0):
@@ -18,7 +21,7 @@ def random_views(seed, n=50, mx=4, my=3, scale=1.0):
 class TestCenterColumns:
     def test_hand_example(self):
         m = io.FeatureMatrix([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        centered, means = cca.center_columns(m)
+        centered, means = center_columns(m)
         np.testing.assert_array_equal(means, [3.0, 4.0])
         np.testing.assert_array_equal(
             centered.values, [[-2, -2], [0, 0], [2, 2]]
@@ -26,20 +29,20 @@ class TestCenterColumns:
 
     def test_already_centered(self):
         m = io.FeatureMatrix([[-1.0, 2.0], [1.0, -2.0]])
-        centered, means = cca.center_columns(m)
+        centered, means = center_columns(m)
         np.testing.assert_allclose(means, 0.0, atol=1e-15)
         np.testing.assert_allclose(centered.values, m.values, atol=1e-15)
 
     def test_identical_rows_vanish(self):
         m = io.FeatureMatrix([[2.0, 3.0]] * 4)
-        centered, means = cca.center_columns(m)
+        centered, means = center_columns(m)
         np.testing.assert_array_equal(means, [2.0, 3.0])
         np.testing.assert_array_equal(centered.values, np.zeros((4, 2)))
 
     def test_columns_sum_to_zero(self):
         rng = np.random.default_rng(0)
         m = io.FeatureMatrix(rng.standard_normal((40, 6)) * 100)
-        centered, _ = cca.center_columns(m)
+        centered, _ = center_columns(m)
         bound = 1e-10 * m.rows * np.abs(m.values).max()
         assert np.abs(centered.values.sum(axis=0)).max() <= bound
 
@@ -47,13 +50,13 @@ class TestCenterColumns:
 class TestThinSvd:
     def test_diagonal(self):
         m = io.FeatureMatrix(np.diag([3.0, 2.0, 1.0]))
-        f = cca.thin_svd(m)
+        f = thin_svd(m)
         np.testing.assert_allclose(f.s, [3.0, 2.0, 1.0])
 
     def test_rank_one(self):
         a = np.array([1.0, 2.0, 2.0])
         b = np.array([3.0, 4.0])
-        f = cca.thin_svd(io.FeatureMatrix(np.outer(a, b)))
+        f = thin_svd(io.FeatureMatrix(np.outer(a, b)))
         assert f.rank == 1
         np.testing.assert_allclose(
             f.s[0], np.linalg.norm(a) * np.linalg.norm(b), rtol=1e-12
@@ -62,7 +65,7 @@ class TestThinSvd:
     def test_factor_properties(self):
         rng = np.random.default_rng(2)
         m = io.FeatureMatrix(rng.standard_normal((50, 8)))
-        f = cca.thin_svd(m)
+        f = thin_svd(m)
         np.testing.assert_allclose(f.u_left.T @ f.u_left, np.eye(f.rank),
                                    atol=1e-10)
         np.testing.assert_allclose(f.v_right.T @ f.v_right, np.eye(f.rank),
@@ -73,7 +76,7 @@ class TestThinSvd:
 
     def test_rank_tol_truncates(self):
         m = io.FeatureMatrix(np.diag([1.0, 1e-3, 1e-12]))
-        f = cca.thin_svd(m, rank_tol=1e-6)
+        f = thin_svd(m, rank_tol=1e-6)
         assert f.rank == 2
 
 
@@ -177,6 +180,74 @@ class TestPrepareSolve:
             np.testing.assert_array_equal(got[1], want[1])
 
 
+def _pair(rng, n, m_x, m_y, rank_x, rank_y, duplicate=False):
+    """Two views of n rows whose centred column spaces share a direction.
+
+    A view has rank min(rank, m, n - 1), its centred singular values lie in
+    [1, 4] and its columns are shifted by random means; ``duplicate``
+    appends a copy of its first column.  The shared direction makes the top
+    canonical correlation 1, so "relative to the largest" is a fixed scale.
+    """
+    centred = rng.standard_normal((n, n))
+    q = np.linalg.qr(centred - centred.mean(axis=0))[0][:, :n - 1]
+    views = []
+    for m, rank in ((m_x, rank_x), (m_y, rank_y)):
+        r = min(rank, m, n - 1)
+        u = np.linalg.qr(np.column_stack(
+            [q[:, 0], q @ rng.standard_normal((n - 1, r - 1))]))[0]
+        v = np.linalg.qr(rng.standard_normal((m, r)))[0]
+        values = (u * rng.uniform(1, 4, r)) @ v.T + rng.standard_normal(m)
+        if duplicate:
+            values = np.column_stack([values, values[:, 0]])
+        views.append(io.FeatureMatrix(values))
+    return views
+
+
+@pytest.mark.filterwarnings("ignore:n=.*covariances are singular")
+class TestPrepareMatchesSvdRoute:
+    """The chunked joint QR of ``prepare`` against centred thin SVDs.
+
+    Ranks are equal; s_x, s_y and the singular values of T (the canonical
+    correlations) agree within 1e-12 of the largest.
+    """
+
+    @staticmethod
+    def check(x, y):
+        problem = cca.prepare(x, y)
+        s_x, s_y, t = prepare_svd(x, y)
+        assert (problem.rank_x, problem.rank_y) == (len(s_x), len(s_y))
+        corr = np.linalg.svd(t, compute_uv=False)
+        for got, want in ((problem.s_x, s_x), (problem.s_y, s_y),
+                          (np.linalg.svd(problem.t, compute_uv=False), corr)):
+            assert np.abs(got - want).max() <= 1e-12 * want[0]
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40),
+           m_x=st.integers(1, 9), m_y=st.integers(1, 9),
+           rank_x=st.integers(1, 9), rank_y=st.integers(1, 9),
+           duplicate=st.booleans(), chunk=st.sampled_from([2048, 1, 7]))
+    def test_random_shapes(self, seed, n, m_x, m_y, rank_x, rank_y,
+                           duplicate, chunk):
+        # n < m_x + m_y, rank-deficient views, a duplicated column, and
+        # several QR steps (a chunk under m_x + m_y rounds up to it)
+        rng = np.random.default_rng(seed)
+        x, y = _pair(rng, n, m_x, m_y, rank_x, rank_y, duplicate)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cca, "_CHUNK_ROWS", chunk)
+            self.check(x, y)
+
+    @pytest.mark.parametrize("rows", ["c-1", "c", "c+1", "2c+1"])
+    @pytest.mark.parametrize("m_x,m_y", [(5, 4), (9, 7)])
+    def test_chunk_boundaries(self, rows, m_x, m_y, monkeypatch):
+        # c = max(_CHUNK_ROWS, m_x + m_y): 12 for the first shape, 16 for
+        # the second, whose chunk rounds up to its m_x + m_y columns
+        monkeypatch.setattr(cca, "_CHUNK_ROWS", 12)
+        c = max(12, m_x + m_y)
+        n = {"c-1": c - 1, "c": c, "c+1": c + 1, "2c+1": 2 * c + 1}[rows]
+        rng = np.random.default_rng(n)
+        self.check(*_pair(rng, n, m_x, m_y, m_x, m_y))
+
+
 class TestTikhonov:
     def test_zero_penalty_equals_plain(self):
         x, y = random_views(20, n=60, mx=6, my=5)
@@ -225,9 +296,9 @@ class TestTsvd:
 
     def test_rank_one_operator(self):
         x, y = random_views(31, n=60, mx=6, my=5)
-        xc, _ = cca.center_columns(x)
-        yc, _ = cca.center_columns(y)
-        fx, fy = cca.thin_svd(xc), cca.thin_svd(yc)
+        xc, _ = center_columns(x)
+        yc, _ = center_columns(y)
+        fx, fy = thin_svd(xc), thin_svd(yc)
         model = cca.cca_fit_tsvd(x, y, 1, 1)
         assert model.k == 1
         expected = abs(float(fx.u_left[:, 0] @ fy.u_left[:, 0]))
@@ -237,9 +308,9 @@ class TestTsvd:
     def test_matches_explicit_truncation(self, k_x, k_y):
         x, y = random_views(32, n=60, mx=6, my=5)
         model = cca.cca_fit_tsvd(x, y, k_x, k_y)
-        xc, _ = cca.center_columns(x)
-        yc, _ = cca.center_columns(y)
-        fx, fy = cca.thin_svd(xc), cca.thin_svd(yc)
+        xc, _ = center_columns(x)
+        yc, _ = center_columns(y)
+        fx, fy = thin_svd(xc), thin_svd(yc)
         x_trunc = io.FeatureMatrix(
             (fx.u_left[:, :k_x] * fx.s[:k_x]) @ fx.v_right[:, :k_x].T
         )

@@ -125,9 +125,8 @@ class TestFit:
             k_y = int(arc.manifest["guided_k_y"])
             assert k_x >= 1 and k_y >= 1
             # the mapped penalty is the squared singular value at the rank
-            x = io.load_matrix(synth_dir / "train_x.fmat")
-            xc, _ = cca.center_columns(x)
-            s_x = cca.thin_svd(xc).s
+            s_x = cca.prepare(io.load_matrix(synth_dir / "train_x.fmat"),
+                              io.load_matrix(synth_dir / "train_y.fmat")).s_x
             assert float(arc.manifest["gamma_x"]) == s_x[k_x - 1] ** 2
         assert (tmp_path / "path.tsv").exists()
 
@@ -375,9 +374,12 @@ class TestEvalBlocksErrors:
     CASES = [
         # (--blocks, first pairing row: None = no --pairing, "" = as
         # written, else the replacement, message)
-        ("2", None, "pair_index required when row counts differ"),
-        ("2", "4000", "pair_index out of image range"),
-        ("2", "-3", "pair_index out of image range"),
+        ("2", None, "--pairing required when row counts differ "
+                    "(200 images, 1000 captions)"),
+        ("2", "4000", "--pairing row 0 names image 4000, out of range for "
+                      "200 images"),
+        ("2", "-3", "--pairing row 0 names image -3, out of range for "
+                    "200 images"),
         ("500", "", "blocks must be between 1 and the 200 images, got 500"),
         ("0", "", "blocks must be between 1 and the 200 images, got 0"),
     ]
@@ -586,7 +588,12 @@ def _path_argv(command, synth_dir, tmp_path, y=None, pairing=None):
 
 
 class TestThinSvdCount:
-    """A command that runs a path factorises each training view once."""
+    """A command that runs a path factorises the training pair once.
+
+    One ``cca.prepare`` runs per command, and its two thin SVDs are of the
+    column blocks of the joint R factor, which has m_x + m_y rows, never of
+    an n-row view.
+    """
 
     @pytest.mark.parametrize("command,flags", [
         ("fit", ["--grid", "3x3", "--metric", "r1"]),
@@ -597,19 +604,27 @@ class TestThinSvdCount:
     ])
     def test_two_thin_svds(self, command, flags, synth_dir, tmp_path,
                            monkeypatch):
-        calls = []
-        original = cca.thin_svd
+        prepares, active = [], []
+        original_prepare, original_svd = cca.prepare, np.linalg.svd
 
-        def counting(*args, **kwargs):
-            calls.append(args[0].values.shape)
-            return original(*args, **kwargs)
+        def counting_prepare(*args, **kwargs):
+            prepares.append([])
+            active.append(True)
+            try:
+                return original_prepare(*args, **kwargs)
+            finally:
+                active.pop()
 
-        # a "from .cca import thin_svd" binding bypasses the cca attribute
-        for module in (cca, selection):
-            if hasattr(module, "thin_svd"):
-                monkeypatch.setattr(module, "thin_svd", counting)
+        def recording_svd(a, *args, **kwargs):
+            if active:
+                prepares[-1].append(a.shape)
+            return original_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(cca, "prepare", counting_prepare)
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
         assert main(_path_argv(command, synth_dir, tmp_path) + flags) == 0
-        assert len(calls) == 2
+        # train_x is 360 x 16 and train_y 360 x 12: R has 28 rows
+        assert prepares == [[(28, 16), (28, 12)]]
 
 
 class TestGuidedGridFlags:
@@ -641,18 +656,23 @@ class TestPathInputErrors:
     """Bad path inputs exit 1 with a message and no traceback.
 
     Mismatched training rows and a validation pairing that does not fit
-    the captions are caught before any thin SVD runs.
+    the captions are caught before the joint QR (and so before any thin
+    SVD) runs.
     """
 
     BEFORE_SVD = [
         ("path", "short_y", "row counts differ: 360 vs 300"),
         ("timing", "short_y", "row counts differ: 360 vs 300"),
         ("fit", "short_y", "row counts differ: 360 vs 300"),
-        ("path", "pairs_short", "pair_index length must match caption count"),
-        ("path", "pairs_long", "pair_index length must match caption count"),
+        ("path", "pairs_short", "--val-pairing length must match caption "
+                                "count (117 rows, 120 captions)"),
+        ("path", "pairs_long", "--val-pairing length must match caption "
+                               "count (123 rows, 120 captions)"),
         ("path", "captionless", "image 19 has no paired captions"),
-        ("fit", "pairs_short", "pair_index length must match caption count"),
-        ("fit", "pairs_long", "pair_index length must match caption count"),
+        ("fit", "pairs_short", "--val-pairing length must match caption "
+                               "count (117 rows, 120 captions)"),
+        ("fit", "pairs_long", "--val-pairing length must match caption "
+                              "count (123 rows, 120 captions)"),
         ("fit", "captionless", "image 19 has no paired captions"),
     ]
 
@@ -673,10 +693,12 @@ class TestPathInputErrors:
             pairing = tmp_path / "pairing.txt"
             io.save_pairing(pairs, pairing)
 
-        def no_svd(*args, **kwargs):
-            raise AssertionError("thin SVD ran before the input check")
+        def no_factorisation(*args, **kwargs):
+            raise AssertionError("a factorisation ran before the input check")
 
-        monkeypatch.setattr(cca, "thin_svd", no_svd)
+        # cca.prepare's joint QR is the first factorisation of a fit
+        monkeypatch.setattr(np.linalg, "qr", no_factorisation)
+        monkeypatch.setattr(np.linalg, "svd", no_factorisation)
         argv = _path_argv(command, synth_dir, tmp_path, y, pairing)
         assert main(argv) == 1
         err = capsys.readouterr().err
@@ -696,3 +718,109 @@ class TestPathInputErrors:
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
+
+
+def _eval_argv(command, synth_dir, fitted_model, tmp_path, **paths):
+    """argv of ``eval``/``sweep`` on the test split; ``paths`` replace the
+    model, images, captions or pairing file."""
+    files = {"model": fitted_model,
+             "images": synth_dir / "test_images.fmat",
+             "captions": synth_dir / "test_captions.fmat",
+             "pairing": synth_dir / "test_pairing.txt", **paths}
+    argv = [command]
+    for flag, path in files.items():
+        argv += [f"--{flag}", str(path)]
+    return argv + ["--out", str(tmp_path / "out.tsv")]
+
+
+class TestFlagRanges:
+    """A flag value outside its range is a usage error naming the flag."""
+
+    CASES = [
+        ("eval", ["--weighting", "symmetric:nan"], "--weighting"),
+        ("eval", ["--weighting", "symmetric:inf"], "--weighting"),
+        ("eval", ["--weighting", "symmetric:-1"], "--weighting"),
+        ("eval", ["--weighting", "symmetric:x"], "--weighting"),
+        ("eval", ["--weighting", "harmonic"], "--weighting"),
+        ("sweep", ["--k", "0"], "--k"),
+        ("timing", ["--repeats", "0"], "--repeats"),
+        ("fit", ["--threads", "-1"], "--threads"),
+        ("path", ["--threads", "-1"], "--threads"),
+    ]
+
+    @pytest.mark.parametrize("command,flags,named", CASES)
+    def test_usage_error(self, command, flags, named, synth_dir, fitted_model,
+                         tmp_path, capsys):
+        if command in ("eval", "sweep"):
+            argv = _eval_argv(command, synth_dir, fitted_model, tmp_path)
+        else:
+            argv = _path_argv(command, synth_dir, tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + flags)
+        assert exc.value.code == 2
+        assert f"argument {named}: " in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_config_value_checked_too(self, synth_dir, fitted_model,
+                                      tmp_path, capsys):
+        config = tmp_path / "eval.cfg"
+        config.write_text("weighting=symmetric:nan\n")
+        with pytest.raises(SystemExit) as exc:
+            main(_eval_argv("eval", synth_dir, fitted_model, tmp_path)
+                 + ["--config", str(config)])
+        assert exc.value.code == 2
+        assert "argument --weighting: " in capsys.readouterr().err
+
+
+class TestInputErrorsNameTheFile:
+    """A malformed input file is a data error naming the file and line."""
+
+    @staticmethod
+    def _case(kind, synth_dir, fitted_model, tmp_path):
+        """(argv, the bad file, the message after '<file>')."""
+        bad = tmp_path / kind
+        if kind == "truncated_images":
+            bad.write_bytes((synth_dir / "test_images.fmat").read_bytes()[:-8])
+            return (_eval_argv("eval", synth_dir, fitted_model, tmp_path,
+                               images=bad), bad,
+                    ": FMAT1 payload truncated: header says 40x16")
+        if kind == "truncated_model":
+            bad.write_bytes(fitted_model.read_bytes()[:-8])
+            return (_eval_argv("eval", synth_dir, fitted_model, tmp_path,
+                               model=bad), bad,
+                    ": blob 5: FMAT1 payload truncated")
+        if kind == "manifest_byte":
+            data = bytearray(fitted_model.read_bytes())
+            data[16 + len(b"kind=none\n")] = 0xFF
+            bad.write_bytes(bytes(data))
+            return (_eval_argv("eval", synth_dir, fitted_model, tmp_path,
+                               model=bad), bad,
+                    ": manifest line 2 is not UTF-8 (invalid start byte)")
+        if kind in ("pairing_byte", "pairing_huge"):
+            rows = (synth_dir / "test_pairing.txt").read_bytes().split(b"\n")
+            rows[2] = b"\xff" if kind == "pairing_byte" \
+                else b"99999999999999999999999"
+            bad.write_bytes(b"\n".join(rows))
+            return (_eval_argv("sweep", synth_dir, fitted_model, tmp_path,
+                               pairing=bad), bad,
+                    ":3: not UTF-8 (invalid start byte)"
+                    if kind == "pairing_byte"
+                    else ":3: row index 99999999999999999999999 does not "
+                    "fit in 64 bits")
+        bad.write_bytes(b"similarity=l2\n# \xe9t\xe9\n")
+        return (_eval_argv("eval", synth_dir, fitted_model, tmp_path)
+                + ["--config", str(bad)], bad,
+                ":2: not UTF-8 (invalid continuation byte)")
+
+    @pytest.mark.parametrize("kind", [
+        "truncated_images", "truncated_model", "manifest_byte",
+        "pairing_byte", "pairing_huge", "config_byte"])
+    def test_exit_one_naming_the_file(self, kind, synth_dir, fitted_model,
+                                      tmp_path, capsys):
+        argv, bad, message = self._case(kind, synth_dir, fitted_model,
+                                        tmp_path)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"ccax: error: {bad}{message}")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.tsv").exists()

@@ -332,6 +332,27 @@ class TestCorpus:
                            n_items=3)
 
 
+class TestPairing:
+    @pytest.mark.parametrize("content,message", [
+        (b"0\n1\n99999999999999999999999\n",
+         ":3: row index 99999999999999999999999 does not fit in 64 bits"),
+        (b"0\n1\n9223372036854775808\n", ":3: row index"),
+        (b"0\n\xff1\n", ":2: not UTF-8"),
+        (b"0\r\n1\r\xc3\n", ":3: not UTF-8"),
+        (b"0\n\n-x\n", ":3: expected an integer row index"),
+    ])
+    def test_errors_name_the_line(self, tmp_path, content, message):
+        path = write(tmp_path / "p.txt", content)
+        with pytest.raises(io.DataFormatError, match=re.escape(
+                f"{path}{message}")):
+            io.load_pairing(path)
+
+    def test_line_endings_as_text_mode(self, tmp_path):
+        path = write(tmp_path / "p.txt", b"3\r\n-9223372036854775808\r7")
+        np.testing.assert_array_equal(io.load_pairing(path),
+                                      [3, -2**63, 7])
+
+
 class TestSplits:
     def test_round_trip(self, tmp_path):
         splits = {

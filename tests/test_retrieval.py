@@ -85,11 +85,14 @@ class TestTaskEmbedding:
             assert got.tobytes() == ref.tobytes()
 
     def test_invalid_alpha_rejected(self, model):
-        with pytest.raises(ValueError):
-            retrieval.make_task_embedding(model, "search", "symmetric",
-                                          alpha=-1.0)
-        with pytest.raises(ValueError):
-            retrieval.make_task_embedding(model, "search", "sweep", alpha=1.5)
+        for alpha in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite alpha >= 0"):
+                retrieval.make_task_embedding(model, "search", "symmetric",
+                                              alpha=alpha)
+        for alpha in (1.5, np.nan):
+            with pytest.raises(ValueError):
+                retrieval.make_task_embedding(model, "search", "sweep",
+                                              alpha=alpha)
 
 
 def ranks_of_each_item(queries, items, similarity="cosine"):
@@ -98,7 +101,7 @@ def ranks_of_each_item(queries, items, similarity="cosine"):
     repeated = np.repeat(np.asarray(queries, dtype=np.float64), n_items,
                          axis=0)
     gt = [[j] for _ in range(n_queries) for j in range(n_items)]
-    return retrieval.best_ranks(repeated, items, gt, similarity).reshape(
+    return oracles.best_ranks(repeated, items, gt, similarity).reshape(
         n_queries, n_items)
 
 
@@ -107,7 +110,7 @@ class TestRank:
         rng = np.random.default_rng(1)
         items = rng.standard_normal((5, 4))
         queries = (7.0 * items[3])[None, :]
-        assert retrieval.best_ranks(queries, items, [[3]], "cosine")[0] == 1
+        assert oracles.best_ranks(queries, items, [[3]], "cosine")[0] == 1
         assert oracles.rank(queries, items, "cosine")[0, 0] == 3
 
     def test_global_item_scaling_invariance(self):
@@ -137,8 +140,8 @@ class TestRank:
         np.testing.assert_array_equal(ranks_of_each_item(queries, items),
                                       [[1, 3, 2]])
         # of two tied ground-truth items, the smaller index is the best one
-        assert retrieval.best_ranks(queries, items, [[2, 0]])[0] == 1
-        assert retrieval.best_ranks(queries, items, [[1, 2]])[0] == 2
+        assert oracles.best_ranks(queries, items, [[2, 0]])[0] == 1
+        assert oracles.best_ranks(queries, items, [[1, 2]])[0] == 2
 
     def test_l2_ordering(self):
         items = np.array([[0.0], [2.0], [4.0]])
@@ -148,13 +151,22 @@ class TestRank:
         np.testing.assert_array_equal(oracles.rank(queries, items, "l2")[0],
                                       [1, 2, 0])
 
+    @pytest.mark.parametrize("similarity", ["cosine", "l2"])
+    def test_nan_ground_truth_score_rejected(self, similarity):
+        # NaN compares false with every score: the query would rank first
+        queries = np.array([[1.0, 0.5], [np.nan, 1.0]])
+        items = np.array([[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError,
+                           match="query 1: ground-truth score is NaN"):
+            oracles.best_ranks(queries, items, [[0], [1]], similarity)
+
     def test_zero_norm_reported_with_index(self):
         items = np.array([[1.0, 0.0], [0.0, 0.0]])
         queries = np.array([[1.0, 1.0]])
         with pytest.raises(ValueError, match="item vector at index 1"):
-            retrieval.best_ranks(queries, items, [[0]], "cosine")
+            oracles.best_ranks(queries, items, [[0]], "cosine")
         with pytest.raises(ValueError, match="query vector at index 0"):
-            retrieval.best_ranks(np.zeros((1, 2)), items, [[0]], "cosine")
+            oracles.best_ranks(np.zeros((1, 2)), items, [[0]], "cosine")
 
     def test_rows_are_permutations(self):
         rng = np.random.default_rng(4)
@@ -183,7 +195,7 @@ class TestEvaluate:
             oracles.evaluate(ranked, gt),
             # items on a line, queried from below: the library sees the
             # same identity order
-            retrieval._report(retrieval.best_ranks(
+            retrieval._report(oracles.best_ranks(
                 np.full((4, 1), -1.0), np.arange(12.0)[:, None], gt, "l2"),
                 (1, 5, 10), "", n_items),
         ):
@@ -201,8 +213,8 @@ class TestEvaluate:
         assert report.recalls[5] == 100.0
         assert report.recalls[10] == 100.0
         assert report.median_rank == 3.0
-        assert retrieval.best_ranks(np.full((1, 1), -1.0),
-                                    np.arange(20.0)[:, None], gt, "l2")[0] == 3
+        assert oracles.best_ranks(np.full((1, 1), -1.0),
+                                  np.arange(20.0)[:, None], gt, "l2")[0] == 3
 
     def test_monotone_recall(self):
         rng = np.random.default_rng(5)
@@ -214,8 +226,8 @@ class TestEvaluate:
                                 replace=False))
                 for _ in range(n_queries)
             ]
-            ranks = retrieval.best_ranks(rng.standard_normal((n_queries, 3)),
-                                         rng.standard_normal((n_items, 3)), gt)
+            ranks = oracles.best_ranks(rng.standard_normal((n_queries, 3)),
+                                       rng.standard_normal((n_items, 3)), gt)
             rep = retrieval._report(ranks, (1, 5, 10), "", n_items)
             assert rep.recalls[1] <= rep.recalls[5] <= rep.recalls[10]
 
@@ -228,15 +240,15 @@ class TestEvaluate:
     def test_out_of_range_ground_truth(self):
         with pytest.raises(ValueError, match="query 1: ground-truth index out "
                                              r"of range \[0, 2\)"):
-            retrieval.best_ranks(np.ones((2, 1)), np.ones((2, 1)), [[0], [5]])
+            oracles.best_ranks(np.ones((2, 1)), np.ones((2, 1)), [[0], [5]])
         with pytest.raises(ValueError, match="out of range"):
-            retrieval.best_ranks(np.ones((1, 1)), np.ones((2, 1)), [[-1]])
+            oracles.best_ranks(np.ones((1, 1)), np.ones((2, 1)), [[-1]])
 
     def test_empty_ground_truth(self):
         with pytest.raises(ValueError, match="query 0 has no ground-truth"):
-            retrieval.best_ranks(np.ones((1, 1)), np.ones((2, 1)), [[]])
+            oracles.best_ranks(np.ones((1, 1)), np.ones((2, 1)), [[]])
         with pytest.raises(ValueError, match="2 ground-truth sets for 1"):
-            retrieval.best_ranks(np.ones((1, 1)), np.ones((2, 1)), [[0], [1]])
+            oracles.best_ranks(np.ones((1, 1)), np.ones((2, 1)), [[0], [1]])
 
 
 def exact_vectors(draw, n, dim):
@@ -306,7 +318,7 @@ class TestCountingMatchesSorting:
     def test_exact_ties_and_block_edges(self, problem, similarity):
         queries, items, gt = problem
         ranked = oracles.rank(queries, items, similarity)
-        got = retrieval.best_ranks(queries, items, gt, similarity)
+        got = oracles.best_ranks(queries, items, gt, similarity)
         np.testing.assert_array_equal(got,
                                       oracles.sorted_best_ranks(ranked, gt))
         ks = (1, 2, 5, 10)
@@ -323,7 +335,7 @@ class TestCountingMatchesSorting:
               for _ in range(n_queries)]
         ranked = oracles.rank(queries, items, similarity)
         np.testing.assert_array_equal(
-            retrieval.best_ranks(queries, items, gt, similarity),
+            oracles.best_ranks(queries, items, gt, similarity),
             oracles.sorted_best_ranks(ranked, gt))
 
 
@@ -331,12 +343,12 @@ def list_route(model, images, captions, pair_index, similarity):
     """Asymmetric (search, annotation) reports through list ground truth."""
     ks = (1, 5, 10)
     emb = retrieval.make_task_embedding(model, "search")
-    search = retrieval._report(retrieval.best_ranks(
+    search = retrieval._report(oracles.best_ranks(
         emb.embed_texts(captions), emb.embed_images(images),
         oracles.pairing_to_ground_truth(pair_index, images.rows, "search"),
         similarity), ks, "search", images.rows)
     emb = retrieval.make_task_embedding(model, "annotation")
-    annotation = retrieval._report(retrieval.best_ranks(
+    annotation = retrieval._report(oracles.best_ranks(
         emb.embed_images(images), emb.embed_texts(captions),
         oracles.pairing_to_ground_truth(pair_index, images.rows,
                                         "annotation"),
@@ -494,8 +506,9 @@ class TestAlphaSweep:
         rng = np.random.default_rng(7)
         images = io.FeatureMatrix(rng.standard_normal((4, model.m_x)))
         captions = io.FeatureMatrix(rng.standard_normal((4, model.m_y)))
-        with pytest.raises(ValueError):
-            retrieval.alpha_sweep(model, images, captions, [0.0, 1.2])
+        for grid in ([0.0, 1.2], [0.0, np.nan]):
+            with pytest.raises(ValueError, match="alpha grid"):
+                retrieval.alpha_sweep(model, images, captions, grid)
 
 
 class TestTsvFormats:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ccax import cca, io, retrieval, selection, synthetic
+from oracles import center_columns, thin_svd
 
 
 @pytest.fixture(scope="module")
@@ -38,9 +39,9 @@ class TestDefaultGrids:
 class TestTsvdPath:
     def test_full_rank_cell_equals_plain_cca_score(self, dataset):
         train_x, train_y, vi, vc, vp = dataset
-        xc, _ = cca.center_columns(train_x)
-        yc, _ = cca.center_columns(train_y)
-        rx, ry = cca.thin_svd(xc).rank, cca.thin_svd(yc).rank
+        xc, _ = center_columns(train_x)
+        yc, _ = center_columns(train_y)
+        rx, ry = thin_svd(xc).rank, thin_svd(yc).rank
         grid, sel = selection.tsvd_path(cca.prepare(train_x, train_y), vi, vc,
                                         [rx], [ry], pair_index=vp)
         model = cca.cca_fit(train_x, train_y)
@@ -210,21 +211,18 @@ class TestGuidedTikhonov:
         result = selection.guided_tikhonov(cca.prepare(train_x, train_y),
                                            vi, vc, [2, 5, 9], [2, 4, 8],
                                            pair_index=vp)
-        xc, _ = cca.center_columns(train_x)
-        yc, _ = cca.center_columns(train_y)
-        sq_x = set((cca.thin_svd(xc).s ** 2).tolist())
-        sq_y = set((cca.thin_svd(yc).s ** 2).tolist())
+        problem = cca.prepare(train_x, train_y)
+        sq_x = set((problem.s_x ** 2).tolist())
+        sq_y = set((problem.s_y ** 2).tolist())
         for gx, gy in (result.search_penalties, result.annotation_penalties):
             assert gx in sq_x and gy in sq_y
 
     def test_full_rank_winner_maps_to_smallest_retained(self, dataset):
         train_x, train_y, vi, vc, vp = dataset
-        xc, _ = cca.center_columns(train_x)
-        yc, _ = cca.center_columns(train_y)
-        s_x, s_y = cca.thin_svd(xc).s, cca.thin_svd(yc).s
+        problem = cca.prepare(train_x, train_y)
+        s_x, s_y = problem.s_x, problem.s_y
         result = selection.guided_tikhonov(
-            cca.prepare(train_x, train_y), vi, vc,
-            [len(s_x)], [len(s_y)], pair_index=vp)
+            problem, vi, vc, [len(s_x)], [len(s_y)], pair_index=vp)
         assert result.search_penalties == (s_x[-1] ** 2, s_y[-1] ** 2)
 
 
@@ -243,9 +241,9 @@ class TestGuidedOnPar:
             data = synthetic.generate_caption_like(cfg, 4)
             tx, ty = data.paired_training_views()
             vi, vc, vp = data.split_views("val")
-            xc, _ = cca.center_columns(tx)
-            yc, _ = cca.center_columns(ty)
-            fx, fy = cca.thin_svd(xc), cca.thin_svd(yc)
+            xc, _ = center_columns(tx)
+            yc, _ = center_columns(ty)
+            fx, fy = thin_svd(xc), thin_svd(yc)
             guided = selection.guided_tikhonov(
                 cca.prepare(tx, ty), vi, vc,
                 selection.default_rank_grid(fx.rank, 6),
