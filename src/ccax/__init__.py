@@ -11,9 +11,6 @@ from .cca import (
     model_to_archive,
     prepare,
     solve,
-    spectral_filter_hard,
-    spectral_filter_soft,
-    verify_filter_forms,
 )
 from .hkse import (
     HkseMap,
@@ -38,7 +35,6 @@ from .io import (
     load_embedding_table,
     load_matrix,
     load_pairing,
-    load_split_file,
     save_archive,
     save_embedding_table,
     save_matrix,

@@ -21,9 +21,9 @@ import numpy as np
 from .io import (DataFormatError, FeatureMatrix, ModelArchive,
                  format_manifest_value)
 
-#: Relative singular-value cutoff: anything below rank_tol * s_max is
-#: treated as numerical noise and dropped.
 def default_rank_tol(n: int, m: int) -> float:
+    """Relative singular-value cutoff: anything below rank_tol * s_max is
+    treated as numerical noise and dropped."""
     return max(n, m) * 2.0 ** -52
 
 
@@ -94,21 +94,6 @@ class CcaModel:
     @property
     def m_y(self) -> int:
         return self.v.shape[0]
-
-
-def spectral_filter_soft(s, alpha: float):
-    """Tikhonov shrinkage factor s / sqrt(s^2 + alpha^2), in [0, 1)."""
-    if alpha <= 0:
-        raise ValueError("soft filter needs alpha > 0")
-    s = np.asarray(s, dtype=np.float64)
-    out = s / np.sqrt(s * s + alpha * alpha)
-    return out if out.ndim else float(out)
-
-def spectral_filter_hard(s, threshold: float):
-    """Hard threshold: 1 where s >= threshold, else 0."""
-    s = np.asarray(s, dtype=np.float64)
-    out = (s >= threshold).astype(np.float64)
-    return out if out.ndim else float(out)
 
 
 def _sign_fix(p_x: np.ndarray, p_y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -268,43 +253,6 @@ def cca_fit_tsvd(x: FeatureMatrix, y: FeatureMatrix,
     return solve(prepare(x, y, rank_tol), spec)
 
 
-def verify_filter_forms(x: FeatureMatrix, y: FeatureMatrix,
-                        spec: RegularizationSpec,
-                        rank_tol: float | None = None) -> float:
-    """Max |difference| between the two constructions of the operator.
-
-    Route one builds the regularized correlation operator from its closed
-    form (explicit diagonal matrix products for Tikhonov; the leading
-    submatrix of T for T-SVD).  Route two applies the equivalent
-    elementwise spectral filter to the singular values.  The two agree to
-    rounding error (and exactly, for T-SVD).
-    """
-    problem = prepare(x, y, rank_tol)
-    s_x, s_y, t = problem.s_x, problem.s_y, problem.t
-    if spec.kind == "tsvd":
-        k_x, k_y = spec.k_x, spec.k_y
-        if not (1 <= k_x <= problem.rank_x and 1 <= k_y <= problem.rank_y):
-            raise ValueError("tsvd ranks exceed numerical rank")
-        closed = t[:k_x, :k_y]
-        f_x = spectral_filter_hard(s_x, s_x[k_x - 1])
-        f_y = spectral_filter_hard(s_y, s_y[k_y - 1])
-        filtered = ((f_x[:, None] * t) * f_y[None, :])[:k_x, :k_y]
-    else:
-        gamma_x = spec.gamma_x if spec.kind == "tikhonov" else 0.0
-        gamma_y = spec.gamma_y if spec.kind == "tikhonov" else 0.0
-        left = np.diag(1.0 / np.sqrt(s_x**2 + gamma_x)) @ np.diag(s_x)
-        right = np.diag(s_y) @ np.diag(1.0 / np.sqrt(s_y**2 + gamma_y))
-        closed = left @ t @ right
-        # gamma = 0 keeps the exact ratio s/s rather than the soft filter,
-        # whose alpha must be positive
-        f_x = (spectral_filter_soft(s_x, np.sqrt(gamma_x))
-               if gamma_x > 0 else s_x / s_x)
-        f_y = (spectral_filter_soft(s_y, np.sqrt(gamma_y))
-               if gamma_y > 0 else s_y / s_y)
-        filtered = (f_x[:, None] * t) * f_y[None, :]
-    return float(np.max(np.abs(closed - filtered))) if closed.size else 0.0
-
-
 # ---------------------------------------------------------------------------
 # Archive round trip
 # ---------------------------------------------------------------------------
@@ -337,22 +285,24 @@ def model_from_archive(archive: ModelArchive) -> CcaModel:
             f"not a CCA model archive (kind {man.get('kind')!r})")
     archive.require(("gamma_x", "gamma_y", "k_x", "k_y", "n", "m_x", "m_y"),
                     ("U", "V", "SIGMA", "MEAN_X", "MEAN_Y"))
-    reg = RegularizationSpec(
-        man["kind"],
-        gamma_x=float(man["gamma_x"]),
-        gamma_y=float(man["gamma_y"]),
-        k_x=int(man["k_x"]),
-        k_y=int(man["k_y"]),
-    )
+    gamma_x = archive.number("gamma_x", float)
+    gamma_y = archive.number("gamma_y", float)
+    k_x, k_y = archive.number("k_x"), archive.number("k_y")
+    try:
+        reg = RegularizationSpec(man["kind"], gamma_x=gamma_x,
+                                 gamma_y=gamma_y, k_x=k_x, k_y=k_y)
+    except ValueError as exc:  # a penalty or rank out of range
+        raise DataFormatError(str(exc)) from None
     u = archive.blobs["U"].values
     v = archive.blobs["V"].values
     sigma = archive.vector("SIGMA")
     mean_x = archive.vector("MEAN_X")
     mean_y = archive.vector("MEAN_Y")
-    if u.shape[0] != int(man["m_x"]) or v.shape[0] != int(man["m_y"]):
+    if (u.shape[0] != archive.number("m_x")
+            or v.shape[0] != archive.number("m_y")):
         raise DataFormatError("manifest dimensions disagree with blob headers")
     if u.shape[1] != sigma.shape[0] or v.shape[1] != sigma.shape[0]:
         raise DataFormatError(
             "weight column counts disagree with SIGMA length")
     return CcaModel(u=u, v=v, sigma=sigma, mean_x=mean_x, mean_y=mean_y,
-                    reg=reg, n=int(man["n"]))
+                    reg=reg, n=archive.number("n"))

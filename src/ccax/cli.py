@@ -84,8 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_config(p)
     p.add_argument("--corpus", required=True)
     p.add_argument("--vectors", required=True, help="word-embedding text file")
-    p.add_argument("--pairing",
-                   help="caption->image row file, validated against the corpus")
     p.add_argument("--variant",
                    help="word,sentence layer kinds, e.g. rbf,rbf "
                         f"(default {_MAP_FLAGS['variant']})")
@@ -325,8 +323,7 @@ def _parse_variant(text: str) -> tuple[str, str]:
 
 def _cmd_embed(args) -> int:
     table = io.load_embedding_table(args.vectors)
-    corpus = io.load_corpus(args.corpus, table, oov_policy=args.oov,
-                            pairing_path=args.pairing)
+    corpus = io.load_corpus(args.corpus, table, oov_policy=args.oov)
     if args.map:
         maps = _read_archive(args.map, hkse.maps_from_archive)
     else:

@@ -385,7 +385,7 @@ def maps_from_archive(archive: ModelArchive) -> list[HkseMap]:
     if man.get("kind") != "hkse":
         raise DataFormatError(
             f"not an HKSE map archive (kind {man.get('kind')!r})")
-    n_maps = int(man.get("n_maps", "1"))
+    n_maps = archive.number("n_maps") if "n_maps" in man else 1
     if n_maps < 1:
         raise DataFormatError(f"archive holds {n_maps} maps")
     out = []
@@ -404,25 +404,25 @@ def maps_from_archive(archive: ModelArchive) -> list[HkseMap]:
             archive.require(blobs=(f"W_WORD{suffix}", f"B_WORD{suffix}"))
             w_word = archive.blobs[f"W_WORD{suffix}"].values
             b_word = archive.vector(f"B_WORD{suffix}")
-            if w_word.shape != (int(man[f"m{suffix}"]),
-                                int(man[f"d{suffix}"])):
+            if w_word.shape != (archive.number(f"m{suffix}"),
+                                archive.number(f"d{suffix}")):
                 raise DataFormatError(
                     "manifest dimensions disagree with W_WORD blob")
         if sent_variant == "rbf":
             archive.require(blobs=(f"W_SENT{suffix}", f"B_SENT{suffix}"))
             w_sent = archive.blobs[f"W_SENT{suffix}"].values
             b_sent = archive.vector(f"B_SENT{suffix}")
-            if w_sent.shape[0] != int(man[f"m_prime{suffix}"]):
+            if w_sent.shape[0] != archive.number(f"m_prime{suffix}"):
                 raise DataFormatError(
                     "manifest dimensions disagree with W_SENT blob")
         out.append(HkseMap(
             word_variant=word_variant,
             sent_variant=sent_variant,
-            gamma=float(man[f"gamma{suffix}"]),
-            eta=float(man[f"eta{suffix}"]),
-            input_dim=int(man[f"d{suffix}"]),
+            gamma=archive.number(f"gamma{suffix}", float),
+            eta=archive.number(f"eta{suffix}", float),
+            input_dim=archive.number(f"d{suffix}"),
             w_word=w_word, b_word=b_word, w_sent=w_sent, b_sent=b_sent,
-            seed=int(man[f"seed{suffix}"]),
-            stream=int(man[f"stream{suffix}"]),
+            seed=archive.number(f"seed{suffix}"),
+            stream=archive.number(f"stream{suffix}"),
         ))
     return out

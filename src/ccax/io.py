@@ -7,9 +7,9 @@ Formats handled here:
   binary64 values.  No padding, no trailing bytes.
 * Embedding tables -- UTF-8 text, header ``<count> <dim>``, one
   ``<token> <v1> ... <vdim>`` line per word.
-* Sentence corpora -- one sentence per line, plus an optional pairing file
-  (one image row index per sentence).
-* Split files -- ``<row-index>\\t<train|val|test>`` per line.
+* Sentence corpora -- one sentence per line.
+* Pairing files -- one image row index per caption line.
+* Split files -- ``<row-index>\\t<train|val|test>`` per line; written only.
 * Model archives -- magic ``CCAXARC1``, a key=value manifest, then named
   FMAT1 blobs.
 """
@@ -46,12 +46,10 @@ class FeatureMatrix:
 
     Rows are samples, columns are features.  Values are float64 and the
     array is frozen (non-writeable) after construction so instances can be
-    shared across threads.  ``ids``, when given, names each row uniquely;
-    otherwise the 0-based row index is the identifier.
+    shared across threads.
     """
 
     values: np.ndarray
-    ids: tuple[str, ...] | None = None
 
     def __post_init__(self):
         arr = _as_float64_matrix(self.values)
@@ -65,15 +63,6 @@ class FeatureMatrix:
             )
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
-        if self.ids is not None:
-            ids = tuple(self.ids)
-            if len(ids) != arr.shape[0]:
-                raise DataFormatError(
-                    f"{len(ids)} ids for {arr.shape[0]} rows"
-                )
-            if len(set(ids)) != len(ids):
-                raise DataFormatError("row ids must be unique")
-            object.__setattr__(self, "ids", ids)
 
     @property
     def rows(self) -> int:
@@ -90,7 +79,7 @@ class EmbeddingTable:
 
     tokens: tuple[str, ...]
     vectors: np.ndarray  # (vocab_size, dim)
-    index: dict[str, int] = field(repr=False, default=None)
+    index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         arr = _as_float64_matrix(self.vectors)
@@ -125,40 +114,21 @@ class EmbeddingTable:
 
 @dataclass(frozen=True)
 class SentenceCorpus:
-    """Tokenized sentences plus the image row each sentence is paired with."""
+    """Tokenized sentences, none of them empty."""
 
     sentences: tuple[tuple[str, ...], ...]
-    pair_index: np.ndarray  # (n_sentences,) int
 
     def __post_init__(self):
-        pairs = np.asarray(self.pair_index, dtype=np.int64)
-        if pairs.ndim != 1 or pairs.shape[0] != len(self.sentences):
-            raise DataFormatError(
-                f"pair_index length {pairs.shape} does not match "
-                f"{len(self.sentences)} sentences"
-            )
         if len(self.sentences) == 0:
             raise DataFormatError("corpus has no sentences")
         if any(len(s) == 0 for s in self.sentences):
             raise DataFormatError("corpus contains an empty sentence")
-        if pairs.size and pairs.min() < 0:
-            raise DataFormatError("negative pair index")
-        pairs.flags.writeable = False
-        object.__setattr__(self, "pair_index", pairs)
         object.__setattr__(
             self, "sentences", tuple(tuple(s) for s in self.sentences)
         )
 
     def __len__(self) -> int:
         return len(self.sentences)
-
-    def validate_against(self, n_items: int) -> None:
-        """Check every pair index addresses a row of an n_items-row matrix."""
-        if self.pair_index.max() >= n_items:
-            raise DataFormatError(
-                f"pair index {int(self.pair_index.max())} out of range "
-                f"for {n_items} items"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -201,43 +171,21 @@ def matrix_from_bytes(buf: bytes, offset: int = 0) -> tuple[FeatureMatrix, int]:
     return FeatureMatrix(values.reshape(rows, cols)), end
 
 
-def load_matrix(path, format: str = "fmat1") -> FeatureMatrix:
-    """Load a matrix from disk; ``format`` is ``fmat1`` or ``csv``."""
-    fmt = format.lower()
-    if fmt == "fmat1":
-        with open(path, "rb") as fh:
-            buf = fh.read()
-        if not buf:
-            raise DataFormatError(f"{path}: empty file")
-        try:
-            m, end = matrix_from_bytes(buf)
-        except DataFormatError as exc:
-            raise DataFormatError(f"{path}: {exc}") from None
-        if end != len(buf):
-            raise DataFormatError(
-                f"{path}: {len(buf) - end} trailing bytes after payload"
-            )
-        return m
-    if fmt == "csv":
-        rows: list[list[float]] = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rows.append([float(cell) for cell in line.split(",")])
-                except ValueError as exc:
-                    raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-                if len(rows[-1]) != len(rows[0]):
-                    raise DataFormatError(
-                        f"{path}:{lineno}: {len(rows[-1])} columns, "
-                        f"expected {len(rows[0])}"
-                    )
-        if not rows:
-            raise DataFormatError(f"{path}: empty file")
-        return FeatureMatrix(rows)
-    raise DataFormatError(f"unknown matrix format {format!r}")
+def load_matrix(path) -> FeatureMatrix:
+    """Load an FMAT1 matrix; any format error names the file."""
+    with open(path, "rb") as fh:
+        buf = fh.read()
+    if not buf:
+        raise DataFormatError(f"{path}: empty file")
+    try:
+        m, end = matrix_from_bytes(buf)
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+    if end != len(buf):
+        raise DataFormatError(
+            f"{path}: {len(buf) - end} trailing bytes after payload"
+        )
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -395,55 +343,37 @@ def tokenize(line: str) -> list[str]:
     return out
 
 
-def load_corpus(
-    path,
-    table: EmbeddingTable,
-    oov_policy: str = "skip",
-    pairing_path=None,
-    n_items: int | None = None,
-) -> SentenceCorpus:
-    """Load one-sentence-per-line text, keeping only in-table tokens.
+def load_corpus(path, table: EmbeddingTable,
+                oov_policy: str = "skip") -> SentenceCorpus:
+    """Load one-sentence-per-line UTF-8 text, keeping only in-table tokens.
 
     ``oov_policy='skip'`` silently drops unknown tokens (a sentence that
     loses every token is still an error); ``'error'`` aborts on the first
-    unknown token.  ``pairing_path`` names a file with one paired image row
-    index per sentence; without it sentence i pairs with row i.
+    unknown token.  Every error names the file, and the line where there
+    is one.
     """
     if oov_policy not in ("skip", "error"):
         raise DataFormatError(f"unknown oov policy {oov_policy!r}")
     sentences: list[tuple[str, ...]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            kept = []
-            for tok in tokenize(line):
-                if tok in table:
-                    kept.append(tok)
-                elif oov_policy == "error":
-                    raise DataFormatError(
-                        f"{path}:{lineno}: token {tok!r} not in table"
-                    )
-            if not kept:
+    for lineno, line in _text_lines(path):
+        if not line.strip():
+            continue
+        kept = []
+        for tok in tokenize(line):
+            if tok in table:
+                kept.append(tok)
+            elif oov_policy == "error":
                 raise DataFormatError(
-                    f"{path}:{lineno}: sentence empty after vocabulary filter"
+                    f"{path}:{lineno}: token {tok!r} not in table"
                 )
-            sentences.append(tuple(kept))
+        if not kept:
+            raise DataFormatError(
+                f"{path}:{lineno}: sentence empty after vocabulary filter"
+            )
+        sentences.append(tuple(kept))
     if not sentences:
         raise DataFormatError(f"{path}: no sentences")
-    if pairing_path is not None:
-        pair_index = load_pairing(pairing_path)
-        if len(pair_index) != len(sentences):
-            raise DataFormatError(
-                f"{pairing_path}: {len(pair_index)} pair entries for "
-                f"{len(sentences)} sentences"
-            )
-    else:
-        pair_index = np.arange(len(sentences), dtype=np.int64)
-    corpus = SentenceCorpus(tuple(sentences), pair_index)
-    if n_items is not None:
-        corpus.validate_against(n_items)
-    return corpus
+    return SentenceCorpus(tuple(sentences))
 
 
 def load_pairing(path) -> np.ndarray:
@@ -479,28 +409,6 @@ def save_pairing(pair_index, path) -> None:
 _SPLIT_NAMES = ("train", "val", "test")
 
 
-def load_split_file(path) -> dict[str, np.ndarray]:
-    """Read ``<row-index>\\t<train|val|test>`` lines into index arrays."""
-    buckets: dict[str, list[int]] = {name: [] for name in _SPLIT_NAMES}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or parts[1] not in _SPLIT_NAMES:
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected '<row>\\t<train|val|test>'"
-                )
-            try:
-                buckets[parts[1]].append(int(parts[0]))
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}:{lineno}: bad row index {parts[0]!r}"
-                ) from None
-    return {name: np.asarray(idx, dtype=np.int64) for name, idx in buckets.items()}
-
-
 def save_split_file(splits: dict[str, np.ndarray], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for name in _SPLIT_NAMES:
@@ -527,6 +435,21 @@ class ModelArchive:
         for name in blobs:
             if name not in self.blobs:
                 raise DataFormatError(f"archive lacks blob {name!r}")
+
+    def number(self, key: str, kind=int):
+        """Manifest value ``key``, which :meth:`require` has checked, parsed
+        by ``kind`` (``int`` or ``float``); text that does not parse, or a
+        non-finite float, is a DataFormatError naming the key."""
+        text = self.manifest[key]
+        try:
+            value = kind(text)
+        except ValueError:
+            raise DataFormatError(f"manifest key {key!r}: {text!r} is not "
+                                  f"a valid {kind.__name__}") from None
+        if kind is float and not math.isfinite(value):
+            raise DataFormatError(
+                f"manifest key {key!r}: {text!r} is not finite")
+        return value
 
     def vector(self, name: str) -> np.ndarray:
         """The one row of a single-row blob."""

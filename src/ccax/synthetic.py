@@ -69,13 +69,8 @@ def generate_latent_pairs(
     cfg: LatentModelConfig,
 ) -> tuple[FeatureMatrix, FeatureMatrix, dict[str, np.ndarray]]:
     """One row per sample in each view, paired 1:1, plus split indices."""
-    rng = np.random.default_rng(cfg.seed)
-    a = _loadings(rng, cfg.image_dim, cfg.latent_dim, cfg.loading_scale)
-    b = _loadings(rng, cfg.text_dim, cfg.latent_dim, cfg.loading_scale)
-    z = rng.standard_normal((cfg.n_total, cfg.latent_dim))
-    x = z @ a.T + cfg.noise_x * rng.standard_normal((cfg.n_total, cfg.image_dim))
-    y = z @ b.T + cfg.noise_y * rng.standard_normal((cfg.n_total, cfg.text_dim))
-    return FeatureMatrix(x), FeatureMatrix(y), _split_indices(cfg)
+    d = generate_caption_like(cfg, 1)
+    return d.images, d.captions, d.image_splits
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,11 @@ Centering and a full thin SVD of each view (``center_columns``,
 ``thin_svd``, ``prepare_svd``) is the route the chunked joint QR of
 ``cca.prepare`` replaced.  ``best_ranks`` runs the library's rank counting
 on list-of-lists ground truth, which no library route takes any more.
+The elementwise spectral filters and ``verify_filter_forms`` check the
+paper's identity that Tikhonov and T-SVD are diagonal filters on T, which
+``cca.solve`` applies directly.  ``generate_latent_pairs`` is the 1:1
+generator that ``synthetic.generate_latent_pairs`` replaced by the
+one-caption case of ``generate_caption_like``.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ def center_columns(m):
     from ccax.io import FeatureMatrix
 
     means = m.values.mean(axis=0)
-    return FeatureMatrix(m.values - means, ids=m.ids), means
+    return FeatureMatrix(m.values - means), means
 
 
 def thin_svd(m, rank_tol: float | None = None) -> SvdFactors:
@@ -70,6 +75,84 @@ def prepare_svd(x, y, rank_tol: float | None = None):
     fx = thin_svd(center_columns(x)[0], rank_tol)
     fy = thin_svd(center_columns(y)[0], rank_tol)
     return fx.s, fy.s, fx.u_left.T @ fy.u_left
+
+
+def spectral_filter_soft(s, alpha: float):
+    """Tikhonov shrinkage factor s / sqrt(s^2 + alpha^2), in [0, 1)."""
+    if alpha <= 0:
+        raise ValueError("soft filter needs alpha > 0")
+    s = np.asarray(s, dtype=np.float64)
+    out = s / np.sqrt(s * s + alpha * alpha)
+    return out if out.ndim else float(out)
+
+
+def spectral_filter_hard(s, threshold: float):
+    """Hard threshold: 1 where s >= threshold, else 0."""
+    s = np.asarray(s, dtype=np.float64)
+    out = (s >= threshold).astype(np.float64)
+    return out if out.ndim else float(out)
+
+
+def verify_filter_forms(x, y, spec, rank_tol: float | None = None) -> float:
+    """Max |difference| between the two constructions of the operator.
+
+    Route one builds the regularized correlation operator from its closed
+    form (explicit diagonal matrix products for Tikhonov; the leading
+    submatrix of T for T-SVD).  Route two applies the equivalent
+    elementwise spectral filter to the singular values.  The two agree to
+    rounding error (and exactly, for T-SVD).
+    """
+    from ccax.cca import prepare
+
+    problem = prepare(x, y, rank_tol)
+    s_x, s_y, t = problem.s_x, problem.s_y, problem.t
+    if spec.kind == "tsvd":
+        k_x, k_y = spec.k_x, spec.k_y
+        if not (1 <= k_x <= problem.rank_x and 1 <= k_y <= problem.rank_y):
+            raise ValueError("tsvd ranks exceed numerical rank")
+        closed = t[:k_x, :k_y]
+        f_x = spectral_filter_hard(s_x, s_x[k_x - 1])
+        f_y = spectral_filter_hard(s_y, s_y[k_y - 1])
+        filtered = ((f_x[:, None] * t) * f_y[None, :])[:k_x, :k_y]
+    else:
+        gamma_x = spec.gamma_x if spec.kind == "tikhonov" else 0.0
+        gamma_y = spec.gamma_y if spec.kind == "tikhonov" else 0.0
+        left = np.diag(1.0 / np.sqrt(s_x**2 + gamma_x)) @ np.diag(s_x)
+        right = np.diag(s_y) @ np.diag(1.0 / np.sqrt(s_y**2 + gamma_y))
+        closed = left @ t @ right
+        # gamma = 0 keeps the exact ratio s/s rather than the soft filter,
+        # whose alpha must be positive
+        f_x = (spectral_filter_soft(s_x, np.sqrt(gamma_x))
+               if gamma_x > 0 else s_x / s_x)
+        f_y = (spectral_filter_soft(s_y, np.sqrt(gamma_y))
+               if gamma_y > 0 else s_y / s_y)
+        filtered = (f_x[:, None] * t) * f_y[None, :]
+    return float(np.max(np.abs(closed - filtered))) if closed.size else 0.0
+
+
+def generate_latent_pairs(cfg):
+    """One row per sample in each view, paired 1:1, plus split indices.
+
+    Both views observe shared latent factors z through column-normalized
+    random loadings plus independent noise, drawn in this order from one
+    generator seeded by ``cfg.seed``.
+    """
+    from ccax.io import FeatureMatrix
+
+    def loadings(out_dim):
+        a = rng.standard_normal((out_dim, cfg.latent_dim))
+        return cfg.loading_scale * a / np.linalg.norm(a, axis=0)
+
+    rng = np.random.default_rng(cfg.seed)
+    a = loadings(cfg.image_dim)
+    b = loadings(cfg.text_dim)
+    z = rng.standard_normal((cfg.n_total, cfg.latent_dim))
+    x = z @ a.T + cfg.noise_x * rng.standard_normal((cfg.n_total, cfg.image_dim))
+    y = z @ b.T + cfg.noise_y * rng.standard_normal((cfg.n_total, cfg.text_dim))
+    edges = np.cumsum([0, cfg.n_train, cfg.n_val, cfg.n_test])
+    splits = {name: np.arange(edges[i], edges[i + 1], dtype=np.int64)
+              for i, name in enumerate(("train", "val", "test"))}
+    return FeatureMatrix(x), FeatureMatrix(y), splits
 
 
 def cca_correlations_eig(x: np.ndarray, y: np.ndarray,

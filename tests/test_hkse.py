@@ -308,9 +308,7 @@ class TestEmbedCorpus:
     @pytest.fixture
     def corpus(self):
         return io.SentenceCorpus(
-            (("red", "dog"), ("blue", "cat", "cat"), ("green",)),
-            np.array([0, 0, 1]),
-        )
+            (("red", "dog"), ("blue", "cat", "cat"), ("green",)))
 
     def test_lin_lin_rows_are_token_means(self, table, corpus):
         m = hkse.build_map("lin", "lin", 1.0, 1.0, 0, 0, 3, seed=0)
@@ -366,8 +364,7 @@ def embed_problems(draw):
         lengths[rng.integers(n_sentences)] = BLOCK + 1 + rng.integers(2 * BLOCK)
     corpus = io.SentenceCorpus(
         tuple(tuple(table.tokens[i] for i in rng.integers(vocab, size=n))
-              for n in lengths),
-        np.zeros(n_sentences, dtype=np.int64))
+              for n in lengths))
     hkse_map = hkse.build_map(word, sent, 0.7, 0.3, m, m_prime, d,
                               seed=seed % 1000)
     return hkse_map, corpus, table
@@ -432,7 +429,7 @@ class TestBlockedKernel:
 
     def test_oov_token_rejected(self):
         table = io.EmbeddingTable(("a",), np.ones((1, 2)))
-        corpus = io.SentenceCorpus((("a", "zebra"),), np.zeros(1))
+        corpus = io.SentenceCorpus((("a", "zebra"),))
         m = hkse.build_map("lin", "lin", 1.0, 1.0, 0, 0, 2, seed=0)
         with pytest.raises(io.DataFormatError, match="zebra"):
             hkse.embed_corpus(m, corpus, table)

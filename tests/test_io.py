@@ -8,13 +8,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccax import io
+from ccax import cca, cli, hkse, io
 from oracles import table_values_float
 
 
 def write(path, data: bytes):
     path.write_bytes(data)
     return path
+
+
+@st.composite
+def mutated(draw, data: bytes) -> bytes:
+    """``data`` truncated, or with one byte replaced, inserted or deleted."""
+    kind = draw(st.sampled_from(("truncate", "replace", "insert", "delete")))
+    pos = draw(st.integers(0, len(data)))
+    byte = bytes([draw(st.integers(0, 255))])
+    if kind == "truncate":
+        return data[:pos]
+    if kind == "replace":
+        return data[:pos] + byte + data[pos + 1:]
+    if kind == "insert":
+        return data[:pos] + byte + data[pos:]
+    return data[:pos] + data[pos + 1:]
 
 
 class TestFeatureMatrix:
@@ -29,13 +44,6 @@ class TestFeatureMatrix:
             io.FeatureMatrix([[1.0, np.nan]])
         with pytest.raises(io.DataFormatError, match="non-finite"):
             io.FeatureMatrix([[np.inf, 1.0]])
-
-    def test_ids_checked(self):
-        io.FeatureMatrix([[1.0], [2.0]], ids=("a", "b"))
-        with pytest.raises(io.DataFormatError):
-            io.FeatureMatrix([[1.0], [2.0]], ids=("a",))
-        with pytest.raises(io.DataFormatError, match="unique"):
-            io.FeatureMatrix([[1.0], [2.0]], ids=("a", "a"))
 
     def test_values_frozen(self):
         m = io.FeatureMatrix([[1.0, 2.0]])
@@ -104,26 +112,6 @@ class TestFmat1:
         np.testing.assert_array_equal(loaded.values, m.values)
         io.save_matrix(loaded, path)
         assert path.read_bytes() == first
-
-
-class TestCsv:
-    def test_parse(self, tmp_path):
-        path = tmp_path / "m.csv"
-        path.write_text("1,2\n3,4\n")
-        m = io.load_matrix(path, format="csv")
-        np.testing.assert_array_equal(m.values, [[1, 2], [3, 4]])
-
-    def test_ragged_rejected(self, tmp_path):
-        path = tmp_path / "m.csv"
-        path.write_text("1,2\n3\n")
-        with pytest.raises(io.DataFormatError, match="columns"):
-            io.load_matrix(path, format="csv")
-
-    def test_empty_rejected(self, tmp_path):
-        path = tmp_path / "m.csv"
-        path.write_text("")
-        with pytest.raises(io.DataFormatError, match="empty"):
-            io.load_matrix(path, format="csv")
 
 
 class TestEmbeddingTable:
@@ -258,19 +246,8 @@ class TestEmbeddingTable:
              b"blue 1.5e2 -0 0.0001\ndog 3 -4 .5\n")
 
     @settings(max_examples=300, deadline=None)
-    @given(kind=st.sampled_from(("truncate", "replace", "insert", "delete")),
-           pos=st.integers(0, len(VALID)), byte=st.integers(0, 255))
-    def test_mutation_loads_or_names_the_line(self, kind, pos, byte,
-                                              tmp_path_factory):
-        data = self.VALID
-        if kind == "truncate":
-            data = data[:pos]
-        elif kind == "replace":
-            data = data[:pos] + bytes([byte]) + data[pos + 1:]
-        elif kind == "insert":
-            data = data[:pos] + bytes([byte]) + data[pos:]
-        else:
-            data = data[:pos] + data[pos + 1:]
+    @given(data=mutated(VALID))
+    def test_mutation_loads_or_names_the_line(self, data, tmp_path_factory):
         path = write(tmp_path_factory.mktemp("table") / "w.txt", data)
         try:
             io.load_embedding_table(path)
@@ -288,7 +265,6 @@ class TestCorpus:
         path.write_text("a b\n")
         corpus = io.load_corpus(path, table)
         assert corpus.sentences == (("a", "b"),)
-        np.testing.assert_array_equal(corpus.pair_index, [0])
 
     def test_skip_drops_unknown(self, tmp_path, table):
         path = tmp_path / "c.txt"
@@ -314,22 +290,22 @@ class TestCorpus:
         corpus = io.load_corpus(path, table)
         assert corpus.sentences == (("a", "b", "a"),)
 
-    def test_pairing_file(self, tmp_path, table):
-        corpus_path = tmp_path / "c.txt"
-        corpus_path.write_text("a\nb\n")
-        pairing_path = tmp_path / "p.txt"
-        pairing_path.write_text("1\n0\n")
-        corpus = io.load_corpus(corpus_path, table, pairing_path=pairing_path)
-        np.testing.assert_array_equal(corpus.pair_index, [1, 0])
+    @pytest.mark.parametrize("content,message", [
+        (b"a\n\xffb\n", ":2: not UTF-8 (invalid start byte)"),
+        (b"a\r\nb \xc3\n", ":2: not UTF-8"),
+        (b"\n\n", ": no sentences"),
+    ])
+    def test_errors_name_the_file(self, tmp_path, table, content, message):
+        path = write(tmp_path / "c.txt", content)
+        with pytest.raises(io.DataFormatError, match=re.escape(
+                f"{path}{message}")):
+            io.load_corpus(path, table)
 
-    def test_pair_index_range_checked(self, tmp_path, table):
-        corpus_path = tmp_path / "c.txt"
-        corpus_path.write_text("a\n")
-        pairing_path = tmp_path / "p.txt"
-        pairing_path.write_text("5\n")
-        with pytest.raises(io.DataFormatError, match="out of range"):
-            io.load_corpus(corpus_path, table, pairing_path=pairing_path,
-                           n_items=3)
+    def test_utf8_tokens_and_line_endings(self, tmp_path):
+        table = io.EmbeddingTable(("café", "b"), np.eye(2))
+        path = write(tmp_path / "c.txt", "Café b\r\nb\rcafé!".encode())
+        assert io.load_corpus(path, table).sentences == (
+            ("café", "b"), ("b",), ("café",))
 
 
 class TestPairing:
@@ -362,15 +338,8 @@ class TestSplits:
         }
         path = tmp_path / "s.tsv"
         io.save_split_file(splits, path)
-        loaded = io.load_split_file(path)
-        for name in splits:
-            np.testing.assert_array_equal(loaded[name], splits[name])
-
-    def test_bad_label(self, tmp_path):
-        path = tmp_path / "s.tsv"
-        path.write_text("0\tbogus\n")
-        with pytest.raises(io.DataFormatError):
-            io.load_split_file(path)
+        assert path.read_bytes() == (b"0\ttrain\n1\ttrain\n2\ttrain\n"
+                                     b"3\tval\n4\ttest\n5\ttest\n")
 
 
 class TestModelArchive:
@@ -400,3 +369,61 @@ class TestModelArchive:
         path.write_bytes(b"NOT-ARCH" + b"\0" * 16)
         with pytest.raises(io.DataFormatError, match="archive"):
             io.load_archive(path)
+
+
+def _archive_bytes(archive, tmp_path_factory) -> bytes:
+    path = tmp_path_factory.mktemp("arc") / "a.arc"
+    io.save_archive(archive, path)
+    return path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """name -> (valid bytes, loader of a path), one per input file type."""
+    rng = np.random.default_rng(3)
+    x = io.FeatureMatrix(rng.standard_normal((12, 3)))
+    y = io.FeatureMatrix(rng.standard_normal((12, 2)))
+    problem = cca.prepare(x, y)
+    maps = [hkse.build_map("rbf", "rbf", 1.0, 0.5, 3, 2, 2, seed=0),
+            hkse.build_map("lin", "rbf", 1.0, 0.5, 0, 2, 2, seed=0, stream=1)]
+    table = io.EmbeddingTable(("red", "dog", "runs"), np.eye(3))
+    files = {
+        "fmat1": (io.matrix_to_bytes(x), io.load_matrix),
+        "map": (_archive_bytes(hkse.maps_to_archive(maps), tmp_path_factory),
+                lambda p: cli._read_archive(p, hkse.maps_from_archive)),
+        "corpus": (b"Red dog runs.\n\ndog RUNS\nred\n",
+                   lambda p: io.load_corpus(p, table)),
+        "pairing": (b"0\n1\n-2\n30\n", io.load_pairing),
+        "config": (b"similarity=l2\n# a comment\nblocks = 2\n",
+                   lambda p: cli._apply_config(["eval", "--config", str(p)])),
+    }
+    for spec in (cca.RegularizationSpec.tikhonov(0.5, 2.0),
+                 cca.RegularizationSpec.tsvd(2, 1)):
+        model = cca.solve(problem, spec)
+        files[f"model_{spec.kind}"] = (
+            _archive_bytes(cca.model_to_archive(model), tmp_path_factory),
+            lambda p: cli._read_archive(p, cca.model_from_archive))
+    return files
+
+
+@pytest.mark.parametrize("name", ["fmat1", "model_tikhonov", "model_tsvd",
+                                  "map", "corpus", "pairing", "config"])
+def test_mutation_loads_or_names_the_file(name, valid_files,
+                                          tmp_path_factory):
+    """Any one-byte damage to a valid input file either still loads or is a
+    DataFormatError whose message starts with the file's path."""
+    valid, load = valid_files[name]
+    path = tmp_path_factory.mktemp("mutated") / name
+    load(write(path, valid))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=mutated(valid))
+    def check(data):
+        write(path, data)
+        try:
+            load(path)
+        except io.DataFormatError as exc:
+            assert re.match(re.escape(str(path)) + r"(:\d+)?: ", str(exc)), \
+                exc
+
+    check()

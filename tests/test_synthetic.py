@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ccax import cca, synthetic
+from oracles import generate_latent_pairs
 
 
 def config(**overrides):
@@ -58,6 +59,21 @@ class TestGenerateLatentPairs:
         model = cca.cca_fit(FeatureMatrix(x.values[train]),
                             FeatureMatrix(y.values[train]))
         assert model.sigma[0] < 0.3
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("dims", [(12, 10, 5), (128, 64, 20), (7, 9, 3)])
+    def test_equals_reference_generator(self, seed, dims):
+        image_dim, text_dim, latent_dim = dims
+        cfg = config(n_train=37, n_val=6, n_test=4, image_dim=image_dim,
+                     text_dim=text_dim, latent_dim=latent_dim, seed=seed,
+                     noise_x=0.4, noise_y=0.7, loading_scale=1.5)
+        got = synthetic.generate_latent_pairs(cfg)
+        want = generate_latent_pairs(cfg)
+        assert got[0].values.tobytes() == want[0].values.tobytes()
+        assert got[1].values.tobytes() == want[1].values.tobytes()
+        for name in ("train", "val", "test"):
+            np.testing.assert_array_equal(got[2][name], want[2][name])
+        assert set(got[2]) == set(want[2])
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
