@@ -186,15 +186,15 @@ def prepare(x: FeatureMatrix, y: FeatureMatrix,
     return CcaProblem(*arrays, n=n)
 
 
-def solve(problem: CcaProblem, spec: RegularizationSpec) -> CcaModel:
-    """Filter the operator as ``spec`` says, take one SVD, build the weights.
+def _filtered_svd(problem: CcaProblem, spec: RegularizationSpec):
+    """Filter the operator as ``spec`` says and take its one SVD.
 
-    ``none`` is the full-rank case of ``tsvd``: the leading k_x x k_y block
-    of T with weights Vx Sx^-1 Px and Vy Sy^-1 Py, so that U'(Xc'Xc)U = I
-    and V'(Yc'Yc)V = I on the training data.  ``tikhonov`` takes the SVD of
-    the soft-filtered operator diag(1/sqrt(s_x^2+gamma_x)) (Sx T Sy)
-    diag(1/sqrt(s_y^2+gamma_y)), which solves max Tr(U' Xc'Yc V) under
-    U'(Xc'Xc + gamma_x I)U = I and the symmetric constraint on V.
+    Returns (scale_x, scale_y, p_x, sigma, p_y).  ``scale_x`` maps an array
+    whose columns follow Vx to the filtered columns the rotation p_x acts
+    on, so ``scale_x(problem.v_x) @ p_x`` are the canonical weights: it
+    keeps the leading k_x columns divided by s_x for ``tsvd`` and ``none``,
+    and multiplies every column by 1/sqrt(s_x^2+gamma_x) for ``tikhonov``.
+    p_x and p_y are sign-fixed; sigma is clamped to [0, 1].
     """
     s_x, s_y = problem.s_x, problem.s_y
     if spec.kind == "tikhonov":
@@ -202,7 +202,7 @@ def solve(problem: CcaProblem, spec: RegularizationSpec) -> CcaModel:
         dx = 1.0 / np.sqrt(s_x**2 + spec.gamma_x)
         dy = 1.0 / np.sqrt(s_y**2 + spec.gamma_y)
         op = (dx[:, None] * t0) * dy[None, :]
-        w_x, w_y = problem.v_x * dx, problem.v_y * dy
+        scale_x, scale_y = (lambda a: a * dx), (lambda a: a * dy)
     else:
         k_x, k_y = ((spec.k_x, spec.k_y) if spec.kind == "tsvd"
                     else (problem.rank_x, problem.rank_y))
@@ -213,13 +213,26 @@ def solve(problem: CcaProblem, spec: RegularizationSpec) -> CcaModel:
             raise ValueError(
                 f"k_y={k_y} outside [1, rank(Y)={problem.rank_y}]")
         op = problem.t[:k_x, :k_y]
-        w_x = problem.v_x[:, :k_x] / s_x[:k_x]
-        w_y = problem.v_y[:, :k_y] / s_y[:k_y]
+        scale_x, scale_y = ((lambda a: a[:, :k_x] / s_x[:k_x]),
+                            (lambda a: a[:, :k_y] / s_y[:k_y]))
     p_x, sigma, p_yt = np.linalg.svd(op, full_matrices=False)
     p_x, p_y = _sign_fix(p_x, p_yt.T)
-    u = w_x @ p_x
-    v = w_y @ p_y
-    sigma = np.clip(sigma, 0.0, 1.0)
+    return scale_x, scale_y, p_x, np.clip(sigma, 0.0, 1.0), p_y
+
+
+def solve(problem: CcaProblem, spec: RegularizationSpec) -> CcaModel:
+    """Filter the operator as ``spec`` says, take one SVD, build the weights.
+
+    ``none`` is the full-rank case of ``tsvd``: the leading k_x x k_y block
+    of T with weights Vx Sx^-1 Px and Vy Sy^-1 Py, so that U'(Xc'Xc)U = I
+    and V'(Yc'Yc)V = I on the training data.  ``tikhonov`` takes the SVD of
+    the soft-filtered operator diag(1/sqrt(s_x^2+gamma_x)) (Sx T Sy)
+    diag(1/sqrt(s_y^2+gamma_y)), which solves max Tr(U' Xc'Yc V) under
+    U'(Xc'Xc + gamma_x I)U = I and the symmetric constraint on V.
+    """
+    scale_x, scale_y, p_x, sigma, p_y = _filtered_svd(problem, spec)
+    u = scale_x(problem.v_x) @ p_x
+    v = scale_y(problem.v_y) @ p_y
     for arr in (u, v, sigma):
         arr.flags.writeable = False
     return CcaModel(u=u, v=v, sigma=sigma, mean_x=problem.mean_x,
@@ -295,14 +308,12 @@ def model_from_archive(archive: ModelArchive) -> CcaModel:
         raise DataFormatError(str(exc)) from None
     u = archive.blobs["U"].values
     v = archive.blobs["V"].values
-    sigma = archive.vector("SIGMA")
-    mean_x = archive.vector("MEAN_X")
-    mean_y = archive.vector("MEAN_Y")
     if (u.shape[0] != archive.number("m_x")
             or v.shape[0] != archive.number("m_y")):
         raise DataFormatError("manifest dimensions disagree with blob headers")
-    if u.shape[1] != sigma.shape[0] or v.shape[1] != sigma.shape[0]:
-        raise DataFormatError(
-            "weight column counts disagree with SIGMA length")
-    return CcaModel(u=u, v=v, sigma=sigma, mean_x=mean_x, mean_y=mean_y,
+    if u.shape[1] != v.shape[1]:
+        raise DataFormatError("U and V column counts disagree")
+    return CcaModel(u=u, v=v, sigma=archive.vector("SIGMA", u.shape[1]),
+                    mean_x=archive.vector("MEAN_X", u.shape[0]),
+                    mean_y=archive.vector("MEAN_Y", v.shape[0]),
                     reg=reg, n=archive.number("n"))

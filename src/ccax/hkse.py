@@ -403,19 +403,19 @@ def maps_from_archive(archive: ModelArchive) -> list[HkseMap]:
         if word_variant == "rbf":
             archive.require(blobs=(f"W_WORD{suffix}", f"B_WORD{suffix}"))
             w_word = archive.blobs[f"W_WORD{suffix}"].values
-            b_word = archive.vector(f"B_WORD{suffix}")
             if w_word.shape != (archive.number(f"m{suffix}"),
                                 archive.number(f"d{suffix}")):
                 raise DataFormatError(
                     "manifest dimensions disagree with W_WORD blob")
+            b_word = archive.vector(f"B_WORD{suffix}", w_word.shape[0])
         if sent_variant == "rbf":
             archive.require(blobs=(f"W_SENT{suffix}", f"B_SENT{suffix}"))
             w_sent = archive.blobs[f"W_SENT{suffix}"].values
-            b_sent = archive.vector(f"B_SENT{suffix}")
             if w_sent.shape[0] != archive.number(f"m_prime{suffix}"):
                 raise DataFormatError(
                     "manifest dimensions disagree with W_SENT blob")
-        out.append(HkseMap(
+            b_sent = archive.vector(f"B_SENT{suffix}", w_sent.shape[0])
+        hkse_map = HkseMap(
             word_variant=word_variant,
             sent_variant=sent_variant,
             gamma=archive.number(f"gamma{suffix}", float),
@@ -424,5 +424,10 @@ def maps_from_archive(archive: ModelArchive) -> list[HkseMap]:
             w_word=w_word, b_word=b_word, w_sent=w_sent, b_sent=b_sent,
             seed=archive.number(f"seed{suffix}"),
             stream=archive.number(f"stream{suffix}"),
-        ))
+        )
+        if w_sent is not None and w_sent.shape[1] != hkse_map.pooled_dim:
+            raise DataFormatError(
+                f"W_SENT{suffix} has {w_sent.shape[1]} columns, "
+                f"the pooled dimension is {hkse_map.pooled_dim}")
+        out.append(hkse_map)
     return out

@@ -451,12 +451,16 @@ class ModelArchive:
                 f"manifest key {key!r}: {text!r} is not finite")
         return value
 
-    def vector(self, name: str) -> np.ndarray:
-        """The one row of a single-row blob."""
+    def vector(self, name: str, length: int) -> np.ndarray:
+        """The one row of a single-row blob, which must hold ``length``
+        entries."""
         blob = self.blobs[name]
         if blob.rows != 1:
             raise DataFormatError(
                 f"archive blob {name!r} has {blob.rows} rows, expected 1")
+        if blob.cols != length:
+            raise DataFormatError(f"archive blob {name!r} has {blob.cols} "
+                                  f"entries, expected {length}")
         return blob.values[0]
 
 

@@ -113,23 +113,17 @@ def _row_blocks(n_rows: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [n_rows]))
 
 
-def _count_ranks(queries: np.ndarray, items: np.ndarray, gt_items: np.ndarray,
-                 starts: np.ndarray, similarity: str) -> np.ndarray:
-    """1-based rank of each query's best-placed ground-truth item.
+def _scorer(queries: np.ndarray, items: np.ndarray, similarity: str):
+    """``scores_of(lo, hi)``: query rows [lo, hi) scored against all items.
 
-    Cosine ranks items by descending inner product of normalized vectors,
-    ``l2`` by ascending distance; ties go to the smaller item index.  No
-    list is sorted: with s* the query's best ground-truth score and i* the
-    smallest ground-truth index reaching it, the rank is
-    1 + #(score better than s*) + #(score equal to s* at an index below i*).
-    Queries are float64 rows, scored BLOCK_ROWS rows at a time; query q
-    counts ``gt_items[starts[q]:starts[q + 1]]`` as correct.
+    Lower is better: cosine scores are negated inner products of
+    normalized vectors, ``l2`` scores squared distances.  A zero-norm
+    vector under cosine is an error.
     """
     if queries.shape[1] != items.shape[1]:
         raise ValueError(
             f"query dim {queries.shape[1]} != item dim {items.shape[1]}"
         )
-    n_queries, n_items = queries.shape[0], items.shape[0]
     if similarity == "cosine":
         qn = np.linalg.norm(queries, axis=1)
         sn = np.linalg.norm(items, axis=1)
@@ -139,10 +133,12 @@ def _count_ranks(queries: np.ndarray, items: np.ndarray, gt_items: np.ndarray,
                 raise ValueError(
                     f"zero-norm {name} vector at index {offender} under cosine"
                 )
-        unit_items_t = (items / sn[:, None]).T
+        # negated once here, not per block: a @ (-b) equals -(a @ b)
+        # exactly, as rounding is symmetric in sign
+        neg_unit_items_t = -(items / sn[:, None]).T
 
         def scores_of(lo, hi):
-            return -((queries[lo:hi] / qn[lo:hi, None]) @ unit_items_t)
+            return (queries[lo:hi] / qn[lo:hi, None]) @ neg_unit_items_t
     elif similarity == "l2":
         item_sq = np.sum(items * items, axis=1)[None, :]
 
@@ -153,7 +149,25 @@ def _count_ranks(queries: np.ndarray, items: np.ndarray, gt_items: np.ndarray,
                     + np.sum(block * block, axis=1)[:, None])
     else:
         raise ValueError(f"unknown similarity {similarity!r}")
+    return scores_of
 
+
+def _count_ranks(queries: np.ndarray, items: np.ndarray, gt_items: np.ndarray,
+                 starts: np.ndarray, similarity: str) -> np.ndarray:
+    """1-based rank of each query's best-placed ground-truth item.
+
+    Cosine ranks items by descending inner product of normalized vectors,
+    ``l2`` by ascending distance; ties go to the smaller item index, but
+    only between bitwise-equal scores: duplicated items can score
+    differently, as OpenBLAS rounds the edge tiles of the item axis
+    differently.  No list is sorted: with s* the query's best ground-truth
+    score and i* the smallest ground-truth index reaching it, the rank is
+    1 + #(score better than s*) + #(score equal to s* at an index below i*).
+    Queries are float64 rows, scored BLOCK_ROWS rows at a time; query q
+    counts ``gt_items[starts[q]:starts[q + 1]]`` as correct.
+    """
+    scores_of = _scorer(queries, items, similarity)
+    n_queries, n_items = queries.shape[0], items.shape[0]
     ranks = np.empty(n_queries, dtype=np.int64)
     index = np.arange(n_items)
     for lo, hi in _row_blocks(n_queries):
@@ -172,6 +186,28 @@ def _count_ranks(queries: np.ndarray, items: np.ndarray, gt_items: np.ndarray,
         ahead = (scores < s_star) | ((scores == s_star) & (index < i_star))
         ranks[lo:hi] = 1 + np.count_nonzero(ahead, axis=1)
     return ranks
+
+
+def _first_best(queries: np.ndarray, items: np.ndarray,
+                similarity: str) -> np.ndarray:
+    """Index of each query's best-scoring item, on the scores of
+    :func:`_count_ranks`, so an item is first-best exactly where its rank
+    there would be 1.
+
+    Ties go to the smaller index only between bitwise-equal scores (see
+    :func:`_count_ranks`).  A NaN at a query's chosen position is an error.
+    """
+    scores_of = _scorer(queries, items, similarity)
+    best = np.empty(queries.shape[0], dtype=np.int64)
+    for lo, hi in _row_blocks(queries.shape[0]):
+        scores = scores_of(lo, hi)
+        chosen = np.argmin(scores, axis=1)
+        nan = np.isnan(scores[np.arange(hi - lo), chosen])
+        if nan.any():
+            raise ValueError(
+                f"query {lo + int(np.flatnonzero(nan)[0])}: score is NaN")
+        best[lo:hi] = chosen
+    return best
 
 
 def _report(ranks: np.ndarray, ks, task: str, n_items: int) -> EvalReport:

@@ -3,13 +3,16 @@
 Both paths take a :class:`ccax.cca.CcaProblem`, which holds everything
 that does not depend on the grid point: the singular values and right
 singular vectors of each centered training view and the correlation
-operator T = Ux' Uy.  Each cell is one
-:func:`ccax.cca.solve`.  A T-SVD cell costs one SVD of the leading
-k_x x k_y block of T, while a Tikhonov cell needs a full-size SVD of the
-diagonally rescaled Sx T Sy -- the asymmetry the
-guided-Tikhonov shortcut exploits: run the cheap hard-threshold path, map
-its winning ranks (k*_x, k*_y) to penalties (s_x[k*_x]^2, s_y[k*_y]^2),
-and fit Tikhonov once per task.
+operator T = Ux' Uy.  A path rotates both validation views once, to
+Xr = (Xv - mean_x) Vx and Yr = (Yv - mean_y) Vy, and a cell builds no
+model: it takes the one SVD of its filtered operator, applies the
+filter's column scale to Xr and Yr and rotates them by P_x and P_y, which
+gives every validation row in the cell's canonical space, and scores both
+tasks at top 1.  A T-SVD cell's SVD is of the leading k_x x k_y block of
+T, while a Tikhonov cell needs a full-size SVD of the diagonally rescaled
+Sx T Sy -- the asymmetry the guided-Tikhonov shortcut exploits: run the
+cheap hard-threshold path, map its winning ranks (k*_x, k*_y) to
+penalties (s_x[k*_x]^2, s_y[k*_y]^2), and fit Tikhonov once per task.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cca import CcaModel, CcaProblem, RegularizationSpec, solve
+from .cca import CcaModel, CcaProblem, RegularizationSpec, _filtered_svd, solve
 from .io import FeatureMatrix
-from .retrieval import _check_pairing, evaluate_bidirectional
+from .retrieval import _check_pairing, _first_best
 
 METRICS = ("r1", "mean-r1")
 
@@ -126,17 +129,27 @@ def _run_grid(problem: CcaProblem, axis_x, axis_y, kind: str,
     cell_seconds = np.zeros((nx, ny))
     sigmas = [[None] * ny for _ in range(nx)]
     cells = [(i, j) for i in range(nx) for j in range(ny)]
+    # both validation views in the rotated space, shared by every cell
+    x_rot = (val_images.values - problem.mean_x) @ problem.v_x
+    y_rot = (val_captions.values - problem.mean_y) @ problem.v_y
+    x_rot.flags.writeable = y_rot.flags.writeable = False
+    n_images, n_captions = x_rot.shape[0], y_rot.shape[0]
 
     def run_cell(ij):
         i, j = ij
         start = time.perf_counter()
-        model = solve(problem, _SPECS[kind](axis_x[i], axis_y[j]))
-        search, annotation = evaluate_bidirectional(
-            model, val_images, val_captions, pair_index,
-            similarity=similarity, ks=(1,))
-        search_scores[i, j] = search.recalls[1]
-        annotation_scores[i, j] = annotation.recalls[1]
-        sigmas[i][j] = model.sigma
+        scale_x, scale_y, p_x, sigma, p_y = _filtered_svd(
+            problem, _SPECS[kind](axis_x[i], axis_y[j]))
+        images = scale_x(x_rot) @ p_x    # U'x of each validation image
+        captions = scale_y(y_rot) @ p_y  # V'y of each validation caption
+        # search: Sigma U'x items for V'y queries; annotation the reverse
+        hits = np.sum(_first_best(captions, images * sigma, similarity)
+                      == pair_index)
+        search_scores[i, j] = 100.0 * int(hits) / n_captions
+        best = _first_best(images, captions * sigma, similarity)
+        hits = np.sum(pair_index[best] == np.arange(n_images))
+        annotation_scores[i, j] = 100.0 * int(hits) / n_images
+        sigmas[i][j] = sigma
         cell_seconds[i, j] = time.perf_counter() - start
 
     t0 = time.perf_counter()
@@ -167,10 +180,11 @@ def tsvd_path(problem: CcaProblem,
               workers: int | None = 1) -> tuple[PathGrid, SelectionResult]:
     """Grid search over truncation ranks (k_x, k_y).
 
-    Every cell is ``solve(problem, tsvd(k_x, k_y))``: the same model a
-    standalone rank-(k_x, k_y) fit produces.
+    A cell scores the validation views in the rotated, filtered space of
+    ``solve(problem, tsvd(k_x, k_y))``, the model a standalone
+    rank-(k_x, k_y) fit produces, by each query's first-best item.
     """
-    # a bad pairing fails here, before any cell is solved
+    # a bad pairing fails here, before any cell is factored
     pair_index = _check_pairing(pair_index, val_images.rows, val_captions.rows)
     if grid_x is None:
         grid_x = default_rank_grid(problem.rank_x)
@@ -194,9 +208,11 @@ def tikhonov_path(problem: CcaProblem,
                   workers: int | None = 1) -> tuple[PathGrid, SelectionResult]:
     """Grid search over Tikhonov penalties (gamma_x, gamma_y).
 
-    Defaults to index-spaced squared singular values of each view.  Every
-    cell is ``solve(problem, tikhonov(gamma_x, gamma_y))``, a full-size SVD
-    of the rescaled Sx T Sy.
+    Defaults to index-spaced squared singular values of each view.  A cell
+    takes a full-size SVD of the rescaled Sx T Sy and scores the validation
+    views in the rotated, filtered space of
+    ``solve(problem, tikhonov(gamma_x, gamma_y))`` by each query's
+    first-best item.
     """
     pair_index = _check_pairing(pair_index, val_images.rows, val_captions.rows)
     if grid_x is None:

@@ -22,7 +22,10 @@ The elementwise spectral filters and ``verify_filter_forms`` check the
 paper's identity that Tikhonov and T-SVD are diagonal filters on T, which
 ``cca.solve`` applies directly.  ``generate_latent_pairs`` is the 1:1
 generator that ``synthetic.generate_latent_pairs`` replaced by the
-one-caption case of ``generate_caption_like``.
+one-caption case of ``generate_caption_like``.  ``path_cells`` scores
+each path cell by a full model (``cca.solve``) and ranks
+(``evaluate_bidirectional``), the route that the top-1 scoring of
+``selection._run_grid`` in the rotated validation space replaced.
 """
 
 from __future__ import annotations
@@ -474,3 +477,30 @@ def evaluate_blocks_loop(model, images, captions, pair_index, blocks: int,
             n_items=int(np.mean([r.n_items for r in reps])),
         ))
     return reports
+
+
+def path_cells(problem, axis_x, axis_y, kind: str, val_images, val_captions,
+               pair_index, similarity: str = "cosine"):
+    """(search r@1, annotation r@1, sigmas) of every cell of a path grid.
+
+    Each cell is ``solve(problem, spec)`` evaluated by
+    ``evaluate_bidirectional`` at k = 1; ``kind`` is ``tsvd`` or
+    ``tikhonov`` and a cell's spec is built from (axis_x[i], axis_y[j]).
+    """
+    from ccax.cca import RegularizationSpec, solve
+    from ccax.retrieval import evaluate_bidirectional
+
+    make = getattr(RegularizationSpec, kind)
+    search = np.zeros((len(axis_x), len(axis_y)))
+    annotation = np.zeros_like(search)
+    sigmas = [[None] * len(axis_y) for _ in axis_x]
+    for i, px in enumerate(axis_x):
+        for j, py in enumerate(axis_y):
+            model = solve(problem, make(px, py))
+            s, a = evaluate_bidirectional(model, val_images, val_captions,
+                                          pair_index, similarity=similarity,
+                                          ks=(1,))
+            search[i, j] = s.recalls[1]
+            annotation[i, j] = a.recalls[1]
+            sigmas[i][j] = model.sigma
+    return search, annotation, sigmas

@@ -805,6 +805,19 @@ class TestInputErrorsNameTheFile:
         "map_inf": ("map", {"eta": "inf"},
                     "manifest key 'eta': 'inf' is not finite"),
     }
+    BLOB_EDITS = {
+        # kind: (archive, blob that loses its last column, the message)
+        "model_mean_x": ("model", "MEAN_X",
+                         "archive blob 'MEAN_X' has 15 entries, expected 16"),
+        "model_mean_y": ("model", "MEAN_Y",
+                         "archive blob 'MEAN_Y' has 11 entries, expected 12"),
+        "map_b_word": ("map", "B_WORD",
+                       "archive blob 'B_WORD' has 7 entries, expected 8"),
+        "map_b_sent": ("map", "B_SENT",
+                       "archive blob 'B_SENT' has 5 entries, expected 6"),
+        "map_w_sent": ("map", "W_SENT",
+                       "W_SENT has 7 columns, the pooled dimension is 8"),
+    }
 
     @classmethod
     def _case(cls, kind, synth_dir, word_data, fitted_model, map_archive,
@@ -814,11 +827,16 @@ class TestInputErrorsNameTheFile:
         embed = ["embed", "--corpus", str(word_data / "caps.txt"),
                  "--vectors", str(word_data / "vectors.txt"),
                  "--out", str(tmp_path / "out.fmat")]
-        if kind in cls.MANIFEST_EDITS:
-            source, edits, message = cls.MANIFEST_EDITS[kind]
+        if kind in cls.MANIFEST_EDITS or kind in cls.BLOB_EDITS:
+            source, edit, message = {**cls.MANIFEST_EDITS,
+                                     **cls.BLOB_EDITS}[kind]
             archive = io.load_archive({"model": fitted_model,
                                        "map": map_archive}[source])
-            archive.manifest.update(edits)
+            if isinstance(edit, dict):
+                archive.manifest.update(edit)
+            else:
+                archive.blobs[edit] = io.FeatureMatrix(
+                    archive.blobs[edit].values[:, :-1])
             io.save_archive(archive, bad)
             if source == "map":
                 return embed + ["--map", str(bad)], bad, f": {message}"
@@ -864,7 +882,7 @@ class TestInputErrorsNameTheFile:
     @pytest.mark.parametrize("kind", [
         "truncated_images", "truncated_model", "manifest_byte",
         "pairing_byte", "pairing_huge", "config_byte", "corpus_byte",
-        *MANIFEST_EDITS])
+        *MANIFEST_EDITS, *BLOB_EDITS])
     def test_exit_one_naming_the_file(self, kind, synth_dir, word_data,
                                       fitted_model, map_archive, tmp_path,
                                       capsys):

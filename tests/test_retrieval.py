@@ -160,6 +160,13 @@ class TestRank:
                            match="query 1: ground-truth score is NaN"):
             oracles.best_ranks(queries, items, [[0], [1]], similarity)
 
+    @pytest.mark.parametrize("similarity", ["cosine", "l2"])
+    def test_nan_first_best_rejected(self, similarity):
+        queries = np.array([[1.0, 0.5], [np.nan, 1.0]])
+        items = np.array([[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="query 1: score is NaN"):
+            retrieval._first_best(queries, items, similarity)
+
     def test_zero_norm_reported_with_index(self):
         items = np.array([[1.0, 0.0], [0.0, 0.0]])
         queries = np.array([[1.0, 1.0]])
@@ -272,13 +279,15 @@ def exact_vectors(draw, n, dim):
     return np.array(rows, dtype=np.float64)
 
 
+BLOCK_EDGES = (1, 7, retrieval.BLOCK_ROWS - 1, retrieval.BLOCK_ROWS,
+               retrieval.BLOCK_ROWS + 1, 2 * retrieval.BLOCK_ROWS - 1,
+               2 * retrieval.BLOCK_ROWS, 3 * retrieval.BLOCK_ROWS + 5)
+
+
 @st.composite
-def tied_problems(draw):
+def tied_problems(draw, query_counts=BLOCK_EDGES):
     """Queries, items and multi-item ground truth with forced exact ties."""
-    block = retrieval.BLOCK_ROWS
-    n_queries = draw(st.sampled_from((1, 7, block - 1, block, block + 1,
-                                      2 * block - 1, 2 * block,
-                                      3 * block + 5)))
+    n_queries = draw(st.sampled_from(query_counts))
     n_distinct = draw(st.integers(1, 12))
     dim = draw(st.integers(4, 6))
     items = exact_vectors(draw, n_distinct, dim)
@@ -324,6 +333,19 @@ class TestCountingMatchesSorting:
         ks = (1, 2, 5, 10)
         want = oracles.evaluate(ranked, gt, ks, task="t")
         assert retrieval._report(got, ks, "t", len(items)) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=tied_problems((1, retrieval.BLOCK_ROWS - 1,
+                                  retrieval.BLOCK_ROWS,
+                                  retrieval.BLOCK_ROWS + 1,
+                                  2 * retrieval.BLOCK_ROWS + 3)),
+           similarity=st.sampled_from(("cosine", "l2")))
+    def test_first_best_is_rank_one(self, problem, similarity):
+        queries, items, gt = problem
+        best = retrieval._first_best(queries, items, similarity)
+        ranks = oracles.best_ranks(queries, items, gt, similarity)
+        np.testing.assert_array_equal(
+            [b in g for b, g in zip(best, gt)], ranks == 1)
 
     @pytest.mark.parametrize("similarity", ["cosine", "l2"])
     def test_random_floats_across_blocks(self, similarity):

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from ccax import cca, io, retrieval, selection, synthetic
 from oracles import center_columns, thin_svd
 
@@ -117,7 +120,7 @@ class TestTsvdPath:
 class TestPairingChecks:
     """A pairing that does not fit the validation captions fails up front.
 
-    The library paths raise before any cell is solved; the CLI checks the
+    The library paths raise before any cell is factored; the CLI checks the
     pairing before it prepares the problem (``tests/test_cli.py``).
     """
 
@@ -130,10 +133,11 @@ class TestPairingChecks:
         pairs = (vp[:change] if change < 0
                  else np.concatenate([vp, vp[:change]]))
 
-        def no_solve(*args, **kwargs):
-            raise AssertionError("a cell was solved before the pairing check")
+        def no_svd(*args, **kwargs):
+            raise AssertionError("a cell was factored before the pairing "
+                                 "check")
 
-        monkeypatch.setattr(selection, "solve", no_solve)
+        monkeypatch.setattr(selection, "_filtered_svd", no_svd)
         with pytest.raises(ValueError,
                            match="pair_index length must match caption count"):
             path(cca.prepare(train_x, train_y), vi, vc, [2], [2],
@@ -144,10 +148,11 @@ class TestPairingChecks:
         train_x, train_y, vi, vc, vp = dataset
         pairs = np.where(vp == 19, 18, vp)
 
-        def no_solve(*args, **kwargs):
-            raise AssertionError("a cell was solved before the pairing check")
+        def no_svd(*args, **kwargs):
+            raise AssertionError("a cell was factored before the pairing "
+                                 "check")
 
-        monkeypatch.setattr(selection, "solve", no_solve)
+        monkeypatch.setattr(selection, "_filtered_svd", no_svd)
         with pytest.raises(ValueError, match="image 19 has no paired captions"):
             selection.tsvd_path(cca.prepare(train_x, train_y), vi, vc,
                                 [2], [2], pair_index=pairs)
@@ -314,3 +319,51 @@ class TestGridTsv:
         assert len(lines) == 3
         first = lines[1].split("\t")
         assert first[0] == "2" and first[1] == "3"
+
+
+@st.composite
+def path_problems(draw):
+    """A random training pair, a shuffled validation pairing and a grid."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    image_dim, text_dim = draw(st.integers(3, 16)), draw(st.integers(3, 12))
+    cfg = synthetic.LatentModelConfig(
+        n_train=draw(st.integers(20, 120)), n_val=draw(st.integers(1, 40)),
+        n_test=1, latent_dim=draw(st.integers(1, min(image_dim, text_dim))),
+        image_dim=image_dim, text_dim=text_dim,
+        noise_x=draw(st.floats(0.1, 2.0)), noise_y=draw(st.floats(0.1, 2.0)),
+        seed=int(rng.integers(2**32)))
+    data = synthetic.generate_caption_like(cfg, draw(st.integers(1, 4)))
+    vi, vc, vp = data.split_views("val")
+    order = rng.permutation(vc.rows)
+    problem = cca.prepare(*data.paired_training_views())
+    kind = draw(st.sampled_from(("tsvd", "tikhonov")))
+    if kind == "tsvd":
+        axes = [rng.choice(np.arange(1, rank + 1),
+                           size=min(rank, draw(st.integers(1, 3))),
+                           replace=False)
+                for rank in (problem.rank_x, problem.rank_y)]
+    else:
+        axes = [rng.choice(np.append(s ** 2, 0.0),
+                           size=draw(st.integers(1, 3)))
+                for s in (problem.s_x, problem.s_y)]
+    return (problem, *axes, kind, vi, io.FeatureMatrix(vc.values[order]),
+            vp[order])
+
+
+class TestRotatedCells:
+    """Top-1 cells in the rotated space against full models and ranks."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=path_problems(), similarity=st.sampled_from(("cosine", "l2")),
+           workers=st.sampled_from((1, 3)))
+    def test_equals_solve_and_ranks(self, case, similarity, workers):
+        problem, axis_x, axis_y, kind, vi, vc, vp = case
+        grid = selection._run_grid(problem, axis_x, axis_y, kind, vi, vc, vp,
+                                   similarity, workers)
+        search, annotation, sigmas = oracles.path_cells(
+            problem, axis_x, axis_y, kind, vi, vc, vp, similarity)
+        np.testing.assert_array_equal(grid.search_scores, search)
+        np.testing.assert_array_equal(grid.annotation_scores, annotation)
+        for got, want in zip(grid.sigmas, sigmas):
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
