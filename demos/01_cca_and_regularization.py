@@ -1,46 +1,46 @@
-"""Fit CCA three ways on correlated synthetic views and compare spectra.
+"""Fit CCA seven ways on correlated synthetic views and compare spectra.
 
-Walks through the core solver: centering, the SVD-based fit, and the two
+Walks through the core solver: one prepared problem (centering, the joint
+QR and the correlation operator T), then the plain fit and the two
 spectral-filter regularizers (soft Tikhonov shrinkage, hard T-SVD
-truncation).
+truncation) solved from it, each a diagonal filter on the same T.
 """
 
 import numpy as np
 
 from ccax import (
     LatentModelConfig,
-    cca_fit,
-    cca_fit_tikhonov,
-    cca_fit_tsvd,
-    generate_latent_pairs,
+    RegularizationSpec,
+    generate_caption_like,
+    prepare,
+    solve,
 )
-from ccax.io import FeatureMatrix
 
 # two views observing 8 shared latent factors through noise
 cfg = LatentModelConfig(n_train=1500, n_val=1, n_test=1, latent_dim=8,
                         image_dim=40, text_dim=25, noise_x=0.6, noise_y=0.6,
                         seed=42)
-x, y, splits = generate_latent_pairs(cfg)
-train = splits["train"]
-x_train = FeatureMatrix(x.values[train])
-y_train = FeatureMatrix(y.values[train])
+data = generate_caption_like(cfg, 1)
+
+# the filter-independent work, done once for all seven fits below
+problem = prepare(*data.paired_training_views())
 
 print("=== plain CCA (no regularization) ===")
-model = cca_fit(x_train, y_train)
+model = solve(problem, RegularizationSpec.none())
 print(f"k = {model.k} canonical correlations")
 print("top 10 :", np.round(model.sigma[:10], 3))
 print("the 8 shared factors stand out; the rest is noise-on-noise\n")
 
 print("=== Tikhonov: soft shrinkage of every direction ===")
 for gamma in (0.0, 50.0, 500.0):
-    tikh = cca_fit_tikhonov(x_train, y_train, gamma, gamma)
+    tikh = solve(problem, RegularizationSpec.tikhonov(gamma, gamma))
     print(f"gamma={gamma:>6}: top={tikh.sigma[0]:.4f} "
           f"median={np.median(tikh.sigma):.4f}")
 print("growing penalties shrink correlations monotonically\n")
 
 print("=== T-SVD: hard truncation of each view ===")
 for k in (8, 12, 20):
-    tsvd = cca_fit_tsvd(x_train, y_train, k, k)
+    tsvd = solve(problem, RegularizationSpec.tsvd(k, k))
     print(f"k_x=k_y={k:>2}: {tsvd.k} correlations, "
           f"top={tsvd.sigma[0]:.4f}")
 print()

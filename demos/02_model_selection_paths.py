@@ -57,12 +57,12 @@ print(f"total {tikh_grid.total_seconds:.2f}s\n")
 print("=== guided Tikhonov: T-SVD path + one fit per task ===")
 guided = guided_tikhonov(problem, val_images, val_captions,
                          rank_x, rank_y, pair_index=val_pairs)
-gx, gy = guided.search_penalties
-print(f"search winner (k_x={guided.tsvd_selection.best_search.k_x}, "
-      f"k_y={guided.tsvd_selection.best_search.k_y}) maps to "
-      f"gamma = ({gx:.1f}, {gy:.1f})")
-print(f"(these are exactly sigma_k^2: {s_x[guided.tsvd_selection.best_search.k_x-1]**2:.1f}, "
-      f"{s_y[guided.tsvd_selection.best_search.k_y-1]**2:.1f})\n")
+winner = guided.tsvd_selection.best_search
+reg = guided.search_model.reg  # the penalties the search model was fit at
+print(f"search winner (k_x={winner.k_x}, k_y={winner.k_y}) maps to "
+      f"gamma = ({reg.gamma_x:.1f}, {reg.gamma_y:.1f})")
+print(f"(these are exactly sigma_k^2: {s_x[winner.k_x - 1] ** 2:.1f}, "
+      f"{s_y[winner.k_y - 1] ** 2:.1f})\n")
 
 print("=== timing: T-SVD path vs Tikhonov path, matched grids ===")
 timing = measure_path_timing(problem, val_images, val_captions,

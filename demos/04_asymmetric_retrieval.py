@@ -10,17 +10,20 @@ import numpy as np
 
 from ccax import (
     LatentModelConfig,
+    RegularizationSpec,
     alpha_sweep,
-    cca_fit,
     evaluate_bidirectional,
     generate_caption_like,
+    prepare,
+    solve,
 )
 
 cfg = LatentModelConfig(n_train=2000, n_val=500, n_test=500, latent_dim=20,
                         image_dim=128, text_dim=64, noise_x=0.5, noise_y=0.5,
                         seed=3)
 data = generate_caption_like(cfg, captions_per_item=5)
-model = cca_fit(*data.paired_training_views())
+model = solve(prepare(*data.paired_training_views()),
+              RegularizationSpec.none())
 images, captions, pairs = data.split_views("test")
 
 print("=== weighting schemes, r@1 on the test split ===")

@@ -4,9 +4,6 @@ from .cca import (
     CcaModel,
     CcaProblem,
     RegularizationSpec,
-    cca_fit,
-    cca_fit_tikhonov,
-    cca_fit_tsvd,
     model_from_archive,
     model_to_archive,
     prepare,
@@ -59,6 +56,7 @@ from .selection import (
     default_rank_grid,
     guided_tikhonov,
     measure_path_timing,
+    path_axes,
     tikhonov_path,
     tsvd_path,
 )
@@ -66,7 +64,6 @@ from .synthetic import (
     CaptionedData,
     LatentModelConfig,
     generate_caption_like,
-    generate_latent_pairs,
 )
 
 __version__ = "0.1.0"

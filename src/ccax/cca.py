@@ -22,8 +22,8 @@ from .io import (DataFormatError, FeatureMatrix, ModelArchive,
                  format_manifest_value)
 
 def default_rank_tol(n: int, m: int) -> float:
-    """Relative singular-value cutoff: anything below rank_tol * s_max is
-    treated as numerical noise and dropped."""
+    """Relative singular-value cutoff: a singular value below this times
+    s_max is treated as numerical noise and dropped."""
     return max(n, m) * 2.0 ** -52
 
 
@@ -48,8 +48,11 @@ class RegularizationSpec:
     def __post_init__(self):
         if self.kind not in REG_KINDS:
             raise ValueError(f"unknown regularization kind {self.kind!r}")
-        if self.kind == "tikhonov" and (self.gamma_x < 0 or self.gamma_y < 0):
-            raise ValueError("tikhonov penalties must be >= 0")
+        for name, gamma in (("gamma_x", self.gamma_x),
+                            ("gamma_y", self.gamma_y)):
+            if not 0 <= gamma < np.inf:  # also refuses NaN
+                raise ValueError(
+                    f"{name} must be a finite penalty >= 0, got {gamma}")
         if self.kind == "tsvd" and (self.k_x < 1 or self.k_y < 1):
             raise ValueError("tsvd ranks must be >= 1")
 
@@ -148,8 +151,7 @@ class CcaProblem:
 _CHUNK_ROWS = 2048
 
 
-def prepare(x: FeatureMatrix, y: FeatureMatrix,
-            rank_tol: float | None = None) -> CcaProblem:
+def prepare(x: FeatureMatrix, y: FeatureMatrix) -> CcaProblem:
     """Center both views and form T = Ux' Uy by one joint QR (Bjorck-Golub).
 
     [Xc | Yc] = Q R is accumulated c = max(_CHUNK_ROWS, p) rows at a time,
@@ -173,8 +175,7 @@ def prepare(x: FeatureMatrix, y: FeatureMatrix,
     factors = []
     for block in (buf[:k, :m_x], buf[:k, m_x:]):
         w, s, vt = np.linalg.svd(block, full_matrices=False)
-        tol = (default_rank_tol(n, block.shape[1]) if rank_tol is None
-               else rank_tol)
+        tol = default_rank_tol(n, block.shape[1])
         rank = int(np.count_nonzero((s > 0) & (s >= tol * s[0])))
         if rank == 0:
             raise ValueError("zero numerical rank after centering")
@@ -237,33 +238,6 @@ def solve(problem: CcaProblem, spec: RegularizationSpec) -> CcaModel:
         arr.flags.writeable = False
     return CcaModel(u=u, v=v, sigma=sigma, mean_x=problem.mean_x,
                     mean_y=problem.mean_y, reg=spec, n=problem.n)
-
-
-def cca_fit(x: FeatureMatrix, y: FeatureMatrix,
-            rank_tol: float | None = None) -> CcaModel:
-    """Unregularized CCA: SVD both views, SVD of T = Ux' Uy."""
-    return solve(prepare(x, y, rank_tol), RegularizationSpec.none())
-
-
-def cca_fit_tikhonov(x: FeatureMatrix, y: FeatureMatrix,
-                     gamma_x: float, gamma_y: float,
-                     rank_tol: float | None = None) -> CcaModel:
-    """Tikhonov-regularized CCA with penalties gamma_x, gamma_y >= 0."""
-    spec = RegularizationSpec.tikhonov(gamma_x, gamma_y)  # checks, pre-SVD
-    return solve(prepare(x, y, rank_tol), spec)
-
-
-def cca_fit_tsvd(x: FeatureMatrix, y: FeatureMatrix,
-                 k_x: int, k_y: int,
-                 rank_tol: float | None = None) -> CcaModel:
-    """Truncated-SVD-regularized CCA.
-
-    Each view's covariance metric is replaced by that of its best rank-k
-    approximation; the regularized operator is just the leading k_x x k_y
-    block of T.
-    """
-    spec = RegularizationSpec.tsvd(k_x, k_y)  # checks, pre-SVD
-    return solve(prepare(x, y, rank_tol), spec)
 
 
 # ---------------------------------------------------------------------------

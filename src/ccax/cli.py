@@ -25,7 +25,48 @@ _MAP_FLAGS = {"variant": "lin,lin", "concat": None, "m": 2000,
 
 
 #: integer flags and their smallest value; a smaller one is a usage error
-_INT_FLOORS = {"threads": 0, "repeats": 1, "k": 1}
+_INT_FLOORS = {"threads": 0, "repeats": 1, "k": 1, "blocks": 1}
+
+
+def _finite_nonneg(text: str) -> float:
+    """argparse type of a penalty, bandwidth or noise scale: finite, >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:  # NaN fails too
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
+def _bandwidth(text: str) -> str | float:
+    """argparse type of --gamma: median, or a finite number >= 0."""
+    return text if text == "median" else _finite_nonneg(text)
+
+
+def _number_list(text: str) -> list[float]:
+    """argparse type of a non-empty comma-separated list of finite numbers."""
+    try:
+        values = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        values = []
+    if not values or not all(math.isfinite(v) for v in values):
+        raise argparse.ArgumentTypeError(
+            f"must be a comma-separated list of finite numbers, got {text!r}")
+    return values
+
+
+def _grid_size(text: str) -> tuple[int, int]:
+    """argparse type of --grid: cell counts like 20x20, each >= 1."""
+    try:
+        counts = tuple(int(v) for v in text.lower().split("x"))
+    except ValueError:
+        counts = ()
+    if len(counts) != 2 or min(counts) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must look like 20x20 with counts >= 1, got {text!r}")
+    return counts
 
 
 def _weighting(text: str) -> tuple[str, float | None]:
@@ -34,9 +75,9 @@ def _weighting(text: str) -> tuple[str, float | None]:
     if text == "asymmetric":
         return kind, None
     try:
-        if kind == "symmetric" and 0 <= float(value) < math.inf:
-            return kind, float(value)
-    except ValueError:
+        if kind == "symmetric":
+            return kind, _finite_nonneg(value)
+    except argparse.ArgumentTypeError:
         pass
     raise argparse.ArgumentTypeError(
         f"must be asymmetric or symmetric:<alpha> with a finite alpha >= 0, "
@@ -65,6 +106,28 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_config(p):
         p.add_argument("--config", help="key=value file of flag defaults")
 
+    def add_path_inputs(p, val_required=True):
+        """The training pair, validation set and axes a path runs on."""
+        p.add_argument("--x", required=True, help="training view X (FMAT1)")
+        p.add_argument("--y", required=True, help="training view Y (FMAT1)")
+        p.add_argument("--val-x", required=val_required,
+                       help="validation images (FMAT1)")
+        p.add_argument("--val-y", required=val_required,
+                       help="validation captions (FMAT1)")
+        p.add_argument("--val-pairing", help="validation caption->image rows")
+        p.add_argument("--grid", type=_grid_size, default="20x20",
+                       help="cells of the default axes (default 20x20)")
+
+    def add_axes_and_cells(p):
+        p.add_argument("--grid-x", type=_number_list,
+                       help="comma-separated axis of view X")
+        p.add_argument("--grid-y", type=_number_list,
+                       help="comma-separated axis of view Y")
+        p.add_argument("--metric", choices=selection.METRICS, default="r1")
+        p.add_argument("--threads", type=int, default=1,
+                       help="path cells scored at once (default 1); "
+                            "0 = min(32, cores + 4)")
+
     p = sub.add_parser("synth", help="generate seeded latent-factor data")
     add_config(p)
     p.add_argument("--out-dir", required=True)
@@ -74,8 +137,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--latent", type=int, default=20)
     p.add_argument("--mx", type=int, default=128)
     p.add_argument("--my", type=int, default=64)
-    p.add_argument("--noise-x", type=float, default=0.25)
-    p.add_argument("--noise-y", type=float, default=0.25)
+    p.add_argument("--noise-x", type=_finite_nonneg, default=0.25)
+    p.add_argument("--noise-y", type=_finite_nonneg, default=0.25)
     p.add_argument("--captions", type=int, default=1,
                    help="captions per image (default 1)")
     p.add_argument("--seed", type=int, default=0)
@@ -93,10 +156,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mprime", type=int,
                    help="sentence-layer feature count "
                         f"(default {_MAP_FLAGS['mprime']})")
-    p.add_argument("--gamma",
+    p.add_argument("--gamma", type=_bandwidth,
                    help="word bandwidth, a float or 'median' "
                         f"(default {_MAP_FLAGS['gamma']})")
-    p.add_argument("--eta", type=float, help="sentence bandwidth "
+    p.add_argument("--eta", type=_finite_nonneg, help="sentence bandwidth "
                                              f"(default {_MAP_FLAGS['eta']})")
     p.add_argument("--gamma-sample", type=int,
                    help="words sampled by the median heuristic "
@@ -111,53 +174,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit a CCA model")
     add_config(p)
-    p.add_argument("--x", required=True, help="training view X (FMAT1)")
-    p.add_argument("--y", required=True, help="training view Y (FMAT1)")
+    add_path_inputs(p, val_required=False)  # read by guided-tsvd only
+    add_axes_and_cells(p)
     p.add_argument("--reg", action=_OnceAction, choices=_REG_KINDS,
                    default="none")
-    p.add_argument("--gamma-x", type=float, default=0.0)
-    p.add_argument("--gamma-y", type=float, default=0.0)
+    p.add_argument("--gamma-x", type=_finite_nonneg, default=0.0)
+    p.add_argument("--gamma-y", type=_finite_nonneg, default=0.0)
     p.add_argument("--kx", type=int)
     p.add_argument("--ky", type=int)
-    p.add_argument("--grid", help="grid size for guided-tsvd, e.g. 20x20")
-    p.add_argument("--grid-x", help="comma-separated k_x grid")
-    p.add_argument("--grid-y", help="comma-separated k_y grid")
-    p.add_argument("--val-x", help="validation images (FMAT1)")
-    p.add_argument("--val-y", help="validation captions (FMAT1)")
-    p.add_argument("--val-pairing", help="validation caption->image rows")
-    p.add_argument("--metric", choices=selection.METRICS, default="r1")
-    p.add_argument("--threads", type=int, default=1,
-                   help="path cells scored at once (default 1); "
-                        "0 = min(32, cores + 4)")
     p.add_argument("--path-out", help="write the T-SVD path TSV here")
     p.add_argument("--out", required=True, help="model archive path")
 
     p = sub.add_parser("path", help="regularization-path grid search")
     add_config(p)
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.add_argument("--val-x", required=True)
-    p.add_argument("--val-y", required=True)
-    p.add_argument("--val-pairing")
+    add_path_inputs(p)
+    add_axes_and_cells(p)
     p.add_argument("--reg", action=_OnceAction,
                    choices=("tikhonov", "tsvd"), default="tsvd")
-    p.add_argument("--grid", default="20x20")
-    p.add_argument("--grid-x")
-    p.add_argument("--grid-y")
-    p.add_argument("--metric", choices=selection.METRICS, default="r1")
-    p.add_argument("--threads", type=int, default=1,
-                   help="path cells scored at once (default 1); "
-                        "0 = min(32, cores + 4)")
     p.add_argument("--out", required=True, help="path TSV")
 
     p = sub.add_parser("timing", help="time the T-SVD vs Tikhonov paths")
     add_config(p)
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.add_argument("--val-x", required=True)
-    p.add_argument("--val-y", required=True)
-    p.add_argument("--val-pairing")
-    p.add_argument("--grid", default="20x20")
+    add_path_inputs(p)
+    p.set_defaults(grid_x=None, grid_y=None)  # always the default axes
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--out", required=True, help="timing TSV")
 
@@ -180,7 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--images", required=True)
     p.add_argument("--captions", required=True)
     p.add_argument("--pairing")
-    p.add_argument("--alphas",
+    p.add_argument("--alphas", type=_number_list,
                    default="0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1",
                    help="comma-separated grid on [0, 1]")
     p.add_argument("--k", type=int, default=10, help="recall cutoff")
@@ -231,36 +270,6 @@ def _apply_config(argv: list[str]) -> list[str]:
     return argv[:1] + injected + argv[1:]
 
 
-def _grids(args, problem: cca.CcaProblem, kind: str):
-    """Path axes: a --grid-x/--grid-y list, else a default grid per axis.
-
-    The defaults have the --grid size (20x20 when absent) and come from the
-    prepared problem: ranks for ``tsvd``, squared singular values for
-    ``tikhonov``.
-    """
-    counts = (20, 20)
-    if getattr(args, "grid", None):
-        parts = args.grid.lower().split("x")
-        if len(parts) != 2:
-            raise ValueError(f"--grid must look like 20x20, got {args.grid!r}")
-        counts = (int(parts[0]), int(parts[1]))
-        if min(counts) < 1:
-            raise ValueError(f"--grid counts must be >= 1, got {args.grid!r}")
-    parse = int if kind == "tsvd" else float
-    axes = []
-    for text, count, s in ((getattr(args, "grid_x", None), counts[0],
-                            problem.s_x),
-                           (getattr(args, "grid_y", None), counts[1],
-                            problem.s_y)):
-        if text:
-            axes.append([parse(v) for v in text.split(",") if v.strip()])
-        elif kind == "tsvd":
-            axes.append(selection.default_rank_grid(s.shape[0], count))
-        else:
-            axes.append(selection.default_penalty_grid(s, count))
-    return axes
-
-
 def _workers(args) -> int | None:
     return None if args.threads == 0 else args.threads
 
@@ -275,9 +284,22 @@ def _load_views(images_path, captions_path, pairing_path, flag: str):
         pair_index, images.rows, captions.rows, flag)
 
 
-def _load_val(args):
-    return _load_views(args.val_x, args.val_y, args.val_pairing,
-                       "--val-pairing")
+def _load_path(args, kind: str) -> dict:
+    """The arguments of a ``kind`` path over the command's files.
+
+    Reads the training pair, then reads and checks the validation views
+    and their pairing, so that a bad pairing fails before the pair is
+    prepared; the axes are the --grid-x/--grid-y lists, or the default
+    axes of the --grid size.
+    """
+    x, y = io.load_matrix(args.x), io.load_matrix(args.y)
+    images, captions, pair_index = _load_views(
+        args.val_x, args.val_y, args.val_pairing, "--val-pairing")
+    problem = cca.prepare(x, y)
+    grid_x, grid_y = selection.path_axes(problem, kind, args.grid_x,
+                                         args.grid_y, args.grid)
+    return dict(problem=problem, val_images=images, val_captions=captions,
+                grid_x=grid_x, grid_y=grid_y, pair_index=pair_index)
 
 
 def _read_archive(path, convert):
@@ -290,14 +312,15 @@ def _read_archive(path, convert):
 
 
 def _cmd_synth(args) -> int:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    # a refused configuration leaves no output directory behind
     cfg = synthetic.LatentModelConfig(
         n_train=args.n_train, n_val=args.n_val, n_test=args.n_test,
         latent_dim=args.latent, image_dim=args.mx, text_dim=args.my,
         noise_x=args.noise_x, noise_y=args.noise_y, seed=args.seed,
     )
     data = synthetic.generate_caption_like(cfg, args.captions)
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     io.save_matrix(data.images, out / "images.fmat")
     io.save_matrix(data.captions, out / "captions.fmat")
     io.save_pairing(data.pair_index, out / "pairing.txt")
@@ -331,7 +354,7 @@ def _cmd_embed(args) -> int:
             gamma = hkse.bandwidth_heuristic(table, args.gamma_sample,
                                              seed=args.seed)
         else:
-            gamma = float(args.gamma)
+            gamma = args.gamma
         variants = [_parse_variant(args.variant)]
         if args.concat:
             variants.append(_parse_variant(args.concat))
@@ -381,32 +404,28 @@ def _save_guided(result, args) -> None:
 
 
 def _cmd_fit(args) -> int:
-    x = io.load_matrix(args.x)
-    y = io.load_matrix(args.y)
-    if args.reg == "none":
-        model = cca.cca_fit(x, y)
-    elif args.reg == "tikhonov":
-        model = cca.cca_fit_tikhonov(x, y, args.gamma_x, args.gamma_y)
-    elif args.reg == "tsvd":
-        if args.kx is None or args.ky is None:
-            raise ValueError("--reg tsvd needs --kx and --ky")
-        model = cca.cca_fit_tsvd(x, y, args.kx, args.ky)
-    else:  # guided-tsvd
+    if args.reg == "guided-tsvd":
         if not (args.val_x and args.val_y):
             raise ValueError("--reg guided-tsvd needs --val-x and --val-y")
-        val_images, val_captions, pair_index = _load_val(args)
-        problem = cca.prepare(x, y)
-        grid_x, grid_y = _grids(args, problem, "tsvd")
         result = selection.guided_tikhonov(
-            problem, val_images, val_captions, grid_x, grid_y,
-            metric=args.metric, pair_index=pair_index,
-            workers=_workers(args),
-        )
+            **_load_path(args, "tsvd"), metric=args.metric,
+            workers=_workers(args))
         if args.path_out:
             with open(args.path_out, "w", encoding="utf-8") as fh:
                 fh.write(selection.grid_to_tsv(result.tsvd_grid))
         _save_guided(result, args)
         return 0
+    # the spec checks its penalties or ranks before any file is read
+    if args.reg == "none":
+        spec = cca.RegularizationSpec.none()
+    elif args.reg == "tikhonov":
+        spec = cca.RegularizationSpec.tikhonov(args.gamma_x, args.gamma_y)
+    elif args.kx is None or args.ky is None:
+        raise ValueError("--reg tsvd needs --kx and --ky")
+    else:
+        spec = cca.RegularizationSpec.tsvd(args.kx, args.ky)
+    model = cca.solve(cca.prepare(io.load_matrix(args.x),
+                                  io.load_matrix(args.y)), spec)
     io.save_archive(cca.model_to_archive(model), args.out)
     print(f"fit {model.reg.kind} model: k={model.k}, "
           f"top correlation {model.sigma[0]:.4f} -> {args.out}")
@@ -414,15 +433,9 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_path(args) -> int:
-    x = io.load_matrix(args.x)
-    y = io.load_matrix(args.y)
-    val_images, val_captions, pair_index = _load_val(args)
-    problem = cca.prepare(x, y)
-    grid_x, grid_y = _grids(args, problem, args.reg)
     runner = (selection.tsvd_path if args.reg == "tsvd"
               else selection.tikhonov_path)
-    grid, sel = runner(problem, val_images, val_captions, grid_x, grid_y,
-                       metric=args.metric, pair_index=pair_index,
+    grid, sel = runner(**_load_path(args, args.reg), metric=args.metric,
                        workers=_workers(args))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(selection.grid_to_tsv(grid))
@@ -440,15 +453,8 @@ def _cmd_path(args) -> int:
 
 
 def _cmd_timing(args) -> int:
-    x = io.load_matrix(args.x)
-    y = io.load_matrix(args.y)
-    val_images, val_captions, pair_index = _load_val(args)
-    problem = cca.prepare(x, y)
-    grid_x, grid_y = _grids(args, problem, "tsvd")
-    report = selection.measure_path_timing(
-        problem, val_images, val_captions, grid_x, grid_y,
-        pair_index=pair_index, repeats=args.repeats,
-    )
+    report = selection.measure_path_timing(**_load_path(args, "tsvd"),
+                                           repeats=args.repeats)
     lines = [
         "quantity\tvalue",
         f"tsvd_median_seconds\t{report.tsvd_seconds:.6g}",
@@ -483,8 +489,7 @@ def _cmd_sweep(args) -> int:
     model = _read_archive(args.model, cca.model_from_archive)
     images, captions, pair_index = _load_views(args.images, args.captions,
                                                args.pairing, "--pairing")
-    alphas = [float(v) for v in args.alphas.split(",") if v.strip()]
-    curve = retrieval.alpha_sweep(model, images, captions, alphas,
+    curve = retrieval.alpha_sweep(model, images, captions, args.alphas,
                                   pair_index=pair_index, k=args.k)
     text = retrieval.sweep_to_tsv(curve)
     with open(args.out, "w", encoding="utf-8") as fh:

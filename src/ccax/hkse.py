@@ -93,8 +93,9 @@ def build_map(word_variant: str, sent_variant: str, gamma: float, eta: float,
         raise ValueError("input_dim must be >= 1")
     w_word = b_word = w_sent = b_sent = None
     if word_variant == "rbf":
-        if gamma <= 0:
-            raise ValueError("rbf word layer needs gamma > 0")
+        if not 0 < gamma < math.inf:  # refuses NaN too
+            raise ValueError(f"rbf word layer needs a finite gamma > 0, "
+                             f"got {gamma}")
         if n_word_features < 1:
             raise ValueError("rbf word layer needs n_word_features >= 1")
         rng = np.random.default_rng([seed, stream, _WORD_STREAM])
@@ -104,8 +105,9 @@ def build_map(word_variant: str, sent_variant: str, gamma: float, eta: float,
         w_word.flags.writeable = False
         b_word.flags.writeable = False
     if sent_variant == "rbf":
-        if eta <= 0:
-            raise ValueError("rbf sentence layer needs eta > 0")
+        if not 0 < eta < math.inf:
+            raise ValueError(f"rbf sentence layer needs a finite eta > 0, "
+                             f"got {eta}")
         if n_sent_features < 1:
             raise ValueError("rbf sentence layer needs n_sent_features >= 1")
         pooled = n_word_features if word_variant == "rbf" else input_dim

@@ -210,6 +210,26 @@ def _first_best(queries: np.ndarray, items: np.ndarray,
     return best
 
 
+def _top1_recalls(images: np.ndarray, captions: np.ndarray,
+                  sigma: np.ndarray, pair_index: np.ndarray,
+                  similarity: str) -> tuple[float, float]:
+    """(search, annotation) r@1 percentages of canonical-space views.
+
+    ``images`` holds U'x rows and ``captions`` V'y rows.  As in the
+    asymmetric :func:`make_task_embedding`, Sigma goes on the search side:
+    captions query Sigma U'x in search, images query Sigma V'y in
+    annotation.  As in :func:`evaluate_bidirectional`, a caption hits at its
+    own image, and an image at one of its own captions.
+    """
+    found = _first_best(captions, images * sigma, similarity)
+    search = int(np.count_nonzero(found == pair_index))
+    found = _first_best(images, captions * sigma, similarity)
+    annotation = int(np.count_nonzero(pair_index[found]
+                                      == np.arange(images.shape[0])))
+    return (100.0 * search / captions.shape[0],
+            100.0 * annotation / images.shape[0])
+
+
 def _report(ranks: np.ndarray, ks, task: str, n_items: int) -> EvalReport:
     """Recall@k percentages and median of best ranks (1-indexed)."""
     n_queries = ranks.shape[0]

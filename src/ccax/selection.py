@@ -25,7 +25,7 @@ import numpy as np
 
 from .cca import CcaModel, CcaProblem, RegularizationSpec, _filtered_svd, solve
 from .io import FeatureMatrix
-from .retrieval import _check_pairing, _first_best
+from .retrieval import _check_pairing, _top1_recalls
 
 METRICS = ("r1", "mean-r1")
 
@@ -67,49 +67,78 @@ def default_rank_grid(rank: int, count: int = 20) -> np.ndarray:
     return np.unique(ks)
 
 
-def default_penalty_grid(singular_values: np.ndarray, count: int = 20) -> np.ndarray:
-    """Squared singular values at index-spaced positions, deduplicated.
+def _rank_penalties(s: np.ndarray, ks):
+    """The Tikhonov penalty s[k-1]^2 of each rank k in ``ks``.
 
-    This is the natural Tikhonov grid: each penalty gamma = s_k^2 is the
-    soft counterpart of truncating at rank k.
+    gamma = s_k^2 is the soft counterpart of truncating at rank k.  The
+    square is s * s, correctly rounded for a scalar k and an array alike
+    (numpy's scalar ``** 2`` goes through pow, which can be an ulp off).
     """
+    s_k = s[np.asarray(ks) - 1]
+    return s_k * s_k
+
+
+def default_penalty_grid(singular_values: np.ndarray, count: int = 20) -> np.ndarray:
+    """The penalties of :func:`default_rank_grid`'s ranks, deduplicated and
+    descending: the natural Tikhonov grid."""
     s = np.asarray(singular_values, dtype=np.float64)
     ks = default_rank_grid(s.shape[0], count)
-    return np.unique(s[ks - 1] ** 2)[::-1].copy()
+    return np.unique(_rank_penalties(s, ks))[::-1].copy()
+
+
+def path_axes(problem: CcaProblem, kind: str, grid_x=None, grid_y=None,
+              counts=(20, 20)) -> tuple[np.ndarray, np.ndarray]:
+    """The checked (axis_x, axis_y) of a ``tsvd`` or ``tikhonov`` path.
+
+    An axis left as None is its view's default of ``counts`` cells:
+    :func:`default_rank_grid` ranks for ``tsvd``, and
+    :func:`default_penalty_grid` penalties for ``tikhonov``.  A ``tsvd``
+    axis holds whole ranks in [1, rank], a ``tikhonov`` axis finite
+    penalties >= 0.
+    """
+    axes = []
+    for view, values, count, s in (("x", grid_x, counts[0], problem.s_x),
+                                   ("y", grid_y, counts[1], problem.s_y)):
+        if values is None:
+            values = (default_rank_grid(len(s), count) if kind == "tsvd"
+                      else default_penalty_grid(s, count))
+        name = f"k_{view}" if kind == "tsvd" else f"gamma_{view}"
+        axis = np.asarray(values, dtype=np.float64)
+        if axis.size == 0:
+            raise ValueError(f"{name} grid is empty")
+        # each test is written so that NaN fails it
+        if kind == "tsvd":
+            if not np.all((axis >= 1) & (axis <= len(s)) & (axis % 1 == 0)):
+                raise ValueError(f"{name} grid outside the whole ranks "
+                                 f"[1, {len(s)}]")
+            axis = axis.astype(np.int64)
+        elif not np.all((axis >= 0) & (axis < np.inf)):
+            raise ValueError(f"{name} grid must hold finite penalties >= 0")
+        axes.append(axis)
+    return axes[0], axes[1]
 
 
 def _argmax_with_value_tiebreak(scores: np.ndarray, axis_x, axis_y):
     """Cell of the max score; ties go to the smallest (param_x, param_y)."""
-    best = scores.max()
-    ties = np.argwhere(scores == best)
-    key = min(
-        (axis_x[i], axis_y[j], i, j) for i, j in ties
-    )
-    return key[2], key[3]
+    ties = np.argwhere(scores == scores.max())
+    _, _, i, j = min((axis_x[i], axis_y[j], i, j) for i, j in ties)
+    return i, j
 
 
 def _select(grid: PathGrid, metric: str) -> SelectionResult:
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}")
+    """Each task's winning cell; ``mean-r1`` ranks both tasks on the mean
+    of the two grids, so they share one winner.  A winner's score is its
+    own task's r@1."""
+    search, annotation = grid.search_scores, grid.annotation_scores
+    if metric == "mean-r1":
+        search = annotation = 0.5 * (search + annotation)
+    i_s, j_s = _argmax_with_value_tiebreak(search, grid.axis_x, grid.axis_y)
+    i_a, j_a = _argmax_with_value_tiebreak(annotation, grid.axis_x,
+                                           grid.axis_y)
 
     def spec_at(i: int, j: int) -> RegularizationSpec:
         return _SPECS[grid.kind](grid.axis_x[i], grid.axis_y[j])
 
-    if metric == "mean-r1":
-        combined = 0.5 * (grid.search_scores + grid.annotation_scores)
-        i, j = _argmax_with_value_tiebreak(combined, grid.axis_x, grid.axis_y)
-        spec = spec_at(i, j)
-        return SelectionResult(
-            best_search=spec,
-            best_search_score=float(grid.search_scores[i, j]),
-            best_annotation=spec,
-            best_annotation_score=float(grid.annotation_scores[i, j]),
-            metric=metric,
-        )
-    i_s, j_s = _argmax_with_value_tiebreak(grid.search_scores,
-                                           grid.axis_x, grid.axis_y)
-    i_a, j_a = _argmax_with_value_tiebreak(grid.annotation_scores,
-                                           grid.axis_x, grid.axis_y)
     return SelectionResult(
         best_search=spec_at(i_s, j_s),
         best_search_score=float(grid.search_scores[i_s, j_s]),
@@ -133,22 +162,15 @@ def _run_grid(problem: CcaProblem, axis_x, axis_y, kind: str,
     x_rot = (val_images.values - problem.mean_x) @ problem.v_x
     y_rot = (val_captions.values - problem.mean_y) @ problem.v_y
     x_rot.flags.writeable = y_rot.flags.writeable = False
-    n_images, n_captions = x_rot.shape[0], y_rot.shape[0]
 
     def run_cell(ij):
         i, j = ij
         start = time.perf_counter()
         scale_x, scale_y, p_x, sigma, p_y = _filtered_svd(
             problem, _SPECS[kind](axis_x[i], axis_y[j]))
-        images = scale_x(x_rot) @ p_x    # U'x of each validation image
-        captions = scale_y(y_rot) @ p_y  # V'y of each validation caption
-        # search: Sigma U'x items for V'y queries; annotation the reverse
-        hits = np.sum(_first_best(captions, images * sigma, similarity)
-                      == pair_index)
-        search_scores[i, j] = 100.0 * int(hits) / n_captions
-        best = _first_best(images, captions * sigma, similarity)
-        hits = np.sum(pair_index[best] == np.arange(n_images))
-        annotation_scores[i, j] = 100.0 * int(hits) / n_images
+        search_scores[i, j], annotation_scores[i, j] = _top1_recalls(
+            scale_x(x_rot) @ p_x, scale_y(y_rot) @ p_y, sigma, pair_index,
+            similarity)
         sigmas[i][j] = sigma
         cell_seconds[i, j] = time.perf_counter() - start
 
@@ -166,11 +188,18 @@ def _run_grid(problem: CcaProblem, axis_x, axis_y, kind: str,
                     total, kind, sigmas)
 
 
-def _axis(values, dtype, name: str) -> np.ndarray:
-    axis = np.asarray(values, dtype=dtype)
-    if axis.size == 0:
-        raise ValueError(f"{name} grid is empty")
-    return axis
+def _path(kind: str, problem: CcaProblem, val_images: FeatureMatrix,
+          val_captions: FeatureMatrix, grid_x, grid_y, metric: str,
+          pair_index, similarity: str,
+          workers: int | None) -> tuple[PathGrid, SelectionResult]:
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}")
+    # a bad pairing or axis fails here, before any cell is factored
+    pair_index = _check_pairing(pair_index, val_images.rows, val_captions.rows)
+    axis_x, axis_y = path_axes(problem, kind, grid_x, grid_y)
+    grid = _run_grid(problem, axis_x, axis_y, kind, val_images, val_captions,
+                     pair_index, similarity, workers)
+    return grid, _select(grid, metric)
 
 
 def tsvd_path(problem: CcaProblem,
@@ -178,27 +207,15 @@ def tsvd_path(problem: CcaProblem,
               grid_x=None, grid_y=None, metric: str = "r1",
               pair_index=None, similarity: str = "cosine",
               workers: int | None = 1) -> tuple[PathGrid, SelectionResult]:
-    """Grid search over truncation ranks (k_x, k_y).
+    """Grid search over truncation ranks (k_x, k_y); axes as
+    :func:`path_axes` makes them.
 
     A cell scores the validation views in the rotated, filtered space of
     ``solve(problem, tsvd(k_x, k_y))``, the model a standalone
     rank-(k_x, k_y) fit produces, by each query's first-best item.
     """
-    # a bad pairing fails here, before any cell is factored
-    pair_index = _check_pairing(pair_index, val_images.rows, val_captions.rows)
-    if grid_x is None:
-        grid_x = default_rank_grid(problem.rank_x)
-    if grid_y is None:
-        grid_y = default_rank_grid(problem.rank_y)
-    grid_x = _axis(grid_x, np.int64, "k_x")
-    grid_y = _axis(grid_y, np.int64, "k_y")
-    if grid_x.min() < 1 or grid_x.max() > problem.rank_x:
-        raise ValueError(f"k_x grid outside [1, {problem.rank_x}]")
-    if grid_y.min() < 1 or grid_y.max() > problem.rank_y:
-        raise ValueError(f"k_y grid outside [1, {problem.rank_y}]")
-    grid = _run_grid(problem, grid_x, grid_y, "tsvd", val_images,
-                     val_captions, pair_index, similarity, workers)
-    return grid, _select(grid, metric)
+    return _path("tsvd", problem, val_images, val_captions, grid_x, grid_y,
+                 metric, pair_index, similarity, workers)
 
 
 def tikhonov_path(problem: CcaProblem,
@@ -206,26 +223,16 @@ def tikhonov_path(problem: CcaProblem,
                   grid_x=None, grid_y=None, metric: str = "r1",
                   pair_index=None, similarity: str = "cosine",
                   workers: int | None = 1) -> tuple[PathGrid, SelectionResult]:
-    """Grid search over Tikhonov penalties (gamma_x, gamma_y).
+    """Grid search over Tikhonov penalties (gamma_x, gamma_y); axes as
+    :func:`path_axes` makes them.
 
-    Defaults to index-spaced squared singular values of each view.  A cell
-    takes a full-size SVD of the rescaled Sx T Sy and scores the validation
-    views in the rotated, filtered space of
+    A cell takes a full-size SVD of the rescaled Sx T Sy and scores the
+    validation views in the rotated, filtered space of
     ``solve(problem, tikhonov(gamma_x, gamma_y))`` by each query's
     first-best item.
     """
-    pair_index = _check_pairing(pair_index, val_images.rows, val_captions.rows)
-    if grid_x is None:
-        grid_x = default_penalty_grid(problem.s_x)
-    if grid_y is None:
-        grid_y = default_penalty_grid(problem.s_y)
-    grid_x = _axis(grid_x, np.float64, "gamma_x")
-    grid_y = _axis(grid_y, np.float64, "gamma_y")
-    if grid_x.min() < 0 or grid_y.min() < 0:
-        raise ValueError("penalties must be >= 0")
-    grid = _run_grid(problem, grid_x, grid_y, "tikhonov", val_images,
-                     val_captions, pair_index, similarity, workers)
-    return grid, _select(grid, metric)
+    return _path("tikhonov", problem, val_images, val_captions, grid_x,
+                 grid_y, metric, pair_index, similarity, workers)
 
 
 @dataclass(frozen=True)
@@ -236,8 +243,6 @@ class GuidedTikhonovResult:
     annotation_model: CcaModel
     tsvd_selection: SelectionResult
     tsvd_grid: PathGrid
-    search_penalties: tuple[float, float]
-    annotation_penalties: tuple[float, float]
 
 
 def guided_tikhonov(problem: CcaProblem,
@@ -248,34 +253,22 @@ def guided_tikhonov(problem: CcaProblem,
     """T-SVD path first, then one Tikhonov fit per task at mapped penalties.
 
     The winning ranks (k*_x, k*_y) become (gamma_x, gamma_y) =
-    (s_x[k*_x]^2, s_y[k*_y]^2); the returned models are exactly what
-    :func:`ccax.cca.cca_fit_tikhonov` produces at those penalties.
+    (s_x[k*_x - 1]^2, s_y[k*_y - 1]^2); each returned model is exactly
+    ``solve(prepare(x, y), tikhonov(gamma_x, gamma_y))`` and carries its
+    penalties in ``model.reg``.
     """
-    grid, selection = tsvd_path(
-        problem, val_images, val_captions, grid_x, grid_y,
-        metric, pair_index, similarity, workers,
-    )
-
-    def mapped(spec: RegularizationSpec) -> tuple[float, float]:
-        return (float(problem.s_x[spec.k_x - 1] ** 2),
-                float(problem.s_y[spec.k_y - 1] ** 2))
-
-    pen_search = mapped(selection.best_search)
-    pen_annotation = mapped(selection.best_annotation)
-    search_model = solve(problem, RegularizationSpec.tikhonov(*pen_search))
-    if pen_annotation == pen_search:
-        annotation_model = search_model
-    else:
-        annotation_model = solve(problem,
-                                 RegularizationSpec.tikhonov(*pen_annotation))
-    return GuidedTikhonovResult(
-        search_model=search_model,
-        annotation_model=annotation_model,
-        tsvd_selection=selection,
-        tsvd_grid=grid,
-        search_penalties=pen_search,
-        annotation_penalties=pen_annotation,
-    )
+    grid, selection = tsvd_path(problem, val_images, val_captions, grid_x,
+                                grid_y, metric, pair_index, similarity,
+                                workers)
+    search_spec, annotation_spec = (
+        RegularizationSpec.tikhonov(_rank_penalties(problem.s_x, best.k_x),
+                                    _rank_penalties(problem.s_y, best.k_y))
+        for best in (selection.best_search, selection.best_annotation))
+    search_model = solve(problem, search_spec)
+    annotation_model = (search_model if annotation_spec == search_spec
+                        else solve(problem, annotation_spec))
+    return GuidedTikhonovResult(search_model, annotation_model,
+                                tsvd_selection=selection, tsvd_grid=grid)
 
 
 @dataclass(frozen=True)
@@ -307,31 +300,21 @@ def measure_path_timing(problem: CcaProblem,
     same number of cells.  The shared factorisation in ``problem`` is paid
     before timing starts, so the runs time the grids alone.
     """
-    if grid_x is None:
-        grid_x = default_rank_grid(problem.rank_x)
-    if grid_y is None:
-        grid_y = default_rank_grid(problem.rank_y)
-    grid_x = np.asarray(grid_x, dtype=np.int64)
-    grid_y = np.asarray(grid_y, dtype=np.int64)
-    pen_x = problem.s_x[grid_x - 1] ** 2
-    pen_y = problem.s_y[grid_y - 1] ** 2
+    grid_x, grid_y = path_axes(problem, "tsvd", grid_x, grid_y)
+    pen_x = _rank_penalties(problem.s_x, grid_x)
+    pen_y = _rank_penalties(problem.s_y, grid_y)
 
-    def run_tsvd() -> float:
+    def run(path, axis_x, axis_y) -> float:
         start = time.perf_counter()
-        tsvd_path(problem, val_images, val_captions,
-                  grid_x, grid_y, metric, pair_index, similarity, workers=1)
+        path(problem, val_images, val_captions, axis_x, axis_y, metric,
+             pair_index, similarity, workers=1)
         return time.perf_counter() - start
 
-    def run_tikhonov() -> float:
-        start = time.perf_counter()
-        tikhonov_path(problem, val_images, val_captions,
-                      pen_x, pen_y, metric, pair_index, similarity, workers=1)
-        return time.perf_counter() - start
-
-    run_tsvd()  # warm-up, excluded
-    run_tikhonov()
-    tsvd_runs = tuple(run_tsvd() for _ in range(repeats))
-    tikhonov_runs = tuple(run_tikhonov() for _ in range(repeats))
+    run(tsvd_path, grid_x, grid_y)  # warm-up, excluded
+    run(tikhonov_path, pen_x, pen_y)
+    tsvd_runs = tuple(run(tsvd_path, grid_x, grid_y) for _ in range(repeats))
+    tikhonov_runs = tuple(run(tikhonov_path, pen_x, pen_y)
+                          for _ in range(repeats))
     return PathTimingReport(
         tsvd_seconds=float(np.median(tsvd_runs)),
         tikhonov_seconds=float(np.median(tikhonov_runs)),

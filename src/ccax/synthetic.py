@@ -40,8 +40,15 @@ class LatentModelConfig:
             raise ValueError(
                 "latent_dim must be in [1, min(image_dim, text_dim)]"
             )
-        if self.noise_x < 0 or self.noise_y < 0 or self.loading_scale <= 0:
-            raise ValueError("noise scales must be >= 0, loading_scale > 0")
+        # written so that NaN fails each comparison
+        for name, value in (("noise_x", self.noise_x),
+                            ("noise_y", self.noise_y)):
+            if not 0 <= value < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0, "
+                                 f"got {value}")
+        if not 0 < self.loading_scale < np.inf:
+            raise ValueError(f"loading_scale must be finite and > 0, "
+                             f"got {self.loading_scale}")
 
     @property
     def n_total(self) -> int:
@@ -63,14 +70,6 @@ def _split_indices(cfg: LatentModelConfig) -> dict[str, np.ndarray]:
         name: np.arange(edges[i], edges[i + 1], dtype=np.int64)
         for i, name in enumerate(names)
     }
-
-
-def generate_latent_pairs(
-    cfg: LatentModelConfig,
-) -> tuple[FeatureMatrix, FeatureMatrix, dict[str, np.ndarray]]:
-    """One row per sample in each view, paired 1:1, plus split indices."""
-    d = generate_caption_like(cfg, 1)
-    return d.images, d.captions, d.image_splits
 
 
 @dataclass(frozen=True)

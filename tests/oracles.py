@@ -21,8 +21,8 @@ on list-of-lists ground truth, which no library route takes any more.
 The elementwise spectral filters and ``verify_filter_forms`` check the
 paper's identity that Tikhonov and T-SVD are diagonal filters on T, which
 ``cca.solve`` applies directly.  ``generate_latent_pairs`` is the 1:1
-generator that ``synthetic.generate_latent_pairs`` replaced by the
-one-caption case of ``generate_caption_like``.  ``path_cells`` scores
+generator that the one-caption case of ``synthetic.generate_caption_like``
+replaced.  ``path_cells`` scores
 each path cell by a full model (``cca.solve``) and ranks
 (``evaluate_bidirectional``), the route that the top-1 scoring of
 ``selection._run_grid`` in the rotated validation space replaced.
@@ -96,7 +96,7 @@ def spectral_filter_hard(s, threshold: float):
     return out if out.ndim else float(out)
 
 
-def verify_filter_forms(x, y, spec, rank_tol: float | None = None) -> float:
+def verify_filter_forms(x, y, spec) -> float:
     """Max |difference| between the two constructions of the operator.
 
     Route one builds the regularized correlation operator from its closed
@@ -107,7 +107,7 @@ def verify_filter_forms(x, y, spec, rank_tol: float | None = None) -> float:
     """
     from ccax.cca import prepare
 
-    problem = prepare(x, y, rank_tol)
+    problem = prepare(x, y)
     s_x, s_y, t = problem.s_x, problem.s_y, problem.t
     if spec.kind == "tsvd":
         k_x, k_y = spec.k_x, spec.k_y

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from ccax import cca, hkse, io, retrieval, selection, synthetic
+from ccax.cca import RegularizationSpec, prepare, solve
 from ccax.cli import main
 from oracles import (
     cca_correlations_eig,
@@ -39,7 +40,8 @@ def random_views(rng, n, mx, my):
 
 
 def test_criterion_01_oracle_equivalence():
-    """cca_fit vs the generalized-eigenvalue oracle, 20 random instances."""
+    """Unregularized fits vs the generalized-eigenvalue oracle, 20 random
+    instances."""
     start = time.perf_counter()
     rng = np.random.default_rng(101)
     worst = 0.0
@@ -48,7 +50,7 @@ def test_criterion_01_oracle_equivalence():
         mx = int(rng.integers(2, 9))
         my = int(rng.integers(2, 7))
         x, y = random_views(rng, n, mx, my)
-        model = cca.cca_fit(x, y)
+        model = solve(prepare(x, y), RegularizationSpec.none())
         expected = cca_correlations_eig(x.values, y.values)[: model.k]
         worst = max(worst, float(np.abs(model.sigma - expected).max()))
     elapsed = time.perf_counter() - start
@@ -61,31 +63,33 @@ def test_criterion_02_regularizer_consistency():
     """Limits of both regularizers and their constraint residuals."""
     rng = np.random.default_rng(102)
     x, y = random_views(rng, 60, 8, 6)
-    plain = cca.cca_fit(x, y)
+    plain = solve(prepare(x, y), RegularizationSpec.none())
 
-    tikh0 = cca.cca_fit_tikhonov(x, y, 0.0, 0.0)
+    tikh0 = solve(prepare(x, y), RegularizationSpec.tikhonov(0.0, 0.0))
     dev_tikh = float(np.abs(tikh0.sigma - plain.sigma).max())
 
-    full = cca.cca_fit_tsvd(x, y, 8, 6)
+    full = solve(prepare(x, y), RegularizationSpec.tsvd(8, 6))
     dev_full = float(np.abs(full.sigma - plain.sigma).max())
 
     dev_trunc = 0.0
     for k_x, k_y in [(2, 2), (5, 3), (8, 4), (3, 6)]:
-        model = cca.cca_fit_tsvd(x, y, k_x, k_y)
+        model = solve(prepare(x, y), RegularizationSpec.tsvd(k_x, k_y))
         fx = thin_svd(center_columns(x)[0])
         fy = thin_svd(center_columns(y)[0])
         x_trunc = io.FeatureMatrix(
             (fx.u_left[:, :k_x] * fx.s[:k_x]) @ fx.v_right[:, :k_x].T)
         y_trunc = io.FeatureMatrix(
             (fy.u_left[:, :k_y] * fy.s[:k_y]) @ fy.v_right[:, :k_y].T)
-        reference = cca.cca_fit(x_trunc, y_trunc)
+        reference = solve(prepare(x_trunc, y_trunc), RegularizationSpec.none())
         dev_trunc = max(dev_trunc,
                         float(np.abs(model.sigma - reference.sigma).max()))
 
     residual = max(
         constraint_residual(plain, x, y),
-        constraint_residual(cca.cca_fit_tikhonov(x, y, 2.0, 0.5), x, y),
-        constraint_residual(cca.cca_fit_tsvd(x, y, 5, 4), x, y),
+        constraint_residual(
+            solve(prepare(x, y), RegularizationSpec.tikhonov(2.0, 0.5)), x, y),
+        constraint_residual(
+            solve(prepare(x, y), RegularizationSpec.tsvd(5, 4)), x, y),
     )
     ok = (dev_tikh <= 1e-10 and dev_full <= 1e-10
           and dev_trunc <= 1e-8 and residual <= 1e-8)
@@ -119,7 +123,7 @@ def test_criterion_04_cross_view_optimality():
     for _ in range(10):
         x, y = random_views(rng, int(rng.integers(40, 70)),
                             int(rng.integers(3, 8)), int(rng.integers(3, 7)))
-        model = cca.cca_fit(x, y)
+        model = solve(prepare(x, y), RegularizationSpec.none())
         xc = x.values - model.mean_x
         yc = y.values - model.mean_y
         target_x = xc.T @ yc @ model.v
@@ -149,7 +153,8 @@ def test_criterion_05_path_standalone_equivalence():
     dev = 0.0
     for i, k_x in enumerate(rank_x):
         for j, k_y in enumerate(rank_y):
-            standalone = cca.cca_fit_tsvd(tx, ty, k_x, k_y)
+            standalone = solve(prepare(tx, ty),
+                               RegularizationSpec.tsvd(k_x, k_y))
             dev = max(dev, float(np.abs(tsvd_grid.sigmas[i][j]
                                         - standalone.sigma).max()))
 
@@ -158,18 +163,17 @@ def test_criterion_05_path_standalone_equivalence():
                                            pen_x, pen_y, pair_index=vp)
     for i, g_x in enumerate(pen_x):
         for j, g_y in enumerate(pen_y):
-            standalone = cca.cca_fit_tikhonov(tx, ty, g_x, g_y)
+            standalone = solve(prepare(tx, ty),
+                               RegularizationSpec.tikhonov(g_x, g_y))
             dev = max(dev, float(np.abs(tikh_grid.sigmas[i][j]
                                         - standalone.sigma).max()))
 
     guided = selection.guided_tikhonov(cca.prepare(tx, ty), vi, vc,
                                        rank_x, rank_y, pair_index=vp)
     bitwise = True
-    for model, penalties in (
-        (guided.search_model, guided.search_penalties),
-        (guided.annotation_model, guided.annotation_penalties),
-    ):
-        reference = cca.cca_fit_tikhonov(tx, ty, *penalties)
+    for model in (guided.search_model, guided.annotation_model):
+        # a standalone fit at the penalties the model records
+        reference = solve(prepare(tx, ty), model.reg)
         bitwise &= (np.array_equal(model.u, reference.u)
                     and np.array_equal(model.v, reference.v)
                     and np.array_equal(model.sigma, reference.sigma))
@@ -185,7 +189,8 @@ def test_criterion_06_path_timing():
         n_train=2000, n_val=250, n_test=1, latent_dim=30,
         image_dim=512, text_dim=256, noise_x=0.5, noise_y=0.5, seed=106,
     )
-    x, y, splits = synthetic.generate_latent_pairs(cfg)
+    data = synthetic.generate_caption_like(cfg, 1)
+    x, y, splits = data.images, data.captions, data.image_splits
     tx = io.FeatureMatrix(x.values[splits["train"]])
     ty = io.FeatureMatrix(y.values[splits["train"]])
     vi = io.FeatureMatrix(x.values[splits["val"]])
@@ -248,7 +253,7 @@ def test_criterion_08_asymmetric_weighting_direction():
         )
         data = synthetic.generate_caption_like(cfg, 5)
         tx, ty = data.paired_training_views()
-        model = cca.cca_fit(tx, ty)
+        model = solve(prepare(tx, ty), RegularizationSpec.none())
         vi, vc, vp = data.split_views("val")
         asym_s, asym_a = retrieval.evaluate_bidirectional(
             model, vi, vc, vp, weighting="asymmetric", ks=(1,))
@@ -275,7 +280,8 @@ def test_criterion_09_protocol_oracle():
         image_dim=10, text_dim=8, noise_x=0.4, noise_y=0.4, seed=17,
     )
     data = synthetic.generate_caption_like(cfg, 5)
-    model = cca.cca_fit(*data.paired_training_views())
+    model = solve(prepare(*data.paired_training_views()),
+                  RegularizationSpec.none())
     images, captions, pair_index = data.split_views("test")
     search, annotation = retrieval.evaluate_bidirectional(
         model, images, captions, pair_index)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccax import cca, io
+from ccax.cca import RegularizationSpec, prepare, solve
 from oracles import (cca_correlations_eig, center_columns,
                      constraint_residual, prepare_svd, sign_fix_loops,
                      spectral_filter_hard, spectral_filter_soft, thin_svd,
@@ -85,7 +86,7 @@ class TestCcaFit:
     def test_identical_views_give_unit_correlations(self):
         rng = np.random.default_rng(3)
         x = io.FeatureMatrix(rng.standard_normal((100, 10)))
-        model = cca.cca_fit(x, x)
+        model = solve(prepare(x, x), RegularizationSpec.none())
         np.testing.assert_allclose(model.sigma, 1.0, atol=1e-8)
 
     def test_invariance_to_invertible_map(self):
@@ -93,49 +94,56 @@ class TestCcaFit:
         x = io.FeatureMatrix(rng.standard_normal((100, 10)))
         a = rng.standard_normal((10, 10)) + 3 * np.eye(10)
         y = io.FeatureMatrix(x.values @ a)
-        model = cca.cca_fit(x, y)
+        model = solve(prepare(x, y), RegularizationSpec.none())
         np.testing.assert_allclose(model.sigma, 1.0, atol=1e-8)
 
     def test_matches_eigenvalue_oracle(self):
         x, y = random_views(5)
-        model = cca.cca_fit(x, y)
+        model = solve(prepare(x, y), RegularizationSpec.none())
         expected = cca_correlations_eig(x.values, y.values)[: model.k]
         np.testing.assert_allclose(model.sigma, expected, atol=1e-8)
 
     def test_constraint_orthonormality(self):
         x, y = random_views(6, n=40, mx=6, my=5)
-        model = cca.cca_fit(x, y)
+        model = solve(prepare(x, y), RegularizationSpec.none())
         assert constraint_residual(model, x, y) <= 1e-8
 
     def test_row_mismatch_rejected(self):
         x, _ = random_views(7, n=10)
         _, y = random_views(7, n=11)
         with pytest.raises(ValueError, match="row counts"):
-            cca.cca_fit(x, y)
+            solve(prepare(x, y), RegularizationSpec.none())
 
     def test_zero_rank_rejected(self):
         x = io.FeatureMatrix([[1.0, 1.0]] * 5)  # constant rows center to zero
         _, y = random_views(8, n=5, my=2)
         with pytest.raises(ValueError, match="zero numerical rank"):
-            cca.cca_fit(x, y)
+            solve(prepare(x, y), RegularizationSpec.none())
 
     def test_degenerate_n_warns(self):
         x, y = random_views(9, n=4, mx=6, my=3)
         with pytest.warns(UserWarning, match="singular"):
-            model = cca.cca_fit(x, y)
+            model = solve(prepare(x, y), RegularizationSpec.none())
         assert model.k >= 1
+
+    def test_degenerate_n_warning_names_the_caller(self):
+        # stacklevel points past _validate_pair and prepare to this file
+        x, y = random_views(9, n=4, mx=6, my=3)
+        with pytest.warns(UserWarning, match="singular") as record:
+            prepare(x, y)
+        assert record[0].filename == __file__
 
     def test_deterministic_and_sign_fixed(self):
         x, y = random_views(10)
-        a = cca.cca_fit(x, y)
-        b = cca.cca_fit(x, y)
+        a = solve(prepare(x, y), RegularizationSpec.none())
+        b = solve(prepare(x, y), RegularizationSpec.none())
         np.testing.assert_array_equal(a.sigma, b.sigma)
         np.testing.assert_array_equal(a.u, b.u)
         np.testing.assert_array_equal(a.v, b.v)
 
     def test_sigma_sorted_and_clamped(self):
         x, y = random_views(11, n=30, mx=8, my=6)
-        model = cca.cca_fit(x, y)
+        model = solve(prepare(x, y), RegularizationSpec.none())
         assert np.all(np.diff(model.sigma) <= 0)
         assert model.sigma.min() >= 0.0 and model.sigma.max() <= 1.0
 
@@ -144,7 +152,7 @@ class TestCcaFit:
         # is U diag(sigma); symmetrically for view Y
         for seed in range(10):
             x, y = random_views(100 + seed, n=45, mx=6, my=4)
-            model = cca.cca_fit(x, y)
+            model = solve(prepare(x, y), RegularizationSpec.none())
             xc = x.values - model.mean_x
             yc = y.values - model.mean_y
             target_x = xc.T @ yc @ model.v
@@ -252,8 +260,8 @@ class TestPrepareMatchesSvdRoute:
 class TestTikhonov:
     def test_zero_penalty_equals_plain(self):
         x, y = random_views(20, n=60, mx=6, my=5)
-        plain = cca.cca_fit(x, y)
-        tikh = cca.cca_fit_tikhonov(x, y, 0.0, 0.0)
+        plain = solve(prepare(x, y), RegularizationSpec.none())
+        tikh = solve(prepare(x, y), RegularizationSpec.tikhonov(0.0, 0.0))
         np.testing.assert_allclose(tikh.sigma, plain.sigma, atol=1e-10)
         # same subspaces: principal angles between span(U_plain), span(U_tikh)
         qa, _ = np.linalg.qr(plain.u)
@@ -264,7 +272,7 @@ class TestTikhonov:
     def test_top_correlation_monotone_in_gamma(self):
         x, y = random_views(21, n=40, mx=6, my=5)
         tops = [
-            cca.cca_fit_tikhonov(x, y, g, 0.7).sigma[0]
+            solve(prepare(x, y), RegularizationSpec.tikhonov(g, 0.7)).sigma[0]
             for g in np.linspace(0.0, 50.0, 10)
         ]
         assert all(a >= b - 1e-12 for a, b in zip(tops, tops[1:]))
@@ -273,26 +281,36 @@ class TestTikhonov:
         rng = np.random.default_rng(22)
         x = io.FeatureMatrix(rng.standard_normal((40, 6)))
         y = io.FeatureMatrix(rng.standard_normal((40, 5)))
-        model = cca.cca_fit_tikhonov(x, y, 0.5, 0.5)
+        model = solve(prepare(x, y), RegularizationSpec.tikhonov(0.5, 0.5))
         expected = cca_correlations_eig(x.values, y.values, 0.5, 0.5)[: model.k]
         np.testing.assert_allclose(model.sigma, expected, atol=1e-8)
 
     def test_constraint_orthonormality(self):
         x, y = random_views(23, n=40, mx=6, my=5)
-        model = cca.cca_fit_tikhonov(x, y, 1.3, 0.2)
+        model = solve(prepare(x, y), RegularizationSpec.tikhonov(1.3, 0.2))
         assert constraint_residual(model, x, y) <= 1e-8
 
     def test_negative_penalty_rejected(self):
         x, y = random_views(24)
         with pytest.raises(ValueError):
-            cca.cca_fit_tikhonov(x, y, -1.0, 0.0)
+            solve(prepare(x, y), RegularizationSpec.tikhonov(-1.0, 0.0))
+
+    @pytest.mark.parametrize("gammas,named", [
+        ((np.nan, 0.0), "gamma_x"), ((np.inf, 0.0), "gamma_x"),
+        ((0.0, np.nan), "gamma_y"), ((1.0, -np.inf), "gamma_y"),
+        ((1.0, -1.0), "gamma_y"),
+    ])
+    def test_non_finite_penalty_named(self, gammas, named):
+        with pytest.raises(ValueError,
+                           match=f"{named} must be a finite penalty >= 0"):
+            RegularizationSpec.tikhonov(*gammas)
 
 
 class TestTsvd:
     def test_full_rank_equals_plain(self):
         x, y = random_views(30, n=60, mx=6, my=5)
-        plain = cca.cca_fit(x, y)
-        full = cca.cca_fit_tsvd(x, y, 6, 5)
+        plain = solve(prepare(x, y), RegularizationSpec.none())
+        full = solve(prepare(x, y), RegularizationSpec.tsvd(6, 5))
         np.testing.assert_allclose(full.sigma, plain.sigma, atol=1e-10)
 
     def test_rank_one_operator(self):
@@ -300,7 +318,7 @@ class TestTsvd:
         xc, _ = center_columns(x)
         yc, _ = center_columns(y)
         fx, fy = thin_svd(xc), thin_svd(yc)
-        model = cca.cca_fit_tsvd(x, y, 1, 1)
+        model = solve(prepare(x, y), RegularizationSpec.tsvd(1, 1))
         assert model.k == 1
         expected = abs(float(fx.u_left[:, 0] @ fy.u_left[:, 0]))
         np.testing.assert_allclose(model.sigma[0], expected, atol=1e-12)
@@ -308,7 +326,7 @@ class TestTsvd:
     @pytest.mark.parametrize("k_x,k_y", [(2, 2), (4, 3), (6, 2), (3, 5)])
     def test_matches_explicit_truncation(self, k_x, k_y):
         x, y = random_views(32, n=60, mx=6, my=5)
-        model = cca.cca_fit_tsvd(x, y, k_x, k_y)
+        model = solve(prepare(x, y), RegularizationSpec.tsvd(k_x, k_y))
         xc, _ = center_columns(x)
         yc, _ = center_columns(y)
         fx, fy = thin_svd(xc), thin_svd(yc)
@@ -318,18 +336,18 @@ class TestTsvd:
         y_trunc = io.FeatureMatrix(
             (fy.u_left[:, :k_y] * fy.s[:k_y]) @ fy.v_right[:, :k_y].T
         )
-        reference = cca.cca_fit(x_trunc, y_trunc)
+        reference = solve(prepare(x_trunc, y_trunc), RegularizationSpec.none())
         np.testing.assert_allclose(model.sigma, reference.sigma, atol=1e-8)
 
     def test_constraint_orthonormality(self):
         x, y = random_views(33, n=40, mx=6, my=5)
-        model = cca.cca_fit_tsvd(x, y, 4, 3)
+        model = solve(prepare(x, y), RegularizationSpec.tsvd(4, 3))
         assert constraint_residual(model, x, y) <= 1e-8
 
     def test_rank_beyond_numerical_rank_rejected(self):
         x, y = random_views(34, n=30, mx=5, my=4)
         with pytest.raises(ValueError, match="k_x"):
-            cca.cca_fit_tsvd(x, y, 6, 2)
+            solve(prepare(x, y), RegularizationSpec.tsvd(6, 2))
 
 
 class TestSpectralFilters:
@@ -377,7 +395,8 @@ class TestVerifyFilterForms:
 class TestModelArchive:
     def test_pinned_blob_names_and_manifest_keys(self):
         x, y = random_views(49)
-        archive = cca.model_to_archive(cca.cca_fit(x, y))
+        archive = cca.model_to_archive(
+            solve(prepare(x, y), RegularizationSpec.none()))
         assert set(archive.blobs) == {"U", "V", "SIGMA", "MEAN_X", "MEAN_Y"}
         assert set(archive.manifest) == {
             "kind", "gamma_x", "gamma_y", "k_x", "k_y", "n", "m_x", "m_y",
@@ -385,7 +404,7 @@ class TestModelArchive:
 
     def test_round_trip(self, tmp_path):
         x, y = random_views(50, n=40, mx=6, my=5)
-        model = cca.cca_fit_tikhonov(x, y, 0.25, 4.0)
+        model = solve(prepare(x, y), RegularizationSpec.tikhonov(0.25, 4.0))
         path = tmp_path / "model.arc"
         io.save_archive(cca.model_to_archive(model), path)
         loaded = cca.model_from_archive(io.load_archive(path))
@@ -399,7 +418,8 @@ class TestModelArchive:
 
     def test_manifest_mismatch_detected(self, tmp_path):
         x, y = random_views(51)
-        archive = cca.model_to_archive(cca.cca_fit(x, y))
+        archive = cca.model_to_archive(
+            solve(prepare(x, y), RegularizationSpec.none()))
         archive.manifest["m_x"] = "999"
         path = tmp_path / "model.arc"
         io.save_archive(archive, path)

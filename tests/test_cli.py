@@ -60,6 +60,15 @@ class TestSynth:
                 (synth_dir / name).read_bytes()
 
 
+    @pytest.mark.parametrize("flags", [["--latent", "0"],
+                                       ["--captions", "0"]])
+    def test_refused_configuration_writes_nothing(self, flags, tmp_path,
+                                                  capsys):
+        assert main(["synth", "--out-dir", str(tmp_path / "s")] + flags) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+
 class TestFit:
     def test_plain_fit_archive(self, synth_dir, tmp_path):
         out = tmp_path / "model.arc"
@@ -103,6 +112,23 @@ class TestFit:
         ])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--reg", "tsvd", "--kx", "0", "--ky", "2"],
+         "tsvd ranks must be >= 1"),
+        (["--reg", "tsvd", "--kx", "2"], "--reg tsvd needs --kx and --ky"),
+        (["--reg", "guided-tsvd"],
+         "--reg guided-tsvd needs --val-x and --val-y"),
+    ])
+    def test_spec_checked_before_any_file_is_read(self, flags, message,
+                                                  tmp_path, capsys):
+        code = main(["fit", "--x", str(tmp_path / "absent.fmat"),
+                     "--y", str(tmp_path / "absent.fmat"),
+                     "--out", str(tmp_path / "m.arc")] + flags)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
 
     def test_guided_tsvd_records_ranks_and_penalties(self, synth_dir, tmp_path):
         out = tmp_path / "model.arc"
@@ -396,7 +422,6 @@ class TestEvalBlocksErrors:
         ("2", "-3", "--pairing row 0 names image -3, out of range for "
                     "200 images"),
         ("500", "", "blocks must be between 1 and the 200 images, got 500"),
-        ("0", "", "blocks must be between 1 and the 200 images, got 0"),
     ]
 
     @pytest.mark.parametrize("blocks,first,message", CASES)
@@ -720,20 +745,6 @@ class TestPathInputErrors:
         assert message in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("command,flags,message", [
-        ("path", ["--grid", "0x3"], "--grid counts must be >= 1"),
-        ("fit", ["--grid-x", ","], "k_x grid is empty"),
-        ("path", ["--reg", "tikhonov", "--grid-y", ","],
-         "gamma_y grid is empty"),
-    ])
-    def test_empty_grid_rejected(self, command, flags, message, synth_dir,
-                                 tmp_path, capsys):
-        argv = _path_argv(command, synth_dir, tmp_path) + flags
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert message in err
-        assert "Traceback" not in err
-
 
 def _eval_argv(command, synth_dir, fitted_model, tmp_path, **paths):
     """argv of ``eval``/``sweep`` on the test split; ``paths`` replace the
@@ -749,7 +760,11 @@ def _eval_argv(command, synth_dir, fitted_model, tmp_path, **paths):
 
 
 class TestFlagRanges:
-    """A flag value outside its range is a usage error naming the flag."""
+    """A flag value outside its range is a usage error naming the flag.
+
+    Each is refused while the command line is parsed, so no file is read
+    and none is written.
+    """
 
     CASES = [
         ("eval", ["--weighting", "symmetric:nan"], "--weighting"),
@@ -761,13 +776,45 @@ class TestFlagRanges:
         ("timing", ["--repeats", "0"], "--repeats"),
         ("fit", ["--threads", "-1"], "--threads"),
         ("path", ["--threads", "-1"], "--threads"),
+        # counts, lists and block counts
+        ("path", ["--grid", "0x3"], "--grid"),
+        ("fit", ["--grid-x", ","], "--grid-x"),
+        ("path", ["--reg", "tikhonov", "--grid-y", ","], "--grid-y"),
+        ("eval", ["--blocks", "0"], "--blocks"),
+        ("fit", ["--grid", "axb"], "--grid"),
+        ("timing", ["--grid", "3"], "--grid"),
+        ("fit", ["--grid-x", "1,a"], "--grid-x"),
+        ("path", ["--reg", "tikhonov", "--grid-x", "1,inf"], "--grid-x"),
+        ("path", ["--reg", "tikhonov", "--grid-x", "1,nan"], "--grid-x"),
+        ("sweep", ["--alphas", "0,a"], "--alphas"),
+        ("sweep", ["--alphas", "0,nan"], "--alphas"),
+        # penalties, bandwidths and noise scales: finite and >= 0
+        ("fit-tikhonov", ["--gamma-x", "nan"], "--gamma-x"),
+        ("fit-tikhonov", ["--gamma-x", "inf"], "--gamma-x"),
+        ("fit-tikhonov", ["--gamma-y", "-1"], "--gamma-y"),
+        ("embed", ["--eta", "nan"], "--eta"),
+        ("embed", ["--gamma", "nan"], "--gamma"),
+        ("embed", ["--gamma", "inf"], "--gamma"),
+        ("embed", ["--gamma", "-0.5"], "--gamma"),
+        ("synth", ["--noise-x", "nan"], "--noise-x"),
+        ("synth", ["--noise-y", "inf"], "--noise-y"),
     ]
 
     @pytest.mark.parametrize("command,flags,named", CASES)
     def test_usage_error(self, command, flags, named, synth_dir, fitted_model,
-                         tmp_path, capsys):
+                         word_data, tmp_path, capsys):
         if command in ("eval", "sweep"):
             argv = _eval_argv(command, synth_dir, fitted_model, tmp_path)
+        elif command == "fit-tikhonov":
+            argv = ["fit", "--x", str(synth_dir / "train_x.fmat"),
+                    "--y", str(synth_dir / "train_y.fmat"),
+                    "--reg", "tikhonov", "--out", str(tmp_path / "m.arc")]
+        elif command == "embed":
+            argv = ["embed", "--corpus", str(word_data / "caps.txt"),
+                    "--vectors", str(word_data / "vectors.txt"),
+                    "--variant", "rbf,rbf", "--out", str(tmp_path / "e.fmat")]
+        elif command == "synth":
+            argv = ["synth", "--out-dir", str(tmp_path / "synth")]
         else:
             argv = _path_argv(command, synth_dir, tmp_path)
         with pytest.raises(SystemExit) as exc:

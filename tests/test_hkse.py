@@ -64,6 +64,17 @@ class TestBuildMap:
             hkse.build_map("lin", "rbf", 1.0, -1.0, 0, 8, 3, seed=0)
 
 
+    @pytest.mark.parametrize("word,sent,gamma,eta,named", [
+        ("rbf", "lin", np.nan, 1.0, "gamma"),
+        ("rbf", "lin", np.inf, 1.0, "gamma"),
+        ("lin", "rbf", 1.0, np.nan, "eta"),
+        ("lin", "rbf", 1.0, np.inf, "eta"),
+    ])
+    def test_non_finite_bandwidth_named(self, word, sent, gamma, eta, named):
+        with pytest.raises(ValueError, match=f"needs a finite {named} > 0"):
+            hkse.build_map(word, sent, gamma, eta, 8, 8, 3, seed=0)
+
+
 class TestWordFeature:
     def test_lin_is_identity(self):
         m = hkse.build_map("lin", "lin", 1.0, 1.0, 0, 0, 4, seed=0)

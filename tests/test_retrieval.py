@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from ccax import cca, io, retrieval, synthetic
+from ccax.cca import RegularizationSpec, prepare, solve
 from oracles import rank_by_cosine_loops, recall_and_median_loops
 
 
@@ -17,7 +18,7 @@ def model():
     rng = np.random.default_rng(0)
     x = io.FeatureMatrix(rng.standard_normal((60, 6)))
     y = io.FeatureMatrix(rng.standard_normal((60, 5)))
-    return cca.cca_fit(x, y)
+    return solve(prepare(x, y), RegularizationSpec.none())
 
 
 class TestTaskEmbedding:
@@ -466,7 +467,7 @@ class TestProtocolOracle:
         )
         data = synthetic.generate_caption_like(cfg, 5)
         train_x, train_y = data.paired_training_views()
-        model = cca.cca_fit(train_x, train_y)
+        model = solve(prepare(train_x, train_y), RegularizationSpec.none())
         images, captions, pair_index = data.split_views("test")
         assert images.rows == 6 and captions.rows == 30
 
@@ -503,7 +504,7 @@ class TestAlphaSweep:
         )
         data = synthetic.generate_caption_like(cfg, 3)
         train_x, train_y = data.paired_training_views()
-        model = cca.cca_fit(train_x, train_y)
+        model = solve(prepare(train_x, train_y), RegularizationSpec.none())
         images, captions, pairs = data.split_views("val")
         curve = retrieval.alpha_sweep(model, images, captions, [0.0, 1.0],
                                       pair_index=pairs)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from ccax import cca, io, retrieval, selection, synthetic
+from ccax.cca import RegularizationSpec, prepare, solve
 from oracles import center_columns, thin_svd
 
 
@@ -38,6 +39,25 @@ class TestDefaultGrids:
         np.testing.assert_array_equal(grid, expected)
         assert len(grid) == 20
 
+    @pytest.mark.parametrize("kind", ["tsvd", "tikhonov"])
+    def test_path_axes_default_per_view(self, dataset, kind):
+        train_x, train_y = dataset[:2]
+        problem = cca.prepare(train_x, train_y)
+        axis_x, axis_y = selection.path_axes(problem, kind, counts=(4, 6))
+        if kind == "tsvd":
+            want_x = selection.default_rank_grid(problem.rank_x, 4)
+            want_y = selection.default_rank_grid(problem.rank_y, 6)
+        else:
+            want_x = selection.default_penalty_grid(problem.s_x, 4)
+            want_y = selection.default_penalty_grid(problem.s_y, 6)
+        np.testing.assert_array_equal(axis_x, want_x)
+        np.testing.assert_array_equal(axis_y, want_y)
+        # a given axis is kept, the other still defaults
+        axis_x, axis_y = selection.path_axes(problem, kind, grid_y=[3],
+                                             counts=(4, 6))
+        np.testing.assert_array_equal(axis_x, want_x)
+        np.testing.assert_array_equal(axis_y, [3])
+
 
 class TestTsvdPath:
     def test_full_rank_cell_equals_plain_cca_score(self, dataset):
@@ -47,7 +67,7 @@ class TestTsvdPath:
         rx, ry = thin_svd(xc).rank, thin_svd(yc).rank
         grid, sel = selection.tsvd_path(cca.prepare(train_x, train_y), vi, vc,
                                         [rx], [ry], pair_index=vp)
-        model = cca.cca_fit(train_x, train_y)
+        model = solve(prepare(train_x, train_y), RegularizationSpec.none())
         search, annotation = retrieval.evaluate_bidirectional(
             model, vi, vc, vp, ks=(1,))
         assert grid.search_scores[0, 0] == search.recalls[1]
@@ -62,7 +82,8 @@ class TestTsvdPath:
                                       grid_x, grid_y, pair_index=vp)
         for i, k_x in enumerate(grid_x):
             for j, k_y in enumerate(grid_y):
-                standalone = cca.cca_fit_tsvd(train_x, train_y, k_x, k_y)
+                standalone = solve(prepare(train_x, train_y),
+                                   RegularizationSpec.tsvd(k_x, k_y))
                 s, a = retrieval.evaluate_bidirectional(standalone, vi, vc, vp,
                                                         ks=(1,))
                 assert abs(grid.search_scores[i, j] - s.recalls[1]) <= 1e-10
@@ -115,6 +136,8 @@ class TestTsvdPath:
             selection.tsvd_path(problem, vi, vc, [0, 2], [2], pair_index=vp)
         with pytest.raises(ValueError, match="k_x grid is empty"):
             selection.tsvd_path(problem, vi, vc, [], [2], pair_index=vp)
+        with pytest.raises(ValueError, match="k_y grid outside the whole"):
+            selection.tsvd_path(problem, vi, vc, [2], [2.5], pair_index=vp)
 
 
 class TestPairingChecks:
@@ -163,7 +186,7 @@ class TestTikhonovPath:
         train_x, train_y, vi, vc, vp = dataset
         grid, _ = selection.tikhonov_path(cca.prepare(train_x, train_y),
                                           vi, vc, [0.0], [0.0], pair_index=vp)
-        model = cca.cca_fit(train_x, train_y)
+        model = solve(prepare(train_x, train_y), RegularizationSpec.none())
         search, annotation = retrieval.evaluate_bidirectional(
             model, vi, vc, vp, ks=(1,))
         assert abs(grid.search_scores[0, 0] - search.recalls[1]) <= 1e-9
@@ -178,7 +201,8 @@ class TestTikhonovPath:
                                           pair_index=vp)
         for i, g_x in enumerate(grid_x):
             for j, g_y in enumerate(grid_y):
-                standalone = cca.cca_fit_tikhonov(train_x, train_y, g_x, g_y)
+                standalone = solve(prepare(train_x, train_y),
+                                   RegularizationSpec.tikhonov(g_x, g_y))
                 s, a = retrieval.evaluate_bidirectional(standalone, vi, vc, vp,
                                                         ks=(1,))
                 assert abs(grid.search_scores[i, j] - s.recalls[1]) <= 1e-10
@@ -195,6 +219,20 @@ class TestTikhonovPath:
             selection.tikhonov_path(problem, vi, vc,
                                     [1.0], [], pair_index=vp)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf])
+    def test_non_finite_penalty_rejected_before_any_cell(self, dataset,
+                                                         monkeypatch, bad):
+        train_x, train_y, vi, vc, vp = dataset
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("a cell was factored before the axis check")
+
+        monkeypatch.setattr(selection, "_filtered_svd", no_svd)
+        with pytest.raises(ValueError, match="gamma_x grid must hold finite "
+                                             "penalties >= 0"):
+            selection.tikhonov_path(cca.prepare(train_x, train_y), vi, vc,
+                                    [1.0, bad], [1.0], pair_index=vp)
+
 
 class TestGuidedTikhonov:
     def test_model_bitwise_equals_standalone_at_mapped_penalties(self, dataset):
@@ -202,11 +240,9 @@ class TestGuidedTikhonov:
         result = selection.guided_tikhonov(cca.prepare(train_x, train_y),
                                            vi, vc, [2, 5, 9, 14], [2, 4, 8, 12],
                                            pair_index=vp)
-        for model, penalties in (
-            (result.search_model, result.search_penalties),
-            (result.annotation_model, result.annotation_penalties),
-        ):
-            reference = cca.cca_fit_tikhonov(train_x, train_y, *penalties)
+        for model in (result.search_model, result.annotation_model):
+            assert model.reg.kind == "tikhonov"
+            reference = solve(prepare(train_x, train_y), model.reg)
             np.testing.assert_array_equal(model.sigma, reference.sigma)
             np.testing.assert_array_equal(model.u, reference.u)
             np.testing.assert_array_equal(model.v, reference.v)
@@ -219,8 +255,8 @@ class TestGuidedTikhonov:
         problem = cca.prepare(train_x, train_y)
         sq_x = set((problem.s_x ** 2).tolist())
         sq_y = set((problem.s_y ** 2).tolist())
-        for gx, gy in (result.search_penalties, result.annotation_penalties):
-            assert gx in sq_x and gy in sq_y
+        for model in (result.search_model, result.annotation_model):
+            assert model.reg.gamma_x in sq_x and model.reg.gamma_y in sq_y
 
     def test_full_rank_winner_maps_to_smallest_retained(self, dataset):
         train_x, train_y, vi, vc, vp = dataset
@@ -228,7 +264,36 @@ class TestGuidedTikhonov:
         s_x, s_y = problem.s_x, problem.s_y
         result = selection.guided_tikhonov(
             problem, vi, vc, [len(s_x)], [len(s_y)], pair_index=vp)
-        assert result.search_penalties == (s_x[-1] ** 2, s_y[-1] ** 2)
+        reg = result.search_model.reg
+        assert (reg.gamma_x, reg.gamma_y) == (s_x[-1] ** 2, s_y[-1] ** 2)
+
+
+class TestSelect:
+    @pytest.mark.parametrize("kind", ["tsvd", "tikhonov"])
+    def test_mean_r1_shares_the_winner_of_the_averaged_grid(self, dataset,
+                                                           kind):
+        train_x, train_y, vi, vc, vp = dataset
+        path = getattr(selection, f"{kind}_path")
+        grid, sel = path(cca.prepare(train_x, train_y), vi, vc,
+                         metric="mean-r1", pair_index=vp)
+        mean = 0.5 * (grid.search_scores + grid.annotation_scores)
+        i, j = np.unravel_index(np.argmax(mean), mean.shape)
+        assert sel.best_search == sel.best_annotation
+        assert mean[i, j] == 0.5 * (sel.best_search_score
+                                    + sel.best_annotation_score)
+
+    def test_unknown_metric_rejected_before_any_cell(self, dataset,
+                                                     monkeypatch):
+        train_x, train_y, vi, vc, vp = dataset
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("a cell was factored before the metric "
+                                 "check")
+
+        monkeypatch.setattr(selection, "_filtered_svd", no_svd)
+        with pytest.raises(ValueError, match="unknown metric 'r5'"):
+            selection.tsvd_path(cca.prepare(train_x, train_y), vi, vc,
+                                [2], [2], metric="r5", pair_index=vp)
 
 
 class TestGuidedOnPar:
@@ -295,7 +360,8 @@ class TestTimingMachinery:
                 image_dim=256, text_dim=text_dim,
                 noise_x=0.5, noise_y=0.5, seed=0,
             )
-            x, y, splits = synthetic.generate_latent_pairs(cfg)
+            data = synthetic.generate_caption_like(cfg, 1)
+            x, y, splits = data.images, data.captions, data.image_splits
             tx = io.FeatureMatrix(x.values[splits["train"]])
             ty = io.FeatureMatrix(y.values[splits["train"]])
             vi = io.FeatureMatrix(x.values[splits["val"]])

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from ccax import cca, synthetic
+from ccax import synthetic
+from ccax.cca import RegularizationSpec, prepare, solve
 from oracles import generate_latent_pairs
 
 
@@ -15,49 +16,46 @@ def config(**overrides):
 
 
 class TestGenerateLatentPairs:
+    """The one-caption draw: images and captions paired 1:1."""
+
     def test_shapes_and_splits(self):
         cfg = config(n_train=30, n_val=10, n_test=5)
-        x, y, splits = synthetic.generate_latent_pairs(cfg)
-        assert x.values.shape == (45, 12)
-        assert y.values.shape == (45, 10)
+        data = synthetic.generate_caption_like(cfg, 1)
+        assert data.images.values.shape == (45, 12)
+        assert data.captions.values.shape == (45, 10)
+        splits = data.image_splits
         np.testing.assert_array_equal(splits["train"], np.arange(30))
         np.testing.assert_array_equal(splits["val"], np.arange(30, 40))
         np.testing.assert_array_equal(splits["test"], np.arange(40, 45))
 
     def test_same_seed_bitwise(self):
         cfg = config(n_train=20, n_val=5, n_test=5)
-        x1, y1, _ = synthetic.generate_latent_pairs(cfg)
-        x2, y2, _ = synthetic.generate_latent_pairs(cfg)
-        np.testing.assert_array_equal(x1.values, x2.values)
-        np.testing.assert_array_equal(y1.values, y2.values)
+        a = synthetic.generate_caption_like(cfg, 1)
+        b = synthetic.generate_caption_like(cfg, 1)
+        np.testing.assert_array_equal(a.images.values, b.images.values)
+        np.testing.assert_array_equal(a.captions.values, b.captions.values)
 
     def test_distinct_seeds_differ(self):
-        x1, _, _ = synthetic.generate_latent_pairs(config(seed=1, n_train=20,
-                                                          n_val=5, n_test=5))
-        x2, _, _ = synthetic.generate_latent_pairs(config(seed=2, n_train=20,
-                                                          n_val=5, n_test=5))
-        assert np.abs(x1.values - x2.values).max() > 0
+        a = synthetic.generate_caption_like(
+            config(seed=1, n_train=20, n_val=5, n_test=5), 1)
+        b = synthetic.generate_caption_like(
+            config(seed=2, n_train=20, n_val=5, n_test=5), 1)
+        assert np.abs(a.images.values - b.images.values).max() > 0
 
     def test_vanishing_noise_gives_unit_correlations(self):
         cfg = config(n_train=5000, n_val=1, n_test=1,
                      noise_x=1e-4, noise_y=1e-4)
-        x, y, splits = synthetic.generate_latent_pairs(cfg)
-        from ccax.io import FeatureMatrix
-
-        train = splits["train"]
-        model = cca.cca_fit(FeatureMatrix(x.values[train]),
-                            FeatureMatrix(y.values[train]))
+        data = synthetic.generate_caption_like(cfg, 1)
+        model = solve(prepare(*data.paired_training_views()),
+                      RegularizationSpec.none())
         assert np.all(model.sigma[: cfg.latent_dim] > 0.98)
 
     def test_huge_noise_decorrelates(self):
         cfg = config(n_train=5000, n_val=1, n_test=1,
                      noise_x=100.0, noise_y=100.0)
-        x, y, splits = synthetic.generate_latent_pairs(cfg)
-        from ccax.io import FeatureMatrix
-
-        train = splits["train"]
-        model = cca.cca_fit(FeatureMatrix(x.values[train]),
-                            FeatureMatrix(y.values[train]))
+        data = synthetic.generate_caption_like(cfg, 1)
+        model = solve(prepare(*data.paired_training_views()),
+                      RegularizationSpec.none())
         assert model.sigma[0] < 0.3
 
     @pytest.mark.parametrize("seed", range(5))
@@ -67,13 +65,14 @@ class TestGenerateLatentPairs:
         cfg = config(n_train=37, n_val=6, n_test=4, image_dim=image_dim,
                      text_dim=text_dim, latent_dim=latent_dim, seed=seed,
                      noise_x=0.4, noise_y=0.7, loading_scale=1.5)
-        got = synthetic.generate_latent_pairs(cfg)
+        got = synthetic.generate_caption_like(cfg, 1)
         want = generate_latent_pairs(cfg)
-        assert got[0].values.tobytes() == want[0].values.tobytes()
-        assert got[1].values.tobytes() == want[1].values.tobytes()
+        assert got.images.values.tobytes() == want[0].values.tobytes()
+        assert got.captions.values.tobytes() == want[1].values.tobytes()
         for name in ("train", "val", "test"):
-            np.testing.assert_array_equal(got[2][name], want[2][name])
-        assert set(got[2]) == set(want[2])
+            np.testing.assert_array_equal(got.image_splits[name],
+                                          want[2][name])
+        assert set(got.image_splits) == set(want[2])
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
@@ -82,6 +81,15 @@ class TestGenerateLatentPairs:
             config(n_val=0)
         with pytest.raises(ValueError):
             config(noise_x=-1.0)
+
+    @pytest.mark.parametrize("name,value", [
+        ("noise_x", np.nan), ("noise_x", np.inf), ("noise_y", np.nan),
+        ("noise_y", -np.inf), ("loading_scale", np.nan),
+        ("loading_scale", np.inf), ("loading_scale", 0.0),
+    ])
+    def test_non_finite_scale_named(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            config(**{name: value})
 
 
 class TestGenerateCaptionLike:
