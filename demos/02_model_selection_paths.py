@@ -1,9 +1,13 @@
 """Regularization-path search and the guided-Tikhonov shortcut.
 
-The T-SVD path only ever decomposes leading blocks of the precomputed
-correlation operator, so sweeping its grid is much cheaper than sweeping
-Tikhonov penalties; mapping the T-SVD winner to gamma = sigma_k^2 then
-buys Tikhonov-quality models at T-SVD-path prices.
+No path cell takes an SVD: each scores both retrieval tasks from one
+bilinear score of the validation views through its filtered operator.  A
+T-SVD operator is a leading block of the precomputed correlation
+operator, so a grid row grows one score matrix over its ranks, while each
+Tikhonov cell needs a full-width product of its own; sweeping the T-SVD
+grid is therefore cheaper than sweeping Tikhonov penalties, the more so
+the wider the views, and mapping the T-SVD winner to gamma = sigma_k^2
+then buys Tikhonov-quality models at T-SVD-path prices.
 """
 
 import numpy as np

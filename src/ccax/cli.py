@@ -24,8 +24,24 @@ _MAP_FLAGS = {"variant": "lin,lin", "concat": None, "m": 2000,
               "gamma_sample": 2000, "seed": 0}
 
 
-#: integer flags and their smallest value; a smaller one is a usage error
-_INT_FLOORS = {"threads": 0, "repeats": 1, "k": 1, "blocks": 1}
+def _int_from(floor: int):
+    """argparse type of an integer flag whose smallest value is ``floor``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < floor:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer >= {floor}, got {text!r}")
+        return value
+
+    return parse
+
+
+#: argparse type of a count, size or rank: an integer >= 1
+_COUNT = _int_from(1)
 
 
 def _finite_nonneg(text: str) -> float:
@@ -124,22 +140,22 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid-y", type=_number_list,
                        help="comma-separated axis of view Y")
         p.add_argument("--metric", choices=selection.METRICS, default="r1")
-        p.add_argument("--threads", type=int, default=1,
-                       help="path cells scored at once (default 1); "
+        p.add_argument("--threads", type=_int_from(0), default=1,
+                       help="path grid rows scored at once (default 1); "
                             "0 = min(32, cores + 4)")
 
     p = sub.add_parser("synth", help="generate seeded latent-factor data")
     add_config(p)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--n-train", type=int, default=2000)
-    p.add_argument("--n-val", type=int, default=500)
-    p.add_argument("--n-test", type=int, default=500)
-    p.add_argument("--latent", type=int, default=20)
-    p.add_argument("--mx", type=int, default=128)
-    p.add_argument("--my", type=int, default=64)
+    p.add_argument("--n-train", type=_COUNT, default=2000)
+    p.add_argument("--n-val", type=_COUNT, default=500)
+    p.add_argument("--n-test", type=_COUNT, default=500)
+    p.add_argument("--latent", type=_COUNT, default=20)
+    p.add_argument("--mx", type=_COUNT, default=128)
+    p.add_argument("--my", type=_COUNT, default=64)
     p.add_argument("--noise-x", type=_finite_nonneg, default=0.25)
     p.add_argument("--noise-y", type=_finite_nonneg, default=0.25)
-    p.add_argument("--captions", type=int, default=1,
+    p.add_argument("--captions", type=_COUNT, default=1,
                    help="captions per image (default 1)")
     p.add_argument("--seed", type=int, default=0)
 
@@ -151,9 +167,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="word,sentence layer kinds, e.g. rbf,rbf "
                         f"(default {_MAP_FLAGS['variant']})")
     p.add_argument("--concat", help="second map variant to concatenate")
-    p.add_argument("--m", type=int, help="word-layer feature count "
+    p.add_argument("--m", type=_COUNT, help="word-layer feature count "
                                          f"(default {_MAP_FLAGS['m']})")
-    p.add_argument("--mprime", type=int,
+    p.add_argument("--mprime", type=_COUNT,
                    help="sentence-layer feature count "
                         f"(default {_MAP_FLAGS['mprime']})")
     p.add_argument("--gamma", type=_bandwidth,
@@ -180,8 +196,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="none")
     p.add_argument("--gamma-x", type=_finite_nonneg, default=0.0)
     p.add_argument("--gamma-y", type=_finite_nonneg, default=0.0)
-    p.add_argument("--kx", type=int)
-    p.add_argument("--ky", type=int)
+    p.add_argument("--kx", type=_COUNT)
+    p.add_argument("--ky", type=_COUNT)
     p.add_argument("--path-out", help="write the T-SVD path TSV here")
     p.add_argument("--out", required=True, help="model archive path")
 
@@ -197,7 +213,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_config(p)
     add_path_inputs(p)
     p.set_defaults(grid_x=None, grid_y=None)  # always the default axes
-    p.add_argument("--repeats", type=int, default=3)
+    p.add_argument("--repeats", type=_COUNT, default=3)
     p.add_argument("--out", required=True, help="timing TSV")
 
     p = sub.add_parser("eval", help="evaluate bidirectional retrieval")
@@ -209,7 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weighting", type=_weighting, default="asymmetric",
                    help="asymmetric | symmetric:<alpha>")
     p.add_argument("--similarity", choices=("cosine", "l2"), default="cosine")
-    p.add_argument("--blocks", type=int, default=1,
+    p.add_argument("--blocks", type=_COUNT, default=1,
                    help="evaluate N contiguous image blocks and average")
     p.add_argument("--out", required=True, help="report TSV")
 
@@ -222,7 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphas", type=_number_list,
                    default="0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1",
                    help="comma-separated grid on [0, 1]")
-    p.add_argument("--k", type=int, default=10, help="recall cutoff")
+    p.add_argument("--k", type=_COUNT, default=10, help="recall cutoff")
     p.add_argument("--out", required=True, help="sweep TSV")
 
     p = sub.add_parser("inspect", help="print a model archive manifest")
@@ -528,10 +544,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"ccax: error: {exc}", file=sys.stderr)
         return 1
     args = parser.parse_args(argv)
-    for dest, floor in _INT_FLOORS.items():
-        if getattr(args, dest, floor) < floor:
-            parser.error(f"argument --{dest}: must be >= {floor}, "
-                         f"got {getattr(args, dest)}")
     if args.command == "embed":
         _resolve_map_flags(parser, args)
     try:

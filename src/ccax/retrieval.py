@@ -113,17 +113,27 @@ def _row_blocks(n_rows: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [n_rows]))
 
 
-def _scorer(queries: np.ndarray, items: np.ndarray, similarity: str):
-    """``scores_of(lo, hi)``: query rows [lo, hi) scored against all items.
+def _count_ranks(queries: np.ndarray, items: np.ndarray, gt_items: np.ndarray,
+                 starts: np.ndarray, similarity: str) -> np.ndarray:
+    """1-based rank of each query's best-placed ground-truth item.
 
-    Lower is better: cosine scores are negated inner products of
-    normalized vectors, ``l2`` scores squared distances.  A zero-norm
+    Cosine ranks items by descending inner product of normalized vectors,
+    ``l2`` by ascending distance; ties go to the smaller item index, but
+    only between bitwise-equal scores: duplicated items can score
+    differently, as OpenBLAS rounds the edge tiles of the item axis
+    differently.  No list is sorted: with s* the query's best ground-truth
+    score and i* the smallest ground-truth index reaching it, the rank is
+    1 + #(score better than s*) + #(score equal to s* at an index below i*).
+    Queries are float64 rows, scored BLOCK_ROWS rows at a time; query q
+    counts ``gt_items[starts[q]:starts[q + 1]]`` as correct.  A zero-norm
     vector under cosine is an error.
     """
     if queries.shape[1] != items.shape[1]:
         raise ValueError(
             f"query dim {queries.shape[1]} != item dim {items.shape[1]}"
         )
+    # scores_of(lo, hi) scores query rows [lo, hi) against all items, lower
+    # is better: negated cosines, or squared distances under l2
     if similarity == "cosine":
         qn = np.linalg.norm(queries, axis=1)
         sn = np.linalg.norm(items, axis=1)
@@ -149,24 +159,6 @@ def _scorer(queries: np.ndarray, items: np.ndarray, similarity: str):
                     + np.sum(block * block, axis=1)[:, None])
     else:
         raise ValueError(f"unknown similarity {similarity!r}")
-    return scores_of
-
-
-def _count_ranks(queries: np.ndarray, items: np.ndarray, gt_items: np.ndarray,
-                 starts: np.ndarray, similarity: str) -> np.ndarray:
-    """1-based rank of each query's best-placed ground-truth item.
-
-    Cosine ranks items by descending inner product of normalized vectors,
-    ``l2`` by ascending distance; ties go to the smaller item index, but
-    only between bitwise-equal scores: duplicated items can score
-    differently, as OpenBLAS rounds the edge tiles of the item axis
-    differently.  No list is sorted: with s* the query's best ground-truth
-    score and i* the smallest ground-truth index reaching it, the rank is
-    1 + #(score better than s*) + #(score equal to s* at an index below i*).
-    Queries are float64 rows, scored BLOCK_ROWS rows at a time; query q
-    counts ``gt_items[starts[q]:starts[q + 1]]`` as correct.
-    """
-    scores_of = _scorer(queries, items, similarity)
     n_queries, n_items = queries.shape[0], items.shape[0]
     ranks = np.empty(n_queries, dtype=np.int64)
     index = np.arange(n_items)
@@ -186,48 +178,6 @@ def _count_ranks(queries: np.ndarray, items: np.ndarray, gt_items: np.ndarray,
         ahead = (scores < s_star) | ((scores == s_star) & (index < i_star))
         ranks[lo:hi] = 1 + np.count_nonzero(ahead, axis=1)
     return ranks
-
-
-def _first_best(queries: np.ndarray, items: np.ndarray,
-                similarity: str) -> np.ndarray:
-    """Index of each query's best-scoring item, on the scores of
-    :func:`_count_ranks`, so an item is first-best exactly where its rank
-    there would be 1.
-
-    Ties go to the smaller index only between bitwise-equal scores (see
-    :func:`_count_ranks`).  A NaN at a query's chosen position is an error.
-    """
-    scores_of = _scorer(queries, items, similarity)
-    best = np.empty(queries.shape[0], dtype=np.int64)
-    for lo, hi in _row_blocks(queries.shape[0]):
-        scores = scores_of(lo, hi)
-        chosen = np.argmin(scores, axis=1)
-        nan = np.isnan(scores[np.arange(hi - lo), chosen])
-        if nan.any():
-            raise ValueError(
-                f"query {lo + int(np.flatnonzero(nan)[0])}: score is NaN")
-        best[lo:hi] = chosen
-    return best
-
-
-def _top1_recalls(images: np.ndarray, captions: np.ndarray,
-                  sigma: np.ndarray, pair_index: np.ndarray,
-                  similarity: str) -> tuple[float, float]:
-    """(search, annotation) r@1 percentages of canonical-space views.
-
-    ``images`` holds U'x rows and ``captions`` V'y rows.  As in the
-    asymmetric :func:`make_task_embedding`, Sigma goes on the search side:
-    captions query Sigma U'x in search, images query Sigma V'y in
-    annotation.  As in :func:`evaluate_bidirectional`, a caption hits at its
-    own image, and an image at one of its own captions.
-    """
-    found = _first_best(captions, images * sigma, similarity)
-    search = int(np.count_nonzero(found == pair_index))
-    found = _first_best(images, captions * sigma, similarity)
-    annotation = int(np.count_nonzero(pair_index[found]
-                                      == np.arange(images.shape[0])))
-    return (100.0 * search / captions.shape[0],
-            100.0 * annotation / images.shape[0])
 
 
 def _report(ranks: np.ndarray, ks, task: str, n_items: int) -> EvalReport:

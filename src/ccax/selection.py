@@ -5,27 +5,32 @@ that does not depend on the grid point: the singular values and right
 singular vectors of each centered training view and the correlation
 operator T = Ux' Uy.  A path rotates both validation views once, to
 Xr = (Xv - mean_x) Vx and Yr = (Yv - mean_y) Vy, and a cell builds no
-model: it takes the one SVD of its filtered operator, applies the
-filter's column scale to Xr and Yr and rotates them by P_x and P_y, which
-gives every validation row in the cell's canonical space, and scores both
-tasks at top 1.  A T-SVD cell's SVD is of the leading k_x x k_y block of
-T, while a Tikhonov cell needs a full-size SVD of the diagonally rescaled
-Sx T Sy -- the asymmetry the guided-Tikhonov shortcut exploits: run the
-cheap hard-threshold path, map its winning ranks (k*_x, k*_y) to
-penalties (s_x[k*_x]^2, s_y[k*_y]^2), and fit Tikhonov once per task.
+model and takes no SVD.  With op = P_x Sigma P_y' the cell's filtered
+operator and X~, Y~ the rotated views under the filter's column scale,
+both tasks rank by one matrix G = X~ op Y~': G[i, c] is the inner product
+of image i and caption c with Sigma on either side, and the search and
+annotation item norms are ||op' x~_i|| and ||op y~_c||, so a cell is one
+product and one top-1 scoring (:func:`_cell_recalls`).  A T-SVD op is the
+nested block T[:k_x, :k_y], so a grid row accumulates G over ascending
+k_y; a Tikhonov op is the full-size rescaled dx (Sx T Sy) dy, so each
+cell needs a full-width product -- the asymmetry the guided-Tikhonov
+shortcut exploits: run the cheap hard-threshold path, map its winning
+ranks (k*_x, k*_y) to penalties (s_x[k*_x]^2, s_y[k*_y]^2), and fit
+Tikhonov once per task.
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .cca import CcaModel, CcaProblem, RegularizationSpec, _filtered_svd, solve
 from .io import FeatureMatrix
-from .retrieval import _check_pairing, _top1_recalls
+from .retrieval import _check_pairing
 
 METRICS = ("r1", "mean-r1")
 
@@ -45,7 +50,15 @@ class PathGrid:
     cell_seconds: np.ndarray
     total_seconds: float
     kind: str  # "tsvd" or "tikhonov"
-    sigmas: list                   # [i][j] -> canonical correlations of cell
+    problem: CcaProblem = field(repr=False, compare=False)
+
+    @cached_property
+    def sigmas(self) -> list:
+        """[i][j] -> canonical correlations of the cell: the SVD of its
+        filtered operator, which scoring never takes, so it runs per cell
+        when first read."""
+        return [[_filtered_svd(self.problem, _SPECS[self.kind](px, py))[3]
+                 for py in self.axis_y] for px in self.axis_x]
 
 
 @dataclass(frozen=True)
@@ -148,44 +161,151 @@ def _select(grid: PathGrid, metric: str) -> SelectionResult:
     )
 
 
+def _cell_recalls(g: np.ndarray, image_sq: np.ndarray,
+                  caption_sq: np.ndarray, rank_one: bool,
+                  pair_index: np.ndarray, similarity: str) -> tuple[float, float]:
+    """(search, annotation) r@1 percentages of one path cell.
+
+    ``g`` is the cell's G = X~ op Y~', and ``image_sq``/``caption_sq`` are
+    the squared search and annotation item norms ||op' x~_i||^2 =
+    ||Sigma U'x_i||^2 and ||op y~_c||^2 = ||Sigma V'y_c||^2.  A query's own
+    norm is common to all its items, so cosine ranks by g over the item
+    norm, and ``l2`` by g - ||item||^2 / 2 (halving is exact, so the order
+    and its ties are those of the distance).  On one axis every cosine is
+    exactly +-1, the sign of g.  The first best item wins a tie, as in
+    rank counting; a caption hits at its own image, an image at one of its
+    own captions.
+    """
+    if similarity == "cosine":
+        for name, sq in (("image", image_sq), ("caption", caption_sq)):
+            if not sq.all():
+                raise ValueError(f"zero-norm {name} vector at index "
+                                 f"{int(np.flatnonzero(sq == 0)[0])} "
+                                 "under cosine")
+        if rank_one:
+            by_image = by_caption = np.sign(g)
+        else:
+            by_image = g / np.sqrt(image_sq)[:, None]
+            by_caption = g / np.sqrt(caption_sq)
+    else:
+        by_image = g - 0.5 * image_sq[:, None]
+        by_caption = g - 0.5 * caption_sq
+    # argmax takes the first NaN wherever there is one
+    if np.isnan(by_image.max()) or np.isnan(by_caption.max()):
+        raise ValueError("a path cell scored NaN")
+    image_of = by_image.argmax(axis=0)    # each caption's best image
+    caption_of = by_caption.argmax(axis=1)  # each image's best caption
+    search = np.count_nonzero(image_of == pair_index)
+    annotation = np.count_nonzero(pair_index[caption_of]
+                                  == np.arange(g.shape[0]))
+    return 100.0 * search / g.shape[1], 100.0 * annotation / g.shape[0]
+
+
+def _prefix_sq(a: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Row sums of a[:, :e]^2 for each e in the ascending ``ends``, where
+    ``a`` has ends[-1] columns; no full-width prefix sum is held."""
+    return np.add.reduceat(a * a, np.r_[0, ends[:-1]], axis=1).cumsum(axis=1)
+
+
+def _tsvd_rows(problem: CcaProblem, xs, ys, x_rot, y_rot):
+    """Caption norms per cell and the cells of each row of a T-SVD path.
+
+    op = T[:k_x, :k_y] is a nested block, so a grid row shares its work:
+    D = X~[:, :k_x] T[:k_x, :] once, then g grows over ascending k_y by
+    D[:, k':k_y] Y~[:, k':k_y]'.  Image norms are prefix sums of D^2 along
+    the row; caption norms prefix sums of C^2, C = Y~[:, :k_y] T[:, :k_y]',
+    grown along the columns once for the whole path.
+    """
+    s_x, s_y, t = problem.s_x, problem.s_y, problem.t
+    steps = list(enumerate(zip(np.r_[0, ys[:-1]], ys)))
+    y_til = y_rot[:, :ys[-1]] / s_y[:ys[-1]]
+    caption_sq = np.empty((len(xs), len(ys), y_rot.shape[0]))
+    c = np.zeros((y_rot.shape[0], xs[-1]))
+    for j, (lo, hi) in steps:
+        c += y_til[:, lo:hi] @ t[:xs[-1], lo:hi].T
+        caption_sq[:, j] = _prefix_sq(c, xs).T
+
+    def cells(i):
+        k_x = xs[i]
+        d = (x_rot[:, :k_x] / s_x[:k_x]) @ t[:k_x, :ys[-1]]
+        image_sq = _prefix_sq(d, ys)
+        g = np.zeros((x_rot.shape[0], y_rot.shape[0]))
+        for j, (lo, hi) in steps:
+            start = time.perf_counter()
+            g += d[:, lo:hi] @ y_til[:, lo:hi].T
+            yield j, start, g, image_sq[:, j], min(k_x, hi) == 1
+
+    return caption_sq, cells
+
+
+def _tikhonov_rows(problem: CcaProblem, xs, ys, x_rot, y_rot):
+    """Caption norms per cell and the cells of each row of a Tikhonov path.
+
+    With M = Sx T Sy and d^2 = 1 / (s^2 + gamma), op = dx M dy and
+    g = (Xr dx^2) M (Yr dy^2)': a row factor R_x = (Xr dx^2) M per gamma_x
+    and a column factor R_y = (Yr dy^2) M' per gamma_y, so a cell is one
+    product (R_x dy^2) Yr', with norms R_x^2 dy^2 and R_y^2 dx^2.
+    """
+    m = (problem.s_x[:, None] * problem.t) * problem.s_y[None, :]
+    dx2 = 1.0 / (problem.s_x[:, None] ** 2 + xs)  # one column per gamma_x
+    dy2 = 1.0 / (problem.s_y[:, None] ** 2 + ys)
+    rank_one = min(m.shape) == 1
+    caption_sq = np.empty((len(xs), len(ys), y_rot.shape[0]))
+    for j in range(len(ys)):
+        r_y = (y_rot * dy2[:, j]) @ m.T
+        caption_sq[:, j] = ((r_y * r_y) @ dx2).T
+
+    def cells(i):
+        r_x = (x_rot * dx2[:, i]) @ m
+        image_sq = (r_x * r_x) @ dy2
+        for j in range(len(ys)):
+            start = time.perf_counter()
+            g = (r_x * dy2[:, j]) @ y_rot.T
+            yield j, start, g, image_sq[:, j], rank_one
+
+    return caption_sq, cells
+
+
 def _run_grid(problem: CcaProblem, axis_x, axis_y, kind: str,
               val_images: FeatureMatrix, val_captions: FeatureMatrix,
               pair_index, similarity: str,
               workers: int | None) -> PathGrid:
-    nx, ny = len(axis_x), len(axis_y)
-    search_scores = np.zeros((nx, ny))
-    annotation_scores = np.zeros((nx, ny))
-    cell_seconds = np.zeros((nx, ny))
-    sigmas = [[None] * ny for _ in range(nx)]
-    cells = [(i, j) for i in range(nx) for j in range(ny)]
+    if similarity not in ("cosine", "l2"):
+        raise ValueError(f"unknown similarity {similarity!r}")
+    # rows run on the sorted, distinct axis values, so a cell's bits do not
+    # depend on the order or repeats of the axes or on the worker count
+    xs, at_x = np.unique(axis_x, return_inverse=True)
+    ys, at_y = np.unique(axis_y, return_inverse=True)
+    search_scores = np.zeros((len(xs), len(ys)))
+    annotation_scores = np.zeros_like(search_scores)
+    cell_seconds = np.zeros_like(search_scores)
     # both validation views in the rotated space, shared by every cell
     x_rot = (val_images.values - problem.mean_x) @ problem.v_x
     y_rot = (val_captions.values - problem.mean_y) @ problem.v_y
-    x_rot.flags.writeable = y_rot.flags.writeable = False
-
-    def run_cell(ij):
-        i, j = ij
-        start = time.perf_counter()
-        scale_x, scale_y, p_x, sigma, p_y = _filtered_svd(
-            problem, _SPECS[kind](axis_x[i], axis_y[j]))
-        search_scores[i, j], annotation_scores[i, j] = _top1_recalls(
-            scale_x(x_rot) @ p_x, scale_y(y_rot) @ p_y, sigma, pair_index,
-            similarity)
-        sigmas[i][j] = sigma
-        cell_seconds[i, j] = time.perf_counter() - start
 
     t0 = time.perf_counter()
+    rows = _tsvd_rows if kind == "tsvd" else _tikhonov_rows
+    caption_sq, cells = rows(problem, xs, ys, x_rot, y_rot)
+
+    def run_row(i):
+        for j, start, g, image_sq, rank_one in cells(i):
+            search_scores[i, j], annotation_scores[i, j] = _cell_recalls(
+                g, image_sq, caption_sq[i, j], rank_one, pair_index,
+                similarity)
+            cell_seconds[i, j] = time.perf_counter() - start
+
     if workers is not None and workers == 1:
-        for ij in cells:
-            run_cell(ij)
+        for i in range(len(xs)):
+            run_row(i)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             # materialize to surface worker exceptions
-            list(pool.map(run_cell, cells))
+            list(pool.map(run_row, range(len(xs))))
     total = time.perf_counter() - t0
+    cell = np.ix_(at_x.ravel(), at_y.ravel())
     return PathGrid(np.asarray(axis_x), np.asarray(axis_y),
-                    search_scores, annotation_scores, cell_seconds,
-                    total, kind, sigmas)
+                    search_scores[cell], annotation_scores[cell],
+                    cell_seconds[cell], total, kind, problem)
 
 
 def _path(kind: str, problem: CcaProblem, val_images: FeatureMatrix,
@@ -194,7 +314,7 @@ def _path(kind: str, problem: CcaProblem, val_images: FeatureMatrix,
           workers: int | None) -> tuple[PathGrid, SelectionResult]:
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
-    # a bad pairing or axis fails here, before any cell is factored
+    # a bad pairing or axis fails here, before any cell is scored
     pair_index = _check_pairing(pair_index, val_images.rows, val_captions.rows)
     axis_x, axis_y = path_axes(problem, kind, grid_x, grid_y)
     grid = _run_grid(problem, axis_x, axis_y, kind, val_images, val_captions,
@@ -210,9 +330,10 @@ def tsvd_path(problem: CcaProblem,
     """Grid search over truncation ranks (k_x, k_y); axes as
     :func:`path_axes` makes them.
 
-    A cell scores the validation views in the rotated, filtered space of
-    ``solve(problem, tsvd(k_x, k_y))``, the model a standalone
-    rank-(k_x, k_y) fit produces, by each query's first-best item.
+    A cell's r@1 is that of ``solve(problem, tsvd(k_x, k_y))``, the model a
+    standalone rank-(k_x, k_y) fit produces, found from G = X~ T[:k_x, :k_y]
+    Y~' without its SVD; each grid row grows G over ascending k_y.
+    ``workers`` grid rows run at once (None: a default thread pool).
     """
     return _path("tsvd", problem, val_images, val_captions, grid_x, grid_y,
                  metric, pair_index, similarity, workers)
@@ -226,10 +347,10 @@ def tikhonov_path(problem: CcaProblem,
     """Grid search over Tikhonov penalties (gamma_x, gamma_y); axes as
     :func:`path_axes` makes them.
 
-    A cell takes a full-size SVD of the rescaled Sx T Sy and scores the
-    validation views in the rotated, filtered space of
-    ``solve(problem, tikhonov(gamma_x, gamma_y))`` by each query's
-    first-best item.
+    A cell's r@1 is that of ``solve(problem, tikhonov(gamma_x, gamma_y))``,
+    found without its SVD from one full-width product per cell, G =
+    ((Xr dx^2) M dy^2) Yr' with M = Sx T Sy and d^2 = 1 / (s^2 + gamma).
+    ``workers`` grid rows run at once (None: a default thread pool).
     """
     return _path("tikhonov", problem, val_images, val_captions, grid_x,
                  grid_y, metric, pair_index, similarity, workers)
@@ -294,7 +415,7 @@ def measure_path_timing(problem: CcaProblem,
                         similarity: str = "cosine") -> PathTimingReport:
     """Time both paths on rank grids and the matching penalty grids.
 
-    Single-threaded cell evaluation, one unmeasured warm-up run, then the
+    One grid row at a time, one unmeasured warm-up run, then the
     median over ``repeats`` runs of each path.  The Tikhonov grid is the
     squared-singular-value image of the rank grid so both paths visit the
     same number of cells.  The shared factorisation in ``problem`` is paid

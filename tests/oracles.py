@@ -24,8 +24,10 @@ paper's identity that Tikhonov and T-SVD are diagonal filters on T, which
 generator that the one-caption case of ``synthetic.generate_caption_like``
 replaced.  ``path_cells`` scores
 each path cell by a full model (``cca.solve``) and ranks
-(``evaluate_bidirectional``), the route that the top-1 scoring of
-``selection._run_grid`` in the rotated validation space replaced.
+(``evaluate_bidirectional``), and ``rotated_path_cells`` by the SVD of its
+filtered operator and each query's first-best item in the rotated
+validation space (``first_best``, ``top1_recalls``): the two routes that
+the SVD-free bilinear scoring of ``selection._run_grid`` replaced.
 """
 
 from __future__ import annotations
@@ -504,3 +506,86 @@ def path_cells(problem, axis_x, axis_y, kind: str, val_images, val_captions,
             annotation[i, j] = a.recalls[1]
             sigmas[i][j] = model.sigma
     return search, annotation, sigmas
+
+
+def first_best(queries: np.ndarray, items: np.ndarray,
+               similarity: str) -> np.ndarray:
+    """Index of each query's best-scoring item, on the block scores of
+    ``retrieval._count_ranks``, so an item is first-best exactly where its
+    rank there would be 1.
+
+    Ties go to the smaller index only between bitwise-equal scores.  A NaN
+    at a query's chosen position is an error.
+    """
+    from ccax.retrieval import _row_blocks
+
+    if similarity == "cosine":
+        qn = np.linalg.norm(queries, axis=1)
+        sn = np.linalg.norm(items, axis=1)
+        for name, norms in (("query", qn), ("item", sn)):
+            if np.any(norms == 0):
+                raise ValueError(f"zero-norm {name} vector at index "
+                                 f"{int(np.flatnonzero(norms == 0)[0])} "
+                                 "under cosine")
+        neg_unit_items_t = -(items / sn[:, None]).T
+
+        def scores_of(lo, hi):
+            return (queries[lo:hi] / qn[lo:hi, None]) @ neg_unit_items_t
+    else:
+        item_sq = np.sum(items * items, axis=1)[None, :]
+
+        def scores_of(lo, hi):
+            block = queries[lo:hi]
+            return (-2.0 * block @ items.T + item_sq
+                    + np.sum(block * block, axis=1)[:, None])
+    best = np.empty(queries.shape[0], dtype=np.int64)
+    for lo, hi in _row_blocks(queries.shape[0]):
+        scores = scores_of(lo, hi)
+        chosen = np.argmin(scores, axis=1)
+        nan = np.isnan(scores[np.arange(hi - lo), chosen])
+        if nan.any():
+            raise ValueError(
+                f"query {lo + int(np.flatnonzero(nan)[0])}: score is NaN")
+        best[lo:hi] = chosen
+    return best
+
+
+def top1_recalls(images: np.ndarray, captions: np.ndarray, sigma: np.ndarray,
+                 pair_index: np.ndarray, similarity: str) -> tuple[float, float]:
+    """(search, annotation) r@1 percentages of canonical-space views.
+
+    ``images`` holds U'x rows and ``captions`` V'y rows; Sigma goes on the
+    search side, as in the asymmetric embedding: captions query Sigma U'x
+    in search, images query Sigma V'y in annotation.  A caption hits at its
+    own image, an image at one of its own captions.
+    """
+    found = first_best(captions, images * sigma, similarity)
+    search = int(np.count_nonzero(found == pair_index))
+    found = first_best(images, captions * sigma, similarity)
+    annotation = int(np.count_nonzero(pair_index[found]
+                                      == np.arange(images.shape[0])))
+    return (100.0 * search / captions.shape[0],
+            100.0 * annotation / images.shape[0])
+
+
+def rotated_path_cells(problem, axis_x, axis_y, kind: str, val_images,
+                       val_captions, pair_index, similarity: str = "cosine"):
+    """(search r@1, annotation r@1) of every cell of a path grid, each cell
+    scored in its own canonical space: the SVD of the filtered operator
+    (``cca._filtered_svd``), its column scale and rotation applied to the
+    rotated validation views, and ``top1_recalls``."""
+    from ccax.cca import RegularizationSpec, _filtered_svd
+
+    make = getattr(RegularizationSpec, kind)
+    x_rot = (val_images.values - problem.mean_x) @ problem.v_x
+    y_rot = (val_captions.values - problem.mean_y) @ problem.v_y
+    search = np.zeros((len(axis_x), len(axis_y)))
+    annotation = np.zeros_like(search)
+    for i, px in enumerate(axis_x):
+        for j, py in enumerate(axis_y):
+            scale_x, scale_y, p_x, sigma, p_y = _filtered_svd(
+                problem, make(px, py))
+            search[i, j], annotation[i, j] = top1_recalls(
+                scale_x(x_rot) @ p_x, scale_y(y_rot) @ p_y, sigma,
+                pair_index, similarity)
+    return search, annotation

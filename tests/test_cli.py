@@ -60,8 +60,10 @@ class TestSynth:
                 (synth_dir / name).read_bytes()
 
 
-    @pytest.mark.parametrize("flags", [["--latent", "0"],
-                                       ["--captions", "0"]])
+    # a latent dimension above a view's dimension is refused by the
+    # configuration (exit 1); counts below 1 already fail while parsing
+    @pytest.mark.parametrize("flags", [["--latent", "65"],
+                                       ["--mx", "8", "--latent", "9"]])
     def test_refused_configuration_writes_nothing(self, flags, tmp_path,
                                                   capsys):
         assert main(["synth", "--out-dir", str(tmp_path / "s")] + flags) == 1
@@ -114,8 +116,7 @@ class TestFit:
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags,message", [
-        (["--reg", "tsvd", "--kx", "0", "--ky", "2"],
-         "tsvd ranks must be >= 1"),
+        (["--reg", "tsvd", "--ky", "2"], "--reg tsvd needs --kx and --ky"),
         (["--reg", "tsvd", "--kx", "2"], "--reg tsvd needs --kx and --ky"),
         (["--reg", "guided-tsvd"],
          "--reg guided-tsvd needs --val-x and --val-y"),
@@ -667,6 +668,43 @@ class TestThinSvdCount:
         assert prepares == [[(28, 16), (28, 12)]]
 
 
+class TestPathSvdCount:
+    """Path cells take no SVD: a command's SVDs are the two thin SVDs of
+    ``cca.prepare`` plus one per model it fits."""
+
+    @pytest.fixture
+    def svd_calls(self, monkeypatch):
+        calls = []
+        original_svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(1)
+            return original_svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        return calls
+
+    @pytest.mark.parametrize("reg", ["tsvd", "tikhonov"])
+    def test_path_takes_only_the_prepare_svds(self, reg, svd_calls,
+                                              synth_dir, tmp_path):
+        argv = _path_argv("path", synth_dir, tmp_path)
+        assert main(argv + ["--reg", reg, "--grid", "3x3"]) == 0
+        assert len(svd_calls) == 2
+
+    @pytest.mark.parametrize("metric", ["r1", "mean-r1"])
+    def test_guided_fit_adds_one_per_distinct_refit(self, metric, svd_calls,
+                                                    synth_dir, tmp_path):
+        argv = _path_argv("fit", synth_dir, tmp_path)
+        assert main(argv + ["--grid", "3x3", "--metric", metric]) == 0
+        if metric == "mean-r1":
+            refits = 1
+        else:
+            manifests = [io.load_archive(path).manifest for path in
+                         cli._guided_out_paths(str(tmp_path / "model.arc"))]
+            refits = len({(m["gamma_x"], m["gamma_y"]) for m in manifests})
+        assert len(svd_calls) == 2 + refits
+
+
 class TestGuidedGridFlags:
     """--grid sizes the axes that --grid-x / --grid-y leave to the default."""
 
@@ -798,6 +836,20 @@ class TestFlagRanges:
         ("embed", ["--gamma", "-0.5"], "--gamma"),
         ("synth", ["--noise-x", "nan"], "--noise-x"),
         ("synth", ["--noise-y", "inf"], "--noise-y"),
+        # counts and ranks below 1 (--threads below 0)
+        ("fit", ["--kx", "0"], "--kx"),
+        ("fit", ["--kx", "-1"], "--kx"),
+        ("fit", ["--ky", "0"], "--ky"),
+        ("synth", ["--n-train", "0"], "--n-train"),
+        ("synth", ["--n-val", "0"], "--n-val"),
+        ("synth", ["--n-test", "-2"], "--n-test"),
+        ("synth", ["--captions", "0"], "--captions"),
+        ("synth", ["--latent", "0"], "--latent"),
+        ("synth", ["--mx", "0"], "--mx"),
+        ("synth", ["--my", "-1"], "--my"),
+        ("embed", ["--m", "0"], "--m"),
+        ("embed", ["--mprime", "0"], "--mprime"),
+        ("sweep", ["--k", "2.5"], "--k"),
     ]
 
     @pytest.mark.parametrize("command,flags,named", CASES)

@@ -166,7 +166,7 @@ class TestRank:
         queries = np.array([[1.0, 0.5], [np.nan, 1.0]])
         items = np.array([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="query 1: score is NaN"):
-            retrieval._first_best(queries, items, similarity)
+            oracles.first_best(queries, items, similarity)
 
     def test_zero_norm_reported_with_index(self):
         items = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -343,7 +343,7 @@ class TestCountingMatchesSorting:
            similarity=st.sampled_from(("cosine", "l2")))
     def test_first_best_is_rank_one(self, problem, similarity):
         queries, items, gt = problem
-        best = retrieval._first_best(queries, items, similarity)
+        best = oracles.first_best(queries, items, similarity)
         ranks = oracles.best_ranks(queries, items, gt, similarity)
         np.testing.assert_array_equal(
             [b in g for b, g in zip(best, gt)], ranks == 1)

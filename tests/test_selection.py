@@ -143,7 +143,7 @@ class TestTsvdPath:
 class TestPairingChecks:
     """A pairing that does not fit the validation captions fails up front.
 
-    The library paths raise before any cell is factored; the CLI checks the
+    The library paths raise before any cell is scored; the CLI checks the
     pairing before it prepares the problem (``tests/test_cli.py``).
     """
 
@@ -156,11 +156,11 @@ class TestPairingChecks:
         pairs = (vp[:change] if change < 0
                  else np.concatenate([vp, vp[:change]]))
 
-        def no_svd(*args, **kwargs):
-            raise AssertionError("a cell was factored before the pairing "
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell was scored before the pairing "
                                  "check")
 
-        monkeypatch.setattr(selection, "_filtered_svd", no_svd)
+        monkeypatch.setattr(selection, "_cell_recalls", no_cell)
         with pytest.raises(ValueError,
                            match="pair_index length must match caption count"):
             path(cca.prepare(train_x, train_y), vi, vc, [2], [2],
@@ -171,11 +171,11 @@ class TestPairingChecks:
         train_x, train_y, vi, vc, vp = dataset
         pairs = np.where(vp == 19, 18, vp)
 
-        def no_svd(*args, **kwargs):
-            raise AssertionError("a cell was factored before the pairing "
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell was scored before the pairing "
                                  "check")
 
-        monkeypatch.setattr(selection, "_filtered_svd", no_svd)
+        monkeypatch.setattr(selection, "_cell_recalls", no_cell)
         with pytest.raises(ValueError, match="image 19 has no paired captions"):
             selection.tsvd_path(cca.prepare(train_x, train_y), vi, vc,
                                 [2], [2], pair_index=pairs)
@@ -224,10 +224,10 @@ class TestTikhonovPath:
                                                          monkeypatch, bad):
         train_x, train_y, vi, vc, vp = dataset
 
-        def no_svd(*args, **kwargs):
-            raise AssertionError("a cell was factored before the axis check")
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell was scored before the axis check")
 
-        monkeypatch.setattr(selection, "_filtered_svd", no_svd)
+        monkeypatch.setattr(selection, "_cell_recalls", no_cell)
         with pytest.raises(ValueError, match="gamma_x grid must hold finite "
                                              "penalties >= 0"):
             selection.tikhonov_path(cca.prepare(train_x, train_y), vi, vc,
@@ -286,11 +286,11 @@ class TestSelect:
                                                      monkeypatch):
         train_x, train_y, vi, vc, vp = dataset
 
-        def no_svd(*args, **kwargs):
-            raise AssertionError("a cell was factored before the metric "
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell was scored before the metric "
                                  "check")
 
-        monkeypatch.setattr(selection, "_filtered_svd", no_svd)
+        monkeypatch.setattr(selection, "_cell_recalls", no_cell)
         with pytest.raises(ValueError, match="unknown metric 'r5'"):
             selection.tsvd_path(cca.prepare(train_x, train_y), vi, vc,
                                 [2], [2], metric="r5", pair_index=vp)
@@ -433,3 +433,73 @@ class TestRotatedCells:
         for got, want in zip(grid.sigmas, sigmas):
             for a, b in zip(got, want):
                 np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("kind", ["tsvd", "tikhonov"])
+    @pytest.mark.parametrize("similarity", ["cosine", "l2"])
+    def test_equals_rotated_route_on_a_wide_set(self, kind, similarity):
+        # 150 images x 5 captions on a 7x6 grid (a rank-1 row for tsvd):
+        # the bilinear scores against the SVD of every cell
+        cfg = synthetic.LatentModelConfig(
+            n_train=400, n_val=150, n_test=1, latent_dim=12, image_dim=48,
+            text_dim=32, noise_x=0.1, noise_y=2.0, seed=41)
+        data = synthetic.generate_caption_like(cfg, 5)
+        vi, vc, vp = data.split_views("val")
+        problem = cca.prepare(*data.paired_training_views())
+        axis_x, axis_y = selection.path_axes(problem, kind, counts=(6, 6))
+        if kind == "tsvd":
+            axis_x = np.r_[1, axis_x]
+        grid = selection._run_grid(problem, axis_x, axis_y, kind, vi, vc, vp,
+                                   similarity, 1)
+        search, annotation = oracles.rotated_path_cells(
+            problem, axis_x, axis_y, kind, vi, vc, vp, similarity)
+        np.testing.assert_array_equal(grid.search_scores, search)
+        np.testing.assert_array_equal(grid.annotation_scores, annotation)
+
+
+#: axes given unsorted and with a repeated value
+UNSORTED_AXES = [("tsvd", [9, 2, 5, 2], [8, 3, 8]),
+                 ("tikhonov", [30.0, 0.5, 4.0, 0.5], [10.0, 0.1, 10.0])]
+
+
+class TestSvdFreeCells:
+    """Rows on sorted, distinct axis values; sigmas taken only when read."""
+
+    @pytest.mark.parametrize("kind,axis_x,axis_y", UNSORTED_AXES)
+    def test_sigmas_equal_solve(self, dataset, kind, axis_x, axis_y):
+        train_x, train_y, vi, vc, vp = dataset
+        problem = cca.prepare(train_x, train_y)
+        grid, _ = getattr(selection, f"{kind}_path")(
+            problem, vi, vc, axis_x, axis_y, pair_index=vp)
+        make = getattr(RegularizationSpec, kind)
+        for i, px in enumerate(axis_x):
+            for j, py in enumerate(axis_y):
+                np.testing.assert_array_equal(
+                    grid.sigmas[i][j], solve(problem, make(px, py)).sigma)
+
+    @pytest.mark.parametrize("kind,axis_x,axis_y", UNSORTED_AXES)
+    def test_cells_bitwise_equal_across_workers_and_axis_order(
+            self, dataset, monkeypatch, kind, axis_x, axis_y):
+        train_x, train_y, vi, vc, vp = dataset
+        problem = cca.prepare(train_x, train_y)
+        score = selection._cell_recalls
+        runs = []
+
+        def recording(g, image_sq, caption_sq, *args):
+            runs[-1].append(g.tobytes() + image_sq.tobytes()
+                            + caption_sq.tobytes())
+            return score(g, image_sq, caption_sq, *args)
+
+        monkeypatch.setattr(selection, "_cell_recalls", recording)
+        grids = []
+        for axes, workers in (((axis_x, axis_y), 1), ((axis_x, axis_y), 3),
+                              ((sorted(set(axis_x)), sorted(set(axis_y))),
+                               3)):
+            runs.append([])
+            grids.append(selection._run_grid(problem, *axes, kind, vi, vc, vp,
+                                             "cosine", workers))
+        # each distinct cell's scores and item norms once, bit for bit
+        assert len(runs[0]) == 6
+        assert sorted(runs[0]) == sorted(runs[1]) == sorted(runs[2])
+        for name in ("search_scores", "annotation_scores"):
+            assert (getattr(grids[0], name).tobytes()
+                    == getattr(grids[1], name).tobytes())
