@@ -45,7 +45,6 @@ from .retrieval import (
     alpha_sweep,
     evaluate_bidirectional,
     evaluate_blocks,
-    make_task_embedding,
 )
 from .selection import (
     GuidedTikhonovResult,

@@ -99,12 +99,13 @@ class CcaModel:
         return self.v.shape[0]
 
 
-def _sign_fix(p_x: np.ndarray, p_y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Largest-magnitude entry of each p_x column made positive; the paired
-    # p_y column flips with it so p_x Sigma p_y' is untouched.
-    lead = np.argmax(np.abs(p_x), axis=0)
-    signs = np.where(p_x[lead, np.arange(p_x.shape[1])] < 0, -1.0, 1.0)
-    return p_x * signs, p_y * signs
+def _sign_fix(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Largest-magnitude entry of each weight column u_j made positive (the
+    # first, on ties); v_j flips with it, so u Sigma v' is untouched.  u is
+    # in input space, so the signs do not depend on how prepare factors.
+    lead = np.argmax(np.abs(u), axis=0)
+    signs = np.where(u[lead, np.arange(u.shape[1])] < 0, -1.0, 1.0)
+    return u * signs, v * signs
 
 
 def _validate_pair(x: FeatureMatrix, y: FeatureMatrix) -> None:
@@ -195,7 +196,7 @@ def _filtered_svd(problem: CcaProblem, spec: RegularizationSpec):
     on, so ``scale_x(problem.v_x) @ p_x`` are the canonical weights: it
     keeps the leading k_x columns divided by s_x for ``tsvd`` and ``none``,
     and multiplies every column by 1/sqrt(s_x^2+gamma_x) for ``tikhonov``.
-    p_x and p_y are sign-fixed; sigma is clamped to [0, 1].
+    p_x and p_y carry the SVD's signs; sigma is clamped to [0, 1].
     """
     s_x, s_y = problem.s_x, problem.s_y
     if spec.kind == "tikhonov":
@@ -217,8 +218,7 @@ def _filtered_svd(problem: CcaProblem, spec: RegularizationSpec):
         scale_x, scale_y = ((lambda a: a[:, :k_x] / s_x[:k_x]),
                             (lambda a: a[:, :k_y] / s_y[:k_y]))
     p_x, sigma, p_yt = np.linalg.svd(op, full_matrices=False)
-    p_x, p_y = _sign_fix(p_x, p_yt.T)
-    return scale_x, scale_y, p_x, np.clip(sigma, 0.0, 1.0), p_y
+    return scale_x, scale_y, p_x, np.clip(sigma, 0.0, 1.0), p_yt.T
 
 
 def solve(problem: CcaProblem, spec: RegularizationSpec) -> CcaModel:
@@ -232,8 +232,7 @@ def solve(problem: CcaProblem, spec: RegularizationSpec) -> CcaModel:
     U'(Xc'Xc + gamma_x I)U = I and the symmetric constraint on V.
     """
     scale_x, scale_y, p_x, sigma, p_y = _filtered_svd(problem, spec)
-    u = scale_x(problem.v_x) @ p_x
-    v = scale_y(problem.v_y) @ p_y
+    u, v = _sign_fix(scale_x(problem.v_x) @ p_x, scale_y(problem.v_y) @ p_y)
     for arr in (u, v, sigma):
         arr.flags.writeable = False
     return CcaModel(u=u, v=v, sigma=sigma, mean_x=problem.mean_x,

@@ -73,6 +73,15 @@ def _number_list(text: str) -> list[float]:
     return values
 
 
+def _alpha_list(text: str) -> list[float]:
+    """argparse type of sweep --alphas: a number list inside [0, 1]."""
+    values = _number_list(text)
+    if not all(0 <= v <= 1 for v in values):
+        raise argparse.ArgumentTypeError(
+            f"must lie in [0, 1], got {text!r}")
+    return values
+
+
 def _grid_size(text: str) -> tuple[int, int]:
     """argparse type of --grid: cell counts like 20x20, each >= 1."""
     try:
@@ -235,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--images", required=True)
     p.add_argument("--captions", required=True)
     p.add_argument("--pairing")
-    p.add_argument("--alphas", type=_number_list,
+    p.add_argument("--alphas", type=_alpha_list,
                    default="0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1",
                    help="comma-separated grid on [0, 1]")
     p.add_argument("--k", type=_COUNT, default=10, help="recall cutoff")

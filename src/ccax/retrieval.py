@@ -1,16 +1,18 @@
-"""Task-dependent embeddings, ranking, and the recall@k / median-rank protocol.
+"""Retrieval in a model's canonical space: one scoring kernel, and the
+recall@k / median-rank protocol.
 
-Retrieval runs in the canonical space of a fitted model.  The query side
-keeps plain canonical weights while the search side is weighted by the
-canonical correlations -- which directions to trust -- so the effective
-projections depend on the task:
-
-    search      images -> Sigma U'x,  captions -> V'y
-    annotation  images -> U'x,        captions -> Sigma V'y
-
-The symmetric alternative scales both sides by Sigma^alpha, and the sweep
-family (Sigma^alpha U', Sigma^(1-alpha) V') interpolates between the two
-asymmetric placements.
+Both views are projected once, unweighted: x~ = U'(x - mean_x), y~ =
+V'(y - mean_y).  With Sigma^a on the images and Sigma^b on the captions,
+every task scores the bilinear form x~' Sigma^(a+b) y~; a query's own norm
+is common to all its items, so where Sigma sits acts only through the item
+norm.  A weighting is thus a pair of item exponents and their total
+(:func:`_exponents`): ``asymmetric`` (Sigma on the search side only) has
+search items Sigma x~, annotation items Sigma y~ and total 1;
+``symmetric`` has Sigma^alpha on both sides, total 2 alpha; ``sweep`` has
+Sigma^alpha x~ and Sigma^(1-alpha) y~, total exactly 1.  Search queries
+are captions and its items images; annotation the reverse.
+:func:`_rank_blocks` scores one task for the protocol, the alpha sweep
+(one G for every alpha) and the path cells of :mod:`ccax.selection`.
 """
 
 from __future__ import annotations
@@ -24,10 +26,14 @@ from .io import FeatureMatrix
 
 TASKS = ("search", "annotation")
 
+#: Each task's (query view, item view).
+_VIEWS = {"search": ("caption", "image"), "annotation": ("image", "caption")}
+
 
 @dataclass(frozen=True)
 class TaskEmbedding:
-    """Effective projections applied to train-mean-centered test vectors."""
+    """A model's unweighted projection U'(x - mean_x), V'(y - mean_y), which
+    every weighting scores: an evaluation projects each view once."""
 
     image_proj: np.ndarray  # (k, m_x)
     text_proj: np.ndarray   # (k, m_y)
@@ -43,49 +49,26 @@ class TaskEmbedding:
         return (values - self.mean_y) @ self.text_proj.T
 
 
-def _sigma_power(sigma: np.ndarray, alpha: float) -> np.ndarray:
-    # 0^0 = 1 so alpha = 0 is exactly the unweighted CCA baseline
-    return np.power(sigma, alpha)
-
-
-def make_task_embedding(model: CcaModel, task: str, weighting: str = "asymmetric",
-                        alpha: float | None = None) -> TaskEmbedding:
-    """Build the projections (Sigma^a U', Sigma^b V') of one retrieval task.
-
-    ``weighting`` picks (a, b): ``asymmetric`` is (1, 0) for search and
-    (0, 1) for annotation (canonical correlations on the search side only),
-    ``symmetric`` is (alpha, alpha) with alpha >= 0, and ``sweep`` is
-    (alpha, 1 - alpha) with alpha in [0, 1], where the task only labels
-    which side is queried.
-    """
-    if task not in TASKS:
-        raise ValueError(f"unknown task {task!r}")
+def _exponents(weighting: str,
+               alpha: float | None) -> tuple[float, float, float]:
+    """(image, caption, total) exponents of Sigma: search items Sigma^image
+    x~, annotation items Sigma^caption y~, both scoring x~' Sigma^total y~.
+    Sigma^0 = I, zero correlations included."""
     if weighting == "asymmetric":
-        a, b = (1.0, 0.0) if task == "search" else (0.0, 1.0)
-    elif weighting == "symmetric":
+        return 1.0, 1.0, 1.0
+    if weighting == "symmetric":
         if alpha is None or not 0 <= alpha < np.inf:
             raise ValueError("symmetric weighting needs a finite alpha >= 0")
-        a, b = alpha, alpha
-    elif weighting == "sweep":
+        return alpha, alpha, 2.0 * alpha
+    if weighting == "sweep":
         if alpha is None or not 0.0 <= alpha <= 1.0:
             raise ValueError("sweep weighting needs alpha in [0, 1]")
-        a, b = alpha, 1.0 - alpha
-    else:
-        raise ValueError(f"unknown weighting {weighting!r}")
-
-    def weighted(power, weights_t):
-        # Sigma^0 = I: the unscaled side keeps the weights, not a copy
-        if power == 0:
-            return weights_t
-        return _sigma_power(model.sigma, power)[:, None] * weights_t
-
-    return TaskEmbedding(image_proj=weighted(a, model.u.T),
-                         text_proj=weighted(b, model.v.T),
-                         mean_x=model.mean_x, mean_y=model.mean_y)
+        return alpha, 1.0 - alpha, 1.0
+    raise ValueError(f"unknown weighting {weighting!r}")
 
 
-#: Query rows scored at a time.  The protocol holds one block of scores, so
-#: its memory is O(BLOCK_ROWS x items) whatever the number of queries.  192
+#: Query rows scored at a time.  A task holds one block of scores, so its
+#: memory is O(BLOCK_ROWS x items) whatever the number of queries.  192
 #: is a multiple of the 8- and 12-row tiles of OpenBLAS's x86 kernels: on one
 #: BLAS thread a block's scores then equal, bit for bit, the same rows of a
 #: single product over all queries.
@@ -113,71 +96,79 @@ def _row_blocks(n_rows: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [n_rows]))
 
 
-def _count_ranks(queries: np.ndarray, items: np.ndarray, gt_items: np.ndarray,
-                 starts: np.ndarray, similarity: str) -> np.ndarray:
-    """1-based rank of each query's best-placed ground-truth item.
+def _rank_blocks(g_rows, n_queries: int, item_sqs, task: str,
+                 similarity: str, rank_one: bool = False,
+                 truth=None) -> np.ndarray:
+    """Score one task: the kernel of the protocol, the sweep and path cells.
 
-    Cosine ranks items by descending inner product of normalized vectors,
-    ``l2`` by ascending distance; ties go to the smaller item index, but
-    only between bitwise-equal scores: duplicated items can score
-    differently, as OpenBLAS rounds the edge tiles of the item axis
-    differently.  No list is sorted: with s* the query's best ground-truth
-    score and i* the smallest ground-truth index reaching it, the rank is
-    1 + #(score better than s*) + #(score equal to s* at an index below i*).
-    Queries are float64 rows, scored BLOCK_ROWS rows at a time; query q
-    counts ``gt_items[starts[q]:starts[q + 1]]`` as correct.  A zero-norm
-    vector under cosine is an error.
+    ``g_rows(lo, hi)`` returns the bilinear scores G of query rows [lo, hi)
+    against every item; ``item_sqs`` holds the squared item norms of each
+    weighting that shares G.  Cosine ranks by G over the item norm (by the
+    sign of G in a one-dimensional model, where every cosine is exactly
+    +-1), ``l2`` by G - ||item||^2 / 2, whose order and ties are those of
+    the distance.  Returns one row per weighting: with ``truth`` =
+    (gt_items, starts), query q counting ``gt_items[starts[q]:starts[q +
+    1]]`` as correct, each query's 1-based rank of its best ground-truth
+    item; without, its first-best item.  A rank is counted, not sorted:
+    with s* the best ground-truth score and i* the smallest ground-truth
+    index reaching it, it is 1 + #(score above s*) + #(score equal to s* at
+    an index below i*).  So ties go to the smaller index, but only between
+    bitwise-equal scores: OpenBLAS rounds the edge tiles of the item axis
+    differently, so duplicated items can score apart.  A non-finite
+    squared norm, a zero norm under cosine and a non-finite best score are
+    errors naming the view and row.
     """
-    if queries.shape[1] != items.shape[1]:
-        raise ValueError(
-            f"query dim {queries.shape[1]} != item dim {items.shape[1]}"
-        )
-    # scores_of(lo, hi) scores query rows [lo, hi) against all items, lower
-    # is better: negated cosines, or squared distances under l2
-    if similarity == "cosine":
-        qn = np.linalg.norm(queries, axis=1)
-        sn = np.linalg.norm(items, axis=1)
-        for name, norms in (("query", qn), ("item", sn)):
-            if np.any(norms == 0):
-                offender = int(np.flatnonzero(norms == 0)[0])
-                raise ValueError(
-                    f"zero-norm {name} vector at index {offender} under cosine"
-                )
-        # negated once here, not per block: a @ (-b) equals -(a @ b)
-        # exactly, as rounding is symmetric in sign
-        neg_unit_items_t = -(items / sn[:, None]).T
-
-        def scores_of(lo, hi):
-            return (queries[lo:hi] / qn[lo:hi, None]) @ neg_unit_items_t
-    elif similarity == "l2":
-        item_sq = np.sum(items * items, axis=1)[None, :]
-
-        def scores_of(lo, hi):
-            # expanded ||q - s||^2; the -2 q.s term carries all the ordering
-            block = queries[lo:hi]
-            return (-2.0 * block @ items.T + item_sq
-                    + np.sum(block * block, axis=1)[:, None])
-    else:
+    if similarity not in ("cosine", "l2"):
         raise ValueError(f"unknown similarity {similarity!r}")
-    n_queries, n_items = queries.shape[0], items.shape[0]
-    ranks = np.empty(n_queries, dtype=np.int64)
-    index = np.arange(n_items)
+    query_view, item_view = _VIEWS[task]
+    for sq in item_sqs:
+        bad = np.flatnonzero(~np.isfinite(sq))
+        if bad.size:
+            raise ValueError(f"{item_view} {bad[0]}: squared norm is not "
+                             "finite")
+        if similarity == "cosine" and not sq.all():
+            raise ValueError(f"zero-norm {item_view} vector at index "
+                             f"{int(np.flatnonzero(sq == 0)[0])} under cosine")
+    # what each weighting divides G by, or subtracts from it
+    terms = [np.sqrt(sq) if similarity == "cosine" else 0.5 * sq
+             for sq in item_sqs]
+    out = np.empty((len(item_sqs), n_queries), dtype=np.int64)
     for lo, hi in _row_blocks(n_queries):
-        scores = scores_of(lo, hi)
-        gt = gt_items[starts[lo]:starts[hi]]
-        owner = np.repeat(np.arange(hi - lo), np.diff(starts[lo:hi + 1]))
-        offsets = starts[lo:hi] - starts[lo]
-        gt_scores = scores[owner, gt]
-        s_star = np.minimum.reduceat(gt_scores, offsets)
-        if np.isnan(s_star).any():
-            bad = lo + int(np.flatnonzero(np.isnan(s_star))[0])
-            raise ValueError(f"query {bad}: ground-truth score is NaN")
-        i_star = np.minimum.reduceat(
-            np.where(gt_scores == s_star[owner], gt, n_items), offsets)
-        s_star, i_star = s_star[:, None], i_star[:, None]
-        ahead = (scores < s_star) | ((scores == s_star) & (index < i_star))
-        ranks[lo:hi] = 1 + np.count_nonzero(ahead, axis=1)
-    return ranks
+        g = g_rows(lo, hi)
+        if truth is not None:
+            gt_items, starts = truth
+            gt = gt_items[starts[lo]:starts[hi]]
+            owner = np.repeat(np.arange(hi - lo), np.diff(starts[lo:hi + 1]))
+            offsets = starts[lo:hi] - starts[lo]
+        for w, term in enumerate(terms):
+            # the last weighting may overwrite a G block no one else holds
+            into = g if w == len(terms) - 1 and g.flags.owndata else None
+            if similarity == "l2":
+                scores = np.subtract(g, term, out=into)
+            elif rank_one:
+                scores = np.sign(g, out=into)
+            else:
+                scores = np.divide(g, term, out=into)
+            # argmax takes the first NaN wherever there is one
+            best = scores.argmax(axis=1)
+            bad = np.flatnonzero(~np.isfinite(scores[np.arange(hi - lo),
+                                                     best]))
+            if bad.size:
+                raise ValueError(f"{query_view} {lo + bad[0]}: score is not "
+                                 "finite")
+            if truth is None:
+                out[w, lo:hi] = best
+                continue
+            gt_scores = scores[owner, gt]
+            s_star = np.maximum.reduceat(gt_scores, offsets)
+            i_star = np.minimum.reduceat(
+                np.where(gt_scores == s_star[owner], gt, len(term)), offsets)
+            s_star, i_star = s_star[:, None], i_star[:, None]
+            # two counts hold fewer block-sized masks at once than one
+            out[w, lo:hi] = 1 + np.count_nonzero(scores > s_star, axis=1)
+            out[w, lo:hi] += np.count_nonzero(
+                (scores == s_star) & (np.arange(len(term)) < i_star), axis=1)
+    return out
 
 
 def _report(ranks: np.ndarray, ks, task: str, n_items: int) -> EvalReport:
@@ -222,6 +213,44 @@ def _check_pairing(pair_index, n_images: int, n_captions: int,
     return pair_index
 
 
+def _protocol_ranks(model: CcaModel, images: FeatureMatrix,
+                    captions: FeatureMatrix, pair_index, image_exps,
+                    caption_exps, total: float,
+                    similarity: str) -> tuple[np.ndarray, np.ndarray]:
+    """(search, annotation) ranks, one row per weighting.
+
+    Weighting w has the item exponents ``image_exps[w]`` and
+    ``caption_exps[w]``; all share ``total``, so one G serves them all.
+    """
+    pair_index = _check_pairing(pair_index, images.rows, captions.rows)
+    proj = TaskEmbedding(model.u.T, model.v.T, model.mean_x, model.mean_y)
+    x, y = proj.embed_images(images), proj.embed_texts(captions)
+
+    def squared_norms(view, exponent):
+        weighted = view * np.power(model.sigma, exponent)
+        return np.einsum("ij,ij->i", weighted, weighted)
+
+    image_sqs = [squared_norms(x, e) for e in image_exps]
+    caption_sqs = [squared_norms(y, e) for e in caption_exps]
+    # Sigma^total goes on the image side of both tasks' G, in place: the
+    # images are the smaller view and are not needed unscaled any more
+    x *= np.power(model.sigma, total)
+    rank_one = model.k == 1
+    # ground truth as flat (items, starts): search asks for each caption's
+    # one image, annotation for each image's captions in caption order
+    image_starts = np.zeros(images.rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pair_index, minlength=images.rows),
+              out=image_starts[1:])
+    search = _rank_blocks(lambda lo, hi: y[lo:hi] @ x.T, captions.rows,
+                          image_sqs, "search", similarity, rank_one,
+                          (pair_index, np.arange(captions.rows + 1)))
+    annotation = _rank_blocks(lambda lo, hi: x[lo:hi] @ y.T, images.rows,
+                              caption_sqs, "annotation", similarity, rank_one,
+                              (np.argsort(pair_index, kind="stable"),
+                               image_starts))
+    return search, annotation
+
+
 def evaluate_bidirectional(model: CcaModel, images: FeatureMatrix,
                            captions: FeatureMatrix,
                            pair_index: np.ndarray | None = None,
@@ -232,28 +261,16 @@ def evaluate_bidirectional(model: CcaModel, images: FeatureMatrix,
     """Run both retrieval tasks; returns (search, annotation) reports.
 
     ``pair_index`` maps caption rows to image rows and defaults to the
-    identity (requires equally many captions and images).
+    identity (requires equally many captions and images).  ``weighting``
+    is ``asymmetric``, ``symmetric`` (with ``alpha`` >= 0) or ``sweep``
+    (with ``alpha`` in [0, 1]), as the module docstring sets out.
     """
-    pair_index = _check_pairing(pair_index, images.rows, captions.rows)
-    # ground truth as flat (items, starts): search asks for each caption's
-    # one image, annotation for each image's captions in caption order
-    image_starts = np.zeros(images.rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(pair_index, minlength=images.rows),
-              out=image_starts[1:])
-    emb = make_task_embedding(model, "search", weighting, alpha)
-    search = _report(
-        _count_ranks(emb.embed_texts(captions), emb.embed_images(images),
-                     pair_index, np.arange(captions.rows + 1), similarity),
-        ks, "search", images.rows,
-    )
-    emb = make_task_embedding(model, "annotation", weighting, alpha)
-    annotation = _report(
-        _count_ranks(emb.embed_images(images), emb.embed_texts(captions),
-                     np.argsort(pair_index, kind="stable"), image_starts,
-                     similarity),
-        ks, "annotation", captions.rows,
-    )
-    return search, annotation
+    image_exp, caption_exp, total = _exponents(weighting, alpha)
+    search, annotation = _protocol_ranks(model, images, captions, pair_index,
+                                         [image_exp], [caption_exp], total,
+                                         similarity)
+    return (_report(search[0], ks, "search", images.rows),
+            _report(annotation[0], ks, "annotation", captions.rows))
 
 
 def evaluate_blocks(model: CcaModel, images: FeatureMatrix,
@@ -302,7 +319,7 @@ def evaluate_blocks(model: CcaModel, images: FeatureMatrix,
 
 @dataclass(frozen=True)
 class SweepCurve:
-    """Per-alpha r@k for both tasks over one shared sweep embedding."""
+    """Per-alpha r@k of both tasks under (Sigma^alpha, Sigma^(1-alpha))."""
 
     alphas: np.ndarray
     search_scores: np.ndarray
@@ -314,25 +331,24 @@ def alpha_sweep(model: CcaModel, images: FeatureMatrix,
                 captions: FeatureMatrix,
                 alphas, pair_index: np.ndarray | None = None,
                 k: int = 10, similarity: str = "cosine") -> SweepCurve:
-    """Evaluate both tasks under (Sigma^a U', Sigma^(1-a) V') for each a.
+    """r@k of both tasks under the sweep weighting at each alpha.
 
-    The endpoints recover the asymmetric embeddings: a = 1 is asymmetric
-    search, a = 0 is asymmetric annotation.
+    The endpoints recover the asymmetric weighting: alpha = 1 is
+    asymmetric search, alpha = 0 asymmetric annotation.  Every alpha has
+    total exponent 1, so each block of G is formed once and scored for
+    every alpha; only the item norms change.
     """
     alphas = np.asarray(list(alphas), dtype=np.float64)
     if alphas.size == 0 or not np.all((alphas >= 0) & (alphas <= 1)):
         raise ValueError("alpha grid must lie in [0, 1]")
-    search_scores = np.empty_like(alphas)
-    annotation_scores = np.empty_like(alphas)
-    for i, alpha in enumerate(alphas):
-        search, annotation = evaluate_bidirectional(
-            model, images, captions, pair_index,
-            weighting="sweep", alpha=float(alpha),
-            similarity=similarity, ks=(k,),
-        )
-        search_scores[i] = search.recalls[k]
-        annotation_scores[i] = annotation.recalls[k]
-    return SweepCurve(alphas, search_scores, annotation_scores, k)
+    search, annotation = _protocol_ranks(model, images, captions, pair_index,
+                                         alphas, 1.0 - alphas, 1.0,
+                                         similarity)
+    return SweepCurve(alphas,
+                      100.0 * np.count_nonzero(search <= k, axis=1)
+                      / captions.rows,
+                      100.0 * np.count_nonzero(annotation <= k, axis=1)
+                      / images.rows, k)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ operator and X~, Y~ the rotated views under the filter's column scale,
 both tasks rank by one matrix G = X~ op Y~': G[i, c] is the inner product
 of image i and caption c with Sigma on either side, and the search and
 annotation item norms are ||op' x~_i|| and ||op y~_c||, so a cell is one
-product and one top-1 scoring (:func:`_cell_recalls`).  A T-SVD op is the
+product and the top-1 case of the retrieval kernel
+(:func:`ccax.retrieval._rank_blocks`) per task.  A T-SVD op is the
 nested block T[:k_x, :k_y], so a grid row accumulates G over ascending
 k_y; a Tikhonov op is the full-size rescaled dx (Sx T Sy) dy, so each
 cell needs a full-width product -- the asymmetry the guided-Tikhonov
@@ -30,7 +31,7 @@ import numpy as np
 
 from .cca import CcaModel, CcaProblem, RegularizationSpec, _filtered_svd, solve
 from .io import FeatureMatrix
-from .retrieval import _check_pairing
+from .retrieval import _check_pairing, _rank_blocks
 
 METRICS = ("r1", "mean-r1")
 
@@ -161,46 +162,6 @@ def _select(grid: PathGrid, metric: str) -> SelectionResult:
     )
 
 
-def _cell_recalls(g: np.ndarray, image_sq: np.ndarray,
-                  caption_sq: np.ndarray, rank_one: bool,
-                  pair_index: np.ndarray, similarity: str) -> tuple[float, float]:
-    """(search, annotation) r@1 percentages of one path cell.
-
-    ``g`` is the cell's G = X~ op Y~', and ``image_sq``/``caption_sq`` are
-    the squared search and annotation item norms ||op' x~_i||^2 =
-    ||Sigma U'x_i||^2 and ||op y~_c||^2 = ||Sigma V'y_c||^2.  A query's own
-    norm is common to all its items, so cosine ranks by g over the item
-    norm, and ``l2`` by g - ||item||^2 / 2 (halving is exact, so the order
-    and its ties are those of the distance).  On one axis every cosine is
-    exactly +-1, the sign of g.  The first best item wins a tie, as in
-    rank counting; a caption hits at its own image, an image at one of its
-    own captions.
-    """
-    if similarity == "cosine":
-        for name, sq in (("image", image_sq), ("caption", caption_sq)):
-            if not sq.all():
-                raise ValueError(f"zero-norm {name} vector at index "
-                                 f"{int(np.flatnonzero(sq == 0)[0])} "
-                                 "under cosine")
-        if rank_one:
-            by_image = by_caption = np.sign(g)
-        else:
-            by_image = g / np.sqrt(image_sq)[:, None]
-            by_caption = g / np.sqrt(caption_sq)
-    else:
-        by_image = g - 0.5 * image_sq[:, None]
-        by_caption = g - 0.5 * caption_sq
-    # argmax takes the first NaN wherever there is one
-    if np.isnan(by_image.max()) or np.isnan(by_caption.max()):
-        raise ValueError("a path cell scored NaN")
-    image_of = by_image.argmax(axis=0)    # each caption's best image
-    caption_of = by_caption.argmax(axis=1)  # each image's best caption
-    search = np.count_nonzero(image_of == pair_index)
-    annotation = np.count_nonzero(pair_index[caption_of]
-                                  == np.arange(g.shape[0]))
-    return 100.0 * search / g.shape[1], 100.0 * annotation / g.shape[0]
-
-
 def _prefix_sq(a: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """Row sums of a[:, :e]^2 for each e in the ascending ``ends``, where
     ``a`` has ends[-1] columns; no full-width prefix sum is held."""
@@ -270,8 +231,6 @@ def _run_grid(problem: CcaProblem, axis_x, axis_y, kind: str,
               val_images: FeatureMatrix, val_captions: FeatureMatrix,
               pair_index, similarity: str,
               workers: int | None) -> PathGrid:
-    if similarity not in ("cosine", "l2"):
-        raise ValueError(f"unknown similarity {similarity!r}")
     # rows run on the sorted, distinct axis values, so a cell's bits do not
     # depend on the order or repeats of the axes or on the worker count
     xs, at_x = np.unique(axis_x, return_inverse=True)
@@ -282,6 +241,7 @@ def _run_grid(problem: CcaProblem, axis_x, axis_y, kind: str,
     # both validation views in the rotated space, shared by every cell
     x_rot = (val_images.values - problem.mean_x) @ problem.v_x
     y_rot = (val_captions.values - problem.mean_y) @ problem.v_y
+    n_images, n_captions = x_rot.shape[0], y_rot.shape[0]
 
     t0 = time.perf_counter()
     rows = _tsvd_rows if kind == "tsvd" else _tikhonov_rows
@@ -289,9 +249,18 @@ def _run_grid(problem: CcaProblem, axis_x, axis_y, kind: str,
 
     def run_row(i):
         for j, start, g, image_sq, rank_one in cells(i):
-            search_scores[i, j], annotation_scores[i, j] = _cell_recalls(
-                g, image_sq, caption_sq[i, j], rank_one, pair_index,
-                similarity)
+            # top 1 of each task: a caption hits at its own image, an image
+            # at one of its own captions
+            image_of = _rank_blocks(lambda lo, hi: g.T[lo:hi], n_captions,
+                                    [image_sq], "search", similarity,
+                                    rank_one)[0]
+            caption_of = _rank_blocks(lambda lo, hi: g[lo:hi], n_images,
+                                      [caption_sq[i, j]], "annotation",
+                                      similarity, rank_one)[0]
+            search_scores[i, j] = (100.0 * np.count_nonzero(
+                image_of == pair_index) / n_captions)
+            annotation_scores[i, j] = (100.0 * np.count_nonzero(
+                pair_index[caption_of] == np.arange(n_images)) / n_images)
             cell_seconds[i, j] = time.perf_counter() - start
 
     if workers is not None and workers == 1:

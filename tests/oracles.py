@@ -9,22 +9,24 @@ the reference that route is checked against.  Likewise the per-vector HKSE
 route (``embed_sentence_gemv``), the sorting median (``bandwidth_sorted``)
 and the ``float()`` table parser (``table_values_float``) are the routes
 that the blocked kernel, the partition median and the ``loadtxt`` parser
-replaced.  The list-of-lists ground truth (``pairing_to_ground_truth``),
-the per-weighting projection branches (``task_projections_branches``) and
-the block-slicing loop of ``eval --blocks`` (``evaluate_blocks_loop``) are
-the routes that ``evaluate_bidirectional``'s flat ground truth, the
-single (Sigma^a U', Sigma^b V') formula and ``evaluate_blocks`` replaced.
-Centering and a full thin SVD of each view (``center_columns``,
-``thin_svd``, ``prepare_svd``) is the route the chunked joint QR of
-``cca.prepare`` replaced.  ``best_ranks`` runs the library's rank counting
-on list-of-lists ground truth, which no library route takes any more.
+replaced.  The list-of-lists ground truth (``pairing_to_ground_truth``)
+and the block-slicing loop of ``eval --blocks`` (``evaluate_blocks_loop``)
+are the routes that ``evaluate_bidirectional``'s flat ground truth and
+``evaluate_blocks`` replaced.  ``evaluate_branches`` is the protocol
+before its one bilinear scoring kernel (``retrieval._rank_blocks``): each
+task projects both views by its own weighted branches
+(``task_projections_branches``) and ranks them by ``count_ranks``, the
+counting route on normalized vectors.  ``best_ranks`` runs
+``count_ranks`` on list-of-lists ground truth.  Centering and a full thin
+SVD of each view (``center_columns``, ``thin_svd``, ``prepare_svd``) is
+the route the chunked joint QR of ``cca.prepare`` replaced.
 The elementwise spectral filters and ``verify_filter_forms`` check the
 paper's identity that Tikhonov and T-SVD are diagonal filters on T, which
 ``cca.solve`` applies directly.  ``generate_latent_pairs`` is the 1:1
 generator that the one-caption case of ``synthetic.generate_caption_like``
 replaced.  ``path_cells`` scores
 each path cell by a full model (``cca.solve``) and ranks
-(``evaluate_bidirectional``), and ``rotated_path_cells`` by the SVD of its
+(``evaluate_branches``), and ``rotated_path_cells`` by the SVD of its
 filtered operator and each query's first-best item in the rotated
 validation space (``first_best``, ``top1_recalls``): the two routes that
 the SVD-free bilinear scoring of ``selection._run_grid`` replaced.
@@ -233,30 +235,96 @@ def flatten_ground_truth(ground_truth, n_queries: int,
     return items, starts
 
 
+def count_ranks(queries: np.ndarray, items: np.ndarray, gt_items: np.ndarray,
+                starts: np.ndarray, similarity: str) -> np.ndarray:
+    """1-based rank of each query's best-placed ground-truth item.
+
+    Cosine ranks items by descending inner product of normalized vectors,
+    ``l2`` by ascending distance; ties go to the smaller item index, but
+    only between bitwise-equal scores.  No list is sorted: with s* the
+    query's best ground-truth score and i* the smallest ground-truth index
+    reaching it, the rank is 1 + #(score better than s*) + #(score equal to
+    s* at an index below i*).  Queries are float64 rows, scored
+    ``retrieval.BLOCK_ROWS`` rows at a time; query q counts
+    ``gt_items[starts[q]:starts[q + 1]]`` as correct.  A zero-norm vector
+    under cosine is an error.
+    """
+    from ccax.retrieval import _row_blocks
+
+    if queries.shape[1] != items.shape[1]:
+        raise ValueError(
+            f"query dim {queries.shape[1]} != item dim {items.shape[1]}"
+        )
+    # scores_of(lo, hi) scores query rows [lo, hi) against all items, lower
+    # is better: negated cosines, or squared distances under l2
+    if similarity == "cosine":
+        qn = np.linalg.norm(queries, axis=1)
+        sn = np.linalg.norm(items, axis=1)
+        for name, norms in (("query", qn), ("item", sn)):
+            if np.any(norms == 0):
+                offender = int(np.flatnonzero(norms == 0)[0])
+                raise ValueError(
+                    f"zero-norm {name} vector at index {offender} under cosine"
+                )
+        # negated once here, not per block: a @ (-b) equals -(a @ b)
+        # exactly, as rounding is symmetric in sign
+        neg_unit_items_t = -(items / sn[:, None]).T
+
+        def scores_of(lo, hi):
+            return (queries[lo:hi] / qn[lo:hi, None]) @ neg_unit_items_t
+    elif similarity == "l2":
+        item_sq = np.sum(items * items, axis=1)[None, :]
+
+        def scores_of(lo, hi):
+            # expanded ||q - s||^2; the -2 q.s term carries all the ordering
+            block = queries[lo:hi]
+            return (-2.0 * block @ items.T + item_sq
+                    + np.sum(block * block, axis=1)[:, None])
+    else:
+        raise ValueError(f"unknown similarity {similarity!r}")
+    n_queries, n_items = queries.shape[0], items.shape[0]
+    ranks = np.empty(n_queries, dtype=np.int64)
+    index = np.arange(n_items)
+    for lo, hi in _row_blocks(n_queries):
+        scores = scores_of(lo, hi)
+        gt = gt_items[starts[lo]:starts[hi]]
+        owner = np.repeat(np.arange(hi - lo), np.diff(starts[lo:hi + 1]))
+        offsets = starts[lo:hi] - starts[lo]
+        gt_scores = scores[owner, gt]
+        s_star = np.minimum.reduceat(gt_scores, offsets)
+        if np.isnan(s_star).any():
+            bad = lo + int(np.flatnonzero(np.isnan(s_star))[0])
+            raise ValueError(f"query {bad}: ground-truth score is NaN")
+        i_star = np.minimum.reduceat(
+            np.where(gt_scores == s_star[owner], gt, n_items), offsets)
+        s_star, i_star = s_star[:, None], i_star[:, None]
+        ahead = (scores < s_star) | ((scores == s_star) & (index < i_star))
+        ranks[lo:hi] = 1 + np.count_nonzero(ahead, axis=1)
+    return ranks
+
+
 def best_ranks(queries, items, ground_truth,
                similarity: str = "cosine") -> np.ndarray:
-    """``retrieval._count_ranks`` with ``ground_truth[q]`` listing the items
-    query q counts as correct."""
-    from ccax import retrieval
-
+    """``count_ranks`` with ``ground_truth[q]`` listing the items query q
+    counts as correct."""
     queries = np.asarray(queries, dtype=np.float64)
     items = np.asarray(items, dtype=np.float64)
     gt_items, starts = flatten_ground_truth(ground_truth, queries.shape[0],
                                             items.shape[0])
-    return retrieval._count_ranks(queries, items, gt_items, starts,
-                                  similarity)
+    return count_ranks(queries, items, gt_items, starts, similarity)
 
 
-def sign_fix_loops(p_x: np.ndarray,
-                   p_y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def sign_fix_loops(u: np.ndarray,
+                   v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Column-by-column sign convention: the largest-magnitude entry of each
-    p_x column (the first, on ties) is made positive, flipping p_y alike."""
-    signs = np.ones(p_x.shape[1])
-    for j in range(p_x.shape[1]):
-        lead = np.argmax(np.abs(p_x[:, j]))
-        if p_x[lead, j] < 0:
+    weight column u_j (the first, on ties) is made positive, flipping v_j
+    alike."""
+    signs = np.ones(u.shape[1])
+    for j in range(u.shape[1]):
+        lead = np.argmax(np.abs(u[:, j]))
+        if u[lead, j] < 0:
             signs[j] = -1.0
-    return p_x * signs, p_y * signs
+    return u * signs, v * signs
 
 
 def rank_by_cosine_loops(queries: np.ndarray, items: np.ndarray) -> list[list[int]]:
@@ -439,6 +507,44 @@ def task_projections_branches(model, task: str, weighting: str,
     raise ValueError(f"unknown weighting {weighting!r}")
 
 
+def task_views(model, images, captions, task: str,
+               weighting: str = "asymmetric", alpha: float | None = None):
+    """Both views of one task, centered and projected by its branches."""
+    image_proj, text_proj = task_projections_branches(model, task, weighting,
+                                                      alpha)
+    return ((images.values - model.mean_x) @ image_proj.T,
+            (captions.values - model.mean_y) @ text_proj.T)
+
+
+def evaluate_branches(model, images, captions, pair_index=None,
+                      weighting: str = "asymmetric",
+                      alpha: float | None = None,
+                      similarity: str = "cosine", ks=(1, 5, 10)):
+    """(search, annotation) reports, each task on its own projections.
+
+    Each task projects both views by ``task_projections_branches`` and
+    ranks them by ``count_ranks`` on flat ground truth: search asks for
+    each caption's image, annotation for each image's captions.
+    """
+    from ccax.retrieval import _check_pairing, _report
+
+    pair_index = _check_pairing(pair_index, images.rows, captions.rows)
+    image_starts = np.zeros(images.rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pair_index, minlength=images.rows),
+              out=image_starts[1:])
+    x, y = task_views(model, images, captions, "search", weighting, alpha)
+    search = _report(count_ranks(y, x, pair_index,
+                                 np.arange(captions.rows + 1), similarity),
+                     ks, "search", images.rows)
+    x, y = task_views(model, images, captions, "annotation", weighting,
+                      alpha)
+    annotation = _report(count_ranks(x, y,
+                                     np.argsort(pair_index, kind="stable"),
+                                     image_starts, similarity),
+                         ks, "annotation", captions.rows)
+    return search, annotation
+
+
 def evaluate_blocks_loop(model, images, captions, pair_index, blocks: int,
                          weighting: str = "asymmetric",
                          alpha: float | None = None,
@@ -486,11 +592,10 @@ def path_cells(problem, axis_x, axis_y, kind: str, val_images, val_captions,
     """(search r@1, annotation r@1, sigmas) of every cell of a path grid.
 
     Each cell is ``solve(problem, spec)`` evaluated by
-    ``evaluate_bidirectional`` at k = 1; ``kind`` is ``tsvd`` or
+    ``evaluate_branches`` at k = 1; ``kind`` is ``tsvd`` or
     ``tikhonov`` and a cell's spec is built from (axis_x[i], axis_y[j]).
     """
     from ccax.cca import RegularizationSpec, solve
-    from ccax.retrieval import evaluate_bidirectional
 
     make = getattr(RegularizationSpec, kind)
     search = np.zeros((len(axis_x), len(axis_y)))
@@ -499,9 +604,9 @@ def path_cells(problem, axis_x, axis_y, kind: str, val_images, val_captions,
     for i, px in enumerate(axis_x):
         for j, py in enumerate(axis_y):
             model = solve(problem, make(px, py))
-            s, a = evaluate_bidirectional(model, val_images, val_captions,
-                                          pair_index, similarity=similarity,
-                                          ks=(1,))
+            s, a = evaluate_branches(model, val_images, val_captions,
+                                     pair_index, similarity=similarity,
+                                     ks=(1,))
             search[i, j] = s.recalls[1]
             annotation[i, j] = a.recalls[1]
             sigmas[i][j] = model.sigma
@@ -511,7 +616,7 @@ def path_cells(problem, axis_x, axis_y, kind: str, val_images, val_captions,
 def first_best(queries: np.ndarray, items: np.ndarray,
                similarity: str) -> np.ndarray:
     """Index of each query's best-scoring item, on the block scores of
-    ``retrieval._count_ranks``, so an item is first-best exactly where its
+    ``count_ranks``, so an item is first-best exactly where its
     rank there would be 1.
 
     Ties go to the smaller index only between bitwise-equal scores.  A NaN

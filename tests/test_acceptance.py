@@ -19,6 +19,7 @@ from oracles import (
     constraint_residual,
     rank_by_cosine_loops,
     recall_and_median_loops,
+    task_views,
     thin_svd,
     verify_filter_forms,
 )
@@ -286,15 +287,13 @@ def test_criterion_09_protocol_oracle():
     search, annotation = retrieval.evaluate_bidirectional(
         model, images, captions, pair_index)
 
-    emb_s = retrieval.make_task_embedding(model, "search", "asymmetric")
-    order = rank_by_cosine_loops(emb_s.embed_texts(captions),
-                                 emb_s.embed_images(images))
+    x, y = task_views(model, images, captions, "search")
+    order = rank_by_cosine_loops(y, x)
     recalls_s, median_s = recall_and_median_loops(
         order, [[int(i)] for i in pair_index])
 
-    emb_a = retrieval.make_task_embedding(model, "annotation", "asymmetric")
-    order = rank_by_cosine_loops(emb_a.embed_images(images),
-                                 emb_a.embed_texts(captions))
+    x, y = task_views(model, images, captions, "annotation")
+    order = rank_by_cosine_loops(x, y)
     recalls_a, median_a = recall_and_median_loops(
         order,
         [[j for j in range(captions.rows) if pair_index[j] == i]

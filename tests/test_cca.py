@@ -1,5 +1,7 @@
 """Solver correctness against brute-force oracles and closed-form identities."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -140,6 +142,10 @@ class TestCcaFit:
         np.testing.assert_array_equal(a.sigma, b.sigma)
         np.testing.assert_array_equal(a.u, b.u)
         np.testing.assert_array_equal(a.v, b.v)
+        # the weights already follow the convention: nothing flips
+        fixed_u, fixed_v = sign_fix_loops(a.u, a.v)
+        np.testing.assert_array_equal(fixed_u, a.u)
+        np.testing.assert_array_equal(fixed_v, a.v)
 
     def test_sigma_sorted_and_clamped(self):
         x, y = random_views(11, n=30, mx=8, my=6)
@@ -182,11 +188,53 @@ class TestPrepareSolve:
         for rows, cols in [(1, 1), (5, 3), (3, 5), (8, 8)]:
             cases.append((rng.standard_normal((rows, cols)),
                           rng.standard_normal((cols + 2, cols))))
-        for p_x, p_y in cases:
-            got = cca._sign_fix(p_x, p_y)
-            want = sign_fix_loops(p_x, p_y)
+        for u, v in cases:
+            got = cca._sign_fix(u, v)
+            want = sign_fix_loops(u, v)
             np.testing.assert_array_equal(got[0], want[0])
             np.testing.assert_array_equal(got[1], want[1])
+
+
+    @pytest.mark.parametrize("spec", [
+        RegularizationSpec.none(), RegularizationSpec.tsvd(5, 3),
+        RegularizationSpec.tikhonov(2.5, 0.7)])
+    def test_archive_independent_of_factor_signs(self, spec, tmp_path):
+        # prepare's thin SVDs pick the sign of each right singular vector;
+        # negating v_x[:, j] with T[j] (or v_y[:, j] with T[:, j]) is the
+        # same problem factored with the other sign.  Copies keep each
+        # array's memory order, so every product sums in the same order.
+        x, y = random_views(14, n=120, mx=9, my=7)
+        problem = prepare(x, y)
+
+        def archive_bytes(p, name):
+            io.save_archive(cca.model_to_archive(solve(p, spec)),
+                            tmp_path / name)
+            return (tmp_path / name).read_bytes()
+
+        want = archive_bytes(problem, "base.arc")
+        for j in range(problem.rank_x):
+            v_x, t = problem.v_x.copy(order="K"), problem.t.copy(order="K")
+            v_x[:, j] *= -1
+            t[j] *= -1
+            assert archive_bytes(replace(problem, v_x=v_x, t=t),
+                                 f"x{j}.arc") == want
+        for j in range(problem.rank_y):
+            v_y, t = problem.v_y.copy(order="K"), problem.t.copy(order="K")
+            v_y[:, j] *= -1
+            t[:, j] *= -1
+            assert archive_bytes(replace(problem, v_y=v_y, t=t),
+                                 f"y{j}.arc") == want
+
+    def test_prepare_stays_finite_on_huge_values(self):
+        # 1e200-scaled features overflow a squared norm, but the QR, the
+        # R-block SVDs and T stay finite, so prepare has nothing to refuse
+        x, y = random_views(15, n=80, mx=6, my=5)
+        problem = prepare(io.FeatureMatrix(1e200 * x.values), y)
+        for arr in (problem.mean_x, problem.s_x, problem.v_x, problem.t):
+            assert np.isfinite(arr).all()
+        assert 1e199 < problem.s_x[0] < 1e203
+        np.testing.assert_allclose(problem.s_x, 1e200 * prepare(x, y).s_x,
+                                   rtol=1e-12)
 
 
 def _pair(rng, n, m_x, m_y, rank_x, rank_y, duplicate=False):

@@ -628,6 +628,35 @@ def _path_argv(command, synth_dir, tmp_path, y=None, pairing=None):
     return [command] + data + ["--out", str(tmp_path / "out.tsv")]
 
 
+class TestOverflowingValues:
+    """Validation values whose squared norms overflow are a data error.
+
+    Every squared item norm of a 1e200-scaled view is inf, so every cosine
+    read 0 and the reports were silently wrong; now each route exits 1
+    naming the view and row, and writes nothing.
+    """
+
+    @pytest.mark.parametrize("command", ["eval", "sweep", "path", "fit"])
+    def test_exit_one_naming_the_row(self, command, synth_dir, fitted_model,
+                                     tmp_path, capsys):
+        split = "test" if command in ("eval", "sweep") else "val"
+        images = tmp_path / "huge.fmat"
+        values = io.load_matrix(synth_dir / f"{split}_images.fmat").values
+        io.save_matrix(io.FeatureMatrix(1e200 * values), images)
+        if command in ("eval", "sweep"):
+            argv = _eval_argv(command, synth_dir, fitted_model, tmp_path,
+                              images=images)
+        else:
+            argv = _path_argv(command, synth_dir, tmp_path)
+            argv[argv.index("--val-x") + 1] = str(images)
+        with np.errstate(over="ignore"):
+            assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "image 0: squared norm is not finite" in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.fmat"]
+
+
 class TestThinSvdCount:
     """A command that runs a path factorises the training pair once.
 
@@ -850,6 +879,9 @@ class TestFlagRanges:
         ("embed", ["--m", "0"], "--m"),
         ("embed", ["--mprime", "0"], "--mprime"),
         ("sweep", ["--k", "2.5"], "--k"),
+        # sweep alphas outside [0, 1]
+        ("sweep", ["--alphas", "0,1.5"], "--alphas"),
+        ("sweep", ["--alphas", "-0.1"], "--alphas"),
     ]
 
     @pytest.mark.parametrize("command,flags,named", CASES)

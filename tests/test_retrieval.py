@@ -1,4 +1,4 @@
-"""Task embeddings, ranking, and the recall/median-rank protocol."""
+"""The scoring kernel, weightings, ranks and the recall/median protocol."""
 
 from dataclasses import replace
 
@@ -21,50 +21,82 @@ def model():
     return solve(prepare(x, y), RegularizationSpec.none())
 
 
+@pytest.fixture(scope="module")
+def views(model):
+    """23 images with 1-4 captions each, pairing shuffled."""
+    rng = np.random.default_rng(11)
+    pair_index = rng.permutation(
+        np.repeat(np.arange(23), rng.integers(1, 5, size=23)))
+    return (*random_views(model, pair_index, 12), pair_index)
+
+
 class TestTaskEmbedding:
-    def test_asymmetric_search_projections(self, model):
-        emb = retrieval.make_task_embedding(model, "search", "asymmetric")
-        np.testing.assert_array_equal(emb.image_proj,
-                                      model.sigma[:, None] * model.u.T)
-        np.testing.assert_array_equal(emb.text_proj, model.v.T)
+    """Weightings through ``evaluate_bidirectional``, against the reference
+    route that projects each task by its own weighted branches."""
 
-    def test_asymmetric_annotation_projections(self, model):
-        emb = retrieval.make_task_embedding(model, "annotation", "asymmetric")
-        np.testing.assert_array_equal(emb.image_proj, model.u.T)
-        np.testing.assert_array_equal(emb.text_proj,
-                                      model.sigma[:, None] * model.v.T)
+    def test_asymmetric_search_projections(self, model, views):
+        for similarity in ("cosine", "l2"):
+            got = retrieval.evaluate_bidirectional(model, *views,
+                                                   similarity=similarity)
+            want = oracles.evaluate_branches(model, *views,
+                                             similarity=similarity)
+            assert got[0] == want[0]
 
-    def test_symmetric_zero_is_plain_cca(self, model):
-        emb = retrieval.make_task_embedding(model, "search", "symmetric",
-                                            alpha=0.0)
-        np.testing.assert_array_equal(emb.image_proj, model.u.T)
-        np.testing.assert_array_equal(emb.text_proj, model.v.T)
+    def test_asymmetric_annotation_projections(self, model, views):
+        for similarity in ("cosine", "l2"):
+            got = retrieval.evaluate_bidirectional(model, *views,
+                                                   similarity=similarity)
+            want = oracles.evaluate_branches(model, *views,
+                                             similarity=similarity)
+            assert got[1] == want[1]
 
-    def test_sweep_endpoints_match_asymmetric(self, model):
-        sweep1 = retrieval.make_task_embedding(model, "search", "sweep",
-                                               alpha=1.0)
-        asym_s = retrieval.make_task_embedding(model, "search", "asymmetric")
-        np.testing.assert_allclose(sweep1.image_proj, asym_s.image_proj)
-        np.testing.assert_allclose(sweep1.text_proj, asym_s.text_proj)
-        sweep0 = retrieval.make_task_embedding(model, "annotation", "sweep",
-                                               alpha=0.0)
-        asym_a = retrieval.make_task_embedding(model, "annotation",
-                                               "asymmetric")
-        np.testing.assert_allclose(sweep0.image_proj, asym_a.image_proj)
-        np.testing.assert_allclose(sweep0.text_proj, asym_a.text_proj)
+    def test_symmetric_zero_is_plain_cca(self, model, views):
+        # Sigma^0 = I even for zero correlations: the unit-correlation model
+        # under the asymmetric weighting scores the same plain projections
+        sigma = model.sigma.copy()
+        sigma[-2:] = 0.0
+        zeroed = replace(model, sigma=sigma)
+        plain = replace(model, sigma=np.ones_like(sigma))
+        for similarity in ("cosine", "l2"):
+            got = retrieval.evaluate_bidirectional(
+                zeroed, *views, weighting="symmetric", alpha=0.0,
+                similarity=similarity)
+            assert got == retrieval.evaluate_bidirectional(
+                plain, *views, similarity=similarity)
 
-    def test_sigma_power_zero_convention(self, model):
-        # sigma^0 must be exactly 1 even for zero correlations
-        sigma = np.array([0.9, 0.0])
-        np.testing.assert_array_equal(retrieval._sigma_power(sigma, 0.0),
-                                      [1.0, 1.0])
-        np.testing.assert_array_equal(retrieval._sigma_power(sigma, 0.5),
-                                      [np.sqrt(0.9), 0.0])
+    def test_sweep_endpoints_match_asymmetric(self, model, views):
+        for similarity in ("cosine", "l2"):
+            asym = retrieval.evaluate_bidirectional(model, *views,
+                                                    similarity=similarity)
+            one = retrieval.evaluate_bidirectional(
+                model, *views, weighting="sweep", alpha=1.0,
+                similarity=similarity)
+            zero = retrieval.evaluate_bidirectional(
+                model, *views, weighting="sweep", alpha=0.0,
+                similarity=similarity)
+            assert one[0] == asym[0] and zero[1] == asym[1]
 
-    def test_centering_uses_training_means(self, model):
-        emb = retrieval.make_task_embedding(model, "search", "asymmetric")
-        x = np.outer(np.ones(3), model.mean_x)  # rows equal to the mean
-        np.testing.assert_allclose(emb.embed_images(x), 0.0, atol=1e-14)
+    def test_sigma_power_zero_convention(self, model, views):
+        # all correlations zero: Sigma^0 = I scores, Sigma^0.5 = 0 does not
+        dead = replace(model, sigma=np.zeros_like(model.sigma))
+        plain = replace(model, sigma=np.ones_like(model.sigma))
+        assert retrieval.evaluate_bidirectional(
+            dead, *views, weighting="symmetric", alpha=0.0
+        ) == retrieval.evaluate_bidirectional(plain, *views)
+        with pytest.raises(ValueError, match="zero-norm image vector at "
+                                             "index 0 under cosine"):
+            retrieval.evaluate_bidirectional(dead, *views,
+                                             weighting="symmetric", alpha=0.5)
+
+    def test_centering_uses_training_means(self, model, views):
+        # an image equal to the training mean projects to the zero vector
+        images, captions, pair_index = views
+        values = images.values.copy()
+        values[4] = model.mean_x
+        with pytest.raises(ValueError, match="zero-norm image vector at "
+                                             "index 4 under cosine"):
+            retrieval.evaluate_bidirectional(model, io.FeatureMatrix(values),
+                                             captions, pair_index)
 
     @pytest.mark.parametrize("task,weighting,alpha", [
         ("search", "asymmetric", None), ("annotation", "asymmetric", None),
@@ -73,27 +105,28 @@ class TestTaskEmbedding:
         *[(task, "sweep", a) for task in retrieval.TASKS
           for a in (0.0, 0.3, 1.0)],
     ])
-    def test_one_formula_equals_branches_bitwise(self, model, task,
+    def test_one_formula_equals_branches_bitwise(self, model, views, task,
                                                  weighting, alpha):
         sigma = model.sigma.copy()
         sigma[-2:] = 0.0
         zeroed = replace(model, sigma=sigma)
-        emb = retrieval.make_task_embedding(zeroed, task, weighting, alpha)
-        want = oracles.task_projections_branches(zeroed, task, weighting,
-                                                 alpha)
-        for got, ref in zip((emb.image_proj, emb.text_proj), want):
-            assert got.shape == ref.shape and got.dtype == ref.dtype
-            assert got.tobytes() == ref.tobytes()
+        at = retrieval.TASKS.index(task)
+        for similarity in ("cosine", "l2"):
+            got = retrieval.evaluate_bidirectional(zeroed, *views, weighting,
+                                                   alpha, similarity)
+            want = oracles.evaluate_branches(zeroed, *views, weighting,
+                                             alpha, similarity)
+            assert got[at] == want[at]
 
-    def test_invalid_alpha_rejected(self, model):
+    def test_invalid_alpha_rejected(self, model, views):
         for alpha in (-1.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="finite alpha >= 0"):
-                retrieval.make_task_embedding(model, "search", "symmetric",
-                                              alpha=alpha)
+                retrieval.evaluate_bidirectional(model, *views, "symmetric",
+                                                 alpha)
         for alpha in (1.5, np.nan):
-            with pytest.raises(ValueError):
-                retrieval.make_task_embedding(model, "search", "sweep",
-                                              alpha=alpha)
+            with pytest.raises(ValueError, match=r"alpha in \[0, 1\]"):
+                retrieval.evaluate_bidirectional(model, *views, "sweep",
+                                                 alpha)
 
 
 def ranks_of_each_item(queries, items, similarity="cosine"):
@@ -307,6 +340,71 @@ def tied_problems(draw, query_counts=BLOCK_EDGES):
     return queries, items, gt
 
 
+def kernel(queries, items, ground_truth, similarity):
+    """``retrieval._rank_blocks`` on G = queries items' with the items'
+    own norms: ranks for list ground truth, or first-best items for None."""
+    queries = np.asarray(queries, dtype=np.float64)
+    items = np.asarray(items, dtype=np.float64)
+    truth = None
+    if ground_truth is not None:
+        truth = oracles.flatten_ground_truth(ground_truth, len(queries),
+                                             len(items))
+    return retrieval._rank_blocks(
+        lambda lo, hi: queries[lo:hi] @ items.T, len(queries),
+        [np.sum(items * items, axis=1)], "search", similarity,
+        truth=truth)[0]
+
+
+class TestKernelChecks:
+    """Values the kernel refuses, each named by its view and row."""
+
+    @pytest.mark.parametrize("similarity", ["cosine", "l2"])
+    @pytest.mark.parametrize("gt", [[[0], [1]], None])
+    def test_nan_ground_truth_score_rejected(self, similarity, gt):
+        # NaN compares false with every score: the query would rank first
+        queries = np.array([[1.0, 0.5], [np.nan, 1.0]])
+        items = np.array([[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError,
+                           match="caption 1: score is not finite"):
+            kernel(queries, items, gt, similarity)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("gt", [[[0], [1], [0]], None])
+    def test_non_finite_score_of_another_item_rejected(self, bad, gt):
+        # the ground-truth scores are finite; item 1 of query 2 is not
+        g = np.arange(9.0).reshape(3, 3)
+        g[2, 1] = bad
+        with pytest.raises(ValueError,
+                           match="caption 2: score is not finite"):
+            retrieval._rank_blocks(
+                lambda lo, hi: g[lo:hi], 3, [np.ones(3)], "search", "l2",
+                truth=None if gt is None
+                else oracles.flatten_ground_truth(gt, 3, 3))
+
+    @pytest.mark.parametrize("gt", [[[0]], None])
+    def test_zero_norm_reported_with_index(self, gt):
+        items = np.array([[1.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="zero-norm image vector at "
+                                             "index 1 under cosine"):
+            kernel(np.array([[1.0, 1.0]]), items, gt, "cosine")
+        # l2 ranks a zero item like any other
+        assert kernel(np.array([[1.0, 1.0]]), items, [[1]], "l2")[0] == 2
+
+    @pytest.mark.parametrize("similarity", ["cosine", "l2"])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_squared_norm_rejected(self, similarity, bad):
+        # 1e200 squares to inf: every cosine would read 0
+        with pytest.raises(ValueError,
+                           match="image 1: squared norm is not finite"):
+            retrieval._rank_blocks(lambda lo, hi: np.ones((1, 3)), 1,
+                                   [np.array([1.0, bad, 1.0])], "search",
+                                   similarity)
+
+    def test_unknown_similarity_rejected(self):
+        with pytest.raises(ValueError, match="unknown similarity 'dot'"):
+            kernel(np.ones((1, 2)), np.ones((2, 2)), [[0]], "dot")
+
+
 class TestCountingMatchesSorting:
     """The blocked counting route against the full argsort reference."""
 
@@ -348,6 +446,29 @@ class TestCountingMatchesSorting:
         np.testing.assert_array_equal(
             [b in g for b, g in zip(best, gt)], ranks == 1)
 
+    @settings(max_examples=60, deadline=None)
+    @given(problem=tied_problems(),
+           similarity=st.sampled_from(("cosine", "l2")))
+    def test_kernel_exact_ties_and_block_edges(self, problem, similarity):
+        queries, items, gt = problem
+        ranked = oracles.rank(queries, items, similarity)
+        np.testing.assert_array_equal(
+            kernel(queries, items, gt, similarity),
+            oracles.sorted_best_ranks(ranked, gt))
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=tied_problems((1, retrieval.BLOCK_ROWS - 1,
+                                  retrieval.BLOCK_ROWS,
+                                  retrieval.BLOCK_ROWS + 1,
+                                  2 * retrieval.BLOCK_ROWS + 3)),
+           similarity=st.sampled_from(("cosine", "l2")))
+    def test_kernel_first_best_is_rank_one(self, problem, similarity):
+        queries, items, gt = problem
+        best = kernel(queries, items, None, similarity)
+        ranks = kernel(queries, items, gt, similarity)
+        np.testing.assert_array_equal(
+            [b in g for b, g in zip(best, gt)], ranks == 1)
+
     @pytest.mark.parametrize("similarity", ["cosine", "l2"])
     def test_random_floats_across_blocks(self, similarity):
         rng = np.random.default_rng(8)
@@ -365,14 +486,14 @@ class TestCountingMatchesSorting:
 def list_route(model, images, captions, pair_index, similarity):
     """Asymmetric (search, annotation) reports through list ground truth."""
     ks = (1, 5, 10)
-    emb = retrieval.make_task_embedding(model, "search")
+    x, y = oracles.task_views(model, images, captions, "search")
     search = retrieval._report(oracles.best_ranks(
-        emb.embed_texts(captions), emb.embed_images(images),
+        y, x,
         oracles.pairing_to_ground_truth(pair_index, images.rows, "search"),
         similarity), ks, "search", images.rows)
-    emb = retrieval.make_task_embedding(model, "annotation")
+    x, y = oracles.task_views(model, images, captions, "annotation")
     annotation = retrieval._report(oracles.best_ranks(
-        emb.embed_images(images), emb.embed_texts(captions),
+        x, y,
         oracles.pairing_to_ground_truth(pair_index, images.rows,
                                         "annotation"),
         similarity), ks, "annotation", captions.rows)
@@ -425,14 +546,6 @@ class TestFlatGroundTruth:
 class TestEvaluateBlocks:
     """Contiguous image blocks against the block-slicing loop."""
 
-    @pytest.fixture(scope="class")
-    def views(self, model):
-        # 23 images with 1-4 captions each, pairing shuffled
-        rng = np.random.default_rng(11)
-        pair_index = rng.permutation(
-            np.repeat(np.arange(23), rng.integers(1, 5, size=23)))
-        return (*random_views(model, pair_index, 12), pair_index)
-
     @pytest.mark.parametrize("similarity", ["cosine", "l2"])
     def test_one_block_is_evaluate_bidirectional(self, model, views,
                                                  similarity):
@@ -475,18 +588,15 @@ class TestProtocolOracle:
             model, images, captions, pair_index)
 
         # independent path: loops all the way down
-        emb_s = retrieval.make_task_embedding(model, "search", "asymmetric")
-        order = rank_by_cosine_loops(emb_s.embed_texts(captions),
-                                     emb_s.embed_images(images))
+        x, y = oracles.task_views(model, images, captions, "search")
+        order = rank_by_cosine_loops(y, x)
         gt = [[int(i)] for i in pair_index]
         recalls, median = recall_and_median_loops(order, gt)
         assert search.recalls == recalls
         assert search.median_rank == median
 
-        emb_a = retrieval.make_task_embedding(model, "annotation",
-                                              "asymmetric")
-        order = rank_by_cosine_loops(emb_a.embed_images(images),
-                                     emb_a.embed_texts(captions))
+        x, y = oracles.task_views(model, images, captions, "annotation")
+        order = rank_by_cosine_loops(x, y)
         gt = [
             [j for j in range(captions.rows) if pair_index[j] == i]
             for i in range(images.rows)
@@ -496,16 +606,22 @@ class TestProtocolOracle:
         assert annotation.median_rank == median
 
 
+@pytest.fixture(scope="module")
+def sweep_data():
+    """A plain CCA model and 40 validation images with 3 captions each."""
+    cfg = synthetic.LatentModelConfig(
+        n_train=150, n_val=40, n_test=40, latent_dim=4,
+        image_dim=16, text_dim=12, noise_x=0.5, noise_y=0.5, seed=2,
+    )
+    data = synthetic.generate_caption_like(cfg, 3)
+    train_x, train_y = data.paired_training_views()
+    model = solve(prepare(train_x, train_y), RegularizationSpec.none())
+    return (model, *data.split_views("val"))
+
+
 class TestAlphaSweep:
-    def test_endpoints_equal_asymmetric_evaluations(self):
-        cfg = synthetic.LatentModelConfig(
-            n_train=150, n_val=40, n_test=40, latent_dim=4,
-            image_dim=16, text_dim=12, noise_x=0.5, noise_y=0.5, seed=2,
-        )
-        data = synthetic.generate_caption_like(cfg, 3)
-        train_x, train_y = data.paired_training_views()
-        model = solve(prepare(train_x, train_y), RegularizationSpec.none())
-        images, captions, pairs = data.split_views("val")
+    def test_endpoints_equal_asymmetric_evaluations(self, sweep_data):
+        model, images, captions, pairs = sweep_data
         curve = retrieval.alpha_sweep(model, images, captions, [0.0, 1.0],
                                       pair_index=pairs)
         search, annotation = retrieval.evaluate_bidirectional(
@@ -517,13 +633,27 @@ class TestAlphaSweep:
         rng = np.random.default_rng(6)
         images = io.FeatureMatrix(rng.standard_normal((7, model.m_x)))
         captions = io.FeatureMatrix(rng.standard_normal((7, model.m_y)))
-        curve = retrieval.alpha_sweep(model, images, captions, [0.5])
+        curve = retrieval.alpha_sweep(model, images, captions, [0.5], k=1)
         assert curve.alphas.shape == (1,)
-        emb = retrieval.make_task_embedding(model, "search", "sweep",
-                                            alpha=0.5)
-        half = np.sqrt(model.sigma)
-        np.testing.assert_allclose(emb.image_proj, half[:, None] * model.u.T)
-        np.testing.assert_allclose(emb.text_proj, half[:, None] * model.v.T)
+        # both sides weighted by Sigma^(1/2): the symmetric weighting
+        search, annotation = oracles.evaluate_branches(
+            model, images, captions, weighting="symmetric", alpha=0.5,
+            ks=(1,))
+        assert curve.search_scores[0] == search.recalls[1]
+        assert curve.annotation_scores[0] == annotation.recalls[1]
+
+    @pytest.mark.parametrize("similarity", ["cosine", "l2"])
+    def test_interior_alphas_equal_reference_route(self, sweep_data,
+                                                   similarity):
+        model, images, captions, pairs = sweep_data
+        curve = retrieval.alpha_sweep(model, images, captions, [0.3, 0.7],
+                                      pairs, k=5, similarity=similarity)
+        for i, alpha in enumerate((0.3, 0.7)):
+            search, annotation = oracles.evaluate_branches(
+                model, images, captions, pairs, "sweep", alpha, similarity,
+                ks=(5,))
+            assert curve.search_scores[i] == search.recalls[5]
+            assert curve.annotation_scores[i] == annotation.recalls[5]
 
     def test_grid_outside_unit_interval_rejected(self, model):
         rng = np.random.default_rng(7)
@@ -532,6 +662,59 @@ class TestAlphaSweep:
         for grid in ([0.0, 1.2], [0.0, np.nan]):
             with pytest.raises(ValueError, match="alpha grid"):
                 retrieval.alpha_sweep(model, images, captions, grid)
+
+
+class TestOneKernel:
+    """Cases only the kernel's own arithmetic could get wrong."""
+
+    @pytest.mark.parametrize("weighting,alpha", [
+        ("asymmetric", None), ("symmetric", 0.5), ("sweep", 0.3)])
+    @pytest.mark.parametrize("similarity", ["cosine", "l2"])
+    def test_rank_one_model_equals_reference_route(self, sweep_data,
+                                                   weighting, alpha,
+                                                   similarity):
+        # every cosine of a one-dimensional model is exactly +-1, so ties
+        # decide the ranks and the sign of G must reproduce them
+        model, images, captions, pairs = sweep_data
+        tiny = replace(model, u=model.u[:, :1], v=model.v[:, :1],
+                       sigma=model.sigma[:1])
+        got = retrieval.evaluate_bidirectional(tiny, images, captions, pairs,
+                                               weighting, alpha, similarity)
+        assert got == oracles.evaluate_branches(tiny, images, captions, pairs,
+                                                weighting, alpha, similarity)
+
+    def test_tsvd_rank_one_fit_equals_reference_route(self):
+        cfg = synthetic.LatentModelConfig(
+            n_train=200, n_val=60, n_test=1, latent_dim=3, image_dim=10,
+            text_dim=8, noise_x=0.5, noise_y=0.5, seed=23)
+        data = synthetic.generate_caption_like(cfg, 4)
+        model = solve(prepare(*data.paired_training_views()),
+                      RegularizationSpec.tsvd(1, 1))
+        views = data.split_views("val")
+        assert model.k == 1
+        for similarity in ("cosine", "l2"):
+            got = retrieval.evaluate_bidirectional(model, *views,
+                                                   similarity=similarity)
+            assert got == oracles.evaluate_branches(model, *views,
+                                                    similarity=similarity)
+
+    @pytest.mark.parametrize("view", ["images", "captions"])
+    def test_overflowing_views_rejected(self, sweep_data, view):
+        # every squared item norm of a 1e200-scaled view is inf; the
+        # protocol read a median rank near half the items, with no error
+        model, images, captions, pairs = sweep_data
+        if view == "images":
+            images = io.FeatureMatrix(images.values * 1e200)
+        else:
+            captions = io.FeatureMatrix(captions.values * 1e200)
+        named = f"{view[:-1]} 0: squared norm is not finite"
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match=named):
+                retrieval.evaluate_bidirectional(model, images, captions,
+                                                 pairs)
+            with pytest.raises(ValueError, match=named):
+                retrieval.alpha_sweep(model, images, captions, [0.0, 0.5],
+                                      pairs)
 
 
 class TestTsvFormats:

@@ -160,7 +160,7 @@ class TestPairingChecks:
             raise AssertionError("a cell was scored before the pairing "
                                  "check")
 
-        monkeypatch.setattr(selection, "_cell_recalls", no_cell)
+        monkeypatch.setattr(selection, "_rank_blocks", no_cell)
         with pytest.raises(ValueError,
                            match="pair_index length must match caption count"):
             path(cca.prepare(train_x, train_y), vi, vc, [2], [2],
@@ -175,7 +175,7 @@ class TestPairingChecks:
             raise AssertionError("a cell was scored before the pairing "
                                  "check")
 
-        monkeypatch.setattr(selection, "_cell_recalls", no_cell)
+        monkeypatch.setattr(selection, "_rank_blocks", no_cell)
         with pytest.raises(ValueError, match="image 19 has no paired captions"):
             selection.tsvd_path(cca.prepare(train_x, train_y), vi, vc,
                                 [2], [2], pair_index=pairs)
@@ -227,7 +227,7 @@ class TestTikhonovPath:
         def no_cell(*args, **kwargs):
             raise AssertionError("a cell was scored before the axis check")
 
-        monkeypatch.setattr(selection, "_cell_recalls", no_cell)
+        monkeypatch.setattr(selection, "_rank_blocks", no_cell)
         with pytest.raises(ValueError, match="gamma_x grid must hold finite "
                                              "penalties >= 0"):
             selection.tikhonov_path(cca.prepare(train_x, train_y), vi, vc,
@@ -290,7 +290,7 @@ class TestSelect:
             raise AssertionError("a cell was scored before the metric "
                                  "check")
 
-        monkeypatch.setattr(selection, "_cell_recalls", no_cell)
+        monkeypatch.setattr(selection, "_rank_blocks", no_cell)
         with pytest.raises(ValueError, match="unknown metric 'r5'"):
             selection.tsvd_path(cca.prepare(train_x, train_y), vi, vc,
                                 [2], [2], metric="r5", pair_index=vp)
@@ -481,15 +481,15 @@ class TestSvdFreeCells:
             self, dataset, monkeypatch, kind, axis_x, axis_y):
         train_x, train_y, vi, vc, vp = dataset
         problem = cca.prepare(train_x, train_y)
-        score = selection._cell_recalls
+        score = selection._rank_blocks
         runs = []
 
-        def recording(g, image_sq, caption_sq, *args):
-            runs[-1].append(g.tobytes() + image_sq.tobytes()
-                            + caption_sq.tobytes())
-            return score(g, image_sq, caption_sq, *args)
+        def recording(g_rows, n_queries, item_sqs, *args):
+            runs[-1].append(g_rows(0, n_queries).tobytes()
+                            + item_sqs[0].tobytes())
+            return score(g_rows, n_queries, item_sqs, *args)
 
-        monkeypatch.setattr(selection, "_cell_recalls", recording)
+        monkeypatch.setattr(selection, "_rank_blocks", recording)
         grids = []
         for axes, workers in (((axis_x, axis_y), 1), ((axis_x, axis_y), 3),
                               ((sorted(set(axis_x)), sorted(set(axis_y))),
@@ -497,8 +497,9 @@ class TestSvdFreeCells:
             runs.append([])
             grids.append(selection._run_grid(problem, *axes, kind, vi, vc, vp,
                                              "cosine", workers))
-        # each distinct cell's scores and item norms once, bit for bit
-        assert len(runs[0]) == 6
+        # each distinct cell's scores and item norms once per task, bit
+        # for bit
+        assert len(runs[0]) == 12
         assert sorted(runs[0]) == sorted(runs[1]) == sorted(runs[2])
         for name in ("search_scores", "annotation_scores"):
             assert (getattr(grids[0], name).tobytes()
