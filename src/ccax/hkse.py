@@ -135,7 +135,7 @@ def word_feature(hkse_map: HkseMap, a: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"word vector has shape {a.shape}, expected ({hkse_map.input_dim},)"
         )
-    return _word_layer(hkse_map, a[None, :])[0]
+    return _word_layer(hkse_map, a[None, :], [0])[0]
 
 
 def embed_sentence(hkse_map: HkseMap, token_vectors) -> np.ndarray:
@@ -154,7 +154,8 @@ def embed_sentence(hkse_map: HkseMap, token_vectors) -> np.ndarray:
             f"(n, {hkse_map.input_dim})"
         )
     out = np.empty((1, hkse_map.output_dim))
-    _embed(hkse_map, vectors, [np.arange(vectors.shape[0])], out)
+    rows = np.arange(vectors.shape[0])
+    _embed(hkse_map, vectors, rows, [rows], out)
     return out[0]
 
 
@@ -221,21 +222,21 @@ def bandwidth_heuristic(table: EmbeddingTable, sample_size: int = 2000,
         rng = np.random.default_rng(seed)
         rows = rng.choice(table.vocab_size, size=sample_size, replace=False)
         sample = table.vectors[np.sort(rows)]
-    # the upper triangle of |a|^2 + |b|^2 - 2 a.b, row by row into one
-    # vector; the lower-middle element is selected, not sorted for.  sqrt
-    # and the clamp at 0 are monotone, so they apply to that element alone.
+    # the upper triangle of |a|^2 + |b|^2 - 2 a.b, row by row into the front
+    # of the Gram's own buffer (ufuncs resolve the overlap); its lower middle
+    # is selected there, and the monotone sqrt and clamp at 0 apply to it.
     norms = np.sum(sample * sample, axis=1)
     gram = 2.0 * sample @ sample.T
     n = sample.shape[0]
-    upper = np.empty(n * (n - 1) // 2)
+    flat = gram.reshape(-1)
     lo = 0
     for i in range(n - 1):
         hi = lo + n - 1 - i
-        np.subtract(norms[i] + norms[i + 1:], gram[i, i + 1:], out=upper[lo:hi])
+        np.subtract(norms[i] + norms[i + 1:], gram[i, i + 1:], out=flat[lo:hi])
         lo = hi
-    mid = (upper.shape[0] - 1) // 2
-    upper.partition(mid)
-    median = np.sqrt(max(upper[mid], 0.0))
+    mid = (lo - 1) // 2
+    flat[:lo].partition(mid)
+    median = np.sqrt(max(flat[mid], 0.0))
     if median == 0.0:
         raise ValueError("all sampled pairwise distances are zero")
     return float(1.0 / median**2)
@@ -284,13 +285,13 @@ def embed_corpus(maps, corpus: SentenceCorpus,
                               return_inverse=True)
     ends = np.cumsum([len(s) for s in corpus.sentences])
     sentences = np.split(inverse, ends[:-1])
-    vectors = table.vectors[used]
     out = np.empty((len(corpus), sum(m.output_dim for m in maps)))
     col = 0
     for hkse_map in maps:
-        _embed(hkse_map, vectors, sentences,
+        _embed(hkse_map, table.vectors, used, sentences,
                out[:, col:col + hkse_map.output_dim])
         col += hkse_map.output_dim
+    out.flags.writeable = False  # owned and read-only: kept, not copied
     return FeatureMatrix(out)
 
 
@@ -312,30 +313,30 @@ def _layer(w: np.ndarray, b: np.ndarray, block: np.ndarray) -> np.ndarray:
     return z.T
 
 
-def _word_layer(hkse_map: HkseMap, vectors: np.ndarray) -> np.ndarray:
-    """Word features of each row of ``vectors`` (the rows themselves for lin)."""
+def _word_layer(hkse_map: HkseMap, vectors: np.ndarray, rows) -> np.ndarray:
+    """Word features of vectors[rows] (those rows themselves for lin)."""
     if hkse_map.word_variant == "lin":
-        return vectors
-    n = vectors.shape[0]
+        return vectors[rows]
+    n = len(rows)
     words = np.empty((n, hkse_map.pooled_dim))
     block = np.zeros((BLOCK_ROWS, hkse_map.input_dim))
     for lo in range(0, n, BLOCK_ROWS):
         k = min(BLOCK_ROWS, n - lo)
-        block[:k] = vectors[lo:lo + k]
+        block[:k] = vectors[rows[lo:lo + k]]
         block[k:] = 0.0
         words[lo:lo + k] = _layer(hkse_map.w_word, hkse_map.b_word, block)[:k]
     return words
 
 
-def _embed(hkse_map: HkseMap, vectors: np.ndarray, sentences,
+def _embed(hkse_map: HkseMap, vectors: np.ndarray, rows, sentences,
            out: np.ndarray) -> None:
     """Word layer, mean pooling and sentence layer, into the rows of ``out``.
 
-    ``vectors`` holds each distinct word once; ``sentences[i]`` indexes the
-    rows of ``vectors`` that sentence i is made of.  Each sentence is pooled
-    straight into a BLOCK_ROWS-row block, which the sentence layer maps.
+    ``vectors[rows]`` holds each distinct word once; ``sentences[i]`` indexes
+    the rows that sentence i is made of.  Each sentence is pooled straight
+    into a BLOCK_ROWS-row block, which the sentence layer maps.
     """
-    words = _word_layer(hkse_map, vectors)
+    words = _word_layer(hkse_map, vectors, rows)
     block = np.zeros((BLOCK_ROWS, hkse_map.pooled_dim))
     for lo in range(0, len(sentences), BLOCK_ROWS):
         chunk = sentences[lo:lo + BLOCK_ROWS]

@@ -17,6 +17,7 @@ Formats handled here:
 from __future__ import annotations
 
 import math
+import os
 import string
 import struct
 from dataclasses import dataclass, field
@@ -34,6 +35,11 @@ class DataFormatError(ValueError):
 
 
 def _as_float64_matrix(values) -> np.ndarray:
+    # kept only when no caller can write to it; see FeatureMatrix
+    if (type(values) is np.ndarray and values.base is None
+            and values.dtype == np.float64 and values.flags.c_contiguous
+            and not values.flags.writeable):
+        return values
     arr = np.array(values, dtype=np.float64, order="C", copy=True)
     if arr.ndim != 2:
         raise DataFormatError(f"expected a 2-d matrix, got shape {arr.shape}")
@@ -44,9 +50,9 @@ def _as_float64_matrix(values) -> np.ndarray:
 class FeatureMatrix:
     """Dense n x m matrix of per-sample feature vectors.
 
-    Rows are samples, columns are features.  Values are float64 and the
-    array is frozen (non-writeable) after construction so instances can be
-    shared across threads.
+    Rows are samples, columns are features.  Values are a read-only float64
+    C array, so instances can be shared across threads: an array that is one
+    already and owns its data is kept, anything else is copied.
     """
 
     values: np.ndarray
@@ -138,7 +144,13 @@ class SentenceCorpus:
 def save_matrix(m: FeatureMatrix, path) -> None:
     """Write a FeatureMatrix as an FMAT1 file."""
     with open(path, "wb") as fh:
-        fh.write(matrix_to_bytes(m))
+        _write_matrix(fh, m)
+
+
+def _write_matrix(fh, m: FeatureMatrix) -> None:
+    """One FMAT1 record: the header, then the array's own buffer."""
+    fh.write(FMAT1_MAGIC + struct.pack("<QQ", m.rows, m.cols))
+    fh.write(np.ascontiguousarray(m.values, dtype="<f8"))
 
 
 def matrix_to_bytes(m: FeatureMatrix) -> bytes:
@@ -201,9 +213,9 @@ def load_embedding_table(path) -> EmbeddingTable:
 
     Values are parsed by ``np.loadtxt`` (bitwise the same doubles as
     ``float``), ``_TABLE_CHUNK_LINES`` lines at a time, so only one chunk of
-    text is held.  Every error names the file and line; non-finite values
-    and fields ``float`` would take but ``loadtxt`` does not (``1_0``) are
-    errors.
+    text is held; each chunk goes straight into the one table array.  Every
+    error names the file and line; non-finite values and fields ``float``
+    would take but ``loadtxt`` does not (``1_0``) are errors.
     """
     with open(path, "rb") as fh:
         header = _decode_line(path, 1, fh.readline()).split()
@@ -215,8 +227,10 @@ def load_embedding_table(path) -> EmbeddingTable:
             raise DataFormatError(f"{path}:1: non-integer header") from None
         if count < 1 or dim < 1:
             raise DataFormatError(f"{path}:1: header declares {count} x {dim}")
+        # at most one row per 2 * dim + 1 bytes; a pipe's size reads 0
+        size = os.fstat(fh.fileno()).st_size or count * (2 * dim + 1)
+        vectors = np.empty((min(count, size // (2 * dim + 1)), dim))
         lines_of: dict[str, int] = {}  # token -> its line, in file order
-        chunks: list[np.ndarray] = []
         while len(lines_of) < count:
             first = len(lines_of) + 2  # line number of the chunk's first line
             values = []
@@ -240,12 +254,12 @@ def load_embedding_table(path) -> EmbeddingTable:
                     )
                 lines_of[token] = lineno
                 values.append(parts[1])
-            chunks.append(_parse_table_chunk(path, first, values, dim))
+            vectors[first - 2:len(lines_of)] = _parse_table_chunk(
+                path, first, values, dim)
         if _decode_line(path, count + 2, fh.readline()).strip():
             raise DataFormatError(
                 f"{path}:{count + 2}: more entries than header declares")
-    vectors = np.concatenate(chunks)
-    del chunks  # EmbeddingTable copies the vectors: two copies, not three
+    vectors.flags.writeable = False  # owned and read-only: kept, not copied
     return EmbeddingTable(tuple(lines_of), vectors)
 
 
@@ -485,7 +499,7 @@ def save_archive(archive: ModelArchive, path) -> None:
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<Q", len(encoded)))
             fh.write(encoded)
-            fh.write(matrix_to_bytes(blob))
+            _write_matrix(fh, blob)
 
 
 def load_archive(path) -> ModelArchive:

@@ -164,8 +164,10 @@ def _select(grid: PathGrid, metric: str) -> SelectionResult:
 
 def _prefix_sq(a: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """Row sums of a[:, :e]^2 for each e in the ascending ``ends``, where
-    ``a`` has ends[-1] columns; no full-width prefix sum is held."""
-    return np.add.reduceat(a * a, np.r_[0, ends[:-1]], axis=1).cumsum(axis=1)
+    ``a`` has ends[-1] columns; no full-width prefix sum is held.  Squared
+    norms overflow silently here: the rank kernel raises on them."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.add.reduceat(a * a, np.r_[0, ends[:-1]], axis=1).cumsum(1)
 
 
 def _tsvd_rows(problem: CcaProblem, xs, ys, x_rot, y_rot):
@@ -214,11 +216,13 @@ def _tikhonov_rows(problem: CcaProblem, xs, ys, x_rot, y_rot):
     caption_sq = np.empty((len(xs), len(ys), y_rot.shape[0]))
     for j in range(len(ys)):
         r_y = (y_rot * dy2[:, j]) @ m.T
-        caption_sq[:, j] = ((r_y * r_y) @ dx2).T
+        with np.errstate(over="ignore", invalid="ignore"):
+            caption_sq[:, j] = ((r_y * r_y) @ dx2).T
 
     def cells(i):
         r_x = (x_rot * dx2[:, i]) @ m
-        image_sq = (r_x * r_x) @ dy2
+        with np.errstate(over="ignore", invalid="ignore"):
+            image_sq = (r_x * r_x) @ dy2
         for j in range(len(ys)):
             start = time.perf_counter()
             g = (r_x * dy2[:, j]) @ y_rot.T

@@ -1,5 +1,7 @@
 """End-to-end CLI runs: contracts, exit codes, determinism."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -655,6 +657,27 @@ class TestOverflowingValues:
         assert "image 0: squared norm is not finite" in err
         assert "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.fmat"]
+
+    @pytest.mark.parametrize("command,flags", [
+        ("path", ["--reg", "tsvd"]), ("path", ["--reg", "tikhonov"]),
+        ("fit", []),
+    ])
+    def test_path_cells_warn_nothing(self, command, flags, synth_dir,
+                                     tmp_path, capsys):
+        # squared norms overflow to inf without a RuntimeWarning; the rank
+        # kernel's error is all stderr holds
+        images = tmp_path / "huge.fmat"
+        values = io.load_matrix(synth_dir / "val_images.fmat").values
+        io.save_matrix(io.FeatureMatrix(1e200 * values), images)
+        argv = _path_argv(command, synth_dir, tmp_path)
+        argv[argv.index("--val-x") + 1] = str(images)
+        argv += flags
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "ccax: error: image 0: squared norm is not finite"]
 
 
 class TestThinSvdCount:

@@ -1,0 +1,163 @@
+"""The embed pipeline holds one copy of each array.
+
+Peaks are measured with ``tracemalloc``, which sees numpy's data
+allocations, on shapes that run in well under a second.  Each bound sits
+between the one-copy peak and the peak with one more copy of the array.
+"""
+
+import os
+import struct
+import threading
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from ccax import hkse, io
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes allocated while ``fn`` runs, over what was held before."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+def test_bandwidth_median_inside_its_gram():
+    # the whole 1000-word table is the sample, so no row is gathered; the
+    # upper-triangle distances reuse the Gram's buffer
+    n = 1000
+    table = io.EmbeddingTable(tuple(f"w{i}" for i in range(n)),
+                              np.random.default_rng(0).standard_normal((n, 50)))
+    peak = traced_peak(lambda: hkse.bandwidth_heuristic(table, n))
+    assert peak < 1.15 * n * n * 8
+
+
+def test_table_parsed_in_place(tmp_path, monkeypatch):
+    # 8 chunks of 300-dim rows at three decimals: the parsed table, one
+    # chunk's text and block, and the tokens fit in table + chunk + 25%
+    monkeypatch.setattr(io, "_TABLE_CHUNK_LINES", 128)
+    count, dim = 8 * io._TABLE_CHUNK_LINES, 300
+    steps = np.random.default_rng(1).integers(-3000, 3001, size=(count, dim))
+    path = tmp_path / "w.txt"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{count} {dim}\n")
+        for i, row in enumerate(steps):
+            fh.write(f"w{i} " + " ".join(f"{k / 1e3:.3f}" for k in row)
+                     + "\n")
+    loaded = []
+    peak = traced_peak(lambda: loaded.append(io.load_embedding_table(path)))
+    vectors = loaded[0].vectors
+    np.testing.assert_array_equal(vectors, steps / 1e3)
+    assert vectors.base is None and not vectors.flags.writeable
+    assert peak < 1.25 * (count + io._TABLE_CHUNK_LINES) * dim * 8
+
+
+def test_overstated_count_allocates_what_the_file_holds(tmp_path):
+    path = tmp_path / "w.txt"
+    path.write_text(f"{10**12} 3\na 1 0 0\nb 0 1 0\n")
+
+    def load():
+        with pytest.raises(io.DataFormatError,
+                           match=r"w\.txt:4: header declares 1000000000000 "
+                                 r"entries, found 2"):
+            io.load_embedding_table(path)
+
+    assert traced_peak(load) < 1e5
+
+
+def test_table_from_a_pipe(tmp_path):
+    # a pipe's size reads 0, so its rows are allocated from the header
+    path = tmp_path / "w.fifo"
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_text, daemon=True,
+                              args=("2 3\na 1 0 0\nb 0 1 0.5\n",))
+    writer.start()
+    table = io.load_embedding_table(path)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    np.testing.assert_array_equal(table.vectors, [[1, 0, 0], [0, 1, 0.5]])
+
+
+def _archive_bytes(archive: io.ModelArchive) -> bytes:
+    manifest = "".join(f"{k}={v}\n" for k, v in archive.manifest.items())
+    out = io.ARCHIVE_MAGIC + struct.pack("<Q", len(manifest)) + \
+        manifest.encode()
+    for name, blob in archive.blobs.items():
+        out += struct.pack("<Q", len(name)) + name.encode()
+        out += io.matrix_to_bytes(blob)
+    return out
+
+
+class TestWritesFromTheArrayBuffer:
+    @pytest.fixture(scope="class")
+    def matrix(self):
+        # 10 MB
+        return io.FeatureMatrix(
+            np.random.default_rng(2).standard_normal((1250, 1000)))
+
+    def test_save_matrix(self, matrix, tmp_path):
+        path = tmp_path / "m.fmat"
+        assert traced_peak(lambda: io.save_matrix(matrix, path)) < 1e6
+        assert path.read_bytes() == io.matrix_to_bytes(matrix)
+
+    def test_save_archive(self, matrix, tmp_path):
+        archive = io.ModelArchive(
+            {"kind": "test", "n": "2"},
+            {"BIG": matrix, "ROW": io.FeatureMatrix(np.arange(5.0)[None, :])})
+        path = tmp_path / "m.arc"
+        assert traced_peak(lambda: io.save_archive(archive, path)) < 1e6
+        assert path.read_bytes() == _archive_bytes(archive)
+
+
+def _owned_read_only():
+    arr = np.arange(12.0).reshape(3, 4).copy()
+    arr.flags.writeable = False
+    return arr
+
+
+def _wrap(kind, arr):
+    if kind == "matrix":
+        return io.FeatureMatrix(arr).values
+    return io.EmbeddingTable(tuple("abc"), arr).vectors
+
+
+@pytest.mark.parametrize("kind", ["matrix", "table"])
+class TestKeptOrCopied:
+    def test_owned_read_only_array_is_kept(self, kind):
+        arr = _owned_read_only()
+        assert np.shares_memory(_wrap(kind, arr), arr)
+
+    def test_writeable_array_is_copied_and_left_writeable(self, kind):
+        for arr in (np.arange(12.0).reshape(3, 4).copy(),
+                    np.frombuffer(bytearray(96)).reshape(3, 4)):
+            kept = _wrap(kind, arr)
+            assert not np.shares_memory(kept, arr)
+            assert arr.flags.writeable and not kept.flags.writeable
+
+    @pytest.mark.parametrize("make", [
+        # a read-only view: the array under it can still change
+        lambda: np.ones((4, 4))[1:],
+        lambda: np.frombuffer(bytes(96)).reshape(3, 4),
+        lambda: np.ones((3, 4), order="F"),
+        lambda: np.ones((3, 4), dtype=np.float32),
+        lambda: np.ones((3, 4), dtype=">f8"),
+    ], ids=["view", "frombuffer", "fortran", "float32", "big-endian"])
+    def test_other_arrays_are_copied(self, kind, make):
+        arr = make()
+        arr.flags.writeable = False
+        kept = _wrap(kind, arr)
+        assert not np.shares_memory(kept, arr)
+        assert kept.base is None and kept.dtype == np.float64
+        np.testing.assert_array_equal(kept, arr)
+
+
+def test_map_blobs_share_the_map():
+    m = hkse.build_map("rbf", "rbf", 1.0, 1.0, 6, 4, 3, seed=0)
+    blobs = hkse.maps_to_archive(m).blobs
+    assert np.shares_memory(blobs["W_WORD"].values, m.w_word)
+    assert np.shares_memory(blobs["W_SENT"].values, m.w_sent)
