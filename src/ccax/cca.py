@@ -188,15 +188,16 @@ def prepare(x: FeatureMatrix, y: FeatureMatrix) -> CcaProblem:
     return CcaProblem(*arrays, n=n)
 
 
-def _filtered_svd(problem: CcaProblem, spec: RegularizationSpec):
-    """Filter the operator as ``spec`` says and take its one SVD.
+def solve(problem: CcaProblem, spec: RegularizationSpec) -> CcaModel:
+    """Filter the operator as ``spec`` says, take one SVD, build the weights.
 
-    Returns (scale_x, scale_y, p_x, sigma, p_y).  ``scale_x`` maps an array
-    whose columns follow Vx to the filtered columns the rotation p_x acts
-    on, so ``scale_x(problem.v_x) @ p_x`` are the canonical weights: it
-    keeps the leading k_x columns divided by s_x for ``tsvd`` and ``none``,
-    and multiplies every column by 1/sqrt(s_x^2+gamma_x) for ``tikhonov``.
-    p_x and p_y carry the SVD's signs; sigma is clamped to [0, 1].
+    ``none`` is the full-rank case of ``tsvd``: the leading k_x x k_y block
+    of T with weights Vx Sx^-1 Px and Vy Sy^-1 Py, so that U'(Xc'Xc)U = I
+    and V'(Yc'Yc)V = I on the training data.  ``tikhonov`` takes the SVD of
+    the soft-filtered operator diag(1/sqrt(s_x^2+gamma_x)) (Sx T Sy)
+    diag(1/sqrt(s_y^2+gamma_y)), which solves max Tr(U' Xc'Yc V) under
+    U'(Xc'Xc + gamma_x I)U = I and the symmetric constraint on V.  sigma is
+    clamped to [0, 1].
     """
     s_x, s_y = problem.s_x, problem.s_y
     if spec.kind == "tikhonov":
@@ -204,7 +205,7 @@ def _filtered_svd(problem: CcaProblem, spec: RegularizationSpec):
         dx = 1.0 / np.sqrt(s_x**2 + spec.gamma_x)
         dy = 1.0 / np.sqrt(s_y**2 + spec.gamma_y)
         op = (dx[:, None] * t0) * dy[None, :]
-        scale_x, scale_y = (lambda a: a * dx), (lambda a: a * dy)
+        base_x, base_y = problem.v_x * dx, problem.v_y * dy
     else:
         k_x, k_y = ((spec.k_x, spec.k_y) if spec.kind == "tsvd"
                     else (problem.rank_x, problem.rank_y))
@@ -215,24 +216,11 @@ def _filtered_svd(problem: CcaProblem, spec: RegularizationSpec):
             raise ValueError(
                 f"k_y={k_y} outside [1, rank(Y)={problem.rank_y}]")
         op = problem.t[:k_x, :k_y]
-        scale_x, scale_y = ((lambda a: a[:, :k_x] / s_x[:k_x]),
-                            (lambda a: a[:, :k_y] / s_y[:k_y]))
+        base_x = problem.v_x[:, :k_x] / s_x[:k_x]
+        base_y = problem.v_y[:, :k_y] / s_y[:k_y]
     p_x, sigma, p_yt = np.linalg.svd(op, full_matrices=False)
-    return scale_x, scale_y, p_x, np.clip(sigma, 0.0, 1.0), p_yt.T
-
-
-def solve(problem: CcaProblem, spec: RegularizationSpec) -> CcaModel:
-    """Filter the operator as ``spec`` says, take one SVD, build the weights.
-
-    ``none`` is the full-rank case of ``tsvd``: the leading k_x x k_y block
-    of T with weights Vx Sx^-1 Px and Vy Sy^-1 Py, so that U'(Xc'Xc)U = I
-    and V'(Yc'Yc)V = I on the training data.  ``tikhonov`` takes the SVD of
-    the soft-filtered operator diag(1/sqrt(s_x^2+gamma_x)) (Sx T Sy)
-    diag(1/sqrt(s_y^2+gamma_y)), which solves max Tr(U' Xc'Yc V) under
-    U'(Xc'Xc + gamma_x I)U = I and the symmetric constraint on V.
-    """
-    scale_x, scale_y, p_x, sigma, p_y = _filtered_svd(problem, spec)
-    u, v = _sign_fix(scale_x(problem.v_x) @ p_x, scale_y(problem.v_y) @ p_y)
+    sigma = np.clip(sigma, 0.0, 1.0)
+    u, v = _sign_fix(base_x @ p_x, base_y @ p_yt.T)
     for arr in (u, v, sigma):
         arr.flags.writeable = False
     return CcaModel(u=u, v=v, sigma=sigma, mean_x=problem.mean_x,

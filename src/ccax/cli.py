@@ -19,7 +19,7 @@ _REG_KINDS = ("none", "tikhonov", "tsvd", "guided-tsvd")
 
 #: embed's map-defining flags and their defaults; a saved --map fixes all
 #: of them, so giving one beside it is a usage error
-_MAP_FLAGS = {"variant": "lin,lin", "concat": None, "m": 2000,
+_MAP_FLAGS = {"variant": ("lin", "lin"), "concat": None, "m": 2000,
               "mprime": 2000, "gamma": "median", "eta": 0.01,
               "gamma_sample": 2000, "seed": 0}
 
@@ -94,6 +94,16 @@ def _grid_size(text: str) -> tuple[int, int]:
     return counts
 
 
+def _variant(text: str) -> tuple[str, str]:
+    """argparse type of --variant/--concat: word,sentence layer kinds."""
+    parts = tuple(p.strip() for p in text.split(","))
+    if len(parts) != 2 or any(p not in hkse.VARIANTS for p in parts):
+        raise argparse.ArgumentTypeError(
+            f"must be two of {'/'.join(hkse.VARIANTS)} like lin,rbf, "
+            f"got {text!r}")
+    return parts
+
+
 def _weighting(text: str) -> tuple[str, float | None]:
     """argparse type of --weighting: asymmetric, or symmetric:<alpha>."""
     kind, _, value = text.partition(":")
@@ -166,16 +176,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-y", type=_finite_nonneg, default=0.25)
     p.add_argument("--captions", type=_COUNT, default=1,
                    help="captions per image (default 1)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_from(0), default=0)
 
     p = sub.add_parser("embed", help="embed a sentence corpus")
     add_config(p)
     p.add_argument("--corpus", required=True)
     p.add_argument("--vectors", required=True, help="word-embedding text file")
-    p.add_argument("--variant",
+    p.add_argument("--variant", type=_variant,
                    help="word,sentence layer kinds, e.g. rbf,rbf "
-                        f"(default {_MAP_FLAGS['variant']})")
-    p.add_argument("--concat", help="second map variant to concatenate")
+                        f"(default {','.join(_MAP_FLAGS['variant'])})")
+    p.add_argument("--concat", type=_variant,
+                   help="second map variant to concatenate")
     p.add_argument("--m", type=_COUNT, help="word-layer feature count "
                                          f"(default {_MAP_FLAGS['m']})")
     p.add_argument("--mprime", type=_COUNT,
@@ -186,11 +197,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         f"(default {_MAP_FLAGS['gamma']})")
     p.add_argument("--eta", type=_finite_nonneg, help="sentence bandwidth "
                                              f"(default {_MAP_FLAGS['eta']})")
-    p.add_argument("--gamma-sample", type=int,
+    p.add_argument("--gamma-sample", type=_int_from(2),
                    help="words sampled by the median heuristic "
                         f"(default {_MAP_FLAGS['gamma_sample']})")
     p.add_argument("--oov", choices=("skip", "error"), default="skip")
-    p.add_argument("--seed", type=int,
+    p.add_argument("--seed", type=_int_from(0),
                    help=f"map seed (default {_MAP_FLAGS['seed']})")
     p.add_argument("--out", required=True, help="output FMAT1 path")
     p.add_argument("--map-out", help="save the feature map archive here")
@@ -362,13 +373,6 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _parse_variant(text: str) -> tuple[str, str]:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 2 or any(p not in hkse.VARIANTS for p in parts):
-        raise ValueError(f"variant must be like lin,rbf; got {text!r}")
-    return parts[0], parts[1]
-
-
 def _cmd_embed(args) -> int:
     table = io.load_embedding_table(args.vectors)
     corpus = io.load_corpus(args.corpus, table, oov_policy=args.oov)
@@ -380,9 +384,7 @@ def _cmd_embed(args) -> int:
                                              seed=args.seed)
         else:
             gamma = args.gamma
-        variants = [_parse_variant(args.variant)]
-        if args.concat:
-            variants.append(_parse_variant(args.concat))
+        variants = [args.variant] + ([args.concat] if args.concat else [])
         maps = [
             hkse.build_map(word, sent, gamma, args.eta, args.m, args.mprime,
                            table.dim, args.seed, stream=idx)

@@ -153,12 +153,6 @@ def _write_matrix(fh, m: FeatureMatrix) -> None:
     fh.write(np.ascontiguousarray(m.values, dtype="<f8"))
 
 
-def matrix_to_bytes(m: FeatureMatrix) -> bytes:
-    header = FMAT1_MAGIC + struct.pack("<QQ", m.rows, m.cols)
-    payload = np.ascontiguousarray(m.values, dtype="<f8").tobytes()
-    return header + payload
-
-
 def matrix_from_bytes(buf: bytes, offset: int = 0) -> tuple[FeatureMatrix, int]:
     """Decode one FMAT1 record from ``buf`` at ``offset``.
 
@@ -227,9 +221,11 @@ def load_embedding_table(path) -> EmbeddingTable:
             raise DataFormatError(f"{path}:1: non-integer header") from None
         if count < 1 or dim < 1:
             raise DataFormatError(f"{path}:1: header declares {count} x {dim}")
-        # at most one row per 2 * dim + 1 bytes; a pipe's size reads 0
-        size = os.fstat(fh.fileno()).st_size or count * (2 * dim + 1)
-        vectors = np.empty((min(count, size // (2 * dim + 1)), dim))
+        # at most one row per 2 * dim + 1 bytes; a pipe's size reads 0, so
+        # its rows are allocated a chunk at a time as they arrive
+        size = os.fstat(fh.fileno()).st_size
+        rows = size // (2 * dim + 1) if size else _TABLE_CHUNK_LINES
+        vectors = np.empty((min(count, rows), dim))
         lines_of: dict[str, int] = {}  # token -> its line, in file order
         while len(lines_of) < count:
             first = len(lines_of) + 2  # line number of the chunk's first line
@@ -254,6 +250,9 @@ def load_embedding_table(path) -> EmbeddingTable:
                     )
                 lines_of[token] = lineno
                 values.append(parts[1])
+            if len(lines_of) > len(vectors):  # a pipe's table doubles
+                vectors.resize((min(count, 2 * len(vectors)), dim),
+                               refcheck=False)
             vectors[first - 2:len(lines_of)] = _parse_table_chunk(
                 path, first, values, dim)
         if _decode_line(path, count + 2, fh.readline()).strip():

@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
-from .cca import CcaModel, CcaProblem, RegularizationSpec, _filtered_svd, solve
+from .cca import CcaModel, CcaProblem, RegularizationSpec, solve
 from .io import FeatureMatrix
 from .retrieval import _check_pairing, _rank_blocks
 
@@ -42,7 +41,8 @@ _SPECS = {"tsvd": RegularizationSpec.tsvd,
 
 @dataclass
 class PathGrid:
-    """Validation r@1 per grid cell, one slice per retrieval task."""
+    """Validation r@1 per grid cell, one slice per retrieval task: that of
+    ``solve(problem, spec)`` at the cell's spec."""
 
     axis_x: np.ndarray
     axis_y: np.ndarray
@@ -51,15 +51,6 @@ class PathGrid:
     cell_seconds: np.ndarray
     total_seconds: float
     kind: str  # "tsvd" or "tikhonov"
-    problem: CcaProblem = field(repr=False, compare=False)
-
-    @cached_property
-    def sigmas(self) -> list:
-        """[i][j] -> canonical correlations of the cell: the SVD of its
-        filtered operator, which scoring never takes, so it runs per cell
-        when first read."""
-        return [[_filtered_svd(self.problem, _SPECS[self.kind](px, py))[3]
-                 for py in self.axis_y] for px in self.axis_x]
 
 
 @dataclass(frozen=True)
@@ -278,7 +269,7 @@ def _run_grid(problem: CcaProblem, axis_x, axis_y, kind: str,
     cell = np.ix_(at_x.ravel(), at_y.ravel())
     return PathGrid(np.asarray(axis_x), np.asarray(axis_y),
                     search_scores[cell], annotation_scores[cell],
-                    cell_seconds[cell], total, kind, problem)
+                    cell_seconds[cell], total, kind)
 
 
 def _path(kind: str, problem: CcaProblem, val_images: FeatureMatrix,

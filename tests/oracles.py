@@ -27,15 +27,19 @@ generator that the one-caption case of ``synthetic.generate_caption_like``
 replaced.  ``path_cells`` scores
 each path cell by a full model (``cca.solve``) and ranks
 (``evaluate_branches``), and ``rotated_path_cells`` by the SVD of its
-filtered operator and each query's first-best item in the rotated
+filtered operator (``filter_then_svd``, a copy of the filter in
+``cca.solve``) and each query's first-best item in the rotated
 validation space (``first_best``, ``top1_recalls``): the two routes that
 the SVD-free bilinear scoring of ``selection._run_grid`` replaced.
+``matrix_to_bytes`` builds an FMAT1 record as one ``bytes``, the
+payload-sized copy that ``io._write_matrix`` replaced.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -589,7 +593,7 @@ def evaluate_blocks_loop(model, images, captions, pair_index, blocks: int,
 
 def path_cells(problem, axis_x, axis_y, kind: str, val_images, val_captions,
                pair_index, similarity: str = "cosine"):
-    """(search r@1, annotation r@1, sigmas) of every cell of a path grid.
+    """(search r@1, annotation r@1) of every cell of a path grid.
 
     Each cell is ``solve(problem, spec)`` evaluated by
     ``evaluate_branches`` at k = 1; ``kind`` is ``tsvd`` or
@@ -600,17 +604,14 @@ def path_cells(problem, axis_x, axis_y, kind: str, val_images, val_captions,
     make = getattr(RegularizationSpec, kind)
     search = np.zeros((len(axis_x), len(axis_y)))
     annotation = np.zeros_like(search)
-    sigmas = [[None] * len(axis_y) for _ in axis_x]
     for i, px in enumerate(axis_x):
         for j, py in enumerate(axis_y):
-            model = solve(problem, make(px, py))
-            s, a = evaluate_branches(model, val_images, val_captions,
-                                     pair_index, similarity=similarity,
-                                     ks=(1,))
+            s, a = evaluate_branches(solve(problem, make(px, py)), val_images,
+                                     val_captions, pair_index,
+                                     similarity=similarity, ks=(1,))
             search[i, j] = s.recalls[1]
             annotation[i, j] = a.recalls[1]
-            sigmas[i][j] = model.sigma
-    return search, annotation, sigmas
+    return search, annotation
 
 
 def first_best(queries: np.ndarray, items: np.ndarray,
@@ -673,13 +674,46 @@ def top1_recalls(images: np.ndarray, captions: np.ndarray, sigma: np.ndarray,
             100.0 * annotation / images.shape[0])
 
 
+def filter_then_svd(problem, spec):
+    """(scale_x, scale_y, p_x, sigma, p_y) of the filtered operator.
+
+    ``scale_x`` maps an array whose columns follow Vx to the filtered
+    columns the rotation p_x acts on: the leading k_x columns divided by
+    s_x for ``tsvd`` and ``none``, every column times 1/sqrt(s_x^2+gamma_x)
+    for ``tikhonov``.  sigma is clamped to [0, 1].  The same filter as
+    ``cca.solve``, kept apart so the per-cell reference does not share
+    the solver's code.
+    """
+    s_x, s_y = problem.s_x, problem.s_y
+    if spec.kind == "tikhonov":
+        t0 = (s_x[:, None] * problem.t) * s_y[None, :]
+        dx = 1.0 / np.sqrt(s_x**2 + spec.gamma_x)
+        dy = 1.0 / np.sqrt(s_y**2 + spec.gamma_y)
+        op = (dx[:, None] * t0) * dy[None, :]
+        scale_x, scale_y = (lambda a: a * dx), (lambda a: a * dy)
+    else:
+        k_x, k_y = ((spec.k_x, spec.k_y) if spec.kind == "tsvd"
+                    else (problem.rank_x, problem.rank_y))
+        if not 1 <= k_x <= problem.rank_x:
+            raise ValueError(
+                f"k_x={k_x} outside [1, rank(X)={problem.rank_x}]")
+        if not 1 <= k_y <= problem.rank_y:
+            raise ValueError(
+                f"k_y={k_y} outside [1, rank(Y)={problem.rank_y}]")
+        op = problem.t[:k_x, :k_y]
+        scale_x, scale_y = ((lambda a: a[:, :k_x] / s_x[:k_x]),
+                            (lambda a: a[:, :k_y] / s_y[:k_y]))
+    p_x, sigma, p_yt = np.linalg.svd(op, full_matrices=False)
+    return scale_x, scale_y, p_x, np.clip(sigma, 0.0, 1.0), p_yt.T
+
+
 def rotated_path_cells(problem, axis_x, axis_y, kind: str, val_images,
                        val_captions, pair_index, similarity: str = "cosine"):
     """(search r@1, annotation r@1) of every cell of a path grid, each cell
     scored in its own canonical space: the SVD of the filtered operator
-    (``cca._filtered_svd``), its column scale and rotation applied to the
+    (``filter_then_svd``), its column scale and rotation applied to the
     rotated validation views, and ``top1_recalls``."""
-    from ccax.cca import RegularizationSpec, _filtered_svd
+    from ccax.cca import RegularizationSpec
 
     make = getattr(RegularizationSpec, kind)
     x_rot = (val_images.values - problem.mean_x) @ problem.v_x
@@ -688,9 +722,19 @@ def rotated_path_cells(problem, axis_x, axis_y, kind: str, val_images,
     annotation = np.zeros_like(search)
     for i, px in enumerate(axis_x):
         for j, py in enumerate(axis_y):
-            scale_x, scale_y, p_x, sigma, p_y = _filtered_svd(
+            scale_x, scale_y, p_x, sigma, p_y = filter_then_svd(
                 problem, make(px, py))
             search[i, j], annotation[i, j] = top1_recalls(
                 scale_x(x_rot) @ p_x, scale_y(y_rot) @ p_y, sigma,
                 pair_index, similarity)
     return search, annotation
+
+
+def matrix_to_bytes(m) -> bytes:
+    """One FMAT1 record built as one ``bytes``: the reference for the
+    writes ``io._write_matrix`` makes from the array's own buffer."""
+    from ccax.io import FMAT1_MAGIC
+
+    header = FMAT1_MAGIC + struct.pack("<QQ", m.rows, m.cols)
+    payload = np.ascontiguousarray(m.values, dtype="<f8").tobytes()
+    return header + payload

@@ -1,5 +1,6 @@
 """End-to-end CLI runs: contracts, exit codes, determinism."""
 
+import argparse
 import warnings
 
 import numpy as np
@@ -905,6 +906,17 @@ class TestFlagRanges:
         # sweep alphas outside [0, 1]
         ("sweep", ["--alphas", "0,1.5"], "--alphas"),
         ("sweep", ["--alphas", "-0.1"], "--alphas"),
+        # seeds below 0, median samples below 2, layer kinds not lin/rbf
+        ("synth", ["--seed", "-1"], "--seed"),
+        ("embed", ["--seed", "-1"], "--seed"),
+        ("embed", ["--variant", "lin,lin", "--seed", "-1"], "--seed"),
+        ("embed", ["--gamma-sample", "1"], "--gamma-sample"),
+        ("embed", ["--gamma-sample", "-3"], "--gamma-sample"),
+        ("embed", ["--gamma", "1", "--gamma-sample", "1"], "--gamma-sample"),
+        ("embed", ["--variant", "foo,bar"], "--variant"),
+        ("embed", ["--variant", "rbf"], "--variant"),
+        ("embed", ["--concat", "rbf"], "--concat"),
+        ("embed", ["--concat", "lin,rbf,rbf"], "--concat"),
     ]
 
     @pytest.mark.parametrize("command,flags,named", CASES)
@@ -939,6 +951,39 @@ class TestFlagRanges:
                  + ["--config", str(config)])
         assert exc.value.code == 2
         assert "argument --weighting: " in capsys.readouterr().err
+
+    #: subcommand -> its options that name a file; every other option's
+    #: value is checked while the command line is parsed
+    PATH_FLAGS = {
+        "synth": {"--out-dir"},
+        "embed": {"--corpus", "--vectors", "--out", "--map-out", "--map"},
+        "fit": {"--x", "--y", "--val-x", "--val-y", "--val-pairing",
+                "--path-out", "--out"},
+        "path": {"--x", "--y", "--val-x", "--val-y", "--val-pairing",
+                 "--out"},
+        "timing": {"--x", "--y", "--val-x", "--val-y", "--val-pairing",
+                   "--out"},
+        "eval": {"--model", "--images", "--captions", "--pairing", "--out"},
+        "sweep": {"--model", "--images", "--captions", "--pairing", "--out"},
+        "inspect": {"--model"},
+    }
+
+    def test_every_option_is_checked(self):
+        # an option has choices or a type of cli's, unless it names a file
+        (commands,) = [a for a in cli._build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        assert set(commands.choices) == set(self.PATH_FLAGS)
+        unchecked = []
+        for name, parser in commands.choices.items():
+            for action in parser._actions:
+                flag = action.option_strings[-1]
+                if (isinstance(action, argparse._HelpAction)
+                        or flag in self.PATH_FLAGS[name] | {"--config"}):
+                    continue
+                if action.choices is None and getattr(
+                        action.type, "__module__", None) != cli.__name__:
+                    unchecked.append(f"{name} {flag}")
+        assert unchecked == []
 
 
 class TestInputErrorsNameTheFile:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccax import cca, cli, hkse, io
-from oracles import table_values_float
+from oracles import matrix_to_bytes, table_values_float
 
 
 def write(path, data: bytes):
@@ -388,7 +388,7 @@ def valid_files(tmp_path_factory):
             hkse.build_map("lin", "rbf", 1.0, 0.5, 0, 2, 2, seed=0, stream=1)]
     table = io.EmbeddingTable(("red", "dog", "runs"), np.eye(3))
     files = {
-        "fmat1": (io.matrix_to_bytes(x), io.load_matrix),
+        "fmat1": (matrix_to_bytes(x), io.load_matrix),
         "map": (_archive_bytes(hkse.maps_to_archive(maps), tmp_path_factory),
                 lambda p: cli._read_archive(p, hkse.maps_from_archive)),
         "corpus": (b"Red dog runs.\n\ndog RUNS\nred\n",

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from ccax import hkse, io
+from oracles import matrix_to_bytes
 
 
 def traced_peak(fn) -> int:
@@ -57,9 +58,19 @@ def test_table_parsed_in_place(tmp_path, monkeypatch):
     assert peak < 1.25 * (count + io._TABLE_CHUNK_LINES) * dim * 8
 
 
-def test_overstated_count_allocates_what_the_file_holds(tmp_path):
+@pytest.mark.parametrize("source", ["file", "pipe"])
+def test_overstated_count_allocates_what_the_file_holds(tmp_path, source):
+    # a regular file bounds the rows by its size; a pipe, whose size reads
+    # 0, gets one chunk of rows at a time
     path = tmp_path / "w.txt"
-    path.write_text(f"{10**12} 3\na 1 0 0\nb 0 1 0\n")
+    text = f"{10**12} 3\na 1 0 0\nb 0 1 0\n"
+    if source == "file":
+        path.write_text(text)
+    else:
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_text, daemon=True,
+                                  args=(text,))
+        writer.start()
 
     def load():
         with pytest.raises(io.DataFormatError,
@@ -68,19 +79,26 @@ def test_overstated_count_allocates_what_the_file_holds(tmp_path):
             io.load_embedding_table(path)
 
     assert traced_peak(load) < 1e5
+    if source == "pipe":
+        writer.join(timeout=10)
+        assert not writer.is_alive()
 
 
-def test_table_from_a_pipe(tmp_path):
-    # a pipe's size reads 0, so its rows are allocated from the header
+def test_table_from_a_pipe(tmp_path, monkeypatch):
+    # a pipe's size reads 0, so its rows are allocated as they arrive: one
+    # line per chunk grows the table from 1 row to 2, then to the count
+    monkeypatch.setattr(io, "_TABLE_CHUNK_LINES", 1)
     path = tmp_path / "w.fifo"
     os.mkfifo(path)
     writer = threading.Thread(target=path.write_text, daemon=True,
-                              args=("2 3\na 1 0 0\nb 0 1 0.5\n",))
+                              args=("3 3\na 1 0 0\nb 0 1 0.5\nc 0 0 2\n",))
     writer.start()
     table = io.load_embedding_table(path)
     writer.join(timeout=10)
     assert not writer.is_alive()
-    np.testing.assert_array_equal(table.vectors, [[1, 0, 0], [0, 1, 0.5]])
+    np.testing.assert_array_equal(table.vectors,
+                                  [[1, 0, 0], [0, 1, 0.5], [0, 0, 2]])
+    assert table.vectors.base is None and not table.vectors.flags.writeable
 
 
 def _archive_bytes(archive: io.ModelArchive) -> bytes:
@@ -89,7 +107,7 @@ def _archive_bytes(archive: io.ModelArchive) -> bytes:
         manifest.encode()
     for name, blob in archive.blobs.items():
         out += struct.pack("<Q", len(name)) + name.encode()
-        out += io.matrix_to_bytes(blob)
+        out += matrix_to_bytes(blob)
     return out
 
 
@@ -103,7 +121,7 @@ class TestWritesFromTheArrayBuffer:
     def test_save_matrix(self, matrix, tmp_path):
         path = tmp_path / "m.fmat"
         assert traced_peak(lambda: io.save_matrix(matrix, path)) < 1e6
-        assert path.read_bytes() == io.matrix_to_bytes(matrix)
+        assert path.read_bytes() == matrix_to_bytes(matrix)
 
     def test_save_archive(self, matrix, tmp_path):
         archive = io.ModelArchive(

@@ -426,13 +426,10 @@ class TestRotatedCells:
         problem, axis_x, axis_y, kind, vi, vc, vp = case
         grid = selection._run_grid(problem, axis_x, axis_y, kind, vi, vc, vp,
                                    similarity, workers)
-        search, annotation, sigmas = oracles.path_cells(
+        search, annotation = oracles.path_cells(
             problem, axis_x, axis_y, kind, vi, vc, vp, similarity)
         np.testing.assert_array_equal(grid.search_scores, search)
         np.testing.assert_array_equal(grid.annotation_scores, annotation)
-        for got, want in zip(grid.sigmas, sigmas):
-            for a, b in zip(got, want):
-                np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("kind", ["tsvd", "tikhonov"])
     @pytest.mark.parametrize("similarity", ["cosine", "l2"])
@@ -462,19 +459,7 @@ UNSORTED_AXES = [("tsvd", [9, 2, 5, 2], [8, 3, 8]),
 
 
 class TestSvdFreeCells:
-    """Rows on sorted, distinct axis values; sigmas taken only when read."""
-
-    @pytest.mark.parametrize("kind,axis_x,axis_y", UNSORTED_AXES)
-    def test_sigmas_equal_solve(self, dataset, kind, axis_x, axis_y):
-        train_x, train_y, vi, vc, vp = dataset
-        problem = cca.prepare(train_x, train_y)
-        grid, _ = getattr(selection, f"{kind}_path")(
-            problem, vi, vc, axis_x, axis_y, pair_index=vp)
-        make = getattr(RegularizationSpec, kind)
-        for i, px in enumerate(axis_x):
-            for j, py in enumerate(axis_y):
-                np.testing.assert_array_equal(
-                    grid.sigmas[i][j], solve(problem, make(px, py)).sigma)
+    """Rows on sorted, distinct axis values, whatever the worker count."""
 
     @pytest.mark.parametrize("kind,axis_x,axis_y", UNSORTED_AXES)
     def test_cells_bitwise_equal_across_workers_and_axis_order(
