@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import (DataFormatError, FeatureMatrix, ModelArchive,
+from .io import (DataFormatError, FeatureMatrix, MatrixFile, ModelArchive,
                  format_manifest_value)
 
 def default_rank_tol(n: int, m: int) -> float:
@@ -108,7 +108,8 @@ def _sign_fix(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u * signs, v * signs
 
 
-def _validate_pair(x: FeatureMatrix, y: FeatureMatrix) -> None:
+def _validate_pair(x: FeatureMatrix | MatrixFile,
+                   y: FeatureMatrix | MatrixFile) -> None:
     if x.rows != y.rows:
         raise ValueError(f"row counts differ: {x.rows} vs {y.rows}")
     if x.rows <= max(x.cols, y.cols):
@@ -152,24 +153,38 @@ class CcaProblem:
 _CHUNK_ROWS = 2048
 
 
-def prepare(x: FeatureMatrix, y: FeatureMatrix) -> CcaProblem:
+def _column_mean(view: FeatureMatrix | MatrixFile, c: int) -> np.ndarray:
+    # rows added in order across blocks, as values.mean(axis=0) adds them
+    # when the view has two or more columns (one column numpy sums pairwise)
+    total = np.zeros(view.cols)
+    for lo in range(0, view.rows, c):
+        block = view.block(lo, min(lo + c, view.rows))
+        total = np.add.reduce(np.concatenate([total[None], block]), axis=0)
+    return total / view.rows
+
+
+def prepare(x: FeatureMatrix | MatrixFile,
+            y: FeatureMatrix | MatrixFile) -> CcaProblem:
     """Center both views and form T = Ux' Uy by one joint QR (Bjorck-Golub).
 
-    [Xc | Yc] = Q R is accumulated c = max(_CHUNK_ROWS, p) rows at a time,
-    p = m_x + m_y: each centered chunk goes under R and is refactored, so
-    memory is O(p (p + c)) whatever n is.  The thin SVDs R[:, :m_x] =
-    Wx Sx Vx' and R[:, m_x:] = Wy Sy Vy' give Ux = Q Wx, so T = Wx' Wy.
+    Each view is read ``block`` by block, c = max(_CHUNK_ROWS, p) rows at
+    a time, p = m_x + m_y, in two passes: the column means, then
+    [Xc | Yc] = Q R, each centered chunk stacked under R and refactored.
+    So memory is O(p (p + c)) whatever n is, and a view may be an FMAT1
+    file (:func:`ccax.io.open_matrix`) that is never held whole.  The thin
+    SVDs R[:, :m_x] = Wx Sx Vx' and R[:, m_x:] = Wy Sy Vy' give Ux = Q Wx,
+    so T = Wx' Wy.
     """
     _validate_pair(x, y)
     n, m_x, p = x.rows, x.cols, x.cols + y.cols
-    mean_x, mean_y = x.values.mean(axis=0), y.values.mean(axis=0)
     c = max(_CHUNK_ROWS, p)
+    mean_x, mean_y = _column_mean(x, c), _column_mean(y, c)
     buf = np.empty((p + c, p))
     k = 0  # rows of R at the top of buf
     for lo in range(0, n, c):
         h = min(c, n - lo)
-        np.subtract(x.values[lo:lo + h], mean_x, out=buf[k:k + h, :m_x])
-        np.subtract(y.values[lo:lo + h], mean_y, out=buf[k:k + h, m_x:])
+        np.subtract(x.block(lo, lo + h), mean_x, out=buf[k:k + h, :m_x])
+        np.subtract(y.block(lo, lo + h), mean_y, out=buf[k:k + h, m_x:])
         r_factor = np.linalg.qr(buf[:k + h], mode="r")
         k = r_factor.shape[0]
         buf[:k] = r_factor

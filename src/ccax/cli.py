@@ -323,15 +323,15 @@ def _load_views(images_path, captions_path, pairing_path, flag: str):
 def _load_path(args, kind: str) -> dict:
     """The arguments of a ``kind`` path over the command's files.
 
-    Reads the training pair, then reads and checks the validation views
-    and their pairing, so that a bad pairing fails before the pair is
-    prepared; the axes are the --grid-x/--grid-y lists, or the default
-    axes of the --grid size.
+    Opens the training pair (checking its headers), then reads and checks
+    the validation views and their pairing, so that a bad pairing fails
+    before the pair is read and prepared; the axes are the
+    --grid-x/--grid-y lists, or the default axes of the --grid size.
     """
-    x, y = io.load_matrix(args.x), io.load_matrix(args.y)
-    images, captions, pair_index = _load_views(
-        args.val_x, args.val_y, args.val_pairing, "--val-pairing")
-    problem = cca.prepare(x, y)
+    with io.open_matrix(args.x) as x, io.open_matrix(args.y) as y:
+        images, captions, pair_index = _load_views(
+            args.val_x, args.val_y, args.val_pairing, "--val-pairing")
+        problem = cca.prepare(x, y)
     grid_x, grid_y = selection.path_axes(problem, kind, args.grid_x,
                                          args.grid_y, args.grid)
     return dict(problem=problem, val_images=images, val_captions=captions,
@@ -451,8 +451,9 @@ def _cmd_fit(args) -> int:
         raise ValueError("--reg tsvd needs --kx and --ky")
     else:
         spec = cca.RegularizationSpec.tsvd(args.kx, args.ky)
-    model = cca.solve(cca.prepare(io.load_matrix(args.x),
-                                  io.load_matrix(args.y)), spec)
+    with io.open_matrix(args.x) as x, io.open_matrix(args.y) as y:
+        problem = cca.prepare(x, y)
+    model = cca.solve(problem, spec)
     io.save_archive(cca.model_to_archive(model), args.out)
     print(f"fit {model.reg.kind} model: k={model.k}, "
           f"top correlation {model.sigma[0]:.4f} -> {args.out}")

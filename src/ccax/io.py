@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import os
+import stat
 import string
 import struct
 from dataclasses import dataclass, field
@@ -61,12 +62,7 @@ class FeatureMatrix:
         arr = _as_float64_matrix(self.values)
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise DataFormatError(f"matrix must be at least 1x1, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            bad = int(np.flatnonzero(~np.isfinite(arr))[0])
-            raise DataFormatError(
-                f"non-finite value at flat index {bad} "
-                f"(row {bad // arr.shape[1]}, col {bad % arr.shape[1]})"
-            )
+        _require_finite(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
@@ -77,6 +73,24 @@ class FeatureMatrix:
     @property
     def cols(self) -> int:
         return self.values.shape[1]
+
+    def block(self, lo: int, hi: int) -> np.ndarray:
+        """Rows ``lo:hi``, as :meth:`MatrixFile.block` reads them from a file."""
+        return self.values[lo:hi]
+
+
+def _require_finite(arr: np.ndarray, prefix: str = "",
+                    first_row: int = 0) -> None:
+    """Raise a DataFormatError at the first non-finite value of ``arr``,
+    whose rows are those of a matrix from ``first_row`` on; the flat index,
+    row and column count over that whole matrix."""
+    if not np.isfinite(arr).all():
+        bad = (first_row * arr.shape[1]
+               + int(np.flatnonzero(~np.isfinite(arr))[0]))
+        raise DataFormatError(
+            f"{prefix}non-finite value at flat index {bad} "
+            f"(row {bad // arr.shape[1]}, col {bad % arr.shape[1]})"
+        )
 
 
 @dataclass(frozen=True)
@@ -153,45 +167,132 @@ def _write_matrix(fh, m: FeatureMatrix) -> None:
     fh.write(np.ascontiguousarray(m.values, dtype="<f8"))
 
 
-def matrix_from_bytes(buf: bytes, offset: int = 0) -> tuple[FeatureMatrix, int]:
-    """Decode one FMAT1 record from ``buf`` at ``offset``.
+#: Bytes before an FMAT1 payload: the magic, then the row and column counts.
+_FMAT1_HEADER = 24
 
-    Returns the matrix and the offset just past it (archives store several
-    records back to back).
-    """
-    if len(buf) - offset < 24:
+
+def _fmat1_shape(buf: bytes, offset: int = 0) -> tuple[int, int]:
+    """Rows and columns of the FMAT1 header in ``buf`` at ``offset``."""
+    if len(buf) - offset < _FMAT1_HEADER:
         raise DataFormatError("truncated FMAT1 header")
     if buf[offset : offset + 8] != FMAT1_MAGIC:
         raise DataFormatError("bad FMAT1 magic")
     rows, cols = struct.unpack_from("<QQ", buf, offset + 8)
     if rows < 1 or cols < 1:
         raise DataFormatError(f"FMAT1 header declares {rows}x{cols} matrix")
-    n_bytes = rows * cols * 8
-    end = offset + 24 + n_bytes
+    return rows, cols
+
+
+def _truncated(rows: int, cols: int, available: int) -> str:
+    return (f"FMAT1 payload truncated: header says {rows}x{cols} "
+            f"({rows * cols * 8} bytes), {available} available")
+
+
+def matrix_from_bytes(buf: bytes, offset: int = 0) -> tuple[FeatureMatrix, int]:
+    """Decode one FMAT1 record from ``buf`` at ``offset``.
+
+    Returns the matrix and the offset just past it (archives store several
+    records back to back).
+    """
+    rows, cols = _fmat1_shape(buf, offset)
+    end = offset + _FMAT1_HEADER + rows * cols * 8
     if len(buf) < end:
         raise DataFormatError(
-            f"FMAT1 payload truncated: header says {rows}x{cols} "
-            f"({n_bytes} bytes), {len(buf) - offset - 24} available"
-        )
-    values = np.frombuffer(buf, dtype="<f8", count=rows * cols, offset=offset + 24)
+            _truncated(rows, cols, len(buf) - offset - _FMAT1_HEADER))
+    values = np.frombuffer(buf, dtype="<f8", count=rows * cols,
+                           offset=offset + _FMAT1_HEADER)
     return FeatureMatrix(values.reshape(rows, cols)), end
 
 
-def load_matrix(path) -> FeatureMatrix:
-    """Load an FMAT1 matrix; any format error names the file."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    if not buf:
-        raise DataFormatError(f"{path}: empty file")
+class MatrixFile:
+    """An open FMAT1 file whose rows are read a block at a time.
+
+    Made by :func:`open_matrix`, which has checked the header and, for a
+    regular file, the payload size.  A regular file's rows can be read in
+    any order and any number of times; a pipe's only once, in order.  Close
+    it, or use it in a ``with`` statement.
+    """
+
+    def __init__(self, path, fh, rows: int, cols: int, regular: bool):
+        self.path, self.rows, self.cols = path, rows, cols
+        self._fh, self._regular = fh, regular
+        self._next_row = 0  # where a pipe is
+
+    def __enter__(self) -> "MatrixFile":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def block(self, lo: int, hi: int) -> np.ndarray:
+        """Rows ``lo:hi`` as a read-only float64 array that owns its data.
+
+        A non-finite value, a short read or a re-read of a pipe is a
+        DataFormatError naming the file; a value's flat index, row and
+        column count over the whole file.
+        """
+        if self._regular:
+            self._fh.seek(_FMAT1_HEADER + 8 * lo * self.cols)
+        elif lo != self._next_row:
+            raise DataFormatError(
+                f"{self.path}: not a regular file, so rows {lo}-{hi - 1} "
+                f"cannot be read again")
+        # readinto, not np.fromfile, which asks a pipe for its position
+        values = np.empty((hi - lo, self.cols), dtype="<f8")
+        got = self._fh.readinto(values)
+        self._next_row = hi
+        if got < values.nbytes:
+            raise DataFormatError(f"{self.path}: " + _truncated(
+                self.rows, self.cols, 8 * lo * self.cols + got))
+        if hi == self.rows and not self._regular:
+            extra = len(self._fh.read())
+            if extra:
+                raise DataFormatError(
+                    f"{self.path}: {extra} trailing bytes after payload")
+        _require_finite(values, f"{self.path}: ", lo)
+        values.flags.writeable = False
+        return values
+
+
+def open_matrix(path) -> MatrixFile:
+    """Open an FMAT1 file for reading by row blocks; any format error names
+    the file.
+
+    The header is checked here, and so is the payload size of a regular
+    file; a pipe's size is checked as it is read.
+    """
+    fh = open(path, "rb")
     try:
-        m, end = matrix_from_bytes(buf)
-    except DataFormatError as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
-    if end != len(buf):
-        raise DataFormatError(
-            f"{path}: {len(buf) - end} trailing bytes after payload"
-        )
-    return m
+        header = fh.read(_FMAT1_HEADER)
+        if not header:
+            raise DataFormatError(f"{path}: empty file")
+        try:
+            rows, cols = _fmat1_shape(header)
+        except DataFormatError as exc:
+            raise DataFormatError(f"{path}: {exc}") from None
+        st = os.fstat(fh.fileno())
+        regular = stat.S_ISREG(st.st_mode)
+        available, n_bytes = st.st_size - _FMAT1_HEADER, rows * cols * 8
+        if regular and available < n_bytes:
+            raise DataFormatError(
+                f"{path}: " + _truncated(rows, cols, available))
+        if regular and available > n_bytes:
+            raise DataFormatError(
+                f"{path}: {available - n_bytes} trailing bytes after payload")
+    except BaseException:
+        fh.close()
+        raise
+    return MatrixFile(path, fh, rows, cols, regular)
+
+
+def load_matrix(path) -> FeatureMatrix:
+    """Load an FMAT1 matrix, read once into the array FeatureMatrix keeps;
+    any format error names the file."""
+    with open_matrix(path) as src:
+        return FeatureMatrix(src.block(0, src.rows))
 
 
 # ---------------------------------------------------------------------------
