@@ -171,9 +171,10 @@ def prepare(x: FeatureMatrix | MatrixFile,
     a time, p = m_x + m_y, in two passes: the column means, then
     [Xc | Yc] = Q R, each centered chunk stacked under R and refactored.
     So memory is O(p (p + c)) whatever n is, and a view may be an FMAT1
-    file (:func:`ccax.io.open_matrix`) that is never held whole.  The thin
-    SVDs R[:, :m_x] = Wx Sx Vx' and R[:, m_x:] = Wy Sy Vy' give Ux = Q Wx,
-    so T = Wx' Wy.
+    file (:func:`ccax.io.open_matrix`) that is never held whole.  R is
+    upper triangular, so its x block is zero below row m_x: the thin SVDs
+    R[:m_x, :m_x] = Wx Sx Vx' and R[:, m_x:] = Wy Sy Vy' give Ux = Q Wx
+    (Wx padded with zero rows), so T = Wx' Wy[:m_x].
     """
     _validate_pair(x, y)
     n, m_x, p = x.rows, x.cols, x.cols + y.cols
@@ -189,7 +190,7 @@ def prepare(x: FeatureMatrix | MatrixFile,
         k = r_factor.shape[0]
         buf[:k] = r_factor
     factors = []
-    for block in (buf[:k, :m_x], buf[:k, m_x:]):
+    for block in (buf[:min(k, m_x), :m_x], buf[:k, m_x:]):
         w, s, vt = np.linalg.svd(block, full_matrices=False)
         tol = default_rank_tol(n, block.shape[1])
         rank = int(np.count_nonzero((s > 0) & (s >= tol * s[0])))
@@ -197,7 +198,8 @@ def prepare(x: FeatureMatrix | MatrixFile,
             raise ValueError("zero numerical rank after centering")
         factors.append((w[:, :rank], s[:rank], vt[:rank].T))
     (w_x, s_x, v_x), (w_y, s_y, v_y) = factors
-    arrays = (mean_x, mean_y, s_x, s_y, v_x, v_y, w_x.T @ w_y)
+    arrays = (mean_x, mean_y, s_x, s_y, v_x, v_y,
+              w_x.T @ w_y[:w_x.shape[0]])
     for arr in arrays:
         arr.flags.writeable = False
     return CcaProblem(*arrays, n=n)

@@ -685,8 +685,8 @@ class TestThinSvdCount:
     """A command that runs a path factorises the training pair once.
 
     One ``cca.prepare`` runs per command, and its two thin SVDs are of the
-    column blocks of the joint R factor, which has m_x + m_y rows, never of
-    an n-row view.
+    column blocks of the joint R factor, which has m_x + m_y rows (the x
+    block's m_x-row nonzero top), never of an n-row view.
     """
 
     @pytest.mark.parametrize("command,flags", [
@@ -717,8 +717,9 @@ class TestThinSvdCount:
         monkeypatch.setattr(cca, "prepare", counting_prepare)
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
         assert main(_path_argv(command, synth_dir, tmp_path) + flags) == 0
-        # train_x is 360 x 16 and train_y 360 x 12: R has 28 rows
-        assert prepares == [[(28, 16), (28, 12)]]
+        # train_x is 360 x 16 and train_y 360 x 12: R has 28 rows, and its
+        # x block is zero below row 16
+        assert prepares == [[(16, 16), (28, 12)]]
 
 
 class TestPathSvdCount:
