@@ -1,6 +1,6 @@
 """Solver correctness against brute-force oracles and closed-form identities."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -265,11 +265,12 @@ class TestPrepareMatchesSvdRoute:
     """The chunked joint QR of ``prepare`` against centred thin SVDs.
 
     Ranks are equal; s_x, s_y and the singular values of T (the canonical
-    correlations) agree within 1e-12 of the largest.
+    correlations) agree within 1e-12 of the largest.  The same pair read
+    block by block from FMAT1 files gives every array bit for bit.
     """
 
     @staticmethod
-    def check(x, y):
+    def check(x, y, tmp_dir):
         problem = cca.prepare(x, y)
         s_x, s_y, t = prepare_svd(x, y)
         assert (problem.rank_x, problem.rank_y) == (len(s_x), len(s_y))
@@ -277,6 +278,14 @@ class TestPrepareMatchesSvdRoute:
         for got, want in ((problem.s_x, s_x), (problem.s_y, s_y),
                           (np.linalg.svd(problem.t, compute_uv=False), corr)):
             assert np.abs(got - want).max() <= 1e-12 * want[0]
+        io.save_matrix(x, tmp_dir / "x.fmat")
+        io.save_matrix(y, tmp_dir / "y.fmat")
+        with io.open_matrix(tmp_dir / "x.fmat") as fx, \
+                io.open_matrix(tmp_dir / "y.fmat") as fy:
+            streamed = cca.prepare(fx, fy)
+        for field in fields(problem):
+            np.testing.assert_array_equal(getattr(streamed, field.name),
+                                          getattr(problem, field.name))
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40),
@@ -284,25 +293,38 @@ class TestPrepareMatchesSvdRoute:
            rank_x=st.integers(1, 9), rank_y=st.integers(1, 9),
            duplicate=st.booleans(), chunk=st.sampled_from([2048, 1, 7]))
     def test_random_shapes(self, seed, n, m_x, m_y, rank_x, rank_y,
-                           duplicate, chunk):
+                           duplicate, chunk, tmp_path_factory):
         # n < m_x + m_y, rank-deficient views, a duplicated column, and
         # several QR steps (a chunk under m_x + m_y rounds up to it)
         rng = np.random.default_rng(seed)
         x, y = _pair(rng, n, m_x, m_y, rank_x, rank_y, duplicate)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cca, "_CHUNK_ROWS", chunk)
-            self.check(x, y)
+            self.check(x, y, tmp_path_factory.mktemp("pair"))
 
     @pytest.mark.parametrize("rows", ["c-1", "c", "c+1", "2c+1"])
     @pytest.mark.parametrize("m_x,m_y", [(5, 4), (9, 7)])
-    def test_chunk_boundaries(self, rows, m_x, m_y, monkeypatch):
+    def test_chunk_boundaries(self, rows, m_x, m_y, monkeypatch, tmp_path):
         # c = max(_CHUNK_ROWS, m_x + m_y): 12 for the first shape, 16 for
         # the second, whose chunk rounds up to its m_x + m_y columns
         monkeypatch.setattr(cca, "_CHUNK_ROWS", 12)
         c = max(12, m_x + m_y)
         n = {"c-1": c - 1, "c": c, "c+1": c + 1, "2c+1": 2 * c + 1}[rows]
         rng = np.random.default_rng(n)
-        self.check(*_pair(rng, n, m_x, m_y, m_x, m_y))
+        self.check(*_pair(rng, n, m_x, m_y, m_x, m_y), tmp_path)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 2048])
+    def test_means_are_numpy_means(self, chunk, monkeypatch):
+        # rows are added in order across blocks, as numpy adds them down a
+        # column of a matrix with two or more columns
+        monkeypatch.setattr(cca, "_CHUNK_ROWS", chunk)
+        rng = np.random.default_rng(16)
+        x, y = (io.FeatureMatrix(rng.standard_normal((3000, m))
+                                 * 10.0 ** rng.integers(-6, 6, m) + 1e3)
+                for m in (2, 5))
+        problem = cca.prepare(x, y)
+        np.testing.assert_array_equal(problem.mean_x, x.values.mean(axis=0))
+        np.testing.assert_array_equal(problem.mean_y, y.values.mean(axis=0))
 
 
 class TestTikhonov:

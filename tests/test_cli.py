@@ -1,6 +1,9 @@
 """End-to-end CLI runs: contracts, exit codes, determinism."""
 
 import argparse
+import os
+import struct
+import threading
 import warnings
 
 import numpy as np
@@ -836,6 +839,63 @@ class TestPathInputErrors:
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
+
+
+class TestNonFiniteTrainingValue:
+    """The training pair is read block by block, first for its column means:
+    a non-finite value, even in the last row, exits 1 naming the file, row
+    and column before any QR runs, and nothing is written."""
+
+    FIT_FLAGS = {"none": [], "tikhonov": ["--gamma-x", "1", "--gamma-y", "1"],
+                 "tsvd": ["--kx", "2", "--ky", "2"]}
+
+    @pytest.mark.parametrize("command,reg", [
+        ("fit", "none"), ("fit", "tikhonov"), ("fit", "tsvd"),
+        ("fit", "guided-tsvd"), ("path", None), ("timing", None)])
+    def test_exits_before_any_qr(self, command, reg, synth_dir, tmp_path,
+                                 capsys, monkeypatch):
+        values = io.load_matrix(synth_dir / "train_y.fmat").values.copy()
+        values[-1, 5] = np.inf  # 360 x 12
+        y = tmp_path / "train_y.fmat"
+        with open(y, "wb") as fh:  # FeatureMatrix refuses it, so by hand
+            fh.write(io.FMAT1_MAGIC + struct.pack("<QQ", *values.shape))
+            fh.write(values.tobytes())
+
+        def no_factorisation(*args, **kwargs):
+            raise AssertionError("a factorisation ran before the input check")
+
+        monkeypatch.setattr(np.linalg, "qr", no_factorisation)
+        if reg in self.FIT_FLAGS:
+            argv = ["fit", "--reg", reg, *self.FIT_FLAGS[reg],
+                    "--x", str(synth_dir / "train_x.fmat"), "--y", str(y),
+                    "--out", str(tmp_path / "model.arc")]
+        else:
+            argv = _path_argv(command, synth_dir, tmp_path, y)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"ccax: error: {y}: non-finite value at flat index "
+            f"{359 * 12 + 5} (row 359, col 5)"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["train_y.fmat"]
+
+
+def test_training_view_from_a_pipe(synth_dir, tmp_path, capsys):
+    # prepare reads each view twice (means, then the QR); a pipe is read
+    # once, so the second pass is a data error naming it
+    x = tmp_path / "x.fifo"
+    os.mkfifo(x)
+    writer = threading.Thread(
+        target=x.write_bytes, daemon=True,
+        args=((synth_dir / "train_x.fmat").read_bytes(),))
+    writer.start()
+    assert main(["fit", "--x", str(x), "--y", str(synth_dir / "train_y.fmat"),
+                 "--out", str(tmp_path / "model.arc")]) == 1
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert capsys.readouterr().err.splitlines() == [
+        f"ccax: error: {x}: not a regular file, so rows 0-359 cannot be "
+        f"read again"]
+    assert not (tmp_path / "model.arc").exists()
 
 
 def _eval_argv(command, synth_dir, fitted_model, tmp_path, **paths):

@@ -1,7 +1,9 @@
 """Format round trips and validation errors for every on-disk artifact."""
 
+import os
 import re
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -112,6 +114,109 @@ class TestFmat1:
         np.testing.assert_array_equal(loaded.values, m.values)
         io.save_matrix(loaded, path)
         assert path.read_bytes() == first
+
+
+def _fmat1(rows, cols, payload: bytes) -> bytes:
+    return b"FMATRX01" + struct.pack("<QQ", rows, cols) + payload
+
+
+def _fifo(path, data: bytes):
+    """A named pipe at ``path`` that a daemon thread fills with ``data``."""
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_bytes, args=(data,),
+                              daemon=True)
+    writer.start()
+    return writer
+
+
+class TestOpenMatrix:
+    """``open_matrix`` checks a file as ``load_matrix`` does, word for word,
+    and reads its rows a block at a time."""
+
+    @pytest.mark.parametrize("data,message", [
+        (b"", "empty file"),
+        (b"FMATRX01" + b"\0" * 8, "truncated FMAT1 header"),
+        (b"NOTMAGIC" + b"\0" * 24, "bad FMAT1 magic"),
+        (_fmat1(0, 3, b""), "FMAT1 header declares 0x3 matrix"),
+        (_fmat1(2, 2, b"\0" * 24),
+         "FMAT1 payload truncated: header says 2x2 (32 bytes), 24 available"),
+        (_fmat1(1, 1, b"\0" * 11), "3 trailing bytes after payload"),
+    ], ids=["empty", "header", "magic", "dims", "truncated", "trailing"])
+    def test_messages_name_the_file(self, data, message, tmp_path):
+        path = write(tmp_path / "m.fmat", data)
+        for opener in (io.open_matrix, io.load_matrix):
+            with pytest.raises(io.DataFormatError) as exc:
+                opener(path)
+            assert str(exc.value) == f"{path}: {message}"
+
+    def test_blocks_in_any_order(self, tmp_path):
+        values = np.arange(35.0).reshape(7, 5)
+        path = tmp_path / "m.fmat"
+        io.save_matrix(io.FeatureMatrix(values), path)
+        with io.open_matrix(path) as src:
+            assert (src.rows, src.cols) == (7, 5)
+            for lo, hi in [(4, 7), (0, 3), (2, 6), (0, 7), (6, 7)]:
+                block = src.block(lo, hi)
+                np.testing.assert_array_equal(block, values[lo:hi])
+                assert block.base is None and not block.flags.writeable
+        assert np.shares_memory(io.FeatureMatrix(block).values, block)
+
+    def test_non_finite_counted_over_the_file(self, tmp_path):
+        values = np.zeros((6, 4))
+        values[4, 2] = np.nan
+        path = write(tmp_path / "m.fmat", _fmat1(6, 4, values.tobytes()))
+        with io.open_matrix(path) as src:
+            src.block(0, 4)
+            with pytest.raises(io.DataFormatError) as exc:
+                src.block(3, 6)
+        assert str(exc.value) == (f"{path}: non-finite value at flat index "
+                                  "18 (row 4, col 2)")
+
+    def test_short_read_names_the_file(self, tmp_path):
+        # the file shrinks after it was opened and checked; 1 MB, so that
+        # the rows read are past what the header read buffered
+        path = tmp_path / "m.fmat"
+        io.save_matrix(io.FeatureMatrix(np.ones((2**15, 4))), path)
+        with io.open_matrix(path) as src:
+            os.truncate(path, 24 + 2**19 + 4)
+            with pytest.raises(io.DataFormatError) as exc:
+                src.block(2**14 - 1, 2**15)
+        assert str(exc.value) == (f"{path}: FMAT1 payload truncated: header "
+                                  f"says 32768x4 ({2**20} bytes), "
+                                  f"{2**19 + 4} available")
+
+    def test_pipe_loads_once(self, tmp_path):
+        values = np.arange(6.0).reshape(3, 2)
+        path = tmp_path / "m.fifo"
+        writer = _fifo(path, _fmat1(3, 2, values.tobytes()))
+        np.testing.assert_array_equal(io.load_matrix(path).values, values)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+    def test_pipe_is_not_read_twice(self, tmp_path):
+        path = tmp_path / "m.fifo"
+        writer = _fifo(path, _fmat1(3, 2, np.ones(6).tobytes()))
+        with io.open_matrix(path) as src:
+            src.block(0, 2)
+            with pytest.raises(io.DataFormatError,
+                               match=re.escape(f"{path}: not a regular file")):
+                src.block(0, 3)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+    @pytest.mark.parametrize("payload,message", [
+        (b"\0" * 40, "FMAT1 payload truncated: header says 3x2 (48 bytes), "
+                     "40 available"),
+        (b"\0" * 53, "5 trailing bytes after payload"),
+    ], ids=["truncated", "trailing"])
+    def test_pipe_size_checked_as_read(self, payload, message, tmp_path):
+        path = tmp_path / "m.fifo"
+        writer = _fifo(path, _fmat1(3, 2, payload))
+        with pytest.raises(io.DataFormatError) as exc:
+            io.load_matrix(path)
+        assert str(exc.value) == f"{path}: {message}"
+        writer.join(timeout=10)
+        assert not writer.is_alive()
 
 
 class TestEmbeddingTable:

@@ -1,4 +1,5 @@
-"""The embed pipeline holds one copy of each array.
+"""The embed pipeline holds one copy of each array, an FMAT1 load holds
+its matrix once, and a fit never holds its training pair.
 
 Peaks are measured with ``tracemalloc``, which sees numpy's data
 allocations, on shapes that run in well under a second.  Each bound sits
@@ -13,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ccax import hkse, io
+from ccax import cca, cli, hkse, io
 from oracles import matrix_to_bytes
 
 
@@ -130,6 +131,34 @@ class TestWritesFromTheArrayBuffer:
         path = tmp_path / "m.arc"
         assert traced_peak(lambda: io.save_archive(archive, path)) < 1e6
         assert path.read_bytes() == _archive_bytes(archive)
+
+
+def test_load_matrix_holds_the_file_once(tmp_path):
+    # the values are read into the array FeatureMatrix keeps; the finiteness
+    # checks add one bool per value
+    values = np.random.default_rng(5).standard_normal((2000, 500))  # 8 MB
+    path = tmp_path / "m.fmat"
+    io.save_matrix(io.FeatureMatrix(values), path)
+    loaded = []
+    peak = traced_peak(lambda: loaded.append(io.load_matrix(path)))
+    np.testing.assert_array_equal(loaded[0].values, values)
+    assert loaded[0].values.base is None
+    assert peak < 1.2 * values.nbytes
+
+
+def test_fit_never_holds_the_pair(tmp_path, monkeypatch):
+    # 64-row blocks of a 20000-row pair: a fit holds the (32 + 64) x 32 QR
+    # buffer and one block per view, far below one copy of train_x
+    monkeypatch.setattr(cca, "_CHUNK_ROWS", 64)
+    rng = np.random.default_rng(6)
+    train_x = rng.standard_normal((20000, 24))  # 3.8 MB
+    io.save_matrix(io.FeatureMatrix(train_x), tmp_path / "x.fmat")
+    io.save_matrix(io.FeatureMatrix(train_x[:, :8] + rng.standard_normal(
+        (20000, 8))), tmp_path / "y.fmat")
+    argv = ["fit", "--x", str(tmp_path / "x.fmat"),
+            "--y", str(tmp_path / "y.fmat"), "--out", str(tmp_path / "m.arc")]
+    assert traced_peak(lambda: cli.main(argv)) < 0.25 * train_x.nbytes
+    assert (tmp_path / "m.arc").exists()
 
 
 def _owned_read_only():
