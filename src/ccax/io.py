@@ -207,16 +207,17 @@ def matrix_from_bytes(buf: bytes, offset: int = 0) -> tuple[FeatureMatrix, int]:
 class MatrixFile:
     """An open FMAT1 file whose rows are read a block at a time.
 
-    Made by :func:`open_matrix`, which has checked the header and, for a
-    regular file, the payload size.  A regular file's rows can be read in
-    any order and any number of times; a pipe's only once, in order.  Close
-    it, or use it in a ``with`` statement.
+    Made by :func:`open_matrix`, which has checked the header and the
+    payload size.  Rows can be read in any order, any number of times:
+    from the file, or from the payload of a pipe, which has no size to
+    check and so was read whole.  Close it, or use it in a ``with``
+    statement.
     """
 
-    def __init__(self, path, fh, rows: int, cols: int, regular: bool):
+    def __init__(self, path, fh, rows: int, cols: int,
+                 payload: bytes | None):
         self.path, self.rows, self.cols = path, rows, cols
-        self._fh, self._regular = fh, regular
-        self._next_row = 0  # where a pipe is
+        self._fh, self._payload = fh, payload
 
     def __enter__(self) -> "MatrixFile":
         return self
@@ -228,42 +229,32 @@ class MatrixFile:
         self._fh.close()
 
     def block(self, lo: int, hi: int) -> np.ndarray:
-        """Rows ``lo:hi`` as a read-only float64 array that owns its data.
+        """Rows ``lo:hi`` as a read-only float64 array, which owns its data
+        when read from a file.
 
-        A non-finite value, a short read or a re-read of a pipe is a
-        DataFormatError naming the file; a value's flat index, row and
-        column count over the whole file.
+        A non-finite value or a short read is a DataFormatError naming the
+        file; a value's flat index, row and column count over the whole
+        file.
         """
-        if self._regular:
+        if self._payload is not None:
+            values = np.frombuffer(
+                self._payload, dtype="<f8", count=(hi - lo) * self.cols,
+                offset=8 * lo * self.cols).reshape(hi - lo, self.cols)
+        else:
             self._fh.seek(_FMAT1_HEADER + 8 * lo * self.cols)
-        elif lo != self._next_row:
-            raise DataFormatError(
-                f"{self.path}: not a regular file, so rows {lo}-{hi - 1} "
-                f"cannot be read again")
-        # readinto, not np.fromfile, which asks a pipe for its position
-        values = np.empty((hi - lo, self.cols), dtype="<f8")
-        got = self._fh.readinto(values)
-        self._next_row = hi
-        if got < values.nbytes:
-            raise DataFormatError(f"{self.path}: " + _truncated(
-                self.rows, self.cols, 8 * lo * self.cols + got))
-        if hi == self.rows and not self._regular:
-            extra = len(self._fh.read())
-            if extra:
-                raise DataFormatError(
-                    f"{self.path}: {extra} trailing bytes after payload")
+            values = np.empty((hi - lo, self.cols), dtype="<f8")
+            got = self._fh.readinto(values)
+            if got < values.nbytes:  # the file shrank after it was opened
+                raise DataFormatError(f"{self.path}: " + _truncated(
+                    self.rows, self.cols, 8 * lo * self.cols + got))
         _require_finite(values, f"{self.path}: ", lo)
         values.flags.writeable = False
         return values
 
 
 def open_matrix(path) -> MatrixFile:
-    """Open an FMAT1 file for reading by row blocks; any format error names
-    the file.
-
-    The header is checked here, and so is the payload size of a regular
-    file; a pipe's size is checked as it is read.
-    """
+    """Open an FMAT1 file for reading by row blocks, checking its header
+    and payload size; any format error names the file."""
     fh = open(path, "rb")
     try:
         header = fh.read(_FMAT1_HEADER)
@@ -274,23 +265,30 @@ def open_matrix(path) -> MatrixFile:
         except DataFormatError as exc:
             raise DataFormatError(f"{path}: {exc}") from None
         st = os.fstat(fh.fileno())
-        regular = stat.S_ISREG(st.st_mode)
-        available, n_bytes = st.st_size - _FMAT1_HEADER, rows * cols * 8
-        if regular and available < n_bytes:
+        if stat.S_ISREG(st.st_mode):
+            payload, available = None, st.st_size - _FMAT1_HEADER
+        else:  # a pipe has no size to check, so it is read whole
+            payload = fh.read()
+            available = len(payload)
+        n_bytes = rows * cols * 8
+        if available < n_bytes:
             raise DataFormatError(
                 f"{path}: " + _truncated(rows, cols, available))
-        if regular and available > n_bytes:
+        if available > n_bytes:
             raise DataFormatError(
                 f"{path}: {available - n_bytes} trailing bytes after payload")
     except BaseException:
         fh.close()
         raise
-    return MatrixFile(path, fh, rows, cols, regular)
+    return MatrixFile(path, fh, rows, cols, payload)
 
 
 def load_matrix(path) -> FeatureMatrix:
-    """Load an FMAT1 matrix, read once into the array FeatureMatrix keeps;
-    any format error names the file."""
+    """Load an FMAT1 matrix; any format error names the file.
+
+    A file is read once, into the array FeatureMatrix keeps; a pipe's rows
+    are copied out of its payload.
+    """
     with open_matrix(path) as src:
         return FeatureMatrix(src.block(0, src.rows))
 

@@ -193,27 +193,30 @@ class TestOpenMatrix:
         writer.join(timeout=10)
         assert not writer.is_alive()
 
-    def test_pipe_is_not_read_twice(self, tmp_path):
+    def test_pipe_blocks_in_any_order(self, tmp_path):
+        # a pipe has no size to check, so it is read whole on open
+        values = np.arange(12.0).reshape(4, 3)
         path = tmp_path / "m.fifo"
-        writer = _fifo(path, _fmat1(3, 2, np.ones(6).tobytes()))
+        writer = _fifo(path, _fmat1(4, 3, values.tobytes()))
         with io.open_matrix(path) as src:
-            src.block(0, 2)
-            with pytest.raises(io.DataFormatError,
-                               match=re.escape(f"{path}: not a regular file")):
-                src.block(0, 3)
-        writer.join(timeout=10)
-        assert not writer.is_alive()
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+            for lo, hi in [(2, 4), (0, 4), (1, 2)]:
+                np.testing.assert_array_equal(src.block(lo, hi),
+                                              values[lo:hi])
 
-    @pytest.mark.parametrize("payload,message", [
-        (b"\0" * 40, "FMAT1 payload truncated: header says 3x2 (48 bytes), "
-                     "40 available"),
-        (b"\0" * 53, "5 trailing bytes after payload"),
-    ], ids=["truncated", "trailing"])
-    def test_pipe_size_checked_as_read(self, payload, message, tmp_path):
+    @pytest.mark.parametrize("data,message", [
+        (_fmat1(3, 2, b"\0" * 40), "FMAT1 payload truncated: header says "
+                                   "3x2 (48 bytes), 40 available"),
+        (_fmat1(10**12, 3, b"\0" * 48), "FMAT1 payload truncated: header "
+         "says 1000000000000x3 (24000000000000 bytes), 48 available"),
+        (_fmat1(3, 2, b"\0" * 53), "5 trailing bytes after payload"),
+    ], ids=["truncated", "overstated", "trailing"])
+    def test_pipe_size_checked(self, data, message, tmp_path):
         path = tmp_path / "m.fifo"
-        writer = _fifo(path, _fmat1(3, 2, payload))
+        writer = _fifo(path, data)
         with pytest.raises(io.DataFormatError) as exc:
-            io.load_matrix(path)
+            io.open_matrix(path)
         assert str(exc.value) == f"{path}: {message}"
         writer.join(timeout=10)
         assert not writer.is_alive()
