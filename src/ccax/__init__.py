@@ -25,6 +25,7 @@ from .io import (
     DataFormatError,
     EmbeddingTable,
     FeatureMatrix,
+    MatrixFile,
     ModelArchive,
     SentenceCorpus,
     load_archive,
@@ -32,6 +33,7 @@ from .io import (
     load_embedding_table,
     load_matrix,
     load_pairing,
+    open_matrix,
     save_archive,
     save_embedding_table,
     save_matrix,
