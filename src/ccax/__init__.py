@@ -14,6 +14,7 @@ from .hkse import (
     bandwidth_heuristic,
     build_map,
     dimension_bound,
+    embed_blocks,
     embed_corpus,
     embed_sentence,
     exact_kernel,
@@ -26,8 +27,10 @@ from .io import (
     EmbeddingTable,
     FeatureMatrix,
     MatrixFile,
+    MatrixWriter,
     ModelArchive,
     SentenceCorpus,
+    create_matrix,
     load_archive,
     load_corpus,
     load_embedding_table,

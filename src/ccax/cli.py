@@ -390,12 +390,15 @@ def _cmd_embed(args) -> int:
                            table.dim, args.seed, stream=idx)
             for idx, (word, sent) in enumerate(variants)
         ]
-    embedded = hkse.embed_corpus(maps, corpus, table)
-    io.save_matrix(embedded, args.out)
-    if args.map_out:
-        io.save_archive(hkse.maps_to_archive(maps), args.map_out)
-    print(f"embedded {embedded.rows} sentences into {embedded.cols} dims "
-          f"-> {args.out}")
+    blocks = hkse.embed_blocks(maps, corpus, table)  # checks every input
+    cols = sum(m.output_dim for m in maps)
+    # each block goes to --out as it is embedded; a failure removes --out
+    with io.create_matrix(args.out, len(corpus), cols) as out:
+        for block in blocks:
+            out.write(block)
+        if args.map_out:
+            io.save_archive(hkse.maps_to_archive(maps), args.map_out)
+    print(f"embedded {len(corpus)} sentences into {cols} dims -> {args.out}")
     return 0
 
 

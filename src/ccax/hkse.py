@@ -27,8 +27,10 @@ from .io import (
     FeatureMatrix,
     ModelArchive,
     SentenceCorpus,
+    _require_finite,
     format_manifest_value,
 )
+from .retrieval import _row_blocks
 
 VARIANTS = ("lin", "rbf")
 
@@ -153,10 +155,9 @@ def embed_sentence(hkse_map: HkseMap, token_vectors) -> np.ndarray:
             f"token vectors have shape {vectors.shape}, expected "
             f"(n, {hkse_map.input_dim})"
         )
-    out = np.empty((1, hkse_map.output_dim))
     rows = np.arange(vectors.shape[0])
-    _embed(hkse_map, vectors, rows, [rows], out)
-    return out[0]
+    block, = _blocks([hkse_map], vectors, rows, [rows])
+    return block[0].copy()
 
 
 def exact_kernel(s1, s2, gamma: float, eta: float,
@@ -222,21 +223,26 @@ def bandwidth_heuristic(table: EmbeddingTable, sample_size: int = 2000,
         rng = np.random.default_rng(seed)
         rows = rng.choice(table.vocab_size, size=sample_size, replace=False)
         sample = table.vectors[np.sort(rows)]
-    # the upper triangle of |a|^2 + |b|^2 - 2 a.b, row by row into the front
-    # of the Gram's own buffer (ufuncs resolve the overlap); its lower middle
-    # is selected there, and the monotone sqrt and clamp at 0 apply to it.
+    # the upper triangle of |a|^2 + |b|^2 - 2 a.b, packed row by row.  Each
+    # row block's Gram is formed from the block's first column on; blocks
+    # are never short, so their rows round as in the whole Gram.  The lower
+    # middle is selected in place, and the monotone sqrt and clamp at 0
+    # apply to it alone.
     norms = np.sum(sample * sample, axis=1)
-    gram = 2.0 * sample @ sample.T
     n = sample.shape[0]
-    flat = gram.reshape(-1)
+    dists = np.empty(n * (n - 1) // 2)
     lo = 0
-    for i in range(n - 1):
-        hi = lo + n - 1 - i
-        np.subtract(norms[i] + norms[i + 1:], gram[i, i + 1:], out=flat[lo:hi])
-        lo = hi
+    for b0, b1 in _row_blocks(n):
+        gram = 2.0 * sample[b0:b1] @ sample[b0:].T
+        for i in range(b0, min(b1, n - 1)):
+            hi = lo + n - 1 - i
+            np.subtract(norms[i] + norms[i + 1:], gram[i - b0, i + 1 - b0:],
+                        out=dists[lo:hi])
+            lo = hi
+        del gram  # one block's Gram at a time
     mid = (lo - 1) // 2
-    flat[:lo].partition(mid)
-    median = np.sqrt(max(flat[mid], 0.0))
+    dists.partition(mid)
+    median = np.sqrt(max(dists[mid], 0.0))
     if median == 0.0:
         raise ValueError("all sampled pairwise distances are zero")
     return float(1.0 / median**2)
@@ -266,9 +272,28 @@ def embed_corpus(maps, corpus: SentenceCorpus,
 
     The word layer runs once over the distinct tokens the corpus uses, and
     every row is bitwise-identical to :func:`embed_sentence` on its tokens.
+    The rows of :func:`embed_blocks`, collected.
     """
     if isinstance(maps, HkseMap):
         maps = [maps]
+    blocks = embed_blocks(maps, corpus, table)
+    out = np.empty((len(corpus), sum(m.output_dim for m in maps)))
+    lo = 0
+    for block in blocks:
+        out[lo:lo + len(block)] = block
+        lo += len(block)
+    out.flags.writeable = False  # owned and read-only: kept, not copied
+    return FeatureMatrix(out)
+
+
+def embed_blocks(maps, corpus: SentenceCorpus, table: EmbeddingTable):
+    """The rows of :func:`embed_corpus`, BLOCK_ROWS sentences at a time.
+
+    Every check (the maps' word dimension, every token in the table) runs
+    before this returns; the returned iterator then yields each block of
+    rows as it is embedded.  A block is overwritten by the next one, so
+    use or copy it before drawing the next.
+    """
     if not maps:
         raise ValueError("need at least one map")
     for hkse_map in maps:
@@ -284,15 +309,7 @@ def embed_corpus(maps, corpus: SentenceCorpus,
     used, inverse = np.unique(np.array(ids, dtype=np.int64),
                               return_inverse=True)
     ends = np.cumsum([len(s) for s in corpus.sentences])
-    sentences = np.split(inverse, ends[:-1])
-    out = np.empty((len(corpus), sum(m.output_dim for m in maps)))
-    col = 0
-    for hkse_map in maps:
-        _embed(hkse_map, table.vectors, used, sentences,
-               out[:, col:col + hkse_map.output_dim])
-        col += hkse_map.output_dim
-    out.flags.writeable = False  # owned and read-only: kept, not copied
-    return FeatureMatrix(out)
+    return _blocks(maps, table.vectors, used, np.split(inverse, ends[:-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -328,27 +345,34 @@ def _word_layer(hkse_map: HkseMap, vectors: np.ndarray, rows) -> np.ndarray:
     return words
 
 
-def _embed(hkse_map: HkseMap, vectors: np.ndarray, rows, sentences,
-           out: np.ndarray) -> None:
-    """Word layer, mean pooling and sentence layer, into the rows of ``out``.
+def _blocks(maps, vectors: np.ndarray, rows, sentences):
+    """Word layer, mean pooling and sentence layer: yield the embedded rows
+    BLOCK_ROWS sentences at a time, the maps' outputs side by side.
 
     ``vectors[rows]`` holds each distinct word once; ``sentences[i]`` indexes
-    the rows that sentence i is made of.  Each sentence is pooled straight
-    into a BLOCK_ROWS-row block, which the sentence layer maps.
+    the rows that sentence i is made of.  Every map's word features are
+    held throughout; each sentence is pooled straight into a BLOCK_ROWS-row
+    block, which the sentence layer maps into one output block, yielded
+    and then overwritten.  A non-finite output value is a DataFormatError
+    that counts over all rows.
     """
-    words = _word_layer(hkse_map, vectors, rows)
-    block = np.zeros((BLOCK_ROWS, hkse_map.pooled_dim))
+    words = [_word_layer(hkse_map, vectors, rows) for hkse_map in maps]
+    pooled = [np.zeros((BLOCK_ROWS, m.pooled_dim)) for m in maps]
+    out = np.empty((BLOCK_ROWS, sum(m.output_dim for m in maps)))
     for lo in range(0, len(sentences), BLOCK_ROWS):
         chunk = sentences[lo:lo + BLOCK_ROWS]
         k = len(chunk)
-        for j, rows in enumerate(chunk):
-            np.mean(words[rows], axis=0, out=block[j])
-        block[k:] = 0.0
-        if hkse_map.sent_variant == "lin":
-            out[lo:lo + k] = block[:k]
-        else:
-            out[lo:lo + k] = _layer(hkse_map.w_sent, hkse_map.b_sent,
-                                    block)[:k]
+        col = 0
+        for hkse_map, feats, block in zip(maps, words, pooled):
+            for j, rows in enumerate(chunk):
+                np.mean(feats[rows], axis=0, out=block[j])
+            block[k:] = 0.0
+            mapped = (block if hkse_map.sent_variant == "lin"
+                      else _layer(hkse_map.w_sent, hkse_map.b_sent, block))
+            out[:k, col:col + hkse_map.output_dim] = mapped[:k]
+            col += hkse_map.output_dim
+        _require_finite(out[:k], first_row=lo)
+        yield out[:k]
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ Formats handled here:
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import stat
@@ -155,16 +156,58 @@ class SentenceCorpus:
 # FMAT1 matrices
 # ---------------------------------------------------------------------------
 
-def save_matrix(m: FeatureMatrix, path) -> None:
-    """Write a FeatureMatrix as an FMAT1 file."""
+class MatrixWriter:
+    """One FMAT1 record written a block of rows at a time: the header when
+    made, then each block from its own buffer."""
+
+    def __init__(self, fh, rows: int, cols: int):
+        fh.write(FMAT1_MAGIC + struct.pack("<QQ", rows, cols))
+        self._fh, self.rows, self.cols, self.written = fh, rows, cols, 0
+
+    def write(self, block: np.ndarray) -> None:
+        """Append the rows of ``block``; a block of another width, or rows
+        past the header's count, is a ValueError."""
+        if (block.ndim != 2 or block.shape[1] != self.cols
+                or self.written + block.shape[0] > self.rows):
+            raise ValueError(
+                f"a {block.shape} block does not fit a {self.rows}x"
+                f"{self.cols} matrix after {self.written} rows")
+        self._fh.write(np.ascontiguousarray(block, dtype="<f8"))
+        self.written += block.shape[0]
+
+
+@contextlib.contextmanager
+def _new_file(path):
+    """Open ``path`` for binary writing; if the body raises, a regular file
+    is removed again, so a failed write leaves no partial file."""
     with open(path, "wb") as fh:
-        _write_matrix(fh, m)
+        try:
+            yield fh
+        except BaseException:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                os.remove(path)
+            raise
 
 
-def _write_matrix(fh, m: FeatureMatrix) -> None:
-    """One FMAT1 record: the header, then the array's own buffer."""
-    fh.write(FMAT1_MAGIC + struct.pack("<QQ", m.rows, m.cols))
-    fh.write(np.ascontiguousarray(m.values, dtype="<f8"))
+@contextlib.contextmanager
+def create_matrix(path, rows: int, cols: int):
+    """Write an FMAT1 file a block of rows at a time.
+
+    Yields a :class:`MatrixWriter` whose blocks must add up to ``rows``
+    rows.  If they do not, or the body raises, the file is removed.
+    """
+    with _new_file(path) as fh:
+        out = MatrixWriter(fh, rows, cols)
+        yield out
+        if out.written != rows:
+            raise ValueError(f"{path}: {out.written} of {rows} rows written")
+
+
+def save_matrix(m: FeatureMatrix, path) -> None:
+    """Write a FeatureMatrix as an FMAT1 file: the one-block case of
+    :func:`create_matrix`."""
+    with create_matrix(path, m.rows, m.cols) as out:
+        out.write(m.values)
 
 
 #: Bytes before an FMAT1 payload: the magic, then the row and column counts.
@@ -589,7 +632,7 @@ def save_archive(archive: ModelArchive, path) -> None:
     manifest_text = "".join(
         f"{k}={v}\n" for k, v in archive.manifest.items()
     ).encode("utf-8")
-    with open(path, "wb") as fh:
+    with _new_file(path) as fh:
         fh.write(ARCHIVE_MAGIC)
         fh.write(struct.pack("<Q", len(manifest_text)))
         fh.write(manifest_text)
@@ -597,7 +640,7 @@ def save_archive(archive: ModelArchive, path) -> None:
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<Q", len(encoded)))
             fh.write(encoded)
-            _write_matrix(fh, blob)
+            MatrixWriter(fh, blob.rows, blob.cols).write(blob.values)
 
 
 def load_archive(path) -> ModelArchive:

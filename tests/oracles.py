@@ -32,7 +32,7 @@ filtered operator (``filter_then_svd``, a copy of the filter in
 validation space (``first_best``, ``top1_recalls``): the two routes that
 the SVD-free bilinear scoring of ``selection._run_grid`` replaced.
 ``matrix_to_bytes`` builds an FMAT1 record as one ``bytes``, the
-payload-sized copy that ``io._write_matrix`` replaced.
+payload-sized copy that ``io.MatrixWriter`` replaced.
 """
 
 from __future__ import annotations
@@ -732,7 +732,7 @@ def rotated_path_cells(problem, axis_x, axis_y, kind: str, val_images,
 
 def matrix_to_bytes(m) -> bytes:
     """One FMAT1 record built as one ``bytes``: the reference for the
-    writes ``io._write_matrix`` makes from the array's own buffer."""
+    writes ``io.MatrixWriter`` makes from the array's own buffer."""
     from ccax.io import FMAT1_MAGIC
 
     header = FMAT1_MAGIC + struct.pack("<QQ", m.rows, m.cols)

@@ -619,6 +619,65 @@ class TestEmbedMapConflicts:
         assert "Traceback" not in err
 
 
+class TestRefusedEmbedLeavesNoFile:
+    """Every input is checked before --out is created, and a failure after
+    it is opened removes it: a refused embed exits 1 and writes nothing."""
+
+    def refused(self, tmp_path, capsys, corpus, vectors, *flags,
+                map_out=None):
+        """The error text of an embed that must exit 1 and leave neither
+        --out nor --map-out."""
+        out = tmp_path / "e.fmat"
+        map_out = map_out or tmp_path / "e.arc"
+        code = main(["embed", "--corpus", str(corpus), "--vectors",
+                     str(vectors), *flags, "--out", str(out),
+                     "--map-out", str(map_out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        assert not out.exists() and not map_out.exists()
+        return err
+
+    def test_map_of_another_word_dimension(self, word_data, tmp_path,
+                                           capsys):
+        archive = tmp_path / "d4.arc"
+        io.save_archive(hkse.maps_to_archive(
+            hkse.build_map("rbf", "rbf", 1.0, 1.0, 8, 6, 4, seed=0)), archive)
+        err = self.refused(tmp_path, capsys, word_data / "caps.txt",
+                           word_data / "vectors.txt", "--map", str(archive))
+        assert err == "ccax: error: map expects 4-dim words, table has 5\n"
+
+    def test_oov_error_on_an_unknown_token(self, word_data, tmp_path,
+                                           capsys):
+        corpus = tmp_path / "caps.txt"
+        corpus.write_text("red dog runs\nblue zebra sits\n")
+        err = self.refused(tmp_path, capsys, corpus,
+                           word_data / "vectors.txt", "--oov", "error")
+        assert err == (f"ccax: error: {corpus}:2: token 'zebra' not in "
+                       f"table\n")
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflow_while_streaming(self, tmp_path, capsys):
+        # the second 64-row block's last sentence averages two 1e308s to
+        # inf: --out is open, with one block written, when it is refused
+        vectors = tmp_path / "v.txt"
+        io.save_embedding_table(io.EmbeddingTable(
+            ("a", "b"), np.array([[1.0, 2.0], [1e308, 1e308]])), vectors)
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("a\n" * 127 + "b b\n")
+        err = self.refused(tmp_path, capsys, corpus, vectors,
+                           "--variant", "lin,lin", "--gamma", "1.0")
+        assert err == ("ccax: error: non-finite value at flat index 254 "
+                       "(row 127, col 0)\n")
+
+    def test_map_out_that_cannot_be_written(self, word_data, tmp_path,
+                                            capsys):
+        err = self.refused(tmp_path, capsys, word_data / "caps.txt",
+                           word_data / "vectors.txt",
+                           map_out=tmp_path / "no-such-dir" / "e.arc")
+        assert "No such file or directory" in err
+
+
 def _path_argv(command, synth_dir, tmp_path, y=None, pairing=None):
     """argv for a path-running command on the synthetic data set."""
     data = [

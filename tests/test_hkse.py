@@ -16,6 +16,19 @@ from oracles import bandwidth_sorted, embed_sentence_gemv
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def run_under_two_blas_threads(tmp_path, test: str):
+    """Run ``test`` of this file in a fresh interpreter where OpenBLAS
+    splits each product over two threads; return the finished process."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]]
+                               if env.get("PYTHONPATH") else []))
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{Path(__file__).resolve()}::{test}"], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=600)
+
+
 def unit_pairs(rng, count, dim):
     for _ in range(count):
         a = rng.standard_normal(dim)
@@ -398,16 +411,8 @@ class TestBlockedKernel:
 
     def test_two_blas_threads(self, tmp_path):
         # the same property where OpenBLAS splits each product over threads
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(ROOT / "src")] + ([env["PYTHONPATH"]]
-                                   if env.get("PYTHONPATH") else []))
-        test = (f"{Path(__file__).resolve()}::TestBlockedKernel::"
-                f"test_corpus_rows_equal_embed_sentence")
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-             test], cwd=tmp_path, env=env, capture_output=True, text=True,
-            timeout=600)
+        proc = run_under_two_blas_threads(
+            tmp_path, "TestBlockedKernel::test_corpus_rows_equal_embed_sentence")
         assert proc.returncode == 0, proc.stdout[-3000:]
         assert "1 passed" in proc.stdout
 
@@ -445,6 +450,37 @@ class TestBlockedKernel:
         with pytest.raises(io.DataFormatError, match="zebra"):
             hkse.embed_corpus(m, corpus, table)
 
+    def test_blocks_checked_before_they_are_drawn(self):
+        table = io.EmbeddingTable(("a",), np.ones((1, 2)))
+        m = hkse.build_map("lin", "lin", 1.0, 1.0, 0, 0, 2, seed=0)
+        with pytest.raises(io.DataFormatError, match="zebra"):
+            hkse.embed_blocks([m], io.SentenceCorpus((("a", "zebra"),)),
+                              table)
+        m3 = hkse.build_map("lin", "lin", 1.0, 1.0, 0, 0, 3, seed=0)
+        with pytest.raises(ValueError, match="3-dim words, table has 2"):
+            hkse.embed_blocks([m3], io.SentenceCorpus((("a",),)), table)
+
+    def test_blocks_are_the_corpus_rows(self):
+        # 130 sentences: blocks of 64, 64 and 2 rows, each map's columns
+        # side by side
+        rng = np.random.default_rng(21)
+        table = io.EmbeddingTable(tuple(f"w{i}" for i in range(40)),
+                                  rng.standard_normal((40, 6)))
+        corpus = io.SentenceCorpus(tuple(
+            tuple(f"w{i}" for i in rng.integers(40, size=int(k)))
+            for k in rng.integers(1, 9, size=130)))
+        maps = [hkse.build_map("rbf", "rbf", 0.5, 0.2, 16, 12, 6, seed=4),
+                hkse.build_map("lin", "rbf", 0.5, 0.2, 0, 9, 6, seed=4,
+                               stream=1)]
+        blocks = [b.copy() for b in hkse.embed_blocks(maps, corpus, table)]
+        assert [b.shape for b in blocks] == [(64, 21), (64, 21), (2, 21)]
+        rows = np.vstack(blocks)
+        assert np.array_equal(rows,
+                              hkse.embed_corpus(maps, corpus, table).values)
+        for col, m in ((0, maps[0]), (12, maps[1])):
+            assert np.array_equal(rows[:, col:col + m.output_dim],
+                                  hkse.embed_corpus(m, corpus, table).values)
+
 
 class TestBandwidthOracle:
     @settings(max_examples=90, deadline=None)
@@ -468,6 +504,32 @@ class TestBandwidthOracle:
         else:
             assert hkse.bandwidth_heuristic(table, sample_size,
                                             seed) == expected
+
+    @pytest.mark.parametrize("grid", [False, True])
+    @pytest.mark.parametrize("d", [1, 40, 300])
+    @pytest.mark.parametrize("n", [191, 192, 193, 384, 385, 577, 1000])
+    def test_across_row_blocks(self, n, d, grid):
+        # one, two and several 192-row blocks of the packed triangle, the
+        # tail block taking the remainder; a drawn sample, or the whole
+        # table of a half-integer grid with copied rows
+        rng = np.random.default_rng(1000 * n + d)
+        if grid:
+            values = rng.integers(-2, 3, size=(n, d)) * 0.5
+            copies = rng.integers(n, size=(n // 10, 2))
+            values[copies[:, 0]] = values[copies[:, 1]]
+        else:
+            values = rng.standard_normal((n + 9, d))
+        table = io.EmbeddingTable(tuple(f"w{i}" for i in range(len(values))),
+                                  values)
+        expected = bandwidth_sorted(table, n, seed=d)
+        assert expected != np.inf
+        assert hkse.bandwidth_heuristic(table, n, seed=d) == expected
+
+    def test_across_row_blocks_two_blas_threads(self, tmp_path):
+        proc = run_under_two_blas_threads(
+            tmp_path, "TestBandwidthOracle::test_across_row_blocks")
+        assert proc.returncode == 0, proc.stdout[-3000:]
+        assert "42 passed" in proc.stdout
 
 
 class TestMapArchive:

@@ -222,6 +222,57 @@ class TestOpenMatrix:
         assert not writer.is_alive()
 
 
+class TestCreateMatrix:
+    """``create_matrix`` writes an FMAT1 file a block of rows at a time, and
+    a write that fails leaves no file."""
+
+    def test_blocks_equal_one_record(self, tmp_path):
+        values = np.arange(35.0).reshape(7, 5)
+        path = tmp_path / "m.fmat"
+        with io.create_matrix(path, 7, 5) as out:
+            for lo, hi in [(0, 3), (3, 3), (3, 7)]:
+                out.write(values[lo:hi])
+        assert path.read_bytes() == matrix_to_bytes(io.FeatureMatrix(values))
+
+    @pytest.mark.parametrize("blocks,message", [
+        ([(2, 5)], "m.fmat: 2 of 3 rows written"),
+        ([(2, 5), (2, 5)], r"a \(2, 5\) block does not fit a 3x5 matrix "
+                           r"after 2 rows"),
+        ([(3, 4)], r"a \(3, 4\) block does not fit a 3x5 matrix after 0"),
+    ], ids=["short", "long", "width"])
+    def test_wrong_blocks_leave_no_file(self, blocks, message, tmp_path):
+        path = tmp_path / "m.fmat"
+        with pytest.raises(ValueError, match=message):
+            with io.create_matrix(path, 3, 5) as out:
+                for shape in blocks:
+                    out.write(np.zeros(shape))
+        assert not path.exists()
+
+    def test_failing_body_leaves_no_file(self, tmp_path):
+        path = tmp_path / "m.fmat"
+        with pytest.raises(KeyboardInterrupt):
+            with io.create_matrix(path, 3, 5) as out:
+                out.write(np.zeros((1, 5)))
+                raise KeyboardInterrupt
+        assert not path.exists()
+
+    def test_a_pipe_is_not_removed(self, tmp_path):
+        path = tmp_path / "m.fifo"
+        os.mkfifo(path)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(
+            path.read_bytes()), daemon=True)
+        reader.start()
+        with pytest.raises(ValueError, match="1 of 3 rows written"):
+            with io.create_matrix(path, 3, 5) as out:
+                out.write(np.ones((1, 5)))
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert path.exists()
+        assert got == [io.FMAT1_MAGIC + struct.pack("<QQ", 3, 5)
+                       + np.ones(5).tobytes()]
+
+
 class TestEmbeddingTable:
     def test_parse(self, tmp_path):
         path = tmp_path / "w.txt"

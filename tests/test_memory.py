@@ -1,5 +1,6 @@
-"""The embed pipeline holds one copy of each array, an FMAT1 load holds
-its matrix once, and a fit never holds its training pair.
+"""The embed pipeline holds one copy of each array and never its whole
+output, the bandwidth median holds half its Gram, an FMAT1 load holds its
+matrix once, and a fit never holds its training pair.
 
 Peaks are measured with ``tracemalloc``, which sees numpy's data
 allocations, on shapes that run in well under a second.  Each bound sits
@@ -31,12 +32,52 @@ def traced_peak(fn) -> int:
 
 def test_bandwidth_median_inside_its_gram():
     # the whole 1000-word table is the sample, so no row is gathered; the
-    # upper-triangle distances reuse the Gram's buffer
+    # upper-triangle distances are packed into n(n-1)/2 doubles, and one
+    # row block's Gram is formed at a time
     n = 1000
     table = io.EmbeddingTable(tuple(f"w{i}" for i in range(n)),
                               np.random.default_rng(0).standard_normal((n, 50)))
     peak = traced_peak(lambda: hkse.bandwidth_heuristic(table, n))
     assert peak < 1.15 * n * n * 8
+
+
+def test_bandwidth_median_holds_half_its_gram():
+    # the packed triangle (0.5 n^2 doubles) and one 192-row block of the
+    # Gram (0.19 n^2 at n = 1000); the whole n x n Gram alone is 1.0 n^2
+    n = 1000
+    table = io.EmbeddingTable(tuple(f"w{i}" for i in range(n)),
+                              np.random.default_rng(0).standard_normal((n, 50)))
+    peak = traced_peak(lambda: hkse.bandwidth_heuristic(table, n))
+    assert peak < 0.75 * n * n * 8
+
+
+def test_embed_never_holds_its_output(tmp_path):
+    # 2000 sentences into 1024 dims: a 16 MB output, 340x the table.  The
+    # output is written 64 rows at a time, so the op holds the table, the
+    # maps, the word features and the corpus, but never the output
+    rng = np.random.default_rng(3)
+    vocab, dim, m, m_prime, sentences = 300, 20, 64, 1024, 2000
+    table = io.EmbeddingTable(tuple(f"w{i}" for i in range(vocab)),
+                              rng.standard_normal((vocab, dim)))
+    io.save_embedding_table(table, tmp_path / "v.txt")
+    with open(tmp_path / "c.txt", "w", encoding="utf-8") as fh:
+        for _ in range(sentences):
+            words = rng.integers(vocab, size=int(rng.integers(3, 9)))
+            fh.write(" ".join(f"w{i}" for i in words) + "\n")
+    out = tmp_path / "o.fmat"
+    argv = ["embed", "--corpus", str(tmp_path / "c.txt"),
+            "--vectors", str(tmp_path / "v.txt"), "--variant", "rbf,rbf",
+            "--m", str(m), "--mprime", str(m_prime), "--gamma", "0.5",
+            "--out", str(out)]
+    codes = []
+    peak = traced_peak(lambda: codes.append(cli.main(argv)))
+    assert codes == [0]
+    assert out.stat().st_size == 24 + sentences * m_prime * 8
+    output = sentences * m_prime * 8
+    assert output >= 4 * table.vectors.nbytes
+    maps = (m * dim + m + m_prime * m + m_prime) * 8
+    words = vocab * m * 8
+    assert peak < table.vectors.nbytes + maps + words + output / 4
 
 
 def test_table_parsed_in_place(tmp_path, monkeypatch):
