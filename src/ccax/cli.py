@@ -380,8 +380,11 @@ def _cmd_embed(args) -> int:
         maps = _read_archive(args.map, hkse.maps_from_archive)
     else:
         if args.gamma == "median":
-            gamma = hkse.bandwidth_heuristic(table, args.gamma_sample,
-                                             seed=args.seed)
+            try:
+                gamma = hkse.bandwidth_heuristic(table, args.gamma_sample,
+                                                 seed=args.seed)
+            except io.DataFormatError as exc:  # the table's values overflow
+                raise io.DataFormatError(f"{args.vectors}: {exc}") from None
         else:
             gamma = args.gamma
         variants = [args.variant] + ([args.concat] if args.concat else [])

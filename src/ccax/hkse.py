@@ -211,7 +211,8 @@ def bandwidth_heuristic(table: EmbeddingTable, sample_size: int = 2000,
 
     The median of an even-length list is its lower middle element.  With
     ``sample_size >= vocab_size`` the whole vocabulary is used and the seed
-    is irrelevant.
+    is irrelevant.  A median that overflows is a DataFormatError, and a
+    zero median a ValueError.
     """
     if table.vocab_size < 2:
         raise ValueError("need at least 2 words in the table")
@@ -227,22 +228,27 @@ def bandwidth_heuristic(table: EmbeddingTable, sample_size: int = 2000,
     # row block's Gram is formed from the block's first column on; blocks
     # are never short, so their rows round as in the whole Gram.  The lower
     # middle is selected in place, and the monotone sqrt and clamp at 0
-    # apply to it alone.
-    norms = np.sum(sample * sample, axis=1)
+    # apply to it alone.  Overflow is not warned of: a median it reaches
+    # is refused below.
     n = sample.shape[0]
     dists = np.empty(n * (n - 1) // 2)
     lo = 0
-    for b0, b1 in _row_blocks(n):
-        gram = 2.0 * sample[b0:b1] @ sample[b0:].T
-        for i in range(b0, min(b1, n - 1)):
-            hi = lo + n - 1 - i
-            np.subtract(norms[i] + norms[i + 1:], gram[i - b0, i + 1 - b0:],
-                        out=dists[lo:hi])
-            lo = hi
-        del gram  # one block's Gram at a time
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sum(sample * sample, axis=1)
+        for b0, b1 in _row_blocks(n):
+            gram = 2.0 * sample[b0:b1] @ sample[b0:].T
+            for i in range(b0, min(b1, n - 1)):
+                hi = lo + n - 1 - i
+                np.subtract(norms[i] + norms[i + 1:],
+                            gram[i - b0, i + 1 - b0:], out=dists[lo:hi])
+                lo = hi
+            del gram  # one block's Gram at a time
     mid = (lo - 1) // 2
     dists.partition(mid)
     median = np.sqrt(max(dists[mid], 0.0))
+    if not np.isfinite(median):
+        raise DataFormatError("sampled pairwise distances overflow: their "
+                              "median is not finite")
     if median == 0.0:
         raise ValueError("all sampled pairwise distances are zero")
     return float(1.0 / median**2)

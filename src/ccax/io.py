@@ -23,6 +23,7 @@ import stat
 import string
 import struct
 from dataclasses import dataclass, field
+from io import BytesIO
 
 import numpy as np
 
@@ -214,16 +215,19 @@ def save_matrix(m: FeatureMatrix, path) -> None:
 _FMAT1_HEADER = 24
 
 
-def _fmat1_shape(buf: bytes, offset: int = 0) -> tuple[int, int]:
-    """Rows and columns of the FMAT1 header in ``buf`` at ``offset``."""
-    if len(buf) - offset < _FMAT1_HEADER:
-        raise DataFormatError("truncated FMAT1 header")
-    if buf[offset : offset + 8] != FMAT1_MAGIC:
-        raise DataFormatError("bad FMAT1 magic")
-    rows, cols = struct.unpack_from("<QQ", buf, offset + 8)
-    if rows < 1 or cols < 1:
-        raise DataFormatError(f"FMAT1 header declares {rows}x{cols} matrix")
-    return rows, cols
+def _open_binary(path):
+    """Open ``path`` for binary reading: the handle and its size in bytes.
+
+    A regular file is returned as is.  A pipe has no size to check, so it
+    is read whole and returned as an in-memory handle.
+    """
+    fh = open(path, "rb")
+    st = os.fstat(fh.fileno())
+    if stat.S_ISREG(st.st_mode):
+        return fh, st.st_size
+    with fh:
+        data = fh.read()
+    return BytesIO(data), len(data)
 
 
 def _truncated(rows: int, cols: int, available: int) -> str:
@@ -231,36 +235,31 @@ def _truncated(rows: int, cols: int, available: int) -> str:
             f"({rows * cols * 8} bytes), {available} available")
 
 
-def matrix_from_bytes(buf: bytes, offset: int = 0) -> tuple[FeatureMatrix, int]:
-    """Decode one FMAT1 record from ``buf`` at ``offset``.
-
-    Returns the matrix and the offset just past it (archives store several
-    records back to back).
-    """
-    rows, cols = _fmat1_shape(buf, offset)
-    end = offset + _FMAT1_HEADER + rows * cols * 8
-    if len(buf) < end:
-        raise DataFormatError(
-            _truncated(rows, cols, len(buf) - offset - _FMAT1_HEADER))
-    values = np.frombuffer(buf, dtype="<f8", count=rows * cols,
-                           offset=offset + _FMAT1_HEADER)
-    return FeatureMatrix(values.reshape(rows, cols)), end
-
-
 class MatrixFile:
-    """An open FMAT1 file whose rows are read a block at a time.
+    """One FMAT1 record of an open file, whose rows are read a block at a
+    time.
 
-    Made by :func:`open_matrix`, which has checked the header and the
-    payload size.  Rows can be read in any order, any number of times:
-    from the file, or from the payload of a pipe, which has no size to
-    check and so was read whole.  Close it, or use it in a ``with``
-    statement.
+    Made on the record at the handle's position, given the ``left`` bytes
+    from there on; the header and the payload size are checked before
+    anything is allocated, and every error starts with ``prefix``.  Rows
+    can be read in any order, any number of times.  Close it, or use it
+    in a ``with`` statement, to close the handle.
     """
 
-    def __init__(self, path, fh, rows: int, cols: int,
-                 payload: bytes | None):
-        self.path, self.rows, self.cols = path, rows, cols
-        self._fh, self._payload = fh, payload
+    def __init__(self, fh, prefix, left: int):
+        self._fh, self._prefix, self._start = fh, prefix, fh.tell()
+        header = fh.read(min(left, _FMAT1_HEADER))
+        if len(header) < _FMAT1_HEADER:
+            raise DataFormatError(f"{prefix}: truncated FMAT1 header")
+        if header[:8] != FMAT1_MAGIC:
+            raise DataFormatError(f"{prefix}: bad FMAT1 magic")
+        self.rows, self.cols = struct.unpack_from("<QQ", header, 8)
+        if self.rows < 1 or self.cols < 1:
+            raise DataFormatError(f"{prefix}: FMAT1 header declares "
+                                  f"{self.rows}x{self.cols} matrix")
+        if left - _FMAT1_HEADER < self.rows * self.cols * 8:
+            raise DataFormatError(f"{prefix}: " + _truncated(
+                self.rows, self.cols, left - _FMAT1_HEADER))
 
     def __enter__(self) -> "MatrixFile":
         return self
@@ -272,25 +271,19 @@ class MatrixFile:
         self._fh.close()
 
     def block(self, lo: int, hi: int) -> np.ndarray:
-        """Rows ``lo:hi`` as a read-only float64 array, which owns its data
-        when read from a file.
+        """Rows ``lo:hi`` as a read-only float64 array that owns its data;
+        the handle is left just past them.
 
-        A non-finite value or a short read is a DataFormatError naming the
-        file; a value's flat index, row and column count over the whole
-        file.
+        A non-finite value or a short read is a DataFormatError; a value's
+        flat index, row and column count over the whole record.
         """
-        if self._payload is not None:
-            values = np.frombuffer(
-                self._payload, dtype="<f8", count=(hi - lo) * self.cols,
-                offset=8 * lo * self.cols).reshape(hi - lo, self.cols)
-        else:
-            self._fh.seek(_FMAT1_HEADER + 8 * lo * self.cols)
-            values = np.empty((hi - lo, self.cols), dtype="<f8")
-            got = self._fh.readinto(values)
-            if got < values.nbytes:  # the file shrank after it was opened
-                raise DataFormatError(f"{self.path}: " + _truncated(
-                    self.rows, self.cols, 8 * lo * self.cols + got))
-        _require_finite(values, f"{self.path}: ", lo)
+        self._fh.seek(self._start + _FMAT1_HEADER + 8 * lo * self.cols)
+        values = np.empty((hi - lo, self.cols), dtype="<f8")
+        got = self._fh.readinto(values)
+        if got < values.nbytes:  # the file shrank after it was opened
+            raise DataFormatError(f"{self._prefix}: " + _truncated(
+                self.rows, self.cols, 8 * lo * self.cols + got))
+        _require_finite(values, f"{self._prefix}: ", lo)
         values.flags.writeable = False
         return values
 
@@ -298,39 +291,25 @@ class MatrixFile:
 def open_matrix(path) -> MatrixFile:
     """Open an FMAT1 file for reading by row blocks, checking its header
     and payload size; any format error names the file."""
-    fh = open(path, "rb")
+    fh, size = _open_binary(path)
     try:
-        header = fh.read(_FMAT1_HEADER)
-        if not header:
+        if not size:
             raise DataFormatError(f"{path}: empty file")
-        try:
-            rows, cols = _fmat1_shape(header)
-        except DataFormatError as exc:
-            raise DataFormatError(f"{path}: {exc}") from None
-        st = os.fstat(fh.fileno())
-        if stat.S_ISREG(st.st_mode):
-            payload, available = None, st.st_size - _FMAT1_HEADER
-        else:  # a pipe has no size to check, so it is read whole
-            payload = fh.read()
-            available = len(payload)
-        n_bytes = rows * cols * 8
-        if available < n_bytes:
+        src = MatrixFile(fh, path, size)
+        trailing = size - _FMAT1_HEADER - src.rows * src.cols * 8
+        if trailing:
             raise DataFormatError(
-                f"{path}: " + _truncated(rows, cols, available))
-        if available > n_bytes:
-            raise DataFormatError(
-                f"{path}: {available - n_bytes} trailing bytes after payload")
+                f"{path}: {trailing} trailing bytes after payload")
     except BaseException:
         fh.close()
         raise
-    return MatrixFile(path, fh, rows, cols, payload)
+    return src
 
 
 def load_matrix(path) -> FeatureMatrix:
     """Load an FMAT1 matrix; any format error names the file.
 
-    A file is read once, into the array FeatureMatrix keeps; a pipe's rows
-    are copied out of its payload.
+    The rows are read once, into the array FeatureMatrix keeps.
     """
     with open_matrix(path) as src:
         return FeatureMatrix(src.block(0, src.rows))
@@ -644,43 +623,51 @@ def save_archive(archive: ModelArchive, path) -> None:
 
 
 def load_archive(path) -> ModelArchive:
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    if len(buf) < 16 or buf[:8] != ARCHIVE_MAGIC:
-        raise DataFormatError(f"{path}: not a model archive")
-    (manifest_len,) = struct.unpack_from("<Q", buf, 8)
-    if len(buf) < 16 + manifest_len:
-        raise DataFormatError(f"{path}: truncated manifest")
-    manifest: dict[str, str] = {}
-    try:
-        manifest_text = buf[16 : 16 + manifest_len].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = buf[16 : 16 + exc.start].count(b"\n") + 1
-        raise DataFormatError(f"{path}: manifest line {line} is not UTF-8 "
-                              f"({exc.reason})") from None
-    for lineno, line in enumerate(manifest_text.splitlines(), start=1):
-        if not line:
-            continue
-        if "=" not in line:
-            raise DataFormatError(f"{path}: manifest line {lineno} lacks '='")
-        key, value = line.split("=", 1)
-        manifest[key] = value
-    blobs: dict[str, FeatureMatrix] = {}
-    offset = 16 + manifest_len
-    while offset < len(buf):
-        if len(buf) - offset < 8:
-            raise DataFormatError(f"{path}: truncated blob record")
-        (name_len,) = struct.unpack_from("<Q", buf, offset)
-        offset += 8
-        if len(buf) - offset < name_len:
-            raise DataFormatError(f"{path}: truncated blob name")
+    """Load a model archive; any format error names the file.
+
+    Each blob is read through :class:`MatrixFile` into the array its
+    FeatureMatrix keeps, so no blob is held twice.
+    """
+    fh, size = _open_binary(path)
+    with fh:
+        head = fh.read(16)
+        if len(head) < 16 or head[:8] != ARCHIVE_MAGIC:
+            raise DataFormatError(f"{path}: not a model archive")
+        (manifest_len,) = struct.unpack_from("<Q", head, 8)
+        if size < 16 + manifest_len:
+            raise DataFormatError(f"{path}: truncated manifest")
+        raw = fh.read(manifest_len)
         try:
-            name = buf[offset : offset + name_len].decode("utf-8")
-            blob, offset = matrix_from_bytes(buf, offset + name_len)
-        except (UnicodeDecodeError, DataFormatError) as exc:
-            raise DataFormatError(f"{path}: blob {len(blobs) + 1}: {exc}") \
-                from None
-        if name in blobs:
-            raise DataFormatError(f"{path}: duplicate blob {name!r}")
-        blobs[name] = blob
+            manifest_text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = raw[: exc.start].count(b"\n") + 1
+            raise DataFormatError(f"{path}: manifest line {line} is not "
+                                  f"UTF-8 ({exc.reason})") from None
+        manifest: dict[str, str] = {}
+        for lineno, line in enumerate(manifest_text.splitlines(), start=1):
+            if not line:
+                continue
+            if "=" not in line:
+                raise DataFormatError(
+                    f"{path}: manifest line {lineno} lacks '='")
+            key, value = line.split("=", 1)
+            manifest[key] = value
+        blobs: dict[str, FeatureMatrix] = {}
+        while fh.tell() < size:
+            if size - fh.tell() < 8:
+                raise DataFormatError(f"{path}: truncated blob record")
+            (name_len,) = struct.unpack("<Q", fh.read(8))
+            if size - fh.tell() < name_len:
+                raise DataFormatError(f"{path}: truncated blob name")
+            prefix = f"{path}: blob {len(blobs) + 1}"
+            try:
+                name = fh.read(name_len).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DataFormatError(f"{prefix}: {exc}") from None
+            # reading the whole record leaves the handle at the next one
+            src = MatrixFile(fh, prefix, size - fh.tell())
+            blob = FeatureMatrix(src.block(0, src.rows))
+            if name in blobs:
+                raise DataFormatError(f"{path}: duplicate blob {name!r}")
+            blobs[name] = blob
     return ModelArchive(manifest, blobs)

@@ -670,6 +670,23 @@ class TestRefusedEmbedLeavesNoFile:
         assert err == ("ccax: error: non-finite value at flat index 254 "
                        "(row 127, col 0)\n")
 
+    @pytest.mark.parametrize("variant", ["lin,lin", "rbf,rbf"])
+    def test_overflowing_bandwidth_median(self, variant, tmp_path, capsys):
+        # the 1e200 row's distance overflows, so the median is inf and
+        # gamma = 1 / inf^2 read 0.0; lin,lin wrote it to --map-out.  The
+        # refusal is all stderr holds
+        vectors = tmp_path / "v.txt"
+        io.save_embedding_table(io.EmbeddingTable(
+            ("a", "b"), np.array([[1.0, 2.0], [1e200, 1e200]])), vectors)
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("a b\nb\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            err = self.refused(tmp_path, capsys, corpus, vectors,
+                               "--variant", variant)
+        assert err == (f"ccax: error: {vectors}: sampled pairwise distances "
+                       "overflow: their median is not finite\n")
+
     def test_map_out_that_cannot_be_written(self, word_data, tmp_path,
                                             capsys):
         err = self.refused(tmp_path, capsys, word_data / "caps.txt",

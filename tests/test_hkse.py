@@ -272,6 +272,12 @@ class TestBandwidthHeuristic:
         with pytest.raises(ValueError, match="zero"):
             hkse.bandwidth_heuristic(table, 10)
 
+    def test_overflowing_median_rejected(self):
+        # 1e200 squares to inf: gamma = 1 / inf^2 would read 0.0
+        table = io.EmbeddingTable(("a", "b"), np.array([[1.0], [1e200]]))
+        with pytest.raises(io.DataFormatError, match="median is not finite"):
+            hkse.bandwidth_heuristic(table, 10)
+
 
 class TestDimensionBound:
     def test_log_argument_one_clamps_to_minimum(self):

@@ -4,6 +4,7 @@ import os
 import re
 import struct
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -528,6 +529,75 @@ class TestModelArchive:
         path.write_bytes(b"NOT-ARCH" + b"\0" * 16)
         with pytest.raises(io.DataFormatError, match="archive"):
             io.load_archive(path)
+
+
+
+def _archive_with(record: bytes) -> bytes:
+    """An archive whose one blob, ``BAD``, is ``record``."""
+    manifest = b"kind=test\n"
+    return (io.ARCHIVE_MAGIC + struct.pack("<Q", len(manifest)) + manifest
+            + struct.pack("<Q", 3) + b"BAD" + record)
+
+
+class TestArchiveBlobs:
+    """Archive blobs are read by the FMAT1 reader: a bad record's message
+    is ``open_matrix``'s, word for word, after the blob's number."""
+
+    @pytest.mark.parametrize("record,message", [
+        (b"FMATRX01" + b"\0" * 8, "truncated FMAT1 header"),
+        (b"NOTMAGIC" + b"\0" * 24, "bad FMAT1 magic"),
+        (_fmat1(0, 3, b""), "FMAT1 header declares 0x3 matrix"),
+        (_fmat1(2, 2, b"\0" * 24),
+         "FMAT1 payload truncated: header says 2x2 (32 bytes), 24 available"),
+        (_fmat1(10**12, 3, b"\0" * 48), "FMAT1 payload truncated: header "
+         "says 1000000000000x3 (24000000000000 bytes), 48 available"),
+    ], ids=["header", "magic", "dims", "truncated", "overstated"])
+    def test_messages_are_the_readers(self, record, message, tmp_path):
+        path = write(tmp_path / "m.arc", _archive_with(record))
+        tracemalloc.start()
+        try:
+            with pytest.raises(io.DataFormatError) as exc:
+                io.load_archive(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == f"{path}: blob 1: {message}"
+        assert peak < 1e5  # nothing the header declares is allocated
+
+    @pytest.fixture
+    def archive(self):
+        rng = np.random.default_rng(12)
+        return io.ModelArchive(
+            {"kind": "demo", "n": "3"},
+            {"U": io.FeatureMatrix(rng.standard_normal((300, 40))),
+             "SIGMA": io.FeatureMatrix(rng.random((1, 40)))})
+
+    def test_pipe_loads_as_the_file(self, archive, tmp_path):
+        io.save_archive(archive, tmp_path / "m.arc")
+        from_file = io.load_archive(tmp_path / "m.arc")
+        writer = _fifo(tmp_path / "m.fifo", (tmp_path / "m.arc").read_bytes())
+        from_pipe = io.load_archive(tmp_path / "m.fifo")
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert from_pipe.manifest == from_file.manifest == archive.manifest
+        assert list(from_pipe.blobs) == list(from_file.blobs)
+        for name, blob in from_file.blobs.items():
+            np.testing.assert_array_equal(from_pipe.blobs[name].values,
+                                          blob.values)
+            assert from_pipe.blobs[name].values.base is None
+
+    def test_truncated_pipe(self, archive, tmp_path):
+        # the pipe ends 8 bytes into the second blob's payload
+        io.save_archive(archive, tmp_path / "m.arc")
+        data = (tmp_path / "m.arc").read_bytes()[:-(40 * 8 - 8)]
+        path = tmp_path / "m.fifo"
+        writer = _fifo(path, data)
+        with pytest.raises(io.DataFormatError) as exc:
+            io.load_archive(path)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert str(exc.value) == (f"{path}: blob 2: FMAT1 payload truncated: "
+                                  "header says 1x40 (320 bytes), 8 available")
 
 
 def _archive_bytes(archive, tmp_path_factory) -> bytes:

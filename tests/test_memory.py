@@ -187,6 +187,24 @@ def test_load_matrix_holds_the_file_once(tmp_path):
     assert peak < 1.2 * values.nbytes
 
 
+
+def test_load_archive_holds_each_blob_once(tmp_path):
+    # each blob is read into the array FeatureMatrix keeps; the archive's
+    # whole file is never held
+    values = np.random.default_rng(7).standard_normal((2000, 500))  # 8 MB
+    archive = io.ModelArchive({"kind": "test"}, {
+        "BIG": io.FeatureMatrix(values),
+        "ROW": io.FeatureMatrix(np.arange(5.0)[None, :])})
+    path = tmp_path / "m.arc"
+    io.save_archive(archive, path)
+    loaded = []
+    peak = traced_peak(lambda: loaded.append(io.load_archive(path)))
+    big = loaded[0].blobs["BIG"].values
+    np.testing.assert_array_equal(big, values)
+    assert big.base is None
+    assert peak < 1.2 * values.nbytes
+
+
 def test_fit_never_holds_the_pair(tmp_path, monkeypatch):
     # 64-row blocks of a 20000-row pair: a fit holds the (32 + 64) x 32 QR
     # buffer and one block per view, far below one copy of train_x
