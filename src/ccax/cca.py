@@ -13,6 +13,7 @@ work once; :func:`solve` turns it into a model for any one filter.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -23,7 +24,9 @@ from .io import (DataFormatError, FeatureMatrix, MatrixFile, ModelArchive,
 
 def default_rank_tol(n: int, m: int) -> float:
     """Relative singular-value cutoff: a singular value below this times
-    s_max is treated as numerical noise and dropped."""
+    max(s_max, ||X||_F), the view's uncentered Frobenius norm, is treated
+    as numerical noise and dropped.  Centering leaves rounding noise of
+    about eps times the uncentered values, which s_max alone can miss."""
     return max(n, m) * 2.0 ** -52
 
 
@@ -190,10 +193,13 @@ def prepare(x: FeatureMatrix | MatrixFile,
         k = r_factor.shape[0]
         buf[:k] = r_factor
     factors = []
-    for block in (buf[:min(k, m_x), :m_x], buf[:k, m_x:]):
+    for block, mean in ((buf[:min(k, m_x), :m_x], mean_x),
+                        (buf[:k, m_x:], mean_y)):
         w, s, vt = np.linalg.svd(block, full_matrices=False)
-        tol = default_rank_tol(n, block.shape[1])
-        rank = int(np.count_nonzero((s > 0) & (s >= tol * s[0])))
+        # ||X||_F^2 = ||Xc||_F^2 + n ||mean||^2, summed without overflow
+        norm = math.hypot(*s, *(math.sqrt(n) * mean))
+        tol = default_rank_tol(n, block.shape[1]) * max(s[0], norm)
+        rank = int(np.count_nonzero((s > 0) & (s >= tol)))
         if rank == 0:
             raise ValueError("zero numerical rank after centering")
         factors.append((w[:, :rank], s[:rank], vt[:rank].T))

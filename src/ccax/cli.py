@@ -373,18 +373,53 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _table_rows(table, tokens) -> io.EmbeddingTable:
+    """The rows of ``tokens``, which are in table order; the table itself
+    if they are all of it."""
+    if len(tokens) == table.vocab_size:
+        return table
+    vectors = table.vectors[[table.index[t] for t in tokens]]
+    vectors.flags.writeable = False  # owned and read-only: kept, not copied
+    return io.EmbeddingTable(tuple(tokens), vectors)
+
+
 def _cmd_embed(args) -> int:
-    table = io.load_embedding_table(args.vectors)
-    corpus = io.load_corpus(args.corpus, table, oov_policy=args.oov)
+    # the corpus is read first, so that the table's values are parsed only
+    # for the words it uses and the rows the bandwidth sample draws
+    lines = list(io.corpus_lines(args.corpus))
+    words = {token for _, tokens in lines for token in tokens}
+    median = not args.map and args.gamma == "median"
+    sampled: list[str] = []  # the sample's tokens, in file order
+
+    def keep(count):
+        rows = set()
+        if median:
+            drawn = hkse.sample_rows(count, args.gamma_sample, args.seed)
+            rows = range(count) if drawn is None else set(drawn.tolist())
+
+        def wanted(row, token):
+            if row in rows:
+                sampled.append(token)
+            return row in rows or token in words
+
+        return wanted
+
+    table = io.load_embedding_table(args.vectors, keep)
+    corpus = io.load_corpus(args.corpus, table, args.oov, lines)
+    del lines
     if args.map:
         maps = _read_archive(args.map, hkse.maps_from_archive)
     else:
-        if args.gamma == "median":
+        if median:
             try:
-                gamma = hkse.bandwidth_heuristic(table, args.gamma_sample,
-                                                 seed=args.seed)
+                gamma = hkse.bandwidth_heuristic(
+                    _table_rows(table, sampled), args.gamma_sample,
+                    seed=args.seed)
             except io.DataFormatError as exc:  # the table's values overflow
                 raise io.DataFormatError(f"{args.vectors}: {exc}") from None
+            # the rows only the sample used are freed before embedding
+            table = _table_rows(table, [t for t in table.tokens
+                                        if t in words])
         else:
             gamma = args.gamma
         variants = [args.variant] + ([args.concat] if args.concat else [])

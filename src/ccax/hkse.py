@@ -218,12 +218,8 @@ def bandwidth_heuristic(table: EmbeddingTable, sample_size: int = 2000,
         raise ValueError("need at least 2 words in the table")
     if sample_size < 2:
         raise ValueError("need a sample of at least 2 words")
-    if sample_size >= table.vocab_size:
-        sample = table.vectors
-    else:
-        rng = np.random.default_rng(seed)
-        rows = rng.choice(table.vocab_size, size=sample_size, replace=False)
-        sample = table.vectors[np.sort(rows)]
+    rows = sample_rows(table.vocab_size, sample_size, seed)
+    sample = table.vectors if rows is None else table.vectors[rows]
     # the upper triangle of |a|^2 + |b|^2 - 2 a.b, packed row by row.  Each
     # row block's Gram is formed from the block's first column on; blocks
     # are never short, so their rows round as in the whole Gram.  The lower
@@ -252,6 +248,16 @@ def bandwidth_heuristic(table: EmbeddingTable, sample_size: int = 2000,
     if median == 0.0:
         raise ValueError("all sampled pairwise distances are zero")
     return float(1.0 / median**2)
+
+
+def sample_rows(vocab_size: int, sample_size: int,
+                seed: int = 0) -> np.ndarray | None:
+    """The sorted rows :func:`bandwidth_heuristic` draws from a table of
+    ``vocab_size`` rows; None when ``sample_size >= vocab_size``: all."""
+    if sample_size >= vocab_size:
+        return None
+    rng = np.random.default_rng(seed)
+    return np.sort(rng.choice(vocab_size, size=sample_size, replace=False))
 
 
 def dimension_bound(vocab_size: int, max_sentence_len: int,

@@ -68,6 +68,14 @@ class FeatureMatrix:
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
+    @classmethod
+    def _read(cls, src: "MatrixFile") -> "FeatureMatrix":
+        """All rows of ``src``, kept unchecked: :meth:`MatrixFile.block`
+        has checked them and returns an owned read-only array."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "values", src.block(0, src.rows))
+        return out
+
     @property
     def rows(self) -> int:
         return self.values.shape[0]
@@ -309,10 +317,10 @@ def open_matrix(path) -> MatrixFile:
 def load_matrix(path) -> FeatureMatrix:
     """Load an FMAT1 matrix; any format error names the file.
 
-    The rows are read once, into the array FeatureMatrix keeps.
+    The rows are read and checked once, into the array FeatureMatrix keeps.
     """
     with open_matrix(path) as src:
-        return FeatureMatrix(src.block(0, src.rows))
+        return FeatureMatrix._read(src)
 
 
 # ---------------------------------------------------------------------------
@@ -323,14 +331,18 @@ def load_matrix(path) -> FeatureMatrix:
 _TABLE_CHUNK_LINES = 1024
 
 
-def load_embedding_table(path) -> EmbeddingTable:
+def load_embedding_table(path, keep=None) -> EmbeddingTable:
     """Parse the standard text vector format (``count dim`` header line).
 
     Values are parsed by ``np.loadtxt`` (bitwise the same doubles as
-    ``float``), ``_TABLE_CHUNK_LINES`` lines at a time, so only one chunk of
-    text is held; each chunk goes straight into the one table array.  Every
-    error names the file and line; non-finite values and fields ``float``
-    would take but ``loadtxt`` does not (``1_0``) are errors.
+    ``float``), ``_TABLE_CHUNK_LINES`` kept lines at a time, so only one
+    chunk of text is held; each chunk goes straight into the one table
+    array.  ``keep``, if given, is called with the header's count and
+    returns a predicate of (row, token): only the rows it accepts are
+    parsed and kept, in file order.  Every line is checked (UTF-8, its
+    token, a duplicate, its field count) and every error names the file
+    and line; non-finite values and fields ``float`` would take but
+    ``loadtxt`` does not (``1_0``) are errors in the rows that are parsed.
     """
     with open(path, "rb") as fh:
         header = _decode_line(path, 1, fh.readline()).split()
@@ -342,45 +354,53 @@ def load_embedding_table(path) -> EmbeddingTable:
             raise DataFormatError(f"{path}:1: non-integer header") from None
         if count < 1 or dim < 1:
             raise DataFormatError(f"{path}:1: header declares {count} x {dim}")
-        # at most one row per 2 * dim + 1 bytes; a pipe's size reads 0, so
-        # its rows are allocated a chunk at a time as they arrive
+        wanted = keep(count) if keep else None
+        # at most one row per 2 * dim + 1 bytes; a pipe's size reads 0 and
+        # kept rows are not known ahead, so those grow a chunk at a time
         size = os.fstat(fh.fileno()).st_size
-        rows = size // (2 * dim + 1) if size else _TABLE_CHUNK_LINES
+        rows = (size // (2 * dim + 1) if size and not keep
+                else _TABLE_CHUNK_LINES)
         vectors = np.empty((min(count, rows), dim))
         lines_of: dict[str, int] = {}  # token -> its line, in file order
-        while len(lines_of) < count:
-            first = len(lines_of) + 2  # line number of the chunk's first line
-            values = []
-            for lineno in range(first,
-                                first + min(_TABLE_CHUNK_LINES,
-                                            count - len(lines_of))):
-                raw = fh.readline()
-                if not raw:
-                    raise DataFormatError(
-                        f"{path}:{lineno}: header declares {count} entries, "
-                        f"found {lineno - 2}"
-                    )
-                parts = _decode_line(path, lineno, raw).split(None, 1)
-                if len(parts) != 2:
-                    raise _field_count_error(path, lineno, len(parts), dim)
-                token = parts[0]
-                if token in lines_of:
-                    raise DataFormatError(
-                        f"{path}:{lineno}: duplicate token {token!r} "
-                        f"(first on line {lines_of[token]})"
-                    )
-                lines_of[token] = lineno
+        tokens, values = [], []  # kept, and the value text of their chunk
+        for lineno in range(2, count + 2):
+            raw = fh.readline()
+            if not raw:
+                raise DataFormatError(
+                    f"{path}:{lineno}: header declares {count} entries, "
+                    f"found {lineno - 2}"
+                )
+            parts = _decode_line(path, lineno, raw).split(None, 1)
+            if len(parts) != 2:
+                raise _field_count_error(path, lineno, len(parts), dim)
+            token = parts[0]
+            if token in lines_of:
+                raise DataFormatError(
+                    f"{path}:{lineno}: duplicate token {token!r} "
+                    f"(first on line {lines_of[token]})"
+                )
+            lines_of[token] = lineno
+            if wanted is None or wanted(lineno - 2, token):
+                tokens.append(token)
                 values.append(parts[1])
-            if len(lines_of) > len(vectors):  # a pipe's table doubles
-                vectors.resize((min(count, 2 * len(vectors)), dim),
-                               refcheck=False)
-            vectors[first - 2:len(lines_of)] = _parse_table_chunk(
-                path, first, values, dim)
+            elif len(fields := parts[1].split()) != dim:
+                raise _field_count_error(path, lineno, len(fields) + 1, dim)
+            if values and (len(values) == _TABLE_CHUNK_LINES
+                           or lineno == count + 1):
+                if len(tokens) > len(vectors):  # a table that grows doubles
+                    vectors.resize((min(count, 2 * len(vectors)), dim),
+                                   refcheck=False)
+                first = len(tokens) - len(values)
+                vectors[first:len(tokens)] = _parse_table_chunk(
+                    path, [lines_of[t] for t in tokens[first:]], values, dim)
+                values = []
         if _decode_line(path, count + 2, fh.readline()).strip():
             raise DataFormatError(
                 f"{path}:{count + 2}: more entries than header declares")
+    if len(tokens) < len(vectors):
+        vectors.resize((len(tokens), dim), refcheck=False)
     vectors.flags.writeable = False  # owned and read-only: kept, not copied
-    return EmbeddingTable(tuple(lines_of), vectors)
+    return EmbeddingTable(tuple(tokens), vectors)
 
 
 def _text_lines(path):
@@ -402,25 +422,25 @@ def _decode_line(path, lineno: int, raw: bytes) -> str:
             from None
 
 
-def _parse_table_chunk(path, first: int, values: list[str],
+def _parse_table_chunk(path, lines: list[int], values: list[str],
                        dim: int) -> np.ndarray:
-    """The value fields of consecutive table lines as a (lines, dim) block.
+    """The value fields of table lines as a (lines, dim) block.
 
-    ``values[i]`` is line ``first + i`` without its token.
+    ``values[i]`` is line ``lines[i]`` without its token.
     """
     try:
         block = np.loadtxt(values, dtype=np.float64, comments=None, ndmin=2)
     except ValueError:
         block = None
     if block is None or block.shape[1] != dim:
-        for lineno, text in enumerate(values, start=first):
+        for lineno, text in zip(lines, values):
             _check_table_line(path, lineno, text, dim)
-        raise DataFormatError(f"{path}:{first}: values do not parse")
+        raise DataFormatError(f"{path}:{lines[0]}: values do not parse")
     finite = np.isfinite(block)
     if not finite.all():
         row, col = (int(i[0]) for i in np.nonzero(~finite))
         raise DataFormatError(
-            f"{path}:{first + row}: value {col + 1} is not finite: "
+            f"{path}:{lines[row]}: value {col + 1} is not finite: "
             f"{block[row, col]}"
         )
     return block
@@ -477,23 +497,29 @@ def tokenize(line: str) -> list[str]:
     return out
 
 
-def load_corpus(path, table: EmbeddingTable,
-                oov_policy: str = "skip") -> SentenceCorpus:
+def corpus_lines(path):
+    """Yield (line number, tokens) of each non-blank line of a UTF-8
+    corpus; a byte that is not UTF-8 is a DataFormatError naming the line."""
+    for lineno, line in _text_lines(path):
+        if line.strip():
+            yield lineno, tokenize(line)
+
+
+def load_corpus(path, table: EmbeddingTable, oov_policy: str = "skip",
+                lines=None) -> SentenceCorpus:
     """Load one-sentence-per-line UTF-8 text, keeping only in-table tokens.
 
     ``oov_policy='skip'`` silently drops unknown tokens (a sentence that
     loses every token is still an error); ``'error'`` aborts on the first
     unknown token.  Every error names the file, and the line where there
-    is one.
+    is one.  ``lines`` are ``path``'s :func:`corpus_lines`, if read already.
     """
     if oov_policy not in ("skip", "error"):
         raise DataFormatError(f"unknown oov policy {oov_policy!r}")
     sentences: list[tuple[str, ...]] = []
-    for lineno, line in _text_lines(path):
-        if not line.strip():
-            continue
+    for lineno, tokens in corpus_lines(path) if lines is None else lines:
         kept = []
-        for tok in tokenize(line):
+        for tok in tokens:
             if tok in table:
                 kept.append(tok)
             elif oov_policy == "error":
@@ -665,8 +691,8 @@ def load_archive(path) -> ModelArchive:
             except UnicodeDecodeError as exc:
                 raise DataFormatError(f"{prefix}: {exc}") from None
             # reading the whole record leaves the handle at the next one
-            src = MatrixFile(fh, prefix, size - fh.tell())
-            blob = FeatureMatrix(src.block(0, src.rows))
+            blob = FeatureMatrix._read(
+                MatrixFile(fh, prefix, size - fh.tell()))
             if name in blobs:
                 raise DataFormatError(f"{path}: duplicate blob {name!r}")
             blobs[name] = blob

@@ -67,15 +67,22 @@ def center_columns(m):
     return FeatureMatrix(m.values - means), means
 
 
-def thin_svd(m, rank_tol: float | None = None) -> SvdFactors:
-    """Thin SVD with singular values below rank_tol * s_max discarded."""
+def thin_svd(m, rank_tol: float | None = None,
+             uncentered=None) -> SvdFactors:
+    """Thin SVD with singular values below rank_tol * max(s_max, ||X||_F)
+    discarded, X being ``uncentered`` (the data m was centered from) or m.
+
+    The default rank_tol is ``cca.default_rank_tol``, the cutoff of
+    ``cca.prepare``.
+    """
     from ccax.cca import default_rank_tol
 
     if rank_tol is None:
         rank_tol = default_rank_tol(*m.values.shape)
+    norm = np.linalg.norm((m if uncentered is None else uncentered).values)
     u, s, vt = np.linalg.svd(m.values, full_matrices=False)
     if s.size and s[0] > 0:
-        r = int(np.count_nonzero(s >= rank_tol * s[0]))
+        r = int(np.count_nonzero(s >= rank_tol * max(s[0], norm)))
     else:
         r = 0
     return SvdFactors(u[:, :r], s[:r], vt[:r].T)
@@ -83,8 +90,8 @@ def thin_svd(m, rank_tol: float | None = None) -> SvdFactors:
 
 def prepare_svd(x, y, rank_tol: float | None = None):
     """(s_x, s_y, T = Ux' Uy) from the thin SVDs of the centered views."""
-    fx = thin_svd(center_columns(x)[0], rank_tol)
-    fy = thin_svd(center_columns(y)[0], rank_tol)
+    fx = thin_svd(center_columns(x)[0], rank_tol, x)
+    fy = thin_svd(center_columns(y)[0], rank_tol, y)
     return fx.s, fy.s, fx.u_left.T @ fy.u_left
 
 

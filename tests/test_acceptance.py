@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from blas_threads import run_under_blas_threads
 from ccax import cca, hkse, io, retrieval, selection, synthetic
 from ccax.cca import RegularizationSpec, prepare, solve
 from ccax.cli import main
@@ -177,9 +178,9 @@ def test_criterion_05_path_standalone_equivalence():
            f"{cells} cells equal standalone r@1, guided bitwise {bitwise}")
 
 
-def test_criterion_06_path_timing():
-    """T-SVD path at least 1.5x faster than Tikhonov at desk scale."""
-    start = time.perf_counter()
+def path_timing() -> tuple[float, float]:
+    """Median seconds of the T-SVD and the Tikhonov path over a 20x20 grid
+    at desk scale."""
     cfg = synthetic.LatentModelConfig(
         n_train=2000, n_val=250, n_test=1, latent_dim=30,
         image_dim=512, text_dim=256, noise_x=0.5, noise_y=0.5, seed=106,
@@ -192,12 +193,28 @@ def test_criterion_06_path_timing():
     vc = io.FeatureMatrix(y.values[splits["val"]])
     timing = selection.measure_path_timing(cca.prepare(tx, ty), vi, vc,
                                            repeats=3)
+    return timing.tsvd_seconds, timing.tikhonov_seconds
+
+
+def test_criterion_06_path_timing(tmp_path):
+    """T-SVD path at least 1.5x faster than Tikhonov at desk scale.
+
+    Both paths are timed in a fresh interpreter under one BLAS thread, the
+    benchmark's setting, so that a neighbour on a shared machine cannot
+    stall a second BLAS thread of one path but not the other.
+    """
+    start = time.perf_counter()
+    proc = run_under_blas_threads(
+        1, ["-c", "import test_acceptance as t; print(*t.path_timing())"],
+        tmp_path)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    tsvd, tikhonov = (float(v) for v in proc.stdout.split())
     elapsed = time.perf_counter() - start
-    ok = timing.tsvd_seconds <= timing.tikhonov_seconds / 1.5 and elapsed < 600
-    report(6, "T-SVD path timing advantage (20x20 grid, median of 3)", ok,
-           f"tsvd {timing.tsvd_seconds:.1f}s vs tikhonov "
-           f"{timing.tikhonov_seconds:.1f}s = {timing.speedup:.2f}x, "
-           f"total {elapsed:.0f}s")
+    ok = tsvd <= tikhonov / 1.5 and elapsed < 600
+    report(6, "T-SVD path timing advantage (20x20 grid, median of 3, "
+              "1 BLAS thread)", ok,
+           f"tsvd {tsvd:.1f}s vs tikhonov {tikhonov:.1f}s = "
+           f"{tikhonov / tsvd:.2f}x, total {elapsed:.0f}s")
 
 
 def test_criterion_07_hkse_approximation():

@@ -11,6 +11,7 @@ import pytest
 
 from ccax import cca, cli, hkse, io, selection
 from ccax.cli import main
+from oracles import matrix_to_bytes
 
 
 @pytest.fixture(scope="module")
@@ -693,6 +694,149 @@ class TestRefusedEmbedLeavesNoFile:
                            word_data / "vectors.txt",
                            map_out=tmp_path / "no-such-dir" / "e.arc")
         assert "No such file or directory" in err
+
+
+class TestStreamedTable:
+    """embed parses the values of the rows the corpus uses and of the rows
+    the bandwidth sample draws, and checks every other line's structure."""
+
+    VOCAB, SAMPLE, SEED = 40, 8, 3
+    CORPUS = "w0 w2 w5\nw9 w2\nw5 zebra w0 w9\n"
+    USED = (0, 2, 5, 9)
+
+    @pytest.fixture(scope="class")
+    def words(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("streamed")
+        table = io.EmbeddingTable(
+            tuple(f"w{i}" for i in range(self.VOCAB)),
+            np.random.default_rng(8).standard_normal((self.VOCAB, 4)))
+        io.save_embedding_table(table, path / "vectors.txt")
+        (path / "caps.txt").write_text(self.CORPUS)
+        return path
+
+    def rows(self):
+        """(a row neither the corpus nor the sample uses, a sampled row
+        the corpus does not use)."""
+        sampled = set(hkse.sample_rows(self.VOCAB, self.SAMPLE,
+                                       self.SEED).tolist())
+        assert not sampled.issuperset(self.USED)
+        free = [r for r in range(self.VOCAB)
+                if r not in sampled and r not in self.USED]
+        return free[-1], min(sampled - set(self.USED))
+
+    def embed(self, words, vectors, out, *flags):
+        return main(["embed", "--corpus", str(words / "caps.txt"),
+                     "--vectors", str(vectors), "--variant", "rbf,rbf",
+                     "--m", "16", "--mprime", "12", "--seed",
+                     str(self.SEED), *flags, "--out", str(out)])
+
+    def edited(self, words, tmp_path, row, edit):
+        """The table with line ``row + 2`` passed through ``edit``."""
+        lines = (words / "vectors.txt").read_bytes().split(b"\n")
+        lines[row + 1] = edit(lines[row + 1])
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_bytes(b"\n".join(lines))
+        return vectors
+
+    FLAGS = {"median": ("--gamma", "median", "--gamma-sample", str(SAMPLE)),
+             "fixed": ("--gamma", "0.4")}
+
+    @pytest.mark.parametrize("flags", FLAGS)
+    @pytest.mark.parametrize("value", [b"x", b"nan"])
+    def test_bad_value_in_an_unused_row(self, flags, value, words, tmp_path):
+        free, _ = self.rows()
+
+        def edit(line):
+            fields = line.split()
+            fields[2] = value
+            return b" ".join(fields)
+
+        vectors = self.edited(words, tmp_path, free, edit)
+        clean, bad = tmp_path / "clean.fmat", tmp_path / "bad.fmat"
+        assert self.embed(words, words / "vectors.txt", clean,
+                          *self.FLAGS[flags]) == 0
+        assert self.embed(words, vectors, bad, *self.FLAGS[flags]) == 0
+        assert bad.read_bytes() == clean.read_bytes()
+
+    @pytest.mark.parametrize("used", ["corpus", "sample"])
+    @pytest.mark.parametrize("value, message", [
+        (b"x", "value 2 is not a number: 'x'"),
+        (b"nan", "value 2 is not finite: nan"),
+    ])
+    def test_bad_value_in_a_used_row(self, used, value, message, words,
+                                     tmp_path, capsys):
+        row = 5 if used == "corpus" else self.rows()[1]
+
+        def edit(line):
+            fields = line.split()
+            fields[2] = value
+            return b" ".join(fields)
+
+        vectors = self.edited(words, tmp_path, row, edit)
+        out = tmp_path / "e.fmat"
+        assert self.embed(words, vectors, out, *self.FLAGS["median"]) == 1
+        assert capsys.readouterr().err == \
+            f"ccax: error: {vectors}:{row + 2}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda line: line + b" 1", "expected token + 4 values, got 6 "
+                                    "fields"),
+        (lambda line: b"w1" + line[line.index(b" "):],
+         "duplicate token 'w1' (first on line 3)"),
+        (lambda line: line + b"\xff", "not UTF-8 (invalid start byte)"),
+    ])
+    def test_unused_line_still_refused(self, edit, message, words, tmp_path,
+                                       capsys):
+        free, _ = self.rows()
+        vectors = self.edited(words, tmp_path, free, edit)
+        out = tmp_path / "e.fmat"
+        assert self.embed(words, vectors, out, *self.FLAGS["fixed"]) == 1
+        assert capsys.readouterr().err == \
+            f"ccax: error: {vectors}:{free + 2}: {message}\n"
+        assert not out.exists()
+
+    def test_corpus_decode_error_comes_first(self, words, tmp_path, capsys):
+        vectors = self.edited(words, tmp_path, 1, lambda line: b"")
+        corpus = tmp_path / "caps.txt"
+        corpus.write_bytes(b"w0\n\xff\n")
+        code = main(["embed", "--corpus", str(corpus), "--vectors",
+                     str(vectors), "--out", str(tmp_path / "e.fmat")])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            f"ccax: error: {corpus}:2: not UTF-8 (invalid start byte)\n"
+
+    @pytest.mark.parametrize("sample", [SAMPLE, VOCAB])
+    def test_equals_embed_corpus_on_the_whole_table(self, sample, words,
+                                                    tmp_path):
+        out, map_out = tmp_path / "e.fmat", tmp_path / "e.arc"
+        assert self.embed(words, words / "vectors.txt", out, "--gamma",
+                          "median", "--gamma-sample", str(sample),
+                          "--map-out", str(map_out)) == 0
+        table = io.load_embedding_table(words / "vectors.txt")
+        corpus = io.load_corpus(words / "caps.txt", table)
+        gamma = hkse.bandwidth_heuristic(table, sample, seed=self.SEED)
+        hkse_map = hkse.build_map("rbf", "rbf", gamma, 0.01, 16, 12, 4,
+                                  seed=self.SEED)
+        want = hkse.embed_corpus(hkse_map, corpus, table)
+        assert out.read_bytes() == matrix_to_bytes(want)
+        saved, = hkse.maps_from_archive(io.load_archive(map_out))
+        assert saved.gamma == gamma
+
+    def test_vectors_from_a_pipe(self, words, tmp_path):
+        fifo = tmp_path / "vectors.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(
+            target=lambda: fifo.write_bytes(
+                (words / "vectors.txt").read_bytes()), daemon=True)
+        writer.start()
+        piped, filed = tmp_path / "p.fmat", tmp_path / "f.fmat"
+        assert self.embed(words, fifo, piped, *self.FLAGS["median"]) == 0
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert self.embed(words, words / "vectors.txt", filed,
+                          *self.FLAGS["median"]) == 0
+        assert piped.read_bytes() == filed.read_bytes()
 
 
 def _path_argv(command, synth_dir, tmp_path, y=None, pairing=None):

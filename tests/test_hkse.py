@@ -1,8 +1,5 @@
 """Random feature maps against the exact kernel they approximate."""
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,23 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blas_threads import run_under_blas_threads
 from ccax import hkse, io
 from oracles import bandwidth_sorted, embed_sentence_gemv
-
-ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_under_two_blas_threads(tmp_path, test: str):
     """Run ``test`` of this file in a fresh interpreter where OpenBLAS
     splits each product over two threads; return the finished process."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]]
-                               if env.get("PYTHONPATH") else []))
-    return subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         f"{Path(__file__).resolve()}::{test}"], cwd=tmp_path, env=env,
-        capture_output=True, text=True, timeout=600)
+    return run_under_blas_threads(
+        2, ["-m", "pytest", "-q", "-p", "no:cacheprovider",
+            f"{Path(__file__).resolve()}::{test}"], tmp_path)
 
 
 def unit_pairs(rng, count, dim):

@@ -93,6 +93,25 @@ class TestFmat1:
         with pytest.raises(io.DataFormatError, match="non-finite"):
             io.load_matrix(path)
 
+    def test_values_checked_once(self, tmp_path, monkeypatch):
+        # the reader checks every value; the FeatureMatrix it builds and
+        # an archive's blobs do not check them again
+        checked = []
+        require = io._require_finite
+        monkeypatch.setattr(io, "_require_finite", lambda arr, *rest: (
+            checked.append(arr.shape), require(arr, *rest))[1])
+        m = io.FeatureMatrix(np.arange(6.0).reshape(2, 3))
+        io.save_matrix(m, tmp_path / "m.fmat")
+        io.save_archive(io.ModelArchive({}, {"A": m, "B": m}),
+                        tmp_path / "m.arc")
+        checked.clear()
+        loaded = io.load_matrix(tmp_path / "m.fmat")
+        assert checked == [(2, 3)]
+        assert loaded.values.base is None and not loaded.values.flags.writeable
+        checked.clear()
+        io.load_archive(tmp_path / "m.arc")
+        assert checked == [(2, 3), (2, 3)]
+
     def test_empty_file(self, tmp_path):
         path = write(tmp_path / "m.fmat", b"")
         with pytest.raises(io.DataFormatError, match="empty"):
@@ -413,6 +432,100 @@ class TestEmbeddingTable:
             io.load_embedding_table(path)
         except io.DataFormatError as exc:
             assert re.match(re.escape(str(path)) + r":\d+: ", str(exc)), exc
+
+
+def keep_rows(rows=(), tokens=()):
+    """A ``keep`` for :func:`io.load_embedding_table`: these rows and the
+    rows of these tokens."""
+    return lambda count: lambda row, token: row in rows or token in tokens
+
+
+class TestKeptRows:
+    """Only kept rows are parsed; every line is still checked."""
+
+    TABLE = "".join(f"w{i} {i} {i}.5\n" for i in range(8))
+
+    def table(self, tmp_path, lines=None):
+        rows = self.TABLE.splitlines()
+        for i, line in (lines or {}).items():
+            rows[i] = line
+        return write(tmp_path / "w.txt",
+                     ("8 2\n" + "\n".join(rows) + "\n").encode())
+
+    def test_kept_rows_in_file_order(self, tmp_path):
+        counts = []
+
+        def keep(count):
+            counts.append(count)
+            return lambda row, token: row in (5, 1) or token == "w6"
+
+        table = io.load_embedding_table(self.table(tmp_path), keep)
+        assert counts == [8]
+        assert table.tokens == ("w1", "w5", "w6")
+        np.testing.assert_array_equal(table.vectors,
+                                      [[1, 1.5], [5, 5.5], [6, 6.5]])
+        assert table.vectors.base is None and not table.vectors.flags.writeable
+
+    def test_keeping_every_row_is_the_default(self, tmp_path):
+        path = self.table(tmp_path)
+        full = io.load_embedding_table(path)
+        kept = io.load_embedding_table(path, keep_rows(range(8)))
+        assert kept.tokens == full.tokens
+        assert kept.vectors.tobytes() == full.vectors.tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    def test_kept_rows_across_chunks(self, chunk, tmp_path, monkeypatch):
+        monkeypatch.setattr(io, "_TABLE_CHUNK_LINES", chunk)
+        path = self.table(tmp_path)
+        full = io.load_embedding_table(path)
+        kept = io.load_embedding_table(path, keep_rows((0, 3, 4, 7)))
+        assert kept.tokens == ("w0", "w3", "w4", "w7")
+        assert kept.vectors.tobytes() == full.vectors[[0, 3, 4, 7]].tobytes()
+
+    @pytest.mark.parametrize("value", ["x", "nan", "1_0", "1e999"])
+    def test_unkept_values_are_not_parsed(self, value, tmp_path):
+        path = self.table(tmp_path, {4: f"w4 {value} 1"})
+        table = io.load_embedding_table(path, keep_rows((0, 7)))
+        np.testing.assert_array_equal(table.vectors, [[0, 0.5], [7, 7.5]])
+
+    @pytest.mark.parametrize("value, message", [
+        ("x", "value 1 is not a number: 'x'"),
+        ("nan", "value 1 is not finite: nan"),
+    ])
+    def test_kept_value_names_its_line(self, value, message, tmp_path):
+        # kept lines 2, 6 and 9 are not consecutive: the bad one is the
+        # third kept row of the chunk, on line 9
+        path = self.table(tmp_path, {7: f"w7 {value} 1"})
+        with pytest.raises(io.DataFormatError) as info:
+            io.load_embedding_table(path, keep_rows((0, 4, 7)))
+        assert str(info.value) == f"{path}:9: {message}"
+
+    @pytest.mark.parametrize("line, message", [
+        ("w4 1", "6: expected token + 2 values, got 2 fields"),
+        ("w4 1 2 3", "6: expected token + 2 values, got 4 fields"),
+        ("w4", "6: expected token + 2 values, got 1 fields"),
+        ("w1 1 2", "6: duplicate token 'w1' (first on line 3)"),
+        ("w4 1 \udcff", "6: not UTF-8 (invalid start byte)"),
+    ])
+    def test_unkept_line_still_checked(self, line, message, tmp_path):
+        path = self.table(tmp_path)
+        data = path.read_bytes().replace(
+            b"w4 4 4.5", line.encode("utf-8", "surrogateescape"))
+        write(path, data)
+        with pytest.raises(io.DataFormatError) as info:
+            io.load_embedding_table(path, keep_rows((0,)))
+        assert str(info.value) == f"{path}:{message}"
+
+    def test_header_counts_still_checked(self, tmp_path):
+        path = write(tmp_path / "w.txt", b"2 1\na 1\nb 2\nc 3\n")
+        with pytest.raises(io.DataFormatError,
+                           match=r"w\.txt:4: more entries than header"):
+            io.load_embedding_table(path, keep_rows((0,)))
+        path = write(tmp_path / "w.txt", b"4 1\na 1\nb 2\n")
+        with pytest.raises(io.DataFormatError,
+                           match=r"w\.txt:4: header declares 4 entries, "
+                                 r"found 2"):
+            io.load_embedding_table(path, keep_rows((0,)))
 
 
 class TestCorpus:

@@ -80,6 +80,31 @@ def test_embed_never_holds_its_output(tmp_path):
     assert peak < table.vectors.nbytes + maps + words + output / 4
 
 
+def test_embed_holds_only_the_rows_it_uses(tmp_path):
+    # a 20,000 x 100 table (16 MB parsed) and a corpus of 50 of its words:
+    # with a fixed gamma only those 50 rows are parsed, and the op holds
+    # their values and an index of every token, not the table
+    rng = np.random.default_rng(4)
+    vocab, dim = 20_000, 100
+    digits = rng.integers(0, 10, size=(vocab, dim)).astype(str)
+    with open(tmp_path / "v.txt", "w", encoding="utf-8") as fh:
+        fh.write(f"{vocab} {dim}\n")
+        for i, row in enumerate(digits):
+            fh.write(f"w{i} " + " ".join(row) + "\n")
+    words = rng.choice(vocab, size=50, replace=False)
+    (tmp_path / "c.txt").write_text("".join(
+        " ".join(f"w{i}" for i in rng.choice(words, size=6)) + "\n"
+        for _ in range(40)))
+    argv = ["embed", "--corpus", str(tmp_path / "c.txt"),
+            "--vectors", str(tmp_path / "v.txt"), "--variant", "rbf,rbf",
+            "--m", "64", "--mprime", "64", "--gamma", "0.01",
+            "--out", str(tmp_path / "o.fmat")]
+    codes = []
+    peak = traced_peak(lambda: codes.append(cli.main(argv)))
+    assert codes == [0]
+    assert peak < vocab * dim * 8 / 4
+
+
 def test_table_parsed_in_place(tmp_path, monkeypatch):
     # 8 chunks of 300-dim rows at three decimals: the parsed table, one
     # chunk's text and block, and the tokens fit in table + chunk + 25%

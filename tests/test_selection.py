@@ -351,9 +351,11 @@ class TestTimingMachinery:
         assert report.tsvd_seconds > 0 and report.tikhonov_seconds > 0
 
     def test_speedup_grows_with_text_dimension(self):
-        # per cell the full-size SVD scales with m_x m_y^2 while the
-        # truncated one scales with the (smaller) grid ranks, so widening
-        # one view at a fixed grid widens the gap
+        # no cell takes an SVD: both paths score the same cells, but a
+        # Tikhonov cell forms its scores by a product over every text
+        # rank, while a T-SVD grid row grows its scores over ascending
+        # ranks once.  Widening the text view grows the Tikhonov product
+        # per cell against the scoring both paths share, so the gap widens
         def speedup(text_dim):
             cfg = synthetic.LatentModelConfig(
                 n_train=800, n_val=150, n_test=1, latent_dim=10,
