@@ -719,7 +719,6 @@ class TestStreamedTable:
         the corpus does not use)."""
         sampled = set(hkse.sample_rows(self.VOCAB, self.SAMPLE,
                                        self.SEED).tolist())
-        assert not sampled.issuperset(self.USED)
         free = [r for r in range(self.VOCAB)
                 if r not in sampled and r not in self.USED]
         return free[-1], min(sampled - set(self.USED))
@@ -729,6 +728,15 @@ class TestStreamedTable:
                      "--vectors", str(vectors), "--variant", "rbf,rbf",
                      "--m", "16", "--mprime", "12", "--seed",
                      str(self.SEED), *flags, "--out", str(out)])
+
+    @staticmethod
+    def second_value(value):
+        """An edit that puts ``value`` in a line's second value field."""
+        def edit(line):
+            fields = line.split()
+            fields[2] = value
+            return b" ".join(fields)
+        return edit
 
     def edited(self, words, tmp_path, row, edit):
         """The table with line ``row + 2`` passed through ``edit``."""
@@ -745,13 +753,8 @@ class TestStreamedTable:
     @pytest.mark.parametrize("value", [b"x", b"nan"])
     def test_bad_value_in_an_unused_row(self, flags, value, words, tmp_path):
         free, _ = self.rows()
-
-        def edit(line):
-            fields = line.split()
-            fields[2] = value
-            return b" ".join(fields)
-
-        vectors = self.edited(words, tmp_path, free, edit)
+        vectors = self.edited(words, tmp_path, free,
+                              self.second_value(value))
         clean, bad = tmp_path / "clean.fmat", tmp_path / "bad.fmat"
         assert self.embed(words, words / "vectors.txt", clean,
                           *self.FLAGS[flags]) == 0
@@ -766,13 +769,7 @@ class TestStreamedTable:
     def test_bad_value_in_a_used_row(self, used, value, message, words,
                                      tmp_path, capsys):
         row = 5 if used == "corpus" else self.rows()[1]
-
-        def edit(line):
-            fields = line.split()
-            fields[2] = value
-            return b" ".join(fields)
-
-        vectors = self.edited(words, tmp_path, row, edit)
+        vectors = self.edited(words, tmp_path, row, self.second_value(value))
         out = tmp_path / "e.fmat"
         assert self.embed(words, vectors, out, *self.FLAGS["median"]) == 1
         assert capsys.readouterr().err == \
