@@ -18,6 +18,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from .io import (DataFormatError, FeatureMatrix, MatrixFile, ModelArchive,
                  format_manifest_value)
@@ -166,13 +167,24 @@ def _column_mean(view: FeatureMatrix | MatrixFile, c: int) -> np.ndarray:
     return total / view.rows
 
 
+def _geqrf(m: int, n: int, a: np.ndarray, tau: np.ndarray,
+           work: np.ndarray, lwork: int) -> None:
+    # LAPACK dgeqrf in place on the leading m rows of the column-major
+    # matrix whose columns are the rows of C-contiguous ``a`` (lda =
+    # a.shape[1]): numpy's own binding to the routine np.linalg.qr calls
+    info = lapack_lite.dgeqrf(m, n, a, a.shape[1], tau, work, lwork, 0)
+    if info["info"] != 0:
+        raise RuntimeError(f"dgeqrf failed with info {info['info']}")
+
+
 def prepare(x: FeatureMatrix | MatrixFile,
             y: FeatureMatrix | MatrixFile) -> CcaProblem:
     """Center both views and form T = Ux' Uy by one joint QR (Bjorck-Golub).
 
     Each view is read ``block`` by block, c = max(_CHUNK_ROWS, p) rows at
     a time, p = m_x + m_y, in two passes: the column means, then
-    [Xc | Yc] = Q R, each centered chunk stacked under R and refactored.
+    [Xc | Yc] = Q R, each centered chunk written under R and the stack
+    refactored in place by LAPACK ``dgeqrf``, with no copy of it made.
     So memory is O(p (p + c)) whatever n is, and a view may be an FMAT1
     file (:func:`ccax.io.open_matrix`) that is never held whole.  R is
     upper triangular, so its x block is zero below row m_x: the thin SVDs
@@ -183,15 +195,21 @@ def prepare(x: FeatureMatrix | MatrixFile,
     n, m_x, p = x.rows, x.cols, x.cols + y.cols
     c = max(_CHUNK_ROWS, p)
     mean_x, mean_y = _column_mean(x, c), _column_mean(y, c)
-    buf = np.empty((p + c, p))
+    # the (p + c) x p stacked matrix, column-major: row j of bt is column j
+    bt = np.empty((p, p + c))
+    buf = bt.T
+    tau, work = np.empty(p), np.empty(1)
+    _geqrf(p + c, p, bt, tau, work, -1)  # workspace query, as numpy's qr
+    work = np.empty(max(1, p, int(work[0])))
     k = 0  # rows of R at the top of buf
     for lo in range(0, n, c):
         h = min(c, n - lo)
         np.subtract(x.block(lo, lo + h), mean_x, out=buf[k:k + h, :m_x])
         np.subtract(y.block(lo, lo + h), mean_y, out=buf[k:k + h, m_x:])
-        r_factor = np.linalg.qr(buf[:k + h], mode="r")
-        k = r_factor.shape[0]
-        buf[:k] = r_factor
+        _geqrf(k + h, p, bt, tau, work, work.size)
+        k = min(k + h, p)
+        for j in range(k - 1):  # Householder vectors below R's diagonal
+            bt[j, j + 1:k] = 0.0
     factors = []
     for block, mean in ((buf[:min(k, m_x), :m_x], mean_x),
                         (buf[:k, m_x:], mean_y)):

@@ -330,6 +330,9 @@ def load_matrix(path) -> FeatureMatrix:
 #: Lines parsed per ``np.loadtxt`` call by :func:`load_embedding_table`.
 _TABLE_CHUNK_LINES = 1024
 
+#: Unparsed table lines whose fields are counted in one pass.
+_COUNT_GROUP_LINES = 32
+
 
 def load_embedding_table(path, keep=None) -> EmbeddingTable:
     """Parse the standard text vector format (``count dim`` header line).
@@ -363,37 +366,48 @@ def load_embedding_table(path, keep=None) -> EmbeddingTable:
         vectors = np.empty((min(count, rows), dim))
         lines_of: dict[str, int] = {}  # token -> its line, in file order
         tokens, values = [], []  # kept, and the value text of their chunk
-        for lineno in range(2, count + 2):
-            raw = fh.readline()
-            if not raw:
-                raise DataFormatError(
-                    f"{path}:{lineno}: header declares {count} entries, "
-                    f"found {lineno - 2}"
-                )
-            parts = _decode_line(path, lineno, raw).split(None, 1)
-            if len(parts) != 2:
-                raise _field_count_error(path, lineno, len(parts), dim)
-            token = parts[0]
-            if token in lines_of:
-                raise DataFormatError(
-                    f"{path}:{lineno}: duplicate token {token!r} "
-                    f"(first on line {lines_of[token]})"
-                )
-            lines_of[token] = lineno
-            if wanted is None or wanted(lineno - 2, token):
-                tokens.append(token)
-                values.append(parts[1])
-            elif len(fields := parts[1].split()) != dim:
-                raise _field_count_error(path, lineno, len(fields) + 1, dim)
-            if values and (len(values) == _TABLE_CHUNK_LINES
-                           or lineno == count + 1):
-                if len(tokens) > len(vectors):  # a table that grows doubles
-                    vectors.resize((min(count, 2 * len(vectors)), dim),
-                                   refcheck=False)
-                first = len(tokens) - len(values)
-                vectors[first:len(tokens)] = _parse_table_chunk(
-                    path, [lines_of[t] for t in tokens[first:]], values, dim)
-                values = []
+        unparsed = []  # (line, value text) of lines not kept, not yet counted
+        try:
+            for lineno in range(2, count + 2):
+                raw = fh.readline()
+                if not raw:
+                    raise DataFormatError(
+                        f"{path}:{lineno}: header declares {count} entries, "
+                        f"found {lineno - 2}"
+                    )
+                parts = _decode_line(path, lineno, raw).split(None, 1)
+                if len(parts) != 2:
+                    raise _field_count_error(path, lineno, len(parts), dim)
+                token = parts[0]
+                if token in lines_of:
+                    raise DataFormatError(
+                        f"{path}:{lineno}: duplicate token {token!r} "
+                        f"(first on line {lines_of[token]})"
+                    )
+                lines_of[token] = lineno
+                if wanted is None or wanted(lineno - 2, token):
+                    tokens.append(token)
+                    values.append(parts[1])
+                else:
+                    unparsed.append((lineno, parts[1]))
+                if (len(unparsed) == _COUNT_GROUP_LINES
+                        or lineno == count + 1):
+                    group, unparsed = unparsed, []
+                    _check_field_counts(path, group, dim)
+                if values and (len(values) == _TABLE_CHUNK_LINES
+                               or lineno == count + 1):
+                    if len(tokens) > len(vectors):  # a growing table doubles
+                        vectors.resize((min(count, 2 * len(vectors)), dim),
+                                       refcheck=False)
+                    first = len(tokens) - len(values)
+                    vectors[first:len(tokens)] = _parse_table_chunk(
+                        path, [lines_of[t] for t in tokens[first:]], values,
+                        dim)
+                    values = []
+        except DataFormatError:
+            # an uncounted earlier line's field count is the first error
+            _check_field_counts(path, unparsed, dim)
+            raise
         if _decode_line(path, count + 2, fh.readline()).strip():
             raise DataFormatError(
                 f"{path}:{count + 2}: more entries than header declares")
@@ -444,6 +458,39 @@ def _parse_table_chunk(path, lines: list[int], values: list[str],
             f"{block[row, col]}"
         )
     return block
+
+
+def _field_counts(texts: list[str]) -> list[int]:
+    """``len(text.split())`` of each text, without making its fields.
+
+    ASCII texts are counted in one numpy pass: a field starts where a byte
+    that is not blank follows a blank one, the blanks being bytes 9-13 and
+    28-32, the ASCII whitespace of ``str.split``.  Other texts are split.
+    """
+    counts = [-1 if text.isascii() else len(text.split()) for text in texts]
+    plain = [text for text, n in zip(texts, counts) if n < 0]
+    if plain:
+        # each text after a blank, so that its first field is counted
+        data = np.frombuffer((" " + " ".join(plain)).encode("ascii"),
+                             dtype=np.uint8)
+        shifted = data - np.uint8(9)  # wraps below 9
+        blank = shifted < 5
+        blank |= np.subtract(data, np.uint8(28), out=shifted) < 5
+        starts = np.flatnonzero(blank[:-1] > blank[1:])  # a field at i + 1
+        ends = np.cumsum([len(text) + 1 for text in plain])
+        found = iter(np.diff(np.searchsorted(starts, ends),
+                             prepend=0).tolist())
+        counts = [next(found) if n < 0 else n for n in counts]
+    return counts
+
+
+def _check_field_counts(path, lines: list[tuple[int, str]], dim: int) -> None:
+    """Raise the field-count error of the first of (line, value text)
+    ``lines`` whose text does not hold ``dim`` fields."""
+    for (lineno, _), fields in zip(lines, _field_counts(
+            [text for _, text in lines])):
+        if fields != dim:
+            raise _field_count_error(path, lineno, fields + 1, dim)
 
 
 def _check_table_line(path, lineno: int, text: str, dim: int) -> None:

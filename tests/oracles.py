@@ -19,7 +19,9 @@ task projects both views by its own weighted branches
 counting route on normalized vectors.  ``best_ranks`` runs
 ``count_ranks`` on list-of-lists ground truth.  Centering and a full thin
 SVD of each view (``center_columns``, ``thin_svd``, ``prepare_svd``) is
-the route the chunked joint QR of ``cca.prepare`` replaced.
+the route the chunked joint QR of ``cca.prepare`` replaced, and
+``prepare_qr``, which refactors a copy of each chunk's stack by
+``np.linalg.qr``, the route its in-place ``dgeqrf`` replaced.
 The elementwise spectral filters and ``verify_filter_forms`` check the
 paper's identity that Tikhonov and T-SVD are diagonal filters on T, which
 ``cca.solve`` applies directly.  ``generate_latent_pairs`` is the 1:1
@@ -93,6 +95,40 @@ def prepare_svd(x, y, rank_tol: float | None = None):
     fx = thin_svd(center_columns(x)[0], rank_tol, x)
     fy = thin_svd(center_columns(y)[0], rank_tol, y)
     return fx.s, fy.s, fx.u_left.T @ fy.u_left
+
+
+def prepare_qr(x, y):
+    """``cca.prepare`` as it was before it factored its buffer in place:
+    each centered chunk is stacked under R in a row-major buffer and
+    ``np.linalg.qr(..., mode="r")`` refactors a copy of the stack."""
+    from ccax import cca
+
+    cca._validate_pair(x, y)
+    n, m_x, p = x.rows, x.cols, x.cols + y.cols
+    c = max(cca._CHUNK_ROWS, p)
+    mean_x, mean_y = cca._column_mean(x, c), cca._column_mean(y, c)
+    buf = np.empty((p + c, p))
+    k = 0
+    for lo in range(0, n, c):
+        h = min(c, n - lo)
+        np.subtract(x.block(lo, lo + h), mean_x, out=buf[k:k + h, :m_x])
+        np.subtract(y.block(lo, lo + h), mean_y, out=buf[k:k + h, m_x:])
+        r_factor = np.linalg.qr(buf[:k + h], mode="r")
+        k = r_factor.shape[0]
+        buf[:k] = r_factor
+    factors = []
+    for block, mean in ((buf[:min(k, m_x), :m_x], mean_x),
+                        (buf[:k, m_x:], mean_y)):
+        w, s, vt = np.linalg.svd(block, full_matrices=False)
+        norm = math.hypot(*s, *(math.sqrt(n) * mean))
+        tol = cca.default_rank_tol(n, block.shape[1]) * max(s[0], norm)
+        rank = int(np.count_nonzero((s > 0) & (s >= tol)))
+        if rank == 0:
+            raise ValueError("zero numerical rank after centering")
+        factors.append((w[:, :rank], s[:rank], vt[:rank].T))
+    (w_x, s_x, v_x), (w_y, s_y, v_y) = factors
+    return cca.CcaProblem(mean_x, mean_y, s_x, s_y, v_x, v_y,
+                          w_x.T @ w_y[:w_x.shape[0]], n=n)
 
 
 def spectral_filter_soft(s, alpha: float):

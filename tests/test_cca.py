@@ -1,16 +1,19 @@
 """Solver correctness against brute-force oracles and closed-form identities."""
 
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from blas_threads import run_under_blas_threads
 from ccax import cca, io
 from ccax.cca import RegularizationSpec, prepare, solve
 from oracles import (cca_correlations_eig, center_columns,
-                     constraint_residual, prepare_svd, sign_fix_loops,
+                     constraint_residual, prepare_qr, prepare_svd,
+                     sign_fix_loops,
                      spectral_filter_hard, spectral_filter_soft, thin_svd,
                      verify_filter_forms)
 
@@ -329,6 +332,72 @@ class TestPrepareMatchesSvdRoute:
         problem = cca.prepare(x, y)
         np.testing.assert_array_equal(problem.mean_x, x.values.mean(axis=0))
         np.testing.assert_array_equal(problem.mean_y, y.values.mean(axis=0))
+
+
+@st.composite
+def chunked_pairs(draw):
+    """(x, y, chunk): views of rank up to their width, some deficient, with
+    n under p = m_x + m_y, at c or c + 1, or one row past whole chunks."""
+    chunk = draw(st.sampled_from([1, 5, 12, 40]))
+    m_x, m_y = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    c = max(chunk, m_x + m_y)
+    n = draw(st.sampled_from([c, c + 1, 2 * c + 1, 3 * c + 1])
+             | st.integers(2, min(3 * c + 1, 80)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x, y = _pair(rng, n, m_x, m_y, draw(st.integers(1, 9)),
+                 draw(st.integers(1, 9)), draw(st.booleans()))
+    return x, y, chunk
+
+
+@pytest.mark.filterwarnings("ignore:n=.*covariances are singular")
+class TestPrepareMatchesNumpyQr:
+    """``prepare``'s in-place ``dgeqrf`` against ``np.linalg.qr`` on a copy
+    of each stack (``oracles.prepare_qr``): every array bit for bit."""
+
+    @staticmethod
+    def check(x, y, chunk):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cca, "_CHUNK_ROWS", chunk)
+            want = prepare_qr(x, y)
+            got = cca.prepare(x, y)
+        for field in fields(got):
+            np.testing.assert_array_equal(getattr(got, field.name),
+                                          getattr(want, field.name))
+
+    @settings(max_examples=80, deadline=None)
+    @given(pair=chunked_pairs())
+    def test_random_shapes(self, pair):
+        self.check(*pair)
+
+    @pytest.mark.parametrize("n,m_x,m_y,chunk", [
+        (700, 120, 60, 256),    # blocked dgeqrf (p > 128) over three chunks
+        (401, 150, 100, 200),   # a one-row last chunk after a blocked one
+        (90, 120, 60, 256),     # n < p, so R is trapezoidal
+    ])
+    def test_blocked_shapes(self, n, m_x, m_y, chunk):
+        rng = np.random.default_rng(n)
+        x = io.FeatureMatrix(rng.standard_normal((n, m_x)) + 3.0)
+        y = io.FeatureMatrix(x.values[:, :m_y // 2] @ rng.standard_normal(
+            (m_y // 2, m_y)) + rng.standard_normal((n, m_y)))
+        self.check(x, y, chunk)
+
+    def test_one_row(self):
+        # centering leaves nothing: both routes refuse it alike
+        x, y = io.FeatureMatrix([[1.0, 2.0, 3.0]]), io.FeatureMatrix([[4.0]])
+        for route in (prepare_qr, cca.prepare):
+            with pytest.raises(ValueError, match="zero numerical rank"):
+                route(x, y)
+
+    def test_two_blas_threads(self, tmp_path):
+        # the same arrays where OpenBLAS splits each product over threads
+        proc = run_under_blas_threads(
+            2, ["-m", "pytest", "-q", "-p", "no:cacheprovider",
+                f"{Path(__file__).resolve()}::TestPrepareMatchesNumpyQr"
+                "::test_random_shapes",
+                f"{Path(__file__).resolve()}::TestPrepareMatchesNumpyQr"
+                "::test_blocked_shapes"], tmp_path)
+        assert proc.returncode == 0, proc.stdout[-3000:]
+        assert "4 passed" in proc.stdout
 
 
 class TestTikhonov:

@@ -8,6 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.linalg import lapack_lite
 
 from ccax import cca, cli, hkse, io, selection
 from ccax.cli import main
@@ -1048,7 +1049,9 @@ class TestPathInputErrors:
         def no_factorisation(*args, **kwargs):
             raise AssertionError("a factorisation ran before the input check")
 
-        # cca.prepare's joint QR is the first factorisation of a fit
+        # cca.prepare's joint QR, dgeqrf in place, is the first
+        # factorisation of a fit
+        monkeypatch.setattr(lapack_lite, "dgeqrf", no_factorisation)
         monkeypatch.setattr(np.linalg, "qr", no_factorisation)
         monkeypatch.setattr(np.linalg, "svd", no_factorisation)
         argv = _path_argv(command, synth_dir, tmp_path, y, pairing)
@@ -1081,6 +1084,7 @@ class TestNonFiniteTrainingValue:
         def no_factorisation(*args, **kwargs):
             raise AssertionError("a factorisation ran before the input check")
 
+        monkeypatch.setattr(lapack_lite, "dgeqrf", no_factorisation)
         monkeypatch.setattr(np.linalg, "qr", no_factorisation)
         if reg in self.FIT_FLAGS:
             argv = ["fit", "--reg", reg, *self.FIT_FLAGS[reg],

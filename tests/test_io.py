@@ -440,6 +440,20 @@ def keep_rows(rows=(), tokens=()):
     return lambda count: lambda row, token: row in rows or token in tokens
 
 
+#: The ASCII whitespace ``str.split`` splits on: bytes 9-13 and 28-32.
+BLANKS = "".join(map(chr, [*range(9, 14), *range(28, 33)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(
+    [*BLANKS, "   ", "a", "-1.5", "\x85", "\xa0", "\u3000", "\u00e9"]),
+    max_size=40).map("".join), max_size=70))
+def test_field_counts_are_split_counts(texts):
+    # every ASCII blank, runs of spaces, leading and trailing blanks, and
+    # texts with non-ASCII whitespace, which str.split counts itself
+    assert io._field_counts(texts) == [len(text.split()) for text in texts]
+
+
 class TestKeptRows:
     """Only kept rows are parsed; every line is still checked."""
 
@@ -515,6 +529,37 @@ class TestKeptRows:
         with pytest.raises(io.DataFormatError) as info:
             io.load_embedding_table(path, keep_rows((0,)))
         assert str(info.value) == f"{path}:{message}"
+
+    @pytest.mark.parametrize("group", [1, 5, 64])
+    @pytest.mark.parametrize("later", [
+        b"w5 1", b"w1 5 5.5", b"w5 5 \xff", b"w5 x 5.5", b"w5 nan 5.5",
+        b"w5"])
+    def test_field_count_error_comes_first(self, group, later, tmp_path,
+                                           monkeypatch):
+        # unkept line 4's fields are counted in a group, after lines that
+        # may hold an error of their own (line 7, kept): line 4's still wins
+        monkeypatch.setattr(io, "_COUNT_GROUP_LINES", group)
+        path = self.table(tmp_path, {2: "w2 2 2.5 9", 5: "LATER"})
+        write(path, path.read_bytes().replace(b"LATER", later))
+        with pytest.raises(io.DataFormatError) as info:
+            io.load_embedding_table(path, keep_rows((0, 5)))
+        assert str(info.value) == (
+            f"{path}:4: expected token + 2 values, got 4 fields")
+
+    @pytest.mark.parametrize("group", [1, 3, 64])
+    def test_unkept_lines_counted_in_groups(self, group, tmp_path,
+                                            monkeypatch):
+        # blanks of every kind between the fields of unkept lines
+        monkeypatch.setattr(io, "_COUNT_GROUP_LINES", group)
+        path = self.table(tmp_path, {
+            1: "w1 \t1\x0b\x0c 1.5\x1c", 3: "w3\x1f3\x1d\x1e3.5  ",
+            4: "w4 4\u30004.5", 6: "w6 6\x856.5\xa0"})
+        table = io.load_embedding_table(path, keep_rows((0, 7)))
+        assert table.tokens == ("w0", "w7")
+        path = self.table(tmp_path, {6: "w6 6\x85 6.5\xa0 7"})
+        with pytest.raises(io.DataFormatError, match=r":8: expected token "
+                                                     r"\+ 2 values, got 4"):
+            io.load_embedding_table(path, keep_rows((0, 7)))
 
     def test_header_counts_still_checked(self, tmp_path):
         path = write(tmp_path / "w.txt", b"2 1\na 1\nb 2\nc 3\n")

@@ -245,6 +245,22 @@ def test_fit_never_holds_the_pair(tmp_path, monkeypatch):
     assert (tmp_path / "m.arc").exists()
 
 
+def test_prepare_factors_in_place(tmp_path, monkeypatch):
+    # 400-row blocks of a 2000 x (100 + 100) pair: prepare holds its
+    # (200 + 400) x 200 buffer and one block per view; a copy of the stack
+    # to factor and a fresh R would add 1.33 buffers
+    monkeypatch.setattr(cca, "_CHUNK_ROWS", 400)
+    rng = np.random.default_rng(7)
+    values = rng.standard_normal((2000, 200)) + 5.0
+    io.save_matrix(io.FeatureMatrix(values[:, :100]), tmp_path / "x.fmat")
+    io.save_matrix(io.FeatureMatrix(values[:, 100:]), tmp_path / "y.fmat")
+    buffer, blocks = (200 + 400) * 200 * 8, 400 * 200 * 8
+    with io.open_matrix(tmp_path / "x.fmat") as x, \
+            io.open_matrix(tmp_path / "y.fmat") as y:
+        peak = traced_peak(lambda: cca.prepare(x, y))
+    assert peak < 1.25 * (buffer + blocks)
+
+
 def _owned_read_only():
     arr = np.arange(12.0).reshape(3, 4).copy()
     arr.flags.writeable = False
