@@ -10,9 +10,12 @@ norm.  A weighting is thus a pair of item exponents and their total
 search items Sigma x~, annotation items Sigma y~ and total 1;
 ``symmetric`` has Sigma^alpha on both sides, total 2 alpha; ``sweep`` has
 Sigma^alpha x~ and Sigma^(1-alpha) y~, total exactly 1.  Search queries
-are captions and its items images; annotation the reverse.
-:func:`_rank_blocks` scores one task for the protocol, the alpha sweep
-(one G for every alpha) and the path cells of :mod:`ccax.selection`.
+are captions and its items images; annotation the reverse.  So both tasks
+score one matrix G = Y~ (Sigma^total X~)', captions by images, and
+:func:`_rank_tasks` forms each block of its caption rows once and scores
+both from it: search along the rows, annotation down the columns.  It is
+the one kernel of the protocol, the alpha sweep (one G for every alpha)
+and the path cells of :mod:`ccax.selection`.
 """
 
 from __future__ import annotations
@@ -25,9 +28,6 @@ from .cca import CcaModel
 from .io import FeatureMatrix
 
 TASKS = ("search", "annotation")
-
-#: Each task's (query view, item view).
-_VIEWS = {"search": ("caption", "image"), "annotation": ("image", "caption")}
 
 
 @dataclass(frozen=True)
@@ -67,11 +67,11 @@ def _exponents(weighting: str,
     raise ValueError(f"unknown weighting {weighting!r}")
 
 
-#: Query rows scored at a time.  A task holds one block of scores, so its
-#: memory is O(BLOCK_ROWS x items) whatever the number of queries.  192
+#: Caption rows of G scored at a time.  Both tasks read one block, so the
+#: kernel holds O(BLOCK_ROWS x images) whatever the number of captions.  192
 #: is a multiple of the 8- and 12-row tiles of OpenBLAS's x86 kernels: on one
 #: BLAS thread a block's scores then equal, bit for bit, the same rows of a
-#: single product over all queries.
+#: single product over all captions.
 BLOCK_ROWS = 192
 
 
@@ -96,79 +96,139 @@ def _row_blocks(n_rows: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [n_rows]))
 
 
-def _rank_blocks(g_rows, n_queries: int, item_sqs, task: str,
-                 similarity: str, rank_one: bool = False,
-                 truth=None) -> np.ndarray:
-    """Score one task: the kernel of the protocol, the sweep and path cells.
+def _rank_tasks(g_rows, image_sqs, caption_sqs, similarity: str,
+                rank_one: bool = False,
+                truth=None) -> tuple[np.ndarray, np.ndarray]:
+    """Score both tasks from each block of G: the kernel of the protocol,
+    the sweep and path cells.
 
-    ``g_rows(lo, hi)`` returns the bilinear scores G of query rows [lo, hi)
-    against every item; ``item_sqs`` holds the squared item norms of each
-    weighting that shares G.  Cosine ranks by G over the item norm (by the
-    sign of G in a one-dimensional model, where every cosine is exactly
-    +-1), ``l2`` by G - ||item||^2 / 2, whose order and ties are those of
-    the distance.  Returns one row per weighting: with ``truth`` =
-    (gt_items, starts), query q counting ``gt_items[starts[q]:starts[q +
-    1]]`` as correct, each query's 1-based rank of its best ground-truth
-    item; without, its first-best item.  A rank is counted, not sorted:
-    with s* the best ground-truth score and i* the smallest ground-truth
-    index reaching it, it is 1 + #(score above s*) + #(score equal to s* at
-    an index below i*).  So ties go to the smaller index, but only between
-    bitwise-equal scores: OpenBLAS rounds the edge tiles of the item axis
-    differently, so duplicated items can score apart.  A non-finite
-    squared norm, a zero norm under cosine and a non-finite best score are
-    errors naming the view and row.
+    ``g_rows(lo, hi)`` returns the bilinear scores G of caption rows [lo,
+    hi) against every image.  Weighting w has the squared image norms
+    ``image_sqs[w]`` (the search items) and caption norms
+    ``caption_sqs[w]`` (the annotation items), all over one G.  Cosine
+    ranks by G over the item norm (by the sign of G in a one-dimensional
+    model, where every cosine is exactly +-1), ``l2`` by G - ||item||^2 /
+    2, whose order and ties are those of the distance.  Search reads a
+    block along its rows, annotation down its columns.  Returns (search,
+    annotation), one row per weighting.
+
+    With ``truth`` = (pair_index, g_true), where caption c belongs to image
+    pair_index[c] and g_true[c] is its entry of G formed before the sweep,
+    each caption's and each image's 1-based rank of its best ground-truth
+    item.  ``g_rows`` must then return a fresh block: g_true is written
+    into it at the ground-truth positions, so every entry has one value and
+    both tasks' s* are entries of the G they count.  A rank is counted, not
+    sorted: with s* the best ground-truth score and i* the smallest
+    ground-truth index reaching it, it is 1 + #(score above s*) + #(score
+    equal to s* at an index below i*).  So ties go to the smaller index,
+    but only between bitwise-equal scores: OpenBLAS rounds the edge tiles
+    of a product differently, so duplicated rows can score apart.  Without
+    ``truth``, each caption's first-best image and each image's first-best
+    caption, ties to the smaller index.
+
+    A non-finite squared norm, a zero norm under cosine and a non-finite
+    best score are errors naming the view and row: image norms first and
+    caption norms next, before the sweep, then each caption's best score
+    and each image's, after it.
     """
     if similarity not in ("cosine", "l2"):
         raise ValueError(f"unknown similarity {similarity!r}")
-    query_view, item_view = _VIEWS[task]
-    for sq in item_sqs:
-        bad = np.flatnonzero(~np.isfinite(sq))
-        if bad.size:
-            raise ValueError(f"{item_view} {bad[0]}: squared norm is not "
-                             "finite")
-        if similarity == "cosine" and not sq.all():
-            raise ValueError(f"zero-norm {item_view} vector at index "
-                             f"{int(np.flatnonzero(sq == 0)[0])} under cosine")
-    # what each weighting divides G by, or subtracts from it
-    terms = [np.sqrt(sq) if similarity == "cosine" else 0.5 * sq
-             for sq in item_sqs]
-    out = np.empty((len(item_sqs), n_queries), dtype=np.int64)
-    for lo, hi in _row_blocks(n_queries):
-        g = g_rows(lo, hi)
-        if truth is not None:
-            gt_items, starts = truth
-            gt = gt_items[starts[lo]:starts[hi]]
-            owner = np.repeat(np.arange(hi - lo), np.diff(starts[lo:hi + 1]))
-            offsets = starts[lo:hi] - starts[lo]
-        for w, term in enumerate(terms):
-            # the last weighting may overwrite a G block no one else holds
-            into = g if w == len(terms) - 1 and g.flags.owndata else None
-            if similarity == "l2":
-                scores = np.subtract(g, term, out=into)
-            elif rank_one:
-                scores = np.sign(g, out=into)
-            else:
-                scores = np.divide(g, term, out=into)
-            # argmax takes the first NaN wherever there is one
-            best = scores.argmax(axis=1)
-            bad = np.flatnonzero(~np.isfinite(scores[np.arange(hi - lo),
-                                                     best]))
+    for view, sqs in (("image", image_sqs), ("caption", caption_sqs)):
+        for sq in sqs:
+            bad = np.flatnonzero(~np.isfinite(sq))
             if bad.size:
-                raise ValueError(f"{query_view} {lo + bad[0]}: score is not "
+                raise ValueError(f"{view} {bad[0]}: squared norm is not "
                                  "finite")
+            if similarity == "cosine" and not sq.all():
+                raise ValueError(f"zero-norm {view} vector at index "
+                                 f"{int(np.flatnonzero(sq == 0)[0])} under "
+                                 "cosine")
+
+    def score(g, term, out=None):
+        if similarity == "l2":
+            return np.subtract(g, term, out=out)
+        if rank_one:
+            return np.sign(g, out=out)
+        return np.divide(g, term, out=out)
+
+    # what each weighting divides G by, or subtracts from it
+    image_terms, caption_terms = (
+        [np.sqrt(sq) if similarity == "cosine" else 0.5 * sq for sq in sqs]
+        for sqs in (image_sqs, caption_sqs))
+    n_images, n_captions = len(image_terms[0]), len(caption_terms[0])
+    if truth is not None:
+        pair_index, g_true = truth
+        search_star = [score(g_true, term[pair_index])
+                       for term in image_terms]
+        # each image's captions, in caption order
+        own = np.argsort(pair_index, kind="stable")
+        owner = pair_index[own]
+        starts = np.searchsorted(owner, np.arange(n_images))
+        annotation_star, annotation_first = [], []
+        for term in caption_terms:
+            own_scores = score(g_true, term)[own]
+            s_star = np.maximum.reduceat(own_scores, starts)
+            annotation_star.append(s_star)
+            annotation_first.append(np.minimum.reduceat(
+                np.where(own_scores == s_star[owner], own, n_captions),
+                starts))
+    search = np.empty((len(image_terms), n_captions), dtype=np.int64)
+    annotation = np.ones((len(image_terms), n_images), dtype=np.int64)
+    # each caption's and each image's best score; max and argmax keep NaN
+    caption_best = np.empty(search.shape)
+    image_best = np.full(annotation.shape, -np.inf)
+    images = np.arange(n_images)
+    scores = down = np.empty(0)
+    for lo, hi in _row_blocks(n_captions):
+        g = g_rows(lo, hi)
+        rows = np.arange(hi - lo)
+        if scores.shape != g.shape:
+            # one score buffer per task, kept while blocks keep their shape
+            # (only the last can be taller: its old pair goes first).  Down
+            # the columns reads fastest in G's own layout, and a path cell's
+            # blocks are column-major views
+            del scores, down
+            scores, down = np.empty(g.shape), np.empty_like(g)
+        if truth is not None:
+            g[rows, pair_index[lo:hi]] = g_true[lo:hi]
+        for w, (image_term, caption_term) in enumerate(zip(image_terms,
+                                                           caption_terms)):
+            score(g, image_term, scores)
             if truth is None:
-                out[w, lo:hi] = best
-                continue
-            gt_scores = scores[owner, gt]
-            s_star = np.maximum.reduceat(gt_scores, offsets)
-            i_star = np.minimum.reduceat(
-                np.where(gt_scores == s_star[owner], gt, len(term)), offsets)
-            s_star, i_star = s_star[:, None], i_star[:, None]
-            # two counts hold fewer block-sized masks at once than one
-            out[w, lo:hi] = 1 + np.count_nonzero(scores > s_star, axis=1)
-            out[w, lo:hi] += np.count_nonzero(
-                (scores == s_star) & (np.arange(len(term)) < i_star), axis=1)
-    return out
+                best = scores.argmax(axis=1)
+                search[w, lo:hi] = best
+                caption_best[w, lo:hi] = scores[rows, best]
+            else:
+                caption_best[w, lo:hi] = scores.max(axis=1)
+                s_star = search_star[w][lo:hi, None]
+                row, image = np.divmod(np.flatnonzero(scores == s_star),
+                                       n_images)
+                ahead = image < pair_index[lo + row]
+                search[w, lo:hi] = (
+                    1 + np.count_nonzero(scores > s_star, axis=1)
+                    + np.bincount(row[ahead], minlength=hi - lo))
+            score(g, caption_term[lo:hi, None], down)
+            if truth is None:
+                best = down.argmax(axis=0)
+                top = down[best, images]
+                # strictly better: an earlier block keeps its ties
+                better = top > image_best[w]
+                annotation[w, better] = lo + best[better]
+            else:
+                top = down.max(axis=0)
+                s_star = annotation_star[w]
+                row, image = np.divmod(np.flatnonzero(down == s_star),
+                                       n_images)
+                ahead = lo + row < annotation_first[w][image]
+                annotation[w] += np.count_nonzero(down > s_star, axis=0)
+                annotation[w] += np.bincount(image[ahead],
+                                             minlength=n_images)
+            np.maximum(image_best[w], top, out=image_best[w])
+    for view, best in (("caption", caption_best), ("image", image_best)):
+        bad = np.flatnonzero(~np.isfinite(best).all(axis=0))
+        if bad.size:
+            raise ValueError(f"{view} {bad[0]}: score is not finite")
+    return search, annotation
 
 
 def _report(ranks: np.ndarray, ks, task: str, n_items: int) -> EvalReport:
@@ -235,20 +295,13 @@ def _protocol_ranks(model: CcaModel, images: FeatureMatrix,
     # Sigma^total goes on the image side of both tasks' G, in place: the
     # images are the smaller view and are not needed unscaled any more
     x *= np.power(model.sigma, total)
-    rank_one = model.k == 1
-    # ground truth as flat (items, starts): search asks for each caption's
-    # one image, annotation for each image's captions in caption order
-    image_starts = np.zeros(images.rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(pair_index, minlength=images.rows),
-              out=image_starts[1:])
-    search = _rank_blocks(lambda lo, hi: y[lo:hi] @ x.T, captions.rows,
-                          image_sqs, "search", similarity, rank_one,
-                          (pair_index, np.arange(captions.rows + 1)))
-    annotation = _rank_blocks(lambda lo, hi: x[lo:hi] @ y.T, images.rows,
-                              caption_sqs, "annotation", similarity, rank_one,
-                              (np.argsort(pair_index, kind="stable"),
-                               image_starts))
-    return search, annotation
+    # each caption's entry at its own image, formed once for every block to
+    # hold; the image rows are gathered a block at a time
+    g_true = np.concatenate([
+        np.einsum("ij,ij->i", y[lo:hi], x[pair_index[lo:hi]])
+        for lo, hi in _row_blocks(captions.rows)])
+    return _rank_tasks(lambda lo, hi: y[lo:hi] @ x.T, image_sqs, caption_sqs,
+                       similarity, model.k == 1, (pair_index, g_true))
 
 
 def evaluate_bidirectional(model: CcaModel, images: FeatureMatrix,

@@ -10,8 +10,8 @@ operator and X~, Y~ the rotated views under the filter's column scale,
 both tasks rank by one matrix G = X~ op Y~': G[i, c] is the inner product
 of image i and caption c with Sigma on either side, and the search and
 annotation item norms are ||op' x~_i|| and ||op y~_c||, so a cell is one
-product and the top-1 case of the retrieval kernel
-(:func:`ccax.retrieval._rank_blocks`) per task.  A T-SVD op is the
+product and one first-best call of the retrieval kernel
+(:func:`ccax.retrieval._rank_tasks`) for both tasks.  A T-SVD op is the
 nested block T[:k_x, :k_y], so a grid row accumulates G over ascending
 k_y; a Tikhonov op is the full-size rescaled dx (Sx T Sy) dy, so each
 cell needs a full-width product -- the asymmetry the guided-Tikhonov
@@ -30,7 +30,7 @@ import numpy as np
 
 from .cca import CcaModel, CcaProblem, RegularizationSpec, solve
 from .io import FeatureMatrix
-from .retrieval import _check_pairing, _rank_blocks
+from .retrieval import _check_pairing, _rank_tasks
 
 METRICS = ("r1", "mean-r1")
 
@@ -246,12 +246,9 @@ def _run_grid(problem: CcaProblem, axis_x, axis_y, kind: str,
         for j, start, g, image_sq, rank_one in cells(i):
             # top 1 of each task: a caption hits at its own image, an image
             # at one of its own captions
-            image_of = _rank_blocks(lambda lo, hi: g.T[lo:hi], n_captions,
-                                    [image_sq], "search", similarity,
-                                    rank_one)[0]
-            caption_of = _rank_blocks(lambda lo, hi: g[lo:hi], n_images,
-                                      [caption_sq[i, j]], "annotation",
-                                      similarity, rank_one)[0]
+            image_of, caption_of = (best[0] for best in _rank_tasks(
+                lambda lo, hi: g.T[lo:hi], [image_sq], [caption_sq[i, j]],
+                similarity, rank_one))
             search_scores[i, j] = (100.0 * np.count_nonzero(
                 image_of == pair_index) / n_captions)
             annotation_scores[i, j] = (100.0 * np.count_nonzero(

@@ -13,10 +13,13 @@ replaced.  The list-of-lists ground truth (``pairing_to_ground_truth``)
 and the block-slicing loop of ``eval --blocks`` (``evaluate_blocks_loop``)
 are the routes that ``evaluate_bidirectional``'s flat ground truth and
 ``evaluate_blocks`` replaced.  ``evaluate_branches`` is the protocol
-before its one bilinear scoring kernel (``retrieval._rank_blocks``): each
-task projects both views by its own weighted branches
-(``task_projections_branches``) and ranks them by ``count_ranks``, the
-counting route on normalized vectors.  ``best_ranks`` runs
+before its one bilinear scoring kernel: each task projects both views by
+its own weighted branches (``task_projections_branches``) and ranks them
+by ``count_ranks``, the counting route on normalized vectors.
+``one_task_ranks`` is that kernel as it first was, scoring one task from
+its own product, and ``two_gemm_ranks`` the protocol on it, forming G
+once per task: the route that ``retrieval._rank_tasks``, which scores
+both tasks from each block of one G, replaced.  ``best_ranks`` runs
 ``count_ranks`` on list-of-lists ground truth.  Centering and a full thin
 SVD of each view (``center_columns``, ``thin_svd``, ``prepare_svd``) is
 the route the chunked joint QR of ``cca.prepare`` replaced, and
@@ -589,6 +592,108 @@ def evaluate_branches(model, images, captions, pair_index=None,
                                      np.argsort(pair_index, kind="stable"),
                                      image_starts, similarity),
                          ks, "annotation", captions.rows)
+    return search, annotation
+
+
+def one_task_ranks(g_rows, n_queries: int, item_sqs, task: str,
+                   similarity: str, rank_one: bool = False,
+                   truth=None) -> np.ndarray:
+    """Score one task from its own G: the protocol's kernel before it
+    scored both tasks from one.
+
+    ``g_rows(lo, hi)`` returns the bilinear scores of query rows [lo, hi)
+    against every item; ``item_sqs`` holds the squared item norms of each
+    weighting that shares G.  Cosine ranks by G over the item norm (by the
+    sign of G in a one-dimensional model), ``l2`` by G - ||item||^2 / 2.
+    Returns one row per weighting: with ``truth`` = (gt_items, starts),
+    each query's 1-based rank of its best ground-truth item, counted as
+    ``count_ranks`` counts it; without, its first-best item.  A non-finite
+    squared norm, a zero norm under cosine and a non-finite best score are
+    errors naming the view and row.
+    """
+    from ccax.retrieval import _row_blocks
+
+    if similarity not in ("cosine", "l2"):
+        raise ValueError(f"unknown similarity {similarity!r}")
+    query_view, item_view = {"search": ("caption", "image"),
+                             "annotation": ("image", "caption")}[task]
+    for sq in item_sqs:
+        bad = np.flatnonzero(~np.isfinite(sq))
+        if bad.size:
+            raise ValueError(f"{item_view} {bad[0]}: squared norm is not "
+                             "finite")
+        if similarity == "cosine" and not sq.all():
+            raise ValueError(f"zero-norm {item_view} vector at index "
+                             f"{int(np.flatnonzero(sq == 0)[0])} under cosine")
+    terms = [np.sqrt(sq) if similarity == "cosine" else 0.5 * sq
+             for sq in item_sqs]
+    out = np.empty((len(item_sqs), n_queries), dtype=np.int64)
+    for lo, hi in _row_blocks(n_queries):
+        g = g_rows(lo, hi)
+        if truth is not None:
+            gt_items, starts = truth
+            gt = gt_items[starts[lo]:starts[hi]]
+            owner = np.repeat(np.arange(hi - lo), np.diff(starts[lo:hi + 1]))
+            offsets = starts[lo:hi] - starts[lo]
+        for w, term in enumerate(terms):
+            if similarity == "l2":
+                scores = g - term
+            elif rank_one:
+                scores = np.sign(g)
+            else:
+                scores = g / term
+            best = scores.argmax(axis=1)
+            bad = np.flatnonzero(~np.isfinite(scores[np.arange(hi - lo),
+                                                     best]))
+            if bad.size:
+                raise ValueError(f"{query_view} {lo + bad[0]}: score is not "
+                                 "finite")
+            if truth is None:
+                out[w, lo:hi] = best
+                continue
+            gt_scores = scores[owner, gt]
+            s_star = np.maximum.reduceat(gt_scores, offsets)
+            i_star = np.minimum.reduceat(
+                np.where(gt_scores == s_star[owner], gt, len(term)), offsets)
+            s_star, i_star = s_star[:, None], i_star[:, None]
+            out[w, lo:hi] = 1 + np.count_nonzero(
+                (scores > s_star)
+                | ((scores == s_star) & (np.arange(len(term)) < i_star)),
+                axis=1)
+    return out
+
+
+def two_gemm_ranks(model, images, captions, pair_index, image_exps,
+                   caption_exps, total: float, similarity: str):
+    """(search, annotation) ranks, one row per weighting, each task scored
+    by ``one_task_ranks`` from its own product: search from Y~ X~', with
+    captions as rows, annotation from X~ Y~', with images as rows.  The
+    arguments are those of ``retrieval._protocol_ranks``."""
+    from ccax.retrieval import _check_pairing
+
+    pair_index = _check_pairing(pair_index, images.rows, captions.rows)
+    x = (images.values - model.mean_x) @ model.u
+    y = (captions.values - model.mean_y) @ model.v
+
+    def squared_norms(view, exponent):
+        weighted = view * np.power(model.sigma, exponent)
+        return np.einsum("ij,ij->i", weighted, weighted)
+
+    image_sqs = [squared_norms(x, e) for e in image_exps]
+    caption_sqs = [squared_norms(y, e) for e in caption_exps]
+    x *= np.power(model.sigma, total)
+    rank_one = model.k == 1
+    image_starts = np.zeros(images.rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pair_index, minlength=images.rows),
+              out=image_starts[1:])
+    search = one_task_ranks(lambda lo, hi: y[lo:hi] @ x.T, captions.rows,
+                            image_sqs, "search", similarity, rank_one,
+                            (pair_index, np.arange(captions.rows + 1)))
+    annotation = one_task_ranks(lambda lo, hi: x[lo:hi] @ y.T, images.rows,
+                                caption_sqs, "annotation", similarity,
+                                rank_one,
+                                (np.argsort(pair_index, kind="stable"),
+                                 image_starts))
     return search, annotation
 
 

@@ -1,6 +1,7 @@
 """The embed pipeline holds one copy of each array and never its whole
 output, the bandwidth median holds half its Gram, an FMAT1 load holds its
-matrix once, and a fit never holds its training pair.
+matrix once, a fit never holds its training pair, and eval holds blocks of
+caption rows by images.
 
 Peaks are measured with ``tracemalloc``, which sees numpy's data
 allocations, on shapes that run in well under a second.  Each bound sits
@@ -15,7 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ccax import cca, cli, hkse, io
+from ccax import cca, cli, hkse, io, retrieval
 from oracles import matrix_to_bytes
 
 
@@ -259,6 +260,30 @@ def test_prepare_factors_in_place(tmp_path, monkeypatch):
             io.open_matrix(tmp_path / "y.fmat") as y:
         peak = traced_peak(lambda: cca.prepare(x, y))
     assert peak < 1.25 * (buffer + blocks)
+
+
+def test_eval_holds_caption_blocks_by_images():
+    # 200 images x 4000 captions.  Eval forms G a block of caption rows at
+    # a time, BLOCK_ROWS captions by the 200 images, and scores both tasks
+    # from it: it holds that block, the one before it and one score buffer
+    # per task, each under 2 BLOCK_ROWS rows, and the projected views and
+    # their centered inputs.  One block of BLOCK_ROWS images by the 4000
+    # captions would alone be 20 such blocks
+    rng = np.random.default_rng(8)
+    n_images, n_captions, m_x, m_y = 200, 4000, 12, 10
+    model = cca.solve(cca.prepare(
+        io.FeatureMatrix(rng.standard_normal((80, m_x))),
+        io.FeatureMatrix(rng.standard_normal((80, m_y)))),
+        cca.RegularizationSpec.none())
+    pair_index = rng.permutation(np.repeat(np.arange(n_images),
+                                           n_captions // n_images))
+    images = io.FeatureMatrix(rng.standard_normal((n_images, m_x)))
+    captions = io.FeatureMatrix(rng.standard_normal((n_captions, m_y)))
+    peak = traced_peak(lambda: retrieval.evaluate_bidirectional(
+        model, images, captions, pair_index))
+    block = retrieval.BLOCK_ROWS * n_images * 8
+    views = (n_images * m_x + n_captions * m_y) * 8
+    assert peak < 8 * block + 2 * views
 
 
 def _owned_read_only():

@@ -340,19 +340,58 @@ def tied_problems(draw, query_counts=BLOCK_EDGES):
     return queries, items, gt
 
 
-def kernel(queries, items, ground_truth, similarity):
-    """``retrieval._rank_blocks`` on G = queries items' with the items'
-    own norms: ranks for list ground truth, or first-best items for None."""
-    queries = np.asarray(queries, dtype=np.float64)
-    items = np.asarray(items, dtype=np.float64)
+def draw_pairing(draw, caption_counts):
+    """A shuffled pairing with 1-7 captions per image, and a generator
+    seeded from the draw."""
+    n_captions = draw(st.sampled_from(caption_counts))
+    n_images = draw(st.integers(-(-n_captions // 7), n_captions))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = np.ones(n_images, dtype=np.int64)
+    for _ in range(n_captions - n_images):
+        counts[rng.choice(np.flatnonzero(counts < 7))] += 1
+    return rng.permutation(np.repeat(np.arange(n_images), counts)), rng
+
+
+@st.composite
+def tied_pairings(draw, caption_counts=BLOCK_EDGES):
+    """Captions, images and a shuffled pairing, both views built from a few
+    exact rows, so most rows are duplicates and ties are exact."""
+    pair_index, rng = draw_pairing(draw, caption_counts)
+    dim = draw(st.integers(4, 6))
+    images = exact_vectors(draw, draw(st.integers(1, 12)), dim)
+    captions = exact_vectors(draw, draw(st.integers(1, 6)), dim)
+    images = images[rng.integers(0, len(images), size=pair_index.max() + 1)]
+    captions = captions[rng.integers(0, len(captions),
+                                     size=len(pair_index))]
+    return captions, images, pair_index
+
+
+def squared_norms(rows):
+    return np.einsum("ij,ij->i", rows, rows)
+
+
+def kernel(g, ground_truth, image_sq, caption_sq, similarity):
+    """``retrieval._rank_tasks`` on the caption-by-image scores ``g``.
+
+    ``ground_truth[c]`` lists caption c's one image, so it is a pairing,
+    and the (search, annotation) ranks are returned; with None, each
+    caption's first-best image and each image's first-best caption.
+    """
+    g = np.asarray(g, dtype=np.float64)
     truth = None
     if ground_truth is not None:
-        truth = oracles.flatten_ground_truth(ground_truth, len(queries),
-                                             len(items))
-    return retrieval._rank_blocks(
-        lambda lo, hi: queries[lo:hi] @ items.T, len(queries),
-        [np.sum(items * items, axis=1)], "search", similarity,
-        truth=truth)[0]
+        pair_index = np.asarray(ground_truth, dtype=np.int64)[:, 0]
+        truth = (pair_index, g[np.arange(len(g)), pair_index])
+    search, annotation = retrieval._rank_tasks(
+        lambda lo, hi: g[lo:hi].copy(), [np.asarray(image_sq, dtype=float)],
+        [np.asarray(caption_sq, dtype=float)], similarity, truth=truth)
+    return search[0], annotation[0]
+
+
+def own_norms_kernel(captions, images, ground_truth, similarity):
+    """``kernel`` on G = captions images', each view with its own norms."""
+    return kernel(captions @ images.T, ground_truth, squared_norms(images),
+                  squared_norms(captions), similarity)
 
 
 class TestKernelChecks:
@@ -361,48 +400,83 @@ class TestKernelChecks:
     @pytest.mark.parametrize("similarity", ["cosine", "l2"])
     @pytest.mark.parametrize("gt", [[[0], [1]], None])
     def test_nan_ground_truth_score_rejected(self, similarity, gt):
-        # NaN compares false with every score: the query would rank first
-        queries = np.array([[1.0, 0.5], [np.nan, 1.0]])
-        items = np.array([[1.0, 0.0], [0.0, 1.0]])
+        # NaN compares false with every score: the caption would rank
+        # first.  Its norm is given finite, so the score check must fire
+        captions = np.array([[1.0, 0.5], [np.nan, 1.0]])
+        images = np.array([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError,
                            match="caption 1: score is not finite"):
-            kernel(queries, items, gt, similarity)
+            kernel(captions @ images.T, gt, squared_norms(images),
+                   np.ones(2), similarity)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("gt", [[[0], [1], [0]], None])
+    @pytest.mark.parametrize("gt", [[[0], [1], [2]], None])
     def test_non_finite_score_of_another_item_rejected(self, bad, gt):
-        # the ground-truth scores are finite; item 1 of query 2 is not
+        # the ground-truth scores are finite; image 1 of caption 2 is not,
+        # and caption rows are checked before image columns
         g = np.arange(9.0).reshape(3, 3)
         g[2, 1] = bad
         with pytest.raises(ValueError,
                            match="caption 2: score is not finite"):
-            retrieval._rank_blocks(
-                lambda lo, hi: g[lo:hi], 3, [np.ones(3)], "search", "l2",
-                truth=None if gt is None
-                else oracles.flatten_ground_truth(gt, 3, 3))
+            kernel(g, gt, np.ones(3), np.ones(3), "l2")
 
-    @pytest.mark.parametrize("gt", [[[0]], None])
+    @pytest.mark.parametrize("similarity,caption_sq,g_0", [
+        # G - ||y||^2 / 2 overflows to -inf down column 0
+        ("l2", 1e308, -1.5e308),
+        # G / ||y|| overflows to +inf down column 0
+        ("cosine", 1e-300, 1e200)])
+    @pytest.mark.parametrize("gt", [[[0], [1]], None])
+    def test_non_finite_best_of_an_image_rejected(self, similarity,
+                                                  caption_sq, g_0, gt):
+        # every caption's best image score is finite; image 0's best
+        # caption score is not
+        g = np.array([[g_0, 1.0], [g_0, 2.0]])
+        with pytest.raises(ValueError, match="image 0: score is not finite"):
+            with np.errstate(over="ignore"):
+                kernel(g, gt, np.ones(2), np.full(2, caption_sq),
+                       similarity)
+
+    @pytest.mark.parametrize("gt", [[[0], [1]], None])
     def test_zero_norm_reported_with_index(self, gt):
-        items = np.array([[1.0, 0.0], [0.0, 0.0]])
+        zero_second = np.array([[1.0, 0.0], [0.0, 0.0]])
+        ones = np.ones((2, 2))
         with pytest.raises(ValueError, match="zero-norm image vector at "
                                              "index 1 under cosine"):
-            kernel(np.array([[1.0, 1.0]]), items, gt, "cosine")
-        # l2 ranks a zero item like any other
-        assert kernel(np.array([[1.0, 1.0]]), items, [[1]], "l2")[0] == 2
+            own_norms_kernel(ones, zero_second, gt, "cosine")
+        with pytest.raises(ValueError, match="zero-norm caption vector at "
+                                             "index 1 under cosine"):
+            own_norms_kernel(zero_second, ones, gt, "cosine")
+        # l2 ranks a zero item like any other: each view's one-entry vector
+        # scores 1 - 1/2 against a ones vector, the zero vector 0
+        search, _ = own_norms_kernel(ones, zero_second, [[1], [0]], "l2")
+        _, annotation = own_norms_kernel(zero_second, ones, [[1], [0]], "l2")
+        assert search[0] == annotation[0] == 2
 
     @pytest.mark.parametrize("similarity", ["cosine", "l2"])
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_squared_norm_rejected(self, similarity, bad):
         # 1e200 squares to inf: every cosine would read 0
+        sq = np.array([1.0, bad, 1.0])
         with pytest.raises(ValueError,
                            match="image 1: squared norm is not finite"):
-            retrieval._rank_blocks(lambda lo, hi: np.ones((1, 3)), 1,
-                                   [np.array([1.0, bad, 1.0])], "search",
-                                   similarity)
+            kernel(np.ones((3, 3)), None, sq, np.ones(3), similarity)
+        with pytest.raises(ValueError,
+                           match="caption 1: squared norm is not finite"):
+            kernel(np.ones((3, 3)), None, np.ones(3), sq, similarity)
+
+    def test_caption_norms_checked_before_any_score(self):
+        # caption 0's scores and caption 1's norm are both not finite: the
+        # norms are checked before the sweep, so the norm is reported
+        g = np.ones((2, 2))
+        g[0, 1] = np.inf
+        with pytest.raises(ValueError,
+                           match="caption 1: squared norm is not finite"):
+            kernel(g, [[0], [1]], np.ones(2), np.array([1.0, np.inf]), "l2")
 
     def test_unknown_similarity_rejected(self):
         with pytest.raises(ValueError, match="unknown similarity 'dot'"):
-            kernel(np.ones((1, 2)), np.ones((2, 2)), [[0]], "dot")
+            own_norms_kernel(np.ones((2, 2)), np.ones((2, 2)), [[0], [1]],
+                             "dot")
 
 
 class TestCountingMatchesSorting:
@@ -447,27 +521,36 @@ class TestCountingMatchesSorting:
             [b in g for b, g in zip(best, gt)], ranks == 1)
 
     @settings(max_examples=60, deadline=None)
-    @given(problem=tied_problems(),
+    @given(problem=tied_pairings(),
            similarity=st.sampled_from(("cosine", "l2")))
     def test_kernel_exact_ties_and_block_edges(self, problem, similarity):
-        queries, items, gt = problem
-        ranked = oracles.rank(queries, items, similarity)
-        np.testing.assert_array_equal(
-            kernel(queries, items, gt, similarity),
-            oracles.sorted_best_ranks(ranked, gt))
+        captions, images, pair_index = problem
+        search, annotation = own_norms_kernel(captions, images,
+                                              pair_index[:, None], similarity)
+        np.testing.assert_array_equal(search, oracles.sorted_best_ranks(
+            oracles.rank(captions, images, similarity),
+            [[i] for i in pair_index]))
+        np.testing.assert_array_equal(annotation, oracles.sorted_best_ranks(
+            oracles.rank(images, captions, similarity),
+            oracles.pairing_to_ground_truth(pair_index, len(images),
+                                            "annotation")))
 
     @settings(max_examples=60, deadline=None)
-    @given(problem=tied_problems((1, retrieval.BLOCK_ROWS - 1,
+    @given(problem=tied_pairings((1, retrieval.BLOCK_ROWS - 1,
                                   retrieval.BLOCK_ROWS,
                                   retrieval.BLOCK_ROWS + 1,
                                   2 * retrieval.BLOCK_ROWS + 3)),
            similarity=st.sampled_from(("cosine", "l2")))
     def test_kernel_first_best_is_rank_one(self, problem, similarity):
-        queries, items, gt = problem
-        best = kernel(queries, items, None, similarity)
-        ranks = kernel(queries, items, gt, similarity)
+        captions, images, pair_index = problem
+        image_of, caption_of = own_norms_kernel(captions, images, None,
+                                                similarity)
+        search, annotation = own_norms_kernel(captions, images,
+                                              pair_index[:, None], similarity)
+        np.testing.assert_array_equal(image_of == pair_index, search == 1)
         np.testing.assert_array_equal(
-            [b in g for b, g in zip(best, gt)], ranks == 1)
+            pair_index[caption_of] == np.arange(len(images)),
+            annotation == 1)
 
     @pytest.mark.parametrize("similarity", ["cosine", "l2"])
     def test_random_floats_across_blocks(self, similarity):
@@ -481,6 +564,91 @@ class TestCountingMatchesSorting:
         np.testing.assert_array_equal(
             oracles.best_ranks(queries, items, gt, similarity),
             oracles.sorted_best_ranks(ranked, gt))
+
+
+@st.composite
+def reference_problems(draw):
+    """An identity model with one of the three weightings, its two views
+    and a shuffled pairing, at caption counts on BLOCK_EDGES.
+
+    An ``exact`` problem builds each view from a few exact rows, with
+    correlations 4^-j and alphas in {0, 1/2, 1}: every entry of G and
+    every squared norm is then exact, and duplicated rows tie exactly.
+    Otherwise the views are Gaussian.  A quarter of the models are rank
+    one, where every cosine is +-1.
+    """
+    pair_index, rng = draw_pairing(draw, BLOCK_EDGES)
+    n_images, n_captions = int(pair_index.max()) + 1, len(pair_index)
+    k = draw(st.sampled_from((1, 4, 5, 6)))
+    exact = draw(st.booleans())
+    if exact:
+        alpha = st.sampled_from((0.0, 0.5, 1.0))
+        sigma = 4.0 ** -np.sort(draw(st.lists(st.integers(0, 2), min_size=k,
+                                              max_size=k)))
+        views = []
+        for n, distinct in ((n_images, 12), (n_captions, 6)):
+            count = draw(st.integers(1, distinct))
+            if k == 1:
+                rows = np.array([[draw(st.sampled_from((-4, -2, -1, 1, 2,
+                                                        4)))]
+                                 for _ in range(count)], dtype=np.float64)
+            else:
+                rows = exact_vectors(draw, count, k)
+            views.append(rows[rng.integers(0, count, size=n)])
+        images, captions = views
+    else:
+        alpha = st.floats(0.0, 1.0)
+        sigma = np.sort(rng.uniform(0.05, 1.0, size=k))[::-1]
+        images = rng.standard_normal((n_images, k))
+        captions = rng.standard_normal((n_captions, k))
+    weighting = draw(st.sampled_from(("asymmetric", "symmetric", "sweep")))
+    if weighting == "sweep":
+        alphas = np.array(draw(st.lists(alpha, min_size=1, max_size=3)))
+        exponents = (alphas, 1.0 - alphas, 1.0)
+    else:
+        image_exp, caption_exp, total = retrieval._exponents(
+            weighting, draw(alpha) if weighting == "symmetric" else None)
+        exponents = ([image_exp], [caption_exp], total)
+    model = cca.CcaModel(np.eye(k), np.eye(k), sigma, np.zeros(k),
+                         np.zeros(k), RegularizationSpec.none(), n_captions)
+    return (model, io.FeatureMatrix(images), io.FeatureMatrix(captions),
+            pair_index, exponents)
+
+
+class TestOneKernelMatchesTwoGemmRoute:
+    """Both tasks from one G against each task from its own, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=reference_problems(),
+           similarity=st.sampled_from(("cosine", "l2")))
+    def test_protocol_ranks(self, problem, similarity):
+        model, images, captions, pair_index, exponents = problem
+        args = (model, images, captions, pair_index, *exponents, similarity)
+        got = retrieval._protocol_ranks(*args)
+        want = oracles.two_gemm_ranks(*args)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=reference_problems(),
+           similarity=st.sampled_from(("cosine", "l2")))
+    def test_first_best(self, problem, similarity):
+        # a path cell's G, held whole with images as rows
+        model, images, captions, pair_index, exponents = problem
+        image_exps, caption_exps, total = exponents
+        x, y, sigma = images.values, captions.values, model.sigma
+        image_sqs = [squared_norms(x * sigma ** e) for e in image_exps]
+        caption_sqs = [squared_norms(y * sigma ** e) for e in caption_exps]
+        g = (x * sigma ** total) @ y.T
+        rank_one = model.k == 1
+        got = retrieval._rank_tasks(lambda lo, hi: g.T[lo:hi], image_sqs,
+                                    caption_sqs, similarity, rank_one)
+        np.testing.assert_array_equal(got[0], oracles.one_task_ranks(
+            lambda lo, hi: g.T[lo:hi], captions.rows, image_sqs, "search",
+            similarity, rank_one))
+        np.testing.assert_array_equal(got[1], oracles.one_task_ranks(
+            lambda lo, hi: g[lo:hi], images.rows, caption_sqs, "annotation",
+            similarity, rank_one))
 
 
 def list_route(model, images, captions, pair_index, similarity):
@@ -507,14 +675,8 @@ def shuffled_pairings(draw):
     Returns the pairing and a seed for the feature rows.
     """
     block = retrieval.BLOCK_ROWS
-    n_captions = draw(st.sampled_from((1, 7, block - 1, block, block + 1,
-                                       2 * block + 3)))
-    n_images = draw(st.integers(-(-n_captions // 7), n_captions))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    counts = np.ones(n_images, dtype=np.int64)
-    for _ in range(n_captions - n_images):
-        counts[rng.choice(np.flatnonzero(counts < 7))] += 1
-    pair_index = rng.permutation(np.repeat(np.arange(n_images), counts))
+    pair_index, rng = draw_pairing(draw, (1, 7, block - 1, block, block + 1,
+                                          2 * block + 3))
     return pair_index, int(rng.integers(2**32))
 
 

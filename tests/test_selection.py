@@ -161,7 +161,7 @@ class TestPairingChecks:
             raise AssertionError("a cell was scored before the pairing "
                                  "check")
 
-        monkeypatch.setattr(selection, "_rank_blocks", no_cell)
+        monkeypatch.setattr(selection, "_rank_tasks", no_cell)
         with pytest.raises(ValueError,
                            match="pair_index length must match caption count"):
             path(cca.prepare(train_x, train_y), vi, vc, [2], [2],
@@ -176,7 +176,7 @@ class TestPairingChecks:
             raise AssertionError("a cell was scored before the pairing "
                                  "check")
 
-        monkeypatch.setattr(selection, "_rank_blocks", no_cell)
+        monkeypatch.setattr(selection, "_rank_tasks", no_cell)
         with pytest.raises(ValueError, match="image 19 has no paired captions"):
             selection.tsvd_path(cca.prepare(train_x, train_y), vi, vc,
                                 [2], [2], pair_index=pairs)
@@ -228,7 +228,7 @@ class TestTikhonovPath:
         def no_cell(*args, **kwargs):
             raise AssertionError("a cell was scored before the axis check")
 
-        monkeypatch.setattr(selection, "_rank_blocks", no_cell)
+        monkeypatch.setattr(selection, "_rank_tasks", no_cell)
         with pytest.raises(ValueError, match="gamma_x grid must hold finite "
                                              "penalties >= 0"):
             selection.tikhonov_path(cca.prepare(train_x, train_y), vi, vc,
@@ -291,7 +291,7 @@ class TestSelect:
             raise AssertionError("a cell was scored before the metric "
                                  "check")
 
-        monkeypatch.setattr(selection, "_rank_blocks", no_cell)
+        monkeypatch.setattr(selection, "_rank_tasks", no_cell)
         with pytest.raises(ValueError, match="unknown metric 'r5'"):
             selection.tsvd_path(cca.prepare(train_x, train_y), vi, vc,
                                 [2], [2], metric="r5", pair_index=vp)
@@ -480,15 +480,16 @@ class TestSvdFreeCells:
             self, dataset, monkeypatch, kind, axis_x, axis_y):
         train_x, train_y, vi, vc, vp = dataset
         problem = cca.prepare(train_x, train_y)
-        score = selection._rank_blocks
+        score = selection._rank_tasks
         runs = []
 
-        def recording(g_rows, n_queries, item_sqs, *args):
-            runs[-1].append(g_rows(0, n_queries).tobytes()
-                            + item_sqs[0].tobytes())
-            return score(g_rows, n_queries, item_sqs, *args)
+        def recording(g_rows, image_sqs, caption_sqs, *args):
+            runs[-1].append(g_rows(0, len(caption_sqs[0])).tobytes()
+                            + image_sqs[0].tobytes()
+                            + caption_sqs[0].tobytes())
+            return score(g_rows, image_sqs, caption_sqs, *args)
 
-        monkeypatch.setattr(selection, "_rank_blocks", recording)
+        monkeypatch.setattr(selection, "_rank_tasks", recording)
         grids = []
         for axes, workers in (((axis_x, axis_y), 1), ((axis_x, axis_y), 3),
                               ((sorted(set(axis_x)), sorted(set(axis_y))),
@@ -496,9 +497,9 @@ class TestSvdFreeCells:
             runs.append([])
             grids.append(selection._run_grid(problem, *axes, kind, vi, vc, vp,
                                              "cosine", workers))
-        # each distinct cell's scores and item norms once per task, bit
-        # for bit
-        assert len(runs[0]) == 12
+        # each distinct cell's scores and item norms once, both tasks in
+        # one call, bit for bit
+        assert len(runs[0]) == 6
         assert sorted(runs[0]) == sorted(runs[1]) == sorted(runs[2])
         for name in ("search_scores", "annotation_scores"):
             assert (getattr(grids[0], name).tobytes()
