@@ -15,7 +15,6 @@ from .hkse import (
     build_map,
     dimension_bound,
     embed_blocks,
-    embed_corpus,
     embed_sentence,
     exact_kernel,
     maps_from_archive,
@@ -38,7 +37,6 @@ from .io import (
     load_pairing,
     open_matrix,
     save_archive,
-    save_embedding_table,
     save_matrix,
     save_pairing,
     save_split_file,

@@ -388,7 +388,10 @@ def _cmd_embed(args) -> int:
     # for the words it uses and the rows the bandwidth sample draws
     lines = list(io.corpus_lines(args.corpus))
     words = {token for _, tokens in lines for token in tokens}
-    median = not args.map and args.gamma == "median"
+    variants = [args.variant] + ([args.concat] if args.concat else [])
+    # only an rbf word layer reads gamma; lin-word maps record 0.0
+    median = (not args.map and args.gamma == "median"
+              and any(word == "rbf" for word, _ in variants))
     sampled: list[str] = []  # the sample's tokens, in file order
 
     def keep(count):
@@ -421,8 +424,7 @@ def _cmd_embed(args) -> int:
             table = _table_rows(table, [t for t in table.tokens
                                         if t in words])
         else:
-            gamma = args.gamma
-        variants = [args.variant] + ([args.concat] if args.concat else [])
+            gamma = 0.0 if args.gamma == "median" else args.gamma
         maps = [
             hkse.build_map(word, sent, gamma, args.eta, args.m, args.mprime,
                            table.dim, args.seed, stream=idx)

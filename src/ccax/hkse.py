@@ -130,7 +130,7 @@ def word_feature(hkse_map: HkseMap, a: np.ndarray) -> np.ndarray:
 
     rbf: sqrt(2/m) * cos(W a + b), whose inner products concentrate on the
     Gaussian kernel.  lin: the vector itself.  The one-word case of
-    :func:`embed_corpus`'s kernel, so it equals the corpus's word rows.
+    :func:`embed_blocks`'s kernel, so it equals the corpus's word rows.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.shape != (hkse_map.input_dim,):
@@ -145,7 +145,7 @@ def embed_sentence(hkse_map: HkseMap, token_vectors) -> np.ndarray:
 
     ``token_vectors`` is a sequence of word vectors (repeats contribute
     repeatedly; order never matters).  The one-sentence case of
-    :func:`embed_corpus`'s kernel, so a corpus row equals this bitwise.
+    :func:`embed_blocks`'s kernel, so a corpus row equals this bitwise.
     """
     vectors = np.asarray(token_vectors, dtype=np.float64)
     if vectors.size == 0:
@@ -278,29 +278,12 @@ def dimension_bound(vocab_size: int, max_sentence_len: int,
     return max(1, math.ceil(m_word)), max(1, math.ceil(m_sent))
 
 
-def embed_corpus(maps, corpus: SentenceCorpus,
-                 table: EmbeddingTable) -> FeatureMatrix:
-    """One embedded row per sentence; several maps concatenate column-wise.
+def embed_blocks(maps, corpus: SentenceCorpus, table: EmbeddingTable):
+    """One embedded row per sentence, BLOCK_ROWS sentences at a time;
+    several maps concatenate column-wise.
 
     The word layer runs once over the distinct tokens the corpus uses, and
     every row is bitwise-identical to :func:`embed_sentence` on its tokens.
-    The rows of :func:`embed_blocks`, collected.
-    """
-    if isinstance(maps, HkseMap):
-        maps = [maps]
-    blocks = embed_blocks(maps, corpus, table)
-    out = np.empty((len(corpus), sum(m.output_dim for m in maps)))
-    lo = 0
-    for block in blocks:
-        out[lo:lo + len(block)] = block
-        lo += len(block)
-    out.flags.writeable = False  # owned and read-only: kept, not copied
-    return FeatureMatrix(out)
-
-
-def embed_blocks(maps, corpus: SentenceCorpus, table: EmbeddingTable):
-    """The rows of :func:`embed_corpus`, BLOCK_ROWS sentences at a time.
-
     Every check (the maps' word dimension, every token in the table) runs
     before this returns; the returned iterator then yields each block of
     rows as it is embedded.  A block is overwritten by the next one, so

@@ -340,12 +340,13 @@ def load_embedding_table(path, keep=None) -> EmbeddingTable:
     Values are parsed by ``np.loadtxt`` (bitwise the same doubles as
     ``float``), ``_TABLE_CHUNK_LINES`` kept lines at a time, so only one
     chunk of text is held; each chunk goes straight into the one table
-    array.  ``keep``, if given, is called with the header's count and
-    returns a predicate of (row, token): only the rows it accepts are
-    parsed and kept, in file order.  Every line is checked (UTF-8, its
-    token, a duplicate, its field count) and every error names the file
-    and line; non-finite values and fields ``float`` would take but
-    ``loadtxt`` does not (``1_0``) are errors in the rows that are parsed.
+    array, which doubles when it fills.  ``keep``, if given, is called with
+    the header's count and returns a predicate of (row, token): only the
+    rows it accepts are parsed and kept, in file order.  Every line is
+    checked (UTF-8, its token, a duplicate, its field count) and every
+    error names the file and line; non-finite values and fields ``float``
+    would take but ``loadtxt`` does not (``1_0``) are errors in the rows
+    that are parsed.
     """
     with open(path, "rb") as fh:
         header = _decode_line(path, 1, fh.readline()).split()
@@ -358,12 +359,9 @@ def load_embedding_table(path, keep=None) -> EmbeddingTable:
         if count < 1 or dim < 1:
             raise DataFormatError(f"{path}:1: header declares {count} x {dim}")
         wanted = keep(count) if keep else None
-        # at most one row per 2 * dim + 1 bytes; a pipe's size reads 0 and
-        # kept rows are not known ahead, so those grow a chunk at a time
-        size = os.fstat(fh.fileno()).st_size
-        rows = (size // (2 * dim + 1) if size and not keep
-                else _TABLE_CHUNK_LINES)
-        vectors = np.empty((min(count, rows), dim))
+        # the header's count may overstate the rows, so they are allocated
+        # as they arrive: a chunk first, doubling as it fills
+        vectors = np.empty((min(count, _TABLE_CHUNK_LINES), dim))
         lines_of: dict[str, int] = {}  # token -> its line, in file order
         tokens, values = [], []  # kept, and the value text of their chunk
         unparsed = []  # (line, value text) of lines not kept, not yet counted
@@ -516,14 +514,6 @@ def _field_count_error(path, lineno: int, fields: int,
     return DataFormatError(
         f"{path}:{lineno}: expected token + {dim} values, got {fields} fields"
     )
-
-
-def save_embedding_table(table: EmbeddingTable, path) -> None:
-    # 17 significant digits round-trips any float64 exactly
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{table.vocab_size} {table.dim}\n")
-        for token, vec in zip(table.tokens, table.vectors):
-            fh.write(token + " " + " ".join(f"{v:.17g}" for v in vec) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -41,12 +41,10 @@ class TaskEmbedding:
     mean_y: np.ndarray
 
     def embed_images(self, x) -> np.ndarray:
-        values = x.values if isinstance(x, FeatureMatrix) else np.asarray(x)
-        return (values - self.mean_x) @ self.image_proj.T
+        return _project(x, self.mean_x, self.image_proj)
 
     def embed_texts(self, y) -> np.ndarray:
-        values = y.values if isinstance(y, FeatureMatrix) else np.asarray(y)
-        return (values - self.mean_y) @ self.text_proj.T
+        return _project(y, self.mean_y, self.text_proj)
 
 
 def _exponents(weighting: str,
@@ -86,14 +84,35 @@ class EvalReport:
     n_items: int
 
 
-def _row_blocks(n_rows: int) -> list[tuple[int, int]]:
-    """[lo, hi) row ranges of BLOCK_ROWS rows; the last one takes the tail.
+def _row_blocks(n_rows: int, rows: int = BLOCK_ROWS) -> list[tuple[int, int]]:
+    """[lo, hi) ranges of ``rows`` rows; the last one takes the tail.
 
-    No block is shorter than BLOCK_ROWS unless all rows are: BLAS rounds a
+    No block is shorter than ``rows`` unless all rows are: BLAS rounds a
     product of a few rows differently from the same rows inside a larger one.
     """
-    starts = list(range(0, n_rows - BLOCK_ROWS + 1, BLOCK_ROWS)) or [0]
+    starts = list(range(0, n_rows - rows + 1, rows)) or [0]
     return list(zip(starts, starts[1:] + [n_rows]))
+
+
+#: Multiply-adds up to which OpenBLAS's SkylakeX DGEMM takes its small-matrix
+#: kernel, which rounds otherwise than the kernel of a larger product.
+_SMALL_GEMM = 100**3
+
+
+def _project(view, mean: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """(view - mean) @ basis.T of a ``FeatureMatrix`` or an array, centered
+    and projected a block of rows at a time into one output: no centered
+    copy of the whole view is held.  A block is the fewest whole BLOCK_ROWS
+    tiles whose product is past the small-matrix size, as a taller view's
+    is, so on one BLAS thread its rows equal, bit for bit, those of one
+    product over the whole view."""
+    values = (view.values if isinstance(view, FeatureMatrix)
+              else np.asarray(view))
+    out = np.empty((values.shape[0], basis.shape[0]))
+    tiles = _SMALL_GEMM // (BLOCK_ROWS * basis.size) + 1
+    for lo, hi in _row_blocks(values.shape[0], tiles * BLOCK_ROWS):
+        np.matmul(values[lo:hi] - mean, basis.T, out=out[lo:hi])
+    return out
 
 
 def _rank_tasks(g_rows, image_sqs, caption_sqs, similarity: str,

@@ -30,7 +30,7 @@ import numpy as np
 
 from .cca import CcaModel, CcaProblem, RegularizationSpec, solve
 from .io import FeatureMatrix
-from .retrieval import _check_pairing, _rank_tasks
+from .retrieval import _check_pairing, _project, _rank_tasks
 
 METRICS = ("r1", "mean-r1")
 
@@ -234,8 +234,8 @@ def _run_grid(problem: CcaProblem, axis_x, axis_y, kind: str,
     annotation_scores = np.zeros_like(search_scores)
     cell_seconds = np.zeros_like(search_scores)
     # both validation views in the rotated space, shared by every cell
-    x_rot = (val_images.values - problem.mean_x) @ problem.v_x
-    y_rot = (val_captions.values - problem.mean_y) @ problem.v_y
+    x_rot = _project(val_images, problem.mean_x, problem.v_x.T)
+    y_rot = _project(val_captions, problem.mean_y, problem.v_y.T)
     n_images, n_captions = x_rot.shape[0], y_rot.shape[0]
 
     t0 = time.perf_counter()

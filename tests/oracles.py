@@ -10,12 +10,15 @@ route (``embed_sentence_gemv``), the sorting median (``bandwidth_sorted``)
 and the ``float()`` table parser (``table_values_float``) are the routes
 that the blocked kernel, the partition median and the ``loadtxt`` parser
 replaced.  The list-of-lists ground truth (``pairing_to_ground_truth``)
-and the block-slicing loop of ``eval --blocks`` (``evaluate_blocks_loop``)
-are the routes that ``evaluate_bidirectional``'s flat ground truth and
-``evaluate_blocks`` replaced.  ``evaluate_branches`` is the protocol
-before its one bilinear scoring kernel: each task projects both views by
-its own weighted branches (``task_projections_branches``) and ranks them
-by ``count_ranks``, the counting route on normalized vectors.
+is the route that ``evaluate_bidirectional``'s flat ground truth
+replaced.  ``evaluate_blocks_loop`` slices ``eval --blocks``'s image
+blocks, ranks each by ``two_gemm_ranks`` and counts its reports itself.
+``project`` centers and projects a whole view at once, the route that
+``retrieval._project``'s row blocks replaced.  ``evaluate_branches`` is
+the protocol before its one bilinear scoring kernel: each task projects
+both views by its own weighted branches (``task_projections_branches``)
+and ranks them by ``count_ranks``, the counting route on normalized
+vectors.
 ``one_task_ranks`` is that kernel as it first was, scoring one task from
 its own product, and ``two_gemm_ranks`` the protocol on it, forming G
 once per task: the route that ``retrieval._rank_tasks``, which scores
@@ -37,7 +40,10 @@ filtered operator (``filter_then_svd``, a copy of the filter in
 validation space (``first_best``, ``top1_recalls``): the two routes that
 the SVD-free bilinear scoring of ``selection._run_grid`` replaced.
 ``matrix_to_bytes`` builds an FMAT1 record as one ``bytes``, the
-payload-sized copy that ``io.MatrixWriter`` replaced.
+payload-sized copy that ``io.MatrixWriter`` replaced.  Two helpers write
+and collect what no command does: ``save_embedding_table`` writes the
+text tables the tests read, and ``embed_corpus`` collects the blocks of
+``hkse.embed_blocks`` into one matrix.
 """
 
 from __future__ import annotations
@@ -704,29 +710,41 @@ def evaluate_blocks_loop(model, images, captions, pair_index, blocks: int,
     """Per-block and mean reports of ``blocks`` >= 2 contiguous image blocks.
 
     Slices the images, the captions paired into each block and their
-    renumbered pairing, evaluates each slice, and appends a
-    ``<task>_block<b>`` report per block and task, then ``<task>_mean``.
+    renumbered pairing, ranks each slice by ``two_gemm_ranks``, and appends
+    a ``<task>_block<b>`` report per block and task, then ``<task>_mean``,
+    each counted here from the ranks.
     """
     from ccax.io import FeatureMatrix
-    from ccax.retrieval import EvalReport, evaluate_bidirectional
+    from ccax.retrieval import EvalReport
 
+    if weighting == "asymmetric":
+        image_exp, caption_exp, total = 1.0, 1.0, 1.0
+    elif weighting == "symmetric":
+        image_exp, caption_exp, total = alpha, alpha, 2 * alpha
+    else:
+        image_exp, caption_exp, total = alpha, 1 - alpha, 1.0
     pair_index = np.asarray(pair_index, dtype=np.int64)
     edges = np.linspace(0, images.rows, blocks + 1).astype(int)
-    reports = []
     per_task = {"search": [], "annotation": []}
     for b in range(blocks):
         lo, hi = edges[b], edges[b + 1]
         keep = (pair_index >= lo) & (pair_index < hi)
-        search, annotation = evaluate_bidirectional(
+        ranks = two_gemm_ranks(
             model, FeatureMatrix(images.values[lo:hi]),
             FeatureMatrix(captions.values[keep]), pair_index[keep] - lo,
-            weighting=weighting, alpha=alpha, similarity=similarity)
-        for rep in (search, annotation):
-            per_task[rep.task].append(rep)
-            reports.append(EvalReport(
-                task=f"{rep.task}_block{b}", recalls=rep.recalls,
-                median_rank=rep.median_rank, n_queries=rep.n_queries,
-                n_items=rep.n_items))
+            [image_exp], [caption_exp], total, similarity)
+        for task, task_ranks, n_items in zip(
+                per_task, ranks, (hi - lo, int(keep.sum()))):
+            ordered = sorted(task_ranks[0].tolist())
+            n = len(ordered)
+            per_task[task].append(EvalReport(
+                task=f"{task}_block{b}",
+                recalls={k: 100.0 * sum(r <= k for r in ordered) / n
+                         for k in (1, 5, 10)},
+                median_rank=(ordered[(n - 1) // 2] + ordered[n // 2]) / 2,
+                n_queries=n, n_items=n_items))
+    reports = [rep for b in range(blocks) for rep in
+               (per_task["search"][b], per_task["annotation"][b])]
     for task, reps in per_task.items():
         reports.append(EvalReport(
             task=f"{task}_mean",
@@ -886,3 +904,34 @@ def matrix_to_bytes(m) -> bytes:
     header = FMAT1_MAGIC + struct.pack("<QQ", m.rows, m.cols)
     payload = np.ascontiguousarray(m.values, dtype="<f8").tobytes()
     return header + payload
+
+
+def project(view, mean, basis) -> np.ndarray:
+    """(view - mean) @ basis.T over the whole view at once: the route
+    ``retrieval._project``, which centers and projects a block of rows at a
+    time, replaced."""
+    values = getattr(view, "values", view)
+    return (values - mean) @ basis.T
+
+
+def embed_corpus(maps, corpus, table):
+    """The blocks of ``hkse.embed_blocks`` collected into one
+    ``FeatureMatrix``: one embedded row per sentence, the maps' outputs
+    side by side.  ``maps`` is one map or a list."""
+    from ccax import hkse
+    from ccax.io import FeatureMatrix
+
+    if isinstance(maps, hkse.HkseMap):
+        maps = [maps]
+    return FeatureMatrix(np.vstack(
+        [block.copy() for block in hkse.embed_blocks(maps, corpus, table)]))
+
+
+def save_embedding_table(table, path) -> None:
+    """Write ``table`` as a text embedding table, the format
+    ``io.load_embedding_table`` reads; 17 significant digits round-trip any
+    float64 exactly."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{table.vocab_size} {table.dim}\n")
+        for token, vec in zip(table.tokens, table.vectors):
+            fh.write(token + " " + " ".join(f"{v:.17g}" for v in vec) + "\n")

@@ -21,6 +21,7 @@ from oracles import (
     path_cells,
     rank_by_cosine_loops,
     recall_and_median_loops,
+    save_embedding_table,
     task_views,
     thin_svd,
     verify_filter_forms,
@@ -328,7 +329,7 @@ def test_criterion_10_cli_determinism(tmp_path):
     words_dir = tmp_path / "words"
     words_dir.mkdir()
     vocab = tuple(f"w{i}" for i in range(12))
-    io.save_embedding_table(
+    save_embedding_table(
         io.EmbeddingTable(vocab, rng.standard_normal((12, 6))),
         words_dir / "vectors.txt")
     (words_dir / "caps.txt").write_text("".join(

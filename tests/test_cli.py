@@ -12,7 +12,7 @@ from numpy.linalg import lapack_lite
 
 from ccax import cca, cli, hkse, io, selection
 from ccax.cli import main
-from oracles import matrix_to_bytes
+from oracles import embed_corpus, matrix_to_bytes, save_embedding_table
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +33,7 @@ def word_data(tmp_path_factory):
     rng = np.random.default_rng(1)
     vocab = ["red", "green", "blue", "dog", "cat", "runs", "sits"]
     table = io.EmbeddingTable(tuple(vocab), rng.standard_normal((7, 5)))
-    io.save_embedding_table(table, path / "vectors.txt")
+    save_embedding_table(table, path / "vectors.txt")
     (path / "caps.txt").write_text(
         "red dog runs\nblue cat sits\ngreen dog sits\nred cat runs\n"
     )
@@ -301,6 +301,21 @@ class TestEmbed:
             assert "unrecognized arguments: --pairing" in \
                 capsys.readouterr().err
         assert not (tmp_path / "e.fmat").exists()
+
+    def test_equal_vectors_embed_with_default_flags(self, tmp_path):
+        # the default lin,lin maps read no gamma, so no bandwidth median is
+        # taken: a table whose sampled distances are all zero embeds, and
+        # the map records gamma 0.0
+        (tmp_path / "v.txt").write_text("3 2\na 1 2\nb 1 2\nc 1 2\n")
+        (tmp_path / "c.txt").write_text("a b\nc\n")
+        out, map_out = tmp_path / "e.fmat", tmp_path / "e.arc"
+        assert main(["embed", "--corpus", str(tmp_path / "c.txt"),
+                     "--vectors", str(tmp_path / "v.txt"), "--out", str(out),
+                     "--map-out", str(map_out)]) == 0
+        np.testing.assert_array_equal(io.load_matrix(out).values,
+                                      [[1, 2], [1, 2]])
+        saved, = hkse.maps_from_archive(io.load_archive(map_out))
+        assert (saved.word_variant, saved.gamma) == ("lin", 0.0)
 
     def test_embed_deterministic(self, word_data, tmp_path):
         outs = []
@@ -663,7 +678,7 @@ class TestRefusedEmbedLeavesNoFile:
         # the second 64-row block's last sentence averages two 1e308s to
         # inf: --out is open, with one block written, when it is refused
         vectors = tmp_path / "v.txt"
-        io.save_embedding_table(io.EmbeddingTable(
+        save_embedding_table(io.EmbeddingTable(
             ("a", "b"), np.array([[1.0, 2.0], [1e308, 1e308]])), vectors)
         corpus = tmp_path / "c.txt"
         corpus.write_text("a\n" * 127 + "b b\n")
@@ -672,13 +687,13 @@ class TestRefusedEmbedLeavesNoFile:
         assert err == ("ccax: error: non-finite value at flat index 254 "
                        "(row 127, col 0)\n")
 
-    @pytest.mark.parametrize("variant", ["lin,lin", "rbf,rbf"])
+    @pytest.mark.parametrize("variant", ["rbf,lin", "rbf,rbf"])
     def test_overflowing_bandwidth_median(self, variant, tmp_path, capsys):
         # the 1e200 row's distance overflows, so the median is inf and
-        # gamma = 1 / inf^2 read 0.0; lin,lin wrote it to --map-out.  The
-        # refusal is all stderr holds
+        # gamma = 1 / inf^2 read 0.0.  Any rbf word layer takes the median
+        # (lin,lin takes none), and the refusal is all stderr holds
         vectors = tmp_path / "v.txt"
-        io.save_embedding_table(io.EmbeddingTable(
+        save_embedding_table(io.EmbeddingTable(
             ("a", "b"), np.array([[1.0, 2.0], [1e200, 1e200]])), vectors)
         corpus = tmp_path / "c.txt"
         corpus.write_text("a b\nb\n")
@@ -711,7 +726,7 @@ class TestStreamedTable:
         table = io.EmbeddingTable(
             tuple(f"w{i}" for i in range(self.VOCAB)),
             np.random.default_rng(8).standard_normal((self.VOCAB, 4)))
-        io.save_embedding_table(table, path / "vectors.txt")
+        save_embedding_table(table, path / "vectors.txt")
         (path / "caps.txt").write_text(self.CORPUS)
         return path
 
@@ -777,6 +792,18 @@ class TestStreamedTable:
             f"ccax: error: {vectors}:{row + 2}: {message}\n"
         assert not out.exists()
 
+    def test_lin_words_parse_no_sample_row(self, words, tmp_path):
+        # only an rbf word layer reads gamma, so a lin,lin run under
+        # --gamma median draws no sample and parses none of its rows
+        _, sampled = self.rows()
+        vectors = self.edited(words, tmp_path, sampled,
+                              self.second_value(b"nan"))
+        clean, bad = tmp_path / "clean.fmat", tmp_path / "bad.fmat"
+        flags = ("--variant", "lin,lin", *self.FLAGS["median"])
+        assert self.embed(words, words / "vectors.txt", clean, *flags) == 0
+        assert self.embed(words, vectors, bad, *flags) == 0
+        assert bad.read_bytes() == clean.read_bytes()
+
     @pytest.mark.parametrize("edit, message", [
         (lambda line: line + b" 1", "expected token + 4 values, got 6 "
                                     "fields"),
@@ -816,7 +843,7 @@ class TestStreamedTable:
         gamma = hkse.bandwidth_heuristic(table, sample, seed=self.SEED)
         hkse_map = hkse.build_map("rbf", "rbf", gamma, 0.01, 16, 12, 4,
                                   seed=self.SEED)
-        want = hkse.embed_corpus(hkse_map, corpus, table)
+        want = embed_corpus(hkse_map, corpus, table)
         assert out.read_bytes() == matrix_to_bytes(want)
         saved, = hkse.maps_from_archive(io.load_archive(map_out))
         assert saved.gamma == gamma

@@ -3,7 +3,9 @@
 Each ``demos/0N_*.py`` runs in its own interpreter with ``src`` on the
 import path and must exit 0; together they take about 15 seconds.
 ``demos/05_cli_pipeline.sh`` calls a ``ccax`` command, which a shim on
-``PATH`` provides as ``python -m ccax``; it takes about 7 seconds.
+``PATH`` provides as ``python -m ccax``; it takes about 7 seconds.  The
+README's library tour runs the same way, so that it names only public
+names that exist.
 """
 
 import os
@@ -51,3 +53,14 @@ def test_cli_pipeline_runs(tmp_path):
                           text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert "search_mean" in proc.stdout
+
+
+def test_readme_library_tour_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## Library tour", 1)[1]
+    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          env=_env(), capture_output=True, text=True,
+                          timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.startswith("{1: ")  # the search recalls

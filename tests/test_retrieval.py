@@ -4,10 +4,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from blas_threads import run_under_blas_threads
 from ccax import cca, io, retrieval, synthetic
 from ccax.cca import RegularizationSpec, prepare, solve
 from oracles import rank_by_cosine_loops, recall_and_median_loops
@@ -127,6 +128,36 @@ class TestTaskEmbedding:
             with pytest.raises(ValueError, match=r"alpha in \[0, 1\]"):
                 retrieval.evaluate_bidirectional(model, *views, "sweep",
                                                  alpha)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.sampled_from([1, 191, 192, 193, 383, 384, 385])
+       | st.integers(386, 5000),
+       width=st.sampled_from([1, 7, 8, 300]), rank=st.integers(1, 300),
+       order=st.sampled_from("CF"), matrix=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+# shapes where 192-row blocks alone take OpenBLAS's small-matrix kernel
+@example(rows=385, width=300, rank=4, order="C", matrix=False, seed=0)
+@example(rows=1000, width=300, rank=10, order="F", matrix=True, seed=0)
+def project_matches_whole_view(rows, width, rank, order, matrix, seed):
+    """``retrieval._project`` equals the one product over the whole view,
+    bit for bit: a property of one BLAS thread, so it is run by
+    :func:`test_project_matches_whole_view_under_one_blas_thread`."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((rows, width)) + 3.0
+    view = io.FeatureMatrix(values) if matrix else values
+    mean = rng.standard_normal(width)
+    basis = np.asarray(rng.standard_normal((min(rank, width), width)),
+                       order=order)
+    assert np.array_equal(retrieval._project(view, mean, basis),
+                          oracles.project(view, mean, basis))
+
+
+def test_project_matches_whole_view_under_one_blas_thread(tmp_path):
+    proc = run_under_blas_threads(
+        1, ["-c", "import test_retrieval as t; "
+                  "t.project_matches_whole_view()"], tmp_path)
+    assert proc.returncode == 0, proc.stderr[-3000:]
 
 
 def ranks_of_each_item(queries, items, similarity="cosine"):
@@ -706,7 +737,8 @@ class TestFlatGroundTruth:
 
 
 class TestEvaluateBlocks:
-    """Contiguous image blocks against the block-slicing loop."""
+    """Contiguous image blocks against a loop that ranks each block by the
+    two-GEMM route and counts its own reports."""
 
     @pytest.mark.parametrize("similarity", ["cosine", "l2"])
     def test_one_block_is_evaluate_bidirectional(self, model, views,
