@@ -9,6 +9,7 @@ flags given on the command line win.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from pathlib import Path
@@ -449,6 +450,8 @@ def _guided_out_paths(out: str) -> tuple[Path, Path]:
 
 
 def _save_guided(result, args) -> None:
+    """Write the guided fit's archives, and its path TSV if asked: all of
+    them, or, if one cannot be written, none."""
     sel = result.tsvd_selection
 
     def archive_for(model, spec):
@@ -461,16 +464,21 @@ def _save_guided(result, args) -> None:
         return arc
 
     if sel.metric == "mean-r1":
-        io.save_archive(archive_for(result.search_model, sel.best_search),
-                        args.out)
-        print(f"wrote {args.out}")
-        return
-    search_path, annotation_path = _guided_out_paths(args.out)
-    io.save_archive(archive_for(result.search_model, sel.best_search),
-                    search_path)
-    io.save_archive(archive_for(result.annotation_model, sel.best_annotation),
-                    annotation_path)
-    print(f"wrote {search_path} and {annotation_path}")
+        models = [(args.out, result.search_model, sel.best_search)]
+    else:
+        search_path, annotation_path = _guided_out_paths(args.out)
+        models = [(search_path, result.search_model, sel.best_search),
+                  (annotation_path, result.annotation_model,
+                   sel.best_annotation)]
+    # a failed open or write removes every file opened before it
+    with contextlib.ExitStack() as stack:
+        if args.path_out:
+            stack.enter_context(io._new_file(args.path_out)).write(
+                selection.grid_to_tsv(result.tsvd_grid).encode("utf-8"))
+        for path, model, spec in models:
+            io.write_archive(archive_for(model, spec),
+                             stack.enter_context(io._new_file(path)))
+    print("wrote " + " and ".join(str(path) for path, _, _ in models))
 
 
 def _cmd_fit(args) -> int:
@@ -480,9 +488,6 @@ def _cmd_fit(args) -> int:
         result = selection.guided_tikhonov(
             **_load_path(args, "tsvd"), metric=args.metric,
             workers=_workers(args))
-        if args.path_out:
-            with open(args.path_out, "w", encoding="utf-8") as fh:
-                fh.write(selection.grid_to_tsv(result.tsvd_grid))
         _save_guided(result, args)
         return 0
     # the spec checks its penalties or ranks before any file is read

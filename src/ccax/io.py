@@ -327,26 +327,24 @@ def load_matrix(path) -> FeatureMatrix:
 # Embedding tables
 # ---------------------------------------------------------------------------
 
-#: Lines parsed per ``np.loadtxt`` call by :func:`load_embedding_table`.
-_TABLE_CHUNK_LINES = 1024
-
-#: Unparsed table lines whose fields are counted in one pass.
-_COUNT_GROUP_LINES = 32
+#: File lines per window: each window's kept values are parsed by one
+#: ``np.loadtxt`` call and the fields of its other lines counted in one pass.
+_TABLE_WINDOW_LINES = 32
 
 
 def load_embedding_table(path, keep=None) -> EmbeddingTable:
     """Parse the standard text vector format (``count dim`` header line).
 
-    Values are parsed by ``np.loadtxt`` (bitwise the same doubles as
-    ``float``), ``_TABLE_CHUNK_LINES`` kept lines at a time, so only one
-    chunk of text is held; each chunk goes straight into the one table
-    array, which doubles when it fills.  ``keep``, if given, is called with
-    the header's count and returns a predicate of (row, token): only the
-    rows it accepts are parsed and kept, in file order.  Every line is
-    checked (UTF-8, its token, a duplicate, its field count) and every
-    error names the file and line; non-finite values and fields ``float``
-    would take but ``loadtxt`` does not (``1_0``) are errors in the rows
-    that are parsed.
+    ``keep``, if given, is called with the header's count and returns a
+    predicate of (row, token): only the rows it accepts are parsed and
+    kept, in file order.  Lines end at ``\\n`` only.  Each window of
+    ``_TABLE_WINDOW_LINES`` has its kept values parsed by ``np.loadtxt``
+    (bitwise the same doubles as ``float``) into the one table array, which
+    doubles when it fills, and its other lines' fields counted.  Every
+    line's UTF-8, token, uniqueness and field count are checked, and a kept
+    value must be a finite number ``loadtxt`` takes (``1_0`` is not).  Past
+    the header's count only blank lines may follow.  A failed check raises
+    the error of the first bad line in the file, naming the file and line.
     """
     with open(path, "rb") as fh:
         header = _decode_line(path, 1, fh.readline()).split()
@@ -360,20 +358,21 @@ def load_embedding_table(path, keep=None) -> EmbeddingTable:
             raise DataFormatError(f"{path}:1: header declares {count} x {dim}")
         wanted = keep(count) if keep else None
         # the header's count may overstate the rows, so they are allocated
-        # as they arrive: a chunk first, doubling as it fills
-        vectors = np.empty((min(count, _TABLE_CHUNK_LINES), dim))
+        # as they arrive: a window first, doubling as it fills
+        vectors = np.empty((min(count, _TABLE_WINDOW_LINES), dim))
         lines_of: dict[str, int] = {}  # token -> its line, in file order
-        tokens, values = [], []  # kept, and the value text of their chunk
-        unparsed = []  # (line, value text) of lines not kept, not yet counted
-        try:
-            for lineno in range(2, count + 2):
-                raw = fh.readline()
-                if not raw:
-                    raise DataFormatError(
-                        f"{path}:{lineno}: header declares {count} entries, "
-                        f"found {lineno - 2}"
-                    )
-                parts = _decode_line(path, lineno, raw).split(None, 1)
+        tokens = []  # of the kept rows
+        window = []  # (line, value text, kept) of the lines not yet checked
+        lineno = 1
+        for lineno, raw in enumerate(fh, start=2):
+            try:
+                text = _decode_line(path, lineno, raw)
+                if lineno > count + 1:
+                    if text.strip():
+                        raise DataFormatError(f"{path}:{lineno}: more "
+                                              f"entries than header declares")
+                    continue
+                parts = text.split(None, 1)
                 if len(parts) != 2:
                     raise _field_count_error(path, lineno, len(parts), dim)
                 token = parts[0]
@@ -382,33 +381,29 @@ def load_embedding_table(path, keep=None) -> EmbeddingTable:
                         f"{path}:{lineno}: duplicate token {token!r} "
                         f"(first on line {lines_of[token]})"
                     )
-                lines_of[token] = lineno
-                if wanted is None or wanted(lineno - 2, token):
-                    tokens.append(token)
-                    values.append(parts[1])
-                else:
-                    unparsed.append((lineno, parts[1]))
-                if (len(unparsed) == _COUNT_GROUP_LINES
-                        or lineno == count + 1):
-                    group, unparsed = unparsed, []
-                    _check_field_counts(path, group, dim)
-                if values and (len(values) == _TABLE_CHUNK_LINES
-                               or lineno == count + 1):
-                    if len(tokens) > len(vectors):  # a growing table doubles
-                        vectors.resize((min(count, 2 * len(vectors)), dim),
-                                       refcheck=False)
-                    first = len(tokens) - len(values)
-                    vectors[first:len(tokens)] = _parse_table_chunk(
-                        path, [lines_of[t] for t in tokens[first:]], values,
-                        dim)
-                    values = []
-        except DataFormatError:
-            # an uncounted earlier line's field count is the first error
-            _check_field_counts(path, unparsed, dim)
-            raise
-        if _decode_line(path, count + 2, fh.readline()).strip():
-            raise DataFormatError(
-                f"{path}:{count + 2}: more entries than header declares")
+            except DataFormatError as exc:
+                _first_error(path, window, dim, exc)
+            lines_of[token] = lineno
+            kept = wanted is None or wanted(lineno - 2, token)
+            if kept:
+                tokens.append(token)
+            window.append((lineno, parts[1], kept))
+            if len(window) == _TABLE_WINDOW_LINES or lineno == count + 1:
+                values = [t for _, t, k in window if k]
+                others = [t for _, t, k in window if not k]
+                if len(tokens) > len(vectors):  # a growing table doubles
+                    vectors.resize((min(count, 2 * len(vectors)), dim),
+                                   refcheck=False)
+                if not (_parse_into(vectors[len(tokens) - len(values):
+                                            len(tokens)], values)
+                        and all(n == dim for n in _field_counts(others))):
+                    _first_error(path, window, dim, DataFormatError(
+                        f"{path}:{window[0][0]}: values do not parse"))
+                window = []
+        if lineno < count + 1:
+            _first_error(path, window, dim, DataFormatError(
+                f"{path}:{lineno + 1}: header declares {count} entries, "
+                f"found {lineno - 1}"))
     if len(tokens) < len(vectors):
         vectors.resize((len(tokens), dim), refcheck=False)
     vectors.flags.writeable = False  # owned and read-only: kept, not copied
@@ -434,28 +429,16 @@ def _decode_line(path, lineno: int, raw: bytes) -> str:
             from None
 
 
-def _parse_table_chunk(path, lines: list[int], values: list[str],
-                       dim: int) -> np.ndarray:
-    """The value fields of table lines as a (lines, dim) block.
-
-    ``values[i]`` is line ``lines[i]`` without its token.
-    """
+def _parse_into(out: np.ndarray, values: list[str]) -> bool:
+    """Parse the value texts ``values`` into the rows of ``out``; False if
+    they are not ``out``'s shape of finite numbers."""
     try:
-        block = np.loadtxt(values, dtype=np.float64, comments=None, ndmin=2)
+        if values:  # each a non-blank line; a ragged block does not parse
+            out[...] = np.loadtxt(values, dtype=np.float64,
+                                  comments=None).reshape(out.shape)
     except ValueError:
-        block = None
-    if block is None or block.shape[1] != dim:
-        for lineno, text in zip(lines, values):
-            _check_table_line(path, lineno, text, dim)
-        raise DataFormatError(f"{path}:{lines[0]}: values do not parse")
-    finite = np.isfinite(block)
-    if not finite.all():
-        row, col = (int(i[0]) for i in np.nonzero(~finite))
-        raise DataFormatError(
-            f"{path}:{lines[row]}: value {col + 1} is not finite: "
-            f"{block[row, col]}"
-        )
-    return block
+        return False
+    return bool(np.isfinite(out).all())
 
 
 def _field_counts(texts: list[str]) -> list[int]:
@@ -482,31 +465,34 @@ def _field_counts(texts: list[str]) -> list[int]:
     return counts
 
 
-def _check_field_counts(path, lines: list[tuple[int, str]], dim: int) -> None:
-    """Raise the field-count error of the first of (line, value text)
-    ``lines`` whose text does not hold ``dim`` fields."""
-    for (lineno, _), fields in zip(lines, _field_counts(
-            [text for _, text in lines])):
-        if fields != dim:
-            raise _field_count_error(path, lineno, fields + 1, dim)
-
-
-def _check_table_line(path, lineno: int, text: str, dim: int) -> None:
-    """Raise the error of one line's value fields, if they do not parse."""
-    fields = text.split()
-    if len(fields) != dim:
-        raise _field_count_error(path, lineno, len(fields) + 1, dim)
-    try:
-        np.loadtxt([text], dtype=np.float64, comments=None)
-    except ValueError as exc:
-        reason = str(exc)
-        for col, field in enumerate(fields, start=1):
-            try:
-                np.loadtxt([field], dtype=np.float64, comments=None)
-            except ValueError:
-                reason = f"value {col} is not a number: {field!r}"
-                break
-        raise DataFormatError(f"{path}:{lineno}: {reason}") from None
+def _first_error(path, window, dim: int, error: DataFormatError):
+    """Raise the error of the first bad line of ``window``, the (line, value
+    text, kept) of lines in file order: its field count, and for a kept
+    line a value that is not a number or not finite.  If none is bad, raise
+    ``error``."""
+    for lineno, text, kept in window:
+        fields = text.split()
+        if len(fields) != dim:
+            raise _field_count_error(path, lineno, len(fields) + 1, dim)
+        if not kept:
+            continue
+        try:
+            values = np.loadtxt([text], dtype=np.float64, comments=None,
+                                ndmin=1)
+        except ValueError as exc:
+            reason = str(exc)
+            for col, field in enumerate(fields, start=1):
+                try:
+                    np.loadtxt([field], dtype=np.float64, comments=None)
+                except ValueError:
+                    reason = f"value {col} is not a number: {field!r}"
+                    break
+            raise DataFormatError(f"{path}:{lineno}: {reason}") from None
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise DataFormatError(f"{path}:{lineno}: value {bad[0] + 1} is "
+                                  f"not finite: {values[bad[0]]}")
+    raise error
 
 
 def _field_count_error(path, lineno: int, fields: int,
@@ -671,18 +657,23 @@ def format_manifest_value(value) -> str:
 
 
 def save_archive(archive: ModelArchive, path) -> None:
+    with _new_file(path) as fh:
+        write_archive(archive, fh)
+
+
+def write_archive(archive: ModelArchive, fh) -> None:
+    """Write ``archive`` to the binary handle ``fh``."""
     manifest_text = "".join(
         f"{k}={v}\n" for k, v in archive.manifest.items()
     ).encode("utf-8")
-    with _new_file(path) as fh:
-        fh.write(ARCHIVE_MAGIC)
-        fh.write(struct.pack("<Q", len(manifest_text)))
-        fh.write(manifest_text)
-        for name, blob in archive.blobs.items():
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<Q", len(encoded)))
-            fh.write(encoded)
-            MatrixWriter(fh, blob.rows, blob.cols).write(blob.values)
+    fh.write(ARCHIVE_MAGIC)
+    fh.write(struct.pack("<Q", len(manifest_text)))
+    fh.write(manifest_text)
+    for name, blob in archive.blobs.items():
+        encoded = name.encode("utf-8")
+        fh.write(struct.pack("<Q", len(encoded)))
+        fh.write(encoded)
+        MatrixWriter(fh, blob.rows, blob.cols).write(blob.values)
 
 
 def load_archive(path) -> ModelArchive:

@@ -100,18 +100,16 @@ _SMALL_GEMM = 100**3
 
 
 def _project(view, mean: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """(view - mean) @ basis.T of a ``FeatureMatrix`` or an array, centered
-    and projected a block of rows at a time into one output: no centered
-    copy of the whole view is held.  A block is the fewest whole BLOCK_ROWS
-    tiles whose product is past the small-matrix size, as a taller view's
-    is, so on one BLAS thread its rows equal, bit for bit, those of one
-    product over the whole view."""
-    values = (view.values if isinstance(view, FeatureMatrix)
-              else np.asarray(view))
-    out = np.empty((values.shape[0], basis.shape[0]))
+    """(view - mean) @ basis.T of a ``FeatureMatrix``, whose rows are read
+    by ``view.block(lo, hi)``, centered and projected a block of rows at a
+    time into one output: no centered copy of the whole view is held.  A
+    block is the fewest whole BLOCK_ROWS tiles whose product is past the
+    small-matrix size, as a taller view's is, so on one BLAS thread its
+    rows equal, bit for bit, those of one product over the whole view."""
+    out = np.empty((view.rows, basis.shape[0]))
     tiles = _SMALL_GEMM // (BLOCK_ROWS * basis.size) + 1
-    for lo, hi in _row_blocks(values.shape[0], tiles * BLOCK_ROWS):
-        np.matmul(values[lo:hi] - mean, basis.T, out=out[lo:hi])
+    for lo, hi in _row_blocks(view.rows, tiles * BLOCK_ROWS):
+        np.matmul(view.block(lo, hi) - mean, basis.T, out=out[lo:hi])
     return out
 
 

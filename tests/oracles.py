@@ -9,10 +9,13 @@ the reference that route is checked against.  Likewise the per-vector HKSE
 route (``embed_sentence_gemv``), the sorting median (``bandwidth_sorted``)
 and the ``float()`` table parser (``table_values_float``) are the routes
 that the blocked kernel, the partition median and the ``loadtxt`` parser
-replaced.  The list-of-lists ground truth (``pairing_to_ground_truth``)
-is the route that ``evaluate_bidirectional``'s flat ground truth
-replaced.  ``evaluate_blocks_loop`` slices ``eval --blocks``'s image
-blocks, ranks each by ``two_gemm_ranks`` and counts its reports itself.
+replaced.  ``read_table_lines`` checks and parses a table one line at a
+time, the reference for the windows of ``io.load_embedding_table`` and
+the first bad line it reports.  The list-of-lists ground truth
+(``pairing_to_ground_truth``) is the route that
+``evaluate_bidirectional``'s flat ground truth replaced.
+``evaluate_blocks_loop`` slices ``eval --blocks``'s image blocks, ranks
+each by ``two_gemm_ranks`` and counts its reports itself.
 ``project`` centers and projects a whole view at once, the route that
 ``retrieval._project``'s row blocks replaced.  ``evaluate_branches`` is
 the protocol before its one bilinear scoring kernel: each task projects
@@ -522,6 +525,62 @@ def table_values_float(text: str) -> tuple[list[str], np.ndarray]:
     return tokens, values
 
 
+def read_table_lines(data: bytes, keep=None):
+    """Embedding-table bytes read one line at a time, the route the windows
+    of ``io.load_embedding_table`` are checked against.
+
+    Each line (ended by ``\\n`` only) is decoded and split; a kept line's
+    fields are each parsed by ``float()`` (one holding ``_``, which
+    ``loadtxt`` refuses, is not a number) and checked finite.  ``keep`` is
+    as the library's.  Returns (tokens, values) of the kept rows, or the
+    first bad line's error as ``"<line>: <reason>"``.  The header must be
+    valid, and no value text may hold a CR, whose error text is numpy's.
+    """
+    lines = data.split(b"\n")
+    if lines[-1] == b"":
+        lines.pop()
+    count, dim = (int(f) for f in lines[0].split())
+    wanted = keep(count) if keep else None
+    tokens, rows, first_line = [], [], {}
+    for lineno, raw in enumerate(lines[1:], start=2):
+        try:
+            fields = raw.decode("utf-8").split()
+        except UnicodeDecodeError as exc:
+            return f"{lineno}: not UTF-8 ({exc.reason})"
+        if lineno > count + 1:
+            if fields:
+                return f"{lineno}: more entries than header declares"
+            continue
+        bad_count = (f"{lineno}: expected token + {dim} values, "
+                     f"got {len(fields)} fields")
+        if len(fields) < 2:
+            return bad_count
+        token = fields[0]
+        if token in first_line:
+            return (f"{lineno}: duplicate token {token!r} "
+                    f"(first on line {first_line[token]})")
+        first_line[token] = lineno
+        if len(fields) != dim + 1:
+            return bad_count
+        if wanted is not None and not wanted(lineno - 2, token):
+            continue
+        row = []
+        for col, field in enumerate(fields[1:], start=1):
+            try:
+                row.append(float(field.replace("_", "!")))
+            except ValueError:
+                return f"{lineno}: value {col} is not a number: {field!r}"
+        for col, value in enumerate(row, start=1):
+            if not math.isfinite(value):
+                return f"{lineno}: value {col} is not finite: {value}"
+        tokens.append(token)
+        rows.append(row)
+    if len(lines) - 1 < count:
+        return (f"{len(lines) + 1}: header declares {count} entries, "
+                f"found {len(lines) - 1}")
+    return tokens, np.array(rows, dtype=np.float64).reshape(-1, dim)
+
+
 def pairing_to_ground_truth(pair_index, n_items: int,
                             direction: str) -> list[list[int]]:
     """Ground-truth sets for either task from a valid caption->image pairing.
@@ -910,8 +969,7 @@ def project(view, mean, basis) -> np.ndarray:
     """(view - mean) @ basis.T over the whole view at once: the route
     ``retrieval._project``, which centers and projects a block of rows at a
     time, replaced."""
-    values = getattr(view, "values", view)
-    return (values - mean) @ basis.T
+    return (view.values - mean) @ basis.T
 
 
 def embed_corpus(maps, corpus, table):

@@ -179,6 +179,35 @@ class TestFit:
         assert code == 0
         assert out.exists()
 
+    @pytest.mark.parametrize("metric, out, blocked", [
+        ("r1", "nodir/model.arc", None),
+        ("mean-r1", "nodir/model.arc", None),
+        ("r1", "model.arc", "model_annotation.arc"),
+    ])
+    def test_refused_guided_fit_leaves_no_output(self, metric, out, blocked,
+                                                 synth_dir, tmp_path,
+                                                 capsys):
+        # an archive that cannot be written (no such directory, or a
+        # directory where the annotation archive goes) refuses the fit,
+        # and the path TSV and the archives written before it go too
+        if blocked:
+            (tmp_path / blocked).mkdir()
+        code = main([
+            "fit", "--x", str(synth_dir / "train_x.fmat"),
+            "--y", str(synth_dir / "train_y.fmat"),
+            "--reg", "guided-tsvd", "--grid", "3x3",
+            "--val-x", str(synth_dir / "val_images.fmat"),
+            "--val-y", str(synth_dir / "val_captions.fmat"),
+            "--val-pairing", str(synth_dir / "val_pairing.txt"),
+            "--metric", metric, "--path-out", str(tmp_path / "path.tsv"),
+            "--out", str(tmp_path / out),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("ccax: error: ")
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            [blocked] if blocked else [])
+
 
 class TestPath:
     def test_tsv_written_and_deterministic_modulo_timing(self, synth_dir,

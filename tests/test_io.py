@@ -8,12 +8,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccax import cca, cli, hkse, io
-from oracles import (matrix_to_bytes, save_embedding_table,
-                     table_values_float)
+from oracles import (matrix_to_bytes, read_table_lines,
+                     save_embedding_table, table_values_float)
 
 
 def write(path, data: bytes):
@@ -488,9 +488,9 @@ class TestKeptRows:
         assert kept.tokens == full.tokens
         assert kept.vectors.tobytes() == full.vectors.tobytes()
 
-    @pytest.mark.parametrize("chunk", [1, 2, 3])
-    def test_kept_rows_across_chunks(self, chunk, tmp_path, monkeypatch):
-        monkeypatch.setattr(io, "_TABLE_CHUNK_LINES", chunk)
+    @pytest.mark.parametrize("window", [1, 2, 3])
+    def test_kept_rows_across_chunks(self, window, tmp_path, monkeypatch):
+        monkeypatch.setattr(io, "_TABLE_WINDOW_LINES", window)
         path = self.table(tmp_path)
         full = io.load_embedding_table(path)
         kept = io.load_embedding_table(path, keep_rows((0, 3, 4, 7)))
@@ -509,7 +509,7 @@ class TestKeptRows:
     ])
     def test_kept_value_names_its_line(self, value, message, tmp_path):
         # kept lines 2, 6 and 9 are not consecutive: the bad one is the
-        # third kept row of the chunk, on line 9
+        # third kept row of the window, on line 9
         path = self.table(tmp_path, {7: f"w7 {value} 1"})
         with pytest.raises(io.DataFormatError) as info:
             io.load_embedding_table(path, keep_rows((0, 4, 7)))
@@ -531,15 +531,15 @@ class TestKeptRows:
             io.load_embedding_table(path, keep_rows((0,)))
         assert str(info.value) == f"{path}:{message}"
 
-    @pytest.mark.parametrize("group", [1, 5, 64])
+    @pytest.mark.parametrize("window", [1, 5, 64])
     @pytest.mark.parametrize("later", [
         b"w5 1", b"w1 5 5.5", b"w5 5 \xff", b"w5 x 5.5", b"w5 nan 5.5",
         b"w5"])
-    def test_field_count_error_comes_first(self, group, later, tmp_path,
+    def test_field_count_error_comes_first(self, window, later, tmp_path,
                                            monkeypatch):
-        # unkept line 4's fields are counted in a group, after lines that
-        # may hold an error of their own (line 7, kept): line 4's still wins
-        monkeypatch.setattr(io, "_COUNT_GROUP_LINES", group)
+        # unkept line 4's fields may be counted in the window of a later
+        # line that holds an error of its own (line 7, kept): line 4's wins
+        monkeypatch.setattr(io, "_TABLE_WINDOW_LINES", window)
         path = self.table(tmp_path, {2: "w2 2 2.5 9", 5: "LATER"})
         write(path, path.read_bytes().replace(b"LATER", later))
         with pytest.raises(io.DataFormatError) as info:
@@ -547,11 +547,11 @@ class TestKeptRows:
         assert str(info.value) == (
             f"{path}:4: expected token + 2 values, got 4 fields")
 
-    @pytest.mark.parametrize("group", [1, 3, 64])
-    def test_unkept_lines_counted_in_groups(self, group, tmp_path,
+    @pytest.mark.parametrize("window", [1, 3, 64])
+    def test_unkept_lines_counted_in_groups(self, window, tmp_path,
                                             monkeypatch):
         # blanks of every kind between the fields of unkept lines
-        monkeypatch.setattr(io, "_COUNT_GROUP_LINES", group)
+        monkeypatch.setattr(io, "_TABLE_WINDOW_LINES", window)
         path = self.table(tmp_path, {
             1: "w1 \t1\x0b\x0c 1.5\x1c", 3: "w3\x1f3\x1d\x1e3.5  ",
             4: "w4 4\u30004.5", 6: "w6 6\x856.5\xa0"})
@@ -572,6 +572,89 @@ class TestKeptRows:
                            match=r"w\.txt:4: header declares 4 entries, "
                                  r"found 2"):
             io.load_embedding_table(path, keep_rows((0,)))
+
+
+#: Value fields of the tables below: numbers, then texts that are not
+#: numbers or not finite; and the blanks between fields.
+NUMBERS = ["0", "-1.5", "2.25e-3", ".5", "-0", "1e300", "7"]
+NOT_VALUES = ["x", "1_0", "--1", "nan", "-inf", "1e999"]
+SEPARATORS = [" ", "  ", "\t", "\x0b", "\u3000"]
+
+
+@st.composite
+def defective_tables(draw) -> bytes:
+    """Table text whose lines may carry defects: a bad value, a field too
+    many or too few, a blank or token-only line, a duplicate token, a byte
+    that is not UTF-8; then maybe blank lines and a further entry past the
+    header's count, and a cut at any byte."""
+    rows, dim = draw(st.integers(1, 40)), draw(st.integers(1, 3))
+    lines = [[f"w{i}", *draw(st.lists(st.sampled_from(NUMBERS),
+                                      min_size=dim, max_size=dim))]
+             for i in range(rows)]
+    for kind, i, j in draw(st.lists(st.tuples(
+            st.sampled_from(["value", "more", "fewer", "blank", "token",
+                             "duplicate"]),
+            st.integers(0, rows - 1), st.integers(0, rows - 1)),
+            max_size=3)):
+        if kind == "value" and len(lines[i]) > 1:
+            lines[i][1 + j % (len(lines[i]) - 1)] = draw(
+                st.sampled_from(NOT_VALUES))
+        elif kind == "more":
+            lines[i].append("1")
+        elif kind == "fewer":
+            del lines[i][1:2]
+        elif kind in ("blank", "token"):
+            lines[i] = [] if kind == "blank" else lines[i][:1]
+        elif kind == "duplicate" and lines[j]:
+            lines[i][:1] = lines[j][:1]
+    text = [draw(st.sampled_from(SEPARATORS)).join(f).encode()
+            for f in lines]
+    for i in draw(st.lists(st.integers(0, rows - 1), max_size=1)):
+        at = draw(st.integers(0, len(text[i])))
+        text[i] = text[i][:at] + b"\xff" + text[i][at:]
+    data = f"{rows} {dim}\n".encode() + b"".join(t + b"\n" for t in text)
+    data += draw(st.sampled_from([b"", b"\n", b" \n\n", b"\n\xff\n"]))
+    data += draw(st.sampled_from([b"", b"extra 1\n"]))
+    if draw(st.booleans()):
+        data = data[:draw(st.integers(len(f"{rows} {dim}\n"), len(data)))]
+    return data
+
+
+#: Twelve lines of the form "w<i> <i> <i>.5".
+TWELVE = "".join(f"w{i} {i} {i}.5\n" for i in range(12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=defective_tables(),
+       kept=st.none() | st.frozensets(st.integers(0, 40)),
+       window=st.sampled_from([1, 2, 3, 32]))
+# a kept bad value on line 3 and an unkept field count on line 11
+@example(data=("12 2\n" + TWELVE).replace("w1 1", "w1 x").replace(
+    "w9 9 9.5", "w9 1").encode(), kept=frozenset({1, 3}), window=32)
+# a bad value on line 2, then a duplicate token, or the file's end
+@example(data=("12 2\n" + TWELVE).replace("w0 0", "w0 x").replace(
+    "w3 3", "w1 3").encode(), kept=None, window=32)
+@example(data=("12 2\n" + TWELVE[:18]).replace("w0 0", "w0 x").encode(),
+         kept=None, window=32)
+# an entry, or a byte that is not UTF-8, after a blank past the count
+@example(data=b"2 3\na 1 2 3\nb 1 2 3\n\nc 1 2 3\n", kept=None, window=32)
+@example(data=b"2 3\na 1 2 3\nb 1 2 3\n\n\xff\n", kept=None, window=32)
+def test_windows_equal_the_line_reader(data, kept, window, tmp_path_factory):
+    # whatever the window and the kept rows, the table is the line reader's,
+    # or the error is that of the first bad line in the file
+    path = write(tmp_path_factory.mktemp("table") / "w.txt", data)
+    keep = None if kept is None else keep_rows(kept)
+    want = read_table_lines(data, keep)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(io, "_TABLE_WINDOW_LINES", window)
+        if isinstance(want, str):
+            with pytest.raises(io.DataFormatError) as info:
+                io.load_embedding_table(path, keep)
+            assert str(info.value) == f"{path}:{want}"
+        else:
+            table = io.load_embedding_table(path, keep)
+            assert list(table.tokens) == want[0]
+            assert table.vectors.tobytes() == want[1].tobytes()
 
 
 class TestCorpus:

@@ -107,10 +107,10 @@ def test_embed_holds_only_the_rows_it_uses(tmp_path):
 
 
 def test_table_parsed_in_place(tmp_path, monkeypatch):
-    # 8 chunks of 300-dim rows at three decimals: the parsed table, one
-    # chunk's text and block, and the tokens fit in table + chunk + 25%
-    monkeypatch.setattr(io, "_TABLE_CHUNK_LINES", 128)
-    count, dim = 8 * io._TABLE_CHUNK_LINES, 300
+    # 8 windows of 300-dim rows at three decimals: the parsed table, one
+    # window's text and block, and the tokens fit in table + window + 25%
+    monkeypatch.setattr(io, "_TABLE_WINDOW_LINES", 128)
+    count, dim = 8 * io._TABLE_WINDOW_LINES, 300
     steps = np.random.default_rng(1).integers(-3000, 3001, size=(count, dim))
     path = tmp_path / "w.txt"
     with open(path, "w", encoding="utf-8") as fh:
@@ -123,12 +123,12 @@ def test_table_parsed_in_place(tmp_path, monkeypatch):
     vectors = loaded[0].vectors
     np.testing.assert_array_equal(vectors, steps / 1e3)
     assert vectors.base is None and not vectors.flags.writeable
-    assert peak < 1.25 * (count + io._TABLE_CHUNK_LINES) * dim * 8
+    assert peak < 1.25 * (count + io._TABLE_WINDOW_LINES) * dim * 8
 
 
 @pytest.mark.parametrize("source", ["file", "pipe"])
 def test_overstated_count_allocates_what_the_file_holds(tmp_path, source):
-    # a file or a pipe gets one chunk of rows at a time, whatever the
+    # a file or a pipe gets one window of rows at a time, whatever the
     # header's count
     path = tmp_path / "w.txt"
     text = f"{10**12} 3\na 1 0 0\nb 0 1 0\n"
@@ -154,8 +154,8 @@ def test_overstated_count_allocates_what_the_file_holds(tmp_path, source):
 
 def test_table_from_a_pipe(tmp_path, monkeypatch):
     # a pipe's rows, as a regular file's, are allocated as they arrive: one
-    # line per chunk grows the table from 1 row to 2, then to the count
-    monkeypatch.setattr(io, "_TABLE_CHUNK_LINES", 1)
+    # line per window grows the table from 1 row to 2, then to the count
+    monkeypatch.setattr(io, "_TABLE_WINDOW_LINES", 1)
     text = "3 3\na 1 0 0\nb 0 1 0.5\nc 0 0 2\n"
     (tmp_path / "w.txt").write_text(text)
     fifo = tmp_path / "w.fifo"

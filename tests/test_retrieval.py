@@ -134,18 +134,16 @@ class TestTaskEmbedding:
 @given(rows=st.sampled_from([1, 191, 192, 193, 383, 384, 385])
        | st.integers(386, 5000),
        width=st.sampled_from([1, 7, 8, 300]), rank=st.integers(1, 300),
-       order=st.sampled_from("CF"), matrix=st.booleans(),
-       seed=st.integers(0, 2**32 - 1))
+       order=st.sampled_from("CF"), seed=st.integers(0, 2**32 - 1))
 # shapes where 192-row blocks alone take OpenBLAS's small-matrix kernel
-@example(rows=385, width=300, rank=4, order="C", matrix=False, seed=0)
-@example(rows=1000, width=300, rank=10, order="F", matrix=True, seed=0)
-def project_matches_whole_view(rows, width, rank, order, matrix, seed):
+@example(rows=385, width=300, rank=4, order="C", seed=0)
+@example(rows=1000, width=300, rank=10, order="F", seed=0)
+def project_matches_whole_view(rows, width, rank, order, seed):
     """``retrieval._project`` equals the one product over the whole view,
     bit for bit: a property of one BLAS thread, so it is run by
     :func:`test_project_matches_whole_view_under_one_blas_thread`."""
     rng = np.random.default_rng(seed)
-    values = rng.standard_normal((rows, width)) + 3.0
-    view = io.FeatureMatrix(values) if matrix else values
+    view = io.FeatureMatrix(rng.standard_normal((rows, width)) + 3.0)
     mean = rng.standard_normal(width)
     basis = np.asarray(rng.standard_normal((min(rank, width), width)),
                        order=order)
