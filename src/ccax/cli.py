@@ -9,7 +9,6 @@ flags given on the command line win.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import math
 import sys
 from pathlib import Path
@@ -433,12 +432,11 @@ def _cmd_embed(args) -> int:
         ]
     blocks = hkse.embed_blocks(maps, corpus, table)  # checks every input
     cols = sum(m.output_dim for m in maps)
-    # each block goes to --out as it is embedded; a failure removes --out
     with io.create_matrix(args.out, len(corpus), cols) as out:
-        for block in blocks:
+        for block in blocks:  # each written as it is embedded
             out.write(block)
-        if args.map_out:
-            io.save_archive(hkse.maps_to_archive(maps), args.map_out)
+    if args.map_out:
+        io.save_archive(hkse.maps_to_archive(maps), args.map_out)
     print(f"embedded {len(corpus)} sentences into {cols} dims -> {args.out}")
     return 0
 
@@ -450,8 +448,7 @@ def _guided_out_paths(out: str) -> tuple[Path, Path]:
 
 
 def _save_guided(result, args) -> None:
-    """Write the guided fit's archives, and its path TSV if asked: all of
-    them, or, if one cannot be written, none."""
+    """Write the guided fit's path TSV, if asked, and its archives."""
     sel = result.tsvd_selection
 
     def archive_for(model, spec):
@@ -470,14 +467,10 @@ def _save_guided(result, args) -> None:
         models = [(search_path, result.search_model, sel.best_search),
                   (annotation_path, result.annotation_model,
                    sel.best_annotation)]
-    # a failed open or write removes every file opened before it
-    with contextlib.ExitStack() as stack:
-        if args.path_out:
-            stack.enter_context(io._new_file(args.path_out)).write(
-                selection.grid_to_tsv(result.tsvd_grid).encode("utf-8"))
-        for path, model, spec in models:
-            io.write_archive(archive_for(model, spec),
-                             stack.enter_context(io._new_file(path)))
+    if args.path_out:
+        io.save_text(selection.grid_to_tsv(result.tsvd_grid), args.path_out)
+    for path, model, spec in models:
+        io.save_archive(archive_for(model, spec), path)
     print("wrote " + " and ".join(str(path) for path, _, _ in models))
 
 
@@ -490,7 +483,9 @@ def _cmd_fit(args) -> int:
             workers=_workers(args))
         _save_guided(result, args)
         return 0
-    # the spec checks its penalties or ranks before any file is read
+    # flags, and the spec's penalties or ranks, are checked before any read
+    if args.path_out:
+        raise ValueError("--path-out needs --reg guided-tsvd")
     if args.reg == "none":
         spec = cca.RegularizationSpec.none()
     elif args.reg == "tikhonov":
@@ -513,8 +508,7 @@ def _cmd_path(args) -> int:
               else selection.tikhonov_path)
     grid, sel = runner(**_load_path(args, args.reg), metric=args.metric,
                        workers=_workers(args))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(selection.grid_to_tsv(grid))
+    io.save_text(selection.grid_to_tsv(grid), args.out)
 
     def describe(spec):
         if spec.kind == "tsvd":
@@ -539,39 +533,35 @@ def _cmd_timing(args) -> int:
         f"cells\t{report.cells}",
         f"repeats\t{report.repeats}",
     ]
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    io.save_text("\n".join(lines) + "\n", args.out)
     print(f"T-SVD {report.tsvd_seconds:.3f}s vs Tikhonov "
           f"{report.tikhonov_seconds:.3f}s ({report.speedup:.2f}x)")
     return 0
 
 
-def _cmd_eval(args) -> int:
+def _write_report(args, report) -> int:
+    """Write to --out, and print, the TSV text ``report`` makes of the
+    --model and the --images, --captions and --pairing views."""
     model = _read_archive(args.model, cca.model_from_archive)
-    images, captions, pair_index = _load_views(args.images, args.captions,
-                                               args.pairing, "--pairing")
-    weighting, alpha = args.weighting
-    reports = retrieval.evaluate_blocks(model, images, captions, pair_index,
-                                        args.blocks, weighting, alpha,
-                                        args.similarity)
-    text = retrieval.reports_to_tsv(reports)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    text = report(model, *_load_views(args.images, args.captions,
+                                      args.pairing, "--pairing"))
+    io.save_text(text, args.out)
     print(text, end="")
     return 0
+
+
+def _cmd_eval(args) -> int:
+    weighting, alpha = args.weighting
+    return _write_report(args, lambda *views: retrieval.reports_to_tsv(
+        retrieval.evaluate_blocks(*views, args.blocks, weighting, alpha,
+                                  args.similarity)))
 
 
 def _cmd_sweep(args) -> int:
-    model = _read_archive(args.model, cca.model_from_archive)
-    images, captions, pair_index = _load_views(args.images, args.captions,
-                                               args.pairing, "--pairing")
-    curve = retrieval.alpha_sweep(model, images, captions, args.alphas,
-                                  pair_index=pair_index, k=args.k)
-    text = retrieval.sweep_to_tsv(curve)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    print(text, end="")
-    return 0
+    return _write_report(args, lambda model, images, captions, pairs:
+                         retrieval.sweep_to_tsv(retrieval.alpha_sweep(
+                             model, images, captions, args.alphas,
+                             pair_index=pairs, k=args.k)))
 
 
 def _cmd_inspect(args) -> int:
@@ -606,8 +596,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "embed":
         _resolve_map_flags(parser, args)
-    try:
-        return _COMMANDS[args.command](args)
+    try:  # a command that fails leaves none of its output files
+        with io.output_group():
+            return _COMMANDS[args.command](args)
     except (OSError, ValueError) as exc:
         print(f"ccax: error: {exc}", file=sys.stderr)
         return 1

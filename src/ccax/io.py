@@ -17,6 +17,7 @@ Formats handled here:
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import math
 import os
 import stat
@@ -185,17 +186,48 @@ class MatrixWriter:
         self.written += block.shape[0]
 
 
+#: The regular files the running output group opened, by (device, inode)
+_OUTPUTS = contextvars.ContextVar("outputs", default=None)
+
+
+@contextlib.contextmanager
+def output_group():
+    """Run the body's writes as one group, of this call and thread: if it
+    raises, every regular file :func:`_new_file` opened in it is removed."""
+    files: dict[tuple[int, int], str] = {}
+    token = _OUTPUTS.set(files)
+    try:
+        yield
+    except BaseException:
+        for path in files.values():
+            os.remove(path)
+        raise
+    finally:
+        _OUTPUTS.reset(token)
+
+
 @contextlib.contextmanager
 def _new_file(path):
-    """Open ``path`` for binary writing; if the body raises, a regular file
-    is removed again, so a failed write leaves no partial file."""
-    with open(path, "wb") as fh:
-        try:
-            yield fh
-        except BaseException:
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                os.remove(path)
-            raise
+    """Open ``path`` for binary writing, in the running :func:`output_group`
+    or a group of its own, and close it inside the group, so that a failed
+    write or final flush removes it.  The one opener of output files; a
+    file the group opened already, by any name, is refused."""
+    with (contextlib.nullcontext() if _OUTPUTS.get() is not None
+          else output_group()), open(path, "wb") as fh:
+        files = _OUTPUTS.get()
+        st = os.fstat(fh.fileno())
+        key = st.st_dev, st.st_ino
+        if key in files:
+            raise ValueError(f"{path}: already opened as output {files[key]}")
+        if stat.S_ISREG(st.st_mode):
+            files[key] = path
+        yield fh
+
+
+def save_text(text: str, path) -> None:
+    """Write ``text`` to ``path`` as UTF-8."""
+    with _new_file(path) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 @contextlib.contextmanager
@@ -357,9 +389,9 @@ def load_embedding_table(path, keep=None) -> EmbeddingTable:
         if count < 1 or dim < 1:
             raise DataFormatError(f"{path}:1: header declares {count} x {dim}")
         wanted = keep(count) if keep else None
-        # the header's count may overstate the rows, so they are allocated
-        # as they arrive: a window first, doubling as it fills
-        vectors = np.empty((min(count, _TABLE_WINDOW_LINES), dim))
+        # the header may overstate the rows and their width, so rows are
+        # allocated only for windows that parsed: a window first, doubling
+        vectors = np.empty((0, dim))
         lines_of: dict[str, int] = {}  # token -> its line, in file order
         tokens = []  # of the kept rows
         window = []  # (line, value text, kept) of the lines not yet checked
@@ -389,17 +421,18 @@ def load_embedding_table(path, keep=None) -> EmbeddingTable:
                 tokens.append(token)
             window.append((lineno, parts[1], kept))
             if len(window) == _TABLE_WINDOW_LINES or lineno == count + 1:
-                values = [t for _, t, k in window if k]
+                values = _parse_values([t for _, t, k in window if k], dim)
                 others = [t for _, t, k in window if not k]
-                if len(tokens) > len(vectors):  # a growing table doubles
-                    vectors.resize((min(count, 2 * len(vectors)), dim),
-                                   refcheck=False)
-                if not (_parse_into(vectors[len(tokens) - len(values):
-                                            len(tokens)], values)
-                        and all(n == dim for n in _field_counts(others))):
+                if values is None or any(n != dim
+                                         for n in _field_counts(others)):
                     _first_error(path, window, dim, DataFormatError(
                         f"{path}:{window[0][0]}: values do not parse"))
-                window = []
+                if len(tokens) > len(vectors):
+                    vectors.resize((min(count, max(2 * len(vectors),
+                                                   _TABLE_WINDOW_LINES)),
+                                    dim), refcheck=False)
+                vectors[len(tokens) - len(values):len(tokens)] = values
+                window = values = []  # freed before the next parse
         if lineno < count + 1:
             _first_error(path, window, dim, DataFormatError(
                 f"{path}:{lineno + 1}: header declares {count} entries, "
@@ -429,16 +462,17 @@ def _decode_line(path, lineno: int, raw: bytes) -> str:
             from None
 
 
-def _parse_into(out: np.ndarray, values: list[str]) -> bool:
-    """Parse the value texts ``values`` into the rows of ``out``; False if
-    they are not ``out``'s shape of finite numbers."""
-    try:
-        if values:  # each a non-blank line; a ragged block does not parse
-            out[...] = np.loadtxt(values, dtype=np.float64,
-                                  comments=None).reshape(out.shape)
+def _parse_values(values: list[str], dim: int) -> np.ndarray | None:
+    """The value texts ``values`` parsed as rows of ``dim`` finite numbers;
+    None if they are not that."""
+    if not values:
+        return np.empty((0, dim))
+    try:  # each a non-blank line; a ragged block does not parse
+        out = np.loadtxt(values, dtype=np.float64,
+                         comments=None).reshape(len(values), dim)
     except ValueError:
-        return False
-    return bool(np.isfinite(out).all())
+        return None
+    return out if np.isfinite(out).all() else None
 
 
 def _field_counts(texts: list[str]) -> list[int]:
@@ -580,9 +614,8 @@ def load_pairing(path) -> np.ndarray:
 
 
 def save_pairing(pair_index, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for idx in np.asarray(pair_index).ravel():
-            fh.write(f"{int(idx)}\n")
+    save_text("".join(f"{int(idx)}\n"
+                      for idx in np.asarray(pair_index).ravel()), path)
 
 
 # ---------------------------------------------------------------------------
@@ -593,10 +626,9 @@ _SPLIT_NAMES = ("train", "val", "test")
 
 
 def save_split_file(splits: dict[str, np.ndarray], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for name in _SPLIT_NAMES:
-            for idx in np.asarray(splits.get(name, ())).ravel():
-                fh.write(f"{int(idx)}\t{name}\n")
+    save_text("".join(f"{int(idx)}\t{name}\n" for name in _SPLIT_NAMES
+                      for idx in np.asarray(splits.get(name, ())).ravel()),
+              path)
 
 
 # ---------------------------------------------------------------------------
@@ -657,23 +689,18 @@ def format_manifest_value(value) -> str:
 
 
 def save_archive(archive: ModelArchive, path) -> None:
-    with _new_file(path) as fh:
-        write_archive(archive, fh)
-
-
-def write_archive(archive: ModelArchive, fh) -> None:
-    """Write ``archive`` to the binary handle ``fh``."""
     manifest_text = "".join(
         f"{k}={v}\n" for k, v in archive.manifest.items()
     ).encode("utf-8")
-    fh.write(ARCHIVE_MAGIC)
-    fh.write(struct.pack("<Q", len(manifest_text)))
-    fh.write(manifest_text)
-    for name, blob in archive.blobs.items():
-        encoded = name.encode("utf-8")
-        fh.write(struct.pack("<Q", len(encoded)))
-        fh.write(encoded)
-        MatrixWriter(fh, blob.rows, blob.cols).write(blob.values)
+    with _new_file(path) as fh:
+        fh.write(ARCHIVE_MAGIC)
+        fh.write(struct.pack("<Q", len(manifest_text)))
+        fh.write(manifest_text)
+        for name, blob in archive.blobs.items():
+            encoded = name.encode("utf-8")
+            fh.write(struct.pack("<Q", len(encoded)))
+            fh.write(encoded)
+            MatrixWriter(fh, blob.rows, blob.cols).write(blob.values)
 
 
 def load_archive(path) -> ModelArchive:

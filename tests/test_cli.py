@@ -128,6 +128,10 @@ class TestFit:
         (["--reg", "tsvd", "--kx", "2"], "--reg tsvd needs --kx and --ky"),
         (["--reg", "guided-tsvd"],
          "--reg guided-tsvd needs --val-x and --val-y"),
+        # only a guided fit walks a path, so --path-out would go unwritten
+        *[(reg + ["--path-out", "p.tsv"], "--path-out needs --reg guided-tsvd")
+          for reg in (["--reg", "none"], ["--reg", "tikhonov"],
+                      ["--reg", "tsvd", "--kx", "2", "--ky", "2"])],
     ])
     def test_spec_checked_before_any_file_is_read(self, flags, message,
                                                   tmp_path, capsys):
@@ -1341,6 +1345,13 @@ class TestInputErrorsNameTheFile:
                     "manifest key 'm': 'x' is not a valid int"),
         "map_inf": ("map", {"eta": "inf"},
                     "manifest key 'eta': 'inf' is not finite"),
+        "map_no_maps": ("map", {"n_maps": "0"}, "archive holds 0 maps"),
+        "map_variant": ("map", {"sent_variant": "poly"},
+                        "unknown map variant 'poly'"),
+        "map_w_word": ("map", {"m": "9"},
+                       "manifest dimensions disagree with W_WORD blob"),
+        "map_w_sent_rows": ("map", {"m_prime": "7"},
+                            "manifest dimensions disagree with W_SENT blob"),
     }
     BLOB_EDITS = {
         # kind: (archive, blob that loses its last column, the message)
@@ -1354,6 +1365,7 @@ class TestInputErrorsNameTheFile:
                        "archive blob 'B_SENT' has 5 entries, expected 6"),
         "map_w_sent": ("map", "W_SENT",
                        "W_SENT has 7 columns, the pooled dimension is 8"),
+        "model_u": ("model", "U", "U and V column counts disagree"),
     }
 
     @classmethod
@@ -1379,6 +1391,31 @@ class TestInputErrorsNameTheFile:
                 return embed + ["--map", str(bad)], bad, f": {message}"
             return (_eval_argv("eval", synth_dir, fitted_model, tmp_path,
                                model=bad), bad, f": {message}")
+        if kind in ("sigma_rows", "duplicate_blob"):
+            archive = io.load_archive(fitted_model)
+            sigma = archive.blobs["SIGMA"]
+            if kind == "sigma_rows":
+                archive.blobs["SIGMA"] = io.FeatureMatrix(
+                    np.vstack([sigma.values] * 2))
+                io.save_archive(archive, bad)
+            else:
+                bad.write_bytes(fitted_model.read_bytes()
+                                + struct.pack("<Q", 5) + b"SIGMA"
+                                + matrix_to_bytes(sigma))
+            return (_eval_argv("eval", synth_dir, fitted_model, tmp_path,
+                               model=bad), bad,
+                    ": archive blob 'SIGMA' has 2 rows, expected 1"
+                    if kind == "sigma_rows" else ": duplicate blob 'SIGMA'")
+        if kind in ("table_empty", "table_huge_dim"):
+            # a header's dim is checked against the lines before any row
+            # is allocated: 2 x 1e14 would be 1.42 PiB
+            bad.write_text("0 5\n" if kind == "table_empty"
+                           else "2 100000000000000\nred 1\ndog 2\n")
+            embed[4] = str(bad)
+            return embed, bad, (
+                ":1: header declares 0 x 5" if kind == "table_empty"
+                else ":2: expected token + 100000000000000 values, got 2 "
+                "fields")
         if kind == "corpus_byte":
             bad.write_bytes(b"red dog\nblue \xffcat\n")
             embed[2] = str(bad)
@@ -1413,13 +1450,15 @@ class TestInputErrorsNameTheFile:
                     "fit in 64 bits")
         bad.write_bytes(b"similarity=l2\n# \xe9t\xe9\n")
         return (_eval_argv("eval", synth_dir, fitted_model, tmp_path)
-                + ["--config", str(bad)], bad,
+                + (["--config", str(bad)] if kind == "config_byte"
+                   else [f"--config={bad}"]), bad,
                 ":2: not UTF-8 (invalid continuation byte)")
 
     @pytest.mark.parametrize("kind", [
         "truncated_images", "truncated_model", "manifest_byte",
-        "pairing_byte", "pairing_huge", "config_byte", "corpus_byte",
-        *MANIFEST_EDITS, *BLOB_EDITS])
+        "pairing_byte", "pairing_huge", "config_byte", "config_equals",
+        "corpus_byte", "sigma_rows", "duplicate_blob", "table_empty",
+        "table_huge_dim", *MANIFEST_EDITS, *BLOB_EDITS])
     def test_exit_one_naming_the_file(self, kind, synth_dir, word_data,
                                       fitted_model, map_archive, tmp_path,
                                       capsys):

@@ -6,17 +6,26 @@ raises no exception past ``main`` (no traceback), emits no numpy
 output files.  Every input kind is damaged in turn: FMAT1 views, pairing
 and config files, model and map archives, the word table (also at the
 edge of its first window of lines) and the corpus.
+
+The same holds when an output cannot be written: each writing command is
+run in a child process under a file-size limit, and when two outputs name
+one file.
 """
 
 import contextlib
 import io as stdio
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccax import io
+import ccax
+from ccax import cli, io
 from ccax.cli import main
 
 
@@ -150,3 +159,117 @@ def test_damaged_input_keeps_the_exit_contract(case, data, inputs,
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     if code:
         assert list(out.iterdir()) == [], err.getvalue()
+
+
+#: ``python -m ccax`` in a process whose files may grow to ``argv[1]``
+#: bytes: RLIMIT_FSIZE binds this process only, and SIGXFSZ is ignored, so
+#: a write past the limit fails with EFBIG instead of killing it.
+_LIMITED = """import resource, runpy, signal, sys
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+limit = int(sys.argv.pop(1))
+resource.setrlimit(resource.RLIMIT_FSIZE,
+                   (limit, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+runpy.run_module("ccax", run_name="__main__", alter_sys=True)
+"""
+
+
+def start_limited(argv, fsize: int) -> subprocess.Popen:
+    """Start ``python -m ccax`` with ``argv`` in a child process whose
+    files may not grow past ``fsize`` bytes."""
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": str(Path(ccax.__file__).parents[1])}
+    return subprocess.Popen(
+        [sys.executable, "-c", _LIMITED, str(fsize), *map(str, argv)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        text=True)
+
+
+def _path_flags(f):
+    return ["--x", f["train_x.fmat"], "--y", f["train_y.fmat"],
+            "--val-x", f["val_images.fmat"], "--val-y", f["val_captions.fmat"],
+            "--val-pairing", f["val_pairing.txt"], "--grid", "2x2"]
+
+
+def _test_flags(f):
+    return ["--model", f["model.arc"], "--images", f["test_images.fmat"],
+            "--captions", f["test_captions.fmat"],
+            "--pairing", f["test_pairing.txt"]]
+
+
+#: The argv of each writing command, given the inputs and the directory its
+#: outputs go to.  Path and timing TSVs hold seconds, whose printed width
+#: varies from run to run, so their cut is taken in the header line.
+WRITE_CASES = {
+    "synth": lambda f, out: [
+        "synth", "--out-dir", out, "--n-train", "30", "--n-val", "8",
+        "--n-test", "8", "--latent", "2", "--mx", "4", "--my", "3",
+        "--captions", "2", "--seed", "1"],
+    "embed": lambda f, out: _embed(f, out),
+    "fit-tikhonov": lambda f, out: [
+        "fit", "--reg", "tikhonov", "--gamma-x", "0.1", "--gamma-y", "0.1",
+        "--x", f["train_x.fmat"], "--y", f["train_y.fmat"],
+        "--out", out / "model.arc"],
+    "fit-guided-r1": lambda f, out: _fit(f, out),
+    "fit-guided-mean-r1": lambda f, out: _fit(f, out) + [
+        "--metric", "mean-r1"],
+    "path": lambda f, out: ["path", *_path_flags(f),
+                            "--out", out / "path.tsv"],
+    "timing": lambda f, out: ["timing", *_path_flags(f), "--repeats", "1",
+                              "--out", out / "timing.tsv"],
+    "eval": lambda f, out: ["eval", *_test_flags(f),
+                            "--out", out / "report.tsv"],
+    "eval-blocks": lambda f, out: ["eval", *_test_flags(f), "--blocks", "2",
+                                   "--out", out / "report.tsv"],
+    "sweep": lambda f, out: ["sweep", *_test_flags(f),
+                             "--out", out / "sweep.tsv"],
+}
+
+
+def test_every_writing_command_has_a_write_failure_case(inputs):
+    files = {p.name: p for p in inputs.iterdir()}
+    assert ({argv(files, inputs)[0] for argv in WRITE_CASES.values()}
+            == set(cli._COMMANDS) - {"inspect"})
+
+
+@pytest.mark.parametrize("case", WRITE_CASES)
+def test_failed_write_leaves_no_output(case, inputs, tmp_path, capsys):
+    files = {p.name: p for p in inputs.iterdir()}
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    assert main([str(a) for a in WRITE_CASES[case](files, ref)]) == 0
+    capsys.readouterr()
+    outputs = [p.read_bytes() for p in ref.iterdir()]
+    largest = max(len(data) for data in outputs)
+    if case in ("path", "timing"):
+        largest = outputs[0].index(b"\n") + 1
+    runs = []
+    for fsize in (0, largest - 1):
+        out = tmp_path / f"out{fsize}"
+        out.mkdir()
+        runs.append((out, start_limited(WRITE_CASES[case](files, out),
+                                        fsize)))
+    for out, child in runs:
+        err = child.communicate(timeout=60)[1]
+        assert child.returncode == 1, err
+        assert err.startswith("ccax: error: ") and "Traceback" not in err
+        assert list(out.iterdir()) == [], err
+
+
+@pytest.mark.parametrize("case", ["same name", "symlink", "guided"])
+def test_two_outputs_naming_one_file_are_refused(case, inputs, tmp_path,
+                                                 capsys):
+    files = {p.name: p for p in inputs.iterdir()}
+    if case == "guided":  # the path TSV where the search archive goes
+        argv = _fit(files, tmp_path)
+        argv[argv.index("--path-out") + 1] = tmp_path / "model_search.arc"
+    else:
+        argv = _embed(files, tmp_path)
+        alias = tmp_path / "alias.fmat"
+        if case == "symlink":
+            alias.symlink_to(tmp_path / "e.fmat")
+        argv[argv.index("--map-out") + 1] = (
+            alias if case == "symlink" else tmp_path / "e.fmat")
+    assert main([str(a) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ccax: error: ") and "already opened" in err
+    assert [p.name for p in tmp_path.iterdir() if p.exists()] == []
