@@ -310,12 +310,12 @@ def _workers(args) -> int | None:
     return None if args.threads == 0 else args.threads
 
 
-def _load_views(images_path, captions_path, pairing_path, flag: str):
-    """Images, captions and their pairing, checked and named by ``flag``."""
-    images = io.load_matrix(images_path)
-    captions = io.load_matrix(captions_path)
+def _open_views(images_path, captions_path, pairing_path, flag: str):
+    """Images and captions, opened to be read a block of rows at a time,
+    and their pairing, checked against the headers and named by ``flag``."""
+    images, captions = map(io.open_matrix, (images_path, captions_path))
     pair_index = io.load_pairing(pairing_path) if pairing_path else None
-    # a bad pairing fails here, before any SVD is paid for
+    # a bad pairing fails here, before any row is read or SVD paid for
     return images, captions, retrieval._check_pairing(
         pair_index, images.rows, captions.rows, flag)
 
@@ -323,15 +323,15 @@ def _load_views(images_path, captions_path, pairing_path, flag: str):
 def _load_path(args, kind: str) -> dict:
     """The arguments of a ``kind`` path over the command's files.
 
-    Opens the training pair (checking its headers), then reads and checks
-    the validation views and their pairing, so that a bad pairing fails
-    before the pair is read and prepared; the axes are the
-    --grid-x/--grid-y lists, or the default axes of the --grid size.
+    Opens the training pair and the validation views, checking their
+    headers and the validation pairing before the pair is read and
+    prepared; the axes are the --grid-x/--grid-y lists, or the default
+    axes of the --grid size.
     """
-    with io.open_matrix(args.x) as x, io.open_matrix(args.y) as y:
-        images, captions, pair_index = _load_views(
-            args.val_x, args.val_y, args.val_pairing, "--val-pairing")
-        problem = cca.prepare(x, y)
+    x, y = io.open_matrix(args.x), io.open_matrix(args.y)
+    images, captions, pair_index = _open_views(
+        args.val_x, args.val_y, args.val_pairing, "--val-pairing")
+    problem = cca.prepare(x, y)
     grid_x, grid_y = selection.path_axes(problem, kind, args.grid_x,
                                          args.grid_y, args.grid)
     return dict(problem=problem, val_images=images, val_captions=captions,
@@ -494,8 +494,7 @@ def _cmd_fit(args) -> int:
         raise ValueError("--reg tsvd needs --kx and --ky")
     else:
         spec = cca.RegularizationSpec.tsvd(args.kx, args.ky)
-    with io.open_matrix(args.x) as x, io.open_matrix(args.y) as y:
-        problem = cca.prepare(x, y)
+    problem = cca.prepare(io.open_matrix(args.x), io.open_matrix(args.y))
     model = cca.solve(problem, spec)
     io.save_archive(cca.model_to_archive(model), args.out)
     print(f"fit {model.reg.kind} model: k={model.k}, "
@@ -543,7 +542,7 @@ def _write_report(args, report) -> int:
     """Write to --out, and print, the TSV text ``report`` makes of the
     --model and the --images, --captions and --pairing views."""
     model = _read_archive(args.model, cca.model_from_archive)
-    text = report(model, *_load_views(args.images, args.captions,
+    text = report(model, *_open_views(args.images, args.captions,
                                       args.pairing, "--pairing"))
     io.save_text(text, args.out)
     print(text, end="")
@@ -588,16 +587,13 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
+    # a command that fails leaves none of its output files, and no output
+    # may name an input, --config included
     try:
-        argv = _apply_config(argv)
-    except (OSError, ValueError) as exc:
-        print(f"ccax: error: {exc}", file=sys.stderr)
-        return 1
-    args = parser.parse_args(argv)
-    if args.command == "embed":
-        _resolve_map_flags(parser, args)
-    try:  # a command that fails leaves none of its output files
         with io.output_group():
+            args = parser.parse_args(_apply_config(argv))
+            if args.command == "embed":
+                _resolve_map_flags(parser, args)
             return _COMMANDS[args.command](args)
     except (OSError, ValueError) as exc:
         print(f"ccax: error: {exc}", file=sys.stderr)

@@ -186,24 +186,37 @@ class MatrixWriter:
         self.written += block.shape[0]
 
 
-#: The regular files the running output group opened, by (device, inode)
-_OUTPUTS = contextvars.ContextVar("outputs", default=None)
+#: The running group: ((device, inode) -> (role, path), input handles)
+_GROUP = contextvars.ContextVar("group", default=None)
 
 
 @contextlib.contextmanager
 def output_group():
-    """Run the body's writes as one group, of this call and thread: if it
-    raises, every regular file :func:`_new_file` opened in it is removed."""
-    files: dict[tuple[int, int], str] = {}
-    token = _OUTPUTS.set(files)
-    try:
-        yield
-    except BaseException:
-        for path in files.values():
-            os.remove(path)
-        raise
-    finally:
-        _OUTPUTS.reset(token)
+    """Run the body's reads and writes as one group, of this call and
+    thread: if it raises, every regular file :func:`_new_file` opened in it
+    is removed.  The input files opened in it are closed when it ends."""
+    files: dict[tuple[int, int], tuple[str, str]] = {}
+    with contextlib.ExitStack() as handles:  # ends after its handles close
+        handles.callback(_GROUP.reset, _GROUP.set((files, handles)))
+        try:
+            yield
+        except BaseException:
+            for path in [p for role, p in files.values() if role == "output"]:
+                os.remove(path)
+            raise
+
+
+def _open_input(path, *args, **kwargs):
+    """``open(path, ...)`` to read, the one opener of input files: the
+    running group closes the handle and refuses a regular file as output."""
+    fh = open(path, *args, **kwargs)
+    st = os.fstat(fh.fileno())
+    if _GROUP.get() is not None:
+        files, handles = _GROUP.get()
+        handles.callback(fh.close)
+        if stat.S_ISREG(st.st_mode):
+            files.setdefault((st.st_dev, st.st_ino), ("input", path))
+    return fh
 
 
 @contextlib.contextmanager
@@ -211,16 +224,18 @@ def _new_file(path):
     """Open ``path`` for binary writing, in the running :func:`output_group`
     or a group of its own, and close it inside the group, so that a failed
     write or final flush removes it.  The one opener of output files; a
-    file the group opened already, by any name, is refused."""
-    with (contextlib.nullcontext() if _OUTPUTS.get() is not None
-          else output_group()), open(path, "wb") as fh:
-        files = _OUTPUTS.get()
+    file the group opened already, by any name, is refused untruncated."""
+    with (contextlib.nullcontext() if _GROUP.get() is not None
+          else output_group()), open(path, "ab") as fh:
+        files = _GROUP.get()[0]
         st = os.fstat(fh.fileno())
         key = st.st_dev, st.st_ino
         if key in files:
-            raise ValueError(f"{path}: already opened as output {files[key]}")
+            raise ValueError("{}: already opened as {} {}".format(
+                path, *files[key]))
         if stat.S_ISREG(st.st_mode):
-            files[key] = path
+            files[key] = "output", path
+            fh.truncate(0)  # appended to from here
         yield fh
 
 
@@ -261,7 +276,7 @@ def _open_binary(path):
     A regular file is returned as is.  A pipe has no size to check, so it
     is read whole and returned as an in-memory handle.
     """
-    fh = open(path, "rb")
+    fh = _open_input(path, "rb")
     st = os.fstat(fh.fileno())
     if stat.S_ISREG(st.st_mode):
         return fh, st.st_size
@@ -378,7 +393,7 @@ def load_embedding_table(path, keep=None) -> EmbeddingTable:
     the header's count only blank lines may follow.  A failed check raises
     the error of the first bad line in the file, naming the file and line.
     """
-    with open(path, "rb") as fh:
+    with _open_input(path, "rb") as fh:
         header = _decode_line(path, 1, fh.readline()).split()
         if len(header) != 2:
             raise DataFormatError(f"{path}:1: header must be '<count> <dim>'")
@@ -386,7 +401,7 @@ def load_embedding_table(path, keep=None) -> EmbeddingTable:
             count, dim = int(header[0]), int(header[1])
         except ValueError:
             raise DataFormatError(f"{path}:1: non-integer header") from None
-        if count < 1 or dim < 1:
+        if not (0 < count < 2**63 and 0 < dim < 2**60):  # numpy's sizes
             raise DataFormatError(f"{path}:1: header declares {count} x {dim}")
         wanted = keep(count) if keep else None
         # the header may overstate the rows and their width, so rows are
@@ -446,7 +461,7 @@ def load_embedding_table(path, keep=None) -> EmbeddingTable:
 def _text_lines(path):
     """Yield (line number, line) of a UTF-8 text file, read in text mode; a
     byte that is not UTF-8 is a DataFormatError naming the file and line."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    with _open_input(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.isascii():  # a bad byte is now a lone surrogate
                 _decode_line(path, lineno,

@@ -20,12 +20,11 @@ and the path cells of :mod:`ccax.selection`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cca import CcaModel
-from .io import FeatureMatrix
 
 TASKS = ("search", "annotation")
 
@@ -100,8 +99,8 @@ _SMALL_GEMM = 100**3
 
 
 def _project(view, mean: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """(view - mean) @ basis.T of a ``FeatureMatrix``, whose rows are read
-    by ``view.block(lo, hi)``, centered and projected a block of rows at a
+    """(view - mean) @ basis.T of a view whose rows are read by
+    ``view.block(lo, hi)``, centered and projected a block of rows at a
     time into one output: no centered copy of the whole view is held.  A
     block is the fewest whole BLOCK_ROWS tiles whose product is past the
     small-matrix size, as a taller view's is, so on one BLAS thread its
@@ -290,22 +289,22 @@ def _check_pairing(pair_index, n_images: int, n_captions: int,
     return pair_index
 
 
-def _protocol_ranks(model: CcaModel, images: FeatureMatrix,
-                    captions: FeatureMatrix, pair_index, image_exps,
-                    caption_exps, total: float,
+def _protocol_ranks(model: CcaModel, x: np.ndarray, y: np.ndarray,
+                    pair_index, image_exps, caption_exps, total: float,
                     similarity: str) -> tuple[np.ndarray, np.ndarray]:
-    """(search, annotation) ranks, one row per weighting.
+    """(search, annotation) ranks of the projected images ``x`` and captions
+    ``y``, which the checked ``pair_index`` pairs, one row per weighting;
+    ``x`` is scaled in place.
 
     Weighting w has the item exponents ``image_exps[w]`` and
     ``caption_exps[w]``; all share ``total``, so one G serves them all.
     """
-    pair_index = _check_pairing(pair_index, images.rows, captions.rows)
-    proj = TaskEmbedding(model.u.T, model.v.T, model.mean_x, model.mean_y)
-    x, y = proj.embed_images(images), proj.embed_texts(captions)
 
     def squared_norms(view, exponent):
-        weighted = view * np.power(model.sigma, exponent)
-        return np.einsum("ij,ij->i", weighted, weighted)
+        # summed a block of rows at a time: no weighted copy of a view
+        scale = np.power(model.sigma, exponent)
+        return np.concatenate([np.einsum("ij,ij->i", w, w) for w in (
+            view[lo:hi] * scale for lo, hi in _row_blocks(len(view)))])
 
     image_sqs = [squared_norms(x, e) for e in image_exps]
     caption_sqs = [squared_norms(y, e) for e in caption_exps]
@@ -316,13 +315,12 @@ def _protocol_ranks(model: CcaModel, images: FeatureMatrix,
     # hold; the image rows are gathered a block at a time
     g_true = np.concatenate([
         np.einsum("ij,ij->i", y[lo:hi], x[pair_index[lo:hi]])
-        for lo, hi in _row_blocks(captions.rows)])
+        for lo, hi in _row_blocks(len(y))])
     return _rank_tasks(lambda lo, hi: y[lo:hi] @ x.T, image_sqs, caption_sqs,
                        similarity, model.k == 1, (pair_index, g_true))
 
 
-def evaluate_bidirectional(model: CcaModel, images: FeatureMatrix,
-                           captions: FeatureMatrix,
+def evaluate_bidirectional(model: CcaModel, images, captions,
                            pair_index: np.ndarray | None = None,
                            weighting: str = "asymmetric",
                            alpha: float | None = None,
@@ -330,56 +328,58 @@ def evaluate_bidirectional(model: CcaModel, images: FeatureMatrix,
                            ks=(1, 5, 10)) -> tuple[EvalReport, EvalReport]:
     """Run both retrieval tasks; returns (search, annotation) reports.
 
+    ``images`` and ``captions`` are views whose rows are read by
+    ``view.block(lo, hi)``: a ``FeatureMatrix`` or an open ``MatrixFile``.
     ``pair_index`` maps caption rows to image rows and defaults to the
     identity (requires equally many captions and images).  ``weighting``
     is ``asymmetric``, ``symmetric`` (with ``alpha`` >= 0) or ``sweep``
     (with ``alpha`` in [0, 1]), as the module docstring sets out.
     """
-    image_exp, caption_exp, total = _exponents(weighting, alpha)
-    search, annotation = _protocol_ranks(model, images, captions, pair_index,
-                                         [image_exp], [caption_exp], total,
-                                         similarity)
-    return (_report(search[0], ks, "search", images.rows),
-            _report(annotation[0], ks, "annotation", captions.rows))
+    return tuple(evaluate_blocks(model, images, captions, pair_index, 1,
+                                 weighting, alpha, similarity, ks))
 
 
-def evaluate_blocks(model: CcaModel, images: FeatureMatrix,
-                    captions: FeatureMatrix, pair_index: np.ndarray | None,
-                    blocks: int, weighting: str = "asymmetric",
-                    alpha: float | None = None,
-                    similarity: str = "cosine") -> list[EvalReport]:
+def evaluate_blocks(model: CcaModel, images, captions,
+                    pair_index: np.ndarray | None, blocks: int,
+                    weighting: str = "asymmetric", alpha: float | None = None,
+                    similarity: str = "cosine",
+                    ks=(1, 5, 10)) -> list[EvalReport]:
     """Both tasks on ``blocks`` contiguous image blocks and their captions.
 
-    The whole pairing is checked first, as :func:`evaluate_bidirectional`
-    checks it.  One block gives that function's (search, annotation)
-    reports.  More give a ``<task>_block<b>`` report per block and task,
-    then a ``<task>_mean`` report per task averaging the blocks (the
-    five-1K-split MSCOCO protocol).
+    The whole pairing is checked first and each view projected once, and
+    each block's image rows are ranked against its captions' rows.  One
+    block gives :func:`evaluate_bidirectional`'s reports.  More give a
+    ``<task>_block<b>`` report per block and task, then a ``<task>_mean``
+    report per task averaging the blocks (five-1K-split MSCOCO protocol).
     """
+    image_exp, caption_exp, total = _exponents(weighting, alpha)
     pair_index = _check_pairing(pair_index, images.rows, captions.rows)
     if not 1 <= blocks <= images.rows:
         raise ValueError(f"blocks must be between 1 and the {images.rows} "
                          f"images, got {blocks}")
-    if blocks == 1:
-        return list(evaluate_bidirectional(
-            model, images, captions, pair_index, weighting=weighting,
-            alpha=alpha, similarity=similarity))
+    proj = TaskEmbedding(model.u.T, model.v.T, model.mean_x, model.mean_y)
+    x, y = proj.embed_images(images), proj.embed_texts(captions)
     edges = np.linspace(0, images.rows, blocks + 1).astype(int)
-    reports = []
-    per_task: dict[str, list[EvalReport]] = {task: [] for task in TASKS}
+    reports = []  # of each block, both tasks in TASKS order
     for b, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        keep = (pair_index >= lo) & (pair_index < hi)
-        for rep in evaluate_bidirectional(
-                model, FeatureMatrix(images.values[lo:hi]),
-                FeatureMatrix(captions.values[keep]), pair_index[keep] - lo,
-                weighting=weighting, alpha=alpha, similarity=similarity):
-            per_task[rep.task].append(rep)
-            reports.append(replace(rep, task=f"{rep.task}_block{b}"))
-    for task, reps in per_task.items():
+        # a block's captions; one block takes them all, uncopied
+        keep = (slice(None) if blocks == 1
+                else (pair_index >= lo) & (pair_index < hi))
+        ranks = _protocol_ranks(model, x[lo:hi], y[keep],
+                                pair_index[keep] - lo, [image_exp],
+                                [caption_exp], total, similarity)
+        # a task's items are the other task's queries
+        for task, own, other in zip(TASKS, ranks, ranks[::-1]):
+            reports.append(_report(own[0], ks, task if blocks == 1
+                                   else f"{task}_block{b}", len(other[0])))
+    if blocks == 1:
+        return reports
+    for t, task in enumerate(TASKS):
+        reps = reports[t:2 * blocks:2]
         reports.append(EvalReport(
             task=f"{task}_mean",
             recalls={k: float(np.mean([r.recalls[k] for r in reps]))
-                     for k in (1, 5, 10)},
+                     for k in ks},
             median_rank=float(np.mean([r.median_rank for r in reps])),
             n_queries=int(np.mean([r.n_queries for r in reps])),
             n_items=int(np.mean([r.n_items for r in reps])),
@@ -397,10 +397,9 @@ class SweepCurve:
     k: int
 
 
-def alpha_sweep(model: CcaModel, images: FeatureMatrix,
-                captions: FeatureMatrix,
-                alphas, pair_index: np.ndarray | None = None,
-                k: int = 10, similarity: str = "cosine") -> SweepCurve:
+def alpha_sweep(model: CcaModel, images, captions, alphas,
+                pair_index: np.ndarray | None = None, k: int = 10,
+                similarity: str = "cosine") -> SweepCurve:
     """r@k of both tasks under the sweep weighting at each alpha.
 
     The endpoints recover the asymmetric weighting: alpha = 1 is
@@ -411,9 +410,11 @@ def alpha_sweep(model: CcaModel, images: FeatureMatrix,
     alphas = np.asarray(list(alphas), dtype=np.float64)
     if alphas.size == 0 or not np.all((alphas >= 0) & (alphas <= 1)):
         raise ValueError("alpha grid must lie in [0, 1]")
-    search, annotation = _protocol_ranks(model, images, captions, pair_index,
-                                         alphas, 1.0 - alphas, 1.0,
-                                         similarity)
+    pair_index = _check_pairing(pair_index, images.rows, captions.rows)
+    proj = TaskEmbedding(model.u.T, model.v.T, model.mean_x, model.mean_y)
+    search, annotation = _protocol_ranks(
+        model, proj.embed_images(images), proj.embed_texts(captions),
+        pair_index, alphas, 1.0 - alphas, 1.0, similarity)
     return SweepCurve(alphas,
                       100.0 * np.count_nonzero(search <= k, axis=1)
                       / captions.rows,

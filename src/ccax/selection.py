@@ -3,9 +3,10 @@
 Both paths take a :class:`ccax.cca.CcaProblem`, which holds everything
 that does not depend on the grid point: the singular values and right
 singular vectors of each centered training view and the correlation
-operator T = Ux' Uy.  A path rotates both validation views once, to
-Xr = (Xv - mean_x) Vx and Yr = (Yv - mean_y) Vy, and a cell builds no
-model and takes no SVD.  With op = P_x Sigma P_y' the cell's filtered
+operator T = Ux' Uy.  A path rotates both validation views once, a
+block of rows at a time (from memory or an open file), to Xr = (Xv -
+mean_x) Vx and Yr = (Yv - mean_y) Vy, and a cell builds no model and
+takes no SVD.  With op = P_x Sigma P_y' the cell's filtered
 operator and X~, Y~ the rotated views under the filter's column scale,
 both tasks rank by one matrix G = X~ op Y~': G[i, c] is the inner product
 of image i and caption c with Sigma on either side, and the search and
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cca import CcaModel, CcaProblem, RegularizationSpec, solve
-from .io import FeatureMatrix
 from .retrieval import _check_pairing, _project, _rank_tasks
 
 METRICS = ("r1", "mean-r1")
@@ -222,9 +222,8 @@ def _tikhonov_rows(problem: CcaProblem, xs, ys, x_rot, y_rot):
     return caption_sq, cells
 
 
-def _run_grid(problem: CcaProblem, axis_x, axis_y, kind: str,
-              val_images: FeatureMatrix, val_captions: FeatureMatrix,
-              pair_index, similarity: str,
+def _run_grid(problem: CcaProblem, axis_x, axis_y, kind: str, val_images,
+              val_captions, pair_index, similarity: str,
               workers: int | None) -> PathGrid:
     # rows run on the sorted, distinct axis values, so a cell's bits do not
     # depend on the order or repeats of the axes or on the worker count
@@ -269,9 +268,8 @@ def _run_grid(problem: CcaProblem, axis_x, axis_y, kind: str,
                     cell_seconds[cell], total, kind)
 
 
-def _path(kind: str, problem: CcaProblem, val_images: FeatureMatrix,
-          val_captions: FeatureMatrix, grid_x, grid_y, metric: str,
-          pair_index, similarity: str,
+def _path(kind: str, problem: CcaProblem, val_images, val_captions, grid_x,
+          grid_y, metric: str, pair_index, similarity: str,
           workers: int | None) -> tuple[PathGrid, SelectionResult]:
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
@@ -283,10 +281,9 @@ def _path(kind: str, problem: CcaProblem, val_images: FeatureMatrix,
     return grid, _select(grid, metric)
 
 
-def tsvd_path(problem: CcaProblem,
-              val_images: FeatureMatrix, val_captions: FeatureMatrix,
-              grid_x=None, grid_y=None, metric: str = "r1",
-              pair_index=None, similarity: str = "cosine",
+def tsvd_path(problem: CcaProblem, val_images, val_captions, grid_x=None,
+              grid_y=None, metric: str = "r1", pair_index=None,
+              similarity: str = "cosine",
               workers: int | None = 1) -> tuple[PathGrid, SelectionResult]:
     """Grid search over truncation ranks (k_x, k_y); axes as
     :func:`path_axes` makes them.
@@ -300,8 +297,7 @@ def tsvd_path(problem: CcaProblem,
                  metric, pair_index, similarity, workers)
 
 
-def tikhonov_path(problem: CcaProblem,
-                  val_images: FeatureMatrix, val_captions: FeatureMatrix,
+def tikhonov_path(problem: CcaProblem, val_images, val_captions,
                   grid_x=None, grid_y=None, metric: str = "r1",
                   pair_index=None, similarity: str = "cosine",
                   workers: int | None = 1) -> tuple[PathGrid, SelectionResult]:
@@ -327,8 +323,7 @@ class GuidedTikhonovResult:
     tsvd_grid: PathGrid
 
 
-def guided_tikhonov(problem: CcaProblem,
-                    val_images: FeatureMatrix, val_captions: FeatureMatrix,
+def guided_tikhonov(problem: CcaProblem, val_images, val_captions,
                     grid_x=None, grid_y=None, metric: str = "r1",
                     pair_index=None, similarity: str = "cosine",
                     workers: int | None = 1) -> GuidedTikhonovResult:
@@ -369,8 +364,7 @@ class PathTimingReport:
         return self.tikhonov_seconds / self.tsvd_seconds
 
 
-def measure_path_timing(problem: CcaProblem,
-                        val_images: FeatureMatrix, val_captions: FeatureMatrix,
+def measure_path_timing(problem: CcaProblem, val_images, val_captions,
                         grid_x=None, grid_y=None, pair_index=None,
                         repeats: int = 3, metric: str = "r1",
                         similarity: str = "cosine") -> PathTimingReport:
@@ -380,7 +374,8 @@ def measure_path_timing(problem: CcaProblem,
     median over ``repeats`` runs of each path.  The Tikhonov grid is the
     squared-singular-value image of the rank grid so both paths visit the
     same number of cells.  The shared factorisation in ``problem`` is paid
-    before timing starts, so the runs time the grids alone.
+    before timing starts, so the runs time the grids and the projection of
+    the validation views, each run reading an open file's rows again.
     """
     grid_x, grid_y = path_axes(problem, "tsvd", grid_x, grid_y)
     pen_x = _rank_penalties(problem.s_x, grid_x)

@@ -733,7 +733,8 @@ def two_gemm_ranks(model, images, captions, pair_index, image_exps,
     """(search, annotation) ranks, one row per weighting, each task scored
     by ``one_task_ranks`` from its own product: search from Y~ X~', with
     captions as rows, annotation from X~ Y~', with images as rows.  The
-    arguments are those of ``retrieval._protocol_ranks``."""
+    arguments are those of ``retrieval._protocol_ranks``, with the views in
+    place of their projections."""
     from ccax.retrieval import _check_pairing
 
     pair_index = _check_pairing(pair_index, images.rows, captions.rows)
@@ -766,7 +767,7 @@ def evaluate_blocks_loop(model, images, captions, pair_index, blocks: int,
                          weighting: str = "asymmetric",
                          alpha: float | None = None,
                          similarity: str = "cosine"):
-    """Per-block and mean reports of ``blocks`` >= 2 contiguous image blocks.
+    """Per-block and mean reports of ``blocks`` >= 1 contiguous image blocks.
 
     Slices the images, the captions paired into each block and their
     renumbered pairing, ranks each slice by ``two_gemm_ranks``, and appends

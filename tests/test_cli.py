@@ -1160,6 +1160,40 @@ class TestNonFiniteTrainingValue:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["train_y.fmat"]
 
 
+class TestNonFiniteCaptionValue:
+    """Eval, sweep and the path read the caption view a block of rows at a
+    time, as they project it: a non-finite value in its last row exits 1
+    naming the file, the value's flat index over the whole file, its row
+    and column, and nothing is written.  The path finds it after the
+    training pair is prepared."""
+
+    @pytest.mark.parametrize("command", [
+        ["eval"], ["eval", "--blocks", "2"], ["sweep"], ["fit"]])
+    def test_exits_naming_the_value(self, command, synth_dir, fitted_model,
+                                    tmp_path, capsys):
+        split = "val" if command == ["fit"] else "test"
+        values = io.load_matrix(
+            synth_dir / f"{split}_captions.fmat").values.copy()
+        values[-1, 7] = np.nan  # 120 x 12
+        bad = tmp_path / "captions.fmat"
+        with open(bad, "wb") as fh:  # FeatureMatrix refuses it, so by hand
+            fh.write(io.FMAT1_MAGIC + struct.pack("<QQ", *values.shape))
+            fh.write(values.tobytes())
+        if command == ["fit"]:
+            argv = _path_argv("fit", synth_dir, tmp_path)
+            argv[argv.index("--val-y") + 1] = str(bad)
+            argv += ["--path-out", str(tmp_path / "path.tsv")]
+        else:
+            argv = _eval_argv(command[0], synth_dir, fitted_model, tmp_path,
+                              captions=bad) + command[1:]
+        assert main(argv) == 1
+        rows, cols = values.shape
+        assert capsys.readouterr().err.splitlines() == [
+            f"ccax: error: {bad}: non-finite value at flat index "
+            f"{(rows - 1) * cols + 7} (row {rows - 1}, col 7)"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["captions.fmat"]
+
+
 def test_training_view_from_a_pipe(synth_dir, tmp_path):
     # a pipe has no size to check, so it is read whole; the fit is the one
     # from the regular file
@@ -1416,6 +1450,20 @@ class TestInputErrorsNameTheFile:
                 ":1: header declares 0 x 5" if kind == "table_empty"
                 else ":2: expected token + 100000000000000 values, got 2 "
                 "fields")
+        if kind in ("table_overflow_dim", "table_empty_too_big",
+                    "table_overflow_count"):
+            # a header no numpy array could hold is refused as read: the
+            # dim of an empty table's array, or a count the bandwidth
+            # sample (an rbf word layer's) draws rows from
+            header = {"table_overflow_dim": "2 1000000000000000000000",
+                      "table_empty_too_big": f"2 {2**63 - 1}",
+                      "table_overflow_count": f"{10**23} 1"}[kind]
+            bad.write_text(header + "\nred 1\ndog 2\n")
+            embed[4] = str(bad)
+            if kind == "table_overflow_count":
+                embed += ["--variant", "rbf,rbf", "--m", "4", "--mprime", "4"]
+            count, dim = header.split()
+            return embed, bad, f":1: header declares {count} x {dim}"
         if kind == "corpus_byte":
             bad.write_bytes(b"red dog\nblue \xffcat\n")
             embed[2] = str(bad)
@@ -1458,7 +1506,8 @@ class TestInputErrorsNameTheFile:
         "truncated_images", "truncated_model", "manifest_byte",
         "pairing_byte", "pairing_huge", "config_byte", "config_equals",
         "corpus_byte", "sigma_rows", "duplicate_blob", "table_empty",
-        "table_huge_dim", *MANIFEST_EDITS, *BLOB_EDITS])
+        "table_huge_dim", "table_overflow_dim", "table_empty_too_big",
+        "table_overflow_count", *MANIFEST_EDITS, *BLOB_EDITS])
     def test_exit_one_naming_the_file(self, kind, synth_dir, word_data,
                                       fitted_model, map_archive, tmp_path,
                                       capsys):

@@ -8,8 +8,9 @@ and config files, model and map archives, the word table (also at the
 edge of its first window of lines) and the corpus.
 
 The same holds when an output cannot be written: each writing command is
-run in a child process under a file-size limit, and when two outputs name
-one file.
+run in a child process under a file-size limit, when two outputs name one
+file, and when an output names one of the command's inputs, which keeps
+its bytes.
 """
 
 import contextlib
@@ -273,3 +274,46 @@ def test_two_outputs_naming_one_file_are_refused(case, inputs, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("ccax: error: ") and "already opened" in err
     assert [p.name for p in tmp_path.iterdir() if p.exists()] == []
+
+
+#: An output that names one of the command's inputs: (the writing case,
+#: the input, the output flag given it, how the flag names it).
+INPUT_AS_OUTPUT = {
+    "eval --out images": ("eval", "test_images.fmat", "--out", "path"),
+    "fit --out training view": ("fit-tikhonov", "train_x.fmat", "--out",
+                                "path"),
+    "guided --path-out captions": ("fit-guided-r1", "val_captions.fmat",
+                                   "--path-out", "path"),
+    "sweep --out pairing symlink": ("sweep", "test_pairing.txt", "--out",
+                                    "symlink"),
+    "embed --out corpus hard link": ("embed", "caps.txt", "--out",
+                                     "hard link"),
+    "embed --map-out table": ("embed", "vectors.txt", "--map-out", "path"),
+    "eval --out config": ("eval-config", "config.txt", "--out", "path"),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_AS_OUTPUT)
+def test_an_output_naming_an_input_is_refused(case, inputs, tmp_path,
+                                              capsys):
+    # the input is refused before it is truncated, keeps its bytes, and is
+    # not removed with the command's other outputs
+    command, name, flag, by = INPUT_AS_OUTPUT[case]
+    files = {p.name: p for p in inputs.iterdir()}
+    files[name] = tmp_path / name
+    files[name].write_bytes((inputs / name).read_bytes())
+    alias = tmp_path / "alias"
+    if by == "symlink":
+        alias.symlink_to(files[name])
+    elif by == "hard link":
+        os.link(files[name], alias)
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = {**WRITE_CASES, "eval-config": _eval}[command](files, out)
+    argv[argv.index(flag) + 1] = files[name] if by == "path" else alias
+    assert main([str(a) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ccax: error: ") and "Traceback" not in err
+    assert f"already opened as input {files[name]}" in err
+    assert files[name].read_bytes() == (inputs / name).read_bytes()
+    assert list(out.iterdir()) == []

@@ -1,7 +1,8 @@
 """The embed pipeline holds one copy of each array and never its whole
 output, the bandwidth median holds half its Gram, an FMAT1 load holds its
 matrix once, a fit never holds its training pair, and eval holds blocks of
-caption rows by images and centers its views a block of rows at a time.
+caption rows by images and centers its views a block of rows at a time,
+read from their files: the projections are the only whole views it holds.
 
 Peaks are measured with ``tracemalloc``, which sees numpy's data
 allocations, on shapes that run in well under a second.  Each bound sits
@@ -312,6 +313,46 @@ def test_eval_centers_caption_blocks():
     projections = (n_images + n_captions) * model.k * 8
     kernel = 8 * retrieval.BLOCK_ROWS * n_images * 8
     assert peak < projections + kernel + 4 * retrieval.BLOCK_ROWS * m_y * 8
+
+
+@pytest.mark.parametrize("command", [["eval"], ["eval", "--blocks", "3"],
+                                     ["sweep"]])
+def test_eval_holds_only_the_projections(command, tmp_path, capsys):
+    # 200 images and 4000 captions of 300 features, a rank-64 model.  The
+    # views are read from their files a block of rows at a time, so the
+    # command holds the two projections, the kernel's blocks, under 4
+    # BLOCK_ROWS rows of raw and centered captions, and a few vectors per
+    # weighting (11 for the sweep); the raw captions alone are 9.6 MB
+    rng = np.random.default_rng(10)
+    n_images, n_captions, m_x, m_y = 200, 4000, 64, 300
+    model = cca.solve(cca.prepare(
+        io.FeatureMatrix(rng.standard_normal((600, m_x))),
+        io.FeatureMatrix(rng.standard_normal((600, m_y)))),
+        cca.RegularizationSpec.none())
+    io.save_archive(cca.model_to_archive(model), tmp_path / "m.arc")
+    io.save_matrix(io.FeatureMatrix(rng.standard_normal((n_images, m_x))),
+                   tmp_path / "i.fmat")
+    captions = io.FeatureMatrix(rng.standard_normal((n_captions, m_y)))
+    io.save_matrix(captions, tmp_path / "c.fmat")
+    io.save_pairing(rng.permutation(np.repeat(np.arange(n_images),
+                                              n_captions // n_images)),
+                    tmp_path / "p.txt")
+    argv = [*command, "--model", str(tmp_path / "m.arc"),
+            "--images", str(tmp_path / "i.fmat"),
+            "--captions", str(tmp_path / "c.fmat"),
+            "--pairing", str(tmp_path / "p.txt"),
+            "--out", str(tmp_path / "out.tsv")]
+    codes = []
+    peak = traced_peak(lambda: codes.append(cli.main(argv)))
+    assert codes == [0]
+    capsys.readouterr()
+    projections = (n_images + n_captions) * model.k * 8
+    kernel = 8 * retrieval.BLOCK_ROWS * n_images * 8
+    caption_rows = 4 * retrieval.BLOCK_ROWS * m_y * 8
+    weightings = 11 if command == ["sweep"] else 1
+    per_weighting = 3 * weightings * (n_images + n_captions) * 8
+    assert model.k == m_x and captions.values.nbytes > 4 * projections
+    assert peak < projections + kernel + caption_rows + per_weighting
 
 
 def _owned_read_only():

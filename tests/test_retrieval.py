@@ -651,10 +651,15 @@ class TestOneKernelMatchesTwoGemmRoute:
     @given(problem=reference_problems(),
            similarity=st.sampled_from(("cosine", "l2")))
     def test_protocol_ranks(self, problem, similarity):
+        # the kernel ranks the library's projections of the views
         model, images, captions, pair_index, exponents = problem
-        args = (model, images, captions, pair_index, *exponents, similarity)
-        got = retrieval._protocol_ranks(*args)
-        want = oracles.two_gemm_ranks(*args)
+        proj = retrieval.TaskEmbedding(model.u.T, model.v.T, model.mean_x,
+                                       model.mean_y)
+        got = retrieval._protocol_ranks(
+            model, proj.embed_images(images), proj.embed_texts(captions),
+            pair_index, *exponents, similarity)
+        want = oracles.two_gemm_ranks(model, images, captions, pair_index,
+                                      *exponents, similarity)
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
 
@@ -759,6 +764,52 @@ class TestEvaluateBlocks:
             model, images, captions, pair_index, blocks, weighting, alpha,
             similarity)
         assert len(got) == 2 * blocks + 2
+
+
+class TestViewsReadFromFiles:
+    """The protocol on views read from their FMAT1 files a block of rows at
+    a time, against the same calls on in-memory views and, for image
+    blocks, the loop that ranks each block by the two-GEMM route."""
+
+    @pytest.fixture
+    def files(self, views, tmp_path):
+        images, captions, _ = views
+        io.save_matrix(images, tmp_path / "images.fmat")
+        io.save_matrix(captions, tmp_path / "captions.fmat")
+        with io.open_matrix(tmp_path / "images.fmat") as opened_images, \
+                io.open_matrix(tmp_path / "captions.fmat") as opened_captions:
+            yield opened_images, opened_captions
+
+    @pytest.mark.parametrize("blocks", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("weighting,alpha,similarity", [
+        ("asymmetric", None, "cosine"), ("symmetric", 0.5, "l2")])
+    def test_evaluate_blocks(self, model, views, files, blocks, weighting,
+                             alpha, similarity):
+        images, captions, pair_index = views
+        got = retrieval.evaluate_blocks(model, *files, pair_index, blocks,
+                                        weighting, alpha, similarity)
+        assert got == retrieval.evaluate_blocks(
+            model, images, captions, pair_index, blocks, weighting, alpha,
+            similarity)
+        want = oracles.evaluate_blocks_loop(model, images, captions,
+                                            pair_index, blocks, weighting,
+                                            alpha, similarity)
+        if blocks == 1:  # the one block's reports, named by their task
+            want = [replace(rep, task=task)
+                    for rep, task in zip(want, retrieval.TASKS)]
+        assert got == want
+
+    @pytest.mark.parametrize("similarity", ["cosine", "l2"])
+    def test_alpha_sweep(self, model, views, files, similarity):
+        images, captions, pair_index = views
+        alphas = np.linspace(0.0, 1.0, 6)
+        got = retrieval.alpha_sweep(model, *files, alphas, pair_index, k=1,
+                                    similarity=similarity)
+        want = retrieval.alpha_sweep(model, images, captions, alphas,
+                                     pair_index, k=1, similarity=similarity)
+        for field in ("alphas", "search_scores", "annotation_scores"):
+            np.testing.assert_array_equal(getattr(got, field),
+                                          getattr(want, field))
 
 
 class TestProtocolOracle:
