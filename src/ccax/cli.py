@@ -17,6 +17,12 @@ from . import cca, hkse, io, retrieval, selection, synthetic
 
 _REG_KINDS = ("none", "tikhonov", "tsvd", "guided-tsvd")
 
+#: fit's flags that one --reg alone reads, by dest; any other refuses them
+_REG_FLAGS = {"gamma_x": "tikhonov", "gamma_y": "tikhonov",
+              "kx": "tsvd", "ky": "tsvd",
+              **dict.fromkeys(("val_x", "val_y", "val_pairing", "grid_x",
+                               "grid_y", "path_out"), "guided-tsvd")}
+
 #: embed's map-defining flags and their defaults; a saved --map fixes all
 #: of them, so giving one beside it is a usage error
 _MAP_FLAGS = {"variant": ("lin", "lin"), "concat": None, "m": 2000,
@@ -214,8 +220,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_axes_and_cells(p)
     p.add_argument("--reg", action=_OnceAction, choices=_REG_KINDS,
                    default="none")
-    p.add_argument("--gamma-x", type=_finite_nonneg, default=0.0)
-    p.add_argument("--gamma-y", type=_finite_nonneg, default=0.0)
+    p.add_argument("--gamma-x", type=_finite_nonneg, help="(default 0)")
+    p.add_argument("--gamma-y", type=_finite_nonneg, help="(default 0)")
     p.add_argument("--kx", type=_COUNT)
     p.add_argument("--ky", type=_COUNT)
     p.add_argument("--path-out", help="write the T-SVD path TSV here")
@@ -475,6 +481,10 @@ def _save_guided(result, args) -> None:
 
 
 def _cmd_fit(args) -> int:
+    # flags, and the spec of a fit without a path, are checked before any read
+    for dest, reg in _REG_FLAGS.items():
+        if args.reg != reg and getattr(args, dest) is not None:
+            raise ValueError(f"--{dest.replace('_', '-')} needs --reg {reg}")
     if args.reg == "guided-tsvd":
         if not (args.val_x and args.val_y):
             raise ValueError("--reg guided-tsvd needs --val-x and --val-y")
@@ -483,13 +493,11 @@ def _cmd_fit(args) -> int:
             workers=_workers(args))
         _save_guided(result, args)
         return 0
-    # flags, and the spec's penalties or ranks, are checked before any read
-    if args.path_out:
-        raise ValueError("--path-out needs --reg guided-tsvd")
     if args.reg == "none":
         spec = cca.RegularizationSpec.none()
     elif args.reg == "tikhonov":
-        spec = cca.RegularizationSpec.tikhonov(args.gamma_x, args.gamma_y)
+        spec = cca.RegularizationSpec.tikhonov(args.gamma_x or 0.0,
+                                               args.gamma_y or 0.0)
     elif args.kx is None or args.ky is None:
         raise ValueError("--reg tsvd needs --kx and --ky")
     else:

@@ -93,36 +93,27 @@ def build_map(word_variant: str, sent_variant: str, gamma: float, eta: float,
             raise ValueError(f"unknown variant {variant!r}")
     if input_dim < 1:
         raise ValueError("input_dim must be >= 1")
-    w_word = b_word = w_sent = b_sent = None
-    if word_variant == "rbf":
-        if not 0 < gamma < math.inf:  # refuses NaN too
-            raise ValueError(f"rbf word layer needs a finite gamma > 0, "
-                             f"got {gamma}")
-        if n_word_features < 1:
-            raise ValueError("rbf word layer needs n_word_features >= 1")
-        rng = np.random.default_rng([seed, stream, _WORD_STREAM])
-        w_word = rng.normal(0.0, math.sqrt(gamma),
-                            size=(n_word_features, input_dim))
-        b_word = rng.uniform(0.0, 2.0 * math.pi, size=n_word_features)
-        w_word.flags.writeable = False
-        b_word.flags.writeable = False
-    if sent_variant == "rbf":
-        if not 0 < eta < math.inf:
-            raise ValueError(f"rbf sentence layer needs a finite eta > 0, "
-                             f"got {eta}")
-        if n_sent_features < 1:
-            raise ValueError("rbf sentence layer needs n_sent_features >= 1")
-        pooled = n_word_features if word_variant == "rbf" else input_dim
-        rng = np.random.default_rng([seed, stream, _SENT_STREAM])
-        w_sent = rng.normal(0.0, math.sqrt(eta), size=(n_sent_features, pooled))
-        b_sent = rng.uniform(0.0, 2.0 * math.pi, size=n_sent_features)
-        w_sent.flags.writeable = False
-        b_sent.flags.writeable = False
-    return HkseMap(word_variant=word_variant, sent_variant=sent_variant,
-                   gamma=gamma, eta=eta, input_dim=input_dim,
-                   w_word=w_word, b_word=b_word,
-                   w_sent=w_sent, b_sent=b_sent,
-                   seed=seed, stream=stream)
+    layers, in_dim = [], input_dim  # w_word, b_word, w_sent, b_sent
+    for name, variant, (b_name, width), (n_name, n), label in (
+            ("word", word_variant, ("gamma", gamma),
+             ("n_word_features", n_word_features), _WORD_STREAM),
+            ("sentence", sent_variant, ("eta", eta),
+             ("n_sent_features", n_sent_features), _SENT_STREAM)):
+        w = b = None
+        if variant == "rbf":
+            if not 0 < width < math.inf:  # refuses NaN too
+                raise ValueError(f"rbf {name} layer needs a finite "
+                                 f"{b_name} > 0, got {width}")
+            if n < 1:
+                raise ValueError(f"rbf {name} layer needs {n_name} >= 1")
+            rng = np.random.default_rng([seed, stream, label])
+            w = rng.normal(0.0, math.sqrt(width), size=(n, in_dim))
+            b = rng.uniform(0.0, 2.0 * math.pi, size=n)
+            w.flags.writeable = b.flags.writeable = False
+            in_dim = n
+        layers += [w, b]
+    return HkseMap(word_variant, sent_variant, gamma, eta, input_dim,
+                   *layers, seed=seed, stream=stream)
 
 
 def word_feature(hkse_map: HkseMap, a: np.ndarray) -> np.ndarray:
@@ -393,12 +384,11 @@ def maps_to_archive(maps) -> ModelArchive:
             f"seed{suffix}": str(m.seed),
             f"stream{suffix}": str(m.stream),
         })
-        if m.w_word is not None:
-            blobs[f"W_WORD{suffix}"] = FeatureMatrix(m.w_word)
-            blobs[f"B_WORD{suffix}"] = FeatureMatrix(m.b_word[None, :])
-        if m.w_sent is not None:
-            blobs[f"W_SENT{suffix}"] = FeatureMatrix(m.w_sent)
-            blobs[f"B_SENT{suffix}"] = FeatureMatrix(m.b_sent[None, :])
+        for layer, w, b in (("WORD", m.w_word, m.b_word),
+                            ("SENT", m.w_sent, m.b_sent)):
+            if w is not None:
+                blobs[f"W_{layer}{suffix}"] = FeatureMatrix(w)
+                blobs[f"B_{layer}{suffix}"] = FeatureMatrix(b[None, :])
     return ModelArchive(manifest, blobs)
 
 

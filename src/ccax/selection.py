@@ -222,9 +222,16 @@ def _tikhonov_rows(problem: CcaProblem, xs, ys, x_rot, y_rot):
     return caption_sq, cells
 
 
-def _run_grid(problem: CcaProblem, axis_x, axis_y, kind: str, val_images,
-              val_captions, pair_index, similarity: str,
-              workers: int | None) -> PathGrid:
+def _rotate(problem: CcaProblem, val_images, val_captions, pair_index):
+    """Xr = (Xv - mean_x) Vx and Yr = (Yv - mean_y) Vy, which every cell of a
+    path scores, and their pairing, checked before any row is read."""
+    pair_index = _check_pairing(pair_index, val_images.rows, val_captions.rows)
+    return (_project(val_images, problem.mean_x, problem.v_x.T),
+            _project(val_captions, problem.mean_y, problem.v_y.T), pair_index)
+
+
+def _run_grid(problem: CcaProblem, axis_x, axis_y, kind: str, x_rot, y_rot,
+              pair_index, similarity: str, workers: int | None) -> PathGrid:
     # rows run on the sorted, distinct axis values, so a cell's bits do not
     # depend on the order or repeats of the axes or on the worker count
     xs, at_x = np.unique(axis_x, return_inverse=True)
@@ -232,9 +239,6 @@ def _run_grid(problem: CcaProblem, axis_x, axis_y, kind: str, val_images,
     search_scores = np.zeros((len(xs), len(ys)))
     annotation_scores = np.zeros_like(search_scores)
     cell_seconds = np.zeros_like(search_scores)
-    # both validation views in the rotated space, shared by every cell
-    x_rot = _project(val_images, problem.mean_x, problem.v_x.T)
-    y_rot = _project(val_captions, problem.mean_y, problem.v_y.T)
     n_images, n_captions = x_rot.shape[0], y_rot.shape[0]
 
     t0 = time.perf_counter()
@@ -273,11 +277,10 @@ def _path(kind: str, problem: CcaProblem, val_images, val_captions, grid_x,
           workers: int | None) -> tuple[PathGrid, SelectionResult]:
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
-    # a bad pairing or axis fails here, before any cell is scored
-    pair_index = _check_pairing(pair_index, val_images.rows, val_captions.rows)
+    # a bad axis or pairing fails here, before any row is read
     axis_x, axis_y = path_axes(problem, kind, grid_x, grid_y)
-    grid = _run_grid(problem, axis_x, axis_y, kind, val_images, val_captions,
-                     pair_index, similarity, workers)
+    grid = _run_grid(problem, axis_x, axis_y, kind, *_rotate(
+        problem, val_images, val_captions, pair_index), similarity, workers)
     return grid, _select(grid, metric)
 
 
@@ -366,38 +369,34 @@ class PathTimingReport:
 
 def measure_path_timing(problem: CcaProblem, val_images, val_captions,
                         grid_x=None, grid_y=None, pair_index=None,
-                        repeats: int = 3, metric: str = "r1",
-                        similarity: str = "cosine") -> PathTimingReport:
-    """Time both paths on rank grids and the matching penalty grids.
+                        repeats: int = 3) -> PathTimingReport:
+    """Time both paths' grids on rank axes and on the penalties
+    :func:`_rank_penalties` maps them to, so both visit the same cells.
 
-    One grid row at a time, one unmeasured warm-up run, then the
-    median over ``repeats`` runs of each path.  The Tikhonov grid is the
-    squared-singular-value image of the rank grid so both paths visit the
-    same number of cells.  The shared factorisation in ``problem`` is paid
-    before timing starts, so the runs time the grids and the projection of
-    the validation views, each run reading an open file's rows again.
+    The pairing check and the rotation of the validation set are paid
+    once, before timing starts, as is the factorisation in ``problem``.  A
+    run times one grid, one row at a time, on that shared rotation: the
+    grid's own ``total_seconds``.  One unmeasured warm-up run of each path,
+    then the median over ``repeats`` runs of each.
     """
-    grid_x, grid_y = path_axes(problem, "tsvd", grid_x, grid_y)
-    pen_x = _rank_penalties(problem.s_x, grid_x)
-    pen_y = _rank_penalties(problem.s_y, grid_y)
+    ranks = path_axes(problem, "tsvd", grid_x, grid_y)
+    axes = {"tsvd": ranks, "tikhonov": path_axes(problem, "tikhonov", *map(
+        _rank_penalties, (problem.s_x, problem.s_y), ranks))}
+    rotated = _rotate(problem, val_images, val_captions, pair_index)
 
-    def run(path, axis_x, axis_y) -> float:
-        start = time.perf_counter()
-        path(problem, val_images, val_captions, axis_x, axis_y, metric,
-             pair_index, similarity, workers=1)
-        return time.perf_counter() - start
+    def runs(kind: str, count: int) -> tuple[float, ...]:
+        return tuple(_run_grid(problem, *axes[kind], kind, *rotated,
+                               "cosine", 1).total_seconds
+                     for _ in range(count))
 
-    run(tsvd_path, grid_x, grid_y)  # warm-up, excluded
-    run(tikhonov_path, pen_x, pen_y)
-    tsvd_runs = tuple(run(tsvd_path, grid_x, grid_y) for _ in range(repeats))
-    tikhonov_runs = tuple(run(tikhonov_path, pen_x, pen_y)
-                          for _ in range(repeats))
+    runs("tsvd", 1), runs("tikhonov", 1)  # warm-up, excluded
+    tsvd_runs, tikhonov_runs = runs("tsvd", repeats), runs("tikhonov", repeats)
     return PathTimingReport(
         tsvd_seconds=float(np.median(tsvd_runs)),
         tikhonov_seconds=float(np.median(tikhonov_runs)),
         tsvd_runs=tsvd_runs,
         tikhonov_runs=tikhonov_runs,
-        cells=len(grid_x) * len(grid_y),
+        cells=len(ranks[0]) * len(ranks[1]),
         repeats=repeats,
     )
 

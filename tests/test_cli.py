@@ -132,6 +132,22 @@ class TestFit:
         *[(reg + ["--path-out", "p.tsv"], "--path-out needs --reg guided-tsvd")
           for reg in (["--reg", "none"], ["--reg", "tikhonov"],
                       ["--reg", "tsvd", "--kx", "2", "--ky", "2"])],
+        # a flag another --reg reads would go unread
+        *[(reg + [flag, "3"], f"{flag} needs --reg tikhonov")
+          for flag in ("--gamma-x", "--gamma-y")
+          for reg in (["--reg", "none"],
+                      ["--reg", "tsvd", "--kx", "2", "--ky", "2"],
+                      ["--reg", "guided-tsvd", "--val-x", "v", "--val-y", "v"])],
+        *[(reg + [flag, "3"], f"{flag} needs --reg tsvd")
+          for flag in ("--kx", "--ky")
+          for reg in (["--reg", "none"], ["--reg", "tikhonov"],
+                      ["--reg", "guided-tsvd", "--val-x", "v", "--val-y", "v"])],
+        *[(reg + [flag, value], f"{flag} needs --reg guided-tsvd")
+          for flag, value in (("--val-x", "v"), ("--val-y", "v"),
+                              ("--val-pairing", "p"), ("--grid-x", "2"),
+                              ("--grid-y", "2"))
+          for reg in (["--reg", "none"], ["--reg", "tikhonov"],
+                      ["--reg", "tsvd", "--kx", "2", "--ky", "2"])],
     ])
     def test_spec_checked_before_any_file_is_read(self, flags, message,
                                                   tmp_path, capsys):
@@ -142,6 +158,25 @@ class TestFit:
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
+
+    def test_config_key_counts_as_given(self, tmp_path, capsys):
+        config = tmp_path / "fit.cfg"
+        config.write_text("reg=tikhonov\nkx=3\n")
+        code = main(["fit", "--config", str(config),
+                     "--x", str(tmp_path / "absent.fmat"),
+                     "--y", str(tmp_path / "absent.fmat"),
+                     "--out", str(tmp_path / "m.arc")])
+        assert code == 1
+        assert "--kx needs --reg tsvd" in capsys.readouterr().err
+
+    def test_tikhonov_penalties_default_to_zero(self, synth_dir, tmp_path):
+        out = tmp_path / "model.arc"
+        assert main(["fit", "--x", str(synth_dir / "train_x.fmat"),
+                     "--y", str(synth_dir / "train_y.fmat"),
+                     "--reg", "tikhonov", "--gamma-y", "2",
+                     "--out", str(out)]) == 0
+        reg = cca.model_from_archive(io.load_archive(out)).reg
+        assert (reg.gamma_x, reg.gamma_y) == (0.0, 2.0)
 
     def test_guided_tsvd_records_ranks_and_penalties(self, synth_dir, tmp_path):
         out = tmp_path / "model.arc"

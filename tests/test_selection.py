@@ -331,6 +331,18 @@ class TestGuidedOnPar:
             assert annotation.recalls[1] >= full.best_annotation_score - 2.0
 
 
+class CountingView:
+    """A view that counts the reads of each of its rows."""
+
+    def __init__(self, view):
+        self.values, self.rows = view.values, view.rows
+        self.reads = np.zeros(view.rows, dtype=np.int64)
+
+    def block(self, lo, hi):
+        self.reads[lo:hi] += 1
+        return self.values[lo:hi]
+
+
 class TestTimingMachinery:
     def test_degenerate_single_cell_ratio_near_one(self, dataset):
         train_x, train_y, vi, vc, vp = dataset
@@ -350,6 +362,16 @@ class TestTimingMachinery:
         assert len(report.tsvd_runs) == 2
         assert len(report.tikhonov_runs) == 2
         assert report.tsvd_seconds > 0 and report.tikhonov_seconds > 0
+
+    def test_each_validation_row_read_once(self, dataset):
+        # the warm-up and every timed run score one shared rotation
+        train_x, train_y, vi, vc, vp = dataset
+        views = [CountingView(view) for view in (vi, vc)]
+        selection.measure_path_timing(
+            cca.prepare(train_x, train_y), *views, [2, 10], [2, 8],
+            pair_index=vp, repeats=2)
+        for view in views:
+            np.testing.assert_array_equal(view.reads, 1)
 
     def test_speedup_grows_with_text_dimension(self, tmp_path):
         # no cell takes an SVD: both paths score the same cells, but a
@@ -438,7 +460,8 @@ class TestRotatedCells:
            workers=st.sampled_from((1, 3)))
     def test_equals_solve_and_ranks(self, case, similarity, workers):
         problem, axis_x, axis_y, kind, vi, vc, vp = case
-        grid = selection._run_grid(problem, axis_x, axis_y, kind, vi, vc, vp,
+        grid = selection._run_grid(problem, axis_x, axis_y, kind,
+                                   *selection._rotate(problem, vi, vc, vp),
                                    similarity, workers)
         search, annotation = oracles.path_cells(
             problem, axis_x, axis_y, kind, vi, vc, vp, similarity)
@@ -459,7 +482,8 @@ class TestRotatedCells:
         axis_x, axis_y = selection.path_axes(problem, kind, counts=(6, 6))
         if kind == "tsvd":
             axis_x = np.r_[1, axis_x]
-        grid = selection._run_grid(problem, axis_x, axis_y, kind, vi, vc, vp,
+        grid = selection._run_grid(problem, axis_x, axis_y, kind,
+                                   *selection._rotate(problem, vi, vc, vp),
                                    similarity, 1)
         search, annotation = oracles.rotated_path_cells(
             problem, axis_x, axis_y, kind, vi, vc, vp, similarity)
@@ -495,8 +519,9 @@ class TestSvdFreeCells:
                               ((sorted(set(axis_x)), sorted(set(axis_y))),
                                3)):
             runs.append([])
-            grids.append(selection._run_grid(problem, *axes, kind, vi, vc, vp,
-                                             "cosine", workers))
+            grids.append(selection._run_grid(
+                problem, *axes, kind, *selection._rotate(problem, vi, vc, vp),
+                "cosine", workers))
         # each distinct cell's scores and item norms once, both tasks in
         # one call, bit for bit
         assert len(runs[0]) == 6
