@@ -3,8 +3,12 @@
 The solver never forms covariance matrices: the centered pair [Xc | Yc] is
 reduced to the triangular factor R of one QR, each view's block of R to
 its thin SVD, and the canonical system is read off an SVD of the small
-correlation operator T = Ux' Uy.  Tikhonov regularization soft-shrinks the
-singular values of each view (by sigma / sqrt(sigma^2 + gamma)) and
+correlation operator T = Ux' Uy.  An image repeated beside each of its
+captions is factored once: a run of equal x rows folds into one weighted
+row, and its caption rows about their mean into a QR of the y columns
+alone, which gives the same R up to rounding; input without such runs
+takes the plain route bit for bit.  Tikhonov regularization soft-shrinks
+the singular values of each view (by sigma / sqrt(sigma^2 + gamma)) and
 truncated-SVD regularization hard-prunes them; both act on T through
 diagonal scalings only, which is what makes the regularization paths in
 :mod:`ccax.selection` cheap.  :func:`prepare` does the filter-independent
@@ -157,14 +161,25 @@ class CcaProblem:
 _CHUNK_ROWS = 2048
 
 
-def _column_mean(view: FeatureMatrix | MatrixFile, c: int) -> np.ndarray:
+def _column_mean(view: FeatureMatrix | MatrixFile, c: int,
+                 runs: list[int] | None = None) -> np.ndarray:
     # rows added in order across blocks, as values.mean(axis=0) adds them
-    # when the view has two or more columns (one column numpy sums pairwise)
+    # when the view has two or more columns (one column numpy sums
+    # pairwise); ``runs``, if given, gets each block's count of _run_starts
     total = np.zeros(view.cols)
     for lo in range(0, view.rows, c):
         block = view.block(lo, min(lo + c, view.rows))
+        if runs is not None:
+            runs.append(len(_run_starts(block)))
         total = np.add.reduce(np.concatenate([total[None], block]), axis=0)
     return total / view.rows
+
+
+def _run_starts(block: np.ndarray) -> np.ndarray:
+    # the first row of each run of bitwise-equal consecutive rows
+    bits = block.view(np.uint64)
+    return np.flatnonzero(np.concatenate(
+        ([True], np.any(bits[1:] != bits[:-1], axis=1))))
 
 
 def _geqrf(m: int, n: int, a: np.ndarray, tau: np.ndarray,
@@ -175,6 +190,53 @@ def _geqrf(m: int, n: int, a: np.ndarray, tau: np.ndarray,
     info = lapack_lite.dgeqrf(m, n, a, a.shape[1], tau, work, lwork, 0)
     if info["info"] != 0:
         raise RuntimeError(f"dgeqrf failed with info {info['info']}")
+
+
+class _QrStack:
+    """R, ``k`` x ``cols`` upper trapezoidal, above room for ``room`` rows.
+
+    The stack is column-major for LAPACK, and ``rows`` is its row view.
+    :meth:`take` hands out rows under R to write; :meth:`fold` factors R
+    and them in place by one ``dgeqrf``, so no copy of the stack is made.
+    """
+
+    def __init__(self, cols: int, room: int):
+        self.t = np.empty((cols, cols + room))  # row j is column j
+        self.rows = self.t.T
+        self.k = self.h = 0  # rows of R, rows taken under it
+        self.tau, work = np.empty(cols), np.empty(1)
+        _geqrf(cols + room, cols, self.t, self.tau, work, -1)  # as numpy's qr
+        self.work = np.empty(max(1, cols, int(work[0])))
+
+    def take(self, h: int) -> np.ndarray:
+        """The next ``h`` rows under R and the rows taken before them,
+        folding those first if the room would overflow."""
+        if self.h + h > self.rows.shape[0] - self.t.shape[0]:
+            self.fold()
+        self.h += h
+        return self.rows[self.k + self.h - h:self.k + self.h]
+
+    def fold(self) -> None:
+        cols = self.t.shape[0]
+        _geqrf(self.k + self.h, cols, self.t, self.tau, self.work,
+               self.work.size)
+        self.k, self.h = min(self.k + self.h, cols), 0
+        for j in range(self.k - 1):  # Householder vectors below R's diagonal
+            self.t[j, j + 1:self.k] = 0.0
+
+
+def _split_runs(block: np.ndarray, starts: np.ndarray, mean: np.ndarray,
+                out: np.ndarray, within: _QrStack) -> np.ndarray:
+    # the between/within split of a chunk's captions: each run's mean ybar,
+    # centered, to ``out``, and each row's y - ybar to ``within`` (zero for
+    # a run of one row); returns each run's row weight sqrt(g)
+    g = np.diff(starts, append=len(block))
+    ybar = np.add.reduceat(block, starts, axis=0)
+    ybar /= g[:, None]
+    np.subtract(ybar, mean, out=out)
+    np.subtract(block, np.repeat(ybar, g, axis=0),
+                out=within.take(len(block)))
+    return np.sqrt(g)[:, None]
 
 
 def prepare(x: FeatureMatrix | MatrixFile,
@@ -190,29 +252,56 @@ def prepare(x: FeatureMatrix | MatrixFile,
     upper triangular, so its x block is zero below row m_x: the thin SVDs
     R[:m_x, :m_x] = Wx Sx Vx' and R[:, m_x:] = Wy Sy Vy' give Ux = Q Wx
     (Wx padded with zero rows), so T = Wx' Wy[:m_x].
+
+    An image paired with g captions is g equal x rows in a row.  The
+    first pass counts each chunk's runs of bitwise-equal consecutive x
+    rows.  In the second, each run of g rows with caption mean ybar
+    becomes one row [sqrt(g) (x - mu_x), sqrt(g) (ybar - mu_y)] under R,
+    and its g rows y - ybar, whose x columns are zero, go under a second
+    R of the y columns alone.  These rows have the Gram matrix of the
+    centered pair (the between/within-group split), so R, and all that
+    is read from it, is the same up to rounding and row signs; the means
+    are not touched.  Runs end at chunk edges, which is still exact: any
+    split into parts of equal x is.  R's rows from m_x on, zero in the x
+    columns, are then merged with the second R by one QR of the y
+    columns.  A chunk without runs is centered as it is, so input with
+    no runs takes exactly the one-stream route, bit for bit.
     """
     _validate_pair(x, y)
-    n, m_x, p = x.rows, x.cols, x.cols + y.cols
+    n, m_x, m_y = x.rows, x.cols, y.cols
+    p = m_x + m_y
     c = max(_CHUNK_ROWS, p)
-    mean_x, mean_y = _column_mean(x, c), _column_mean(y, c)
-    # the (p + c) x p stacked matrix, column-major: row j of bt is column j
-    bt = np.empty((p, p + c))
-    buf = bt.T
-    tau, work = np.empty(p), np.empty(1)
-    _geqrf(p + c, p, bt, tau, work, -1)  # workspace query, as numpy's qr
-    work = np.empty(max(1, p, int(work[0])))
-    k = 0  # rows of R at the top of buf
+    runs: list[int] = []
+    mean_x, mean_y = _column_mean(x, c, runs), _column_mean(y, c)
+    joint = _QrStack(p, min(c, sum(runs)))
+    within = _QrStack(m_y, min(c, n)) if sum(runs) < n else None
     for lo in range(0, n, c):
         h = min(c, n - lo)
-        np.subtract(x.block(lo, lo + h), mean_x, out=buf[k:k + h, :m_x])
-        np.subtract(y.block(lo, lo + h), mean_y, out=buf[k:k + h, m_x:])
-        _geqrf(k + h, p, bt, tau, work, work.size)
-        k = min(k + h, p)
-        for j in range(k - 1):  # Householder vectors below R's diagonal
-            bt[j, j + 1:k] = 0.0
+        block = x.block(lo, lo + h)
+        starts = _run_starts(block)
+        new = joint.take(len(starts))
+        np.subtract(block[starts] if len(starts) < h else block, mean_x,
+                    out=new[:, :m_x])
+        del block  # one view's block is held at a time
+        if len(starts) == h:
+            np.subtract(y.block(lo, lo + h), mean_y, out=new[:, m_x:])
+        else:
+            new *= _split_runs(y.block(lo, lo + h), starts, mean_y,
+                               new[:, m_x:], within)
+    joint.fold()
+    rows_x = min(joint.k, m_x)
+    if within is not None:
+        # R's rows from m_x on are zero in the x columns, so one QR of the
+        # y columns merges them with the within-run R; the x block read
+        # below ends at rows_x
+        within.take(joint.k - rows_x)[...] = joint.rows[rows_x:joint.k, m_x:]
+        within.fold()
+        joint.rows[rows_x:rows_x + within.k, m_x:] = within.rows[:within.k]
+        joint.k = rows_x + within.k
+        del within  # not held through the SVDs
     factors = []
-    for block, mean in ((buf[:min(k, m_x), :m_x], mean_x),
-                        (buf[:k, m_x:], mean_y)):
+    for block, mean in ((joint.rows[:rows_x, :m_x], mean_x),
+                        (joint.rows[:joint.k, m_x:], mean_y)):
         w, s, vt = np.linalg.svd(block, full_matrices=False)
         # ||X||_F^2 = ||Xc||_F^2 + n ||mean||^2, summed without overflow
         norm = math.hypot(*s, *(math.sqrt(n) * mean))

@@ -17,11 +17,16 @@ from . import cca, hkse, io, retrieval, selection, synthetic
 
 _REG_KINDS = ("none", "tikhonov", "tsvd", "guided-tsvd")
 
+#: the path's cell flags and their defaults; fit's are None, so that a
+#: given one can be told from its default, and are filled in where read
+_PATH_FLAGS = {"grid": (20, 20), "metric": "r1", "threads": 1}
+
 #: fit's flags that one --reg alone reads, by dest; any other refuses them
 _REG_FLAGS = {"gamma_x": "tikhonov", "gamma_y": "tikhonov",
               "kx": "tsvd", "ky": "tsvd",
               **dict.fromkeys(("val_x", "val_y", "val_pairing", "grid_x",
-                               "grid_y", "path_out"), "guided-tsvd")}
+                               "grid_y", "path_out", *_PATH_FLAGS),
+                              "guided-tsvd")}
 
 #: embed's map-defining flags and their defaults; a saved --map fixes all
 #: of them, so giving one beside it is a usage error
@@ -156,7 +161,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--val-y", required=val_required,
                        help="validation captions (FMAT1)")
         p.add_argument("--val-pairing", help="validation caption->image rows")
-        p.add_argument("--grid", type=_grid_size, default="20x20",
+        p.add_argument("--grid", type=_grid_size,
+                       default=_PATH_FLAGS["grid"],
                        help="cells of the default axes (default 20x20)")
 
     def add_axes_and_cells(p):
@@ -164,8 +170,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="comma-separated axis of view X")
         p.add_argument("--grid-y", type=_number_list,
                        help="comma-separated axis of view Y")
-        p.add_argument("--metric", choices=selection.METRICS, default="r1")
-        p.add_argument("--threads", type=_int_from(0), default=1,
+        p.add_argument("--metric", choices=selection.METRICS,
+                       default=_PATH_FLAGS["metric"])
+        p.add_argument("--threads", type=_int_from(0),
+                       default=_PATH_FLAGS["threads"],
                        help="path grid rows scored at once (default 1); "
                             "0 = min(32, cores + 4)")
 
@@ -218,6 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_config(p)
     add_path_inputs(p, val_required=False)  # read by guided-tsvd only
     add_axes_and_cells(p)
+    p.set_defaults(**dict.fromkeys(_PATH_FLAGS))
     p.add_argument("--reg", action=_OnceAction, choices=_REG_KINDS,
                    default="none")
     p.add_argument("--gamma-x", type=_finite_nonneg, help="(default 0)")
@@ -313,7 +322,8 @@ def _apply_config(argv: list[str]) -> list[str]:
 
 
 def _workers(args) -> int | None:
-    return None if args.threads == 0 else args.threads
+    threads = _PATH_FLAGS["threads"] if args.threads is None else args.threads
+    return None if threads == 0 else threads
 
 
 def _open_views(images_path, captions_path, pairing_path, flag: str):
@@ -339,7 +349,8 @@ def _load_path(args, kind: str) -> dict:
         args.val_x, args.val_y, args.val_pairing, "--val-pairing")
     problem = cca.prepare(x, y)
     grid_x, grid_y = selection.path_axes(problem, kind, args.grid_x,
-                                         args.grid_y, args.grid)
+                                         args.grid_y,
+                                         args.grid or _PATH_FLAGS["grid"])
     return dict(problem=problem, val_images=images, val_captions=captions,
                 grid_x=grid_x, grid_y=grid_y, pair_index=pair_index)
 
@@ -489,7 +500,8 @@ def _cmd_fit(args) -> int:
         if not (args.val_x and args.val_y):
             raise ValueError("--reg guided-tsvd needs --val-x and --val-y")
         result = selection.guided_tikhonov(
-            **_load_path(args, "tsvd"), metric=args.metric,
+            **_load_path(args, "tsvd"),
+            metric=args.metric or _PATH_FLAGS["metric"],
             workers=_workers(args))
         _save_guided(result, args)
         return 0

@@ -110,9 +110,10 @@ def prepare_svd(x, y, rank_tol: float | None = None):
 
 
 def prepare_qr(x, y):
-    """``cca.prepare`` as it was before it factored its buffer in place:
-    each centered chunk is stacked under R in a row-major buffer and
-    ``np.linalg.qr(..., mode="r")`` refactors a copy of the stack."""
+    """``cca.prepare`` as it was before it factored its buffer in place
+    and folded runs of equal x rows: each centered chunk is stacked under
+    R in a row-major buffer and ``np.linalg.qr(..., mode="r")`` refactors
+    a copy of the stack."""
     from ccax import cca
 
     cca._validate_pair(x, y)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blas_threads import run_under_blas_threads
-from ccax import cca, io
+from ccax import cca, io, synthetic
 from ccax.cca import RegularizationSpec, prepare, solve
 from oracles import (cca_correlations_eig, center_columns,
                      constraint_residual, prepare_qr, prepare_svd,
@@ -395,9 +395,132 @@ class TestPrepareMatchesNumpyQr:
                 f"{Path(__file__).resolve()}::TestPrepareMatchesNumpyQr"
                 "::test_random_shapes",
                 f"{Path(__file__).resolve()}::TestPrepareMatchesNumpyQr"
-                "::test_blocked_shapes"], tmp_path)
+                "::test_blocked_shapes",
+                f"{Path(__file__).resolve()}::TestPrepareFoldsRuns"],
+            tmp_path)
         assert proc.returncode == 0, proc.stdout[-3000:]
-        assert "4 passed" in proc.stdout
+        assert "11 passed" in proc.stdout
+
+
+def _repeated_pair(rng, g, m_x, m_y, rank_x, rank_y, rank_w):
+    """Image i of a ``_pair`` of len(g) images repeated g[i] times in a
+    row, as each image sits beside its g[i] captions.  A caption is its
+    image's y row plus noise of rank up to ``rank_w``: orthonormal columns
+    that sum to zero over each image's captions, scaled by [1, 4] along
+    feature directions orthogonal to the images' centred y rows.  So the
+    centred caption view keeps ``_pair``'s scale, and a group of captions
+    spans at most rank_w directions about its mean."""
+    images, captions = _pair(rng, len(g), m_x, m_y, rank_x, rank_y)
+    s, vt = np.linalg.svd(captions.values - captions.values.mean(axis=0))[1:]
+    r = int(np.count_nonzero(s > 1e-9 * s[0]))
+    w = min(rank_w, m_y - r, sum(g) - len(g))
+    z = rng.standard_normal((sum(g), w))
+    means = np.add.reduceat(z, np.cumsum(g) - g) / np.array(g)[:, None]
+    z -= np.repeat(means, g, axis=0)
+    y = np.repeat(captions.values, g, axis=0) + (
+        np.linalg.qr(z)[0] * rng.uniform(1, 4, w)) @ vt[r:r + w]
+    return io.FeatureMatrix(np.repeat(images.values, g, axis=0)), \
+        io.FeatureMatrix(y)
+
+
+@st.composite
+def repeated_pairs(draw):
+    """(x, y, chunk): ``_repeated_pair`` with 2 to 30 images of 1 to 5
+    captions each, so that runs of unequal length, some of one row, cross
+    the edges of chunks of c = max(chunk, m_x + m_y) rows."""
+    g = draw(st.lists(st.integers(1, 5), min_size=2, max_size=30))
+    m_x, m_y = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x, y = _repeated_pair(rng, g, m_x, m_y, draw(st.integers(1, 9)),
+                          draw(st.integers(1, 9)), draw(st.integers(0, m_y)))
+    return x, y, draw(st.sampled_from([1, 7, 2048]))
+
+
+@pytest.mark.filterwarnings("ignore:n=.*covariances are singular")
+class TestPrepareFoldsRuns:
+    """``prepare`` on pairs whose x rows repeat in runs, which it folds
+    into one row per run and a y-only QR of the rows about each run's
+    caption mean, against the centred thin SVDs (``oracles.prepare_svd``)
+    and the unfolded QR (``oracles.prepare_qr``): equal ranks, the same
+    means bit for bit, and s_x, s_y and the canonical correlations within
+    1e-12 of the largest.  Streamed from FMAT1 files, every array is the
+    in-memory one bit for bit."""
+
+    @staticmethod
+    def check(x, y, chunk, tmp_dir):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cca, "_CHUNK_ROWS", chunk)
+            TestPrepareMatchesSvdRoute.check(x, y, tmp_dir)
+            got, want = cca.prepare(x, y), prepare_qr(x, y)
+        np.testing.assert_array_equal(got.mean_x, want.mean_x)
+        np.testing.assert_array_equal(got.mean_y, want.mean_y)
+        assert (got.rank_x, got.rank_y) == (want.rank_x, want.rank_y)
+        corr = [np.linalg.svd(p.t, compute_uv=False) for p in (got, want)]
+        for a, b in ((got.s_x, want.s_x), (got.s_y, want.s_y), corr):
+            assert np.abs(a - b).max() <= 1e-12 * b[0]
+
+    @settings(max_examples=80, deadline=None)
+    @given(pair=repeated_pairs())
+    # 3 images under m_x = 6: R has no y-only rows below m_x to merge
+    @example(pair=(*_repeated_pair(np.random.default_rng(3), [4, 1, 3], 6,
+                                   5, 6, 5, 5), 2048))
+    # every group's captions equal: the within-run rows are rounding only
+    @example(pair=(*_repeated_pair(np.random.default_rng(4), [5] * 12, 3,
+                                   4, 3, 4, 0), 1))
+    def test_random_runs(self, pair, tmp_path_factory):
+        self.check(*pair, tmp_path_factory.mktemp("pair"))
+
+    def test_constant_x_has_no_rank(self):
+        rng = np.random.default_rng(5)
+        x = io.FeatureMatrix(np.full((40, 3), 0.1))
+        y = io.FeatureMatrix(rng.standard_normal((40, 2)))
+        with pytest.raises(ValueError, match="zero numerical rank"):
+            cca.prepare(x, y)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 2048])
+    def test_repeats_apart_are_not_folded(self, chunk):
+        # each image row again after all the others: no two equal rows in
+        # a row, so every array is the unfolded route's bit for bit
+        rng = np.random.default_rng(chunk)
+        images, captions = _pair(rng, 12, 5, 4, 5, 4)
+        x = io.FeatureMatrix(np.tile(images.values, (3, 1)))
+        y = io.FeatureMatrix(np.tile(captions.values, (3, 1))
+                             + rng.standard_normal((36, 4)))
+        TestPrepareMatchesNumpyQr.check(x, y, chunk)
+
+    @staticmethod
+    def geqrf_calls(x, y, monkeypatch):
+        """(rows, columns) of each ``dgeqrf`` factoring, not sizing, a
+        stack while ``prepare`` runs."""
+        calls, geqrf = [], cca._geqrf
+
+        def spy(m, n, a, tau, work, lwork):
+            if lwork != -1:
+                calls.append((m, n))
+            geqrf(m, n, a, tau, work, lwork)
+
+        monkeypatch.setattr(cca, "_geqrf", spy)
+        cca.prepare(x, y)
+        return calls
+
+    def test_one_joint_row_per_image(self, monkeypatch):
+        # a synth pair, 5 captions per image, in one chunk: the joint
+        # stream factors one row per image, once, and the y-only stream
+        # every caption's row about its mean, then the merge
+        data = synthetic.generate_caption_like(synthetic.LatentModelConfig(
+            n_train=150, n_val=1, n_test=1, latent_dim=5, image_dim=20,
+            text_dim=12, seed=9), captions_per_item=5)
+        x, y = data.paired_training_views()
+        assert self.geqrf_calls(x, y, monkeypatch) == [
+            (150, 32), (750, 12), (12 + 12, 12)]
+
+    def test_run_free_calls_unchanged(self, monkeypatch):
+        # 2c + 1 rows without runs, c = 40: one dgeqrf per chunk of rows
+        # under R, as before runs were folded
+        monkeypatch.setattr(cca, "_CHUNK_ROWS", 40)
+        x, y = random_views(17, n=81, mx=6, my=4)
+        assert self.geqrf_calls(x, y, monkeypatch) == [
+            (40, 10), (10 + 40, 10), (10 + 1, 10)]
 
 
 class TestTikhonov:

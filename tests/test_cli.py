@@ -145,7 +145,8 @@ class TestFit:
         *[(reg + [flag, value], f"{flag} needs --reg guided-tsvd")
           for flag, value in (("--val-x", "v"), ("--val-y", "v"),
                               ("--val-pairing", "p"), ("--grid-x", "2"),
-                              ("--grid-y", "2"))
+                              ("--grid-y", "2"), ("--grid", "3x3"),
+                              ("--metric", "mean-r1"), ("--threads", "4"))
           for reg in (["--reg", "none"], ["--reg", "tikhonov"],
                       ["--reg", "tsvd", "--kx", "2", "--ky", "2"])],
     ])

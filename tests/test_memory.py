@@ -1,6 +1,7 @@
 """The embed pipeline holds one copy of each array and never its whole
 output, the bandwidth median holds half its Gram, an FMAT1 load holds its
-matrix once, a fit never holds its training pair, and eval holds blocks of
+matrix once, a fit never holds its training pair, repeated image rows
+shrink prepare's buffers, and eval holds blocks of
 caption rows by images and centers its views a block of rows at a time,
 read from their files: the projections are the only whole views it holds.
 
@@ -265,6 +266,26 @@ def test_prepare_factors_in_place(tmp_path, monkeypatch):
             io.open_matrix(tmp_path / "y.fmat") as y:
         peak = traced_peak(lambda: cca.prepare(x, y))
     assert peak < 1.25 * (buffer + blocks)
+
+
+def test_prepare_folds_repeated_rows(tmp_path, monkeypatch):
+    # 400 images of 128 values, each beside 5 captions of 64, in one block
+    # of 2000 rows: prepare holds the (192 + 400) x 192 buffer of one row
+    # per image, the 64 x (64 + 2000) buffer of the captions' rows about
+    # their image's mean, and one block per view.  Factored row by row,
+    # the pair would need a (192 + 2000) x 192 buffer
+    monkeypatch.setattr(cca, "_CHUNK_ROWS", 2000)
+    rng = np.random.default_rng(8)
+    x = np.repeat(rng.standard_normal((400, 128)) + 5.0, 5, axis=0)
+    io.save_matrix(io.FeatureMatrix(x), tmp_path / "x.fmat")
+    io.save_matrix(io.FeatureMatrix(x[:, :64] + rng.standard_normal(
+        (2000, 64))), tmp_path / "y.fmat")
+    joint, within = (192 + 400) * 192 * 8, 64 * (64 + 2000) * 8
+    unfolded, blocks = (192 + 2000) * 192 * 8, 2000 * 192 * 8
+    with io.open_matrix(tmp_path / "x.fmat") as fx, \
+            io.open_matrix(tmp_path / "y.fmat") as fy:
+        peak = traced_peak(lambda: cca.prepare(fx, fy))
+    assert peak < joint + within + blocks < 1.25 * (unfolded + blocks)
 
 
 def test_eval_holds_caption_blocks_by_images():
