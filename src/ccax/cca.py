@@ -1,13 +1,15 @@
 """Canonical correlation analysis via SVD, with spectral-filter regularizers.
 
-The solver never forms covariance matrices: the centered pair [Xc | Yc] is
-reduced to the triangular factor R of one QR, each view's block of R to
-its thin SVD, and the canonical system is read off an SVD of the small
+The solver never forms covariance matrices: the training pair is read
+once, and [1 | X - s | Y - t], shifted by the first rows' column means,
+is reduced to the triangular factor R of one QR, whose trailing block is
+the R of the centered pair [Xc | Yc].  Each view's block of that R goes
+to its thin SVD, and the canonical system is read off an SVD of the small
 correlation operator T = Ux' Uy.  An image repeated beside each of its
 captions is factored once: a run of equal x rows folds into one weighted
 row, and its caption rows about their mean into a QR of the y columns
 alone, which gives the same R up to rounding; input without such runs
-takes the plain route bit for bit.  Tikhonov regularization soft-shrinks
+is factored as it is.  Tikhonov regularization soft-shrinks
 the singular values of each view (by sigma / sqrt(sigma^2 + gamma)) and
 truncated-SVD regularization hard-prunes them; both act on T through
 diagonal scalings only, which is what makes the regularization paths in
@@ -157,22 +159,38 @@ class CcaProblem:
         return self.s_y.shape[0]
 
 
-#: Training rows :func:`prepare` centers and folds into R per QR step.
+#: Training rows :func:`prepare` reads, shifts and folds into R per step.
 _CHUNK_ROWS = 2048
 
+#: Rows :func:`_add_rows` copies under the running column sums per step.
+_SUM_ROWS = 64
 
-def _column_mean(view: FeatureMatrix | MatrixFile, c: int,
-                 runs: list[int] | None = None) -> np.ndarray:
-    # rows added in order across blocks, as values.mean(axis=0) adds them
-    # when the view has two or more columns (one column numpy sums
-    # pairwise); ``runs``, if given, gets each block's count of _run_starts
-    total = np.zeros(view.cols)
-    for lo in range(0, view.rows, c):
-        block = view.block(lo, min(lo + c, view.rows))
-        if runs is not None:
-            runs.append(len(_run_starts(block)))
-        total = np.add.reduce(np.concatenate([total[None], block]), axis=0)
-    return total / view.rows
+#: Columns :func:`_put` writes per step into a column-major stack.
+_TILE = 16
+
+
+def _add_rows(total: np.ndarray, block: np.ndarray) -> None:
+    # adds the rows of ``block`` to ``total`` in order, as values.mean(
+    # axis=0) adds a matrix's rows when it has two or more columns: each
+    # short piece of rows is copied under the running total and reduced.
+    # The copy has a spare zero column when the view has one, since numpy
+    # sums a single column pairwise
+    m = total.size
+    buf = np.zeros((_SUM_ROWS + 1, max(m, 2)))
+    for lo in range(0, len(block), _SUM_ROWS):
+        piece = block[lo:lo + _SUM_ROWS]
+        buf[0, :m] = total
+        buf[1:len(piece) + 1, :m] = piece
+        total[:] = np.add.reduce(buf[:len(piece) + 1], axis=0)[:m]
+
+
+def _put(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    # out = a - b, a tile of columns at a time: ``out`` is a row view of a
+    # column-major stack, which a whole row-major block would stride
+    # through; a tile's columns stay in cache while they are transposed
+    for j in range(0, out.shape[1], _TILE):
+        np.subtract(a[:, j:j + _TILE], b[..., j:j + _TILE],
+                    out=out[:, j:j + _TILE])
 
 
 def _run_starts(block: np.ndarray) -> np.ndarray:
@@ -198,26 +216,36 @@ class _QrStack:
     The stack is column-major for LAPACK, and ``rows`` is its row view.
     :meth:`take` hands out rows under R to write; :meth:`fold` factors R
     and them in place by one ``dgeqrf``, so no copy of the stack is made.
+    The workspace is queried at the first fold, so no LAPACK call runs
+    before the first rows are in.
     """
 
     def __init__(self, cols: int, room: int):
         self.t = np.empty((cols, cols + room))  # row j is column j
         self.rows = self.t.T
         self.k = self.h = 0  # rows of R, rows taken under it
-        self.tau, work = np.empty(cols), np.empty(1)
-        _geqrf(cols + room, cols, self.t, self.tau, work, -1)  # as numpy's qr
-        self.work = np.empty(max(1, cols, int(work[0])))
+        self.tau, self.work = np.empty(cols), None
 
     def take(self, h: int) -> np.ndarray:
         """The next ``h`` rows under R and the rows taken before them,
-        folding those first if the room would overflow."""
-        if self.h + h > self.rows.shape[0] - self.t.shape[0]:
+        folding those first if the room would overflow, and making more
+        room if ``h`` rows alone would."""
+        cols = self.t.shape[0]
+        if self.h + h > self.t.shape[1] - cols:
             self.fold()
+            if h > self.t.shape[1] - cols:
+                t = np.empty((cols, cols + h))
+                t[:, :self.k] = self.t[:, :self.k]
+                self.t, self.rows = t, t.T
         self.h += h
         return self.rows[self.k + self.h - h:self.k + self.h]
 
     def fold(self) -> None:
         cols = self.t.shape[0]
+        if self.work is None:  # as numpy's qr queries it
+            work = np.empty(1)
+            _geqrf(self.t.shape[1], cols, self.t, self.tau, work, -1)
+            self.work = np.empty(max(1, cols, int(work[0])))
         _geqrf(self.k + self.h, cols, self.t, self.tau, self.work,
                self.work.size)
         self.k, self.h = min(self.k + self.h, cols), 0
@@ -225,17 +253,24 @@ class _QrStack:
             self.t[j, j + 1:self.k] = 0.0
 
 
-def _split_runs(block: np.ndarray, starts: np.ndarray, mean: np.ndarray,
+def _split_runs(block: np.ndarray, starts: np.ndarray, shift: np.ndarray,
                 out: np.ndarray, within: _QrStack) -> np.ndarray:
     # the between/within split of a chunk's captions: each run's mean ybar,
-    # centered, to ``out``, and each row's y - ybar to ``within`` (zero for
-    # a run of one row); returns each run's row weight sqrt(g)
+    # shifted, to ``out``, and each row's y - ybar to ``within`` (zero for
+    # a run of one row); returns each run's row weight sqrt(g).  A run's
+    # rows are added in order, one gather per position in the run; with
+    # the longest runs first, the runs that have a row j are a prefix
     g = np.diff(starts, append=len(block))
-    ybar = np.add.reduceat(block, starts, axis=0)
-    ybar /= g[:, None]
-    np.subtract(ybar, mean, out=out)
-    np.subtract(block, np.repeat(ybar, g, axis=0),
-                out=within.take(len(block)))
+    order = np.argsort(-g, kind="stable")
+    first, g_desc = starts[order], g[order]
+    sums = block[first]
+    for j in range(1, g_desc[0]):
+        more = np.count_nonzero(g_desc > j)
+        sums[:more] += block[first[:more] + j]
+    ybar = np.empty_like(sums)
+    ybar[order] = sums / g_desc[:, None]
+    _put(out, ybar, shift)
+    _put(within.take(len(block)), block, np.repeat(ybar, g, axis=0))
     return np.sqrt(g)[:, None]
 
 
@@ -243,69 +278,89 @@ def prepare(x: FeatureMatrix | MatrixFile,
             y: FeatureMatrix | MatrixFile) -> CcaProblem:
     """Center both views and form T = Ux' Uy by one joint QR (Bjorck-Golub).
 
-    Each view is read ``block`` by block, c = max(_CHUNK_ROWS, p) rows at
-    a time, p = m_x + m_y, in two passes: the column means, then
-    [Xc | Yc] = Q R, each centered chunk written under R and the stack
-    refactored in place by LAPACK ``dgeqrf``, with no copy of it made.
-    So memory is O(p (p + c)) whatever n is, and a view may be an FMAT1
-    file (:func:`ccax.io.open_matrix`) that is never held whole.  R is
-    upper triangular, so its x block is zero below row m_x: the thin SVDs
-    R[:m_x, :m_x] = Wx Sx Vx' and R[:, m_x:] = Wy Sy Vy' give Ux = Q Wx
-    (Wx padded with zero rows), so T = Wx' Wy[:m_x].
+    The pair is read once, ``block`` by block, c = max(_CHUNK_ROWS, p)
+    rows at a time, p = m_x + m_y, the x block and then the y block of
+    each chunk.  The column means are summed as the rows go by, in order,
+    so they are bitwise ``values.mean(axis=0)`` for a view of two or more
+    columns.  What is factored is [1 | X - s | Y - t], where the shifts s
+    and t are the first chunk's column means: each chunk of rows is
+    written under R and the stack refactored in place by LAPACK
+    ``dgeqrf``, with no copy of it made.  The leading column of ones takes
+    the rest of the centering: R's trailing p x p block is the R of the
+    centered pair [Xc | Yc], up to row signs, whatever s and t are, and
+    shifts near the means keep the rounding that of centered data.  So
+    memory is O(p (p + c)) whatever n is, and a view may be an FMAT1
+    file (:func:`ccax.io.open_matrix`) that is never held whole.  That
+    block R is upper triangular, so its x block is zero below row m_x:
+    the thin SVDs R[:m_x, :m_x] = Wx Sx Vx' and R[:, m_x:] = Wy Sy Vy'
+    give Ux = Q Wx (Wx padded with zero rows), so T = Wx' Wy[:m_x].
 
-    An image paired with g captions is g equal x rows in a row.  The
-    first pass counts each chunk's runs of bitwise-equal consecutive x
-    rows.  In the second, each run of g rows with caption mean ybar
-    becomes one row [sqrt(g) (x - mu_x), sqrt(g) (ybar - mu_y)] under R,
-    and its g rows y - ybar, whose x columns are zero, go under a second
-    R of the y columns alone.  These rows have the Gram matrix of the
-    centered pair (the between/within-group split), so R, and all that
-    is read from it, is the same up to rounding and row signs; the means
-    are not touched.  Runs end at chunk edges, which is still exact: any
-    split into parts of equal x is.  R's rows from m_x on, zero in the x
-    columns, are then merged with the second R by one QR of the y
-    columns.  A chunk without runs is centered as it is, so input with
-    no runs takes exactly the one-stream route, bit for bit.
+    An image paired with g captions is g equal x rows in a row.  Each
+    run of g bitwise-equal consecutive x rows in a chunk, with caption
+    mean ybar, becomes one row [sqrt(g), sqrt(g) (x - s),
+    sqrt(g) (ybar - t)] under R, and its g rows y - ybar, zero in the
+    other columns, go under a second R of the y columns alone.  These
+    rows have the Gram matrix of the shifted pair (the between/within-
+    group split), so R, and all that is read from it, is the same up to
+    rounding and row signs.  Runs end at chunk edges, which is still
+    exact: any split into parts of equal x is.  The joint stack has room
+    for the first chunk's runs times the number of chunks, and is
+    factored early if later chunks have more.  The trailing block's rows
+    from m_x on, zero in the x columns, are then merged with the second
+    R by one QR of the y columns.
     """
     _validate_pair(x, y)
     n, m_x, m_y = x.rows, x.cols, y.cols
     p = m_x + m_y
     c = max(_CHUNK_ROWS, p)
-    runs: list[int] = []
-    mean_x, mean_y = _column_mean(x, c, runs), _column_mean(y, c)
-    joint = _QrStack(p, min(c, sum(runs)))
-    within = _QrStack(m_y, min(c, n)) if sum(runs) < n else None
+    sum_x, sum_y = np.zeros(m_x), np.zeros(m_y)
+    within = None
     for lo in range(0, n, c):
         h = min(c, n - lo)
         block = x.block(lo, lo + h)
+        _add_rows(sum_x, block)
         starts = _run_starts(block)
+        if lo == 0:
+            shift_x = sum_x / h
+            joint = _QrStack(1 + p, min(c, len(starts) * -(-n // c)))
         new = joint.take(len(starts))
-        np.subtract(block[starts] if len(starts) < h else block, mean_x,
-                    out=new[:, :m_x])
+        new[:, 0] = 1.0
+        _put(new[:, 1:1 + m_x], block[starts] if len(starts) < h else block,
+             shift_x)
         del block  # one view's block is held at a time
+        block = y.block(lo, lo + h)
+        _add_rows(sum_y, block)
+        if lo == 0:
+            shift_y = sum_y / h
         if len(starts) == h:
-            np.subtract(y.block(lo, lo + h), mean_y, out=new[:, m_x:])
+            _put(new[:, 1 + m_x:], block, shift_y)
         else:
-            new *= _split_runs(y.block(lo, lo + h), starts, mean_y,
-                               new[:, m_x:], within)
+            if within is None:
+                within = _QrStack(m_y, min(c, n))
+            new *= _split_runs(block, starts, shift_y, new[:, 1 + m_x:],
+                               within)
+        del block
     joint.fold()
-    rows_x = min(joint.k, m_x)
+    mean_x, mean_y = sum_x / n, sum_y / n
+    # the R of the centered pair, k x p: row 0 and column 0 of the stack's
+    # R hold the column of ones and the shifted column sums
+    r, k = joint.rows[1:, 1:], joint.k - 1
+    rows_x = min(k, m_x)
     if within is not None:
-        # R's rows from m_x on are zero in the x columns, so one QR of the
+        # its rows from m_x on are zero in the x columns, so one QR of the
         # y columns merges them with the within-run R; the x block read
         # below ends at rows_x
-        within.take(joint.k - rows_x)[...] = joint.rows[rows_x:joint.k, m_x:]
+        within.take(k - rows_x)[...] = r[rows_x:k, m_x:]
         within.fold()
-        joint.rows[rows_x:rows_x + within.k, m_x:] = within.rows[:within.k]
-        joint.k = rows_x + within.k
+        r[rows_x:rows_x + within.k, m_x:] = within.rows[:within.k]
+        k = rows_x + within.k
         del within  # not held through the SVDs
     factors = []
-    for block, mean in ((joint.rows[:rows_x, :m_x], mean_x),
-                        (joint.rows[:joint.k, m_x:], mean_y)):
+    for block, mean in ((r[:rows_x, :m_x], mean_x), (r[:k, m_x:], mean_y)):
         w, s, vt = np.linalg.svd(block, full_matrices=False)
         # ||X||_F^2 = ||Xc||_F^2 + n ||mean||^2, summed without overflow
         norm = math.hypot(*s, *(math.sqrt(n) * mean))
-        tol = default_rank_tol(n, block.shape[1]) * max(s[0], norm)
+        tol = default_rank_tol(n, block.shape[1]) * np.max(s, initial=norm)
         rank = int(np.count_nonzero((s > 0) & (s >= tol)))
         if rank == 0:
             raise ValueError("zero numerical rank after centering")

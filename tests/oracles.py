@@ -31,6 +31,11 @@ SVD of each view (``center_columns``, ``thin_svd``, ``prepare_svd``) is
 the route the chunked joint QR of ``cca.prepare`` replaced, and
 ``prepare_qr``, which refactors a copy of each chunk's stack by
 ``np.linalg.qr``, the route its in-place ``dgeqrf`` replaced.
+``prepare_two_pass`` is that QR on the centered pair, the column means
+taken by a first pass (``running_sums``), which the one pass of
+shifted rows replaced, and ``prepare_exact`` centers a small pair in
+exact arithmetic, the reference for both.  ``problem_from_r`` reads a
+problem off the R of each of these routes.
 The elementwise spectral filters and ``verify_filter_forms`` check the
 paper's identity that Tikhonov and T-SVD are diagonal filters on T, which
 ``cca.solve`` applies directly.  ``generate_latent_pairs`` is the 1:1
@@ -43,10 +48,11 @@ filtered operator (``filter_then_svd``, a copy of the filter in
 validation space (``first_best``, ``top1_recalls``): the two routes that
 the SVD-free bilinear scoring of ``selection._run_grid`` replaced.
 ``matrix_to_bytes`` builds an FMAT1 record as one ``bytes``, the
-payload-sized copy that ``io.MatrixWriter`` replaced.  Two helpers write
-and collect what no command does: ``save_embedding_table`` writes the
-text tables the tests read, and ``embed_corpus`` collects the blocks of
-``hkse.embed_blocks`` into one matrix.
+payload-sized copy that ``io.MatrixWriter`` replaced.  Three helpers
+do what no command does: ``CountingView`` counts the reads of each row
+of a view, ``save_embedding_table`` writes the text tables the tests
+read, and ``embed_corpus`` collects the blocks of ``hkse.embed_blocks``
+into one matrix.
 """
 
 from __future__ import annotations
@@ -55,6 +61,7 @@ import itertools
 import math
 import struct
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
@@ -109,32 +116,29 @@ def prepare_svd(x, y, rank_tol: float | None = None):
     return fx.s, fy.s, fx.u_left.T @ fy.u_left
 
 
-def prepare_qr(x, y):
-    """``cca.prepare`` as it was before it factored its buffer in place
-    and folded runs of equal x rows: each centered chunk is stacked under
-    R in a row-major buffer and ``np.linalg.qr(..., mode="r")`` refactors
-    a copy of the stack."""
+def running_sums(values):
+    """Row i: the column sums of the first i rows, the rows added in order
+    from zero, as numpy adds a matrix's rows when it has two or more
+    columns."""
+    return np.add.accumulate(
+        np.concatenate([np.zeros((1, values.shape[1])), values]), axis=0)
+
+
+def problem_from_r(r, n, mean_x, mean_y):
+    """The ``CcaProblem`` read off R, the R of a centered pair, as
+    ``cca.prepare`` reads it: thin SVDs of its x block (rows under m_x are
+    zero) and of its y columns, cut at ``cca.default_rank_tol`` of
+    max(s_max, ||X||_F)."""
     from ccax import cca
 
-    cca._validate_pair(x, y)
-    n, m_x, p = x.rows, x.cols, x.cols + y.cols
-    c = max(cca._CHUNK_ROWS, p)
-    mean_x, mean_y = cca._column_mean(x, c), cca._column_mean(y, c)
-    buf = np.empty((p + c, p))
-    k = 0
-    for lo in range(0, n, c):
-        h = min(c, n - lo)
-        np.subtract(x.block(lo, lo + h), mean_x, out=buf[k:k + h, :m_x])
-        np.subtract(y.block(lo, lo + h), mean_y, out=buf[k:k + h, m_x:])
-        r_factor = np.linalg.qr(buf[:k + h], mode="r")
-        k = r_factor.shape[0]
-        buf[:k] = r_factor
+    m_x = mean_x.size
     factors = []
-    for block, mean in ((buf[:min(k, m_x), :m_x], mean_x),
-                        (buf[:k, m_x:], mean_y)):
+    for block, mean in ((r[:min(len(r), m_x), :m_x], mean_x),
+                        (r[:, m_x:], mean_y)):
         w, s, vt = np.linalg.svd(block, full_matrices=False)
         norm = math.hypot(*s, *(math.sqrt(n) * mean))
-        tol = cca.default_rank_tol(n, block.shape[1]) * max(s[0], norm)
+        tol = (cca.default_rank_tol(n, block.shape[1])
+               * np.max(s, initial=norm))
         rank = int(np.count_nonzero((s > 0) & (s >= tol)))
         if rank == 0:
             raise ValueError("zero numerical rank after centering")
@@ -142,6 +146,81 @@ def prepare_qr(x, y):
     (w_x, s_x, v_x), (w_y, s_y, v_y) = factors
     return cca.CcaProblem(mean_x, mean_y, s_x, s_y, v_x, v_y,
                           w_x.T @ w_y[:w_x.shape[0]], n=n)
+
+
+def _chunked_r(x, y, shift_x, shift_y, ones):
+    # each chunk of rows, less the shifts and after a column of ones if
+    # ``ones``, stacked under R in a row-major buffer, and a copy of the
+    # stack refactored by np.linalg.qr
+    from ccax import cca
+
+    n, m_x, lead = x.rows, x.cols, int(ones)
+    p = lead + m_x + y.cols
+    c = max(cca._CHUNK_ROWS, p - lead)
+    buf = np.empty((p + c, p))
+    k = 0
+    for lo in range(0, n, c):
+        h = min(c, n - lo)
+        buf[k:k + h, :lead] = 1.0
+        np.subtract(x.block(lo, lo + h), shift_x,
+                    out=buf[k:k + h, lead:lead + m_x])
+        np.subtract(y.block(lo, lo + h), shift_y,
+                    out=buf[k:k + h, lead + m_x:])
+        r_factor = np.linalg.qr(buf[:k + h], mode="r")
+        k = r_factor.shape[0]
+        buf[:k] = r_factor
+    return buf[lead:k, lead:]
+
+
+def prepare_qr(x, y):
+    """``cca.prepare`` as it was before it factored its stack in place and
+    folded runs of equal x rows, on the stack it factors today:
+    [1 | X - s | Y - t], s and t the column means of the first chunk of
+    rows.  Each chunk goes under R in a row-major buffer and
+    ``np.linalg.qr(..., mode="r")`` refactors a copy of the stack; R's
+    trailing block is the centered pair's R."""
+    from ccax import cca
+
+    cca._validate_pair(x, y)
+    n = x.rows
+    h = min(max(cca._CHUNK_ROWS, x.cols + y.cols), n)
+    sums_x, sums_y = running_sums(x.values), running_sums(y.values)
+    return problem_from_r(
+        _chunked_r(x, y, sums_x[h] / h, sums_y[h] / h, ones=True),
+        n, sums_x[n] / n, sums_y[n] / n)
+
+
+def prepare_two_pass(x, y):
+    """``cca.prepare`` as it was before it read the pair once: the column
+    means first, then each chunk of the centered pair [Xc | Yc] under R,
+    refactored by ``np.linalg.qr`` as in ``prepare_qr``."""
+    from ccax import cca
+
+    cca._validate_pair(x, y)
+    n = x.rows
+    mean_x = running_sums(x.values)[n] / n
+    mean_y = running_sums(y.values)[n] / n
+    return problem_from_r(_chunked_r(x, y, mean_x, mean_y, ones=False),
+                          n, mean_x, mean_y)
+
+
+def prepare_exact(x, y):
+    """(s_x, s_y, T = Ux' Uy) of a small pair centered exactly: each
+    column's mean and each centered value in ``fractions.Fraction``,
+    rounded once to float64, then the thin SVDs of ``prepare_svd``."""
+    from ccax.io import FeatureMatrix
+
+    def centered(view):
+        cols = []
+        for col in view.values.T:
+            exact = [Fraction(v) for v in col]
+            mean = sum(exact) / len(exact)
+            cols.append([float(v - mean) for v in exact])
+        return FeatureMatrix(np.array(cols).T)
+
+    fx = thin_svd(centered(x), None, x)
+    fy = thin_svd(centered(y), None, y)
+    return fx.s, fy.s, fx.u_left.T @ fy.u_left
 
 
 def spectral_filter_soft(s, alpha: float):
@@ -985,6 +1064,18 @@ def embed_corpus(maps, corpus, table):
         maps = [maps]
     return FeatureMatrix(np.vstack(
         [block.copy() for block in hkse.embed_blocks(maps, corpus, table)]))
+
+
+class CountingView:
+    """A view that counts the reads of each of its rows."""
+
+    def __init__(self, view):
+        self.values, self.rows, self.cols = view.values, view.rows, view.cols
+        self.reads = np.zeros(view.rows, dtype=np.int64)
+
+    def block(self, lo, hi):
+        self.reads[lo:hi] += 1
+        return self.values[lo:hi]
 
 
 def save_embedding_table(table, path) -> None:

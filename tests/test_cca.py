@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from blas_threads import run_under_blas_threads
 from ccax import cca, io, synthetic
 from ccax.cca import RegularizationSpec, prepare, solve
-from oracles import (cca_correlations_eig, center_columns,
-                     constraint_residual, prepare_qr, prepare_svd,
-                     sign_fix_loops,
+from oracles import (CountingView, cca_correlations_eig, center_columns,
+                     constraint_residual, prepare_exact, prepare_qr,
+                     prepare_svd, prepare_two_pass, sign_fix_loops,
                      spectral_filter_hard, spectral_filter_soft, thin_svd,
                      verify_filter_forms)
 
@@ -294,17 +294,23 @@ class TestPrepareMatchesSvdRoute:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40),
            m_x=st.integers(1, 9), m_y=st.integers(1, 9),
            rank_x=st.integers(1, 9), rank_y=st.integers(1, 9),
-           duplicate=st.booleans(), chunk=st.sampled_from([2048, 1, 7]))
+           duplicate=st.booleans(), chunk=st.sampled_from([2048, 1, 7]),
+           offset=st.just(0.0))
     # centering a view of rank 1 leaves a 2.5e-15 noise direction that a
     # cutoff on s_max alone (2.2e-15) kept as rank
     @example(seed=830171, n=9, m_x=9, m_y=9, rank_x=8, rank_y=1,
-             duplicate=False, chunk=2048)
+             duplicate=False, chunk=2048, offset=0.0)
+    # a common offset that the one pass needs its shifts for: factored
+    # without them, this pair is past the tolerance
+    @example(seed=26, n=40, m_x=9, m_y=7, rank_x=9, rank_y=7,
+             duplicate=False, chunk=7, offset=1e4)
     def test_random_shapes(self, seed, n, m_x, m_y, rank_x, rank_y,
-                           duplicate, chunk, tmp_path_factory):
+                           duplicate, chunk, offset, tmp_path_factory):
         # n < m_x + m_y, rank-deficient views, a duplicated column, and
         # several QR steps (a chunk under m_x + m_y rounds up to it)
         rng = np.random.default_rng(seed)
-        x, y = _pair(rng, n, m_x, m_y, rank_x, rank_y, duplicate)
+        x, y = (io.FeatureMatrix(view.values + offset) for view in
+                _pair(rng, n, m_x, m_y, rank_x, rank_y, duplicate))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cca, "_CHUNK_ROWS", chunk)
             self.check(x, y, tmp_path_factory.mktemp("pair"))
@@ -334,6 +340,49 @@ class TestPrepareMatchesSvdRoute:
         np.testing.assert_array_equal(problem.mean_y, y.values.mean(axis=0))
 
 
+@pytest.mark.filterwarnings("ignore:n=.*covariances are singular")
+class TestPrepareMatchesExactCentering:
+    """``prepare`` and the two-pass route (``oracles.prepare_two_pass``)
+    against the pair centered in exact arithmetic
+    (``oracles.prepare_exact``), a common offset added to every value:
+    equal ranks, and s_x, s_y and the canonical correlations within a
+    gate of the largest.  ``prepare``'s shifts are means of rows, so
+    X - s is exact where the offset dominates, and the ones column
+    centers the rest: 1e-14 holds at every offset.  The two-pass route
+    subtracts means rounded by about eps times the offset, which 1e-14
+    covers up to 1e4; at 1e8 it was 4.7e-14 off on these pairs, and up
+    to 1.1e-12 on seeded pairs of up to 300 rows."""
+
+    GATES = {"one-pass": {0.0: 1e-14, 1e4: 1e-14, 1e8: 1e-14},
+             "two-pass": {0.0: 1e-14, 1e4: 1e-14, 1e8: 1e-11}}
+
+    @pytest.mark.parametrize("offset", [0.0, 1e4, 1e8])
+    @pytest.mark.parametrize("seed,n,m_x,m_y,rank_x,rank_y", [
+        (0, 60, 5, 4, 5, 4), (1, 150, 8, 6, 3, 6), (2, 9, 6, 5, 6, 5)])
+    @pytest.mark.parametrize("atypical", [False, True])
+    def test_offsets(self, offset, seed, n, m_x, m_y, rank_x, rank_y,
+                     atypical, monkeypatch):
+        rng = np.random.default_rng(seed)
+        x, y = _pair(rng, n, m_x, m_y, rank_x, rank_y)
+        if atypical:  # sorted rows: the first chunk's means are far off
+            order = np.argsort(x.values[:, 0])
+            x, y = (io.FeatureMatrix(v.values[order]) for v in (x, y))
+        x, y = (io.FeatureMatrix(v.values + offset) for v in (x, y))
+        s_x, s_y, t = prepare_exact(x, y)
+        corr = np.linalg.svd(t, compute_uv=False)
+        for chunk in (1, 7, 2048):
+            monkeypatch.setattr(cca, "_CHUNK_ROWS", chunk)
+            for route, problem in (("one-pass", cca.prepare(x, y)),
+                                   ("two-pass", prepare_two_pass(x, y))):
+                assert (problem.rank_x, problem.rank_y) == (len(s_x),
+                                                            len(s_y))
+                got = np.linalg.svd(problem.t, compute_uv=False)
+                for a, b in ((problem.s_x, s_x), (problem.s_y, s_y),
+                             (got, corr)):
+                    assert (np.abs(a - b).max()
+                            <= self.GATES[route][offset] * b[0]), route
+
+
 @st.composite
 def chunked_pairs(draw):
     """(x, y, chunk): views of rank up to their width, some deficient, with
@@ -349,10 +398,23 @@ def chunked_pairs(draw):
     return x, y, chunk
 
 
+def assert_same_problem(got, want):
+    """Equal ranks, the same means bit for bit, and s_x, s_y and the
+    canonical correlations within 1e-12 of the largest."""
+    np.testing.assert_array_equal(got.mean_x, want.mean_x)
+    np.testing.assert_array_equal(got.mean_y, want.mean_y)
+    assert (got.rank_x, got.rank_y) == (want.rank_x, want.rank_y)
+    corr = [np.linalg.svd(p.t, compute_uv=False) for p in (got, want)]
+    for a, b in ((got.s_x, want.s_x), (got.s_y, want.s_y), corr):
+        assert np.abs(a - b).max() <= 1e-12 * b[0]
+
+
 @pytest.mark.filterwarnings("ignore:n=.*covariances are singular")
 class TestPrepareMatchesNumpyQr:
     """``prepare``'s in-place ``dgeqrf`` against ``np.linalg.qr`` on a copy
-    of each stack (``oracles.prepare_qr``): every array bit for bit."""
+    of each shifted stack (``oracles.prepare_qr``): every array bit for
+    bit; and against the two-pass route that factors the centered pair
+    (``oracles.prepare_two_pass``) as ``assert_same_problem``."""
 
     @staticmethod
     def check(x, y, chunk):
@@ -360,9 +422,11 @@ class TestPrepareMatchesNumpyQr:
             mp.setattr(cca, "_CHUNK_ROWS", chunk)
             want = prepare_qr(x, y)
             got = cca.prepare(x, y)
+            two_pass = prepare_two_pass(x, y)
         for field in fields(got):
             np.testing.assert_array_equal(getattr(got, field.name),
                                           getattr(want, field.name))
+        assert_same_problem(got, two_pass)
 
     @settings(max_examples=80, deadline=None)
     @given(pair=chunked_pairs())
@@ -382,9 +446,9 @@ class TestPrepareMatchesNumpyQr:
         self.check(x, y, chunk)
 
     def test_one_row(self):
-        # centering leaves nothing: both routes refuse it alike
+        # centering leaves nothing: every route refuses it alike
         x, y = io.FeatureMatrix([[1.0, 2.0, 3.0]]), io.FeatureMatrix([[4.0]])
-        for route in (prepare_qr, cca.prepare):
+        for route in (prepare_qr, prepare_two_pass, cca.prepare):
             with pytest.raises(ValueError, match="zero numerical rank"):
                 route(x, y)
 
@@ -440,24 +504,21 @@ def repeated_pairs(draw):
 class TestPrepareFoldsRuns:
     """``prepare`` on pairs whose x rows repeat in runs, which it folds
     into one row per run and a y-only QR of the rows about each run's
-    caption mean, against the centred thin SVDs (``oracles.prepare_svd``)
-    and the unfolded QR (``oracles.prepare_qr``): equal ranks, the same
-    means bit for bit, and s_x, s_y and the canonical correlations within
-    1e-12 of the largest.  Streamed from FMAT1 files, every array is the
-    in-memory one bit for bit."""
+    caption mean, against the centred thin SVDs (``oracles.prepare_svd``),
+    the unfolded shifted QR (``oracles.prepare_qr``) and the two-pass
+    QR of the centered pair (``oracles.prepare_two_pass``): equal ranks,
+    the same means bit for bit, and s_x, s_y and the canonical
+    correlations within 1e-12 of the largest.  Streamed from FMAT1 files,
+    every array is the in-memory one bit for bit."""
 
     @staticmethod
     def check(x, y, chunk, tmp_dir):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cca, "_CHUNK_ROWS", chunk)
             TestPrepareMatchesSvdRoute.check(x, y, tmp_dir)
-            got, want = cca.prepare(x, y), prepare_qr(x, y)
-        np.testing.assert_array_equal(got.mean_x, want.mean_x)
-        np.testing.assert_array_equal(got.mean_y, want.mean_y)
-        assert (got.rank_x, got.rank_y) == (want.rank_x, want.rank_y)
-        corr = [np.linalg.svd(p.t, compute_uv=False) for p in (got, want)]
-        for a, b in ((got.s_x, want.s_x), (got.s_y, want.s_y), corr):
-            assert np.abs(a - b).max() <= 1e-12 * b[0]
+            got = cca.prepare(x, y)
+            for want in (prepare_qr(x, y), prepare_two_pass(x, y)):
+                assert_same_problem(got, want)
 
     @settings(max_examples=80, deadline=None)
     @given(pair=repeated_pairs())
@@ -467,6 +528,10 @@ class TestPrepareFoldsRuns:
     # every group's captions equal: the within-run rows are rounding only
     @example(pair=(*_repeated_pair(np.random.default_rng(4), [5] * 12, 3,
                                    4, 3, 4, 0), 1))
+    # two runs in the first chunk of c = 7 rows, seven in the second: the
+    # joint stack's room, sized from the first chunk, takes more rows
+    @example(pair=(*_repeated_pair(np.random.default_rng(6),
+                                   [5, 2] + [1] * 7, 3, 4, 3, 4, 2), 7))
     def test_random_runs(self, pair, tmp_path_factory):
         self.check(*pair, tmp_path_factory.mktemp("pair"))
 
@@ -512,7 +577,7 @@ class TestPrepareFoldsRuns:
             text_dim=12, seed=9), captions_per_item=5)
         x, y = data.paired_training_views()
         assert self.geqrf_calls(x, y, monkeypatch) == [
-            (150, 32), (750, 12), (12 + 12, 12)]
+            (150, 33), (750, 12), (12 + 12, 12)]
 
     def test_run_free_calls_unchanged(self, monkeypatch):
         # 2c + 1 rows without runs, c = 40: one dgeqrf per chunk of rows
@@ -520,7 +585,24 @@ class TestPrepareFoldsRuns:
         monkeypatch.setattr(cca, "_CHUNK_ROWS", 40)
         x, y = random_views(17, n=81, mx=6, my=4)
         assert self.geqrf_calls(x, y, monkeypatch) == [
-            (40, 10), (10 + 40, 10), (10 + 1, 10)]
+            (40, 11), (11 + 40, 11), (11 + 1, 11)]
+
+
+class TestPrepareReadsOnce:
+    """``prepare`` reads each training row of each view once: the means,
+    the shifts, the runs and the rows under R all come from that read."""
+
+    @pytest.mark.parametrize("runs", [False, True])
+    @pytest.mark.parametrize("chunk", [1, 7, 2048])
+    def test_each_training_row_read_once(self, chunk, runs, monkeypatch):
+        monkeypatch.setattr(cca, "_CHUNK_ROWS", chunk)
+        rng = np.random.default_rng(chunk)
+        pair = (_repeated_pair(rng, [3, 1, 4, 2, 5] * 4, 5, 4, 5, 4, 4)
+                if runs else _pair(rng, 60, 5, 4, 5, 4))
+        views = [CountingView(view) for view in pair]
+        cca.prepare(*views)
+        for view in views:
+            np.testing.assert_array_equal(view.reads, 1)
 
 
 class TestTikhonov:

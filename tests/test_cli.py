@@ -1158,8 +1158,8 @@ class TestPathInputErrors:
 
 
 class TestNonFiniteTrainingValue:
-    """The training pair is read block by block, first for its column means:
-    a non-finite value, even in the last row, exits 1 naming the file, row
+    """The training pair is read once, block by block: a non-finite value,
+    even in the last row of a one-chunk pair, exits 1 naming the file, row
     and column before any QR runs, and nothing is written."""
 
     FIT_FLAGS = {"none": [], "tikhonov": ["--gamma-x", "1", "--gamma-y", "1"],

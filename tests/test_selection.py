@@ -9,7 +9,7 @@ import oracles
 from blas_threads import run_under_blas_threads
 from ccax import cca, io, retrieval, selection, synthetic
 from ccax.cca import RegularizationSpec, prepare, solve
-from oracles import center_columns, thin_svd
+from oracles import CountingView, center_columns, thin_svd
 
 
 @pytest.fixture(scope="module")
@@ -329,18 +329,6 @@ class TestGuidedOnPar:
                 guided.annotation_model, vi, vc, vp, ks=(1,))
             assert search.recalls[1] >= full.best_search_score - 2.0
             assert annotation.recalls[1] >= full.best_annotation_score - 2.0
-
-
-class CountingView:
-    """A view that counts the reads of each of its rows."""
-
-    def __init__(self, view):
-        self.values, self.rows = view.values, view.rows
-        self.reads = np.zeros(view.rows, dtype=np.int64)
-
-    def block(self, lo, hi):
-        self.reads[lo:hi] += 1
-        return self.values[lo:hi]
 
 
 class TestTimingMachinery:
