@@ -257,19 +257,31 @@ def _split_runs(block: np.ndarray, starts: np.ndarray, shift: np.ndarray,
                 out: np.ndarray, within: _QrStack) -> np.ndarray:
     # the between/within split of a chunk's captions: each run's mean ybar,
     # shifted, to ``out``, and each row's y - ybar to ``within`` (zero for
-    # a run of one row); returns each run's row weight sqrt(g).  A run's
-    # rows are added in order, one gather per position in the run; with
-    # the longest runs first, the runs that have a row j are a prefix
+    # a run of one row); returns each run's row weight sqrt(g).  ybar - t
+    # is (head - t) + the mean of the rows' differences from the run's
+    # first row, its head, added in order, one gather per position in the
+    # run; with the longest runs first, the runs that have a row j are a
+    # prefix.  Under a large common offset the differences are exact, where
+    # a sum of rows is rounded at the offset's scale.  The rows y - ybar,
+    # about the rounded ybar, sum to g times its rounding, which moves
+    # their Gram matrix only by that sum's square over g
     g = np.diff(starts, append=len(block))
     order = np.argsort(-g, kind="stable")
     first, g_desc = starts[order], g[order]
-    sums = block[first]
-    for j in range(1, g_desc[0]):
+    head = block[first]
+    diffs, step = np.zeros_like(head), np.empty_like(head)
+    for j in range(1, g_desc[0]):  # no run-sized temporary
         more = np.count_nonzero(g_desc > j)
-        sums[:more] += block[first[:more] + j]
-    ybar = np.empty_like(sums)
-    ybar[order] = sums / g_desc[:, None]
-    _put(out, ybar, shift)
+        np.take(block, first[:more] + j, axis=0, out=step[:more])
+        step[:more] -= head[:more]
+        diffs[:more] += step[:more]
+    head -= shift
+    diffs /= g_desc[:, None]
+    head += diffs  # ybar - t, longest runs first
+    ybar = np.take(head, np.argsort(order), axis=0, out=step)  # chunk order
+    out[...] = ybar  # ybar - t as yet
+    ybar += shift  # ybar, rounded
+    del head, diffs  # not held beside the repeated means
     _put(within.take(len(block)), block, np.repeat(ybar, g, axis=0))
     return np.sqrt(g)[:, None]
 

@@ -20,6 +20,7 @@ import contextlib
 import contextvars
 import math
 import os
+import re
 import stat
 import string
 import struct
@@ -608,21 +609,45 @@ def load_corpus(path, table: EmbeddingTable, oov_policy: str = "skip",
     return SentenceCorpus(tuple(sentences))
 
 
+#: What int() and float() are let read: an optional sign and ASCII digits,
+#: or for a float the ASCII decimal grammar, inf and nan, with ASCII blanks
+#: around.  They would also read '1_3', non-ASCII digits and Unicode blanks.
+_INT = r"[+-]?[0-9]+"
+_NUMBER = {
+    int: re.compile(rf"\s*{_INT}\s*", re.ASCII),
+    float: re.compile(r"\s*[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)"
+                      r"(?:e[+-]?[0-9]+)?|inf(?:inity)?|nan)\s*",
+                      re.ASCII | re.IGNORECASE),
+}
+#: A pairing file as :func:`save_pairing` writes it, unsigned values one a
+#: line, which is matched whole; any other is read line by line
+_DIGIT_LINES = re.compile(r"[0-9\n]*")
+#: One line of a pairing file: blank, or one row index
+_PAIRING_LINE = re.compile(rf"[ \t\f\v]*(?:{_INT}[ \t\f\v]*)?")
+
+
 def load_pairing(path) -> np.ndarray:
-    """One decimal row index per line."""
+    """One row index per line: an optional sign and ASCII digits, with
+    optional ASCII blanks around them.  Blank lines are skipped."""
+    with _open_input(path, encoding="utf-8", errors="surrogateescape") as fh:
+        text = fh.read()  # in text mode, so every line ends in a newline
+    if _DIGIT_LINES.fullmatch(text) and (values := text.split()):
+        with contextlib.suppress(OverflowError):  # named line by line
+            return np.fromiter(map(int, values), np.int64, len(values))
     out = []
-    for lineno, line in _text_lines(path):
-        line = line.strip()
-        if not line:
-            continue
-        try:
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.isascii():  # a bad byte is now a lone surrogate
+            _decode_line(path, lineno,
+                         line.encode("utf-8", "surrogateescape"))
+        if not _PAIRING_LINE.fullmatch(line):
+            raise DataFormatError(
+                f"{path}:{lineno}: expected an integer row index")
+        if line.strip():
             out.append(int(line))
-        except ValueError:
-            raise DataFormatError(
-                f"{path}:{lineno}: expected an integer row index") from None
-        if not -2**63 <= out[-1] < 2**63:
-            raise DataFormatError(
-                f"{path}:{lineno}: row index {line} does not fit in 64 bits")
+            if not -2**63 <= out[-1] < 2**63:
+                raise DataFormatError(f"{path}:{lineno}: row index "
+                                      f"{line.strip()} does not fit in 64 "
+                                      "bits")
     if not out:
         raise DataFormatError(f"{path}: empty pairing file")
     return np.asarray(out, dtype=np.int64)
@@ -668,14 +693,14 @@ class ModelArchive:
 
     def number(self, key: str, kind=int):
         """Manifest value ``key``, which :meth:`require` has checked, parsed
-        by ``kind`` (``int`` or ``float``); text that does not parse, or a
-        non-finite float, is a DataFormatError naming the key."""
+        by ``kind`` (``int`` or ``float``) from ASCII text; text that does
+        not parse so, or a non-finite float, is a DataFormatError naming the
+        key."""
         text = self.manifest[key]
-        try:
-            value = kind(text)
-        except ValueError:
+        if not _NUMBER[kind].fullmatch(text):
             raise DataFormatError(f"manifest key {key!r}: {text!r} is not "
-                                  f"a valid {kind.__name__}") from None
+                                  f"a valid {kind.__name__}")
+        value = kind(text)
         if kind is float and not math.isfinite(value):
             raise DataFormatError(
                 f"manifest key {key!r}: {text!r} is not finite")

@@ -15,7 +15,11 @@ score one matrix G = Y~ (Sigma^total X~)', captions by images, and
 :func:`_rank_tasks` forms each block of its caption rows once and scores
 both from it: search along the rows, annotation down the columns.  It is
 the one kernel of the protocol, the alpha sweep (one G for every alpha)
-and the path cells of :mod:`ccax.selection`.
+and the path cells of :mod:`ccax.selection`.  A rank is counted from one
+``>=`` mask of each task's block against the ground truth's score: a
+good model's sparse mask is listed and its ties looked up where it
+holds, a poor model's dense one counted along its axis
+(:func:`_count_ahead`).
 """
 
 from __future__ import annotations
@@ -112,6 +116,35 @@ def _project(view, mean: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return out
 
 
+#: A mask holding at most 1/_SPARSE of its block is listed, and its ties
+#: looked up at the listed positions; a denser one is counted along its
+#: axis, less the ties that one ``==`` pass finds.
+_SPARSE = 8
+
+
+def _count_ahead(scores, s_star, ahead, axis: int, mask) -> np.ndarray:
+    """Per row (``axis`` 1) or column (``axis`` 0) of the C-ordered block
+    ``scores``, the entries ranked ahead of its ground truth: above its best
+    ground-truth score ``s_star[row or column]``, or bitwise equal to it
+    where ``ahead(row, column)`` holds.  ``mask``, a bool array of the
+    block's shape, is overwritten."""
+    star = s_star[:, None] if axis == 1 else s_star
+    np.greater_equal(scores, star, out=mask)
+    sparse = np.count_nonzero(mask) * _SPARSE <= mask.size
+    if not sparse:
+        wins = np.count_nonzero(mask, axis=axis)
+        np.equal(scores, star, out=mask)
+    at = np.flatnonzero(mask)
+    row, column = np.divmod(at, scores.shape[1])
+    own = row if axis == 1 else column
+    length = scores.shape[1 - axis]
+    if sparse:  # the listed scores are >= s*: above it, or tied with it
+        counted = (scores.ravel()[at] > s_star[own]) | ahead(row, column)
+        return np.bincount(own[counted], minlength=length)
+    # every tie was counted as a win; those not ahead come off
+    return wins - np.bincount(own[~ahead(row, column)], minlength=length)
+
+
 def _rank_tasks(g_rows, image_sqs, caption_sqs, similarity: str,
                 rank_one: bool = False,
                 truth=None) -> tuple[np.ndarray, np.ndarray]:
@@ -131,21 +164,26 @@ def _rank_tasks(g_rows, image_sqs, caption_sqs, similarity: str,
     With ``truth`` = (pair_index, g_true), where caption c belongs to image
     pair_index[c] and g_true[c] is its entry of G formed before the sweep,
     each caption's and each image's 1-based rank of its best ground-truth
-    item.  ``g_rows`` must then return a fresh block: g_true is written
-    into it at the ground-truth positions, so every entry has one value and
-    both tasks' s* are entries of the G they count.  A rank is counted, not
-    sorted: with s* the best ground-truth score and i* the smallest
-    ground-truth index reaching it, it is 1 + #(score above s*) + #(score
-    equal to s* at an index below i*).  So ties go to the smaller index,
-    but only between bitwise-equal scores: OpenBLAS rounds the edge tiles
-    of a product differently, so duplicated rows can score apart.  Without
-    ``truth``, each caption's first-best image and each image's first-best
-    caption, ties to the smaller index.
+    item.  ``g_rows`` must then return a C-ordered block the kernel may
+    overwrite: g_true is written into it at the ground-truth positions, so
+    every entry has one value and both tasks' s* are entries of the G they
+    count.  A rank is counted, not sorted: with s* the best ground-truth
+    score and i* the smallest ground-truth index reaching it, it is 1 +
+    #(score above s*) + #(score equal to s* at an index below i*).  So ties
+    go to the smaller index, but only between bitwise-equal scores:
+    OpenBLAS rounds the edge tiles of a product differently, so duplicated
+    rows can score apart.  Each task's block is compared with s* once, by
+    ``>=``; a sparse mask is listed and split into wins and ties at its
+    positions, a dense one counted along its axis (:func:`_count_ahead`).
+    Without ``truth``, each caption's first-best image and each image's
+    first-best caption, ties to the smaller index.
 
     A non-finite squared norm, a zero norm under cosine and a non-finite
     best score are errors naming the view and row: image norms first and
     caption norms next, before the sweep, then each caption's best score
-    and each image's, after it.
+    and each image's, after it.  A ranked block whose scores have a finite
+    sum has only finite scores, so only a block whose sum is not finite
+    has its best scores taken.
     """
     if similarity not in ("cosine", "l2"):
         raise ValueError(f"unknown similarity {similarity!r}")
@@ -166,6 +204,12 @@ def _rank_tasks(g_rows, image_sqs, caption_sqs, similarity: str,
         if rank_one:
             return np.sign(g, out=out)
         return np.divide(g, term, out=out)
+
+    def finite(scores):
+        # one sum, by einsum, which sums faster than np.sum; finite scores
+        # that overflow it take the max pass too, silently
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.isfinite(np.einsum("ij->", scores))
 
     # what each weighting divides G by, or subtracts from it
     image_terms, caption_terms = (
@@ -194,7 +238,7 @@ def _rank_tasks(g_rows, image_sqs, caption_sqs, similarity: str,
     caption_best = np.empty(search.shape)
     image_best = np.full(annotation.shape, -np.inf)
     images = np.arange(n_images)
-    scores = down = np.empty(0)
+    scores = down = mask = np.empty(0)
     for lo, hi in _row_blocks(n_captions):
         g = g_rows(lo, hi)
         rows = np.arange(hi - lo)
@@ -202,9 +246,14 @@ def _rank_tasks(g_rows, image_sqs, caption_sqs, similarity: str,
             # one score buffer per task, kept while blocks keep their shape
             # (only the last can be taller: its old pair goes first).  Down
             # the columns reads fastest in G's own layout, and a path cell's
-            # blocks are column-major views
-            del scores, down
-            scores, down = np.empty(g.shape), np.empty_like(g)
+            # blocks are column-major views; a ranked block is C-ordered,
+            # and both tasks score it in one buffer
+            del scores, down, mask
+            scores = np.empty(g.shape)
+            if truth is None:
+                down, mask = np.empty_like(g), None
+            else:
+                down, mask = scores, np.empty(g.shape, dtype=bool)
         if truth is not None:
             g[rows, pair_index[lo:hi]] = g_true[lo:hi]
         for w, (image_term, caption_term) in enumerate(zip(image_terms,
@@ -215,14 +264,13 @@ def _rank_tasks(g_rows, image_sqs, caption_sqs, similarity: str,
                 search[w, lo:hi] = best
                 caption_best[w, lo:hi] = scores[rows, best]
             else:
-                caption_best[w, lo:hi] = scores.max(axis=1)
-                s_star = search_star[w][lo:hi, None]
-                row, image = np.divmod(np.flatnonzero(scores == s_star),
-                                       n_images)
-                ahead = image < pair_index[lo + row]
-                search[w, lo:hi] = (
-                    1 + np.count_nonzero(scores > s_star, axis=1)
-                    + np.bincount(row[ahead], minlength=hi - lo))
+                # any finite value stands for a finite block's best scores
+                caption_best[w, lo:hi] = (0.0 if finite(scores)
+                                          else scores.max(axis=1))
+                search[w, lo:hi] = 1 + _count_ahead(
+                    scores, search_star[w][lo:hi],
+                    lambda row, image: image < pair_index[lo + row], 1,
+                    mask)
             score(g, caption_term[lo:hi, None], down)
             if truth is None:
                 best = down.argmax(axis=0)
@@ -231,14 +279,11 @@ def _rank_tasks(g_rows, image_sqs, caption_sqs, similarity: str,
                 better = top > image_best[w]
                 annotation[w, better] = lo + best[better]
             else:
-                top = down.max(axis=0)
-                s_star = annotation_star[w]
-                row, image = np.divmod(np.flatnonzero(down == s_star),
-                                       n_images)
-                ahead = lo + row < annotation_first[w][image]
-                annotation[w] += np.count_nonzero(down > s_star, axis=0)
-                annotation[w] += np.bincount(image[ahead],
-                                             minlength=n_images)
+                top = 0.0 if finite(down) else down.max(axis=0)
+                first = annotation_first[w]
+                annotation[w] += _count_ahead(
+                    down, annotation_star[w],
+                    lambda row, image: lo + row < first[image], 0, mask)
             np.maximum(image_best[w], top, out=image_best[w])
     for view, best in (("caption", caption_best), ("image", image_best)):
         bad = np.flatnonzero(~np.isfinite(best).all(axis=0))
@@ -313,11 +358,16 @@ def _protocol_ranks(model: CcaModel, x: np.ndarray, y: np.ndarray,
     x *= np.power(model.sigma, total)
     # each caption's entry at its own image, formed once for every block to
     # hold; the image rows are gathered a block at a time
+    blocks = _row_blocks(len(y))
     g_true = np.concatenate([
         np.einsum("ij,ij->i", y[lo:hi], x[pair_index[lo:hi]])
-        for lo, hi in _row_blocks(len(y))])
-    return _rank_tasks(lambda lo, hi: y[lo:hi] @ x.T, image_sqs, caption_sqs,
-                       similarity, model.k == 1, (pair_index, g_true))
+        for lo, hi in blocks])
+    # every block of G is written into one buffer, sized for the last and
+    # tallest block
+    g = np.empty((blocks[-1][1] - blocks[-1][0], len(x)))
+    return _rank_tasks(
+        lambda lo, hi: np.matmul(y[lo:hi], x.T, out=g[:hi - lo]), image_sqs,
+        caption_sqs, similarity, model.k == 1, (pair_index, g_true))
 
 
 def evaluate_bidirectional(model: CcaModel, images, captions,

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cca import CcaModel, CcaProblem, RegularizationSpec, solve
+from .io import DataFormatError
 from .retrieval import _check_pairing, _project, _rank_tasks
 
 METRICS = ("r1", "mean-r1")
@@ -72,23 +73,46 @@ def default_rank_grid(rank: int, count: int = 20) -> np.ndarray:
     return np.unique(ks)
 
 
-def _rank_penalties(s: np.ndarray, ks):
+def _rank_penalties(s: np.ndarray, ks, name: str):
     """The Tikhonov penalty s[k-1]^2 of each rank k in ``ks``.
 
     gamma = s_k^2 is the soft counterpart of truncating at rank k.  The
     square is s * s, correctly rounded for a scalar k and an array alike
-    (numpy's scalar ``** 2`` goes through pow, which can be an ulp off).
+    (numpy's scalar ``** 2`` goes through pow, which can be an ulp off).  A
+    square that overflows, or that underflows to zero or a subnormal while
+    s_k > 0, is no penalty of rank k: a DataFormatError names the singular
+    values' view, ``name``.
     """
     s_k = s[np.asarray(ks) - 1]
-    return s_k * s_k
+    with np.errstate(over="ignore"):
+        squares = s_k * s_k
+    held = (squares < np.inf) & ((squares >= np.finfo(np.float64).tiny)
+                                 | (s_k == 0))
+    if not np.all(held):
+        i = np.flatnonzero(~held)[0]
+        k, s_bad = np.atleast_1d(ks)[i], np.atleast_1d(s_k)[i]
+        raise DataFormatError(
+            f"{name}: the penalty of rank {k}, s_{k}^2 = ({s_bad:.6g})^2, "
+            f"{'overflows' if s_bad > 1 else 'underflows'} float64; rescale "
+            "the view")
+    return squares
 
 
-def default_penalty_grid(singular_values: np.ndarray, count: int = 20) -> np.ndarray:
+def default_penalty_grid(singular_values: np.ndarray, count: int = 20,
+                         name: str = "singular values") -> np.ndarray:
     """The penalties of :func:`default_rank_grid`'s ranks, deduplicated and
-    descending: the natural Tikhonov grid."""
+    descending: the natural Tikhonov grid.  ``name`` is the view a penalty
+    that float64 cannot hold is refused for."""
     s = np.asarray(singular_values, dtype=np.float64)
     ks = default_rank_grid(s.shape[0], count)
-    return np.unique(_rank_penalties(s, ks))[::-1].copy()
+    return np.unique(_rank_penalties(s, ks, name))[::-1].copy()
+
+
+def _penalties(problem: CcaProblem, k_x, k_y):
+    """The penalties of ranks ``k_x`` of the x view and ``k_y`` of the y
+    view: (s_x[k_x - 1]^2, s_y[k_y - 1]^2)."""
+    return (_rank_penalties(problem.s_x, k_x, "training view x"),
+            _rank_penalties(problem.s_y, k_y, "training view y"))
 
 
 def path_axes(problem: CcaProblem, kind: str, grid_x=None, grid_y=None,
@@ -106,7 +130,8 @@ def path_axes(problem: CcaProblem, kind: str, grid_x=None, grid_y=None,
                                    ("y", grid_y, counts[1], problem.s_y)):
         if values is None:
             values = (default_rank_grid(len(s), count) if kind == "tsvd"
-                      else default_penalty_grid(s, count))
+                      else default_penalty_grid(s, count,
+                                                f"training view {view}"))
         name = f"k_{view}" if kind == "tsvd" else f"gamma_{view}"
         axis = np.asarray(values, dtype=np.float64)
         if axis.size == 0:
@@ -341,8 +366,7 @@ def guided_tikhonov(problem: CcaProblem, val_images, val_captions,
                                 grid_y, metric, pair_index, similarity,
                                 workers)
     search_spec, annotation_spec = (
-        RegularizationSpec.tikhonov(_rank_penalties(problem.s_x, best.k_x),
-                                    _rank_penalties(problem.s_y, best.k_y))
+        RegularizationSpec.tikhonov(*_penalties(problem, best.k_x, best.k_y))
         for best in (selection.best_search, selection.best_annotation))
     search_model = solve(problem, search_spec)
     annotation_model = (search_model if annotation_spec == search_spec
@@ -380,8 +404,8 @@ def measure_path_timing(problem: CcaProblem, val_images, val_captions,
     then the median over ``repeats`` runs of each.
     """
     ranks = path_axes(problem, "tsvd", grid_x, grid_y)
-    axes = {"tsvd": ranks, "tikhonov": path_axes(problem, "tikhonov", *map(
-        _rank_penalties, (problem.s_x, problem.s_y), ranks))}
+    axes = {"tsvd": ranks, "tikhonov": path_axes(problem, "tikhonov",
+                                                 *_penalties(problem, *ranks))}
     rotated = _rotate(problem, val_images, val_captions, pair_index)
 
     def runs(kind: str, count: int) -> tuple[float, ...]:

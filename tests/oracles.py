@@ -27,15 +27,16 @@ its own product, and ``two_gemm_ranks`` the protocol on it, forming G
 once per task: the route that ``retrieval._rank_tasks``, which scores
 both tasks from each block of one G, replaced.  ``best_ranks`` runs
 ``count_ranks`` on list-of-lists ground truth.  Centering and a full thin
-SVD of each view (``center_columns``, ``thin_svd``, ``prepare_svd``) is
-the route the chunked joint QR of ``cca.prepare`` replaced, and
-``prepare_qr``, which refactors a copy of each chunk's stack by
-``np.linalg.qr``, the route its in-place ``dgeqrf`` replaced.
+SVD of each view (``center_columns``, ``thin_svd``) is the route the
+chunked joint QR of ``cca.prepare`` replaced; ``prepare_exact`` takes it
+on a pair centered in exact arithmetic.  ``prepare_qr``, which refactors
+a copy of each chunk's stack by ``np.linalg.qr``, is the route its
+in-place ``dgeqrf`` replaced.
 ``prepare_two_pass`` is that QR on the centered pair, the column means
 taken by a first pass (``running_sums``), which the one pass of
-shifted rows replaced, and ``prepare_exact`` centers a small pair in
-exact arithmetic, the reference for both.  ``problem_from_r`` reads a
-problem off the R of each of these routes.
+shifted rows replaced; ``prepare_exact`` is the reference for all of
+them, at any common offset.  ``problem_from_r`` reads a problem off the
+R of each of these routes.
 The elementwise spectral filters and ``verify_filter_forms`` check the
 paper's identity that Tikhonov and T-SVD are diagonal filters on T, which
 ``cca.solve`` applies directly.  ``generate_latent_pairs`` is the 1:1
@@ -107,13 +108,6 @@ def thin_svd(m, rank_tol: float | None = None,
     else:
         r = 0
     return SvdFactors(u[:, :r], s[:r], vt[:r].T)
-
-
-def prepare_svd(x, y, rank_tol: float | None = None):
-    """(s_x, s_y, T = Ux' Uy) from the thin SVDs of the centered views."""
-    fx = thin_svd(center_columns(x)[0], rank_tol, x)
-    fy = thin_svd(center_columns(y)[0], rank_tol, y)
-    return fx.s, fy.s, fx.u_left.T @ fy.u_left
 
 
 def running_sums(values):
@@ -205,9 +199,11 @@ def prepare_two_pass(x, y):
 
 
 def prepare_exact(x, y):
-    """(s_x, s_y, T = Ux' Uy) of a small pair centered exactly: each
-    column's mean and each centered value in ``fractions.Fraction``,
-    rounded once to float64, then the thin SVDs of ``prepare_svd``."""
+    """(s_x, s_y, T = Ux' Uy) from the thin SVDs of a small pair centered
+    exactly: each column's mean and each centered value in
+    ``fractions.Fraction``, rounded once to float64.  A common offset
+    leaves them as they are, where a rounded mean would move them by about
+    eps times the offset."""
     from ccax.io import FeatureMatrix
 
     def centered(view):

@@ -13,7 +13,7 @@ from ccax import cca, io, synthetic
 from ccax.cca import RegularizationSpec, prepare, solve
 from oracles import (CountingView, cca_correlations_eig, center_columns,
                      constraint_residual, prepare_exact, prepare_qr,
-                     prepare_svd, prepare_two_pass, sign_fix_loops,
+                     prepare_two_pass, sign_fix_loops,
                      spectral_filter_hard, spectral_filter_soft, thin_svd,
                      verify_filter_forms)
 
@@ -263,9 +263,16 @@ def _pair(rng, n, m_x, m_y, rank_x, rank_y, duplicate=False):
     return views
 
 
+#: Common offsets added to a pair.  A mean rounded at the offset's scale,
+#: as the two-pass route's is, is past 1e-12 of the largest at 1e8.
+OFFSETS = (0.0, 1e4, 1e8)
+
+
 @pytest.mark.filterwarnings("ignore:n=.*covariances are singular")
 class TestPrepareMatchesSvdRoute:
-    """The chunked joint QR of ``prepare`` against centred thin SVDs.
+    """The chunked joint QR of ``prepare`` against the thin SVDs of the
+    pair centered exactly (``oracles.prepare_exact``), at common offsets
+    0, 1e4 and 1e8.
 
     Ranks are equal; s_x, s_y and the singular values of T (the canonical
     correlations) agree within 1e-12 of the largest.  The same pair read
@@ -275,7 +282,7 @@ class TestPrepareMatchesSvdRoute:
     @staticmethod
     def check(x, y, tmp_dir):
         problem = cca.prepare(x, y)
-        s_x, s_y, t = prepare_svd(x, y)
+        s_x, s_y, t = prepare_exact(x, y)
         assert (problem.rank_x, problem.rank_y) == (len(s_x), len(s_y))
         corr = np.linalg.svd(t, compute_uv=False)
         for got, want in ((problem.s_x, s_x), (problem.s_y, s_y),
@@ -295,7 +302,7 @@ class TestPrepareMatchesSvdRoute:
            m_x=st.integers(1, 9), m_y=st.integers(1, 9),
            rank_x=st.integers(1, 9), rank_y=st.integers(1, 9),
            duplicate=st.booleans(), chunk=st.sampled_from([2048, 1, 7]),
-           offset=st.just(0.0))
+           offset=st.sampled_from(OFFSETS))
     # centering a view of rank 1 leaves a 2.5e-15 noise direction that a
     # cutoff on s_max alone (2.2e-15) kept as rank
     @example(seed=830171, n=9, m_x=9, m_y=9, rank_x=8, rank_y=1,
@@ -356,7 +363,7 @@ class TestPrepareMatchesExactCentering:
     GATES = {"one-pass": {0.0: 1e-14, 1e4: 1e-14, 1e8: 1e-14},
              "two-pass": {0.0: 1e-14, 1e4: 1e-14, 1e8: 1e-11}}
 
-    @pytest.mark.parametrize("offset", [0.0, 1e4, 1e8])
+    @pytest.mark.parametrize("offset", OFFSETS)
     @pytest.mark.parametrize("seed,n,m_x,m_y,rank_x,rank_y", [
         (0, 60, 5, 4, 5, 4), (1, 150, 8, 6, 3, 6), (2, 9, 6, 5, 6, 5)])
     @pytest.mark.parametrize("atypical", [False, True])
@@ -398,15 +405,15 @@ def chunked_pairs(draw):
     return x, y, chunk
 
 
-def assert_same_problem(got, want):
+def assert_same_problem(got, want, gate=1e-12):
     """Equal ranks, the same means bit for bit, and s_x, s_y and the
-    canonical correlations within 1e-12 of the largest."""
+    canonical correlations within ``gate`` of the largest."""
     np.testing.assert_array_equal(got.mean_x, want.mean_x)
     np.testing.assert_array_equal(got.mean_y, want.mean_y)
     assert (got.rank_x, got.rank_y) == (want.rank_x, want.rank_y)
     corr = [np.linalg.svd(p.t, compute_uv=False) for p in (got, want)]
     for a, b in ((got.s_x, want.s_x), (got.s_y, want.s_y), corr):
-        assert np.abs(a - b).max() <= 1e-12 * b[0]
+        assert np.abs(a - b).max() <= gate * b[0]
 
 
 @pytest.mark.filterwarnings("ignore:n=.*covariances are singular")
@@ -504,36 +511,43 @@ def repeated_pairs(draw):
 class TestPrepareFoldsRuns:
     """``prepare`` on pairs whose x rows repeat in runs, which it folds
     into one row per run and a y-only QR of the rows about each run's
-    caption mean, against the centred thin SVDs (``oracles.prepare_svd``),
-    the unfolded shifted QR (``oracles.prepare_qr``) and the two-pass
-    QR of the centered pair (``oracles.prepare_two_pass``): equal ranks,
-    the same means bit for bit, and s_x, s_y and the canonical
-    correlations within 1e-12 of the largest.  Streamed from FMAT1 files,
-    every array is the in-memory one bit for bit."""
+    caption mean, against the thin SVDs of the pair centered exactly
+    (``oracles.prepare_exact``), the unfolded shifted QR
+    (``oracles.prepare_qr``) and the two-pass QR of the centered pair
+    (``oracles.prepare_two_pass``): equal ranks, the same means bit for
+    bit, and s_x, s_y and the canonical correlations within 1e-12 of the
+    largest, at common offsets 0, 1e4 and 1e8.  The two-pass route's own
+    rounded means hold it to its gate in
+    ``TestPrepareMatchesExactCentering``, 1e-11 at 1e8.  Streamed from
+    FMAT1 files, every array is the in-memory one bit for bit."""
 
     @staticmethod
-    def check(x, y, chunk, tmp_dir):
+    def check(x, y, chunk, tmp_dir, offset=0.0):
+        x, y = (io.FeatureMatrix(v.values + offset) for v in (x, y))
+        gates = TestPrepareMatchesExactCentering.GATES["two-pass"]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cca, "_CHUNK_ROWS", chunk)
             TestPrepareMatchesSvdRoute.check(x, y, tmp_dir)
             got = cca.prepare(x, y)
-            for want in (prepare_qr(x, y), prepare_two_pass(x, y)):
-                assert_same_problem(got, want)
+            assert_same_problem(got, prepare_qr(x, y))
+            assert_same_problem(got, prepare_two_pass(x, y),
+                                max(1e-12, gates[offset]))
 
     @settings(max_examples=80, deadline=None)
-    @given(pair=repeated_pairs())
+    @given(pair=repeated_pairs(), offset=st.sampled_from(OFFSETS))
     # 3 images under m_x = 6: R has no y-only rows below m_x to merge
     @example(pair=(*_repeated_pair(np.random.default_rng(3), [4, 1, 3], 6,
-                                   5, 6, 5, 5), 2048))
+                                   5, 6, 5, 5), 2048), offset=0.0)
     # every group's captions equal: the within-run rows are rounding only
     @example(pair=(*_repeated_pair(np.random.default_rng(4), [5] * 12, 3,
-                                   4, 3, 4, 0), 1))
+                                   4, 3, 4, 0), 1), offset=1e8)
     # two runs in the first chunk of c = 7 rows, seven in the second: the
     # joint stack's room, sized from the first chunk, takes more rows
     @example(pair=(*_repeated_pair(np.random.default_rng(6),
-                                   [5, 2] + [1] * 7, 3, 4, 3, 4, 2), 7))
-    def test_random_runs(self, pair, tmp_path_factory):
-        self.check(*pair, tmp_path_factory.mktemp("pair"))
+                                   [5, 2] + [1] * 7, 3, 4, 3, 4, 2), 7),
+             offset=0.0)
+    def test_random_runs(self, pair, offset, tmp_path_factory):
+        self.check(*pair, tmp_path_factory.mktemp("pair"), offset)
 
     def test_constant_x_has_no_rank(self):
         rng = np.random.default_rng(5)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from numpy.linalg import lapack_lite
 
+from blas_threads import run_under_blas_threads
 from ccax import cca, cli, hkse, io, selection
 from ccax.cli import main
 from oracles import embed_corpus, matrix_to_bytes, save_embedding_table
@@ -1155,6 +1156,39 @@ class TestPathInputErrors:
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
+
+
+class TestUnheldPenalty:
+    """A mapped Tikhonov penalty s_k^2 that float64 cannot hold is refused.
+
+    With the image views scaled by 1e200, s_x^2 overflowed to inf, and by
+    1e-200 it underflowed to 0: a guided fit, the default Tikhonov grid
+    and ``timing`` printed numpy warnings and failed far from the cause.
+    Now each exits 1 naming the training view, before any warning; run in
+    a child process, so that LAPACK's own prints would show too.
+    """
+
+    @pytest.mark.parametrize("command,flags", [
+        ("fit", []), ("path", ["--reg", "tikhonov"]), ("timing", [])])
+    @pytest.mark.parametrize("scale,fault", [(1e200, "overflows"),
+                                             (1e-200, "underflows")])
+    def test_exit_one_naming_the_view(self, command, flags, scale, fault,
+                                      synth_dir, tmp_path):
+        argv = _path_argv(command, synth_dir, tmp_path) + flags
+        for flag, name in (("--x", "train_x"), ("--val-x", "val_images")):
+            values = io.load_matrix(synth_dir / f"{name}.fmat").values
+            io.save_matrix(io.FeatureMatrix(scale * values),
+                           tmp_path / f"{name}.fmat")
+            argv[argv.index(flag) + 1] = str(tmp_path / f"{name}.fmat")
+        proc = run_under_blas_threads(1, ["-m", "ccax", *argv], tmp_path)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("ccax: error: training view x: the penalty "
+                               "of rank ")
+        assert line.endswith(f"{fault} float64; rescale the view")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "train_x.fmat", "val_images.fmat"]
 
 
 class TestNonFiniteTrainingValue:

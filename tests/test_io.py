@@ -730,6 +730,31 @@ class TestPairing:
         np.testing.assert_array_equal(io.load_pairing(path),
                                       [3, -2**63, 7])
 
+    # each a form int() reads: a one-byte typo must not move a caption
+    @pytest.mark.parametrize("line", [
+        "1_3",           # read as 13
+        "\u0661\u0662",  # Arabic-Indic digits, read as 12
+        "\u00a012",      # a no-break space before
+        "12\u2003",      # an em space after
+        "\x1f12",        # an ASCII unit separator, which str.strip drops
+    ], ids=["underscore", "arabic_indic", "nbsp", "em_space", "separator"])
+    def test_only_ascii_digits(self, tmp_path, line):
+        path = write(tmp_path / "p.txt", f"0\n1\n{line}\n".encode())
+        with pytest.raises(io.DataFormatError, match=re.escape(
+                f"{path}:3: expected an integer row index")):
+            io.load_pairing(path)
+
+    def test_signs_and_ascii_blanks(self, tmp_path):
+        path = write(tmp_path / "p.txt", b" +4\t\n\f\n\v-0 \n\n 12")
+        np.testing.assert_array_equal(io.load_pairing(path), [4, 0, 12])
+
+    def test_first_bad_line_is_named(self, tmp_path):
+        # lines are checked in order, whatever their fault
+        path = write(tmp_path / "p.txt", b"0\n99999999999999999999\n1_3\n")
+        with pytest.raises(io.DataFormatError, match=re.escape(
+                f"{path}:2: row index 99999999999999999999 does not fit")):
+            io.load_pairing(path)
+
 
 class TestSplits:
     def test_round_trip(self, tmp_path):
@@ -771,6 +796,35 @@ class TestModelArchive:
         path.write_bytes(b"NOT-ARCH" + b"\0" * 16)
         with pytest.raises(io.DataFormatError, match="archive"):
             io.load_archive(path)
+
+    @pytest.mark.parametrize("key,text,kind", [
+        ("n", "6_000", int),
+        ("n", "\u0666", int),             # an Arabic-Indic six
+        ("n", "\u00a06", int),            # a no-break space before
+        ("n", "6\x1f", int),              # an ASCII unit separator after
+        ("n", "6.0", int),
+        ("gamma_x", "1_13.5", float),
+        ("gamma_x", "\u0661.5", float),   # an Arabic-Indic one
+        ("gamma_x", "1.5\u2003", float),  # an em space after
+        ("gamma_x", "0x1p3", float),
+    ], ids=["int_underscore", "int_arabic_indic", "int_nbsp",
+            "int_separator", "int_point", "float_underscore",
+            "float_arabic_indic", "float_em_space", "float_hex"])
+    def test_number_reads_only_ascii(self, key, text, kind):
+        archive = io.ModelArchive(manifest={key: text}, blobs={})
+        with pytest.raises(io.DataFormatError, match=re.escape(
+                f"manifest key {key!r}: {text!r} is not a valid "
+                f"{kind.__name__}")):
+            archive.number(key, kind)
+
+    @pytest.mark.parametrize("text,kind,value", [
+        (" -12\t", int, -12), ("+7", int, 7), ("1e-05", float, 1e-05),
+        (" .5 ", float, 0.5), ("2.", float, 2.0), ("-3E+2", float, -300.0),
+        ("100.0", float, 100.0)])
+    def test_number_reads_the_ascii_grammar(self, text, kind, value):
+        archive = io.ModelArchive(manifest={"k": text}, blobs={})
+        got = archive.number("k", kind)
+        assert type(got) is kind and got == value
 
 
 

@@ -288,28 +288,54 @@ def test_prepare_folds_repeated_rows(tmp_path, monkeypatch):
     assert peak < joint + within + blocks < 1.25 * (unfolded + blocks)
 
 
-def test_eval_holds_caption_blocks_by_images():
-    # 200 images x 4000 captions.  Eval forms G a block of caption rows at
-    # a time, BLOCK_ROWS captions by the 200 images, and scores both tasks
-    # from it: it holds that block, the one before it and one score buffer
-    # per task, each under 2 BLOCK_ROWS rows, and the projected views and
-    # a block of centered rows at a time.  One block of BLOCK_ROWS images
-    # by the 4000 captions would alone be 20 such blocks
-    rng = np.random.default_rng(8)
+def _eval_peak(rng, captions_of):
+    """Eval's traced peak on 200 images x 4000 captions of a model fit on
+    80 pairs, and the bound it keeps: G is formed a block of caption rows
+    at a time, BLOCK_ROWS captions by the 200 images, into one buffer
+    under 2 BLOCK_ROWS rows, and both tasks are scored from it through one
+    score buffer and one mask, beside the projected views and a block of
+    centered rows at a time.  One block of BLOCK_ROWS images by the 4000
+    captions would alone be 20 such blocks.  ``captions_of(rng, images,
+    pair_index)`` makes the caption view."""
     n_images, n_captions, m_x, m_y = 200, 4000, 12, 10
+    train = rng.standard_normal((80, m_x))
     model = cca.solve(cca.prepare(
-        io.FeatureMatrix(rng.standard_normal((80, m_x))),
-        io.FeatureMatrix(rng.standard_normal((80, m_y)))),
+        io.FeatureMatrix(train),
+        io.FeatureMatrix(captions_of(rng, train, np.arange(80)))),
         cca.RegularizationSpec.none())
     pair_index = rng.permutation(np.repeat(np.arange(n_images),
                                            n_captions // n_images))
-    images = io.FeatureMatrix(rng.standard_normal((n_images, m_x)))
-    captions = io.FeatureMatrix(rng.standard_normal((n_captions, m_y)))
-    peak = traced_peak(lambda: retrieval.evaluate_bidirectional(
-        model, images, captions, pair_index))
+    images = rng.standard_normal((n_images, m_x))
+    views = (io.FeatureMatrix(images),
+             io.FeatureMatrix(captions_of(rng, images, pair_index)))
+    reports = []
+    peak = traced_peak(lambda: reports.extend(
+        retrieval.evaluate_bidirectional(model, *views, pair_index)))
     block = retrieval.BLOCK_ROWS * n_images * 8
-    views = (n_images * m_x + n_captions * m_y) * 8
-    assert peak < 8 * block + 2 * views
+    held = (n_images * m_x + n_captions * m_y) * 8
+    return peak, 8 * block + 2 * held, reports
+
+
+def test_eval_holds_caption_blocks_by_images():
+    # a random model: ranks near half the items, so each block's mask is
+    # dense and is counted along its axes
+    peak, bound, reports = _eval_peak(
+        np.random.default_rng(8),
+        lambda rng, images, pair_index: rng.standard_normal(
+            (len(pair_index), 10)))
+    assert reports[0].median_rank > 50
+    assert peak < bound
+
+
+def test_eval_holds_caption_blocks_on_the_sparse_route():
+    # captions near their image's first ten features: nearly every rank is
+    # 1, so each block's mask is sparse and its positions are listed
+    peak, bound, reports = _eval_peak(
+        np.random.default_rng(8),
+        lambda rng, images, pair_index: images[pair_index, :10]
+        + 0.05 * rng.standard_normal((len(pair_index), 10)))
+    assert all(r.recalls[10] == 100.0 for r in reports)
+    assert peak < bound
 
 
 def test_eval_centers_caption_blocks():

@@ -508,6 +508,127 @@ class TestKernelChecks:
                              "dot")
 
 
+#: Where each block's ``>=`` mask sits against the kernel's sparse/dense
+#: switch at 1/_SPARSE of the block: under it, exactly at it (the densest
+#: listed mask) and past it (counted along the axis).
+ROUTES = ("below", "at", "above")
+
+
+@st.composite
+def planted_masks(draw):
+    """Scores S in {-2, -1, 0, 1} planted in G, and a shuffled pairing.
+
+    Each caption's own image scores 0, so both tasks' s* is 0 and their
+    masks are the same, {S >= 0}: ties at S = 0 on either side of the
+    ground truth, and wins at S = 1.  Each block of BLOCK_ROWS captions
+    gets a mask count drawn below, at or above the switch.  G is made so
+    that scores are S exactly: under cosine S times powers of two, so a
+    norm's root divides exactly, under l2 S plus the whole half-norms,
+    and for a rank-one model S times a positive draw, whose sign is S.
+    Returns (g, image_sq, caption_sq, pair_index, kind, routes).
+    """
+    kind = draw(st.sampled_from(("cosine", "l2", "rank_one")))
+    n_captions = draw(st.sampled_from(BLOCK_EDGES[2:]))
+    n_images = draw(st.integers(16, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pair_index = rng.permutation(np.concatenate([
+        np.arange(n_images),
+        rng.integers(0, n_images, n_captions - n_images)]))
+    lowest = -1 if kind == "rank_one" else -2
+    s = rng.integers(lowest, 0, (n_captions, n_images)).astype(float)
+    s[np.arange(n_captions), pair_index] = 0.0
+    routes = []
+    for lo, hi in retrieval._row_blocks(n_captions):
+        size = (hi - lo) * n_images
+        limit = size // retrieval._SPARSE  # the densest listed mask
+        route = draw(st.sampled_from(ROUTES))
+        count = {"below": rng.integers(hi - lo, limit),
+                 "at": limit,
+                 "above": rng.integers(limit + 1, size + 1)}[route]
+        free = np.flatnonzero(s[lo:hi] < 0)
+        planted = rng.choice(free, size=count - (hi - lo), replace=False)
+        s[lo:hi].flat[planted] = rng.integers(0, 2, planted.size)
+        routes.append(route)
+    if kind == "cosine":
+        a, b = (2.0 ** rng.integers(-3, 4, n) for n in (n_images,
+                                                         n_captions))
+        g, image_sq, caption_sq = s * a * b[:, None], a * a, b * b
+    elif kind == "l2":
+        a, b = (rng.integers(0, 6, n).astype(float) for n in (n_images,
+                                                             n_captions))
+        g, image_sq, caption_sq = s + a + b[:, None], 2 * a, 2 * b
+    else:
+        g = s * rng.uniform(0.5, 2.0, s.shape)
+        image_sq, caption_sq = np.ones(n_images), np.ones(n_captions)
+    return g, image_sq, caption_sq, pair_index, kind, routes
+
+
+class TestSparseAndDenseRoutes:
+    """The kernel's one ``>=`` mask per task, listed when sparse and
+    counted along its axis when dense, against ``oracles.one_task_ranks``,
+    which compares every score with s* twice, on both sides of the
+    switch and at it."""
+
+    @staticmethod
+    def oracle_ranks(g, image_sq, caption_sq, pair_index, similarity,
+                     rank_one):
+        n_captions, n_images = g.shape
+        starts = np.zeros(n_images + 1, dtype=np.int64)
+        np.cumsum(np.bincount(pair_index, minlength=n_images),
+                  out=starts[1:])
+        search = oracles.one_task_ranks(
+            lambda lo, hi: g[lo:hi], n_captions, [image_sq], "search",
+            similarity, rank_one, (pair_index, np.arange(n_captions + 1)))
+        annotation = oracles.one_task_ranks(
+            lambda lo, hi: g.T[lo:hi], n_images, [caption_sq],
+            "annotation", similarity, rank_one,
+            (np.argsort(pair_index, kind="stable"), starts))
+        return search[0], annotation[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=planted_masks())
+    def test_planted_ties_on_both_routes(self, problem):
+        g, image_sq, caption_sq, pair_index, kind, routes = problem
+        similarity = "l2" if kind == "l2" else "cosine"
+        rank_one = kind == "rank_one"
+        # each block's search mask sits where it was planted
+        scores = (g - image_sq / 2 if kind == "l2" else np.sign(g)
+                  if rank_one else g / np.sqrt(image_sq))
+        s_star = scores[np.arange(len(g)), pair_index][:, None]
+        for (lo, hi), route in zip(retrieval._row_blocks(len(g)), routes):
+            count = np.count_nonzero(scores[lo:hi] >= s_star[lo:hi])
+            limit = (hi - lo) * g.shape[1] // retrieval._SPARSE
+            assert {"below": count < limit, "at": count == limit,
+                    "above": count > limit}[route]
+        got = retrieval._rank_tasks(
+            lambda lo, hi: g[lo:hi].copy(), [image_sq], [caption_sq],
+            similarity, rank_one,
+            (pair_index, g[np.arange(len(g)), pair_index]))
+        want = self.oracle_ranks(g, image_sq, caption_sq, pair_index,
+                                 similarity, rank_one)
+        np.testing.assert_array_equal(got[0][0], want[0])
+        np.testing.assert_array_equal(got[1][0], want[1])
+
+    @pytest.mark.parametrize("similarity", ["cosine", "l2"])
+    def test_finite_scores_whose_sum_overflows(self, similarity):
+        # every score is finite, but each block's sum overflows to inf, so
+        # the kernel takes each best score by the max pass: all finite, no
+        # error, no warning, and the ranks are the oracle's
+        rng = np.random.default_rng(12)
+        n_captions, n_images = retrieval.BLOCK_ROWS + 9, 30
+        pair_index = rng.permutation(np.arange(n_captions) % n_images)
+        g = rng.choice([1e308, 1.5e308, 1.7e308], (n_captions, n_images))
+        ones = np.ones(n_images), np.ones(n_captions)
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.sum(g[:retrieval.BLOCK_ROWS]))
+        got = retrieval._rank_tasks(
+            lambda lo, hi: g[lo:hi].copy(), [ones[0]], [ones[1]], similarity,
+            truth=(pair_index, g[np.arange(n_captions), pair_index]))
+        want = self.oracle_ranks(g, *ones, pair_index, similarity, False)
+        np.testing.assert_array_equal(got[0][0], want[0])
+        np.testing.assert_array_equal(got[1][0], want[1])
+
+
 class TestCountingMatchesSorting:
     """The blocked counting route against the full argsort reference."""
 
