@@ -39,7 +39,6 @@ from .io import (
     save_archive,
     save_matrix,
     save_pairing,
-    save_split_file,
 )
 from .retrieval import (
     EvalReport,

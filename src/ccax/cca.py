@@ -385,6 +385,23 @@ def prepare(x: FeatureMatrix | MatrixFile,
     return CcaProblem(*arrays, n=n)
 
 
+def _tikhonov_units(s: np.ndarray, gammas, name: str):
+    """(s_max, r, q) of singular values ``s`` under penalties ``gammas``:
+    r = s/s_max and q = r^2 + g, g = (gamma/s_max)/s_max, a column per
+    penalty of an array, so 1/sqrt(s^2 + gamma) = (1/s_max)/sqrt(q) forms no
+    square of s or gamma, which float64 may not hold where s and gamma are.
+    A penalty whose g overflows is a DataFormatError naming the view."""
+    s_max = s[0]
+    with np.errstate(over="ignore"):
+        g = (np.asarray(gammas, dtype=np.float64) / s_max) / s_max
+    if not np.all(g < np.inf):  # g grows with gamma: the largest overflows
+        raise DataFormatError(
+            f"{name}: the penalty {np.max(gammas):.6g} over s_max^2 = "
+            f"({s_max:.6g})^2 overflows float64; rescale the view")
+    r = s / s_max
+    return s_max, r, np.add.outer(r * r, g)
+
+
 def solve(problem: CcaProblem, spec: RegularizationSpec) -> CcaModel:
     """Filter the operator as ``spec`` says, take one SVD, build the weights.
 
@@ -394,15 +411,18 @@ def solve(problem: CcaProblem, spec: RegularizationSpec) -> CcaModel:
     the soft-filtered operator diag(1/sqrt(s_x^2+gamma_x)) (Sx T Sy)
     diag(1/sqrt(s_y^2+gamma_y)), which solves max Tr(U' Xc'Yc V) under
     U'(Xc'Xc + gamma_x I)U = I and the symmetric constraint on V.  sigma is
-    clamped to [0, 1].
+    clamped to [0, 1].  The filters are formed in units of each view's
+    largest singular value (:func:`_tikhonov_units`).
     """
     s_x, s_y = problem.s_x, problem.s_y
     if spec.kind == "tikhonov":
-        t0 = (s_x[:, None] * problem.t) * s_y[None, :]
-        dx = 1.0 / np.sqrt(s_x**2 + spec.gamma_x)
-        dy = 1.0 / np.sqrt(s_y**2 + spec.gamma_y)
+        sx_max, r_x, q_x = _tikhonov_units(s_x, spec.gamma_x, "training view x")
+        sy_max, r_y, q_y = _tikhonov_units(s_y, spec.gamma_y, "training view y")
+        t0 = (r_x[:, None] * problem.t) * r_y[None, :]
+        dx, dy = 1.0 / np.sqrt(q_x), 1.0 / np.sqrt(q_y)
         op = (dx[:, None] * t0) * dy[None, :]
-        base_x, base_y = problem.v_x * dx, problem.v_y * dy
+        base_x = problem.v_x * ((1.0 / sx_max) * dx)
+        base_y = problem.v_y * ((1.0 / sy_max) * dy)
     else:
         k_x, k_y = ((spec.k_x, spec.k_y) if spec.kind == "tsvd"
                     else (problem.rank_x, problem.rank_y))

@@ -9,6 +9,7 @@ flags given on the command line win.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -371,21 +372,24 @@ def _cmd_synth(args) -> int:
         latent_dim=args.latent, image_dim=args.mx, text_dim=args.my,
         noise_x=args.noise_x, noise_y=args.noise_y, seed=args.seed,
     )
-    data = synthetic.generate_caption_like(cfg, args.captions)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    io.save_matrix(data.images, out / "images.fmat")
-    io.save_matrix(data.captions, out / "captions.fmat")
-    io.save_pairing(data.pair_index, out / "pairing.txt")
-    io.save_split_file(data.image_splits, out / "splits.tsv")
-    train_x, train_y = data.paired_training_views()
-    io.save_matrix(train_x, out / "train_x.fmat")
-    io.save_matrix(train_y, out / "train_y.fmat")
+    c = args.captions
+    # each split's rows of each view to their file, one file open at a
+    # time; a training image once per caption, so the pair is row-paired
+    for (view, split), items in itertools.groupby(
+            synthetic.caption_like_blocks(cfg, c), key=lambda item: item[:2]):
+        repeat = c if (view, split) == ("images", "train") else 1
+        name = {"images": "x", "captions": "y"}[view] if split == "train" \
+            else view
+        rows = getattr(cfg, f"n_{split}") * (c if view == "captions" else repeat)
+        with io.create_matrix(out / f"{split}_{name}.fmat", rows,
+                              args.mx if view == "images" else args.my) as w:
+            for _, _, block in items:
+                w.write(block.repeat(repeat, axis=0) if repeat > 1 else block)
     for split in ("val", "test"):
-        images, captions, pairs = data.split_views(split)
-        io.save_matrix(images, out / f"{split}_images.fmat")
-        io.save_matrix(captions, out / f"{split}_captions.fmat")
-        io.save_pairing(pairs, out / f"{split}_pairing.txt")
+        io.save_pairing([i for i in range(getattr(cfg, f"n_{split}"))
+                         for _ in range(c)], out / f"{split}_pairing.txt")
     print(f"wrote synthetic data under {out}")
     return 0
 

@@ -107,7 +107,11 @@ def build_map(word_variant: str, sent_variant: str, gamma: float, eta: float,
             if n < 1:
                 raise ValueError(f"rbf {name} layer needs {n_name} >= 1")
             rng = np.random.default_rng([seed, stream, label])
-            w = rng.normal(0.0, math.sqrt(width), size=(n, in_dim))
+            # the bits of rng.normal(0.0, sqrt(width)), which computes
+            # 0.0 + scale * z; the += 0.0 turns a -0.0 into +0.0 as it does
+            w = rng.standard_normal((n, in_dim))
+            w *= math.sqrt(width)
+            w += 0.0
             b = rng.uniform(0.0, 2.0 * math.pi, size=n)
             w.flags.writeable = b.flags.writeable = False
             in_dim = n

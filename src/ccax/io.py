@@ -9,7 +9,6 @@ Formats handled here:
   ``<token> <v1> ... <vdim>`` line per word.
 * Sentence corpora -- one sentence per line.
 * Pairing files -- one image row index per caption line.
-* Split files -- ``<row-index>\\t<train|val|test>`` per line; written only.
 * Model archives -- magic ``CCAXARC1``, a key=value manifest, then named
   FMAT1 blobs.
 """
@@ -656,19 +655,6 @@ def load_pairing(path) -> np.ndarray:
 def save_pairing(pair_index, path) -> None:
     save_text("".join(f"{int(idx)}\n"
                       for idx in np.asarray(pair_index).ravel()), path)
-
-
-# ---------------------------------------------------------------------------
-# Split files
-# ---------------------------------------------------------------------------
-
-_SPLIT_NAMES = ("train", "val", "test")
-
-
-def save_split_file(splits: dict[str, np.ndarray], path) -> None:
-    save_text("".join(f"{int(idx)}\t{name}\n" for name in _SPLIT_NAMES
-                      for idx in np.asarray(splits.get(name, ())).ravel()),
-              path)
 
 
 # ---------------------------------------------------------------------------

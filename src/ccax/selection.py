@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cca import CcaModel, CcaProblem, RegularizationSpec, solve
+from .cca import (CcaModel, CcaProblem, RegularizationSpec, solve,
+                  _tikhonov_units)
 from .io import DataFormatError
 from .retrieval import _check_pairing, _project, _rank_tasks
 
@@ -223,25 +224,30 @@ def _tikhonov_rows(problem: CcaProblem, xs, ys, x_rot, y_rot):
     With M = Sx T Sy and d^2 = 1 / (s^2 + gamma), op = dx M dy and
     g = (Xr dx^2) M (Yr dy^2)': a row factor R_x = (Xr dx^2) M per gamma_x
     and a column factor R_y = (Yr dy^2) M' per gamma_y, so a cell is one
-    product (R_x dy^2) Yr', with norms R_x^2 dy^2 and R_y^2 dx^2.
+    product (R_x dy^2) Yr', with norms R_x^2 dy^2 and R_y^2 dx^2.  In units
+    of s_max (:func:`ccax.cca._tikhonov_units`), M' = M / (sx_max sy_max)
+    and e = s_max^2 d^2 give R_x / sy_max = (Xr e_x / sx_max) M', and R_y /
+    sx_max likewise; the norms take e and a cell e_y / sy_max.  So G and
+    the norms are unchanged, and no square of s or gamma is formed.
     """
-    m = (problem.s_x[:, None] * problem.t) * problem.s_y[None, :]
-    dx2 = 1.0 / (problem.s_x[:, None] ** 2 + xs)  # one column per gamma_x
-    dy2 = 1.0 / (problem.s_y[:, None] ** 2 + ys)
+    sx_max, ratio_x, q_x = _tikhonov_units(problem.s_x, xs, "training view x")
+    sy_max, ratio_y, q_y = _tikhonov_units(problem.s_y, ys, "training view y")
+    m = (ratio_x[:, None] * problem.t) * ratio_y[None, :]
+    ex, ey = 1.0 / q_x, 1.0 / q_y  # one column per penalty
     rank_one = min(m.shape) == 1
     caption_sq = np.empty((len(xs), len(ys), y_rot.shape[0]))
     for j in range(len(ys)):
-        r_y = (y_rot * dy2[:, j]) @ m.T
+        r_y = (y_rot * (ey[:, j] / sy_max)) @ m.T
         with np.errstate(over="ignore", invalid="ignore"):
-            caption_sq[:, j] = ((r_y * r_y) @ dx2).T
+            caption_sq[:, j] = ((r_y * r_y) @ ex).T
 
     def cells(i):
-        r_x = (x_rot * dx2[:, i]) @ m
+        r_x = (x_rot * (ex[:, i] / sx_max)) @ m
         with np.errstate(over="ignore", invalid="ignore"):
-            image_sq = (r_x * r_x) @ dy2
+            image_sq = (r_x * r_x) @ ey
         for j in range(len(ys)):
             start = time.perf_counter()
-            g = (r_x * dy2[:, j]) @ y_rot.T
+            g = (r_x * (ey[:, j] / sy_max)) @ y_rot.T
             yield j, start, g, image_sq[:, j], rank_one
 
     return caption_sq, cells

@@ -5,16 +5,19 @@ loadings plus independent noise, which is exactly the generative picture
 behind the task-dependent weighting: the caption-side projection of a test
 pair is a noisy Gaussian around the image's latent position.  Noise levels
 control how correlated the views are, so every retrieval claim can be
-exercised from easy to hopeless.
+exercised from easy to hopeless.  ``ccax synth`` writes the rows a block
+at a time as one generator draws them; tests and demos hold the whole draw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
 from .io import FeatureMatrix
+from .retrieval import BLOCK_ROWS, _SMALL_GEMM, _row_blocks
 
 
 @dataclass(frozen=True)
@@ -62,14 +65,10 @@ def _loadings(rng: np.random.Generator, out_dim: int, latent_dim: int,
     return scale * a / np.linalg.norm(a, axis=0)
 
 
-def _split_indices(cfg: LatentModelConfig) -> dict[str, np.ndarray]:
-    # contiguous blocks, not shuffled: reported numbers stay reproducible
-    edges = np.cumsum([0, cfg.n_train, cfg.n_val, cfg.n_test])
-    names = ("train", "val", "test")
-    return {
-        name: np.arange(edges[i], edges[i + 1], dtype=np.int64)
-        for i, name in enumerate(names)
-    }
+def _splits(cfg: LatentModelConfig, per_image: int = 1) -> dict:
+    # split -> its rows [lo, hi): contiguous, not shuffled, so reproducible
+    edges = np.cumsum([0, cfg.n_train, cfg.n_val, cfg.n_test]) * per_image
+    return dict(zip(("train", "val", "test"), pairwise(edges.tolist())))
 
 
 @dataclass(frozen=True)
@@ -83,9 +82,8 @@ class CaptionedData:
 
     def caption_rows(self, split: str) -> np.ndarray:
         """Caption rows whose paired image falls in the given split."""
-        wanted = np.zeros(self.images.rows, dtype=bool)
-        wanted[self.image_splits[split]] = True
-        return np.flatnonzero(wanted[self.pair_index])
+        return np.flatnonzero(np.isin(self.pair_index,
+                                      self.image_splits[split]))
 
     def paired_training_views(self) -> tuple[FeatureMatrix, FeatureMatrix]:
         """Row-paired (image, caption) matrices over the train split."""
@@ -99,23 +97,21 @@ class CaptionedData:
         self, split: str
     ) -> tuple[FeatureMatrix, FeatureMatrix, np.ndarray]:
         """(images, captions, pair_index) of one split, rows renumbered."""
-        image_rows = self.image_splits[split]
+        image_rows = self.image_splits[split]  # ascending
         caption_rows = self.caption_rows(split)
-        renumber = np.full(self.images.rows, -1, dtype=np.int64)
-        renumber[image_rows] = np.arange(image_rows.shape[0])
         return (
             FeatureMatrix(self.images.values[image_rows]),
             FeatureMatrix(self.captions.values[caption_rows]),
-            renumber[self.pair_index[caption_rows]],
+            np.searchsorted(image_rows, self.pair_index[caption_rows]),
         )
 
 
-def generate_caption_like(cfg: LatentModelConfig,
-                          captions_per_item: int) -> CaptionedData:
-    """Each image gets ``captions_per_item`` captions sharing its latent z.
-
-    Caption rows are grouped by image (captions of image i occupy rows
-    i * captions_per_item ... (i+1) * captions_per_item - 1).
+def caption_like_blocks(cfg: LatentModelConfig, captions_per_item: int):
+    """Yield ``(view, split, rows)``: the ``"images"``, then the
+    ``"captions"``, each image's ``captions_per_item`` in a run, a block of
+    rows at a time, cut where a split ends.  One draw order (the loadings,
+    z, then each view's noise); only z, each row's row of z and a block are
+    held.
     """
     if captions_per_item < 1:
         raise ValueError("captions_per_item must be >= 1")
@@ -123,17 +119,31 @@ def generate_caption_like(cfg: LatentModelConfig,
     a = _loadings(rng, cfg.image_dim, cfg.latent_dim, cfg.loading_scale)
     b = _loadings(rng, cfg.text_dim, cfg.latent_dim, cfg.loading_scale)
     z = rng.standard_normal((cfg.n_total, cfg.latent_dim))
-    x = z @ a.T + cfg.noise_x * rng.standard_normal((cfg.n_total, cfg.image_dim))
-    n_captions = cfg.n_total * captions_per_item
-    pair_index = np.repeat(np.arange(cfg.n_total, dtype=np.int64),
-                           captions_per_item)
-    y = (
-        z[pair_index] @ b.T
-        + cfg.noise_y * rng.standard_normal((n_captions, cfg.text_dim))
-    )
+    for view, loadings, noise, per_image in (
+            ("images", a, cfg.noise_x, 1),
+            ("captions", b, cfg.noise_y, captions_per_item)):
+        rows_z = np.arange(cfg.n_total).repeat(per_image)  # z row of each
+        # retrieval._project's blocks: bit for bit one product's rows
+        tiles = _SMALL_GEMM // (BLOCK_ROWS * loadings.size) + 1
+        for lo, hi in _row_blocks(len(rows_z), tiles * BLOCK_ROWS):
+            block = rng.standard_normal((hi - lo, len(loadings)))
+            block *= noise
+            block += z[rows_z[lo:hi]] @ loadings.T
+            for split, (s_lo, s_hi) in _splits(cfg, per_image).items():
+                if max(lo, s_lo) < min(hi, s_hi):
+                    yield view, split, block[max(lo, s_lo) - lo:
+                                             min(hi, s_hi) - lo]
+
+
+def generate_caption_like(cfg: LatentModelConfig,
+                          captions_per_item: int) -> CaptionedData:
+    """The whole draw of :func:`caption_like_blocks`: each view's rows in
+    one matrix, the pairing over all images, and each split's image rows."""
+    views = {"images": [], "captions": []}
+    for view, _, rows in caption_like_blocks(cfg, captions_per_item):
+        views[view].append(rows)
     return CaptionedData(
-        images=FeatureMatrix(x),
-        captions=FeatureMatrix(y),
-        pair_index=pair_index,
-        image_splits=_split_indices(cfg),
-    )
+        *(FeatureMatrix(np.concatenate(rows)) for rows in views.values()),
+        np.repeat(np.arange(cfg.n_total, dtype=np.int64), captions_per_item),
+        {split: np.arange(*ends, dtype=np.int64)
+         for split, ends in _splits(cfg).items()})

@@ -39,9 +39,9 @@ them, at any common offset.  ``problem_from_r`` reads a problem off the
 R of each of these routes.
 The elementwise spectral filters and ``verify_filter_forms`` check the
 paper's identity that Tikhonov and T-SVD are diagonal filters on T, which
-``cca.solve`` applies directly.  ``generate_latent_pairs`` is the 1:1
-generator that the one-caption case of ``synthetic.generate_caption_like``
-replaced.  ``path_cells`` scores
+``cca.solve`` applies directly.  ``generate_latent_pairs`` draws each
+view whole, the route that the row blocks of
+``synthetic.caption_like_blocks`` replaced.  ``path_cells`` scores
 each path cell by a full model (``cca.solve``) and ranks
 (``evaluate_branches``), and ``rotated_path_cells`` by the SVD of its
 filtered operator (``filter_then_svd``, a copy of the filter in
@@ -272,12 +272,12 @@ def verify_filter_forms(x, y, spec) -> float:
     return float(np.max(np.abs(closed - filtered))) if closed.size else 0.0
 
 
-def generate_latent_pairs(cfg):
-    """One row per sample in each view, paired 1:1, plus split indices.
+def generate_latent_pairs(cfg, captions_per_item=1):
+    """Images, their captions grouped by image, and split indices.
 
     Both views observe shared latent factors z through column-normalized
     random loadings plus independent noise, drawn in this order from one
-    generator seeded by ``cfg.seed``.
+    generator seeded by ``cfg.seed``, each view's noise and product at once.
     """
     from ccax.io import FeatureMatrix
 
@@ -290,7 +290,9 @@ def generate_latent_pairs(cfg):
     b = loadings(cfg.text_dim)
     z = rng.standard_normal((cfg.n_total, cfg.latent_dim))
     x = z @ a.T + cfg.noise_x * rng.standard_normal((cfg.n_total, cfg.image_dim))
-    y = z @ b.T + cfg.noise_y * rng.standard_normal((cfg.n_total, cfg.text_dim))
+    pair = np.repeat(np.arange(cfg.n_total), captions_per_item)
+    y = z[pair] @ b.T + cfg.noise_y * rng.standard_normal(
+        (len(pair), cfg.text_dim))
     edges = np.cumsum([0, cfg.n_train, cfg.n_val, cfg.n_test])
     splits = {name: np.arange(edges[i], edges[i + 1], dtype=np.int64)
               for i, name in enumerate(("train", "val", "test"))}

@@ -385,11 +385,10 @@ def test_criterion_10_cli_determinism(tmp_path):
     run_all(tmp_path / "b")
 
     identical = []
-    for rel in ("data/images.fmat", "data/captions.fmat",
-                "data/train_x.fmat", "data/train_y.fmat",
-                "data/val_images.fmat", "data/val_captions.fmat",
-                "data/val_pairing.txt", "data/splits.tsv",
-                "sent.fmat", "map.arc", "model.arc",
+    data = sorted(f"data/{p.name}" for p in (tmp_path / "a" / "data").iterdir())
+    assert data == sorted(f"data/{p.name}"
+                          for p in (tmp_path / "b" / "data").iterdir())
+    for rel in (*data, "sent.fmat", "map.arc", "model.arc",
                 "report.tsv", "sweep.tsv"):
         identical.append((tmp_path / "a" / rel).read_bytes()
                          == (tmp_path / "b" / rel).read_bytes())

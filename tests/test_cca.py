@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blas_threads import run_under_blas_threads
-from ccax import cca, io, synthetic
+from ccax import cca, io, selection, synthetic
 from ccax.cca import RegularizationSpec, prepare, solve
 from oracles import (CountingView, cca_correlations_eig, center_columns,
                      constraint_residual, prepare_exact, prepare_qr,
@@ -651,6 +651,51 @@ class TestTikhonov:
         x, y = random_views(23, n=40, mx=6, my=5)
         model = solve(prepare(x, y), RegularizationSpec.tikhonov(1.3, 0.2))
         assert constraint_residual(model, x, y) <= 1e-8
+
+    def test_singular_values_whose_squares_overflow(self):
+        # s_x is about 1e157, past sqrt(float64 max), but the penalty of
+        # rank 3 (1.88e302) is held, and so is each filter in units of s_max
+        rng = np.random.default_rng(0)
+        x, scale = rng.standard_normal((200, 3)), np.array([1e156, 1e152,
+                                                             1e150])
+        y = io.FeatureMatrix(rng.standard_normal((200, 3)))
+        problem = prepare(io.FeatureMatrix(x * scale), y)
+        gamma_x, gamma_y = selection._penalties(problem, 3, 3)
+        assert problem.s_x[0] > 1e157 and gamma_x > 1e302
+        model = solve(problem, RegularizationSpec.tikhonov(gamma_x, gamma_y))
+        want = solve(prepare(io.FeatureMatrix(x * (scale / 1e150)), y),
+                     RegularizationSpec.tikhonov(gamma_x / 1e300, gamma_y))
+        np.testing.assert_allclose(model.sigma, want.sigma, atol=1e-12)
+        np.testing.assert_allclose(model.u * 1e150, want.u, rtol=1e-10)
+        np.testing.assert_allclose(model.v, want.v, rtol=1e-10)
+
+    # 2^510 takes s^2 past float64's range, where the filters were once
+    # formed; 2^-400 and 2^400 keep the penalties' squares normal
+    @pytest.mark.parametrize("j", [-400, 0, 400, 510])
+    @pytest.mark.parametrize("view", ["x", "y"])
+    def test_power_of_two_scale(self, j, view):
+        x, y = random_views(25, n=60, mx=6, my=5)
+        c = 2.0 ** j
+        want = solve(prepare(x, y), RegularizationSpec.tikhonov(1.3, 0.2))
+        if view == "x":
+            x, gammas = io.FeatureMatrix(x.values * c), (1.3 * c * c, 0.2)
+        else:
+            y, gammas = io.FeatureMatrix(y.values * c), (1.3, 0.2 * c * c)
+        model = solve(prepare(x, y), RegularizationSpec.tikhonov(*gammas))
+        np.testing.assert_allclose(model.sigma, want.sigma, atol=1e-12)
+        got, want = ((model.u, want.u) if view == "x"
+                     else (model.v, want.v))
+        np.testing.assert_allclose(got * c, want,
+                                   atol=1e-12 * np.abs(want).max())
+
+    def test_penalty_past_float64_in_units_of_s_max(self):
+        # s_x is about 1e-199: a penalty of 1 is 1e398 times s_x^2
+        x, y = random_views(26, n=60, mx=6, my=5)
+        problem = prepare(io.FeatureMatrix(x.values * 1e-200), y)
+        with pytest.raises(io.DataFormatError, match=(
+                r"^training view x: the penalty 1 over s_max\^2 = \(.*\)\^2 "
+                "overflows float64; rescale the view$")):
+            solve(problem, RegularizationSpec.tikhonov(1.0, 0.0))
 
     def test_negative_penalty_rejected(self):
         x, y = random_views(24)

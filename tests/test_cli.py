@@ -11,7 +11,7 @@ import pytest
 from numpy.linalg import lapack_lite
 
 from blas_threads import run_under_blas_threads
-from ccax import cca, cli, hkse, io, selection
+from ccax import cca, cli, hkse, io, selection, synthetic
 from ccax.cli import main
 from oracles import embed_corpus, matrix_to_bytes, save_embedding_table
 
@@ -42,20 +42,30 @@ def word_data(tmp_path_factory):
     return path
 
 
+#: the files ``synth`` writes: the training pair and each held-out split
+SYNTH_FILES = ["test_captions.fmat", "test_images.fmat", "test_pairing.txt",
+               "train_x.fmat", "train_y.fmat", "val_captions.fmat",
+               "val_images.fmat", "val_pairing.txt"]
+
+
 class TestSynth:
     def test_expected_files(self, synth_dir):
-        for name in ("images.fmat", "captions.fmat", "pairing.txt",
-                     "splits.tsv", "train_x.fmat", "train_y.fmat",
-                     "val_images.fmat", "val_captions.fmat",
-                     "val_pairing.txt", "test_images.fmat",
-                     "test_captions.fmat", "test_pairing.txt"):
+        for name in SYNTH_FILES:
             assert (synth_dir / name).exists(), name
+        assert sorted(p.name for p in synth_dir.iterdir()) == SYNTH_FILES
 
     def test_shapes(self, synth_dir):
-        assert io.load_matrix(synth_dir / "images.fmat").rows == 200
-        assert io.load_matrix(synth_dir / "captions.fmat").rows == 600
+        images = {split: io.load_matrix(synth_dir / f"{split}_images.fmat")
+                  for split in ("val", "test")}
+        captions = [io.load_matrix(synth_dir / f"{split}_captions.fmat")
+                    for split in ("val", "test")]
+        train_y = io.load_matrix(synth_dir / "train_y.fmat")
+        # 120 training images, each once per caption, and 40 + 40 held out
+        assert io.load_matrix(synth_dir / "train_x.fmat").rows // 3 + sum(
+            m.rows for m in images.values()) == 200
+        assert train_y.rows + sum(m.rows for m in captions) == 600
         assert io.load_matrix(synth_dir / "train_x.fmat").rows == 360
-        assert io.load_matrix(synth_dir / "val_images.fmat").rows == 40
+        assert images["val"].rows == 40
 
     def test_deterministic_rerun(self, synth_dir, tmp_path):
         code = main([
@@ -64,10 +74,67 @@ class TestSynth:
             "--mx", "16", "--my", "12", "--captions", "3", "--seed", "5",
         ])
         assert code == 0
-        for name in ("images.fmat", "captions.fmat", "train_y.fmat"):
+        for name in SYNTH_FILES:
             assert (tmp_path / name).read_bytes() == \
                 (synth_dir / name).read_bytes()
 
+    def test_files_match_the_whole_draw(self, synth_dir):
+        # each file holds its split's rows of generate_caption_like's draw,
+        # the training images once per caption
+        data = synthetic.generate_caption_like(synthetic.LatentModelConfig(
+            120, 40, 40, 4, 16, 12, seed=5), 3)
+        train_x, train_y = data.paired_training_views()
+        for name, want in (("train_x", train_x.values),
+                           ("train_y", train_y.values)):
+            np.testing.assert_array_equal(
+                io.load_matrix(synth_dir / f"{name}.fmat").values, want)
+        for split in ("val", "test"):
+            images, captions, pairs = data.split_views(split)
+            for view, want in (("images", images), ("captions", captions)):
+                np.testing.assert_array_equal(io.load_matrix(
+                    synth_dir / f"{split}_{view}.fmat").values, want.values)
+            np.testing.assert_array_equal(
+                io.load_pairing(synth_dir / f"{split}_pairing.txt"), pairs)
+
+    def test_each_row_written_once(self, tmp_path, monkeypatch):
+        # blocks of 192 rows that span the splits (at 250 and 320 images,
+        # 750 and 960 captions): every image row goes to train_x once per
+        # caption or once to its split's file, every caption row once, and
+        # each file is written whole before the next is opened
+        received = []
+        write = io.MatrixWriter.write
+
+        def counting_write(writer, block):
+            received.append((os.path.basename(writer._fh.name),
+                             block.copy()))
+            write(writer, block)
+
+        monkeypatch.setattr(io.MatrixWriter, "write", counting_write)
+        assert main([
+            "synth", "--out-dir", str(tmp_path), "--n-train", "250",
+            "--n-val", "70", "--n-test", "60", "--latent", "100",
+            "--mx", "512", "--my", "128", "--captions", "3", "--seed", "8",
+        ]) == 0
+        names = [name for name, _ in received]
+        order = [name for i, name in enumerate(names)
+                 if i == 0 or names[i - 1] != name]
+        # each file's rows of the draw, and the times each is written
+        want = {"train_x.fmat": ("images", range(250), 3),
+                "val_images.fmat": ("images", range(250, 320), 1),
+                "test_images.fmat": ("images", range(320, 380), 1),
+                "train_y.fmat": ("captions", range(750), 1),
+                "val_captions.fmat": ("captions", range(750, 960), 1),
+                "test_captions.fmat": ("captions", range(960, 1140), 1)}
+        assert order == list(want)
+        data = synthetic.generate_caption_like(synthetic.LatentModelConfig(
+            250, 70, 60, 100, 512, 128, seed=8), 3)
+        row_of = {view: {row.tobytes(): i for i, row in
+                         enumerate(getattr(data, view).values)}
+                  for view in ("images", "captions")}
+        for name, (view, rows, times) in want.items():
+            got = [row_of[view][row.tobytes()] for file, block in received
+                   if file == name for row in block]
+            assert sorted(got) == sorted(list(rows) * times), name
 
     # a latent dimension above a view's dimension is refused by the
     # configuration (exit 1); counts below 1 already fail while parsing
@@ -493,13 +560,14 @@ class TestEval:
 
 @pytest.fixture(scope="module")
 def five_caption_dir(tmp_path_factory):
-    """200 images and 1000 captions, in the dims of ``fitted_model``."""
+    """200 images and 1000 captions, in the dims of ``fitted_model``, with
+    the caption->image pairing over all of them."""
     out = tmp_path_factory.mktemp("five")
-    assert main([
-        "synth", "--out-dir", str(out), "--n-train", "120", "--n-val", "40",
-        "--n-test", "40", "--latent", "4", "--mx", "16", "--my", "12",
-        "--captions", "5", "--seed", "5",
-    ]) == 0
+    data = synthetic.generate_caption_like(synthetic.LatentModelConfig(
+        120, 40, 40, 4, 16, 12, seed=5), 5)
+    io.save_matrix(data.images, out / "images.fmat")
+    io.save_matrix(data.captions, out / "captions.fmat")
+    io.save_pairing(data.pair_index, out / "pairing.txt")
     return out
 
 
@@ -1189,6 +1257,22 @@ class TestUnheldPenalty:
         assert line.endswith(f"{fault} float64; rescale the view")
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "train_x.fmat", "val_images.fmat"]
+
+
+def test_tikhonov_path_past_the_squares_of_s(synth_dir, tmp_path):
+    # with both image views scaled by 1e200, s_x^2 overflows, but penalties
+    # of 1 and 2 are held; the cells' filters, formed in units of s_max,
+    # hold too, so the path exits 0 and prints nothing to stderr
+    argv = _path_argv("path", synth_dir, tmp_path) + [
+        "--reg", "tikhonov", "--grid-x", "1,2", "--grid-y", "1,2"]
+    for flag, name in (("--x", "train_x"), ("--val-x", "val_images")):
+        values = io.load_matrix(synth_dir / f"{name}.fmat").values
+        io.save_matrix(io.FeatureMatrix(1e200 * values),
+                       tmp_path / f"{name}.fmat")
+        argv[argv.index(flag) + 1] = str(tmp_path / f"{name}.fmat")
+    proc = run_under_blas_threads(1, ["-m", "ccax", *argv], tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert len((tmp_path / "out.tsv").read_text().splitlines()) == 5
 
 
 class TestNonFiniteTrainingValue:

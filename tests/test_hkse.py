@@ -55,6 +55,21 @@ class TestBuildMap:
         b = hkse.build_map("rbf", "rbf", 1.0, 0.5, 32, 16, 4, seed=8)
         assert np.linalg.norm(a.w_word - b.w_word) > 0
 
+    @pytest.mark.parametrize("seed", [0, 7, 40001])
+    @pytest.mark.parametrize("width", [1e-300, 1e-3, 0.5, 1.0, 4.0, 1e300])
+    def test_draws_equal_rng_normal(self, seed, width):
+        # each layer's weights, drawn as standard normals and scaled in
+        # place, are the bits of rng.normal(0.0, sqrt(width)) of its stream
+        m = hkse.build_map("rbf", "rbf", width, width, 24, 40, 5, seed=seed,
+                           stream=3)
+        for w, b, label, shape in ((m.w_word, m.b_word, 11, (24, 5)),
+                                   (m.w_sent, m.b_sent, 12, (40, 24))):
+            rng = np.random.default_rng([seed, 3, label])
+            want = rng.normal(0.0, np.sqrt(width), size=shape)
+            assert w.tobytes() == want.tobytes()
+            assert b.tobytes() == rng.uniform(0.0, 2.0 * np.pi,
+                                              size=shape[0]).tobytes()
+
     def test_word_draw_matches_declared_distribution(self):
         m = hkse.build_map("rbf", "lin", 4.0, 1.0, 20000, 0, 3, seed=1)
         # rows ~ N(0, gamma I): per-coordinate variance gamma

@@ -756,19 +756,6 @@ class TestPairing:
             io.load_pairing(path)
 
 
-class TestSplits:
-    def test_round_trip(self, tmp_path):
-        splits = {
-            "train": np.array([0, 1, 2]),
-            "val": np.array([3]),
-            "test": np.array([4, 5]),
-        }
-        path = tmp_path / "s.tsv"
-        io.save_split_file(splits, path)
-        assert path.read_bytes() == (b"0\ttrain\n1\ttrain\n2\ttrain\n"
-                                     b"3\tval\n4\ttest\n5\ttest\n")
-
-
 class TestModelArchive:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(11)

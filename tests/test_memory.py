@@ -1,9 +1,10 @@
 """The embed pipeline holds one copy of each array and never its whole
 output, the bandwidth median holds half its Gram, an FMAT1 load holds its
 matrix once, a fit never holds its training pair, repeated image rows
-shrink prepare's buffers, and eval holds blocks of
-caption rows by images and centers its views a block of rows at a time,
-read from their files: the projections are the only whole views it holds.
+shrink prepare's buffers, synth holds one block of rows, and eval holds
+blocks of caption rows by images and centers its views a block of rows at
+a time, read from their files: the projections are the only whole views it
+holds.
 
 Peaks are measured with ``tracemalloc``, which sees numpy's data
 allocations, on shapes that run in well under a second.  Each bound sits
@@ -286,6 +287,25 @@ def test_prepare_folds_repeated_rows(tmp_path, monkeypatch):
             io.open_matrix(tmp_path / "y.fmat") as fy:
         peak = traced_peak(lambda: cca.prepare(fx, fy))
     assert peak < joint + within + blocks < 1.25 * (unfolded + blocks)
+
+
+def test_synth_holds_one_block(tmp_path):
+    # 3200 images of 512 values with 5 captions of 256 each: synth holds z,
+    # the pairing and one block of at most 2 BLOCK_ROWS - 1 rows, besides
+    # its training rows repeated once per caption and a product; the files
+    # it writes are 95 MB, the whole views alone 46 MB
+    n_images, captions, m_x = 3200, 5, 512
+    argv = ["synth", "--out-dir", str(tmp_path), "--n-train", "3000",
+            "--n-val", "100", "--n-test", "100", "--captions", str(captions),
+            "--mx", str(m_x), "--my", "256", "--latent", "100"]
+    codes = []
+    peak = traced_peak(lambda: codes.append(cli.main(argv)))
+    assert codes == [0]
+    held = n_images * (100 + captions) * 8
+    block = (2 * retrieval.BLOCK_ROWS - 1) * m_x * 8
+    bound = held + (captions + 3) * block
+    written = sum(p.stat().st_size for p in tmp_path.iterdir())
+    assert peak < bound < written / 6
 
 
 def _eval_peak(rng, captions_of):

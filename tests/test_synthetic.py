@@ -74,6 +74,27 @@ class TestGenerateLatentPairs:
                                           want[2][name])
         assert set(got.image_splits) == set(want[2])
 
+    # a latent of 100 over 512 and 128 columns makes blocks of 192 rows
+    # or more, which are cut where a split ends; 16 columns make one block
+    # of every row, one piece per split
+    @pytest.mark.parametrize("captions", [1, 3])
+    @pytest.mark.parametrize("dims", [(512, 128, 100), (16, 12, 4)])
+    def test_blocks_equal_the_whole_draw(self, captions, dims):
+        image_dim, text_dim, latent_dim = dims
+        cfg = config(n_train=450, n_val=70, n_test=61, image_dim=image_dim,
+                     text_dim=text_dim, latent_dim=latent_dim, seed=3)
+        got = synthetic.generate_caption_like(cfg, captions)
+        want = generate_latent_pairs(cfg, captions)
+        assert got.images.values.tobytes() == want[0].values.tobytes()
+        assert got.captions.values.tobytes() == want[1].values.tobytes()
+        pieces = [(view, split, len(rows)) for view, split, rows in
+                  synthetic.caption_like_blocks(cfg, captions)]
+        assert len(pieces) > 6 if image_dim == 512 else len(pieces) == 6
+        for view, per_image in (("images", 1), ("captions", captions)):
+            for split, count in (("train", 450), ("val", 70), ("test", 61)):
+                assert sum(n for v, s, n in pieces
+                           if (v, s) == (view, split)) == count * per_image
+
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             config(latent_dim=11, text_dim=10)
