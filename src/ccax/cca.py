@@ -1,20 +1,21 @@
 """Canonical correlation analysis via SVD, with spectral-filter regularizers.
 
 The solver never forms covariance matrices: the training pair is read
-once, and [1 | X - s | Y - t], shifted by the first rows' column means,
-is reduced to the triangular factor R of one QR, whose trailing block is
-the R of the centered pair [Xc | Yc].  Each view's block of that R goes
-to its thin SVD, and the canonical system is read off an SVD of the small
+once, and [1 | X - s | Y - t], shifted by the first rows' column means, is
+reduced to the triangular factor R of one QR, whose trailing block is the
+R of the centered pair [Xc | Yc].  Each view's block of that R goes to its
+thin SVD, and the canonical system is read off an SVD of the small
 correlation operator T = Ux' Uy.  An image repeated beside each of its
 captions is factored once: a run of equal x rows folds into one weighted
-row, and its caption rows about their mean into a QR of the y columns
-alone, which gives the same R up to rounding; input without such runs
-is factored as it is.  Tikhonov regularization soft-shrinks
-the singular values of each view (by sigma / sqrt(sigma^2 + gamma)) and
-truncated-SVD regularization hard-prunes them; both act on T through
-diagonal scalings only, which is what makes the regularization paths in
-:mod:`ccax.selection` cheap.  :func:`prepare` does the filter-independent
-work once; :func:`solve` turns it into a model for any one filter.
+row, and its g caption rows into g - 1 Helmert rows about their mean,
+under a QR of the y columns alone, which gives the same R up to rounding;
+input without such runs is factored as it is.  Tikhonov regularization
+soft-shrinks the singular values of each view (by sigma / sqrt(sigma^2 +
+gamma)) and truncated-SVD regularization hard-prunes them; both act on T
+through diagonal scalings only, which is what makes the regularization
+paths in :mod:`ccax.selection` cheap.  :func:`prepare` does the
+filter-independent work once; :func:`solve` turns it into a model for any
+one filter.
 """
 
 from __future__ import annotations
@@ -138,7 +139,10 @@ class CcaProblem:
     means, each view's singular values ``s_x``/``s_y`` and right singular
     vectors ``v_x`` (m_x, r_x) and ``v_y`` (m_y, r_y), and the correlation
     operator T = Ux' Uy (r_x, r_y).  No n-row array is kept, and every array
-    is read-only, so path worker threads can share one problem.
+    is read-only, so path worker threads can share one problem.  What the
+    fold of runs of equal x rows did is kept too: ``fold_rows``, the rows
+    of the joint stream, one per run in each chunk, and ``largest_run``,
+    the longest run folded into one row (1 where nothing was folded).
     """
 
     mean_x: np.ndarray
@@ -149,6 +153,8 @@ class CcaProblem:
     v_y: np.ndarray
     t: np.ndarray
     n: int
+    fold_rows: int
+    largest_run: int
 
     @property
     def rank_x(self) -> int:
@@ -253,36 +259,40 @@ class _QrStack:
             self.t[j, j + 1:self.k] = 0.0
 
 
-def _split_runs(block: np.ndarray, starts: np.ndarray, shift: np.ndarray,
-                out: np.ndarray, within: _QrStack) -> np.ndarray:
+def _split_runs(block: np.ndarray, starts: np.ndarray, g: np.ndarray,
+                shift: np.ndarray, out: np.ndarray,
+                within: _QrStack) -> np.ndarray:
     # the between/within split of a chunk's captions: each run's mean ybar,
-    # shifted, to ``out``, and each row's y - ybar to ``within`` (zero for
-    # a run of one row); returns each run's row weight sqrt(g).  ybar - t
-    # is (head - t) + the mean of the rows' differences from the run's
-    # first row, its head, added in order, one gather per position in the
-    # run; with the longest runs first, the runs that have a row j are a
-    # prefix.  Under a large common offset the differences are exact, where
-    # a sum of rows is rounded at the offset's scale.  The rows y - ybar,
-    # about the rounded ybar, sum to g times its rounding, which moves
-    # their Gram matrix only by that sum's square over g
-    g = np.diff(starts, append=len(block))
+    # shifted, to ``out``, and each run of g rows' g - 1 Helmert rows to
+    # ``within``; returns each run's row weight sqrt(g).  With d_j = y_j -
+    # head, the differences from the run's first row, and S_j their sum
+    # over the first j rows, row j of a run is sqrt(j / (j + 1)) (d_{j+1} -
+    # S_j / j): its rows y about their mean, with the same Gram matrix
+    # (Chan, Golub and LeVeque's updates), and none for a run of one row.
+    # The differences are gathered one position in the run at a time; with
+    # the longest runs first, the runs that have a row j are a prefix.
+    # Under a large common offset they are exact, where a sum of rows is
+    # rounded at the offset's scale, and ybar - t is (head - t) + S_g / g
     order = np.argsort(-g, kind="stable")
     first, g_desc = starts[order], g[order]
     head = block[first]
-    diffs, step = np.zeros_like(head), np.empty_like(head)
+    diffs, step, mean = (np.zeros_like(head), np.empty_like(head),
+                         np.empty_like(head))
+    rows = within.take(len(block) - len(starts))
+    at = 0
     for j in range(1, g_desc[0]):  # no run-sized temporary
         more = np.count_nonzero(g_desc > j)
         np.take(block, first[:more] + j, axis=0, out=step[:more])
-        step[:more] -= head[:more]
+        step[:more] -= head[:more]  # d_{j+1}
+        np.divide(diffs[:more], j, out=mean[:more])
+        _put(rows[at:at + more], step[:more], mean[:more])
+        rows[at:at + more] *= math.sqrt(j / (j + 1))
+        at += more
         diffs[:more] += step[:more]
     head -= shift
     diffs /= g_desc[:, None]
     head += diffs  # ybar - t, longest runs first
-    ybar = np.take(head, np.argsort(order), axis=0, out=step)  # chunk order
-    out[...] = ybar  # ybar - t as yet
-    ybar += shift  # ybar, rounded
-    del head, diffs  # not held beside the repeated means
-    _put(within.take(len(block)), block, np.repeat(ybar, g, axis=0))
+    out[...] = np.take(head, np.argsort(order), axis=0, out=step)
     return np.sqrt(g)[:, None]
 
 
@@ -310,12 +320,13 @@ def prepare(x: FeatureMatrix | MatrixFile,
     An image paired with g captions is g equal x rows in a row.  Each
     run of g bitwise-equal consecutive x rows in a chunk, with caption
     mean ybar, becomes one row [sqrt(g), sqrt(g) (x - s),
-    sqrt(g) (ybar - t)] under R, and its g rows y - ybar, zero in the
-    other columns, go under a second R of the y columns alone.  These
-    rows have the Gram matrix of the shifted pair (the between/within-
-    group split), so R, and all that is read from it, is the same up to
-    rounding and row signs.  Runs end at chunk edges, which is still
-    exact: any split into parts of equal x is.  The joint stack has room
+    sqrt(g) (ybar - t)] under R, and its g - 1 Helmert rows sqrt(j /
+    (j + 1)) (y_{j+1} - mean(y_1..y_j)), zero in the other columns, go
+    under a second R of the y columns alone.  These rows have the Gram
+    matrix of the shifted pair (the between/within-group split), so R, and
+    all that is read from it, is the same up to rounding and row signs.
+    Runs end at chunk edges, which is still exact: any split into parts of
+    equal x is.  The joint stack has room
     for the first chunk's runs times the number of chunks, and is
     factored early if later chunks have more.  The trailing block's rows
     from m_x on, zero in the x columns, are then merged with the second
@@ -326,12 +337,15 @@ def prepare(x: FeatureMatrix | MatrixFile,
     p = m_x + m_y
     c = max(_CHUNK_ROWS, p)
     sum_x, sum_y = np.zeros(m_x), np.zeros(m_y)
-    within = None
+    within, fold_rows, largest_run = None, 0, 1
     for lo in range(0, n, c):
         h = min(c, n - lo)
         block = x.block(lo, lo + h)
         _add_rows(sum_x, block)
         starts = _run_starts(block)
+        runs = np.diff(starts, append=h)
+        fold_rows += len(starts)
+        largest_run = max(largest_run, int(runs.max()))
         if lo == 0:
             shift_x = sum_x / h
             joint = _QrStack(1 + p, min(c, len(starts) * -(-n // c)))
@@ -349,8 +363,8 @@ def prepare(x: FeatureMatrix | MatrixFile,
         else:
             if within is None:
                 within = _QrStack(m_y, min(c, n))
-            new *= _split_runs(block, starts, shift_y, new[:, 1 + m_x:],
-                               within)
+            new *= _split_runs(block, starts, runs, shift_y,
+                               new[:, 1 + m_x:], within)
         del block
     joint.fold()
     mean_x, mean_y = sum_x / n, sum_y / n
@@ -382,7 +396,8 @@ def prepare(x: FeatureMatrix | MatrixFile,
               w_x.T @ w_y[:w_x.shape[0]])
     for arr in arrays:
         arr.flags.writeable = False
-    return CcaProblem(*arrays, n=n)
+    return CcaProblem(*arrays, n=n, fold_rows=fold_rows,
+                      largest_run=largest_run)
 
 
 def _tikhonov_units(s: np.ndarray, gammas, name: str):

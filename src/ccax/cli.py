@@ -468,14 +468,23 @@ def _guided_out_paths(out: str) -> tuple[Path, Path]:
             base.with_name(base.stem + "_annotation" + base.suffix))
 
 
-def _save_guided(result, args) -> None:
+def _fit_archive(model, problem):
+    """The archive of a fit's ``model``, with what the fold of ``problem``
+    did: the rows of its joint stream and its longest run."""
+    arc = cca.model_to_archive(model)
+    arc.manifest["fold_rows"] = str(problem.fold_rows)
+    arc.manifest["largest_run"] = str(problem.largest_run)
+    return arc
+
+
+def _save_guided(result, args, problem) -> None:
     """Write the guided fit's path TSV, if asked, and its archives."""
     sel = result.tsvd_selection
 
     def archive_for(model, spec):
         # gamma_x / gamma_y in the manifest already carry the mapped
         # penalties; the winning ranks are recorded alongside them
-        arc = cca.model_to_archive(model)
+        arc = _fit_archive(model, problem)
         arc.manifest["guided_k_x"] = str(spec.k_x)
         arc.manifest["guided_k_y"] = str(spec.k_y)
         arc.manifest["metric"] = sel.metric
@@ -503,11 +512,11 @@ def _cmd_fit(args) -> int:
     if args.reg == "guided-tsvd":
         if not (args.val_x and args.val_y):
             raise ValueError("--reg guided-tsvd needs --val-x and --val-y")
+        path = _load_path(args, "tsvd")
         result = selection.guided_tikhonov(
-            **_load_path(args, "tsvd"),
-            metric=args.metric or _PATH_FLAGS["metric"],
+            **path, metric=args.metric or _PATH_FLAGS["metric"],
             workers=_workers(args))
-        _save_guided(result, args)
+        _save_guided(result, args, path["problem"])
         return 0
     if args.reg == "none":
         spec = cca.RegularizationSpec.none()
@@ -520,7 +529,7 @@ def _cmd_fit(args) -> int:
         spec = cca.RegularizationSpec.tsvd(args.kx, args.ky)
     problem = cca.prepare(io.open_matrix(args.x), io.open_matrix(args.y))
     model = cca.solve(problem, spec)
-    io.save_archive(cca.model_to_archive(model), args.out)
+    io.save_archive(_fit_archive(model, problem), args.out)
     print(f"fit {model.reg.kind} model: k={model.k}, "
           f"top correlation {model.sigma[0]:.4f} -> {args.out}")
     return 0

@@ -12,14 +12,16 @@ search items Sigma x~, annotation items Sigma y~ and total 1;
 Sigma^alpha x~ and Sigma^(1-alpha) y~, total exactly 1.  Search queries
 are captions and its items images; annotation the reverse.  So both tasks
 score one matrix G = Y~ (Sigma^total X~)', captions by images, and
-:func:`_rank_tasks` forms each block of its caption rows once and scores
-both from it: search along the rows, annotation down the columns.  It is
-the one kernel of the protocol, the alpha sweep (one G for every alpha)
-and the path cells of :mod:`ccax.selection`.  A rank is counted from one
-``>=`` mask of each task's block against the ground truth's score: a
-good model's sparse mask is listed and its ties looked up where it
-holds, a poor model's dense one counted along its axis
-(:func:`_count_ahead`).
+:func:`_rank_tasks` forms each block of its caption rows once and ranks
+both tasks from it: search along the rows, annotation down the columns.
+It is the one kernel of the protocol and the alpha sweep (one G for every
+alpha).  A rank is counted from one ``>=`` mask of each task's block
+against the ground truth's score: a good model's sparse mask is listed
+and its ties looked up where it holds, a poor model's dense one counted
+along its axis (:func:`_count_ahead`).  The path cells of
+:mod:`ccax.selection` need only each query's first-best item and score a
+whole G where it lies (``selection._first_best``); both kernels check
+the item norms and score G by :func:`_item_terms` and :func:`_score`.
 """
 
 from __future__ import annotations
@@ -145,46 +147,11 @@ def _count_ahead(scores, s_star, ahead, axis: int, mask) -> np.ndarray:
     return wins - np.bincount(own[~ahead(row, column)], minlength=length)
 
 
-def _rank_tasks(g_rows, image_sqs, caption_sqs, similarity: str,
-                rank_one: bool = False,
-                truth=None) -> tuple[np.ndarray, np.ndarray]:
-    """Score both tasks from each block of G: the kernel of the protocol,
-    the sweep and path cells.
-
-    ``g_rows(lo, hi)`` returns the bilinear scores G of caption rows [lo,
-    hi) against every image.  Weighting w has the squared image norms
-    ``image_sqs[w]`` (the search items) and caption norms
-    ``caption_sqs[w]`` (the annotation items), all over one G.  Cosine
-    ranks by G over the item norm (by the sign of G in a one-dimensional
-    model, where every cosine is exactly +-1), ``l2`` by G - ||item||^2 /
-    2, whose order and ties are those of the distance.  Search reads a
-    block along its rows, annotation down its columns.  Returns (search,
-    annotation), one row per weighting.
-
-    With ``truth`` = (pair_index, g_true), where caption c belongs to image
-    pair_index[c] and g_true[c] is its entry of G formed before the sweep,
-    each caption's and each image's 1-based rank of its best ground-truth
-    item.  ``g_rows`` must then return a C-ordered block the kernel may
-    overwrite: g_true is written into it at the ground-truth positions, so
-    every entry has one value and both tasks' s* are entries of the G they
-    count.  A rank is counted, not sorted: with s* the best ground-truth
-    score and i* the smallest ground-truth index reaching it, it is 1 +
-    #(score above s*) + #(score equal to s* at an index below i*).  So ties
-    go to the smaller index, but only between bitwise-equal scores:
-    OpenBLAS rounds the edge tiles of a product differently, so duplicated
-    rows can score apart.  Each task's block is compared with s* once, by
-    ``>=``; a sparse mask is listed and split into wins and ties at its
-    positions, a dense one counted along its axis (:func:`_count_ahead`).
-    Without ``truth``, each caption's first-best image and each image's
-    first-best caption, ties to the smaller index.
-
-    A non-finite squared norm, a zero norm under cosine and a non-finite
-    best score are errors naming the view and row: image norms first and
-    caption norms next, before the sweep, then each caption's best score
-    and each image's, after it.  A ranked block whose scores have a finite
-    sum has only finite scores, so only a block whose sum is not finite
-    has its best scores taken.
-    """
+def _item_terms(image_sqs, caption_sqs, similarity: str):
+    """What each weighting divides G by (cosine: the item norm) or
+    subtracts from it (``l2``: half the squared norm), per view, after
+    checking the squared norms: a non-finite one, and a zero one under
+    cosine, is an error naming the view and row, image norms first."""
     if similarity not in ("cosine", "l2"):
         raise ValueError(f"unknown similarity {similarity!r}")
     for view, sqs in (("image", image_sqs), ("caption", caption_sqs)):
@@ -197,13 +164,59 @@ def _rank_tasks(g_rows, image_sqs, caption_sqs, similarity: str,
                 raise ValueError(f"zero-norm {view} vector at index "
                                  f"{int(np.flatnonzero(sq == 0)[0])} under "
                                  "cosine")
+    return ([np.sqrt(sq) if similarity == "cosine" else 0.5 * sq
+             for sq in sqs] for sqs in (image_sqs, caption_sqs))
+
+
+def _score(g, term, similarity: str, rank_one: bool, out=None):
+    """Scores of G against items with ``term`` (:func:`_item_terms`):
+    cosine ranks by G over the item norm, or by the sign of G in a
+    one-dimensional model, where every cosine is exactly +-1; ``l2`` by G
+    - ||item||^2 / 2, whose order and ties are those of the distance."""
+    if similarity == "l2":
+        return np.subtract(g, term, out=out)
+    if rank_one:
+        return np.sign(g, out=out)
+    return np.divide(g, term, out=out)
+
+
+def _rank_tasks(g_rows, image_sqs, caption_sqs, similarity: str,
+                rank_one: bool, truth) -> tuple[np.ndarray, np.ndarray]:
+    """Rank both tasks from each block of G: the kernel of the protocol
+    and the sweep.
+
+    ``g_rows(lo, hi)`` returns the bilinear scores G of caption rows [lo,
+    hi) against every image, as a C-ordered block the kernel may
+    overwrite.  Weighting w has the squared image norms ``image_sqs[w]``
+    (the search items) and caption norms ``caption_sqs[w]`` (the
+    annotation items), all over one G, scored by :func:`_score`.  Search
+    reads a block along its rows, annotation down its columns.  With
+    ``truth`` = (pair_index, g_true), where caption c belongs to image
+    pair_index[c] and g_true[c] is its entry of G formed before the sweep,
+    returns (search, annotation), one row per weighting: each caption's
+    and each image's 1-based rank of its best ground-truth item.  g_true
+    is written into each block at the ground-truth positions, so every
+    entry has one value and both tasks' s* are entries of the G they
+    count.  A rank is counted, not sorted: with s* the best ground-truth
+    score and i* the smallest ground-truth index reaching it, it is 1 +
+    #(score above s*) + #(score equal to s* at an index below i*).  So ties
+    go to the smaller index, but only between bitwise-equal scores:
+    OpenBLAS rounds the edge tiles of a product differently, so duplicated
+    rows can score apart.  Each task's block is compared with s* once, by
+    ``>=``; a sparse mask is listed and split into wins and ties at its
+    positions, a dense one counted along its axis (:func:`_count_ahead`).
+
+    The norms are checked first (:func:`_item_terms`).  A non-finite best
+    score is an error naming the view and row, each caption's before each
+    image's, after the sweep.  A block whose scores have a finite sum has
+    only finite scores, so only a block whose sum is not finite has its
+    best scores taken.
+    """
+    image_terms, caption_terms = _item_terms(image_sqs, caption_sqs,
+                                             similarity)
 
     def score(g, term, out=None):
-        if similarity == "l2":
-            return np.subtract(g, term, out=out)
-        if rank_one:
-            return np.sign(g, out=out)
-        return np.divide(g, term, out=out)
+        return _score(g, term, similarity, rank_one, out)
 
     def finite(scores):
         # one sum, by einsum, which sums faster than np.sum; finite scores
@@ -211,79 +224,49 @@ def _rank_tasks(g_rows, image_sqs, caption_sqs, similarity: str,
         with np.errstate(over="ignore", invalid="ignore"):
             return np.isfinite(np.einsum("ij->", scores))
 
-    # what each weighting divides G by, or subtracts from it
-    image_terms, caption_terms = (
-        [np.sqrt(sq) if similarity == "cosine" else 0.5 * sq for sq in sqs]
-        for sqs in (image_sqs, caption_sqs))
     n_images, n_captions = len(image_terms[0]), len(caption_terms[0])
-    if truth is not None:
-        pair_index, g_true = truth
-        search_star = [score(g_true, term[pair_index])
-                       for term in image_terms]
-        # each image's captions, in caption order
-        own = np.argsort(pair_index, kind="stable")
-        owner = pair_index[own]
-        starts = np.searchsorted(owner, np.arange(n_images))
-        annotation_star, annotation_first = [], []
-        for term in caption_terms:
-            own_scores = score(g_true, term)[own]
-            s_star = np.maximum.reduceat(own_scores, starts)
-            annotation_star.append(s_star)
-            annotation_first.append(np.minimum.reduceat(
-                np.where(own_scores == s_star[owner], own, n_captions),
-                starts))
+    pair_index, g_true = truth
+    search_star = [score(g_true, term[pair_index]) for term in image_terms]
+    # each image's captions, in caption order
+    own = np.argsort(pair_index, kind="stable")
+    owner = pair_index[own]
+    starts = np.searchsorted(owner, np.arange(n_images))
+    annotation_star, annotation_first = [], []
+    for term in caption_terms:
+        own_scores = score(g_true, term)[own]
+        s_star = np.maximum.reduceat(own_scores, starts)
+        annotation_star.append(s_star)
+        annotation_first.append(np.minimum.reduceat(
+            np.where(own_scores == s_star[owner], own, n_captions), starts))
     search = np.empty((len(image_terms), n_captions), dtype=np.int64)
     annotation = np.ones((len(image_terms), n_images), dtype=np.int64)
-    # each caption's and each image's best score; max and argmax keep NaN
+    # each caption's and each image's best score; max keeps NaN
     caption_best = np.empty(search.shape)
     image_best = np.full(annotation.shape, -np.inf)
-    images = np.arange(n_images)
-    scores = down = mask = np.empty(0)
+    scores = mask = np.empty(0)
     for lo, hi in _row_blocks(n_captions):
         g = g_rows(lo, hi)
-        rows = np.arange(hi - lo)
         if scores.shape != g.shape:
-            # one score buffer per task, kept while blocks keep their shape
-            # (only the last can be taller: its old pair goes first).  Down
-            # the columns reads fastest in G's own layout, and a path cell's
-            # blocks are column-major views; a ranked block is C-ordered,
-            # and both tasks score it in one buffer
-            del scores, down, mask
-            scores = np.empty(g.shape)
-            if truth is None:
-                down, mask = np.empty_like(g), None
-            else:
-                down, mask = scores, np.empty(g.shape, dtype=bool)
-        if truth is not None:
-            g[rows, pair_index[lo:hi]] = g_true[lo:hi]
+            # one score buffer and one mask, kept while blocks keep their
+            # shape (only the last can be taller: its old pair goes first)
+            del scores, mask
+            scores, mask = np.empty(g.shape), np.empty(g.shape, dtype=bool)
+        g[np.arange(hi - lo), pair_index[lo:hi]] = g_true[lo:hi]
         for w, (image_term, caption_term) in enumerate(zip(image_terms,
                                                            caption_terms)):
             score(g, image_term, scores)
-            if truth is None:
-                best = scores.argmax(axis=1)
-                search[w, lo:hi] = best
-                caption_best[w, lo:hi] = scores[rows, best]
-            else:
-                # any finite value stands for a finite block's best scores
-                caption_best[w, lo:hi] = (0.0 if finite(scores)
-                                          else scores.max(axis=1))
-                search[w, lo:hi] = 1 + _count_ahead(
-                    scores, search_star[w][lo:hi],
-                    lambda row, image: image < pair_index[lo + row], 1,
-                    mask)
-            score(g, caption_term[lo:hi, None], down)
-            if truth is None:
-                best = down.argmax(axis=0)
-                top = down[best, images]
-                # strictly better: an earlier block keeps its ties
-                better = top > image_best[w]
-                annotation[w, better] = lo + best[better]
-            else:
-                top = 0.0 if finite(down) else down.max(axis=0)
-                first = annotation_first[w]
-                annotation[w] += _count_ahead(
-                    down, annotation_star[w],
-                    lambda row, image: lo + row < first[image], 0, mask)
+            # any finite value stands for a finite block's best scores
+            caption_best[w, lo:hi] = (0.0 if finite(scores)
+                                      else scores.max(axis=1))
+            search[w, lo:hi] = 1 + _count_ahead(
+                scores, search_star[w][lo:hi],
+                lambda row, image: image < pair_index[lo + row], 1, mask)
+            score(g, caption_term[lo:hi, None], scores)
+            top = 0.0 if finite(scores) else scores.max(axis=0)
+            first = annotation_first[w]
+            annotation[w] += _count_ahead(
+                scores, annotation_star[w],
+                lambda row, image: lo + row < first[image], 0, mask)
             np.maximum(image_best[w], top, out=image_best[w])
     for view, best in (("caption", caption_best), ("image", image_best)):
         bad = np.flatnonzero(~np.isfinite(best).all(axis=0))

@@ -3,22 +3,23 @@
 Both paths take a :class:`ccax.cca.CcaProblem`, which holds everything
 that does not depend on the grid point: the singular values and right
 singular vectors of each centered training view and the correlation
-operator T = Ux' Uy.  A path rotates both validation views once, a
-block of rows at a time (from memory or an open file), to Xr = (Xv -
-mean_x) Vx and Yr = (Yv - mean_y) Vy, and a cell builds no model and
-takes no SVD.  With op = P_x Sigma P_y' the cell's filtered
-operator and X~, Y~ the rotated views under the filter's column scale,
-both tasks rank by one matrix G = X~ op Y~': G[i, c] is the inner product
-of image i and caption c with Sigma on either side, and the search and
-annotation item norms are ||op' x~_i|| and ||op y~_c||, so a cell is one
-product and one first-best call of the retrieval kernel
-(:func:`ccax.retrieval._rank_tasks`) for both tasks.  A T-SVD op is the
-nested block T[:k_x, :k_y], so a grid row accumulates G over ascending
-k_y; a Tikhonov op is the full-size rescaled dx (Sx T Sy) dy, so each
-cell needs a full-width product -- the asymmetry the guided-Tikhonov
-shortcut exploits: run the cheap hard-threshold path, map its winning
-ranks (k*_x, k*_y) to penalties (s_x[k*_x]^2, s_y[k*_y]^2), and fit
-Tikhonov once per task.
+operator T = Ux' Uy.  A path rotates both validation views once, a block
+of rows at a time (from memory or an open file), to Xr = (Xv - mean_x) Vx
+and Yr = (Yv - mean_y) Vy, and a cell builds no model and takes no SVD.
+With op = P_x Sigma P_y' the cell's filtered operator and X~, Y~ the
+rotated views under the filter's column scale, both tasks rank by one
+matrix G = X~ op Y~': G[i, c] is the inner product of image i and caption
+c with Sigma on either side, and the search and annotation item norms are
+||op' x~_i|| and ||op y~_c||, so a cell is one product and one call of
+:func:`_first_best`, which scores G, images by captions, where it lies.
+Each grid row holds its G and one scratch buffer of G's shape, into which
+each product is written and each task scored.  A T-SVD op is the nested
+block T[:k_x, :k_y], so a grid row accumulates G over ascending k_y; a
+Tikhonov op is the full-size rescaled dx (Sx T Sy) dy, so each cell needs
+a full-width product -- the asymmetry the guided-Tikhonov shortcut
+exploits: run the cheap hard-threshold path, map its winning ranks (k*_x,
+k*_y) to penalties (s_x[k*_x]^2, s_y[k*_y]^2), and fit Tikhonov once per
+task.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 from .cca import (CcaModel, CcaProblem, RegularizationSpec, solve,
                   _tikhonov_units)
 from .io import DataFormatError
-from .retrieval import _check_pairing, _project, _rank_tasks
+from .retrieval import _check_pairing, _item_terms, _project, _score
 
 METRICS = ("r1", "mean-r1")
 
@@ -187,6 +188,36 @@ def _prefix_sq(a: np.ndarray, ends: np.ndarray) -> np.ndarray:
         return np.add.reduceat(a * a, np.r_[0, ends[:-1]], axis=1).cumsum(1)
 
 
+def _first_best(g, image_sq, caption_sq, similarity: str, rank_one: bool,
+                scratch, mask) -> tuple[np.ndarray, np.ndarray]:
+    """Each caption's first-best image and each image's first-best caption,
+    ties to the smaller index: the path cells' kernel.
+
+    ``g`` is G, images by captions in C order, with squared image norms
+    ``image_sq`` and caption norms ``caption_sq``, scored as
+    :func:`ccax.retrieval._score` scores them after the checks of
+    :func:`ccax.retrieval._item_terms`.  Both tasks write their scores
+    into ``scratch``, of G's shape, where G lies: search takes a ``max``
+    down each caption's column, then the first row equal to it through the
+    bool ``mask``; annotation takes ``argmax`` along each image's row.  A
+    non-finite best score (max and argmax keep NaN) is an error naming the
+    view and row, each caption's before each image's.
+    """
+    [image_term], [caption_term] = _item_terms([image_sq], [caption_sq],
+                                               similarity)
+    scores = _score(g, image_term[:, None], similarity, rank_one, scratch)
+    caption_best = scores.max(axis=0)
+    image_of = np.equal(scores, caption_best, out=mask).argmax(axis=0)
+    scores = _score(g, caption_term, similarity, rank_one, scratch)
+    caption_of = scores.argmax(axis=1)
+    image_best = scores[np.arange(len(g)), caption_of]
+    for view, best in (("caption", caption_best), ("image", image_best)):
+        bad = np.flatnonzero(~np.isfinite(best))
+        if bad.size:
+            raise ValueError(f"{view} {bad[0]}: score is not finite")
+    return image_of, caption_of
+
+
 def _tsvd_rows(problem: CcaProblem, xs, ys, x_rot, y_rot):
     """Caption norms per cell and the cells of each row of a T-SVD path.
 
@@ -194,7 +225,9 @@ def _tsvd_rows(problem: CcaProblem, xs, ys, x_rot, y_rot):
     D = X~[:, :k_x] T[:k_x, :] once, then g grows over ascending k_y by
     D[:, k':k_y] Y~[:, k':k_y]'.  Image norms are prefix sums of D^2 along
     the row; caption norms prefix sums of C^2, C = Y~[:, :k_y] T[:, :k_y]',
-    grown along the columns once for the whole path.
+    grown along the columns once for the whole path.  ``cells(i, g,
+    scratch)`` writes the first product into ``g``, and each later
+    D[:, k':k_y] Y~[:, k':k_y]' into ``scratch``, which it adds to ``g``.
     """
     s_x, s_y, t = problem.s_x, problem.s_y, problem.t
     steps = list(enumerate(zip(np.r_[0, ys[:-1]], ys)))
@@ -205,15 +238,18 @@ def _tsvd_rows(problem: CcaProblem, xs, ys, x_rot, y_rot):
         c += y_til[:, lo:hi] @ t[:xs[-1], lo:hi].T
         caption_sq[:, j] = _prefix_sq(c, xs).T
 
-    def cells(i):
+    def cells(i, g, scratch):
         k_x = xs[i]
         d = (x_rot[:, :k_x] / s_x[:k_x]) @ t[:k_x, :ys[-1]]
         image_sq = _prefix_sq(d, ys)
-        g = np.zeros((x_rot.shape[0], y_rot.shape[0]))
         for j, (lo, hi) in steps:
             start = time.perf_counter()
-            g += d[:, lo:hi] @ y_til[:, lo:hi].T
-            yield j, start, g, image_sq[:, j], min(k_x, hi) == 1
+            # the first product is G itself: where a sum from zero would
+            # hold 0.0 it may hold -0.0, which scores and compares alike
+            np.matmul(d[:, lo:hi], y_til[:, lo:hi].T, out=scratch if j else g)
+            if j:
+                g += scratch
+            yield j, start, image_sq[:, j], min(k_x, hi) == 1
 
     return caption_sq, cells
 
@@ -229,6 +265,7 @@ def _tikhonov_rows(problem: CcaProblem, xs, ys, x_rot, y_rot):
     and e = s_max^2 d^2 give R_x / sy_max = (Xr e_x / sx_max) M', and R_y /
     sx_max likewise; the norms take e and a cell e_y / sy_max.  So G and
     the norms are unchanged, and no square of s or gamma is formed.
+    ``cells(i, g, scratch)`` writes each cell's product into ``g``.
     """
     sx_max, ratio_x, q_x = _tikhonov_units(problem.s_x, xs, "training view x")
     sy_max, ratio_y, q_y = _tikhonov_units(problem.s_y, ys, "training view y")
@@ -241,14 +278,14 @@ def _tikhonov_rows(problem: CcaProblem, xs, ys, x_rot, y_rot):
         with np.errstate(over="ignore", invalid="ignore"):
             caption_sq[:, j] = ((r_y * r_y) @ ex).T
 
-    def cells(i):
+    def cells(i, g, scratch):
         r_x = (x_rot * (ex[:, i] / sx_max)) @ m
         with np.errstate(over="ignore", invalid="ignore"):
             image_sq = (r_x * r_x) @ ey
         for j in range(len(ys)):
             start = time.perf_counter()
-            g = (r_x * (ey[:, j] / sy_max)) @ y_rot.T
-            yield j, start, g, image_sq[:, j], rank_one
+            np.matmul(r_x * (ey[:, j] / sy_max), y_rot.T, out=g)
+            yield j, start, image_sq[:, j], rank_one
 
     return caption_sq, cells
 
@@ -277,12 +314,16 @@ def _run_grid(problem: CcaProblem, axis_x, axis_y, kind: str, x_rot, y_rot,
     caption_sq, cells = rows(problem, xs, ys, x_rot, y_rot)
 
     def run_row(i):
-        for j, start, g, image_sq, rank_one in cells(i):
+        # G, images by captions, and the one scratch buffer and mask that
+        # each product and score of the row is written into
+        g = np.empty((n_images, n_captions))
+        scratch, mask = np.empty_like(g), np.empty(g.shape, dtype=bool)
+        for j, start, image_sq, rank_one in cells(i, g, scratch):
             # top 1 of each task: a caption hits at its own image, an image
             # at one of its own captions
-            image_of, caption_of = (best[0] for best in _rank_tasks(
-                lambda lo, hi: g.T[lo:hi], [image_sq], [caption_sq[i, j]],
-                similarity, rank_one))
+            image_of, caption_of = _first_best(
+                g, image_sq, caption_sq[i, j], similarity, rank_one, scratch,
+                mask)
             search_scores[i, j] = (100.0 * np.count_nonzero(
                 image_of == pair_index) / n_captions)
             annotation_scores[i, j] = (100.0 * np.count_nonzero(

@@ -25,7 +25,10 @@ vectors.
 ``one_task_ranks`` is that kernel as it first was, scoring one task from
 its own product, and ``two_gemm_ranks`` the protocol on it, forming G
 once per task: the route that ``retrieval._rank_tasks``, which scores
-both tasks from each block of one G, replaced.  ``best_ranks`` runs
+both tasks from each block of one G, replaced.  ``first_best_blocked``
+is that kernel's first-best mode, which read a path cell's G a block of
+caption rows at a time: the route that ``selection._first_best``
+replaced.  ``best_ranks`` runs
 ``count_ranks`` on list-of-lists ground truth.  Centering and a full thin
 SVD of each view (``center_columns``, ``thin_svd``) is the route the
 chunked joint QR of ``cca.prepare`` replaced; ``prepare_exact`` takes it
@@ -139,7 +142,8 @@ def problem_from_r(r, n, mean_x, mean_y):
         factors.append((w[:, :rank], s[:rank], vt[:rank].T))
     (w_x, s_x, v_x), (w_y, s_y, v_y) = factors
     return cca.CcaProblem(mean_x, mean_y, s_x, s_y, v_x, v_y,
-                          w_x.T @ w_y[:w_x.shape[0]], n=n)
+                          w_x.T @ w_y[:w_x.shape[0]], n=n, fold_rows=n,
+                          largest_run=1)
 
 
 def _chunked_r(x, y, shift_x, shift_y, ones):
@@ -804,6 +808,54 @@ def one_task_ranks(g_rows, n_queries: int, item_sqs, task: str,
                 | ((scores == s_star) & (np.arange(len(term)) < i_star)),
                 axis=1)
     return out
+
+
+def first_best_blocked(g_rows, image_sqs, caption_sqs, similarity: str,
+                       rank_one: bool = False):
+    """Each caption's first-best image and each image's first-best caption,
+    ties to the smaller index, one row per weighting, as the protocol's
+    kernel found them a block of caption rows at a time: the route that
+    ``selection._first_best``, which scores a path cell's G where it lies,
+    replaced.
+
+    ``g_rows(lo, hi)`` returns G's caption rows [lo, hi) against every
+    image (a path cell passed ``g.T[lo:hi]``).  Search reads each block
+    along its rows, annotation down its columns, and a later block takes
+    an image only when strictly better.  Norm errors are those of
+    ``retrieval._item_terms``; then a non-finite best score names its
+    caption, before any image's.
+    """
+    from ccax.retrieval import _item_terms, _row_blocks, _score
+
+    image_terms, caption_terms = _item_terms(image_sqs, caption_sqs,
+                                             similarity)
+    n_images, n_captions = len(image_terms[0]), len(caption_terms[0])
+    search = np.empty((len(image_terms), n_captions), dtype=np.int64)
+    annotation = np.ones((len(image_terms), n_images), dtype=np.int64)
+    caption_best = np.empty(search.shape)
+    image_best = np.full(annotation.shape, -np.inf)
+    images = np.arange(n_images)
+    for lo, hi in _row_blocks(n_captions):
+        g = g_rows(lo, hi)
+        rows = np.arange(hi - lo)
+        for w, (image_term, caption_term) in enumerate(zip(image_terms,
+                                                           caption_terms)):
+            scores = _score(g, image_term, similarity, rank_one)
+            best = scores.argmax(axis=1)
+            search[w, lo:hi] = best
+            caption_best[w, lo:hi] = scores[rows, best]
+            down = _score(g, caption_term[lo:hi, None], similarity, rank_one)
+            best = down.argmax(axis=0)
+            top = down[best, images]
+            # strictly better: an earlier block keeps its ties
+            better = top > image_best[w]
+            annotation[w, better] = lo + best[better]
+            np.maximum(image_best[w], top, out=image_best[w])
+    for view, best in (("caption", caption_best), ("image", image_best)):
+        bad = np.flatnonzero(~np.isfinite(best).all(axis=0))
+        if bad.size:
+            raise ValueError(f"{view} {bad[0]}: score is not finite")
+    return search, annotation
 
 
 def two_gemm_ranks(model, images, captions, pair_index, image_exps,

@@ -470,7 +470,7 @@ class TestPrepareMatchesNumpyQr:
                 f"{Path(__file__).resolve()}::TestPrepareFoldsRuns"],
             tmp_path)
         assert proc.returncode == 0, proc.stdout[-3000:]
-        assert "11 passed" in proc.stdout
+        assert "14 passed" in proc.stdout
 
 
 def _repeated_pair(rng, g, m_x, m_y, rank_x, rank_y, rank_w):
@@ -546,6 +546,14 @@ class TestPrepareFoldsRuns:
     @example(pair=(*_repeated_pair(np.random.default_rng(6),
                                    [5, 2] + [1] * 7, 3, 4, 3, 4, 2), 7),
              offset=0.0)
+    # runs of one and two rows only: none or one Helmert row each
+    @example(pair=(*_repeated_pair(np.random.default_rng(7),
+                                   [1, 2, 1, 1, 2, 2, 1, 2], 3, 4, 3, 4, 1),
+                   7), offset=1e4)
+    # long runs whose captions span one direction about their mean: a
+    # rank-deficient caption run, its Helmert rows of rank one
+    @example(pair=(*_repeated_pair(np.random.default_rng(8), [6, 5, 7, 4],
+                                   3, 5, 3, 5, 1), 2048), offset=1e8)
     def test_random_runs(self, pair, offset, tmp_path_factory):
         self.check(*pair, tmp_path_factory.mktemp("pair"), offset)
 
@@ -585,13 +593,47 @@ class TestPrepareFoldsRuns:
     def test_one_joint_row_per_image(self, monkeypatch):
         # a synth pair, 5 captions per image, in one chunk: the joint
         # stream factors one row per image, once, and the y-only stream
-        # every caption's row about its mean, then the merge
+        # each image's 4 Helmert rows with the merge's 12, in one fold
         data = synthetic.generate_caption_like(synthetic.LatentModelConfig(
             n_train=150, n_val=1, n_test=1, latent_dim=5, image_dim=20,
             text_dim=12, seed=9), captions_per_item=5)
         x, y = data.paired_training_views()
         assert self.geqrf_calls(x, y, monkeypatch) == [
-            (150, 33), (750, 12), (12 + 12, 12)]
+            (150, 33), (600 + 12, 12)]
+
+    @pytest.mark.parametrize("chunk", [1, 7, 2048])
+    def test_helmert_rows_per_chunk(self, chunk, monkeypatch):
+        # the y-only stack takes sum(g - 1) rows per chunk with runs, runs
+        # cut at chunk edges counted by their parts, then the merge's rows
+        monkeypatch.setattr(cca, "_CHUNK_ROWS", chunk)
+        rng = np.random.default_rng(chunk)
+        g = [3, 1, 4, 2, 5, 1, 1, 6]
+        x, y = _repeated_pair(rng, g, 5, 4, 5, 4, 4)
+        takes, take = [], cca._QrStack.take
+
+        def spy(stack, h):
+            if stack.t.shape[0] == y.cols:  # the y-only stack
+                takes.append(h)
+            return take(stack, h)
+
+        monkeypatch.setattr(cca._QrStack, "take", spy)
+        problem = cca.prepare(x, y)
+        c = max(chunk, x.cols + y.cols)
+        image = np.repeat(np.arange(len(g)), g)
+        want = []
+        for lo in range(0, len(image), c):
+            parts = np.unique(image[lo:lo + c], return_counts=True)[1]
+            if parts.max() > 1:
+                want.append(int(np.sum(parts - 1)))
+        # the centered R's rows from m_x on: R has a row for the ones
+        # column above the centered pair's
+        k = min(problem.fold_rows, 1 + x.cols + y.cols) - 1
+        assert takes == want + [k - min(k, x.cols)]
+        assert problem.fold_rows == sum(
+            len(np.unique(image[lo:lo + c])) for lo in range(0, len(image), c))
+        assert problem.largest_run == max(
+            np.unique(image[lo:lo + c], return_counts=True)[1].max()
+            for lo in range(0, len(image), c))
 
     def test_run_free_calls_unchanged(self, monkeypatch):
         # 2c + 1 rows without runs, c = 40: one dgeqrf per chunk of rows

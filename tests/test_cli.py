@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from numpy.linalg import lapack_lite
 
 from blas_threads import run_under_blas_threads
@@ -1273,6 +1275,98 @@ def test_tikhonov_path_past_the_squares_of_s(synth_dir, tmp_path):
     proc = run_under_blas_threads(1, ["-m", "ccax", *argv], tmp_path)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert len((tmp_path / "out.tsv").read_text().splitlines()) == 5
+
+
+def _scaled_guided_fit(synth_dir, out, j_x, j_y):
+    """A guided fit, in a child process on one BLAS thread, of the synth
+    pair and validation views with each x view scaled by 2^j_x and each y
+    view by 2^j_y: (process, path TSV less cell_seconds, archives)."""
+    out.mkdir()
+    argv = _path_argv("fit", synth_dir, out) + [
+        "--grid", "4x4", "--path-out", str(out / "path.tsv")]
+    for flag, name, j in (("--x", "train_x", j_x), ("--y", "train_y", j_y),
+                          ("--val-x", "val_images", j_x),
+                          ("--val-y", "val_captions", j_y)):
+        values = io.load_matrix(synth_dir / f"{name}.fmat").values
+        io.save_matrix(io.FeatureMatrix(np.ldexp(values, j)),
+                       out / f"{name}.fmat")
+        argv[argv.index(flag) + 1] = str(out / f"{name}.fmat")
+    proc = run_under_blas_threads(1, ["-m", "ccax", *argv], out)
+    if proc.returncode != 0:
+        return proc, None, None
+    path = [line.rsplit("\t", 1)[0]
+            for line in (out / "path.tsv").read_text().splitlines()]
+    archives = [io.load_archive(out / f"model_{task}.arc")
+                for task in ("search", "annotation")]
+    return proc, path, archives
+
+
+class TestScaleRange:
+    """CCA does not change when a view is multiplied by a positive
+    constant.  With the x views scaled by 2^j_x and the y views by 2^j_y, a
+    guided fit either gives the path scores of j = 0 exactly, the same
+    winning cells and canonical correlations within 1e-12 of the largest,
+    or exits 1 naming a scaled view, with one line on stderr: no
+    ``RuntimeWarning`` and nothing from LAPACK.  Each fit runs in a child
+    process, so that stderr shows all of it."""
+
+    @pytest.fixture(scope="class")
+    def unscaled(self, synth_dir, tmp_path_factory):
+        return _scaled_guided_fit(synth_dir,
+                                  tmp_path_factory.mktemp("j") / "fit", 0, 0)
+
+    @settings(max_examples=8, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(j_x=st.integers(-500, 500), j_y=st.integers(-500, 500))
+    @example(j_x=-500, j_y=500)
+    @example(j_x=500, j_y=0)
+    @example(j_x=0, j_y=-500)
+    @example(j_x=-300, j_y=300)
+    def test_scaled_views(self, j_x, j_y, synth_dir, unscaled,
+                          tmp_path_factory):
+        proc, path, archives = _scaled_guided_fit(
+            synth_dir, tmp_path_factory.mktemp("j") / "fit", j_x, j_y)
+        if proc.returncode != 0:
+            assert proc.returncode == 1 and proc.stdout == ""
+            [line] = proc.stderr.splitlines()
+            named = [view for view, j in (("x", j_x), ("y", j_y))
+                     if line.startswith(f"ccax: error: training view {view}")]
+            assert named and (j_x if named[0] == "x" else j_y) != 0, line
+            return
+        assert proc.stderr == ""
+        _, unscaled_path, unscaled_archives = unscaled
+        assert path == unscaled_path
+        for got, want in zip(archives, unscaled_archives):
+            for key in ("guided_k_x", "guided_k_y"):
+                assert got.manifest[key] == want.manifest[key]
+            sigma = want.blobs["SIGMA"].values
+            assert (np.abs(got.blobs["SIGMA"].values - sigma).max()
+                    <= 1e-12 * sigma.max())
+
+
+class TestFoldInManifest:
+    """Every fit's manifest records what ``prepare``'s fold did, and
+    ``inspect`` prints it: the synth pair's 120 images, 3 captions each,
+    are one chunk, so its joint stream has one row per image."""
+
+    @pytest.mark.parametrize("reg", ["none", "guided-tsvd"])
+    def test_fold_rows_and_largest_run(self, reg, synth_dir, tmp_path,
+                                       capsys):
+        argv = _path_argv("fit", synth_dir, tmp_path)
+        argv[argv.index("--reg") + 1] = reg
+        if reg == "none":  # the training pair only
+            del argv[argv.index("--val-x"):argv.index("--val-pairing") + 2]
+        assert main(argv) == 0
+        arcs = sorted(tmp_path.glob("model*.arc"))
+        assert arcs
+        for arc in arcs:
+            manifest = io.load_archive(arc).manifest
+            assert (manifest["fold_rows"], manifest["largest_run"]) == (
+                "120", "3")
+            capsys.readouterr()
+            assert main(["inspect", "--model", str(arc)]) == 0
+            out = capsys.readouterr().out.splitlines()
+            assert "fold_rows=120" in out and "largest_run=3" in out
 
 
 class TestNonFiniteTrainingValue:

@@ -1,7 +1,8 @@
 """The embed pipeline holds one copy of each array and never its whole
 output, the bandwidth median holds half its Gram, an FMAT1 load holds its
 matrix once, a fit never holds its training pair, repeated image rows
-shrink prepare's buffers, synth holds one block of rows, and eval holds
+shrink prepare's buffers, synth holds one block of rows, a path grid holds
+G and one scratch buffer per worker row, and eval holds
 blocks of caption rows by images and centers its views a block of rows at
 a time, read from their files: the projections are the only whole views it
 holds.
@@ -19,7 +20,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ccax import cca, cli, hkse, io, retrieval
+from ccax import cca, cli, hkse, io, retrieval, selection
 from oracles import matrix_to_bytes, save_embedding_table
 
 
@@ -306,6 +307,45 @@ def test_synth_holds_one_block(tmp_path):
     bound = held + (captions + 3) * block
     written = sum(p.stat().st_size for p in tmp_path.iterdir())
     assert peak < bound < written / 6
+
+
+@pytest.mark.parametrize("kind", ["tsvd", "tikhonov"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_path_grid_holds_g_and_one_scratch_per_row(kind, workers,
+                                                   monkeypatch):
+    # 300 validation images by 1500 captions: G is 3.6 MB.  Each worker's
+    # grid row holds G, one scratch buffer of G's size and a bool mask,
+    # into which every product and score of the row is written (argmax
+    # down the mask's columns copies it), beside the caption norms and
+    # factors shared by the rows, under a quarter of G; a cell allocates
+    # no product.  Between two cells of one row (one worker), what is
+    # allocated and freed again stays under a quarter of G
+    rng = np.random.default_rng(11)
+    n_images, n_captions, m_x, m_y = 300, 1500, 24, 16
+    train_x = rng.standard_normal((400, m_x))
+    problem = cca.prepare(io.FeatureMatrix(train_x), io.FeatureMatrix(
+        train_x[:, :m_y] + rng.standard_normal((400, m_y))))
+    rotated = selection._rotate(
+        problem, io.FeatureMatrix(rng.standard_normal((n_images, m_x))),
+        io.FeatureMatrix(rng.standard_normal((n_captions, m_y))),
+        rng.permutation(np.arange(n_captions) % n_images))
+    axes = selection.path_axes(problem, kind, counts=(4, 4))
+    g_bytes = n_images * n_captions * 8
+    transients, kernel = [], selection._first_best
+
+    def spy(*args):
+        current, peak = tracemalloc.get_traced_memory()
+        transients.append(peak - current)
+        tracemalloc.reset_peak()
+        return kernel(*args)
+
+    monkeypatch.setattr(selection, "_first_best", spy)
+    peak = traced_peak(lambda: selection._run_grid(
+        problem, *axes, kind, *rotated, "cosine", workers))
+    assert len(transients) == 16
+    assert peak < (workers * (2 + 1 / 4) + 1 / 4) * g_bytes
+    if workers == 1:
+        assert max(transients[1:]) < g_bytes / 4
 
 
 def _eval_peak(rng, captions_of):

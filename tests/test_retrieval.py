@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from blas_threads import run_under_blas_threads
-from ccax import cca, io, retrieval, synthetic
+from ccax import cca, io, retrieval, selection, synthetic
 from ccax.cca import RegularizationSpec, prepare, solve
 from oracles import rank_by_cosine_loops, recall_and_median_loops
 
@@ -399,21 +399,32 @@ def squared_norms(rows):
     return np.einsum("ij,ij->i", rows, rows)
 
 
+def first_best(g, image_sq, caption_sq, similarity, rank_one=False):
+    """``selection._first_best`` on the caption-by-image scores ``g``: G is
+    its transpose, images by captions in C order."""
+    g = np.ascontiguousarray(np.asarray(g, dtype=np.float64).T)
+    return selection._first_best(g, np.asarray(image_sq, dtype=float),
+                                 np.asarray(caption_sq, dtype=float),
+                                 similarity, rank_one, np.empty_like(g),
+                                 np.empty(g.shape, dtype=bool))
+
+
 def kernel(g, ground_truth, image_sq, caption_sq, similarity):
-    """``retrieval._rank_tasks`` on the caption-by-image scores ``g``.
+    """The kernels on the caption-by-image scores ``g``.
 
     ``ground_truth[c]`` lists caption c's one image, so it is a pairing,
-    and the (search, annotation) ranks are returned; with None, each
-    caption's first-best image and each image's first-best caption.
+    and ``retrieval._rank_tasks``'s (search, annotation) ranks are
+    returned; with None, each caption's first-best image and each image's
+    first-best caption by ``selection._first_best``.
     """
     g = np.asarray(g, dtype=np.float64)
-    truth = None
-    if ground_truth is not None:
-        pair_index = np.asarray(ground_truth, dtype=np.int64)[:, 0]
-        truth = (pair_index, g[np.arange(len(g)), pair_index])
+    if ground_truth is None:
+        return first_best(g, image_sq, caption_sq, similarity)
+    pair_index = np.asarray(ground_truth, dtype=np.int64)[:, 0]
     search, annotation = retrieval._rank_tasks(
         lambda lo, hi: g[lo:hi].copy(), [np.asarray(image_sq, dtype=float)],
-        [np.asarray(caption_sq, dtype=float)], similarity, truth=truth)
+        [np.asarray(caption_sq, dtype=float)], similarity, False,
+        (pair_index, g[np.arange(len(g)), pair_index]))
     return search[0], annotation[0]
 
 
@@ -623,7 +634,7 @@ class TestSparseAndDenseRoutes:
             assert np.isinf(np.sum(g[:retrieval.BLOCK_ROWS]))
         got = retrieval._rank_tasks(
             lambda lo, hi: g[lo:hi].copy(), [ones[0]], [ones[1]], similarity,
-            truth=(pair_index, g[np.arange(n_captions), pair_index]))
+            False, (pair_index, g[np.arange(n_captions), pair_index]))
         want = self.oracle_ranks(g, *ones, pair_index, similarity, False)
         np.testing.assert_array_equal(got[0][0], want[0])
         np.testing.assert_array_equal(got[1][0], want[1])
@@ -796,8 +807,10 @@ class TestOneKernelMatchesTwoGemmRoute:
         caption_sqs = [squared_norms(y * sigma ** e) for e in caption_exps]
         g = (x * sigma ** total) @ y.T
         rank_one = model.k == 1
-        got = retrieval._rank_tasks(lambda lo, hi: g.T[lo:hi], image_sqs,
-                                    caption_sqs, similarity, rank_one)
+        # one call per weighting: a path cell has one
+        got = [np.array(task) for task in zip(*(
+            first_best(g.T, image_sq, caption_sq, similarity, rank_one)
+            for image_sq, caption_sq in zip(image_sqs, caption_sqs)))]
         np.testing.assert_array_equal(got[0], oracles.one_task_ranks(
             lambda lo, hi: g.T[lo:hi], captions.rows, image_sqs, "search",
             similarity, rank_one))

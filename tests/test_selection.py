@@ -1,5 +1,7 @@
 """Path searches: equivalence with standalone fits, selection, timing."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -161,7 +163,7 @@ class TestPairingChecks:
             raise AssertionError("a cell was scored before the pairing "
                                  "check")
 
-        monkeypatch.setattr(selection, "_rank_tasks", no_cell)
+        monkeypatch.setattr(selection, "_first_best", no_cell)
         with pytest.raises(ValueError,
                            match="pair_index length must match caption count"):
             path(cca.prepare(train_x, train_y), vi, vc, [2], [2],
@@ -176,7 +178,7 @@ class TestPairingChecks:
             raise AssertionError("a cell was scored before the pairing "
                                  "check")
 
-        monkeypatch.setattr(selection, "_rank_tasks", no_cell)
+        monkeypatch.setattr(selection, "_first_best", no_cell)
         with pytest.raises(ValueError, match="image 19 has no paired captions"):
             selection.tsvd_path(cca.prepare(train_x, train_y), vi, vc,
                                 [2], [2], pair_index=pairs)
@@ -228,7 +230,7 @@ class TestTikhonovPath:
         def no_cell(*args, **kwargs):
             raise AssertionError("a cell was scored before the axis check")
 
-        monkeypatch.setattr(selection, "_rank_tasks", no_cell)
+        monkeypatch.setattr(selection, "_first_best", no_cell)
         with pytest.raises(ValueError, match="gamma_x grid must hold finite "
                                              "penalties >= 0"):
             selection.tikhonov_path(cca.prepare(train_x, train_y), vi, vc,
@@ -291,7 +293,7 @@ class TestSelect:
             raise AssertionError("a cell was scored before the metric "
                                  "check")
 
-        monkeypatch.setattr(selection, "_rank_tasks", no_cell)
+        monkeypatch.setattr(selection, "_first_best", no_cell)
         with pytest.raises(ValueError, match="unknown metric 'r5'"):
             selection.tsvd_path(cca.prepare(train_x, train_y), vi, vc,
                                 [2], [2], metric="r5", pair_index=vp)
@@ -492,16 +494,15 @@ class TestSvdFreeCells:
             self, dataset, monkeypatch, kind, axis_x, axis_y):
         train_x, train_y, vi, vc, vp = dataset
         problem = cca.prepare(train_x, train_y)
-        score = selection._rank_tasks
+        score = selection._first_best
         runs = []
 
-        def recording(g_rows, image_sqs, caption_sqs, *args):
-            runs[-1].append(g_rows(0, len(caption_sqs[0])).tobytes()
-                            + image_sqs[0].tobytes()
-                            + caption_sqs[0].tobytes())
-            return score(g_rows, image_sqs, caption_sqs, *args)
+        def recording(g, image_sq, caption_sq, *args):
+            runs[-1].append(g.tobytes() + image_sq.tobytes()
+                            + caption_sq.tobytes())
+            return score(g, image_sq, caption_sq, *args)
 
-        monkeypatch.setattr(selection, "_rank_tasks", recording)
+        monkeypatch.setattr(selection, "_first_best", recording)
         grids = []
         for axes, workers in (((axis_x, axis_y), 1), ((axis_x, axis_y), 3),
                               ((sorted(set(axis_x)), sorted(set(axis_y))),
@@ -517,3 +518,150 @@ class TestSvdFreeCells:
         for name in ("search_scores", "annotation_scores"):
             assert (getattr(grids[0], name).tobytes()
                     == getattr(grids[1], name).tobytes())
+
+
+#: caption counts at and across the 192-caption blocks the blocked route
+#: read a path cell's G in
+CAPTION_COUNTS = (1, 2, retrieval.BLOCK_ROWS - 1, retrieval.BLOCK_ROWS,
+                  retrieval.BLOCK_ROWS + 1, 2 * retrieval.BLOCK_ROWS + 3)
+
+
+@st.composite
+def planted_cells(draw):
+    """(g, image_sq, caption_sq, similarity, rank_one): a path cell's G,
+    images by captions, whose scores are planted exactly.
+
+    Scores S are drawn from {-2, -1, 0, 1, 2}, so most columns and rows
+    hold bitwise ties of their best, and some are copied down a column,
+    along a row or from one 192-caption block to the next.  Under cosine G
+    is S times powers of two, the norms' squares, so a norm divides
+    exactly; under ``l2`` S plus whole half-norms; a rank-one cell has S
+    times a positive draw, whose sign is S.  A few entries may be +-inf
+    or NaN, so that the kernels' errors are compared too.
+    """
+    kind = draw(st.sampled_from(("cosine", "l2", "rank_one")))
+    n_images = draw(st.integers(1, 24))
+    n_captions = draw(st.sampled_from(CAPTION_COUNTS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s = rng.integers(-2, 3, (n_images, n_captions)).astype(float)
+    tie = draw(st.sampled_from(("column", "row", "block", "none")))
+    if tie == "column":  # one caption's best image, again further down
+        s[rng.integers(0, n_images, n_images), :] = s.max(axis=0)
+    elif tie == "row":   # one image's best caption, again further along
+        s[:, rng.integers(0, n_captions, n_captions)] = s.max(
+            axis=1)[:, None]
+    elif tie == "block" and n_captions > retrieval.BLOCK_ROWS:
+        s[:, retrieval.BLOCK_ROWS:] = s[:, :n_captions
+                                         - retrieval.BLOCK_ROWS]
+    if kind == "cosine":
+        a, b = (2.0 ** rng.integers(-3, 4, n) for n in (n_images,
+                                                         n_captions))
+        g, image_sq, caption_sq = s * a[:, None] * b, a * a, b * b
+    elif kind == "l2":
+        a, b = (rng.integers(0, 6, n).astype(float) for n in (n_images,
+                                                             n_captions))
+        g, image_sq, caption_sq = s + a[:, None] + b, 2 * a, 2 * b
+    else:
+        g = s * rng.uniform(0.5, 2.0, s.shape)
+        image_sq, caption_sq = np.ones(n_images), np.ones(n_captions)
+    for value in draw(st.lists(st.sampled_from((np.inf, -np.inf, np.nan)),
+                               max_size=3)):
+        g[rng.integers(0, n_images), rng.integers(0, n_captions)] = value
+    return (np.ascontiguousarray(g), image_sq, caption_sq,
+            "l2" if kind == "l2" else "cosine", kind == "rank_one")
+
+
+def outcome(route):
+    """What ``route()`` returns as lists, or the message it raises."""
+    try:
+        return [np.asarray(task).tolist() for task in route()]
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestFirstBestKernel:
+    """``selection._first_best``, which scores a path cell's G where it
+    lies, against the blocked route it replaced
+    (``oracles.first_best_blocked``) and the one-task kernel
+    (``oracles.one_task_ranks``): the same first-best items, ties to the
+    smaller index, or the same message naming the same caption or image."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(cell=planted_cells())
+    def test_planted_ties_and_non_finite_scores(self, cell):
+        g, image_sq, caption_sq, similarity, rank_one = cell
+        n_images, n_captions = g.shape
+
+        def kernel():
+            return selection._first_best(
+                g, image_sq, caption_sq, similarity, rank_one,
+                np.empty_like(g), np.empty(g.shape, dtype=bool))
+
+        def blocked():
+            search, annotation = oracles.first_best_blocked(
+                lambda lo, hi: g.T[lo:hi], [image_sq], [caption_sq],
+                similarity, rank_one)
+            return search[0], annotation[0]
+
+        def one_task():
+            return (oracles.one_task_ranks(
+                lambda lo, hi: g.T[lo:hi], n_captions, [image_sq], "search",
+                similarity, rank_one)[0],
+                oracles.one_task_ranks(
+                    lambda lo, hi: g[lo:hi], n_images, [caption_sq],
+                    "annotation", similarity, rank_one)[0])
+
+        assert outcome(kernel) == outcome(blocked) == outcome(one_task)
+
+    def test_g_is_left_as_it_is(self):
+        # both tasks score into the scratch buffer; G itself is not written
+        rng = np.random.default_rng(3)
+        g = rng.standard_normal((7, 300))
+        kept = g.copy()
+        selection._first_best(g, np.ones(7), np.ones(300), "cosine", False,
+                              np.empty_like(g), np.empty(g.shape, dtype=bool))
+        np.testing.assert_array_equal(g, kept)
+
+
+class TestPathKernelMatchesOracleRoute:
+    """Path TSVs, less ``cell_seconds``, of the kernel and of the blocked
+    route it replaced, on the same cells: identical text.  Run at 1 and 2
+    OpenBLAS threads by ``test_two_blas_threads``."""
+
+    @staticmethod
+    def blocked_route(g, image_sq, caption_sq, similarity, rank_one,
+                      scratch, mask):
+        search, annotation = oracles.first_best_blocked(
+            lambda lo, hi: g.T[lo:hi], [image_sq], [caption_sq], similarity,
+            rank_one)
+        return search[0], annotation[0]
+
+    @pytest.mark.parametrize("kind", ["tsvd", "tikhonov"])
+    @pytest.mark.parametrize("similarity", ["cosine", "l2"])
+    def test_path_tsvs_identical(self, dataset, monkeypatch, kind,
+                                 similarity):
+        train_x, train_y, vi, vc, vp = dataset
+        problem = cca.prepare(train_x, train_y)
+        axis_x, axis_y = selection.path_axes(problem, kind, counts=(6, 6))
+        if kind == "tsvd":
+            axis_x = np.r_[1, axis_x]  # rank-one cells too
+        rotated = selection._rotate(problem, vi, vc, vp)
+
+        def tsv():
+            grid = selection._run_grid(problem, axis_x, axis_y, kind,
+                                       *rotated, similarity, 2)
+            return [line.rsplit("\t", 1)[0] for line in
+                    selection.grid_to_tsv(grid).splitlines()]
+
+        got = tsv()
+        monkeypatch.setattr(selection, "_first_best", self.blocked_route)
+        assert got == tsv()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_two_blas_threads(self, threads, tmp_path):
+        test = (f"{Path(__file__).resolve()}::TestPathKernelMatchesOracleRoute"
+                "::test_path_tsvs_identical")
+        proc = run_under_blas_threads(
+            threads, ["-m", "pytest", "-q", "-p", "no:cacheprovider", test],
+            tmp_path)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
