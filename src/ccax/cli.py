@@ -435,15 +435,15 @@ def _cmd_embed(args) -> int:
         maps = _read_archive(args.map, hkse.maps_from_archive)
     else:
         if median:
+            # both row sets leave the kept table, freed before the Gram
+            sample = _table_rows(table, sampled)
+            table = _table_rows(table, [t for t in table.tokens if t in words])
             try:
-                gamma = hkse.bandwidth_heuristic(
-                    _table_rows(table, sampled), args.gamma_sample,
-                    seed=args.seed)
+                gamma = hkse.bandwidth_heuristic(sample, args.gamma_sample,
+                                                 seed=args.seed)
             except io.DataFormatError as exc:  # the table's values overflow
                 raise io.DataFormatError(f"{args.vectors}: {exc}") from None
-            # the rows only the sample used are freed before embedding
-            table = _table_rows(table, [t for t in table.tokens
-                                        if t in words])
+            del sample
         else:
             gamma = 0.0 if args.gamma == "median" else args.gamma
         maps = [
@@ -452,6 +452,7 @@ def _cmd_embed(args) -> int:
             for idx, (word, sent) in enumerate(variants)
         ]
     blocks = hkse.embed_blocks(maps, corpus, table)  # checks every input
+    del table  # the blocks free its rows once the word features exist
     cols = sum(m.output_dim for m in maps)
     with io.create_matrix(args.out, len(corpus), cols) as out:
         for block in blocks:  # each written as it is embedded

@@ -339,14 +339,15 @@ def _blocks(maps, vectors: np.ndarray, rows, sentences):
     """Word layer, mean pooling and sentence layer: yield the embedded rows
     BLOCK_ROWS sentences at a time, the maps' outputs side by side.
 
-    ``vectors[rows]`` holds each distinct word once; ``sentences[i]`` indexes
-    the rows that sentence i is made of.  Every map's word features are
-    held throughout; each sentence is pooled straight into a BLOCK_ROWS-row
-    block, which the sentence layer maps into one output block, yielded
-    and then overwritten.  A non-finite output value is a DataFormatError
-    that counts over all rows.
+    ``vectors[rows]`` holds each distinct word once, until every map's word
+    features, held throughout, are made; ``sentences[i]`` indexes the rows
+    that sentence i is made of.  Each sentence is pooled straight into a
+    BLOCK_ROWS-row block, which the sentence layer maps into one output
+    block, yielded and then overwritten.  A non-finite output value is a
+    DataFormatError that counts over all rows.
     """
     words = [_word_layer(hkse_map, vectors, rows) for hkse_map in maps]
+    del vectors, rows
     pooled = [np.zeros((BLOCK_ROWS, m.pooled_dim)) for m in maps]
     out = np.empty((BLOCK_ROWS, sum(m.output_dim for m in maps)))
     for lo in range(0, len(sentences), BLOCK_ROWS):

@@ -189,33 +189,30 @@ def _prefix_sq(a: np.ndarray, ends: np.ndarray) -> np.ndarray:
 
 
 def _first_best(g, image_sq, caption_sq, similarity: str, rank_one: bool,
-                scratch, mask) -> tuple[np.ndarray, np.ndarray]:
+                scratch) -> tuple[np.ndarray, np.ndarray]:
     """Each caption's first-best image and each image's first-best caption,
     ties to the smaller index: the path cells' kernel.
 
     ``g`` is G, images by captions in C order, with squared image norms
     ``image_sq`` and caption norms ``caption_sq``, scored as
     :func:`ccax.retrieval._score` scores them after the checks of
-    :func:`ccax.retrieval._item_terms`.  Both tasks write their scores
-    into ``scratch``, of G's shape, where G lies: search takes a ``max``
-    down each caption's column, then the first row equal to it through the
-    bool ``mask``; annotation takes ``argmax`` along each image's row.  A
-    non-finite best score (max and argmax keep NaN) is an error naming the
-    view and row, each caption's before each image's.
-    """
+    :func:`ccax.retrieval._item_terms`, into ``scratch`` of G's size: search
+    as G's transpose, annotation as G, so that each query's items lie along
+    a row, where one ``argmax`` finds the first maximum (NaN before any
+    number).  A non-finite best score is an error naming the view and row,
+    each caption's before each image's."""
     [image_term], [caption_term] = _item_terms([image_sq], [caption_sq],
                                                similarity)
-    scores = _score(g, image_term[:, None], similarity, rank_one, scratch)
-    caption_best = scores.max(axis=0)
-    image_of = np.equal(scores, caption_best, out=mask).argmax(axis=0)
-    scores = _score(g, caption_term, similarity, rank_one, scratch)
-    caption_of = scores.argmax(axis=1)
-    image_best = scores[np.arange(len(g)), caption_of]
-    for view, best in (("caption", caption_best), ("image", image_best)):
-        bad = np.flatnonzero(~np.isfinite(best))
+    firsts = []
+    for view, items, term, out in (
+            ("caption", g.T, image_term, scratch.reshape(g.shape[::-1])),
+            ("image", g, caption_term, scratch)):
+        first = _score(items, term, similarity, rank_one, out).argmax(axis=1)
+        bad = np.flatnonzero(~np.isfinite(out[np.arange(len(first)), first]))
         if bad.size:
             raise ValueError(f"{view} {bad[0]}: score is not finite")
-    return image_of, caption_of
+        firsts.append(first)
+    return tuple(firsts)
 
 
 def _tsvd_rows(problem: CcaProblem, xs, ys, x_rot, y_rot):
@@ -314,16 +311,15 @@ def _run_grid(problem: CcaProblem, axis_x, axis_y, kind: str, x_rot, y_rot,
     caption_sq, cells = rows(problem, xs, ys, x_rot, y_rot)
 
     def run_row(i):
-        # G, images by captions, and the one scratch buffer and mask that
-        # each product and score of the row is written into
+        # G, images by captions, and one scratch buffer, which each product
+        # and score of the row overwrites once a cell's argmaxes are taken
         g = np.empty((n_images, n_captions))
-        scratch, mask = np.empty_like(g), np.empty(g.shape, dtype=bool)
+        scratch = np.empty_like(g)
         for j, start, image_sq, rank_one in cells(i, g, scratch):
             # top 1 of each task: a caption hits at its own image, an image
             # at one of its own captions
             image_of, caption_of = _first_best(
-                g, image_sq, caption_sq[i, j], similarity, rank_one, scratch,
-                mask)
+                g, image_sq, caption_sq[i, j], similarity, rank_one, scratch)
             search_scores[i, j] = (100.0 * np.count_nonzero(
                 image_of == pair_index) / n_captions)
             annotation_scores[i, j] = (100.0 * np.count_nonzero(

@@ -110,6 +110,38 @@ def test_embed_holds_only_the_rows_it_uses(tmp_path):
     assert peak < vocab * dim * 8 / 4
 
 
+def test_embed_frees_the_kept_table_before_the_median(tmp_path):
+    # an 800 x 300 table, a 600-word bandwidth sample and a corpus of 100
+    # words: the sample's rows and the corpus's rows are split out of the
+    # kept table, which is freed before the Gram.  The op then holds those
+    # two, the bandwidth heuristic's own peak, and tokens worth under half
+    # the sample's rows; with the kept table, which holds both, it would
+    # also hold the sample's rows a second time
+    rng = np.random.default_rng(12)
+    vocab, dim, sample = 800, 300, 600
+    table = io.EmbeddingTable(tuple(f"w{i}" for i in range(vocab)),
+                              rng.standard_normal((vocab, dim)))
+    save_embedding_table(table, tmp_path / "v.txt")
+    words = rng.choice(vocab, size=100, replace=False)
+    (tmp_path / "c.txt").write_text("".join(
+        " ".join(f"w{i}" for i in rng.choice(words, size=6)) + "\n"
+        for _ in range(100)))
+    argv = ["embed", "--corpus", str(tmp_path / "c.txt"),
+            "--vectors", str(tmp_path / "v.txt"), "--variant", "rbf,rbf",
+            "--m", "64", "--mprime", "64", "--gamma", "median",
+            "--gamma-sample", str(sample), "--out", str(tmp_path / "o.fmat")]
+    codes = []
+    peak = traced_peak(lambda: codes.append(cli.main(argv)))
+    assert codes == [0]
+    rows = np.sort(hkse.sample_rows(vocab, sample, 0))
+    sampled = io.EmbeddingTable(tuple(f"w{i}" for i in rows),
+                                table.vectors[rows])
+    gram = traced_peak(lambda: hkse.bandwidth_heuristic(sampled, sample))
+    kept = len(set(rows.tolist()) | set(words.tolist())) * dim * 8
+    held = (sample + len(words)) * dim * 8 + gram
+    assert peak < held + sampled.vectors.nbytes / 2 < kept + held
+
+
 def test_table_parsed_in_place(tmp_path, monkeypatch):
     # 8 windows of 300-dim rows at three decimals: the parsed table, one
     # window's text and block, and the tokens fit in table + window + 25%
@@ -314,12 +346,12 @@ def test_synth_holds_one_block(tmp_path):
 def test_path_grid_holds_g_and_one_scratch_per_row(kind, workers,
                                                    monkeypatch):
     # 300 validation images by 1500 captions: G is 3.6 MB.  Each worker's
-    # grid row holds G, one scratch buffer of G's size and a bool mask,
-    # into which every product and score of the row is written (argmax
-    # down the mask's columns copies it), beside the caption norms and
-    # factors shared by the rows, under a quarter of G; a cell allocates
-    # no product.  Between two cells of one row (one worker), what is
-    # allocated and freed again stays under a quarter of G
+    # grid row holds G and one scratch buffer of G's size, into which
+    # every product and score of the row is written, and a sixteenth of G
+    # more, beside the caption norms and factors shared by the rows, under
+    # a quarter of G; a cell allocates no product.  Between two cells of
+    # one row (one worker), what is allocated and freed again stays under
+    # a sixteenth of G
     rng = np.random.default_rng(11)
     n_images, n_captions, m_x, m_y = 300, 1500, 24, 16
     train_x = rng.standard_normal((400, m_x))
@@ -343,9 +375,9 @@ def test_path_grid_holds_g_and_one_scratch_per_row(kind, workers,
     peak = traced_peak(lambda: selection._run_grid(
         problem, *axes, kind, *rotated, "cosine", workers))
     assert len(transients) == 16
-    assert peak < (workers * (2 + 1 / 4) + 1 / 4) * g_bytes
+    assert peak < (workers * (2 + 1 / 16) + 1 / 4) * g_bytes
     if workers == 1:
-        assert max(transients[1:]) < g_bytes / 4
+        assert max(transients[1:]) < g_bytes / 16
 
 
 def _eval_peak(rng, captions_of):

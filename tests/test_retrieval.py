@@ -405,8 +405,7 @@ def first_best(g, image_sq, caption_sq, similarity, rank_one=False):
     g = np.ascontiguousarray(np.asarray(g, dtype=np.float64).T)
     return selection._first_best(g, np.asarray(image_sq, dtype=float),
                                  np.asarray(caption_sq, dtype=float),
-                                 similarity, rank_one, np.empty_like(g),
-                                 np.empty(g.shape, dtype=bool))
+                                 similarity, rank_one, np.empty_like(g))
 
 
 def kernel(g, ground_truth, image_sq, caption_sq, similarity):

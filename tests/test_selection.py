@@ -595,7 +595,7 @@ class TestFirstBestKernel:
         def kernel():
             return selection._first_best(
                 g, image_sq, caption_sq, similarity, rank_one,
-                np.empty_like(g), np.empty(g.shape, dtype=bool))
+                np.empty_like(g))
 
         def blocked():
             search, annotation = oracles.first_best_blocked(
@@ -619,7 +619,7 @@ class TestFirstBestKernel:
         g = rng.standard_normal((7, 300))
         kept = g.copy()
         selection._first_best(g, np.ones(7), np.ones(300), "cosine", False,
-                              np.empty_like(g), np.empty(g.shape, dtype=bool))
+                              np.empty_like(g))
         np.testing.assert_array_equal(g, kept)
 
 
@@ -630,7 +630,7 @@ class TestPathKernelMatchesOracleRoute:
 
     @staticmethod
     def blocked_route(g, image_sq, caption_sq, similarity, rank_one,
-                      scratch, mask):
+                      scratch):
         search, annotation = oracles.first_best_blocked(
             lambda lo, hi: g.T[lo:hi], [image_sq], [caption_sq], similarity,
             rank_one)
